@@ -6,7 +6,13 @@
 //! switch computers on and off excessively within short time spans …
 //! Clearly, excessive switching is undesirable since it reduces the
 //! reliability of a computer."
+//!
+//! Asserted: the run exits non-zero if the banded controller switches
+//! machines on more often than the ablated one. That holds at default
+//! scale (82 vs 97 switch-ons); the `--quick` truncation to 250 buckets
+//! on coarse grids does not reproduce it (15 vs 14) and fails.
 
+use llc_bench::claims;
 use llc_bench::figures::FIGURE_SEED;
 use llc_bench::report::{quick_mode, write_csv};
 use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
@@ -72,4 +78,8 @@ fn main() {
         &rows,
     );
     println!("wrote {}", path.display());
+    claims::enforce(
+        "switch-ons with the uncertainty band <= without it",
+        claims::band_switches_no_more(sw_on, sw_off),
+    );
 }

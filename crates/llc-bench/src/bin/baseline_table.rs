@@ -5,8 +5,11 @@
 //! The paper's claim to reproduce in shape: the LLC controller meets the
 //! response-time goal while consuming substantially less energy than an
 //! uncontrolled cluster, and manages switching more deliberately than a
-//! threshold heuristic.
+//! threshold heuristic. The energy half of that is asserted: the run
+//! exits non-zero unless energy(LLC) < energy(threshold) ≤
+//! energy(always-max) with no request dropped.
 
+use llc_bench::claims::{self, BaselineRow};
 use llc_bench::figures::FIGURE_SEED;
 use llc_bench::report::{quick_mode, write_csv};
 use llc_cluster::{
@@ -15,16 +18,7 @@ use llc_cluster::{
 };
 use llc_workload::{synthetic_paper_workload, Trace, VirtualStore};
 
-struct Row {
-    name: String,
-    mean_response: f64,
-    violations: f64,
-    energy: f64,
-    switch_ons: u64,
-    dropped: u64,
-}
-
-fn run(policy: &mut dyn ClusterPolicy, trace: &Trace) -> Row {
+fn run(policy: &mut dyn ClusterPolicy, trace: &Trace) -> BaselineRow {
     let scenario = if quick_mode() {
         single_module(4).with_coarse_learning()
     } else {
@@ -35,7 +29,7 @@ fn run(policy: &mut dyn ClusterPolicy, trace: &Trace) -> Row {
         .run(scenario.to_sim_config(), policy, trace, &store)
         .expect("well-formed scenario");
     let s = log.summary();
-    Row {
+    BaselineRow {
         name: policy.name().to_string(),
         mean_response: s.mean_response,
         violations: s.violation_fraction,
@@ -66,19 +60,14 @@ fn main() {
         .map(|module| module.iter().map(|(s, p)| (*s, p.len())).collect())
         .collect();
 
-    let mut rows = Vec::new();
-    {
-        let mut p = HierarchicalPolicy::build(&scenario);
-        rows.push(run(&mut p, &trace));
-    }
-    {
-        let mut p = ThresholdPolicy::new(ThresholdConfig::default(), layout);
-        rows.push(run(&mut p, &trace));
-    }
-    {
-        let mut p = AlwaysMaxPolicy::new(layout_sizes);
-        rows.push(run(&mut p, &trace));
-    }
+    let rows = [
+        run(&mut HierarchicalPolicy::build(&scenario), &trace),
+        run(
+            &mut ThresholdPolicy::new(ThresholdConfig::default(), layout),
+            &trace,
+        ),
+        run(&mut AlwaysMaxPolicy::new(layout_sizes), &trace),
+    ];
 
     println!("LLC vs baselines — synthetic module workload, r* = 4 s\n");
     println!(
@@ -118,4 +107,8 @@ fn main() {
         &csv,
     );
     println!("wrote {}", path.display());
+    claims::enforce(
+        "energy(LLC) < energy(threshold) <= energy(always-max), nothing dropped",
+        claims::llc_saves_energy(&rows),
+    );
 }

@@ -415,10 +415,6 @@ fn main() {
         flr = cfg.fast_learning_rate,
         body = lines.join(",\n"),
     );
-    std::fs::write("BENCH_closed_loop.json", &json).expect("cannot write BENCH_closed_loop.json");
+    std::fs::write("BENCH_closed_loop.json", json).expect("cannot write BENCH_closed_loop.json");
     println!("wrote BENCH_closed_loop.json");
-    if let Some(class_path) = llc_bench::report::write_class_baseline("closed_loop", threads, &json)
-    {
-        println!("wrote {} (runner-class baseline)", class_path.display());
-    }
 }

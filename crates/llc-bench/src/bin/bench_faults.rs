@@ -333,9 +333,6 @@ fn main() {
         tq = ft.telemetry_quorum,
         body = lines.join(",\n"),
     );
-    std::fs::write("BENCH_faults.json", &json).expect("cannot write BENCH_faults.json");
+    std::fs::write("BENCH_faults.json", json).expect("cannot write BENCH_faults.json");
     println!("wrote BENCH_faults.json");
-    if let Some(class_path) = llc_bench::report::write_class_baseline("faults", threads, &json) {
-        println!("wrote {} (runner-class baseline)", class_path.display());
-    }
 }

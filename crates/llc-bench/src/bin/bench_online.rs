@@ -164,8 +164,7 @@ fn main() {
     if check {
         // The acceptance invariant this repo commits to: online tracking
         // beats offline-only on at least two drift scenarios per
-        // substrate. (BENCH_substrate speedups are gated separately by
-        // `bench_substrate --check`.)
+        // substrate.
         let mut failed = false;
         for (backend, n) in &wins {
             if *n >= 2 {
@@ -200,9 +199,6 @@ fn main() {
         de = cfg.decay_every,
         body = lines.join(",\n"),
     );
-    std::fs::write("BENCH_online.json", &json).expect("cannot write BENCH_online.json");
+    std::fs::write("BENCH_online.json", json).expect("cannot write BENCH_online.json");
     println!("wrote BENCH_online.json");
-    if let Some(class_path) = llc_bench::report::write_class_baseline("online", threads, &json) {
-        println!("wrote {} (runner-class baseline)", class_path.display());
-    }
 }

@@ -7,10 +7,9 @@
 //! once at the runner's full thread count — and reports simulated
 //! seconds per wall-clock second for both arms. A third arm on the
 //! smallest cluster replays identical traffic through the per-request
-//! event heap, measuring what batching itself buys. Controller overhead
-//! (one L1 decide over trained maps, extrapolated to the module count)
-//! is reported alongside so the plant and the decision plane can be
-//! compared at scale. Traffic is a constant-rate synthetic stream by
+//! event heap, measuring what batching itself buys. (What the decision
+//! plane costs at scale is the `l1.decide_us` line of `benchmark/`'s
+//! ledger.) Traffic is a constant-rate synthetic stream by
 //! default; `--trace wc98` switches the size sweep to a WC'98-like
 //! match-evening crest replay, and the gated path always replays that
 //! crest on the small cluster so the trace loader stays exercised in CI.
@@ -27,14 +26,9 @@
 use llc_bench::report::{
     self, check_mode, gate_ratio, json_number, median3, quick_mode, runner_json,
 };
-use llc_cluster::{
-    cluster_of, AbstractionMap, L0Config, L1Config, L1Controller, LearnSpec, MapBackend,
-    MemberSpec, ScenarioConfig,
-};
+use llc_cluster::cluster_of;
 use llc_sim::{ClusterConfig, ClusterSim, WindowStats};
 use llc_workload::wc98_like_day;
-use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Controller window width (the paper's 30-second L1 period).
@@ -228,46 +222,6 @@ fn time_arm(size: &Size, counts: &[u64], threads: usize) -> f64 {
     median3(|| run_batched(size, counts, threads).wall_s)
 }
 
-/// Time one L1 decide over trained dense maps for a 4-member module —
-/// the per-period decision cost the hierarchy pays per module.
-fn controller_decide_us(quick: bool) -> f64 {
-    let scenario = ScenarioConfig {
-        modules: cluster_of(1),
-        ..llc_cluster::paper_cluster_16()
-    };
-    let members: Vec<MemberSpec> = scenario.member_specs().remove(0);
-    let learn = if quick {
-        LearnSpec::coarse()
-    } else {
-        LearnSpec::default()
-    };
-    let maps: Vec<Arc<AbstractionMap>> = llc_par::par_map(&members, |s| {
-        Arc::new(AbstractionMap::learn_for_member(
-            &L0Config::paper_default(),
-            s,
-            learn,
-            MapBackend::Dense,
-        ))
-    });
-    let mut l1 = L1Controller::new_shared(L1Config::paper_default(), members.clone(), maps);
-    for _ in 0..6 {
-        l1.observe(60 * 120, &vec![Some(DEMAND_S); members.len()]);
-    }
-    let queues = vec![3usize; members.len()];
-    let active = vec![true; members.len()];
-    for _ in 0..20 {
-        black_box(l1.decide(&queues, &active));
-    }
-    let iters = if quick { 40 } else { 200 };
-    median3(|| {
-        let started = Instant::now();
-        for _ in 0..iters {
-            black_box(l1.decide(black_box(&queues), black_box(&active)));
-        }
-        started.elapsed().as_secs_f64() * 1e6 / iters as f64
-    })
-}
-
 /// `true` when two runs produced bit-identical per-window stats, drops
 /// and energy — the sharding determinism contract.
 fn identical(a: &RunOutcome, b: &RunOutcome) -> bool {
@@ -373,17 +327,6 @@ fn main() {
         "wc98 crest replay (16 machines): {} arrivals, {} dropped, \
          {wc98_rate:.0} sim-s/wall-s",
         wc98_small.arrivals, wc98_small.dropped
-    );
-
-    // --- Controller overhead at scale. --------------------------------
-    let decide_us = controller_decide_us(quick);
-    let largest = &sizes[sizes.len() - 1];
-    let extrapolated_ms = decide_us * largest.modules as f64 / 1e3;
-    println!(
-        "controller overhead: {decide_us:.1} us per module decide, \
-         x{} modules = {extrapolated_ms:.1} ms/period serial-extrapolated \
-         (modules decide independently; llc-par fans out across cores)",
-        largest.modules
     );
 
     if check {
@@ -533,10 +476,6 @@ fn main() {
          \"wc98_replay\": {{\n    \"machines\": {wm},\n    \"windows\": {ww},\n    \
          \"arrivals\": {wa},\n    \"dropped\": {wd},\n    \
          \"sim_s_per_wall_s\": {wr:.0}\n  }},\n  \
-         \"controller\": {{\n    \"per_module_decide_us\": {dus:.1},\n    \
-         \"modules_at_largest\": {ml},\n    \
-         \"extrapolated_serial_ms_per_period\": {ems:.1},\n    \
-         \"period_s\": {ps:.0}\n  }},\n  \
          \"determinism\": \"{det}\"\n}}\n",
         runner = runner_json(threads),
         traffic = if trace_mode {
@@ -554,10 +493,6 @@ fn main() {
         wa = wc98_small.arrivals,
         wd = wc98_small.dropped,
         wr = wc98_rate,
-        dus = decide_us,
-        ml = largest.modules,
-        ems = extrapolated_ms,
-        ps = WINDOW_S,
         det = if deterministic {
             "1/2/8-worker runs bit-identical (128 machines)"
         } else {

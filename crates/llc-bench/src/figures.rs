@@ -2,8 +2,7 @@
 
 use crate::report::quick_mode;
 use llc_cluster::{
-    paper_cluster_16, paper_cluster_20, single_module, Experiment, ExperimentLog,
-    HierarchicalPolicy, ScenarioConfig,
+    paper_cluster_16, single_module, Experiment, ExperimentLog, HierarchicalPolicy, ScenarioConfig,
 };
 use llc_workload::{synthetic_paper_workload, wc98_like_fig6, Trace, VirtualStore};
 
@@ -37,36 +36,11 @@ pub fn module_experiment(seed: u64) -> FigureRun {
     run(scenario, trace, seed)
 }
 
-/// A module experiment with `m` computers under the synthetic workload
-/// scaled to the module's capacity (the paper "appropriately scales" the
-/// workload for m = 6 and m = 10).
-pub fn module_experiment_sized(m: usize, seed: u64) -> FigureRun {
-    let mut scenario = single_module(m);
-    let mut trace = synthetic_paper_workload(seed).scaled(m as f64 / 4.0);
-    if quick_mode() {
-        scenario = scenario.with_coarse_learning();
-        trace = trace.slice(0, 200);
-    }
-    run(scenario, trace, seed)
-}
-
 /// The §5.2 cluster experiment behind Figs. 6 and 7: sixteen computers in
 /// four modules under the WC'98-like trace.
 pub fn cluster_experiment(seed: u64) -> FigureRun {
     let mut scenario = paper_cluster_16();
     let mut trace = wc98_like_fig6(seed);
-    if quick_mode() {
-        scenario = scenario.with_coarse_learning();
-        trace = trace.slice(0, 120);
-    }
-    run(scenario, trace, seed)
-}
-
-/// The 20-computer / five-module variant of §5.2.
-pub fn cluster20_experiment(seed: u64) -> FigureRun {
-    let mut scenario = paper_cluster_20();
-    // Five modules get 25% more offered load at the same shape.
-    let mut trace = wc98_like_fig6(seed).scaled(1.25);
     if quick_mode() {
         scenario = scenario.with_coarse_learning();
         trace = trace.slice(0, 120);

@@ -130,7 +130,7 @@ pub fn check_mode() -> bool {
 ///
 /// This is *not* a JSON parser — it is the minimal extractor the
 /// registry-less build can afford (no serde), sufficient for the flat
-/// two-level objects `bench_substrate`/`bench_online` emit: find the
+/// two-level objects the `bench_*` bins emit: find the
 /// section name, then the first occurrence of the key after it, then
 /// parse the literal that follows the colon.
 pub fn json_number(text: &str, section: &str, key: &str) -> Option<f64> {
@@ -216,8 +216,7 @@ pub fn class_baseline_path(bench: &str, threads: usize) -> PathBuf {
 /// The committed per-class baseline for `bench` on this runner class, if
 /// one exists. Gates prefer it over the single workspace-root
 /// `BENCH_*.json` — like runners compare absolute numbers directly, so
-/// the tolerance can tighten (see [`CLASS_TOLERANCE`] vs
-/// [`FALLBACK_TOLERANCE`]).
+/// the tolerance can tighten.
 pub fn load_class_baseline(bench: &str, threads: usize) -> Option<String> {
     fs::read_to_string(class_baseline_path(bench, threads)).ok()
 }
@@ -253,14 +252,6 @@ pub fn write_class_baseline(bench: &str, threads: usize, json: &str) -> Option<P
     fs::write(&path, json).expect("cannot write per-class baseline");
     Some(path)
 }
-
-/// Gate tolerance against a same-class baseline: like runners compare
-/// like numbers, so 10% headroom suffices.
-pub const CLASS_TOLERANCE: f64 = 0.10;
-
-/// Gate tolerance against the workspace-root fallback baseline, which
-/// may have been recorded on different hardware: the historical 20%.
-pub const FALLBACK_TOLERANCE: f64 = 0.20;
 
 /// One gate comparison: fail (return an error line) when `measured`
 /// falls more than `tolerance` (fractional) below `baseline`.

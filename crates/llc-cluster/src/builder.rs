@@ -1,11 +1,8 @@
 //! One-stop construction of a fully configured [`HierarchicalPolicy`].
 //!
-//! The self-healing subsystems accreted one `enable_*` method each
-//! (`enable_closed_loop`, `enable_fault_tolerance`, `enable_retrain`)
-//! plus a scenario tweak (`with_drift_aware_l0`), so every bench arm
-//! re-implemented the same four-call construction dance.
-//! [`PolicyBuilder`] consolidates the surface; the old methods survive
-//! as thin deprecated wrappers so existing callers keep compiling.
+//! The self-healing subsystems (closed-loop learning, the churn
+//! watchdog, the retrain consumer, the drift-aware L0) are all switched
+//! on here; [`PolicyBuilder`] is the only construction surface.
 
 use crate::hierarchy::{FaultToleranceConfig, HierarchicalPolicy};
 use crate::retrain::RetrainConfig;
@@ -15,10 +12,7 @@ use llc_core::OnlineConfig;
 /// Fluent builder for a [`HierarchicalPolicy`] with any combination of
 /// the optional subsystems: closed-loop learning (or the caller-driven
 /// outcome-tracking variant), the churn watchdog, the retrain consumer,
-/// and the drift-aware L0. `build()` runs the same offline learning
-/// passes in the same order as the legacy `enable_*` sequence, so a
-/// builder-constructed policy is bit-identical to one configured by
-/// hand.
+/// and the drift-aware L0.
 ///
 /// ```no_run
 /// use llc_cluster::{single_module, PolicyBuilder};
@@ -114,12 +108,10 @@ impl PolicyBuilder {
     /// [`OnlineConfig::validated`], [`FaultToleranceConfig::validated`],
     /// [`RetrainConfig::validated`]).
     pub fn build(self) -> HierarchicalPolicy {
-        let scenario = if self.drift_aware_l0 {
-            #[allow(deprecated)]
-            self.scenario.with_drift_aware_l0()
-        } else {
-            self.scenario
-        };
+        let mut scenario = self.scenario;
+        if self.drift_aware_l0 {
+            scenario.l0.scale = llc_core::ScaleEstimatorConfig::enabled();
+        }
         let mut policy = HierarchicalPolicy::build(&scenario);
         if let Some(cfg) = self.closed_loop {
             policy.set_closed_loop(cfg);

@@ -58,19 +58,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Switch on the drift-aware L0: every computer's lookahead model
-    /// runs at the delivered-capacity scale `ŝ` its
-    /// [`llc_core::ServiceScaleEstimator`] measures from realized
-    /// completions, and the L1s query their maps at the effective
-    /// processing time `ĉ/ŝ`. Off by default — the paper's model is
-    /// capacity-blind.
-    #[must_use]
-    #[deprecated(note = "configure via PolicyBuilder::drift_aware_l0")]
-    pub fn with_drift_aware_l0(mut self) -> Self {
-        self.l0.scale = llc_core::ScaleEstimatorConfig::enabled();
-        self
-    }
-
     /// The simulator configuration for this scenario.
     pub fn to_sim_config(&self) -> ClusterConfig {
         ClusterConfig {

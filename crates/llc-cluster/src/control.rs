@@ -294,7 +294,25 @@ pub enum IngestError {
         /// The earliest tick still accepted.
         next_tick: u64,
     },
+    /// The observation's tick lies at or beyond the ingest horizon
+    /// ([`INGEST_HORIZON_TICKS`] past the next undecided tick): buffering
+    /// it would let a peer grow the pending map without bound, so it is
+    /// dropped (and counted) instead.
+    Future {
+        /// The observation's tick.
+        tick: u64,
+        /// The first tick not accepted yet.
+        horizon_end: u64,
+    },
 }
+
+/// How far ahead of the next undecided tick the ingest surface buffers.
+/// `Experiment::run` and lockstep sessions lead the clock by at most one
+/// window, and a paced agent runs ahead of a stalled controller by about
+/// one window per missed deadline — so the bound is hundreds of ticks: a
+/// stall it would cut short has long since failed its deadlines, and the
+/// pending map it caps stays at `INGEST_HORIZON_TICKS × modules` slots.
+pub const INGEST_HORIZON_TICKS: u64 = 512;
 
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -313,6 +331,11 @@ impl std::fmt::Display for IngestError {
             IngestError::Stale { tick, next_tick } => write!(
                 f,
                 "stale observation for tick {tick} (next undecided tick is {next_tick})"
+            ),
+            IngestError::Future { tick, horizon_end } => write!(
+                f,
+                "observation for tick {tick} is beyond the ingest horizon \
+                 (ticks before {horizon_end} are accepted)"
             ),
         }
     }
@@ -333,6 +356,9 @@ impl std::error::Error for IngestError {}
 /// * An observation for a tick **already decided** is refused with
 ///   [`IngestError::Stale`]: the virtual clock never rewinds, and a
 ///   decision, once taken, is never revised.
+/// * An observation [`INGEST_HORIZON_TICKS`] or more ahead of the next
+///   undecided tick is refused with [`IngestError::Future`]: the buffer
+///   of undecided ticks is bounded, and what the bound drops is counted.
 /// * **Missing data never blocks the clock**: a tick may be decided
 ///   with whole modules or individual members absent — they are treated
 ///   as dark (blank window, `telemetry_ok = false`), which is exactly
@@ -342,8 +368,9 @@ pub trait ObservationIngest {
     ///
     /// # Errors
     ///
-    /// Refuses observations naming unknown modules/members and
-    /// observations for already-decided ticks (see [`IngestError`]).
+    /// Refuses observations naming unknown modules/members,
+    /// observations for already-decided ticks, and observations beyond
+    /// the ingest horizon (see [`IngestError`]).
     fn ingest(&mut self, observation: ModuleObservation) -> Result<(), IngestError>;
 }
 
@@ -510,6 +537,9 @@ pub struct MetricsSnapshot {
     pub out_of_order_observations: u64,
     /// Observations refused because their tick was already decided.
     pub stale_observations: u64,
+    /// Observations refused because their tick lay at or beyond the
+    /// ingest horizon ([`INGEST_HORIZON_TICKS`]).
+    pub future_observations: u64,
     /// Member-windows dark-filled because no telemetry arrived for them
     /// at a decided tick.
     pub dark_filled_members: u64,
@@ -602,6 +632,7 @@ pub struct ControlPlane<P: ClusterPolicy> {
     ingested: u64,
     out_of_order: u64,
     stale: u64,
+    future: u64,
     dark_filled: u64,
     emitted: u64,
     decide: LatencyStats,
@@ -651,6 +682,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             ingested: 0,
             out_of_order: 0,
             stale: 0,
+            future: 0,
             dark_filled: 0,
             emitted: 0,
             decide: LatencyStats::default(),
@@ -884,6 +916,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             observations_ingested: self.ingested,
             out_of_order_observations: self.out_of_order,
             stale_observations: self.stale,
+            future_observations: self.future,
             dark_filled_members: self.dark_filled,
             directives_emitted: self.emitted,
             decide,
@@ -915,6 +948,14 @@ impl<P: ClusterPolicy> ObservationIngest for ControlPlane<P> {
             return Err(IngestError::Stale {
                 tick: observation.tick,
                 next_tick: self.next_tick,
+            });
+        }
+        let horizon_end = self.next_tick.saturating_add(INGEST_HORIZON_TICKS);
+        if observation.tick >= horizon_end {
+            self.future += 1;
+            return Err(IngestError::Future {
+                tick: observation.tick,
+                horizon_end,
             });
         }
         if self
@@ -1063,6 +1104,32 @@ mod tests {
         assert_eq!(m.stale_observations, 1);
         assert_eq!(m.ticks_decided, 2);
         assert_eq!(m.observations_ingested, 2);
+    }
+
+    #[test]
+    fn far_future_ingest_is_refused_and_counted() {
+        let mut plane = plane();
+        let _ = plane.step(); // the horizon slides with the clock
+        let horizon_end = 1 + INGEST_HORIZON_TICKS;
+        for k in 0..9_999u64 {
+            let tick = horizon_end + k * 1_000_003;
+            let err = plane
+                .ingest(observation(tick, vec![telemetry(0)]))
+                .unwrap_err();
+            assert_eq!(err, IngestError::Future { tick, horizon_end });
+        }
+        // The 10 000th: the horizon's own arithmetic must not overflow.
+        assert!(plane
+            .ingest(observation(u64::MAX, vec![telemetry(0)]))
+            .is_err());
+        assert!(plane.pending.is_empty(), "refused ticks are not buffered");
+        assert_eq!(plane.metrics().future_observations, 10_000);
+        // The last tick inside the horizon is still accepted.
+        plane
+            .ingest(observation(horizon_end - 1, vec![telemetry(0)]))
+            .unwrap();
+        assert_eq!(plane.pending.len(), 1);
+        assert_eq!(plane.metrics().observations_ingested, 1);
     }
 
     #[test]

@@ -521,6 +521,38 @@ impl SimAdapter {
         self.sim.schedule_arrival(at, demand)
     }
 
+    /// Inject tick `tick`'s arrivals and run the plant through its
+    /// window: the bucket count of `ticks_trace` (one bucket per tick)
+    /// spread uniformly over the window from `spread_rng`, one request
+    /// body per arrival from `sampler`, then [`Self::advance_window`].
+    /// Returns the number of arrivals injected. This is the arrival
+    /// stream of [`Experiment::run`] and of the node agent alike — one
+    /// RNG call order, so both feed the plant identical requests.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] (cannot occur in a well-formed run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is beyond the trace.
+    pub fn inject_window<R: rand::Rng>(
+        &mut self,
+        tick: u64,
+        ticks_trace: &Trace,
+        spread_rng: &mut R,
+        sampler: &mut RequestSampler<'_>,
+    ) -> Result<usize, SimError> {
+        let count = ticks_trace.count(tick as usize).round().max(0.0) as usize;
+        let start = tick as f64 * self.t_l0;
+        for at in spread_arrivals(spread_rng, start, self.t_l0, count) {
+            let (_, demand) = sampler.next_request();
+            self.sim.schedule_arrival(at, demand)?;
+        }
+        self.advance_window(tick)?;
+        Ok(count)
+    }
+
     /// Run the plant to the end of tick `tick`'s window and bank the
     /// realized stats for the next observation.
     ///
@@ -614,13 +646,7 @@ impl Experiment {
             log.directives.extend(directives);
 
             // 3. Inject this window's arrivals and advance the plant.
-            let count = ticks_trace.count(tick as usize).round().max(0.0) as usize;
-            let times = spread_arrivals(&mut spread_rng, t, self.t_l0, count);
-            for at in times {
-                let (_, demand) = sampler.next_request();
-                adapter.schedule_arrival(at, demand)?;
-            }
-            adapter.advance_window(tick)?;
+            let count = adapter.inject_window(tick, &ticks_trace, &mut spread_rng, &mut sampler)?;
 
             // 4. Record.
             let sim = adapter.sim();

@@ -468,11 +468,6 @@ impl HierarchicalPolicy {
     ///
     /// Panics on out-of-range knobs (see
     /// [`FaultToleranceConfig::validated`]).
-    #[deprecated(note = "configure via PolicyBuilder::fault_tolerance")]
-    pub fn enable_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
-        self.set_fault_tolerance(cfg);
-    }
-
     pub(crate) fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
         let cfg = cfg.validated();
         self.fault_tolerance = Some(FaultTolerance::new(cfg, self.l0s.len(), self.l1s.len()));
@@ -522,11 +517,6 @@ impl HierarchicalPolicy {
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    #[deprecated(note = "configure via PolicyBuilder::closed_loop")]
-    pub fn enable_closed_loop(&mut self, cfg: OnlineConfig) {
-        self.set_closed_loop(cfg);
-    }
-
     pub(crate) fn set_closed_loop(&mut self, cfg: OnlineConfig) {
         let cfg = cfg.validated();
         // Unconditional: `cfg` defines the whole loop's knobs. Re-enabling
@@ -557,10 +547,6 @@ impl HierarchicalPolicy {
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    pub fn enable_outcome_tracking(&mut self, cfg: OnlineConfig) {
-        self.set_outcome_tracking(cfg);
-    }
-
     pub(crate) fn set_outcome_tracking(&mut self, cfg: OnlineConfig) {
         let cfg = cfg.validated();
         self.closed_loop = Some(ClosedLoop::new(
@@ -647,11 +633,6 @@ impl HierarchicalPolicy {
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`RetrainConfig::validated`]).
-    #[deprecated(note = "configure via PolicyBuilder::retrain")]
-    pub fn enable_retrain(&mut self, cfg: RetrainConfig) {
-        self.set_retrain(cfg);
-    }
-
     pub(crate) fn set_retrain(&mut self, cfg: RetrainConfig) {
         self.retrain = Some(RetrainManager::new(cfg));
     }

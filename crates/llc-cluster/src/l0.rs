@@ -118,7 +118,7 @@ pub struct L0Config {
     /// Drift-aware L0: knobs of the online service-rate scale estimator
     /// threaded through [`QueueModel::step`]. Disabled in the paper
     /// defaults (the paper's model is capacity-blind); enable via
-    /// [`crate::ScenarioConfig::with_drift_aware_l0`] or by setting
+    /// [`crate::PolicyBuilder::drift_aware_l0`] or by setting
     /// `scale.enabled` directly.
     pub scale: llc_core::ScaleEstimatorConfig,
 }

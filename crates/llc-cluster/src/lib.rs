@@ -51,7 +51,7 @@ pub use config::{
 pub use control::{
     Cadence, ControlPlane, Directive, DirectiveEmit, DirectiveKind, IngestError, LatencyStats,
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
-    StepReport, TransportMetrics,
+    StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
 };
 pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, SimAdapter, TickRecord};
 pub use hierarchy::{

@@ -17,8 +17,6 @@ pub enum Error {
     },
     /// A scenario set inside a forecast step carries no samples.
     EmptyScenario,
-    /// A multi-rate schedule was built with no levels or a zero multiplier.
-    InvalidSchedule,
     /// Bounded search was started with an empty candidate set.
     EmptyCandidateSet,
 }
@@ -36,12 +34,6 @@ impl fmt::Display for Error {
                 "forecast provides {available} environment steps but the horizon needs {required}"
             ),
             Error::EmptyScenario => write!(f, "environment scenario set is empty"),
-            Error::InvalidSchedule => {
-                write!(
-                    f,
-                    "multi-rate schedule needs at least one level with multiplier >= 1"
-                )
-            }
             Error::EmptyCandidateSet => write!(f, "bounded search started with no candidates"),
         }
     }
@@ -63,7 +55,6 @@ mod tests {
                 available: 1,
             },
             Error::EmptyScenario,
-            Error::InvalidSchedule,
             Error::EmptyCandidateSet,
         ];
         for v in variants {

@@ -59,7 +59,6 @@ mod llc;
 mod model;
 mod online;
 mod scale;
-mod schedule;
 mod uncertainty;
 
 pub use bounded::{BoundedSearch, LocalOptimum};
@@ -70,5 +69,4 @@ pub use llc::{Decision, LookaheadController, SearchStats};
 pub use model::{EnvStep, Forecast, Plant};
 pub use online::{Observation, ObservationLog, OnlineConfig};
 pub use scale::{ScaleEstimatorConfig, ServiceScaleEstimator};
-pub use schedule::{LevelTick, MultiRateSchedule};
 pub use uncertainty::UncertaintyBand;

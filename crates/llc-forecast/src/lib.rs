@@ -17,8 +17,6 @@
 //!   equivalent of ARIMA(0,2,2)) with data-driven noise tuning, mirroring
 //!   the paper's "parameters of the Kalman filter were first tuned using an
 //!   initial portion of the workload";
-//! * [`Arima`]: AR(p) / ARIMA(p,d,0) models in state-space form fitted by
-//!   Yule-Walker, run through the same Kalman machinery;
 //! * [`Ewma`]: the processing-time filter;
 //! * [`Forecaster`]: the common observe/predict interface consumed by the
 //!   controllers, plus [`AccuracyStats`] for tracking forecast error (the
@@ -41,20 +39,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arima;
 mod error_stats;
 mod ewma;
 mod kalman;
 mod matrix;
-mod seasonal;
 mod traits;
 mod trend;
 
-pub use arima::Arima;
 pub use error_stats::AccuracyStats;
 pub use ewma::Ewma;
 pub use kalman::KalmanFilter;
 pub use matrix::{Matrix, MatrixError};
-pub use seasonal::SeasonalTrend;
 pub use traits::Forecaster;
 pub use trend::LocalLinearTrend;

@@ -20,7 +20,7 @@
 use crate::codec::{Heartbeat, Hello, Role};
 use llc_cluster::{Directive, DirectiveKind, Experiment, SimAdapter};
 use llc_sim::{ClusterConfig, SimError};
-use llc_workload::{derive_seed, spread_arrivals, RequestSampler, Trace, VirtualStore};
+use llc_workload::{derive_seed, RequestSampler, Trace, VirtualStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -323,7 +323,6 @@ impl<'a> AgentCore<'a> {
     /// Propagates [`SimError`] from actuation or arrival scheduling.
     pub fn commit_window(&mut self) -> Result<(), SimError> {
         let tick = self.tick;
-        let t = tick as f64 * self.t_l0;
 
         // Apply one directive at a time so the frequency read-back sees
         // exactly the post-apply state — the sim-call sequence is
@@ -341,14 +340,12 @@ impl<'a> AgentCore<'a> {
             self.applied_log.push(d);
         }
 
-        // Same arrival-injection stream as `Experiment::run`.
-        let count = self.ticks_trace.count(tick as usize).round().max(0.0) as usize;
-        let times = spread_arrivals(&mut self.spread_rng, t, self.t_l0, count);
-        for at in times {
-            let (_, demand) = self.sampler.next_request();
-            self.adapter.schedule_arrival(at, demand)?;
-        }
-        self.adapter.advance_window(tick)?;
+        self.adapter.inject_window(
+            tick,
+            &self.ticks_trace,
+            &mut self.spread_rng,
+            &mut self.sampler,
+        )?;
         self.tick += 1;
         Ok(())
     }

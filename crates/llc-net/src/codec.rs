@@ -455,6 +455,7 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     put_u64(&mut out, m.observations_ingested);
     put_u64(&mut out, m.out_of_order_observations);
     put_u64(&mut out, m.stale_observations);
+    put_u64(&mut out, m.future_observations);
     put_u64(&mut out, m.dark_filled_members);
     put_u64(&mut out, m.directives_emitted);
 
@@ -514,6 +515,7 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     let observations_ingested = r.u64()?;
     let out_of_order_observations = r.u64()?;
     let stale_observations = r.u64()?;
+    let future_observations = r.u64()?;
     let dark_filled_members = r.u64()?;
     let directives_emitted = r.u64()?;
 
@@ -569,6 +571,7 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
         observations_ingested,
         out_of_order_observations,
         stale_observations,
+        future_observations,
         dark_filled_members,
         directives_emitted,
         decide,
@@ -706,6 +709,7 @@ mod tests {
             observations_ingested: 180,
             out_of_order_observations: 2,
             stale_observations: 5,
+            future_observations: 7,
             dark_filled_members: 12,
             directives_emitted: 400,
             decide: LatencyStats {

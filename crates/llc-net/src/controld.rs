@@ -31,6 +31,13 @@ pub enum CtrlEvent {
         /// The stale tick.
         tick: u64,
     },
+    /// An observation arrived for a tick beyond the plane's ingest
+    /// horizon; dropped whole and counted by the plane
+    /// (`MetricsSnapshot::future_observations`).
+    Future {
+        /// The too-early tick.
+        tick: u64,
+    },
     /// The agent's end-of-window heartbeat.
     AgentHeartbeat(Heartbeat),
     /// A (re-)handshake from the agent.
@@ -212,6 +219,7 @@ impl<P: ClusterPolicy> ControldCore<P> {
                         self.late_observations += 1;
                         Ok(CtrlEvent::Late { tick })
                     }
+                    Err(IngestError::Future { tick, .. }) => Ok(CtrlEvent::Future { tick }),
                     Err(IngestError::UnknownModule { .. } | IngestError::UnknownMember { .. }) => {
                         self.payload_errors += 1;
                         Err(WireError::BadPayload("observation names unknown topology"))
@@ -292,5 +300,41 @@ impl<P: ClusterPolicy> ControldCore<P> {
             wedged_reports: self.wedged_reports,
         };
         m
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::encode_observation;
+    use llc_cluster::{AlwaysMaxPolicy, ModuleObservation, INGEST_HORIZON_TICKS};
+
+    #[test]
+    fn far_future_observation_is_a_counted_drop_and_the_session_continues() {
+        let policy = AlwaysMaxPolicy::new(vec![vec![(1.0, 2)]]);
+        let mut core = ControldCore::new(policy, vec![vec![0]], 30.0, 10);
+        let frame = |tick| {
+            let observation = ModuleObservation {
+                module: 0,
+                tick,
+                members: Vec::new(),
+                arrivals: 0,
+                dropped: 0,
+            };
+            Frame::new(FrameKind::Observation, 0, encode_observation(&observation))
+        };
+        let tick = INGEST_HORIZON_TICKS;
+        assert_eq!(
+            core.handle_frame(&frame(tick)),
+            Ok(CtrlEvent::Future { tick })
+        );
+        assert_eq!(
+            core.handle_frame(&frame(0)),
+            Ok(CtrlEvent::Ingested { module: 0, tick: 0 })
+        );
+        let m = core.metrics(&LinkCounters::default());
+        assert_eq!(m.future_observations, 1);
+        assert_eq!(m.observations_ingested, 1);
+        assert_eq!(m.transport.decode_errors, 0);
     }
 }

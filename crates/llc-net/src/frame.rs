@@ -27,8 +27,9 @@ use std::fmt;
 /// The two magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = *b"LN";
 
-/// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
+/// The protocol version this build speaks (2: the Metrics payload
+/// gained `future_observations`).
+pub const VERSION: u8 = 2;
 
 /// Bytes of header before the payload.
 pub const HEADER_LEN: usize = 12;

@@ -57,7 +57,7 @@ pub use locality::{LocalityModel, RequestSampler};
 pub use store::VirtualStore;
 pub use synthetic::{synthetic_paper_workload, DiurnalShape, NoiseSegment, SyntheticBuilder};
 pub use trace::{Trace, TraceError};
-pub use wc98::{wc98_like_day, wc98_like_days, wc98_like_fig6};
+pub use wc98::{wc98_like_day, wc98_like_fig6};
 
 /// Spread `n` arrivals uniformly at random inside the window
 /// `[start, start + width)`, returned sorted — the standard way of turning

@@ -60,25 +60,6 @@ pub fn wc98_like_day(seed: u64) -> Trace {
     noisy_trace(&control, 720, seed)
 }
 
-/// A multi-day WC'98-like trace: `days` consecutive diurnal cycles at
-/// 2-minute buckets, each day re-noised independently and with mild
-/// day-over-day growth (tournament traffic grew toward the finals). The
-/// repeating daily structure is what seasonal forecasters exploit.
-///
-/// # Panics
-///
-/// Panics if `days == 0`.
-pub fn wc98_like_days(seed: u64, days: usize) -> Trace {
-    assert!(days >= 1, "need at least one day");
-    let mut counts = Vec::with_capacity(720 * days);
-    for d in 0..days {
-        let day = wc98_like_day(crate::derive_seed(seed, d as u64));
-        let growth = 1.0 + 0.05 * d as f64;
-        counts.extend(day.counts().iter().map(|c| c * growth));
-    }
-    Trace::new(120.0, counts).expect("scaled counts stay valid")
-}
-
 /// The 600-bucket (20-hour) window used in Fig. 6 for the 16-computer
 /// experiment: starts mid-morning, contains the full evening crest.
 pub fn wc98_like_fig6(seed: u64) -> Trace {

@@ -28,8 +28,8 @@ use llc_cluster::{
 };
 use llc_core::OnlineConfig;
 use llc_workload::{
-    derive_seed, fault_scenarios, spread_arrivals, CapacityProfile, FaultEvent, FaultKind,
-    FaultPlan, RequestSampler, VirtualStore,
+    derive_seed, fault_scenarios, CapacityProfile, FaultEvent, FaultKind, FaultPlan,
+    RequestSampler, VirtualStore,
 };
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -90,15 +90,9 @@ fn main() {
             adapter
                 .actuate(&directives)
                 .expect("well-formed directives");
-            let t = tick as f64 * t_l0;
-            let count = ticks_trace.count(tick as usize).round().max(0.0) as usize;
-            for at in spread_arrivals(&mut spread_rng, t, t_l0, count) {
-                let (_, demand) = sampler.next_request();
-                adapter
-                    .schedule_arrival(at, demand)
-                    .expect("arrival in window");
-            }
-            adapter.advance_window(tick).expect("well-formed run");
+            adapter
+                .inject_window(tick, &ticks_trace, &mut spread_rng, &mut sampler)
+                .expect("well-formed run");
         }
         adapter
     });

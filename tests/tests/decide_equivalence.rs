@@ -20,15 +20,23 @@
 //! and power). The test checks the non-negativity lemma directly on
 //! randomized map probes and the end-to-end consequence (bit-identical
 //! decisions) on randomized module states.
+//!
+//! A third oracle pins the lane-batched evaluator itself: a scalar
+//! reference implementation of one decide (allocating simplex walk, one
+//! `AbstractionMap::query` per probe, the pre-PR-9 path) must agree with
+//! the shipping controller, pruned and exhaustive, to the bit over a
+//! load sweep through steady load, overload, shed and recovery.
 
+use llc_approx::SimplexGrid;
 use llc_cluster::{
     cluster_of, single_module, AbstractionMap, Action, Cadence, ClusterPolicy, Experiment,
     FaultToleranceConfig, HierarchicalPolicy, L0Config, L1Config, L1Controller, LearnSpec,
     MapBackend, MemberSpec, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
 };
-use llc_core::OnlineConfig;
+use llc_core::{BoundedSearch, OnlineConfig};
 use llc_workload::{drift_scenarios, fault_scenarios, CapacityProfile, VirtualStore};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Records every tick's full action vector so two runs can be compared
@@ -195,6 +203,205 @@ fn learned_module() -> &'static (Vec<MemberSpec>, Vec<Arc<AbstractionMap>>) {
             .collect();
         (members, maps)
     })
+}
+
+/// One decision of the scalar evaluation path the lane core replaced:
+/// per-candidate `SimplexGrid` allocation, `Vec<f64>`-materializing
+/// neighbor enumeration, scalar `query` per probe behind an `in_table`
+/// check, and a per-decision out-of-grid replay memo. `prev_gamma` is
+/// threaded by the caller exactly like the controller threads its own.
+#[allow(clippy::too_many_arguments)]
+fn reference_decide(
+    config: &L1Config,
+    members: &[MemberSpec],
+    maps: &[Arc<AbstractionMap>],
+    cs: &[f64],
+    queues: &[usize],
+    active: &[bool],
+    prev_gamma: &[f64],
+    lambda_hat: f64,
+    delta: f64,
+) -> (Vec<bool>, Vec<f64>, f64) {
+    let m = members.len();
+    let min_active = config.min_active.min(m);
+    let samples = [
+        (lambda_hat - delta).max(0.0),
+        lambda_hat,
+        lambda_hat + delta,
+    ];
+    let quantum = config.gamma_quantum;
+    let mut memo: HashMap<(usize, usize, i64), f64> = HashMap::new();
+    let drain_costs: Vec<f64> = (0..m)
+        .map(|j| {
+            if queues[j] > 0 {
+                maps[j].query(0.0, cs[j], queues[j] as f64).cost
+            } else {
+                0.0
+            }
+        })
+        .collect();
+
+    let base: Vec<bool> = active.to_vec();
+    let mut candidates: Vec<Vec<bool>> = vec![base.clone()];
+    for j in 0..m {
+        let mut alt = base.clone();
+        alt[j] = !alt[j];
+        if alt.iter().filter(|&&a| a).count() >= min_active {
+            candidates.push(alt);
+        }
+    }
+    let off: Vec<usize> = (0..m).filter(|&j| !base[j]).collect();
+    for (i, &a) in off.iter().enumerate() {
+        for &b in &off[i + 1..] {
+            let mut alt = base.clone();
+            alt[a] = true;
+            alt[b] = true;
+            candidates.push(alt);
+        }
+    }
+    if off.len() > 2 {
+        candidates.push(vec![true; m]);
+    }
+
+    let mut best: Option<(f64, Vec<bool>, Vec<f64>)> = None;
+    for alpha in candidates {
+        let active_idx: Vec<usize> = (0..m).filter(|&j| alpha[j]).collect();
+        if active_idx.is_empty() {
+            continue;
+        }
+        let switch_cost =
+            config.switch_on_penalty * (0..m).filter(|&j| alpha[j] && !active[j]).count() as f64;
+        let drain_cost: f64 = (0..m)
+            .filter(|&j| !alpha[j] && queues[j] > 0)
+            .map(|j| drain_costs[j])
+            .sum();
+        let grid = SimplexGrid::with_quantum(active_idx.len(), quantum);
+        let total_capacity: f64 = active_idx.iter().map(|&j| members[j].speed / cs[j]).sum();
+        let weights: Vec<f64> = active_idx
+            .iter()
+            .map(|&j| {
+                if prev_gamma[j] > 0.0 {
+                    prev_gamma[j]
+                } else {
+                    members[j].speed / cs[j] / total_capacity
+                }
+            })
+            .collect();
+        let start = grid.snap(&weights);
+        let mut evaluate = |gamma_active: &Vec<f64>| -> f64 {
+            let mut total = 0.0;
+            for (s, &lambda_s) in samples.iter().enumerate() {
+                // Per-sample subtotal folded into the band total: the
+                // comparison is on cost bits, so even the floating-point
+                // grouping must match the controller's.
+                let mut sample_cost = 0.0;
+                for (pos, &j) in active_idx.iter().enumerate() {
+                    let units = (gamma_active[pos] / quantum).round() as i64;
+                    let lambda_j = units as f64 * quantum * lambda_s;
+                    let q_j = queues[j] as f64;
+                    sample_cost += if maps[j].in_table(lambda_j, q_j) {
+                        maps[j].query(lambda_j, cs[j], q_j).cost
+                    } else {
+                        *memo
+                            .entry((j, s, units))
+                            .or_insert_with(|| maps[j].query(lambda_j, cs[j], q_j).cost)
+                    };
+                }
+                total += sample_cost;
+            }
+            total / samples.len() as f64
+        };
+        let search = BoundedSearch::new(config.search_rounds, config.search_evals);
+        let opt = search.minimize(start, &mut evaluate, |g| grid.neighbors(g));
+        let total_cost = opt.cost + switch_cost + drain_cost;
+        if best.as_ref().is_none_or(|(c, _, _)| total_cost < *c) {
+            let mut gamma_full = vec![0.0; m];
+            for (pos, &j) in active_idx.iter().enumerate() {
+                gamma_full[j] = opt.candidate[pos];
+            }
+            best = Some((total_cost, alpha, gamma_full));
+        }
+    }
+    let (cost, alpha, gamma) = best.expect("at least the base candidate");
+    (alpha, gamma, cost)
+}
+
+/// Both shipping arms and the scalar reference driven through one load
+/// sweep — ramp to overload with deep backlogs, shed to idle, recover,
+/// the plant following each directive so switch regimes compound — and
+/// compared directive for directive, bit for bit.
+#[test]
+fn shipping_matches_scalar_reference_over_load_sweep() {
+    // Arrival multipliers per period: ramp → overload → idle → recover.
+    let schedule: [f64; 12] = [0.6, 0.9, 1.2, 1.6, 2.0, 1.2, 0.4, 0.1, 0.1, 0.5, 1.0, 1.4];
+    let base_arrivals = 60.0 * 120.0; // 60 req/s over a 120-tick L1 period
+    let (members, maps) = learned_module();
+    let m = members.len();
+    let demands = vec![Some(0.0175); m];
+    let pruned_cfg = L1Config::paper_default();
+    let exhaustive_cfg = L1Config {
+        pruned_search: false,
+        ..pruned_cfg
+    };
+    let mut pruned = L1Controller::new_shared(pruned_cfg, members.clone(), maps.clone());
+    let mut exhaustive = L1Controller::new_shared(exhaustive_cfg, members.clone(), maps.clone());
+    for _ in 0..6 {
+        pruned.observe(base_arrivals as u64, &demands);
+        exhaustive.observe(base_arrivals as u64, &demands);
+    }
+    let mut ref_prev_gamma = vec![0.0; m];
+    let mut active = vec![true; m];
+    let mut pruned_candidates = 0;
+    for (step, mult) in schedule.iter().enumerate() {
+        let arrivals = (base_arrivals * mult) as u64;
+        pruned.observe(arrivals, &demands);
+        exhaustive.observe(arrivals, &demands);
+        // Queues grow with overload and vary across members so drain
+        // costs (and with them the pruning bounds) are non-trivial.
+        let queues: Vec<usize> = (0..m)
+            .map(|j| ((mult * 6.0) as usize + j * step) % 40)
+            .collect();
+        // The reference decides against the same λ̂/δ/ĉ the shipping
+        // controller is about to use.
+        let (r_alpha, r_gamma, r_cost) = reference_decide(
+            &exhaustive_cfg,
+            members,
+            maps,
+            &pruned.c_estimates(),
+            &queues,
+            &active,
+            &ref_prev_gamma,
+            pruned.lambda_estimate(),
+            pruned.delta(),
+        );
+        let r_bits: Vec<u64> = r_gamma.iter().map(|g| g.to_bits()).collect();
+        for (arm, d) in [
+            ("pruned", pruned.decide(&queues, &active)),
+            ("exhaustive", exhaustive.decide(&queues, &active)),
+        ] {
+            assert_eq!(d.alpha, r_alpha, "step {step}: {arm} α ≠ reference");
+            assert_eq!(
+                d.gamma.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                r_bits,
+                "step {step}: {arm} γ ≠ reference"
+            );
+            assert_eq!(
+                d.expected_cost.to_bits(),
+                r_cost.to_bits(),
+                "step {step}: {arm} cost {} ≠ reference {r_cost}",
+                d.expected_cost
+            );
+            if arm == "pruned" {
+                pruned_candidates += d.candidates_pruned;
+            }
+        }
+        ref_prev_gamma = r_gamma;
+        active = r_alpha;
+    }
+    assert!(
+        pruned_candidates > 0,
+        "the bound never pruned: the sweep did not reach a shed or recovery regime"
+    );
 }
 
 proptest! {
