@@ -1,4 +1,4 @@
-use crate::{DenseGrid, LookupTable, Quantizer, RegressionTree, TreeConfig, TreeError};
+use crate::{DenseGrid, LookupTable, Quantizer};
 
 /// A rectangular grid sampler over a continuous input domain: each
 /// dimension is `(lo, hi, steps)` and the full cartesian product is
@@ -158,25 +158,6 @@ pub fn train_dense<V: Send>(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Syn
     DenseGrid::from_fn(sampler, f)
 }
 
-/// Train a [`RegressionTree`] by evaluating `f` at every grid point (in
-/// parallel): the paper's L2 pipeline ("a module is first simulated and
-/// the corresponding cost values stored in a large lookup table. This
-/// table is then used to train a regression tree").
-///
-/// # Errors
-///
-/// Propagates [`TreeError`] from the fit (only possible with a degenerate
-/// sampler).
-pub fn train_tree(
-    sampler: &GridSampler,
-    config: TreeConfig,
-    f: impl Fn(&[f64]) -> f64 + Sync,
-) -> Result<RegressionTree, TreeError> {
-    let xs = sampler.points();
-    let ys: Vec<f64> = llc_par::par_map(&xs, |p| f(p));
-    RegressionTree::fit(&xs, &ys, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +188,6 @@ mod tests {
         // Off-grid clamps/nearest.
         assert_eq!(table.get(&[100.0]), Some(&20.0));
         assert_eq!(table.len(), 11);
-    }
-
-    #[test]
-    fn trained_tree_approximates_function() {
-        let g = GridSampler::new(vec![(0.0, 1.0, 25), (0.0, 1.0, 25)]);
-        let tree = train_tree(&g, TreeConfig::default(), |p| 3.0 * p[0] - p[1]).unwrap();
-        let err = (tree.predict(&[0.7, 0.2]) - (3.0 * 0.7 - 0.2)).abs();
-        assert!(err < 0.2, "error {err}");
     }
 
     #[test]

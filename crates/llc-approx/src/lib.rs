@@ -15,7 +15,7 @@
 //!   module simulations ([`RegressionTree`], classic CART with
 //!   variance-reduction splits);
 //! * both are trained by **simulation-based learning** over sampled input
-//!   grids ([`GridSampler`], [`train_table`], [`train_tree`]);
+//!   grids ([`GridSampler`], [`train_table`], [`train_dense`]);
 //! * the decision variables γ (load fractions) live on a quantized
 //!   probability simplex ([`SimplexGrid`]: enumeration and neighborhood
 //!   moves at quantum 0.05 / 0.1 as in the experiments);
@@ -53,7 +53,7 @@ mod simplex;
 mod table;
 
 pub use dense::{CostMap, DenseGrid, DenseSlab};
-pub use learn::{train_dense, train_table, train_tree, GridSampler};
+pub use learn::{train_dense, train_table, GridSampler};
 pub use online::{Blend, BlendConfig, BlendSchedule};
 pub use quantize::Quantizer;
 pub use regtree::{RegressionTree, TreeConfig, TreeError};

@@ -3,13 +3,14 @@
 //! as the cluster grows to 1000+ machines.
 //!
 //! For each cluster size the bench drives the same windowed workload
-//! through the batched plant twice — once pinned to one worker thread,
-//! once at the runner's full thread count — and reports simulated
-//! seconds per wall-clock second for both arms. A third arm on the
-//! smallest cluster replays identical traffic through the per-request
-//! event heap, measuring what batching itself buys. (What the decision
-//! plane costs at scale is the `l1.decide_us` line of `benchmark/`'s
-//! ledger.) Traffic is a constant-rate synthetic stream by
+//! through the plant in window batches twice — once pinned to one worker
+//! thread, once at the runner's full thread count — and reports
+//! simulated seconds per wall-clock second for both arms. On the
+//! smallest cluster the same traffic is also scheduled request by
+//! request, to check that the two arrival encodings are accounted alike.
+//! (What the decision plane costs at scale is the `l1.decide_us` line of
+//! `benchmark/`'s ledger, what a per-request arrival costs its
+//! `sim.ns_per_request`.) Traffic is a constant-rate synthetic stream by
 //! default; `--trace wc98` switches the size sweep to a WC'98-like
 //! match-evening crest replay, and the gated path always replays that
 //! crest on the small cluster so the trace loader stays exercised in CI.
@@ -18,10 +19,12 @@
 //! `--quick` for a fast smoke run, `--check` for the CI regression gate:
 //! bit-identical sharding determinism, batched-vs-per-request accounting
 //! equivalence, and sim-rate floors against the committed baseline. The
-//! sharded-faster-than-serial comparison is only *gated* when the runner
-//! actually has more than one core — on a single-core runner both arms
-//! run the same serial code path and the comparison is meaningless (the
-//! numbers are still recorded, honestly labeled).
+//! sharded-faster-than-serial comparison is only *gated* on a runner
+//! with at least four cores: with one core both arms run the same serial
+//! code path, and a two-core container shares its second core with
+//! whatever else the host runs — the same binary has measured 1.8x and
+//! 0.98x there within a minute (the numbers are still recorded, honestly
+//! labeled).
 
 use llc_bench::report::{
     self, check_mode, gate_ratio, json_number, median3, quick_mode, runner_json,
@@ -44,16 +47,12 @@ const RHO: f64 = 0.6;
 /// with co-tenant load — the same container has measured 25% apart an
 /// hour apart. The floors exist to catch structural regressions (an
 /// accidental O(requests) path would cost 10x, not 1.3x), so they get
-/// generous headroom; the load-invariant batching floor below carries
-/// the fine-grained claim.
+/// generous headroom.
 const SCALE_CLASS_TOLERANCE: f64 = 0.30;
 const SCALE_FALLBACK_TOLERANCE: f64 = 0.40;
 
-/// Structural floor on what batching buys over the per-request event
-/// heap. Measured 12–18x depending on load; a drop below 4x means the
-/// batched path has stopped amortizing per-request work, regardless of
-/// how fast the runner is — both arms see the same machine.
-const MIN_BATCH_SPEEDUP: f64 = 4.0;
+/// Cores below which the sharded-faster gate is skipped.
+const MIN_CORES_FOR_SHARDED_GATE: usize = 4;
 
 /// One cluster size of the sweep: `modules` heterogeneous modules of
 /// four computers each (the §5.2 composition patterns).
@@ -118,28 +117,46 @@ fn fresh_sim(size: &Size) -> ClusterSim {
     sim
 }
 
-/// Drive `counts[w]` arrivals through window `w` of the batched plant at
-/// the given worker-thread count.
-fn run_batched(size: &Size, counts: &[u64], threads: usize) -> RunOutcome {
+/// How a window's arrivals are handed to the plant.
+#[derive(Clone, Copy)]
+enum Encoding {
+    /// One `inject_batch` a window.
+    Batch,
+    /// One `schedule_arrival` a request, spaced evenly across the window
+    /// exactly like a batch spreads its runs.
+    PerRequest,
+}
+
+/// Drive `counts[w]` arrivals through window `w` of the plant at the
+/// given worker-thread count.
+fn run_plant(size: &Size, counts: &[u64], threads: usize, encoding: Encoding) -> RunOutcome {
     llc_par::with_threads(threads, || {
         let mut sim = fresh_sim(size);
         let started = Instant::now();
         let mut windows = Vec::with_capacity(counts.len());
         let mut module_arrivals = vec![0u64; sim.num_modules()];
         let mut completions = 0u64;
-        let mut energy_prev = 0.0;
         for (w, &count) in counts.iter().enumerate() {
             let t0 = w as f64 * WINDOW_S;
-            sim.inject_batch(t0, WINDOW_S, count, DEMAND_S)
-                .expect("monotone windows");
-            sim.step_window(t0 + WINDOW_S).expect("monotone windows");
+            match encoding {
+                Encoding::Batch => sim
+                    .inject_batch(t0, WINDOW_S, count, DEMAND_S)
+                    .expect("monotone windows"),
+                Encoding::PerRequest => {
+                    let spacing = WINDOW_S / count as f64;
+                    for k in 0..count {
+                        sim.schedule_arrival(t0 + k as f64 * spacing, DEMAND_S)
+                            .expect("monotone windows");
+                    }
+                }
+            }
+            sim.run_until(t0 + WINDOW_S).expect("monotone windows");
             let stats = sim.drain_computer_stats();
             completions += stats.iter().map(|s| s.completions).sum::<u64>();
             for (m, s) in sim.drain_module_stats().iter().enumerate() {
                 module_arrivals[m] += s.arrivals;
             }
             windows.push(stats);
-            energy_prev = sim.total_energy();
         }
         RunOutcome {
             wall_s: started.elapsed().as_secs_f64(),
@@ -147,49 +164,16 @@ fn run_batched(size: &Size, counts: &[u64], threads: usize) -> RunOutcome {
             arrivals: counts.iter().sum(),
             completions,
             dropped: sim.dropped(),
-            energy: energy_prev,
+            energy: sim.total_energy(),
             windows,
             module_arrivals,
         }
     })
 }
 
-/// Drive the identical workload through the per-request event heap:
-/// every arrival is its own scheduled event, spaced evenly across its
-/// window exactly like the batched run spreads its runs.
-fn run_per_request(size: &Size, counts: &[u64]) -> RunOutcome {
-    let mut sim = fresh_sim(size);
-    let started = Instant::now();
-    let mut windows = Vec::with_capacity(counts.len());
-    let mut module_arrivals = vec![0u64; sim.num_modules()];
-    let mut completions = 0u64;
-    let mut energy = 0.0;
-    for (w, &count) in counts.iter().enumerate() {
-        let t0 = w as f64 * WINDOW_S;
-        let spacing = WINDOW_S / count as f64;
-        for k in 0..count {
-            sim.schedule_arrival(t0 + k as f64 * spacing, DEMAND_S)
-                .expect("monotone windows");
-        }
-        sim.run_until(t0 + WINDOW_S).expect("monotone windows");
-        let stats = sim.drain_computer_stats();
-        completions += stats.iter().map(|s| s.completions).sum::<u64>();
-        for (m, s) in sim.drain_module_stats().iter().enumerate() {
-            module_arrivals[m] += s.arrivals;
-        }
-        windows.push(stats);
-        energy = sim.total_energy();
-    }
-    RunOutcome {
-        wall_s: started.elapsed().as_secs_f64(),
-        sim_s: sim.now(),
-        arrivals: counts.iter().sum(),
-        completions,
-        dropped: sim.dropped(),
-        energy,
-        windows,
-        module_arrivals,
-    }
+/// [`run_plant`] with one batch a window.
+fn run_batched(size: &Size, counts: &[u64], threads: usize) -> RunOutcome {
+    run_plant(size, counts, threads, Encoding::Batch)
 }
 
 /// Synthetic constant-rate schedule: `windows` windows at `RHO`
@@ -298,20 +282,16 @@ fn main() {
         }
     );
 
-    // --- Batching vs the per-request event heap, identical traffic. ---
+    // --- Batches vs request-by-request arrivals, identical traffic. ---
     let small = &sizes[0];
     let small_counts = synthetic_counts(small, windows);
-    let per_req = run_per_request(small, &small_counts);
+    let per_req = run_plant(small, &small_counts, 1, Encoding::PerRequest);
     let batched = run_batched(small, &small_counts, 1);
-    let per_req_s = median3(|| run_per_request(small, &small_counts).wall_s);
-    let batched_s = median3(|| run_batched(small, &small_counts, 1).wall_s);
-    let batch_speedup = per_req_s / batched_s;
     let accounting_ok = per_req.module_arrivals == batched.module_arrivals
         && per_req.dropped == batched.dropped
         && per_req.arrivals == batched.arrivals;
     println!(
-        "batched vs per-request heap (16 machines, serial): {batch_speedup:.2}x, \
-         accounting {}",
+        "batched vs per-request arrivals (16 machines): accounting {}",
         if accounting_ok {
             "equivalent"
         } else {
@@ -343,20 +323,6 @@ fn main() {
         }
         if wc98_small.arrivals == 0 || wc98_small.completions == 0 {
             failures.push("REGRESSION wc98 replay: no traffic served".to_string());
-        }
-        // Load-invariant floor: both arms run on the same machine in the
-        // same minute, so their ratio holds even when co-tenant load
-        // makes the absolute sim-rate floors breathe.
-        if batch_speedup < MIN_BATCH_SPEEDUP {
-            failures.push(format!(
-                "REGRESSION batching speedup: {batch_speedup:.2}x < {MIN_BATCH_SPEEDUP:.0}x \
-                 floor over the per-request heap"
-            ));
-        } else {
-            println!(
-                "gate ok  batching speedup: {batch_speedup:.2}x >= {MIN_BATCH_SPEEDUP:.0}x \
-                 floor over the per-request heap"
-            );
         }
         // Sim-rate floors against the committed baseline (per-class when
         // this runner has a snapshot, workspace-root fallback otherwise).
@@ -398,9 +364,9 @@ fn main() {
             }
             None => println!("note: no committed baseline found; sim-rate floors skipped"),
         }
-        // The multi-core claim is only checkable on multi-core hardware:
-        // with one core both arms execute the same serial code path.
-        if cores > 1 {
+        // The multi-core claim is only checkable on hardware with cores
+        // to spare (see the module docs).
+        if cores >= MIN_CORES_FOR_SHARDED_GATE {
             let (_, _, serial_s, sharded_s, _) = &size_rows[size_rows.len() - 1];
             if sharded_s >= serial_s {
                 failures.push(format!(
@@ -416,9 +382,9 @@ fn main() {
             }
         } else {
             println!(
-                "note: single-core runner — sharded-faster gate skipped \
-                 (both arms run the identical serial path); determinism gate \
-                 covers the sharding discipline"
+                "note: {cores}-core runner — sharded-faster gate skipped below \
+                 {MIN_CORES_FOR_SHARDED_GATE} cores; determinism gate covers the \
+                 sharding discipline"
             );
         }
         if failures.is_empty() {
@@ -467,12 +433,11 @@ fn main() {
         "{{\n  {runner},\n  \"timing\": \"median of 3 runs per arm\",\n  \
          \"traffic\": \"{traffic}\",\n  \
          \"note\": \"sharded arm recorded at {sharded_threads} workers on a {cores}-core \
-         runner; on one core both arms execute the same serial path and the ratio \
-         reflects thread-pool overhead only — the determinism gate (1/2/8 workers \
-         bit-identical) is what certifies the sharding discipline there\",\n\
-         {sections}  \"batching\": {{\n    \"machines\": {bm},\n    \
-         \"per_request_wall_s\": {prs:.3},\n    \"batched_wall_s\": {bts:.3},\n    \
-         \"speedup\": {bsp:.2},\n    \"accounting_equivalent\": {acc}\n  }},\n  \
+         runner; below {MIN_CORES_FOR_SHARDED_GATE} cores the ratio is not gated — the \
+         determinism gate (1/2/8 workers bit-identical) is what certifies the sharding \
+         discipline there\",\n\
+         {sections}  \"arrival_encodings\": {{\n    \"machines\": {bm},\n    \
+         \"accounting_equivalent\": {acc}\n  }},\n  \
          \"wc98_replay\": {{\n    \"machines\": {wm},\n    \"windows\": {ww},\n    \
          \"arrivals\": {wa},\n    \"dropped\": {wd},\n    \
          \"sim_s_per_wall_s\": {wr:.0}\n  }},\n  \
@@ -484,9 +449,6 @@ fn main() {
             "synthetic constant-rate at rho 0.6"
         },
         bm = small.machines(),
-        prs = per_req_s,
-        bts = batched_s,
-        bsp = batch_speedup,
         acc = accounting_ok,
         wm = small.machines(),
         ww = wc98_small_counts.len(),

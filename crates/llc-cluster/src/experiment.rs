@@ -242,9 +242,9 @@ pub struct Experiment {
 /// stats the *next* observation reports.
 ///
 /// [`Experiment::run`] is one user; `examples/control_plane.rs` drives
-/// the same adapter from a separate thread over channels. Both feed the
-/// plane identical streams for identical seeds, which is what the golden
-/// equivalence test pins.
+/// the same adapter from a separate thread over channels. Both build it
+/// through [`Plant`] and feed the plane identical streams for identical
+/// seeds, which is what the golden equivalence test pins.
 pub struct SimAdapter {
     sim: ClusterSim,
     t_l0: f64,
@@ -387,8 +387,7 @@ impl SimAdapter {
         // Inject plant drift for this window (invisible to the
         // controllers' telemetry by construction). Only on change:
         // re-applying an unchanged scale would still re-time every
-        // in-service request and push a fresh departure event per
-        // computer per tick.
+        // in-service request, moving its completion by a rounding error.
         if let Some(profile) = &self.drift {
             let scale = profile.scale_at(tick as usize, self.total_ticks);
             if scale != self.applied_scale {
@@ -521,38 +520,6 @@ impl SimAdapter {
         self.sim.schedule_arrival(at, demand)
     }
 
-    /// Inject tick `tick`'s arrivals and run the plant through its
-    /// window: the bucket count of `ticks_trace` (one bucket per tick)
-    /// spread uniformly over the window from `spread_rng`, one request
-    /// body per arrival from `sampler`, then [`Self::advance_window`].
-    /// Returns the number of arrivals injected. This is the arrival
-    /// stream of [`Experiment::run`] and of the node agent alike — one
-    /// RNG call order, so both feed the plant identical requests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] (cannot occur in a well-formed run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is beyond the trace.
-    pub fn inject_window<R: rand::Rng>(
-        &mut self,
-        tick: u64,
-        ticks_trace: &Trace,
-        spread_rng: &mut R,
-        sampler: &mut RequestSampler<'_>,
-    ) -> Result<usize, SimError> {
-        let count = ticks_trace.count(tick as usize).round().max(0.0) as usize;
-        let start = tick as f64 * self.t_l0;
-        for at in spread_arrivals(spread_rng, start, self.t_l0, count) {
-            let (_, demand) = sampler.next_request();
-            self.sim.schedule_arrival(at, demand)?;
-        }
-        self.advance_window(tick)?;
-        Ok(count)
-    }
-
     /// Run the plant to the end of tick `tick`'s window and bank the
     /// realized stats for the next observation.
     ///
@@ -565,6 +532,88 @@ impl SimAdapter {
         self.prev_mod_stats = self.sim.drain_module_stats();
         self.prev_rejections = self.sim.drain_dispatch_rejections();
         Ok(())
+    }
+}
+
+/// The plant half of the control loop as every lockstep client builds
+/// it: a [`SimAdapter`] over a fresh cluster (prewarmed if the
+/// experiment says so), the trace rebucketed to ticks, and the two
+/// seeded streams — request bodies and arrival instants — that turn a
+/// tick's bucket count into scheduled requests. [`Experiment::run`], the
+/// node agent and `examples/control_plane.rs` all construct it here, so
+/// for one seed they feed the plant identical requests.
+#[derive(Debug)]
+pub struct Plant<'a> {
+    /// The plant: observe, actuate and read it through this.
+    pub adapter: SimAdapter,
+    ticks_trace: Trace,
+    sampler: RequestSampler<'a>,
+    spread_rng: rand::rngs::StdRng,
+}
+
+impl<'a> Plant<'a> {
+    /// A cluster built from `sim_config` under `experiment`'s drift and
+    /// fault schedule, to be driven by `trace` (arrivals per bucket;
+    /// rebucketed to the tick length) with request bodies drawn from
+    /// `store`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from prewarming (cannot occur for a
+    /// well-formed cluster).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace's bucket width is incompatible with `t_l0`.
+    pub fn new(
+        sim_config: ClusterConfig,
+        experiment: &Experiment,
+        trace: &Trace,
+        store: &'a VirtualStore,
+    ) -> Result<Self, SimError> {
+        let ticks_trace = trace
+            .rebucket(experiment.t_l0)
+            .expect("trace bucket width must be an integer ratio of t_l0");
+        let mut adapter = SimAdapter::new(sim_config, experiment, ticks_trace.len());
+        if experiment.prewarmed {
+            adapter.prewarm()?;
+        }
+        Ok(Plant {
+            adapter,
+            ticks_trace,
+            sampler: RequestSampler::paper_default(store, experiment.seed),
+            spread_rng: rand::rngs::StdRng::seed_from_u64(derive_seed(experiment.seed, 0xA121)),
+        })
+    }
+
+    /// Run length in base ticks.
+    pub fn total_ticks(&self) -> usize {
+        self.ticks_trace.len()
+    }
+
+    /// Inject tick `tick`'s arrivals and run the plant through its
+    /// window: the trace's bucket count spread uniformly over the
+    /// window, one request body per arrival, then
+    /// [`SimAdapter::advance_window`]. Returns the number of arrivals
+    /// injected.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] (cannot occur in a well-formed run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is beyond the trace.
+    pub fn inject_window(&mut self, tick: u64) -> Result<usize, SimError> {
+        let count = self.ticks_trace.count(tick as usize).round().max(0.0) as usize;
+        let t_l0 = self.adapter.t_l0;
+        let start = tick as f64 * t_l0;
+        for at in spread_arrivals(&mut self.spread_rng, start, t_l0, count) {
+            let (_, demand) = self.sampler.next_request();
+            self.adapter.schedule_arrival(at, demand)?;
+        }
+        self.adapter.advance_window(tick)?;
+        Ok(count)
     }
 }
 
@@ -605,18 +654,9 @@ impl Experiment {
         trace: &Trace,
         store: &VirtualStore,
     ) -> Result<ExperimentLog, SimError> {
-        let ticks_trace = trace
-            .rebucket(self.t_l0)
-            .expect("trace bucket width must be an integer ratio of t_l0");
-        let total_ticks = ticks_trace.len();
-        let mut adapter = SimAdapter::new(sim_config, self, total_ticks);
-        if self.prewarmed {
-            adapter.prewarm()?;
-        }
-        let num_computers = adapter.sim().num_computers();
-
-        let mut sampler = RequestSampler::paper_default(store, self.seed);
-        let mut spread_rng = rand::rngs::StdRng::seed_from_u64(derive_seed(self.seed, 0xA121));
+        let mut plant = Plant::new(sim_config, self, trace, store)?;
+        let total_ticks = plant.total_ticks();
+        let num_computers = plant.adapter.sim().num_computers();
         let mut log = ExperimentLog {
             policy: policy.name().to_string(),
             response_target: self.response_target,
@@ -626,13 +666,13 @@ impl Experiment {
             total_switch_ons: 0,
         };
 
-        let mut plane = ControlPlane::new(policy, adapter.members().to_vec(), self.t_l0);
+        let mut plane = ControlPlane::new(policy, plant.adapter.members().to_vec(), self.t_l0);
         for tick in 0..total_ticks as u64 {
             let t = tick as f64 * self.t_l0;
 
             // 1. Observe: previous window + instantaneous state, one
             // observation per module, through the drift/fault filters.
-            for observation in adapter.observe(tick) {
+            for observation in plant.adapter.observe(tick) {
                 plane
                     .ingest(observation)
                     .expect("lockstep stream is in-order and well-formed");
@@ -642,15 +682,15 @@ impl Experiment {
             debug_assert!(plane.ready(), "every module reported");
             let report = plane.step();
             let directives = plane.drain_directives();
-            adapter.actuate(&directives)?;
+            plant.adapter.actuate(&directives)?;
             log.directives.extend(directives);
 
             // 3. Inject this window's arrivals and advance the plant.
-            let count = adapter.inject_window(tick, &ticks_trace, &mut spread_rng, &mut sampler)?;
+            let count = plant.inject_window(tick)?;
 
             // 4. Record.
-            let sim = adapter.sim();
-            let stats = adapter.window_stats();
+            let sim = plant.adapter.sim();
+            let stats = plant.adapter.window_stats();
             let completions: u64 = stats.iter().map(|w| w.completions).sum();
             let response_sum: f64 = stats.iter().map(|w| w.response_sum).sum();
             log.ticks.push(TickRecord {
@@ -684,7 +724,7 @@ impl Experiment {
         }
 
         log.total_switch_ons = (0..num_computers)
-            .map(|i| adapter.sim().computer(i).switch_ons())
+            .map(|i| plant.adapter.sim().computer(i).switch_ons())
             .sum();
         log.metrics = plane.metrics();
         Ok(log)

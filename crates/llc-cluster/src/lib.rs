@@ -53,7 +53,7 @@ pub use control::{
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
 };
-pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, SimAdapter, TickRecord};
+pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord};
 pub use hierarchy::{
     ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead, RealizedOutcome,
 };

@@ -1,10 +1,10 @@
 //! The node-agent side of the distributed loop: a locally-instantiated
 //! plant shard plus the directive [`Reconciler`].
 //!
-//! [`AgentCore`] owns exactly the plant half of
-//! `Experiment::run` — the [`SimAdapter`], the rebucketed trace, the
-//! request sampler and the arrival-spreading RNG — and exposes it one
-//! window at a time: render observations, stage whatever directives the
+//! [`AgentCore`] owns exactly the plant half of `Experiment::run` — a
+//! [`Plant`]: the [`SimAdapter`], the rebucketed trace, the request
+//! sampler and the arrival-spreading RNG — and exposes it one window at
+//! a time: render observations, stage whatever directives the
 //! wire delivered, commit the window (reconcile → actuate → inject
 //! arrivals → advance the plant). Driven in lockstep over a lossless
 //! link it reproduces the in-process loop *bit for bit*, which is what
@@ -18,11 +18,9 @@
 //! heartbeat.
 
 use crate::codec::{Heartbeat, Hello, Role};
-use llc_cluster::{Directive, DirectiveKind, Experiment, SimAdapter};
+use llc_cluster::{Directive, DirectiveKind, Experiment, Plant, SimAdapter};
 use llc_sim::{ClusterConfig, SimError};
-use llc_workload::{derive_seed, RequestSampler, Trace, VirtualStore};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use llc_workload::{Trace, VirtualStore};
 
 /// Outcome of reconciling one window's staged directives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,10 +156,7 @@ impl Reconciler {
 /// The borrow on the [`VirtualStore`] mirrors `Experiment::run`'s
 /// sampler lifetime.
 pub struct AgentCore<'a> {
-    adapter: SimAdapter,
-    ticks_trace: Trace,
-    sampler: RequestSampler<'a>,
-    spread_rng: StdRng,
+    plant: Plant<'a>,
     reconciler: Reconciler,
     t_l0: f64,
     tick: u64,
@@ -201,25 +196,15 @@ impl<'a> AgentCore<'a> {
         trace: &Trace,
         store: &'a VirtualStore,
     ) -> Result<AgentCore<'a>, SimError> {
-        let ticks_trace = trace
-            .rebucket(experiment.t_l0)
-            .expect("trace bucket width must be an integer ratio of t_l0");
-        let total_ticks = ticks_trace.len();
-        let mut adapter = SimAdapter::new(sim_config, experiment, total_ticks);
-        if experiment.prewarmed {
-            adapter.prewarm()?;
-        }
-        let num_computers = adapter.sim().num_computers();
-        let num_modules = adapter.members().len();
+        let plant = Plant::new(sim_config, experiment, trace, store)?;
+        let num_computers = plant.adapter.sim().num_computers();
+        let num_modules = plant.adapter.members().len();
         Ok(AgentCore {
-            adapter,
-            ticks_trace,
-            sampler: RequestSampler::paper_default(store, experiment.seed),
-            spread_rng: StdRng::seed_from_u64(derive_seed(experiment.seed, 0xA121)),
             reconciler: Reconciler::new(num_computers, num_modules),
             t_l0: experiment.t_l0,
             tick: 0,
-            total_ticks: total_ticks as u64,
+            total_ticks: plant.total_ticks() as u64,
+            plant,
             last_epoch: 0,
             wedged_events: 0,
             wedged_members: vec![false; num_computers],
@@ -236,7 +221,6 @@ impl<'a> AgentCore<'a> {
             t_l0: self.t_l0,
             total_ticks: self.total_ticks,
             members_per_module: self
-                .adapter
                 .members()
                 .iter()
                 .map(|m| u32::try_from(m.len()).expect("module size fits u32"))
@@ -273,12 +257,12 @@ impl<'a> AgentCore<'a> {
 
     /// Module topology (global computer indices per module).
     pub fn members(&self) -> &[Vec<usize>] {
-        self.adapter.members()
+        self.plant.adapter.members()
     }
 
     /// The plant adapter (read-only; the core owns mutation).
     pub fn adapter(&self) -> &SimAdapter {
-        &self.adapter
+        &self.plant.adapter
     }
 
     /// Cumulative wedged-actuation events detected by read-back.
@@ -304,7 +288,7 @@ impl<'a> AgentCore<'a> {
     /// Render the current tick's observations (one per module), exactly
     /// as the in-process loop would.
     pub fn observations(&mut self) -> Vec<llc_cluster::ModuleObservation> {
-        self.adapter.observe(self.tick)
+        self.plant.adapter.observe(self.tick)
     }
 
     /// Stage one incoming directive for the next
@@ -328,9 +312,14 @@ impl<'a> AgentCore<'a> {
         // exactly the post-apply state — the sim-call sequence is
         // identical to a batch `actuate`.
         for d in self.reconciler.drain() {
-            self.adapter.actuate(std::slice::from_ref(&d))?;
+            self.plant.adapter.actuate(std::slice::from_ref(&d))?;
             if let DirectiveKind::Frequency { computer, index } = &d.kind {
-                let realized = self.adapter.sim().computer(*computer).frequency_index();
+                let realized = self
+                    .plant
+                    .adapter
+                    .sim()
+                    .computer(*computer)
+                    .frequency_index();
                 let wedged = realized != *index;
                 if wedged {
                     self.wedged_events += 1;
@@ -340,12 +329,7 @@ impl<'a> AgentCore<'a> {
             self.applied_log.push(d);
         }
 
-        self.adapter.inject_window(
-            tick,
-            &self.ticks_trace,
-            &mut self.spread_rng,
-            &mut self.sampler,
-        )?;
+        self.plant.inject_window(tick)?;
         self.tick += 1;
         Ok(())
     }

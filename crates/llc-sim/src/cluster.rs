@@ -1,7 +1,5 @@
-use crate::machines::{Admission, BatchRun, ComputerRef, MachineLane, MachineSlabs};
-use crate::{PowerModel, PowerState, Request, WeightedRouter, WindowStats};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::machines::{Admission, BatchRun, ComputerRef, MachineLane, MachineSlabs, Pending};
+use crate::{PowerModel, Request, WeightedRouter, WindowStats};
 use std::fmt;
 
 /// Errors reported by the cluster simulator.
@@ -89,66 +87,43 @@ pub struct ClusterConfig {
     pub modules: Vec<Vec<ComputerConfig>>,
 }
 
-#[derive(Debug, Clone)]
-enum EventKind {
-    Arrival { demand: f64 },
-    Departure { comp: usize, epoch: u64 },
-    BootDone { comp: usize, epoch: u64 },
-}
+/// Arrivals in one sweep below which the lanes are stepped inline. A
+/// scoped-thread fan-out costs on the order of 100 µs and a lane spends
+/// some 15 ns per batched arrival, so `bench_scale`'s 16-machine row
+/// (15 496 arrivals, 0.2 ms a window) measured slower sharded than
+/// serial, while its 128-machine row (123 183 arrivals, 1.8 ms) and
+/// 1000-machine row gain. The closed loops, at a few thousand arrivals
+/// a window, never fan out.
+const FAN_OUT_MIN_ARRIVALS: u64 = 50_000;
 
-#[derive(Debug, Clone)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The event-driven cluster simulator (the plant of Fig. 1(a)).
+/// The cluster simulator (the plant of Fig. 1(a)).
 ///
 /// Per-machine state lives in [`MachineSlabs`] — struct-of-arrays slabs
 /// indexed by global machine id — so sweeping a 1000-machine cluster walks
 /// flat vectors instead of chasing per-machine heap allocations.
 ///
-/// Two driving modes share the same machine state:
+/// Arrivals enter in two encodings and meet in one stream:
 ///
-/// * **Per-request** (the original path, used by the control experiments):
-///   requests scheduled via [`ClusterSim::schedule_arrival`] flow through a
+/// * [`ClusterSim::schedule_arrival`] buffers one request. The next
+///   advance that reaches its arrival time sends it through the
 ///   two-level dispatcher (global → module → computer) realizing the γ
-///   fractions set by the controllers, queue FCFS at each computer, and
-///   are served at the DVFS-scaled rate. [`ClusterSim::run_until`]
-///   advances the global event loop.
-/// * **Batched** (the scale path): [`ClusterSim::inject_batch`] routes a
-///   whole window's arrivals analytically through the same routers — one
-///   draw per (module, window) instead of per request — and
-///   [`ClusterSim::step_window`] sweeps every machine's local timeline in
-///   parallel shards, bit-identical for any shard count. The event heap
-///   holds O(machines) entries instead of O(requests).
+///   fractions set by the controllers, one draw per router.
+/// * [`ClusterSim::inject_batch`] routes a whole window's identical
+///   requests analytically at injection — one draw per router for the
+///   lot — and leaves each computer an evenly spaced run.
 ///
-/// Between advances the controllers observe per-computer [`WindowStats`]
-/// and actuate frequencies, power states and weights in either mode. Do
-/// not interleave the two modes within one window: `step_window` takes
-/// ownership of boot handling and discards pending heap events.
+/// Request ids are assigned in submission order by either call, and each
+/// computer is offered its share in `(arrival time, id)` order, whichever
+/// encoding a request came in; the two may be mixed freely.
+///
+/// [`ClusterSim::run_until`] is the one way time moves. The routers never
+/// read machine state and weights only change between advances, so once
+/// the due arrivals are routed every computer is an independent FCFS
+/// system: the advance sweeps each one's local timeline (boot-done,
+/// completion, arrival) to the target, sharded across threads when the
+/// window carries enough work, bit-identical for any shard count. Between
+/// advances the controllers observe per-computer [`WindowStats`] and
+/// actuate frequencies, power states and weights.
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     now: f64,
@@ -160,9 +135,9 @@ pub struct ClusterSim {
     global_router: WeightedRouter,
     module_routers: Vec<WeightedRouter>,
     module_stats: Vec<WindowStats>,
-    events: BinaryHeap<Event>,
-    seq: u64,
     next_request_id: u64,
+    /// Per-request arrivals not yet routed, in submission order.
+    scheduled: Vec<Request>,
     dropped_total: u64,
     /// Per-computer wedged-actuator flags: while set, frequency
     /// directives for that computer are silently ignored (the fault the
@@ -175,9 +150,8 @@ pub struct ClusterSim {
     /// them even when the machine's own telemetry has gone dark — a
     /// dispatcher always knows its own failed sends.
     dispatch_rejected: Vec<u64>,
-    /// Per-computer batched arrival runs awaiting the next
-    /// [`ClusterSim::step_window`] sweep.
-    pending_runs: Vec<Vec<BatchRun>>,
+    /// Per-computer routed arrivals awaiting the next sweep.
+    pending: Vec<Pending>,
 }
 
 impl ClusterSim {
@@ -221,13 +195,12 @@ impl ClusterSim {
             global_router: WeightedRouter::new(module_count),
             module_routers,
             module_stats: vec![WindowStats::default(); module_count],
-            events: BinaryHeap::new(),
-            seq: 0,
             next_request_id: 0,
+            scheduled: Vec::new(),
             dropped_total: 0,
             stuck_actuators: vec![false; computer_count],
             dispatch_rejected: vec![0; computer_count],
-            pending_runs: vec![Vec::new(); computer_count],
+            pending: vec![Pending::default(); computer_count],
         }
     }
 
@@ -284,21 +257,18 @@ impl ClusterSim {
             .count()
     }
 
-    fn push_event(&mut self, time: f64, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Event {
-            time,
-            seq: self.seq,
-            kind,
-        });
-    }
-
     /// Schedule a request arrival at absolute time `time` with full-speed
-    /// demand `demand` seconds.
+    /// demand `demand` seconds. It stays buffered, unrouted, until an
+    /// advance reaches `time`.
     ///
     /// # Errors
     ///
     /// [`SimError::TimeRanBackwards`] if `time < now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is not finite or `demand` is not positive and
+    /// finite.
     pub fn schedule_arrival(&mut self, time: f64, demand: f64) -> Result<(), SimError> {
         if time < self.now {
             return Err(SimError::TimeRanBackwards {
@@ -306,7 +276,9 @@ impl ClusterSim {
                 requested: time,
             });
         }
-        self.push_event(time, EventKind::Arrival { demand });
+        let id = self.next_request_id;
+        self.next_request_id += 1;
+        self.scheduled.push(Request::new(id, time, demand));
         Ok(())
     }
 
@@ -352,33 +324,18 @@ impl ClusterSim {
     ///
     /// Panics if `i` is out of range.
     pub fn power_on(&mut self, i: usize) {
-        let now = self.now;
-        if let Some(ready_at) = self.machines.power_on(i, now) {
-            let epoch = self.machines.bump_epoch(i);
-            if ready_at.is_finite() {
-                self.push_event(ready_at, EventKind::BootDone { comp: i, epoch });
-            }
-        } else {
-            // Draining -> On recovery: the in-service job keeps running and
-            // its departure event stays valid; nothing to schedule.
-        }
+        self.machines.power_on(i, self.now);
     }
 
     /// Initialization helper: force computer `i` straight into `On`
     /// (no boot delay, no switch-on count). Use only while constructing a
-    /// pre-warmed scenario before the event loop starts.
+    /// pre-warmed scenario before the first advance.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn force_on(&mut self, i: usize) {
-        let now = self.now;
-        self.machines.force_on(i, now);
-        self.machines.bump_epoch(i);
-        if let Some(t) = self.machines.completion_time(i) {
-            let epoch = self.machines.epoch(i);
-            self.push_event(t, EventKind::Departure { comp: i, epoch });
-        }
+        self.machines.force_on(i, self.now);
     }
 
     /// Order computer `i` off (drains if busy).
@@ -387,13 +344,7 @@ impl ClusterSim {
     ///
     /// Panics if `i` is out of range.
     pub fn power_off(&mut self, i: usize) {
-        let now = self.now;
-        self.machines.power_off(i, now);
-        // Cancelling a boot invalidates the pending BootDone event; a
-        // draining computer keeps serving so departures stay valid.
-        if matches!(self.machines.state(i), PowerState::Off) {
-            self.machines.bump_epoch(i);
-        }
+        self.machines.power_off(i, self.now);
     }
 
     /// Set computer `i`'s frequency by index into its frequency table.
@@ -412,12 +363,7 @@ impl ClusterSim {
             );
             return;
         }
-        let now = self.now;
-        let new_completion = self.machines.set_frequency_index(i, index, now);
-        if let Some(t) = new_completion {
-            let epoch = self.machines.bump_epoch(i);
-            self.push_event(t, EventKind::Departure { comp: i, epoch });
-        }
+        self.machines.set_frequency_index(i, index, self.now);
     }
 
     /// Inject capacity drift into computer `i`: it keeps its DVFS setting
@@ -430,12 +376,7 @@ impl ClusterSim {
     ///
     /// Panics if `i` is out of range or `scale` is outside `(0, 1]`.
     pub fn set_service_scale(&mut self, i: usize, scale: f64) {
-        let now = self.now;
-        let new_completion = self.machines.set_service_scale(i, scale, now);
-        if let Some(t) = new_completion {
-            let epoch = self.machines.bump_epoch(i);
-            self.push_event(t, EventKind::Departure { comp: i, epoch });
-        }
+        self.machines.set_service_scale(i, scale, self.now);
     }
 
     /// The capacity-drift factor currently injected into computer `i` —
@@ -452,8 +393,7 @@ impl ClusterSim {
 
     /// Crash computer `i` at the current time: all queued and in-service
     /// work is ripped out instantly, the machine drops straight to `Off`
-    /// and becomes unbootable until [`ClusterSim::restart`], and its
-    /// pending departure/boot events are invalidated. With
+    /// and becomes unbootable until [`ClusterSim::restart`]. With
     /// `requeue = false` the lost requests count as drops; with
     /// `requeue = true` each one is re-dispatched through the module's
     /// router at the crash instant (original arrival times preserved, so
@@ -469,7 +409,6 @@ impl ClusterSim {
     pub fn crash(&mut self, i: usize, requeue: bool) -> usize {
         let now = self.now;
         let lost = self.machines.fail(i, now);
-        self.machines.bump_epoch(i);
         let count = lost.len();
         let m = self.module_of[i];
         if requeue {
@@ -487,28 +426,31 @@ impl ClusterSim {
     /// time. The module-level arrival was already counted when the
     /// request first entered the module, so only drops are re-counted.
     fn redispatch_in_module(&mut self, m: usize, request: Request) {
+        if let Some(comp) = self.route_in_module(m) {
+            if self.machines.offer(comp, request, self.now) == Admission::Rejected {
+                self.charge_rejections(comp, 1);
+            }
+        }
+    }
+
+    /// Draw a computer of module `m` for one request; with no enabled
+    /// member the request is charged to the module as a drop.
+    fn route_in_module(&mut self, m: usize) -> Option<usize> {
         let Some(local) = self.module_routers[m].route() else {
             self.module_stats[m].dropped += 1;
             self.dropped_total += 1;
-            return;
+            return None;
         };
-        let comp = self.modules[m][local];
-        match self.machines.offer(comp, request, self.now) {
-            Admission::Started => {
-                let t = self
-                    .machines
-                    .completion_time(comp)
-                    .expect("started implies serving");
-                let epoch = self.machines.bump_epoch(comp);
-                self.push_event(t, EventKind::Departure { comp, epoch });
-            }
-            Admission::Queued => {}
-            Admission::Rejected => {
-                self.module_stats[m].dropped += 1;
-                self.dropped_total += 1;
-                self.dispatch_rejected[comp] += 1;
-            }
-        }
+        Some(self.modules[m][local])
+    }
+
+    /// Charge `count` requests that computer `comp` refused to its
+    /// module's drops, the global drop total and the dispatcher-side
+    /// rejection counter.
+    fn charge_rejections(&mut self, comp: usize, count: u64) {
+        self.module_stats[self.module_of[comp]].dropped += count;
+        self.dropped_total += count;
+        self.dispatch_rejected[comp] += count;
     }
 
     /// Restart a crashed computer: clears the failed mark and issues a
@@ -576,7 +518,17 @@ impl ClusterSim {
             .collect()
     }
 
-    /// Advance the event loop to absolute time `t`.
+    /// Advance the plant to absolute time `t`: route the scheduled
+    /// arrivals due by `t` in `(time, submission)` order, then sweep every
+    /// machine's local timeline to `t`.
+    ///
+    /// Lanes over disjoint machine slots are stepped inline, or sharded
+    /// with `llc_par::par_for_each_mut` when the sweep carries enough
+    /// arrivals to pay for the fan-out, and reduced serially in index
+    /// order — results are bit-identical for any thread count. Arrivals a
+    /// machine refused are charged to module drops, the global drop total
+    /// and the per-computer dispatcher rejection counters in that serial
+    /// reduction.
     ///
     /// # Errors
     ///
@@ -588,97 +540,61 @@ impl ClusterSim {
                 requested: t,
             });
         }
-        while let Some(head) = self.events.peek() {
-            if head.time > t {
-                break;
-            }
-            let ev = self.events.pop().expect("peeked");
-            self.now = ev.time.max(self.now);
-            match ev.kind {
-                EventKind::Arrival { demand } => self.handle_arrival(demand),
-                EventKind::Departure { comp, epoch } => {
-                    if self.machines.epoch(comp) == epoch {
-                        self.handle_departure(comp);
-                    }
-                }
-                EventKind::BootDone { comp, epoch } => {
-                    if self.machines.epoch(comp) == epoch {
-                        self.handle_boot_done(comp);
-                    }
-                }
+        self.route_due(t);
+        let arrivals: u64 = self.pending.iter().map(Pending::len).sum();
+        let mut lanes: Vec<MachineLane<'_>> = self
+            .machines
+            .machines_mut()
+            .zip(&mut self.pending)
+            .map(|(machine, pending)| MachineLane::new(machine, pending))
+            .collect();
+        if arrivals < FAN_OUT_MIN_ARRIVALS {
+            lanes.iter_mut().for_each(|lane| lane.step(t));
+        } else {
+            llc_par::par_for_each_mut(&mut lanes, |lane| lane.step(t));
+        }
+        let rejected: Vec<u64> = lanes.iter().map(|lane| lane.rejected).collect();
+        for (comp, count) in rejected.into_iter().enumerate() {
+            if count > 0 {
+                self.charge_rejections(comp, count);
             }
         }
         self.now = t;
         Ok(())
     }
 
-    fn handle_arrival(&mut self, demand: f64) {
-        let id = self.next_request_id;
-        self.next_request_id += 1;
-        let request = Request::new(id, self.now, demand);
-
-        let Some(m) = self.global_router.route() else {
-            self.dropped_total += 1;
-            return;
-        };
-        self.module_stats[m].arrivals += 1;
-        let Some(local) = self.module_routers[m].route() else {
-            self.module_stats[m].dropped += 1;
-            self.dropped_total += 1;
-            return;
-        };
-        let comp = self.modules[m][local];
-        match self.machines.offer(comp, request, self.now) {
-            Admission::Started => {
-                let t = self
-                    .machines
-                    .completion_time(comp)
-                    .expect("started implies serving");
-                let epoch = self.machines.bump_epoch(comp);
-                self.push_event(t, EventKind::Departure { comp, epoch });
-            }
-            Admission::Queued => {}
-            Admission::Rejected => {
-                self.module_stats[m].dropped += 1;
+    /// Route the scheduled arrivals due by `t` to their computers'
+    /// pending buffers. The sort is stable, so equal-time arrivals keep
+    /// submission order and each buffer receives its share already in
+    /// `(arrival, id)` order; later arrivals stay unrouted, because the
+    /// weights may change before they are due.
+    fn route_due(&mut self, t: f64) {
+        let mut scheduled = std::mem::take(&mut self.scheduled);
+        scheduled.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        let due = scheduled.partition_point(|r| r.arrival <= t);
+        for request in scheduled.drain(..due) {
+            let Some(m) = self.global_router.route() else {
                 self.dropped_total += 1;
-                self.dispatch_rejected[comp] += 1;
+                continue;
+            };
+            self.module_stats[m].arrivals += 1;
+            if let Some(comp) = self.route_in_module(m) {
+                self.pending[comp].push(request);
             }
         }
+        self.scheduled = scheduled;
     }
-
-    fn handle_departure(&mut self, comp: usize) {
-        let _finished = self.machines.complete(comp, self.now);
-        if let Some(t) = self.machines.completion_time(comp) {
-            let epoch = self.machines.bump_epoch(comp);
-            self.push_event(t, EventKind::Departure { comp, epoch });
-        }
-    }
-
-    fn handle_boot_done(&mut self, comp: usize) {
-        let started = self.machines.finish_boot(comp, self.now);
-        if started {
-            let t = self
-                .machines
-                .completion_time(comp)
-                .expect("boot started a job");
-            let epoch = self.machines.bump_epoch(comp);
-            self.push_event(t, EventKind::Departure { comp, epoch });
-        }
-    }
-
-    // ----- batched window mode --------------------------------------
 
     /// Route one window's worth of arrivals analytically: `count`
     /// requests of `demand` reference-seconds each, spread evenly over
     /// `[start, start + width)`. One deficit-round-robin batch draw per
     /// router replaces `count` per-request draws; each machine receives
-    /// its allotment as a batch run consumed by the next
-    /// [`ClusterSim::step_window`]. Routing happens now, at injection —
-    /// the same directives-before-arrivals order the per-request path
-    /// sees when a window's arrivals are scheduled after actuation.
+    /// its allotment as an evenly spaced run that the following advances
+    /// merge with whatever else it is due. Routing happens now, at
+    /// injection, under the weights in force now.
     ///
     /// Arrivals that no router can place (all-zero weights) are counted
-    /// as drops immediately, exactly like the per-request path.
+    /// as drops immediately.
     ///
     /// # Errors
     ///
@@ -686,7 +602,8 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `demand` is not positive and finite.
+    /// Panics if `start` is not finite, or `width` or `demand` is not
+    /// positive and finite.
     pub fn inject_batch(
         &mut self,
         start: f64,
@@ -700,6 +617,7 @@ impl ClusterSim {
                 requested: start,
             });
         }
+        assert!(start.is_finite(), "window start must be finite");
         assert!(
             width > 0.0 && width.is_finite(),
             "window width must be positive and finite"
@@ -708,6 +626,8 @@ impl ClusterSim {
             demand > 0.0 && demand.is_finite(),
             "demand must be positive and finite"
         );
+        let mut first_id = self.next_request_id;
+        self.next_request_id += count;
         if count == 0 {
             return Ok(());
         }
@@ -729,73 +649,17 @@ impl ClusterSim {
                 if n_j == 0 {
                     continue;
                 }
-                let comp = self.modules[m][local];
-                self.pending_runs[comp].push(BatchRun {
+                self.pending[self.modules[m][local]].push_run(BatchRun {
                     start,
                     spacing: width / n_j as f64,
                     count: n_j,
                     demand,
+                    first_id,
+                    offered: 0,
                 });
+                first_id += n_j;
             }
         }
-        Ok(())
-    }
-
-    /// Sweep every machine's local timeline to absolute time `t`,
-    /// consuming the batched arrivals injected since the last sweep.
-    ///
-    /// Each machine is an independent FCFS system once its arrivals are
-    /// assigned, so the sweep shards across cores with
-    /// `llc_par::par_for_each_mut`: machine lanes are detached from the
-    /// slabs in index order, stepped in parallel (each worker owns a
-    /// contiguous disjoint chunk), and merged back serially in index
-    /// order — results are bit-identical for any thread count. Rejected
-    /// batch arrivals are charged to module drops, the global drop total
-    /// and the per-computer dispatcher rejection counters during the
-    /// serial merge, matching the per-request path's accounting.
-    ///
-    /// This mode owns boot transitions: pending `BootDone` heap events
-    /// are discarded and `Booting → On` is handled inside each lane. Do
-    /// not mix with [`ClusterSim::run_until`] within the same window.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TimeRanBackwards`] if `t < now`.
-    pub fn step_window(&mut self, t: f64) -> Result<(), SimError> {
-        if t < self.now {
-            return Err(SimError::TimeRanBackwards {
-                now: self.now,
-                requested: t,
-            });
-        }
-        // Batched mode handles boots machine-locally; whatever sits in
-        // the heap (BootDone orders, stale departures) is superseded.
-        self.events.clear();
-        let n = self.machines.len();
-        // Serial gather: request-id bases are allocated in machine order
-        // so id assignment is independent of the shard count.
-        let mut lanes: Vec<MachineLane> = Vec::with_capacity(n);
-        for i in 0..n {
-            let runs = std::mem::take(&mut self.pending_runs[i]);
-            let arrivals: u64 = runs.iter().map(|r| r.count).sum();
-            let id_base = self.next_request_id;
-            self.next_request_id += arrivals;
-            lanes.push(self.machines.take_lane(i, runs, id_base));
-        }
-        llc_par::par_for_each_mut(&mut lanes, |lane| lane.step(t));
-        // Serial merge in machine order: deterministic accounting.
-        for lane in lanes {
-            let i = lane.i;
-            let rejected = lane.rejected;
-            self.machines.restore_lane(lane);
-            if rejected > 0 {
-                let m = self.module_of[i];
-                self.module_stats[m].dropped += rejected;
-                self.dropped_total += rejected;
-                self.dispatch_rejected[i] += rejected;
-            }
-        }
-        self.now = t;
         Ok(())
     }
 }
@@ -951,7 +815,8 @@ mod tests {
         sim.run_until(120.0).unwrap();
         sim.schedule_arrival(120.0, 1.0).unwrap();
         sim.run_until(120.2).unwrap();
-        // Two reschedules leave two stale events in the heap.
+        // Two re-timings of the in-service request: only the last one's
+        // completion time may fire.
         sim.set_frequency(0, 0);
         sim.set_frequency(0, 1);
         sim.run_until(130.0).unwrap();
@@ -1026,10 +891,6 @@ mod tests {
             sim.inject_batch(5.0, 30.0, 10, 0.1),
             Err(SimError::TimeRanBackwards { .. })
         ));
-        assert!(matches!(
-            sim.step_window(5.0),
-            Err(SimError::TimeRanBackwards { .. })
-        ));
     }
 
     #[test]
@@ -1075,7 +936,7 @@ mod tests {
         assert_eq!(sim.dropped(), 3, "lost work counts as drops");
         assert_eq!(sim.computer(0).state(), PowerState::Off);
         assert!(sim.computer(0).is_failed());
-        // The stale departure for the in-service request must not fire.
+        // The ripped-out in-service request must not complete.
         sim.power_on(0); // refused: still failed
         sim.run_until(400.0).unwrap();
         assert_eq!(sim.computer(0).state(), PowerState::Off);
@@ -1159,12 +1020,10 @@ mod tests {
         }
     }
 
-    // ----- batched window mode -------------------------------------
-
     #[test]
     fn batched_window_serves_like_per_request() {
-        // Same scenario driven both ways: one machine, 4 requests of
-        // 0.5 s spread evenly over a 10 s window. The batched sweep must
+        // Same scenario in both encodings: one machine, 4 requests of
+        // 0.5 s spread evenly over a 10 s window. The batch run must
         // reproduce the per-request stats and energy exactly.
         let run = |batched: bool| {
             let cfg = ClusterConfig {
@@ -1180,13 +1039,12 @@ mod tests {
             sim.force_on(0);
             if batched {
                 sim.inject_batch(0.0, 10.0, 4, 0.5).unwrap();
-                sim.step_window(10.0).unwrap();
             } else {
                 for k in 0..4 {
                     sim.schedule_arrival(k as f64 * 2.5, 0.5).unwrap();
                 }
-                sim.run_until(10.0).unwrap();
             }
+            sim.run_until(10.0).unwrap();
             let energy = sim.total_energy();
             (sim.drain_computer_stats(), sim.dropped(), energy)
         };
@@ -1210,7 +1068,7 @@ mod tests {
         sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
         sim.set_computer_weights(1, &[1.0, 0.0]).unwrap();
         sim.inject_batch(0.0, 1.0, 100, 0.001).unwrap();
-        sim.step_window(10.0).unwrap();
+        sim.run_until(10.0).unwrap();
         let m = sim.drain_module_stats();
         assert_eq!(m[0].arrivals, 75);
         assert_eq!(m[1].arrivals, 25);
@@ -1224,14 +1082,14 @@ mod tests {
     #[test]
     fn batched_mode_handles_boot_locally() {
         let mut sim = one_computer_cluster();
-        sim.power_on(0); // ready at 120 — no heap assistance in this mode
+        sim.power_on(0); // ready at 120
         sim.inject_batch(0.0, 30.0, 1, 1.0).unwrap();
-        sim.step_window(30.0).unwrap();
+        sim.run_until(30.0).unwrap();
         assert!(matches!(
             sim.computer(0).state(),
             PowerState::Booting { .. }
         ));
-        sim.step_window(125.0).unwrap();
+        sim.run_until(125.0).unwrap();
         assert_eq!(sim.computer(0).state(), PowerState::On);
         let stats = sim.drain_computer_stats();
         assert_eq!(stats[0].completions, 1, "queued arrival served at boot");
@@ -1252,10 +1110,10 @@ mod tests {
         sim.force_on(1);
         sim.set_module_weights(&[1.0]).unwrap();
         sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
-        sim.step_window(1.0).unwrap();
+        sim.run_until(1.0).unwrap();
         sim.crash(1, false);
         sim.inject_batch(1.1, 0.5, 10, 0.001).unwrap();
-        sim.step_window(2.0).unwrap();
+        sim.run_until(2.0).unwrap();
         let rej = sim.drain_dispatch_rejections();
         assert_eq!(rej[0], 0, "live machine refused nothing");
         assert_eq!(rej[1], 5, "dead target's allotment counted at the router");
@@ -1266,11 +1124,38 @@ mod tests {
     }
 
     #[test]
+    fn sweep_is_bit_identical_inline_and_fanned_out() {
+        // One window just under the fan-out threshold and one at it, each
+        // at one worker and at four: the inline loop, the serial fallback
+        // and the sharded sweep must agree to the last bit.
+        let run = |threads: usize, count: u64| {
+            llc_par::with_threads(threads, || {
+                let mut sim = two_module_cluster();
+                for i in 0..4 {
+                    sim.force_on(i);
+                }
+                sim.set_module_weights(&[0.6, 0.4]).unwrap();
+                sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
+                sim.set_computer_weights(1, &[0.7, 0.3]).unwrap();
+                sim.inject_batch(0.0, 30.0, count, 0.001).unwrap();
+                sim.run_until(30.0).unwrap();
+                let energy = sim.total_energy().to_bits();
+                (sim.drain_computer_stats(), energy)
+            })
+        };
+        for count in [FAN_OUT_MIN_ARRIVALS - 1, FAN_OUT_MIN_ARRIVALS] {
+            let serial = run(1, count);
+            assert_eq!(serial.0.iter().map(|w| w.arrivals).sum::<u64>(), count);
+            assert_eq!(serial, run(4, count), "{count} arrivals");
+        }
+    }
+
+    #[test]
     fn batched_zero_weights_drop_at_injection() {
         let mut sim = two_module_cluster();
         sim.inject_batch(0.0, 1.0, 7, 0.01).unwrap();
         assert_eq!(sim.dropped(), 7, "no enabled module: dropped at inject");
-        sim.step_window(1.0).unwrap();
+        sim.run_until(1.0).unwrap();
         let m = sim.drain_module_stats();
         assert_eq!(m[0].arrivals + m[1].arrivals, 0);
     }

@@ -4,8 +4,7 @@
 //! hierarchical controller against a simulated computer cluster (Fig. 1(a))
 //! where a global buffer dispatches requests to computers, each processing
 //! them in first-come first-served order at a processor frequency chosen
-//! from a finite set. We implement that cluster as an event-driven
-//! simulation with:
+//! from a finite set. We implement that cluster with:
 //!
 //! * [`Server`]: a FCFS single-server queue whose service rate scales with
 //!   the frequency factor `φ = u/u_max` (a request with demand `c` seconds
@@ -18,11 +17,21 @@
 //! * [`WeightedRouter`]: deterministic deficit-round-robin dispatching that
 //!   realizes the fractions `γ` decided by the controllers;
 //! * [`ClusterSim`]: computers partitioned into modules behind a two-level
-//!   dispatcher hierarchy, a single event queue, and per-window metrics
-//!   that the controllers sample every 30 s.
+//!   dispatcher hierarchy, and per-window metrics that the controllers
+//!   sample every 30 s.
 //!
-//! The simulator is fully deterministic: event ties break on sequence
-//! numbers and routing is deficit-based rather than randomized.
+//! There is one engine. Arrivals are buffered — one by one
+//! ([`ClusterSim::schedule_arrival`]) or as analytically routed window
+//! batches ([`ClusterSim::inject_batch`]) — and [`ClusterSim::run_until`]
+//! routes what is due, then sweeps each computer's own timeline of
+//! boot-done, completion and arrival events to the target time. Routing
+//! never reads machine state, so once a request has a computer the
+//! computers are independent and the sweep can shard across threads.
+//!
+//! The simulator is fully deterministic: each computer is offered its
+//! arrivals in `(time, submission order)`, simultaneous events on one
+//! computer fire in a fixed order, routing is deficit-based rather than
+//! randomized, and results are bit-identical for any thread count.
 //!
 //! # Example
 //!
@@ -60,7 +69,7 @@ mod server;
 
 pub use cluster::{ClusterConfig, ClusterSim, ComputerConfig, SimError};
 pub use dispatch::WeightedRouter;
-pub use machines::{ComputerRef, MachineSlabs, PowerState};
+pub use machines::{Admission, ComputerRef, MachineSlabs, PowerState};
 pub use metrics::{EnergyMeter, WindowStats};
 pub use power::PowerModel;
 pub use request::Request;

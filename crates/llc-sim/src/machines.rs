@@ -5,9 +5,14 @@
 //! [`MachineSlabs`] stores every per-machine scalar (frequency index,
 //! speed, power state, window stats, energy meter, …) in flat parallel
 //! vectors indexed by global machine id, so the hot per-window step sweeps
-//! contiguous slabs. The per-index methods mirror the old `Computer`
-//! methods operation-for-operation — the event-driven per-request path is
-//! bit-identical to what it produced before the conversion.
+//! contiguous slabs.
+//!
+//! The machine state machine — admission, completion, boot-done, power
+//! refresh — is written once, on [`Machine`], an exclusive view of one
+//! machine's slots. [`MachineSlabs`]' per-index methods (what actuation
+//! calls between advances) and the window sweep's [`MachineLane`]s (what
+//! `ClusterSim::run_until` steps, possibly on several threads) both go
+//! through it.
 //!
 //! [`ComputerRef`] is the read-only per-machine view handed out by
 //! `ClusterSim::computer`, preserving the old `sim.computer(i).state()`
@@ -50,8 +55,9 @@ pub enum Admission {
 }
 
 /// One batched arrival run assigned to a single machine: `count` requests
-/// of identical `demand` (reference units), evenly spaced from `start`.
-/// Generated by `ClusterSim::inject_batch`, consumed by the windowed step.
+/// of identical `demand` (reference units), evenly spaced from `start`,
+/// with consecutive ids from `first_id`. Generated by
+/// `ClusterSim::inject_batch`, consumed by the window sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct BatchRun {
     /// Arrival time of the run's first request.
@@ -60,18 +66,106 @@ pub(crate) struct BatchRun {
     pub spacing: f64,
     /// Number of requests in the run.
     pub count: u64,
-    /// Reference-unit demand of each request (scaled by machine speed at
-    /// admission, exactly like the per-request path).
+    /// Reference-unit demand of each request.
     pub demand: f64,
+    /// Id of the run's first request.
+    pub first_id: u64,
+    /// Requests of the run already offered to the machine.
+    pub offered: u64,
+}
+
+impl BatchRun {
+    /// The run's next request, if any is left.
+    fn next(&self) -> Option<Request> {
+        // `inject_batch` validated `start` and `demand` once for the run.
+        (self.offered < self.count).then(|| Request {
+            id: self.first_id + self.offered,
+            arrival: self.start + self.offered as f64 * self.spacing,
+            demand: self.demand,
+        })
+    }
+}
+
+/// The arrivals routed to one machine and not yet offered to it:
+/// per-request arrivals and batch runs, handed out merged in
+/// `(arrival time, request id)` order. Ids are assigned in submission
+/// order, so equal-time arrivals are served in the order they were
+/// submitted whichever way they were encoded.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pending {
+    /// Per-request arrivals due in the coming sweep, already in
+    /// `(arrival, id)` order; the sweep consumes all of them.
+    singles: Vec<Request>,
+    /// First entry of `singles` not yet offered.
+    cursor: usize,
+    /// Batch runs; one may outlast a sweep that ends inside it.
+    runs: Vec<BatchRun>,
+}
+
+/// Where [`Pending::peek`] found the earliest arrival.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Single,
+    Run(usize),
+}
+
+impl Pending {
+    /// Append a per-request arrival. Callers push in `(arrival, id)`
+    /// order and only arrivals due by the next sweep's end.
+    pub fn push(&mut self, request: Request) {
+        self.singles.push(request);
+    }
+
+    /// Append a batch run.
+    pub fn push_run(&mut self, run: BatchRun) {
+        self.runs.push(run);
+    }
+
+    /// Arrivals still buffered.
+    pub fn len(&self) -> u64 {
+        let singles = (self.singles.len() - self.cursor) as u64;
+        singles + self.runs.iter().map(|r| r.count - r.offered).sum::<u64>()
+    }
+
+    /// The earliest buffered arrival, ties to the lowest id.
+    fn peek(&self) -> Option<(Request, Source)> {
+        let mut best = self.singles.get(self.cursor).map(|&r| (r, Source::Single));
+        for (k, run) in self.runs.iter().enumerate() {
+            if let Some(next) = run.next() {
+                let earlier = best.is_none_or(|(b, _)| {
+                    next.arrival < b.arrival || (next.arrival == b.arrival && next.id < b.id)
+                });
+                if earlier {
+                    best = Some((next, Source::Run(k)));
+                }
+            }
+        }
+        best
+    }
+
+    /// Mark the arrival [`Pending::peek`] returned from `source` offered.
+    fn advance(&mut self, source: Source) {
+        match source {
+            Source::Single => self.cursor += 1,
+            Source::Run(k) => self.runs[k].offered += 1,
+        }
+    }
+
+    /// Forget what a finished sweep offered, keeping the buffers.
+    fn compact(&mut self) {
+        self.singles.drain(..self.cursor);
+        self.cursor = 0;
+        self.runs.retain(|r| r.offered < r.count);
+    }
 }
 
 /// Struct-of-arrays storage for every machine in the cluster.
 ///
 /// Each field is a vector indexed by global machine id; the frequency
 /// tables of all machines live concatenated in one flat slab. The
-/// per-index methods reproduce the old per-`Computer` state machine
-/// exactly (same branch structure, same floating-point operation order),
-/// so the event-driven path produces bit-identical traces.
+/// per-index methods take the instant they act at, so a caller owning a
+/// clock (`ClusterSim`, or a test scheduler) can drive the state machine
+/// directly.
 #[derive(Debug, Clone)]
 pub struct MachineSlabs {
     /// All machines' frequency tables, concatenated.
@@ -88,7 +182,6 @@ pub struct MachineSlabs {
     servers: Vec<Server>,
     meters: Vec<EnergyMeter>,
     stats: Vec<WindowStats>,
-    epoch: Vec<u64>,
     switch_ons: Vec<u64>,
     switch_offs: Vec<u64>,
     lifetime_completions: Vec<u64>,
@@ -112,7 +205,6 @@ impl MachineSlabs {
             servers: Vec::new(),
             meters: Vec::new(),
             stats: Vec::new(),
-            epoch: Vec::new(),
             switch_ons: Vec::new(),
             switch_offs: Vec::new(),
             lifetime_completions: Vec::new(),
@@ -162,7 +254,6 @@ impl MachineSlabs {
         self.servers.push(Server::new(1.0));
         self.meters.push(EnergyMeter::new(0.0, 0.0));
         self.stats.push(WindowStats::default());
-        self.epoch.push(0);
         self.switch_ons.push(0);
         self.switch_offs.push(0);
         self.lifetime_completions.push(0);
@@ -200,8 +291,12 @@ impl MachineSlabs {
 
     /// Machine `i`'s scaling factor `φ = u / u_max ∈ (0, 1]`.
     pub fn phi(&self, i: usize) -> f64 {
-        let table = self.frequencies(i);
-        self.frequency(i) / *table.last().expect("non-empty")
+        phi_at(
+            &self.freq_flat,
+            self.freq_start[i],
+            self.freq_len[i],
+            self.freq_index[i],
+        )
     }
 
     /// Machine `i`'s relative full-speed capacity.
@@ -252,18 +347,6 @@ impl MachineSlabs {
         m.energy()
     }
 
-    /// Machine `i`'s event epoch — bumped on every change that
-    /// invalidates scheduled departure/boot events.
-    pub fn epoch(&self, i: usize) -> u64 {
-        self.epoch[i]
-    }
-
-    /// Bump and return machine `i`'s event epoch.
-    pub fn bump_epoch(&mut self, i: usize) -> u64 {
-        self.epoch[i] += 1;
-        self.epoch[i]
-    }
-
     /// Machine `i`'s current drift-injection factor on delivered capacity.
     pub fn service_scale(&self, i: usize) -> f64 {
         self.service_scale[i]
@@ -279,24 +362,52 @@ impl MachineSlabs {
         &self.stats[i]
     }
 
-    /// Instantaneous power draw implied by machine `i`'s current state.
-    fn current_power(&self, i: usize) -> f64 {
-        match self.state[i] {
-            PowerState::Off => 0.0,
-            PowerState::Booting { .. } => self.power_model[i].boot_cost(),
-            PowerState::On | PowerState::Draining => {
-                if self.servers[i].busy() {
-                    self.power_model[i].operating(self.phi(i))
-                } else {
-                    self.power_model[i].base_cost()
-                }
-            }
+    /// Exclusive view of machine `i`, with `φ` as it stands now.
+    fn machine(&mut self, i: usize) -> Machine<'_> {
+        let phi = self.phi(i);
+        Machine {
+            state: &mut self.state[i],
+            server: &mut self.servers[i],
+            meter: &mut self.meters[i],
+            stats: &mut self.stats[i],
+            phi,
+            speed: self.speed[i],
+            power: self.power_model[i],
         }
     }
 
+    /// Exclusive views of every machine at once, in index order — what
+    /// the window sweep shards across threads.
+    pub(crate) fn machines_mut(&mut self) -> impl Iterator<Item = Machine<'_>> {
+        let MachineSlabs {
+            freq_flat,
+            freq_start,
+            freq_len,
+            freq_index,
+            speed,
+            power_model,
+            state,
+            servers,
+            meters,
+            stats,
+            ..
+        } = self;
+        let slots = state.iter_mut().zip(servers).zip(meters).zip(stats);
+        slots
+            .enumerate()
+            .map(|(i, (((state, server), meter), stats))| Machine {
+                state,
+                server,
+                meter,
+                stats,
+                phi: phi_at(freq_flat, freq_start[i], freq_len[i], freq_index[i]),
+                speed: speed[i],
+                power: power_model[i],
+            })
+    }
+
     fn refresh_power(&mut self, i: usize, now: f64) {
-        let p = self.current_power(i);
-        self.meters[i].set_power(p, now);
+        self.machine(i).refresh_power(now);
     }
 
     /// Order machine `i` on at `now`. Returns `Some(ready_at)` when a
@@ -334,11 +445,7 @@ impl MachineSlabs {
     /// Complete machine `i`'s boot at `now`. Returns `true` if a queued
     /// request just started service.
     pub fn finish_boot(&mut self, i: usize, now: f64) -> bool {
-        debug_assert!(matches!(self.state[i], PowerState::Booting { .. }));
-        self.state[i] = PowerState::On;
-        let started = self.servers[i].start_next(now);
-        self.refresh_power(i, now);
-        started
+        self.machine(i).finish_boot(now)
     }
 
     /// Order machine `i` off at `now`. A busy machine drains first; a
@@ -427,33 +534,12 @@ impl MachineSlabs {
     /// Offer a request to machine `i` at `now`. The request's reference
     /// demand is scaled by the machine's speed.
     pub fn offer(&mut self, i: usize, request: Request, now: f64) -> Admission {
-        let scaled = Request::new(request.id, request.arrival, request.demand / self.speed[i]);
-        match self.state[i] {
-            PowerState::On => {
-                self.stats[i].arrivals += 1;
-                if self.servers[i].enqueue(scaled, now) {
-                    self.refresh_power(i, now);
-                    Admission::Started
-                } else {
-                    Admission::Queued
-                }
-            }
-            PowerState::Booting { .. } => {
-                self.stats[i].arrivals += 1;
-                self.servers[i].enqueue_waiting(scaled);
-                Admission::Queued
-            }
-            PowerState::Off | PowerState::Draining => Admission::Rejected,
-        }
+        self.machine(i).offer(request, now)
     }
 
     /// Current completion time of machine `i`'s in-service request.
     pub fn completion_time(&self, i: usize) -> Option<f64> {
-        if matches!(self.state[i], PowerState::On | PowerState::Draining) {
-            self.servers[i].completion_time()
-        } else {
-            None
-        }
+        completion_time(self.state[i], &self.servers[i])
     }
 
     /// Complete machine `i`'s in-service request at `now`, recording
@@ -465,15 +551,7 @@ impl MachineSlabs {
     ///
     /// Panics if no request is in service.
     pub fn complete(&mut self, i: usize, now: f64) -> Request {
-        let finished = self.servers[i].complete(now);
-        self.stats[i].completions += 1;
-        self.stats[i].response_sum += finished.response_time(now);
-        self.stats[i].demand_sum += finished.demand;
-        if matches!(self.state[i], PowerState::Draining) && self.servers[i].queue_length() == 0 {
-            self.state[i] = PowerState::Off;
-        }
-        self.refresh_power(i, now);
-        finished
+        self.machine(i).complete(now)
     }
 
     /// Drain and reset machine `i`'s window statistics, stamping the
@@ -485,34 +563,6 @@ impl MachineSlabs {
         self.energy_drained[i] = total;
         self.lifetime_completions[i] += w.completions;
         w
-    }
-
-    /// Detach machine `i`'s mutable window-step state into a
-    /// [`MachineLane`] for the sharded step. `runs` are the machine's
-    /// batched arrivals, `id_base` the first request id it may assign.
-    pub(crate) fn take_lane(&mut self, i: usize, runs: Vec<BatchRun>, id_base: u64) -> MachineLane {
-        MachineLane {
-            i,
-            state: self.state[i],
-            server: std::mem::replace(&mut self.servers[i], Server::new(1.0)),
-            meter: self.meters[i],
-            stats: self.stats[i],
-            runs,
-            id_base,
-            phi: self.phi(i),
-            speed: self.speed[i],
-            power: self.power_model[i],
-            rejected: 0,
-        }
-    }
-
-    /// Re-attach a lane produced by [`MachineSlabs::take_lane`].
-    pub(crate) fn restore_lane(&mut self, lane: MachineLane) {
-        let i = lane.i;
-        self.state[i] = lane.state;
-        self.servers[i] = lane.server;
-        self.meters[i] = lane.meter;
-        self.stats[i] = lane.stats;
     }
 }
 
@@ -603,11 +653,6 @@ impl<'a> ComputerRef<'a> {
         self.slabs.energy_at(self.i, now)
     }
 
-    /// Event epoch.
-    pub fn epoch(&self) -> u64 {
-        self.slabs.epoch(self.i)
-    }
-
     /// Current drift-injection factor on delivered capacity.
     pub fn service_scale(&self) -> f64 {
         self.slabs.service_scale(self.i)
@@ -629,36 +674,39 @@ impl<'a> ComputerRef<'a> {
     }
 }
 
-/// One machine's detached window-step state: everything the sharded step
-/// mutates, gathered so `llc_par::par_for_each_mut` can hand each worker
-/// a disjoint `&mut MachineLane` with no cross-machine aliasing. The step
-/// is a machine-local event loop (arrivals × completions × boot-done), so
-/// the result is bit-identical for any shard count by construction.
+/// `φ = u / u_max` for a machine whose table of `len` frequencies starts
+/// at `start` in `flat`, operating at entry `index`.
+fn phi_at(flat: &[f64], start: usize, len: usize, index: usize) -> f64 {
+    flat[start + index] / flat[start + len - 1]
+}
+
+/// Completion time of the in-service request of a machine in `state`.
+fn completion_time(state: PowerState, server: &Server) -> Option<f64> {
+    if matches!(state, PowerState::On | PowerState::Draining) {
+        server.completion_time()
+    } else {
+        None
+    }
+}
+
+/// Exclusive view of one machine's mutable slots plus the parameters its
+/// state machine reads. Admission, completion, boot-done and power
+/// refresh are implemented here and nowhere else.
 #[derive(Debug)]
-pub(crate) struct MachineLane {
-    /// Global machine index (write-back slot).
-    pub i: usize,
-    pub state: PowerState,
-    pub server: Server,
-    pub meter: EnergyMeter,
-    pub stats: WindowStats,
-    /// Batched arrival runs for this window, in injection order.
-    pub runs: Vec<BatchRun>,
-    /// First request id this lane may assign (pre-allocated serially, so
-    /// ids are thread-count independent).
-    pub id_base: u64,
-    // Read-only machine parameters.
+pub(crate) struct Machine<'a> {
+    state: &'a mut PowerState,
+    server: &'a mut Server,
+    meter: &'a mut EnergyMeter,
+    stats: &'a mut WindowStats,
     phi: f64,
     speed: f64,
     power: PowerModel,
-    /// Output: batch arrivals this machine refused (Off/Draining), to be
-    /// charged as drops + dispatcher rejections by the serial reducer.
-    pub rejected: u64,
 }
 
-impl MachineLane {
+impl Machine<'_> {
+    /// Instantaneous power draw implied by the current state.
     fn current_power(&self) -> f64 {
-        match self.state {
+        match *self.state {
             PowerState::Off => 0.0,
             PowerState::Booting { .. } => self.power.boot_cost(),
             PowerState::On | PowerState::Draining => {
@@ -676,49 +724,96 @@ impl MachineLane {
         self.meter.set_power(p, now);
     }
 
-    /// Advance this machine's local timeline to `to`, consuming its
-    /// batched arrival runs. Mirrors the global event loop's handling of
-    /// boot-done / departure / arrival events, restricted to one machine:
-    /// at equal timestamps boot-done fires first, then completions, then
-    /// arrivals (the orderings differ only by zero-duration intervals, so
-    /// stats and energy match the per-request path either way).
-    pub fn step(&mut self, to: f64) {
-        let mut next_id = self.id_base;
-        let mut run_idx = 0usize;
-        let mut offset = 0u64; // position within runs[run_idx]
-        loop {
-            // Next synthetic arrival, if any runs remain.
-            let arrival = loop {
-                match self.runs.get(run_idx) {
-                    None => break None,
-                    Some(run) if offset >= run.count => {
-                        run_idx += 1;
-                        offset = 0;
-                    }
-                    Some(run) => break Some(run.start + offset as f64 * run.spacing),
+    fn finish_boot(&mut self, now: f64) -> bool {
+        debug_assert!(matches!(*self.state, PowerState::Booting { .. }));
+        *self.state = PowerState::On;
+        let started = self.server.start_next(now);
+        self.refresh_power(now);
+        started
+    }
+
+    fn offer(&mut self, request: Request, now: f64) -> Admission {
+        let scaled = Request::new(request.id, request.arrival, request.demand / self.speed);
+        match *self.state {
+            PowerState::On => {
+                self.stats.arrivals += 1;
+                if self.server.enqueue(scaled, now) {
+                    self.refresh_power(now);
+                    Admission::Started
+                } else {
+                    Admission::Queued
                 }
-            };
-            let ready = match self.state {
+            }
+            PowerState::Booting { .. } => {
+                self.stats.arrivals += 1;
+                self.server.enqueue_waiting(scaled);
+                Admission::Queued
+            }
+            PowerState::Off | PowerState::Draining => Admission::Rejected,
+        }
+    }
+
+    fn complete(&mut self, now: f64) -> Request {
+        let finished = self.server.complete(now);
+        self.stats.completions += 1;
+        self.stats.response_sum += finished.response_time(now);
+        self.stats.demand_sum += finished.demand;
+        if matches!(*self.state, PowerState::Draining) && self.server.queue_length() == 0 {
+            *self.state = PowerState::Off;
+        }
+        self.refresh_power(now);
+        finished
+    }
+}
+
+/// One machine and its buffered arrivals, ready for a window sweep. Lanes
+/// borrow disjoint slab slots, so `llc_par::par_for_each_mut` can hand
+/// each worker its own; a lane's timeline (arrivals × completions ×
+/// boot-done) touches nothing outside it, so the result is bit-identical
+/// for any shard count by construction.
+#[derive(Debug)]
+pub(crate) struct MachineLane<'a> {
+    machine: Machine<'a>,
+    pending: &'a mut Pending,
+    /// Output: arrivals this machine refused (Off/Draining), to be
+    /// charged as drops + dispatcher rejections by the serial reducer.
+    pub rejected: u64,
+}
+
+impl<'a> MachineLane<'a> {
+    pub fn new(machine: Machine<'a>, pending: &'a mut Pending) -> Self {
+        MachineLane {
+            machine,
+            pending,
+            rejected: 0,
+        }
+    }
+
+    /// Advance this machine's local timeline to `to`, offering it every
+    /// buffered arrival due by then. At equal timestamps boot-done fires
+    /// first, then completions, then arrivals; any other tie order
+    /// differs only by zero-duration intervals, so stats and energy come
+    /// out the same.
+    pub fn step(&mut self, to: f64) {
+        #[derive(Clone, Copy)]
+        enum Kind {
+            Ready,
+            Completion,
+            Arrival,
+        }
+        let mut arrival = self.pending.peek();
+        loop {
+            let ready = match *self.machine.state {
                 PowerState::Booting { ready_at } => Some(ready_at),
                 _ => None,
             };
-            let completion = match self.state {
-                PowerState::On | PowerState::Draining => self.server.completion_time(),
-                _ => None,
-            };
-            // Earliest event not past the window end; fixed priority on
-            // ties: boot-done, then completion, then arrival.
-            #[derive(Clone, Copy, PartialEq)]
-            enum Kind {
-                Ready,
-                Completion,
-                Arrival,
-            }
+            let completion = completion_time(*self.machine.state, self.machine.server);
+            // Earliest event not past the sweep's end; first wins ties.
             let mut best: Option<(f64, Kind)> = None;
             for (t, kind) in [
                 (ready, Kind::Ready),
                 (completion, Kind::Completion),
-                (arrival, Kind::Arrival),
+                (arrival.map(|(request, _)| request.arrival), Kind::Arrival),
             ] {
                 if let Some(t) = t {
                     if t <= to && best.is_none_or(|(bt, _)| t < bt) {
@@ -731,47 +826,22 @@ impl MachineLane {
             };
             match kind {
                 Kind::Ready => {
-                    self.state = PowerState::On;
-                    self.server.start_next(t);
-                    self.refresh_power(t);
+                    self.machine.finish_boot(t);
                 }
                 Kind::Completion => {
-                    let finished = self.server.complete(t);
-                    self.stats.completions += 1;
-                    self.stats.response_sum += finished.response_time(t);
-                    self.stats.demand_sum += finished.demand;
-                    if matches!(self.state, PowerState::Draining) && self.server.queue_length() == 0
-                    {
-                        self.state = PowerState::Off;
-                    }
-                    self.refresh_power(t);
+                    self.machine.complete(t);
                 }
                 Kind::Arrival => {
-                    let demand = self.runs[run_idx].demand;
-                    offset += 1;
-                    let id = next_id;
-                    next_id += 1;
-                    match self.state {
-                        PowerState::On => {
-                            let req = Request::new(id, t, demand / self.speed);
-                            self.stats.arrivals += 1;
-                            if self.server.enqueue(req, t) {
-                                self.refresh_power(t);
-                            }
-                        }
-                        PowerState::Booting { .. } => {
-                            let req = Request::new(id, t, demand / self.speed);
-                            self.stats.arrivals += 1;
-                            self.server.enqueue_waiting(req);
-                        }
-                        PowerState::Off | PowerState::Draining => {
-                            self.rejected += 1;
-                        }
+                    let (request, source) = arrival.expect("an arrival was the earliest event");
+                    self.pending.advance(source);
+                    if self.machine.offer(request, t) == Admission::Rejected {
+                        self.rejected += 1;
                     }
+                    arrival = self.pending.peek();
                 }
             }
         }
-        self.runs.clear();
+        self.pending.compact();
     }
 }
 
@@ -984,24 +1054,36 @@ mod tests {
         assert!(ready.is_infinite(), "failed machine never boots");
     }
 
+    fn run(start: f64, spacing: f64, count: u64, demand: f64, first_id: u64) -> BatchRun {
+        BatchRun {
+            start,
+            spacing,
+            count,
+            demand,
+            first_id,
+            offered: 0,
+        }
+    }
+
+    /// Sweep machine 0 to `to`; returns what it refused.
+    fn sweep(s: &mut MachineSlabs, pending: &mut Pending, to: f64) -> u64 {
+        let mut lane = MachineLane::new(s.machine(0), pending);
+        lane.step(to);
+        lane.rejected
+    }
+
     #[test]
     fn lane_step_matches_eventwise_service() {
         // One machine, three evenly spaced 1 s requests: the lane's local
-        // event loop must produce the same stats the per-request path
-        // would (responses 1, 2, 3 s minus the staggered arrivals).
+        // event loop must produce the stats the slab methods called one
+        // by one would (responses 1, 2, 3 s minus the staggered arrivals).
         let mut s = MachineSlabs::new();
         s.push(&[1.0e9], 1.0, PowerModel::new(0.75, 8.0), 0.0);
         s.force_on(0, 0.0);
-        let runs = vec![BatchRun {
-            start: 0.0,
-            spacing: 0.5,
-            count: 3,
-            demand: 1.0,
-        }];
-        let mut lane = s.take_lane(0, runs, 0);
-        lane.step(10.0);
-        assert_eq!(lane.rejected, 0);
-        s.restore_lane(lane);
+        let mut pending = Pending::default();
+        pending.push_run(run(0.0, 0.5, 3, 1.0, 0));
+        assert_eq!(sweep(&mut s, &mut pending, 10.0), 0);
+        assert_eq!(pending.len(), 0);
         let w = s.drain_stats(0, 10.0);
         assert_eq!(w.arrivals, 3);
         assert_eq!(w.completions, 3);
@@ -1015,16 +1097,10 @@ mod tests {
     fn lane_rejects_whole_batch_when_off() {
         let mut s = MachineSlabs::new();
         s.push(&[1.0e9], 1.0, PowerModel::paper_default(), 0.0);
-        let runs = vec![BatchRun {
-            start: 0.0,
-            spacing: 0.1,
-            count: 7,
-            demand: 0.01,
-        }];
-        let mut lane = s.take_lane(0, runs, 0);
-        lane.step(1.0);
-        assert_eq!(lane.rejected, 7, "an off machine refuses its allotment");
-        s.restore_lane(lane);
+        let mut pending = Pending::default();
+        pending.push_run(run(0.0, 0.1, 7, 0.01, 0));
+        let rejected = sweep(&mut s, &mut pending, 1.0);
+        assert_eq!(rejected, 7, "an off machine refuses its allotment");
         assert_eq!(s.stats(0).arrivals, 0);
     }
 
@@ -1032,20 +1108,55 @@ mod tests {
     fn lane_queues_through_boot_and_serves_at_ready() {
         let mut s = slab();
         s.power_on(0, 0.0); // ready at 120
-        let runs = vec![BatchRun {
-            start: 60.0,
-            spacing: 1.0,
-            count: 1,
-            demand: 1.0,
-        }];
-        let mut lane = s.take_lane(0, runs, 5);
-        lane.step(125.0);
-        s.restore_lane(lane);
+        let mut pending = Pending::default();
+        pending.push(Request::new(5, 60.0, 1.0));
+        sweep(&mut s, &mut pending, 125.0);
         assert_eq!(s.state(0), PowerState::On);
         let w = s.drain_stats(0, 125.0);
         assert_eq!(w.completions, 1);
-        // Arrived at 60, served 120..120.5 (φ=1, demand 1.0 at 2x... speed
-        // is 1.0 here): completion at 121, response 61.
+        // Arrived at 60, served 120..121 (φ = 1, speed 1): response 61.
         assert!((w.response_sum - 61.0).abs() < 1e-9, "{}", w.response_sum);
+    }
+
+    #[test]
+    fn lane_merges_runs_and_singles_by_time_then_id() {
+        // Two overlapping runs and a per-request arrival tied with both:
+        // the machine must see time order, ties in id order, and keep
+        // what falls beyond the sweep's end.
+        let mut s = MachineSlabs::new();
+        s.push(&[1.0e9], 1.0, PowerModel::paper_default(), 0.0);
+        s.force_on(0, 0.0);
+        let mut pending = Pending::default();
+        pending.push_run(run(0.0, 2.0, 3, 0.5, 10)); // 0, 2, 4
+        pending.push_run(run(1.0, 1.0, 4, 0.5, 20)); // 1, 2, 3, 4
+        pending.push(Request::new(15, 2.0, 0.5));
+        let mut order = Vec::new();
+        while let Some((request, source)) = pending.peek() {
+            order.push((request.arrival, request.id));
+            pending.advance(source);
+        }
+        assert_eq!(
+            order,
+            vec![
+                (0.0, 10),
+                (1.0, 20),
+                (2.0, 11),
+                (2.0, 15),
+                (2.0, 21),
+                (3.0, 22),
+                (4.0, 12),
+                (4.0, 23)
+            ]
+        );
+        // A sweep that ends inside the runs leaves the rest buffered.
+        let mut pending = Pending::default();
+        pending.push_run(run(0.0, 2.0, 3, 0.5, 10));
+        pending.push_run(run(1.0, 1.0, 4, 0.5, 20));
+        sweep(&mut s, &mut pending, 2.5);
+        assert_eq!(s.stats(0).arrivals, 4);
+        assert_eq!(pending.len(), 3);
+        sweep(&mut s, &mut pending, 10.0);
+        assert_eq!(s.stats(0).arrivals, 7);
+        assert_eq!(s.stats(0).completions, 7);
     }
 }

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 /// changed while a request executes.
 ///
 /// The server itself is passive — it answers "when does the current job
-/// finish?" and the owning event loop schedules/retracts departure events.
+/// finish?" and the owning timeline sweep asks again after every change.
 #[derive(Debug, Clone)]
 pub struct Server {
     queue: VecDeque<Request>,
@@ -61,7 +61,7 @@ impl Server {
     }
 
     /// Enqueue an arrival at time `now`. Returns `true` if the request went
-    /// straight into service (the caller must then schedule a departure).
+    /// straight into service.
     pub fn enqueue(&mut self, request: Request, now: f64) -> bool {
         if self.in_service.is_none() {
             self.in_service = Some(InService {
@@ -86,7 +86,7 @@ impl Server {
 
     /// Change the frequency at time `now`, crediting work done so far at
     /// the old frequency. Returns the new completion time if a job is in
-    /// service (the caller must reschedule its departure event).
+    /// service.
     pub fn set_phi(&mut self, phi: f64, now: f64) -> Option<f64> {
         assert!(phi > 0.0 && phi <= 1.0, "φ must lie in (0, 1], got {phi}");
         if let Some(s) = self.in_service.as_mut() {
@@ -105,8 +105,7 @@ impl Server {
     }
 
     /// Promote the queue head into service if the server is idle. Returns
-    /// `true` when a job entered service (the caller must schedule its
-    /// departure).
+    /// `true` when a job entered service.
     pub fn start_next(&mut self, now: f64) -> bool {
         if self.in_service.is_some() {
             return false;
@@ -126,7 +125,7 @@ impl Server {
 
     /// Complete the in-service request at time `now` and promote the head
     /// of the queue. Returns the finished request; if another job starts,
-    /// the caller must schedule its departure via [`Server::completion_time`].
+    /// [`Server::completion_time`] says when it finishes.
     ///
     /// # Panics
     ///

@@ -157,58 +157,6 @@ impl Zipf {
     }
 }
 
-/// Poisson distribution, for converting rates to integer counts.
-///
-/// Knuth's product method below mean 30, Gaussian approximation (rounded,
-/// clamped at 0) above.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Poisson with mean `lambda >= 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or non-finite.
-    pub fn new(lambda: f64) -> Self {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "lambda must be finite and >= 0, got {lambda}"
-        );
-        Poisson { lambda }
-    }
-
-    /// The mean `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Draw one sample.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        if self.lambda == 0.0 {
-            return 0;
-        }
-        if self.lambda < 30.0 {
-            // Knuth: multiply uniforms until the product drops below e^-λ.
-            let limit = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.gen::<f64>();
-                if p <= limit {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            let g = Gaussian::new(self.lambda, self.lambda.sqrt());
-            g.sample(rng).round().max(0.0) as u64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,31 +244,6 @@ mod tests {
         for k in 1..=4 {
             assert!((z.pmf(k) - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn poisson_small_lambda_mean() {
-        let p = Poisson::new(3.0);
-        let mut r = rng(5);
-        let n = 20_000;
-        let mean = (0..n).map(|_| p.sample(&mut r)).sum::<u64>() as f64 / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_mean() {
-        let p = Poisson::new(500.0);
-        let mut r = rng(6);
-        let n = 5_000;
-        let mean = (0..n).map(|_| p.sample(&mut r)).sum::<u64>() as f64 / n as f64;
-        assert!((mean - 500.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_zero_lambda() {
-        let p = Poisson::new(0.0);
-        let mut r = rng(7);
-        assert_eq!(p.sample(&mut r), 0);
     }
 
     proptest! {

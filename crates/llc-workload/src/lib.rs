@@ -19,7 +19,7 @@
 //! §4.3 recipe.
 //!
 //! Every sampler is seeded and deterministic. Distributions (Gaussian,
-//! Zipf, lognormal, Poisson) are implemented in this crate on top of the
+//! Zipf, lognormal) are implemented in this crate on top of the
 //! `rand` uniform source — no external statistics dependency.
 //!
 //! # Example
@@ -49,7 +49,7 @@ mod synthetic;
 mod trace;
 mod wc98;
 
-pub use distributions::{derive_seed, Gaussian, LogNormal, Poisson, Zipf};
+pub use distributions::{derive_seed, Gaussian, LogNormal, Zipf};
 pub use drift::{deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario};
 pub use faults::{fault_scenarios, FaultEvent, FaultKind, FaultPlan, FaultScenario};
 pub use flash::FlashCrowd;

@@ -24,14 +24,12 @@
 use llc_cluster::DirectiveEmit;
 use llc_cluster::{
     single_module, ControlPlane, DirectiveKind, Experiment, FaultToleranceConfig,
-    ObservationIngest, PolicyBuilder, RetrainConfig, SimAdapter,
+    ObservationIngest, Plant, PolicyBuilder, RetrainConfig,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{
-    derive_seed, fault_scenarios, CapacityProfile, FaultEvent, FaultKind, FaultPlan,
-    RequestSampler, VirtualStore,
+    fault_scenarios, CapacityProfile, FaultEvent, FaultKind, FaultPlan, VirtualStore,
 };
-use rand::SeedableRng;
 use std::sync::mpsc;
 
 fn main() {
@@ -67,35 +65,14 @@ fn main() {
         faults: Some(FaultPlan::new(events)),
         ..Experiment::paper_default(0xBEEF)
     };
-    let ticks_trace = fs.trace.rebucket(exp.t_l0).expect("well-formed trace");
-    let total_ticks = ticks_trace.len();
     let t_l0 = exp.t_l0;
-    let seed = exp.seed;
 
-    let mut adapter = SimAdapter::new(sc.to_sim_config(), &exp, total_ticks);
-    adapter.prewarm().expect("well-formed cluster");
-    let members = adapter.members().to_vec();
-
-    let (obs_tx, obs_rx) = mpsc::channel();
-    let (dir_tx, dir_rx) = mpsc::channel();
-    let plant = std::thread::spawn(move || {
-        let store = VirtualStore::paper_default(5);
-        let mut sampler = RequestSampler::paper_default(&store, seed);
-        let mut spread_rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, 0xA121));
-        for tick in 0..total_ticks as u64 {
-            for observation in adapter.observe(tick) {
-                obs_tx.send(observation).expect("controller is up");
-            }
-            let directives: Vec<llc_cluster::Directive> = dir_rx.recv().expect("controller is up");
-            adapter
-                .actuate(&directives)
-                .expect("well-formed directives");
-            adapter
-                .inject_window(tick, &ticks_trace, &mut spread_rng, &mut sampler)
-                .expect("well-formed run");
-        }
-        adapter
-    });
+    // The plant side: cluster, workload and injectors behind one
+    // constructor, the same one `Experiment::run` and the node agent use.
+    let store = VirtualStore::paper_default(5);
+    let mut plant =
+        Plant::new(sc.to_sim_config(), &exp, &fs.trace, &store).expect("well-formed cluster");
+    let members = plant.adapter.members().to_vec();
 
     // The controller side: the full self-healing stack behind the
     // ingest/emit API.
@@ -107,30 +84,48 @@ fn main() {
         .build();
     let num_modules = members.len();
     let mut plane = ControlPlane::new(policy, members, t_l0);
-    while let Ok(first) = obs_rx.recv() {
-        plane.ingest(first).expect("known topology, fresh tick");
-        for _ in 1..num_modules {
-            let observation = obs_rx.recv().expect("plant sends every module");
-            plane
-                .ingest(observation)
-                .expect("known topology, fresh tick");
-        }
-        let report = plane.step();
-        let directives = plane.drain_directives();
-        for d in &directives {
-            if let DirectiveKind::SafeMode { module, active } = d.kind {
-                println!(
-                    "t={:>6.0}s  L1 epoch {:>3}  module {} {} safe mode",
-                    report.time,
-                    d.epoch,
-                    module,
-                    if active { "entered" } else { "left" },
-                );
+
+    let (obs_tx, obs_rx) = mpsc::channel();
+    let (dir_tx, dir_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for tick in 0..plant.total_ticks() as u64 {
+                for observation in plant.adapter.observe(tick) {
+                    obs_tx.send(observation).expect("controller is up");
+                }
+                let directives: Vec<llc_cluster::Directive> =
+                    dir_rx.recv().expect("controller is up");
+                plant
+                    .adapter
+                    .actuate(&directives)
+                    .expect("well-formed directives");
+                plant.inject_window(tick).expect("well-formed run");
             }
+        });
+        while let Ok(first) = obs_rx.recv() {
+            plane.ingest(first).expect("known topology, fresh tick");
+            for _ in 1..num_modules {
+                let observation = obs_rx.recv().expect("plant sends every module");
+                plane
+                    .ingest(observation)
+                    .expect("known topology, fresh tick");
+            }
+            let report = plane.step();
+            let directives = plane.drain_directives();
+            for d in &directives {
+                if let DirectiveKind::SafeMode { module, active } = d.kind {
+                    println!(
+                        "t={:>6.0}s  L1 epoch {:>3}  module {} {} safe mode",
+                        report.time,
+                        d.epoch,
+                        module,
+                        if active { "entered" } else { "left" },
+                    );
+                }
+            }
+            dir_tx.send(directives).expect("plant is up");
         }
-        dir_tx.send(directives).expect("plant is up");
-    }
-    let _adapter = plant.join().expect("plant thread finished cleanly");
+    });
 
     let m = plane.metrics();
     println!(

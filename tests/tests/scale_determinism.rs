@@ -1,13 +1,18 @@
-//! Scale-path regression tests: the sharded window step must be
-//! bit-identical at any worker count — including across the crash-restart
-//! fault sequence, the hardest ordering case — and the batched arrival
-//! path must charge drops and dispatcher rejections exactly like the
-//! per-request event stream it replaces.
+//! Scale-path regression tests: the sharded sweep must be bit-identical
+//! at any worker count — including across the crash-restart fault
+//! sequence, the hardest ordering case — and a batch run must equal the
+//! same arrivals scheduled one by one: same drops and dispatcher
+//! rejections, same service when the two encodings overlap in a window.
 
 use llc_sim::{ClusterConfig, ClusterSim, ComputerConfig, PowerModel, PowerState, WindowStats};
 
 const WINDOW_S: f64 = 30.0;
 const DEMAND_S: f64 = 0.0175;
+/// Demand of the sharding scenario's requests: short enough that a
+/// 12-machine window at 0.8 utilization carries ~61 000 arrivals, above
+/// the 50 000 below which `ClusterSim::run_until` sweeps inline — below
+/// it every worker count would run the same serial loop.
+const SHARD_DEMAND_S: f64 = 0.004;
 
 fn twelve_machine_cluster() -> ClusterSim {
     // Three heterogeneous modules of four — enough machines that eight
@@ -48,14 +53,14 @@ struct Observed {
     completed: Vec<u64>,
 }
 
-/// Drive the crash-restart fault sequence through the batched windowed
-/// plant: near-capacity traffic, a hard crash (work lost) plus a
+/// Drive the crash-restart fault sequence through the plant in window
+/// batches: near-capacity traffic, a hard crash (work lost) plus a
 /// requeueing crash, a restart through the boot dead time, a drain-and
 /// -return power cycle, frequency moves and capacity drift — every
 /// actuator the controllers own, exercised between sharded sweeps.
 fn run_windowed(windows: usize) -> Observed {
     let mut sim = twelve_machine_cluster();
-    let per_window = (0.8 * WINDOW_S * 10.2 / DEMAND_S).round() as u64;
+    let per_window = (0.8 * WINDOW_S * 10.2 / SHARD_DEMAND_S).round() as u64;
     let mut obs = Observed {
         computer_stats: Vec::new(),
         module_stats: Vec::new(),
@@ -89,9 +94,9 @@ fn run_windowed(windows: usize) -> Observed {
             _ => {}
         }
         let t0 = w as f64 * WINDOW_S;
-        sim.inject_batch(t0, WINDOW_S, per_window, DEMAND_S)
+        sim.inject_batch(t0, WINDOW_S, per_window, SHARD_DEMAND_S)
             .unwrap();
-        sim.step_window(t0 + WINDOW_S).unwrap();
+        sim.run_until(t0 + WINDOW_S).unwrap();
         obs.computer_stats.push(sim.drain_computer_stats());
         obs.module_stats.push(sim.drain_module_stats());
         obs.rejections.push(sim.drain_dispatch_rejections());
@@ -132,8 +137,8 @@ fn sharded_step_bit_identical_at_1_2_and_8_shards_under_crash_restart() {
 #[test]
 fn batched_drops_match_per_request_stream_with_dead_member() {
     // One module, two machines at 50/50, the second crashed: the router
-    // keeps offering it every other request. The batched path must
-    // charge the identical drop total, module drop count and per-machine
+    // keeps offering it every other request. The batch must be charged
+    // the identical drop total, module drop count and per-machine
     // dispatcher rejections as the per-request stream.
     let build = || {
         let comp = || ComputerConfig::new(vec![1.0e9], PowerModel::paper_default(), 0.0);
@@ -163,7 +168,7 @@ fn batched_drops_match_per_request_stream_with_dead_member() {
     batched
         .inject_batch(1.0, WINDOW_S, count, DEMAND_S)
         .unwrap();
-    batched.step_window(1.0 + WINDOW_S).unwrap();
+    batched.run_until(1.0 + WINDOW_S).unwrap();
 
     assert_eq!(per_req.dropped(), 250);
     assert_eq!(batched.dropped(), per_req.dropped());
@@ -218,7 +223,7 @@ fn single_member_batched_window_is_bit_identical_to_per_request() {
     for w in 0..4u64 {
         let t0 = w as f64 * WINDOW_S;
         batched.inject_batch(t0, WINDOW_S, count, DEMAND_S).unwrap();
-        batched.step_window(t0 + WINDOW_S).unwrap();
+        batched.run_until(t0 + WINDOW_S).unwrap();
     }
 
     assert_eq!(per_req.dropped(), batched.dropped());
@@ -233,4 +238,58 @@ fn single_member_batched_window_is_bit_identical_to_per_request() {
     );
     assert_eq!(sp, sb, "window stats bit-identical");
     assert!(sp[0].completions > 0);
+}
+
+#[test]
+fn overlapping_batches_and_requests_merge_by_time() {
+    // Twenty 1 s requests on one machine, two at each of t = 0, 3, …, 27,
+    // written as per-request arrivals, as two overlapping batches, and
+    // as one batch plus per-request arrivals in either submission order.
+    // Served in time order each pair costs responses 1 s + 2 s; served
+    // run after run (the bug: the second batch's first arrival admitted
+    // after the first batch's last) only 12 finish in the window.
+    enum Half {
+        Batch,
+        Requests,
+    }
+    let run = |halves: [Half; 2]| {
+        let mut sim = ClusterSim::new(ClusterConfig {
+            modules: vec![vec![ComputerConfig::new(
+                vec![1.0e9],
+                PowerModel::paper_default(),
+                0.0,
+            )]],
+        });
+        sim.force_on(0);
+        sim.set_module_weights(&[1.0]).unwrap();
+        sim.set_computer_weights(0, &[1.0]).unwrap();
+        for half in halves {
+            match half {
+                Half::Batch => sim.inject_batch(0.0, WINDOW_S, 10, 1.0).unwrap(),
+                Half::Requests => {
+                    for k in 0..10 {
+                        sim.schedule_arrival(f64::from(k) * 3.0, 1.0).unwrap();
+                    }
+                }
+            }
+        }
+        sim.run_until(WINDOW_S).unwrap();
+        let energy = sim.total_energy().to_bits();
+        (sim.drain_computer_stats(), energy)
+    };
+    let reference = run([Half::Requests, Half::Requests]);
+    assert_eq!(reference.0[0].completions, 20);
+    assert_eq!(reference.0[0].response_sum, 30.0);
+    assert_eq!(f64::from_bits(reference.1), 42.5);
+    assert_eq!(run([Half::Batch, Half::Batch]), reference, "batch + batch");
+    assert_eq!(
+        run([Half::Batch, Half::Requests]),
+        reference,
+        "batch, then per-request"
+    );
+    assert_eq!(
+        run([Half::Requests, Half::Batch]),
+        reference,
+        "per-request, then batch"
+    );
 }
