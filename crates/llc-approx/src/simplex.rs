@@ -46,17 +46,23 @@ impl SimplexGrid {
         1.0 / self.levels as f64
     }
 
-    /// Number of grid points: `C(levels + dims - 1, dims - 1)`.
+    /// Number of grid points: `C(levels + dims - 1, dims - 1)`, saturating
+    /// at `usize::MAX` — a caller deciding whether to
+    /// [`enumerate`](SimplexGrid::enumerate) needs "too many", not a
+    /// wrapped count.
     pub fn count(&self) -> usize {
-        // Compute the binomial iteratively to avoid overflow for the
-        // small parameters used here.
         let n = self.levels + self.dims - 1;
         let k = self.dims - 1;
+        // Each partial product is itself a binomial, so the division is
+        // exact.
         let mut acc: u128 = 1;
         for i in 0..k {
-            acc = acc * (n - i) as u128 / (i + 1) as u128;
+            match acc.checked_mul((n - i) as u128) {
+                Some(product) => acc = product / (i + 1) as u128,
+                None => return usize::MAX,
+            }
         }
-        acc as usize
+        usize::try_from(acc).unwrap_or(usize::MAX)
     }
 
     /// Enumerate every grid point as a fraction vector.
@@ -209,6 +215,14 @@ mod tests {
                 "dims={dims} levels={levels}"
             );
         }
+    }
+
+    #[test]
+    fn count_saturates_instead_of_wrapping() {
+        // 32 modules at quantum 0.1: C(41, 10).
+        assert_eq!(SimplexGrid::new(32, 10).count(), 1_121_099_408);
+        // C(1999, 999) overflows any integer type.
+        assert_eq!(SimplexGrid::new(1000, 1000).count(), usize::MAX);
     }
 
     #[test]

@@ -313,6 +313,9 @@ pub struct HierarchicalPolicy {
     global_arrivals_acc: u64,
     member_demand_sum: Vec<f64>,
     member_demand_n: Vec<u64>,
+    // Per-module inputs of an L1 tick's phase A, refilled for each module.
+    member_scales_buf: Vec<f64>,
+    member_demands_buf: Vec<Option<f64>>,
     // Decision histories backing the figures.
     active_history: Vec<(u64, usize)>,
     gamma_module_history: Vec<(u64, Vec<f64>)>,
@@ -434,6 +437,8 @@ impl HierarchicalPolicy {
             global_arrivals_acc: 0,
             member_demand_sum: vec![0.0; num_computers],
             member_demand_n: vec![0; num_computers],
+            member_scales_buf: Vec::new(),
+            member_demands_buf: Vec::new(),
             active_history: Vec::new(),
             gamma_module_history: Vec::new(),
             overhead: [LevelOverhead::default(); 3],
@@ -1151,22 +1156,23 @@ impl ClusterPolicy for HierarchicalPolicy {
                 // Push the drift-aware L0s' capacity scales up: this
                 // module's map queries, outcome keys and capacity shares
                 // all run at the effective processing time ĉ/ŝ.
-                let scales: Vec<f64> = self.members[m]
-                    .iter()
-                    .map(|&i| self.l0s[i].scale_estimate())
-                    .collect();
-                self.l1s[m].set_member_scales(&scales);
-                let demands: Vec<Option<f64>> = self.members[m]
-                    .iter()
-                    .map(|&i| {
+                self.member_scales_buf.clear();
+                self.member_scales_buf.extend(
+                    self.members[m]
+                        .iter()
+                        .map(|&i| self.l0s[i].scale_estimate()),
+                );
+                self.l1s[m].set_member_scales(&self.member_scales_buf);
+                self.member_demands_buf.clear();
+                self.member_demands_buf
+                    .extend(self.members[m].iter().map(|&i| {
                         if self.member_demand_n[i] > 0 {
                             Some(self.member_demand_sum[i] / self.member_demand_n[i] as f64)
                         } else {
                             None
                         }
-                    })
-                    .collect();
-                self.l1s[m].observe(self.module_arrivals_acc[m], &demands);
+                    }));
+                self.l1s[m].observe(self.module_arrivals_acc[m], &self.member_demands_buf);
                 self.module_arrivals_acc[m] = 0;
                 for &i in &self.members[m] {
                     self.member_demand_sum[i] = 0.0;

@@ -1,5 +1,5 @@
 use llc_core::{
-    Decision, Error as LlcError, Forecast, LookaheadController, Penalty, Plant, SearchStats,
+    Error as LlcError, Forecast, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
@@ -229,6 +229,11 @@ pub struct L0Controller {
     controller: LookaheadController,
     lambda_forecast: LocalLinearTrend,
     c_filter: Ewma,
+    /// The lookahead's environment forecast and search buffers, kept
+    /// and rewritten in place: a machine decides every `T_L0`, and a
+    /// cluster is many machines.
+    forecast: Forecast<L0Env>,
+    scratch: SearchScratch<usize>,
     /// Online delivered-capacity estimator (the drift-aware L0; inert
     /// unless `config.scale.enabled`).
     scale: ServiceScaleEstimator,
@@ -262,6 +267,14 @@ impl L0Controller {
             controller,
             lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
             c_filter: Ewma::paper_default(),
+            forecast: Forecast::from_nominal(vec![
+                L0Env {
+                    lambda: 0.0,
+                    c: 0.0
+                };
+                config.horizon
+            ]),
+            scratch: SearchScratch::default(),
             scale: ServiceScaleEstimator::new(config.scale),
             config,
             total_stats: SearchStats::default(),
@@ -339,17 +352,18 @@ impl L0Controller {
     /// Propagates [`llc_core::Error`] (cannot occur with a non-empty φ
     /// table and the internally built forecast).
     pub fn decide(&mut self, queue_len: usize) -> Result<L0Decision, LlcError> {
-        let lambdas = self.lambda_forecast.predict(self.config.horizon);
         let c = self.c_estimate();
-        let forecast = Forecast::from_nominal(
-            lambdas
-                .into_iter()
-                .map(|l| L0Env {
-                    lambda: l.max(0.0),
-                    c,
-                })
-                .collect(),
-        );
+        for (step, lambda) in self
+            .forecast
+            .steps_mut()
+            .iter_mut()
+            .zip(self.lambda_forecast.predictions())
+        {
+            step.set_certain(L0Env {
+                lambda: lambda.max(0.0),
+                c,
+            });
+        }
         let plant = L0Plant {
             phis: &self.phis,
             model: QueueModel::with_scale(self.config.period, self.scale.estimate()),
@@ -362,13 +376,13 @@ impl L0Controller {
             q: queue_len as f64,
             r: 0.0,
         };
-        let Decision {
-            input, cost, stats, ..
-        } = self.controller.decide(&plant, &x0, None, &forecast)?;
+        let (cost, stats) =
+            self.controller
+                .decide_with(&plant, &x0, None, &self.forecast, &mut self.scratch)?;
         self.total_stats.absorb(stats);
         self.decisions += 1;
         Ok(L0Decision {
-            frequency_index: input,
+            frequency_index: self.scratch.sequence()[0],
             predicted_cost: cost,
             stats,
         })
@@ -417,17 +431,19 @@ impl L0Controller {
             LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
         let env = L0Env { lambda, c };
         let forecast = Forecast::from_nominal(vec![env; config.horizon]);
+        let mut scratch = SearchScratch::default();
         let mut q = q0;
         let mut total = 0.0;
         let mut power = 0.0;
         for _ in 0..steps {
             let x = L0State { q, r: 0.0 };
-            let d = controller
-                .decide(&plant, &x, None, &forecast)
+            controller
+                .decide_with(&plant, &x, None, &forecast, &mut scratch)
                 .expect("non-empty input set");
-            let next = plant.step(&x, &d.input, &env);
-            total += plant.cost(&next, &d.input, None);
-            let phi = phis[d.input];
+            let u = scratch.sequence()[0];
+            let next = plant.step(&x, &u, &env);
+            total += plant.cost(&next, &u, None);
+            let phi = phis[u];
             power += config.base_cost + phi * phi;
             q = next.q;
         }
@@ -475,16 +491,17 @@ impl L0Controller {
                 Forecast::from_nominal(vec![L0Env { lambda, c }; config.horizon])
             })
             .collect();
+        let mut scratch = SearchScratch::default();
         let mut chosen = vec![0.0f64; n];
         let mut totals = vec![0.0f64; n];
         let mut powers = vec![0.0f64; n];
         for _ in 0..steps {
             for i in 0..n {
                 let x = L0State { q: qs[i], r: 0.0 };
-                let d = controller
-                    .decide(&plant, &x, None, &forecasts[i])
+                controller
+                    .decide_with(&plant, &x, None, &forecasts[i], &mut scratch)
                     .expect("non-empty input set");
-                chosen[i] = phis[d.input];
+                chosen[i] = phis[scratch.sequence()[0]];
             }
             plant
                 .model

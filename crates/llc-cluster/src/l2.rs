@@ -5,6 +5,7 @@ use llc_approx::{
 };
 use llc_core::{BoundedSearch, DriftDetector, LearnRate, ObservationLog, OnlineConfig};
 use llc_forecast::{Forecaster, LocalLinearTrend};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The per-module cost approximation `J̃_i` used by the L2 controller.
@@ -443,6 +444,39 @@ pub struct L2Decision {
     pub states_evaluated: usize,
 }
 
+/// The largest simplex a decision enumerates in full. The four- and
+/// five-module paper clusters have 286 and 1001 splits at quantum 0.1;
+/// 32 modules have C(41, 10) ≈ 1.1·10⁹, and a decision that would
+/// enumerate those searches the neighborhood of the standing split (the
+/// even one, if none stands yet) instead.
+const MAX_ENUMERATED_SPLITS: usize = 100_000;
+
+/// Every grid point within `bound` single-quantum transfers of `prev`,
+/// `prev` first, then ring by ring in [`SimplexGrid::neighbors`] order —
+/// the order ties in the split search break by.
+fn neighborhood(grid: &SimplexGrid, prev: &[f64], bound: usize) -> Vec<Vec<f64>> {
+    let q = grid.quantum();
+    let start: Vec<i64> = prev.iter().map(|&x| (x / q).round() as i64).collect();
+    let mut seen: HashSet<Vec<i64>> = HashSet::from([start.clone()]);
+    let mut all = vec![prev.to_vec()];
+    let mut frontier = vec![start];
+    let mut scratch = Vec::new();
+    for _ in 0..bound {
+        let mut next = Vec::new();
+        for point in &frontier {
+            grid.for_each_neighbor_units(point, &mut scratch, &mut |units| {
+                if !seen.contains(units) {
+                    seen.insert(units.to_vec());
+                    all.push(units.iter().map(|&u| u as f64 * q).collect());
+                    next.push(units.to_vec());
+                }
+            });
+        }
+        frontier = next;
+    }
+    all
+}
+
 /// The cluster-level controller (§5): splits the global arrivals across
 /// modules by exhaustive enumeration of the quantized simplex (286 points
 /// for four modules at quantum 0.1), scoring each split with the
@@ -461,8 +495,9 @@ pub struct L2Controller {
     /// [`L2Controller::enable_online`] has been called.
     online: Option<OnlineL2>,
     /// One-shot hysteresis relaxation (set on cluster membership change):
-    /// the next decision enumerates the full simplex and skips the
-    /// switching margin, then the flag clears itself.
+    /// the next decision enumerates the full simplex (if it has at most
+    /// `MAX_ENUMERATED_SPLITS` points) and skips the switching margin,
+    /// then the flag clears itself.
     relax_once: bool,
 }
 
@@ -509,7 +544,9 @@ impl L2Controller {
     /// Relax hysteresis for the next decision only: membership just
     /// changed (a machine died or rejoined), so the previous split is
     /// stale evidence — enumerate the full simplex and let the winner
-    /// through without the switching margin.
+    /// through without the switching margin. A simplex too large to
+    /// enumerate (dozens of modules) is searched around the previous
+    /// split as usual; the margin is still skipped.
     pub fn relax_hysteresis_once(&mut self) {
         self.relax_once = true;
     }
@@ -767,26 +804,18 @@ impl L2Controller {
         // First decision: full enumeration. Afterwards: the bounded
         // neighborhood of the previous split (up to `max_move_quanta`
         // single-quantum transfers), mirroring the L1's "limited
-        // neighborhood of [the current] state".
-        let candidates = match (&self.prev_gamma, self.config.max_move_quanta) {
-            (Some(prev), bound) if bound > 0 && !relaxed => {
-                let mut frontier = vec![prev.clone()];
-                let mut all = vec![prev.clone()];
-                for _ in 0..bound {
-                    let mut next = Vec::new();
-                    for point in &frontier {
-                        for n in grid.neighbors(point) {
-                            if !all.iter().any(|p: &Vec<f64>| {
-                                p.iter().zip(&n).all(|(a, b)| (a - b).abs() < 1e-9)
-                            }) {
-                                all.push(n.clone());
-                                next.push(n);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                all
+        // neighborhood of [the current] state". A relaxed decision
+        // enumerates again — where the simplex can be enumerated.
+        let bound = self.config.max_move_quanta;
+        let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
+        let candidates = match &self.prev_gamma {
+            Some(prev) if (bound > 0 && !relaxed) || !enumerable => {
+                neighborhood(&grid, prev, bound.max(1))
+            }
+            // Unseeded and too large to enumerate: start from the even split.
+            None if !enumerable => {
+                let even = grid.snap(&vec![1.0; self.models.len()]);
+                neighborhood(&grid, &even, bound.max(1))
             }
             _ => grid.enumerate(),
         };
@@ -985,6 +1014,98 @@ mod tests {
         );
         let after = l2.decide(&states);
         assert!(after.states_evaluated < 11, "relaxation is one-shot");
+    }
+
+    #[test]
+    fn member_death_at_scale_searches_around_the_standing_split() {
+        // 32 modules at quantum 0.1: C(41, 10) ≈ 1.1·10⁹ splits. A relaxed
+        // decision used to enumerate them (a 26.9 GB allocation).
+        let modules = 32;
+        let mut l2 = L2Controller::new(L2Config::paper_default(), vec![module_model(2); modules]);
+        l2.set_initial_split(vec![1.0; modules]);
+        for _ in 0..5 {
+            l2.observe((400.0 * 120.0) as u64);
+        }
+        let states = vec![
+            ModuleState {
+                c_factor: 1.0,
+                queue_mean: 0.0,
+                active: 2,
+            };
+            modules
+        ];
+        let bounded = l2.decide(&states);
+        l2.relax_hysteresis_once();
+        let relaxed = l2.decide(&states);
+        assert_eq!(
+            relaxed.states_evaluated, bounded.states_evaluated,
+            "a simplex too large to enumerate is searched around the standing split"
+        );
+        // Nor does a first decision nobody seeded enumerate them.
+        let mut unseeded =
+            L2Controller::new(L2Config::paper_default(), vec![module_model(2); modules]);
+        for gamma in [relaxed.gamma, unseeded.decide(&states).gamma] {
+            let quanta: Vec<f64> = gamma.iter().map(|g| g / 0.1).collect();
+            assert!(quanta
+                .iter()
+                .all(|u| (u - u.round()).abs() < 1e-9 && *u >= 0.0));
+            assert!((gamma.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// The neighborhood as it was first built: every neighbor checked
+    /// against every accepted point, component by component.
+    fn scanned_neighborhood(grid: &SimplexGrid, prev: &[f64], bound: usize) -> Vec<Vec<f64>> {
+        let mut frontier = vec![prev.to_vec()];
+        let mut all = vec![prev.to_vec()];
+        for _ in 0..bound {
+            let mut next = Vec::new();
+            for point in &frontier {
+                for n in grid.neighbors(point) {
+                    if !all
+                        .iter()
+                        .any(|p: &Vec<f64>| p.iter().zip(&n).all(|(a, b)| (a - b).abs() < 1e-9))
+                    {
+                        all.push(n.clone());
+                        next.push(n);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        all
+    }
+
+    #[test]
+    fn hashed_neighborhood_lists_the_scanned_candidates_in_order() {
+        let bits = |all: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            all.iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let mut corner = vec![0.0; 32];
+        corner[..3].copy_from_slice(&[5.0, 3.0, 2.0]);
+        // Two rings around a 32-way even split are ~5·10⁵ points: more
+        // than the quadratic scan can list in a test.
+        for (quantum, weights, max_bound) in [
+            (0.1, vec![1.0, 2.0, 3.0, 4.0], 2),
+            (0.1, vec![4.0, 0.0, 1.0, 3.0, 2.0], 2),
+            (1.0 / 128.0, vec![1.0; 32], 1),
+            (0.1, corner, 2),
+        ] {
+            let grid = SimplexGrid::with_quantum(weights.len(), quantum);
+            let prev = grid.snap(&weights);
+            for bound in 1..=max_bound {
+                let hashed = neighborhood(&grid, &prev, bound);
+                assert!(hashed.len() > weights.len());
+                assert_eq!(
+                    bits(hashed),
+                    bits(scanned_neighborhood(&grid, &prev, bound)),
+                    "{} modules, {bound} quanta",
+                    weights.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use bounded::{BoundedSearch, LocalOptimum};
 pub use cost::{Norm, Penalty, SetPoint};
 pub use detect::{DetectorConfig, DriftDetector, LearnRate};
 pub use error::Error;
-pub use llc::{Decision, LookaheadController, SearchStats};
+pub use llc::{Decision, LookaheadController, SearchScratch, SearchStats};
 pub use model::{EnvStep, Forecast, Plant};
 pub use online::{Observation, ObservationLog, OnlineConfig};
 pub use scale::{ScaleEstimatorConfig, ServiceScaleEstimator};

@@ -33,6 +33,44 @@ pub struct Decision<I> {
     pub stats: SearchStats,
 }
 
+/// The buffers one lookahead search works in.
+///
+/// A search needs the input prefix it is standing on, one admissible-set
+/// buffer per depth, and the incumbent sequence. A controller that decides
+/// every sampling period keeps one of these and hands it to
+/// [`LookaheadController::decide_with`], so that steady-state decisions
+/// stay off the heap. Nothing carries over from one search to the next
+/// but capacity: a scratch may be shared between controllers of different
+/// horizons and plants of different input-set sizes, and after a search
+/// that failed.
+#[derive(Debug, Clone)]
+pub struct SearchScratch<I> {
+    prefix: Vec<I>,
+    /// One admissible-set buffer per depth, reused across the whole tree:
+    /// the search expands O(|U|^N) nodes and a heap allocation per node
+    /// would dominate cheap plants.
+    input_bufs: Vec<Vec<I>>,
+    sequence: Vec<I>,
+}
+
+impl<I> Default for SearchScratch<I> {
+    fn default() -> Self {
+        SearchScratch {
+            prefix: Vec::new(),
+            input_bufs: Vec::new(),
+            sequence: Vec::new(),
+        }
+    }
+}
+
+impl<I> SearchScratch<I> {
+    /// The minimizing input sequence of the last successful search, first
+    /// step first (unspecified after a failed one).
+    pub fn sequence(&self) -> &[I] {
+        &self.sequence
+    }
+}
+
 /// Exhaustive limited-lookahead controller with branch-and-bound pruning.
 ///
 /// Implements the optimization of the paper's eq. (4):
@@ -78,7 +116,8 @@ impl LookaheadController {
     ///
     /// `prev_input` is the input applied during the previous sampling
     /// period (for `‖Δu‖` switching penalties). The forecast must cover at
-    /// least `N` steps.
+    /// least `N` steps. This is [`LookaheadController::decide_with`] on a
+    /// fresh scratch.
     ///
     /// # Errors
     ///
@@ -93,30 +132,9 @@ impl LookaheadController {
         prev_input: Option<&P::Input>,
         forecast: &Forecast<P::Env>,
     ) -> Result<Decision<P::Input>, Error> {
-        forecast.validate(self.horizon)?;
-
-        let mut best: Option<(f64, Vec<P::Input>)> = None;
-        let mut stats = SearchStats::default();
-        let mut prefix: Vec<P::Input> = Vec::with_capacity(self.horizon);
-        // One admissible-set buffer per depth, reused across the whole
-        // tree: the search expands O(|U|^N) nodes and a heap allocation
-        // per node would dominate cheap plants.
-        let mut input_bufs: Vec<Vec<P::Input>> = (0..self.horizon).map(|_| Vec::new()).collect();
-
-        self.search(
-            plant,
-            x0,
-            prev_input,
-            forecast,
-            0,
-            0.0,
-            &mut prefix,
-            &mut input_bufs,
-            &mut best,
-            &mut stats,
-        )?;
-
-        let (cost, sequence) = best.ok_or(Error::EmptyInputSet)?;
+        let mut scratch = SearchScratch::default();
+        let (cost, stats) = self.decide_with(plant, x0, prev_input, forecast, &mut scratch)?;
+        let sequence = scratch.sequence;
         let input = sequence.first().cloned().ok_or(Error::EmptyInputSet)?;
         Ok(Decision {
             input,
@@ -126,24 +144,70 @@ impl LookaheadController {
         })
     }
 
-    /// Depth-first expansion of the input tree with pruning.
-    #[allow(clippy::too_many_arguments)]
-    fn search<P: Plant>(
+    /// [`LookaheadController::decide`] in the caller's buffers: returns the
+    /// minimizing trajectory's cumulative cost and the search statistics,
+    /// and leaves the trajectory itself in
+    /// [`scratch.sequence()`](SearchScratch::sequence), whose first
+    /// element is the input to apply now.
+    ///
+    /// # Errors
+    ///
+    /// As [`LookaheadController::decide`].
+    pub fn decide_with<P: Plant>(
         &self,
         plant: &P,
+        x0: &P::State,
+        prev_input: Option<&P::Input>,
+        forecast: &Forecast<P::Env>,
+        scratch: &mut SearchScratch<P::Input>,
+    ) -> Result<(f64, SearchStats), Error> {
+        forecast.validate(self.horizon)?;
+
+        scratch.prefix.clear();
+        scratch.sequence.clear();
+        if scratch.input_bufs.len() < self.horizon {
+            scratch.input_bufs.resize_with(self.horizon, Vec::new);
+        }
+        let mut search = Search {
+            plant,
+            forecast,
+            horizon: self.horizon,
+            prefix: &mut scratch.prefix,
+            best: &mut scratch.sequence,
+            best_cost: None,
+            stats: SearchStats::default(),
+        };
+        search.expand(x0, prev_input, 0, 0.0, &mut scratch.input_bufs)?;
+        let cost = search.best_cost.ok_or(Error::EmptyInputSet)?;
+        Ok((cost, search.stats))
+    }
+}
+
+/// One depth-first expansion of the input tree with pruning.
+struct Search<'a, P: Plant> {
+    plant: &'a P,
+    forecast: &'a Forecast<P::Env>,
+    horizon: usize,
+    prefix: &'a mut Vec<P::Input>,
+    /// The incumbent sequence, meaningful once `best_cost` is set.
+    best: &'a mut Vec<P::Input>,
+    best_cost: Option<f64>,
+    stats: SearchStats,
+}
+
+impl<P: Plant> Search<'_, P> {
+    fn expand(
+        &mut self,
         x: &P::State,
         prev: Option<&P::Input>,
-        forecast: &Forecast<P::Env>,
         depth: usize,
         acc: f64,
-        prefix: &mut Vec<P::Input>,
         input_bufs: &mut [Vec<P::Input>],
-        best: &mut Option<(f64, Vec<P::Input>)>,
-        stats: &mut SearchStats,
     ) -> Result<(), Error> {
         if depth == self.horizon {
-            if best.as_ref().is_none_or(|(c, _)| acc < *c) {
-                *best = Some((acc, prefix.clone()));
+            if self.best_cost.is_none_or(|c| acc < c) {
+                self.best_cost = Some(acc);
+                self.best.clone_from(self.prefix);
             }
             return Ok(());
         }
@@ -152,11 +216,11 @@ impl LookaheadController {
             .split_first_mut()
             .expect("one input buffer per depth");
         mine.clear();
-        plant.admissible_into(x, mine);
+        self.plant.admissible_into(x, mine);
         if mine.is_empty() {
             return Err(Error::EmptyInputSet);
         }
-        let step = &forecast[depth];
+        let step = &self.forecast[depth];
         let total_w = step.total_weight();
 
         for u in mine.iter() {
@@ -164,33 +228,22 @@ impl LookaheadController {
             // carries the trajectory forward.
             let mut expected = 0.0;
             for (w_env, weight) in &step.samples {
-                let x_s = plant.step(x, u, w_env);
-                expected += weight * plant.cost(&x_s, u, prev);
+                let x_s = self.plant.step(x, u, w_env);
+                expected += weight * self.plant.cost(&x_s, u, prev);
             }
             expected /= total_w;
-            stats.states_explored += 1;
+            self.stats.states_explored += 1;
 
             let acc_next = acc + expected;
-            if best.as_ref().is_some_and(|(c, _)| acc_next >= *c) {
-                stats.pruned += 1;
+            if self.best_cost.is_some_and(|c| acc_next >= c) {
+                self.stats.pruned += 1;
                 continue;
             }
 
-            let x_nominal = plant.step(x, u, &step.nominal);
-            prefix.push(u.clone());
-            self.search(
-                plant,
-                &x_nominal,
-                Some(u),
-                forecast,
-                depth + 1,
-                acc_next,
-                prefix,
-                deeper,
-                best,
-                stats,
-            )?;
-            prefix.pop();
+            let x_nominal = self.plant.step(x, u, &step.nominal);
+            self.prefix.push(u.clone());
+            self.expand(&x_nominal, Some(u), depth + 1, acc_next, deeper)?;
+            self.prefix.pop();
         }
         Ok(())
     }

@@ -76,6 +76,13 @@ impl<E: Clone> EnvStep<E> {
         }
     }
 
+    /// Make this a deterministic step at `env`, keeping the sample buffer.
+    pub fn set_certain(&mut self, env: E) {
+        self.samples.clear();
+        self.samples.push((env.clone(), 1.0));
+        self.nominal = env;
+    }
+
     /// A step with equally-weighted samples around a nominal value.
     ///
     /// # Errors
@@ -132,6 +139,13 @@ impl<E: Clone> Forecast<E> {
         self.steps.get(q)
     }
 
+    /// The per-step scenario sets, writable in place: a controller that
+    /// forecasts every sampling period refreshes the values of a forecast
+    /// it keeps, instead of building a new one.
+    pub fn steps_mut(&mut self) -> &mut [EnvStep<E>] {
+        &mut self.steps
+    }
+
     /// Iterate over the per-step scenario sets.
     pub fn iter(&self) -> std::slice::Iter<'_, EnvStep<E>> {
         self.steps.iter()
@@ -174,6 +188,16 @@ mod tests {
         assert_eq!(s.samples.len(), 1);
         assert!((s.total_weight() - 1.0).abs() < 1e-12);
         assert_eq!(s.nominal, 3.5);
+    }
+
+    #[test]
+    fn set_certain_rewrites_a_step_in_place() {
+        let mut f = Forecast::from_nominal(vec![1.0, 2.0]);
+        f.steps_mut()[1].set_certain(7.5);
+        assert_eq!(f, Forecast::from_nominal(vec![1.0, 7.5]));
+        let mut banded = EnvStep::with_samples(2.0, vec![1.0, 2.0, 3.0]).unwrap();
+        banded.set_certain(4.0);
+        assert_eq!(banded, EnvStep::certain(4.0));
     }
 
     #[test]

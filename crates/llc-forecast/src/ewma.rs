@@ -65,6 +65,10 @@ impl Forecaster for Ewma {
         vec![self.estimate; horizon]
     }
 
+    fn predict_one(&self) -> f64 {
+        self.estimate
+    }
+
     fn observations(&self) -> u64 {
         self.observations
     }
@@ -107,6 +111,7 @@ mod tests {
         e.observe(8.0);
         let p = e.predict(3);
         assert_eq!(p, vec![6.0, 6.0, 6.0]);
+        assert_eq!(e.predict_one(), 6.0);
     }
 
     #[test]

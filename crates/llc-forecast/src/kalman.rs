@@ -1,4 +1,4 @@
-use crate::{Matrix, MatrixError};
+use crate::matrix::{Matrix, MatrixError};
 
 /// A general linear-Gaussian Kalman filter.
 ///
@@ -142,19 +142,6 @@ impl KalmanFilter {
         }
         out
     }
-
-    /// Innovation variance `S = H P Hᵀ + R` for a scalar observation model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observation is not scalar.
-    pub fn innovation_variance(&self) -> f64 {
-        assert_eq!(self.h.rows(), 1, "scalar observation model required");
-        let s = (&(&self.h * &self.p) * &self.h.transpose())
-            .plus(&self.r)
-            .expect("shape");
-        s.get(0, 0)
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +198,7 @@ mod tests {
             let p = kf.covariance();
             assert!((p.get(0, 1) - p.get(1, 0)).abs() < 1e-9, "symmetry");
             assert!(p.get(0, 0) >= 0.0 && p.get(1, 1) >= 0.0, "diagonal PSD");
-            assert!(p.is_finite());
+            assert!((0..2).all(|r| (0..2).all(|c| p.get(r, c).is_finite())));
         }
     }
 
@@ -253,11 +240,5 @@ mod tests {
         let mut kf = random_walk(0.1, 1.0);
         let err = kf.update(&Matrix::column(&[1.0, 2.0])).unwrap_err();
         assert_eq!(err, MatrixError::DimensionMismatch);
-    }
-
-    #[test]
-    fn innovation_variance_positive() {
-        let kf = random_walk(0.1, 1.0);
-        assert!(kf.innovation_variance() > 0.0);
     }
 }

@@ -10,13 +10,11 @@
 //! This crate implements both from scratch — there is no external linear
 //! algebra or statistics dependency:
 //!
-//! * [`Matrix`]: small dense row-major matrices with Gauss-Jordan inversion;
-//! * [`KalmanFilter`]: the general linear-Gaussian filter (predict/update,
-//!   Joseph-form covariance update, multi-step forecasting);
 //! * [`LocalLinearTrend`]: a level+slope structural model (the state-space
-//!   equivalent of ARIMA(0,2,2)) with data-driven noise tuning, mirroring
-//!   the paper's "parameters of the Kalman filter were first tuned using an
-//!   initial portion of the workload";
+//!   equivalent of ARIMA(0,2,2)) stepped by a fixed-size, heap-free Kalman
+//!   kernel (Joseph-form covariance update), with data-driven noise tuning
+//!   mirroring the paper's "parameters of the Kalman filter were first
+//!   tuned using an initial portion of the workload";
 //! * [`Ewma`]: the processing-time filter;
 //! * [`Forecaster`]: the common observe/predict interface consumed by the
 //!   controllers, plus [`AccuracyStats`] for tracking forecast error (the
@@ -35,20 +33,25 @@
 //! assert!((ahead[0] - 110.0).abs() < 1.0);
 //! assert!((ahead[2] - 114.0).abs() < 1.5);
 //! ```
+//!
+//! The general linear-Gaussian filter over heap-backed matrices that the
+//! trend model first ran on is not API: `kalman.rs` and `matrix.rs`
+//! compile under `cfg(test)` only, as the oracle the kernel is held
+//! bit-identical to (`trend::tests`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error_stats;
 mod ewma;
+#[cfg(test)]
 mod kalman;
+#[cfg(test)]
 mod matrix;
 mod traits;
 mod trend;
 
 pub use error_stats::AccuracyStats;
 pub use ewma::Ewma;
-pub use kalman::KalmanFilter;
-pub use matrix::{Matrix, MatrixError};
 pub use traits::Forecaster;
 pub use trend::LocalLinearTrend;

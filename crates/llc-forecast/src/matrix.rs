@@ -284,11 +284,6 @@ impl Matrix {
             .scale(0.5)
     }
 
-    /// `true` if all entries are finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
     fn swap_rows(&mut self, i: usize, j: usize) {
         for c in 0..self.cols {
             self.data.swap(i * self.cols + c, j * self.cols + c);
@@ -323,22 +318,6 @@ impl Mul for &Matrix {
     /// Panics on shape mismatch; use [`Matrix::matmul`] for a fallible form.
     fn mul(self, rhs: &Matrix) -> Matrix {
         self.matmul(rhs).expect("matrix product shape mismatch")
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..self.rows {
-            write!(f, "[")?;
-            for c in 0..self.cols {
-                if c > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{:.6}", self.get(r, c))?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
     }
 }
 
@@ -427,12 +406,6 @@ mod tests {
         let s = a.symmetrize();
         assert_eq!(s.get(0, 1), s.get(1, 0));
         assert_eq!(s.get(0, 1), 1.0);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let a = Matrix::identity(2);
-        assert!(format!("{a}").contains("1.000000"));
     }
 
     proptest! {

@@ -1,8 +1,8 @@
 /// Common interface of all workload forecasters.
 ///
 /// Controllers consume forecasts through this trait so the concrete model
-/// (Kalman trend, ARIMA, EWMA) is an implementation detail that can be
-/// swapped per experiment.
+/// (Kalman trend, EWMA) is an implementation detail that can be swapped
+/// per experiment.
 pub trait Forecaster {
     /// Absorb the newest observation.
     fn observe(&mut self, value: f64);
@@ -12,7 +12,11 @@ pub trait Forecaster {
     /// Implementations must not mutate their state.
     fn predict(&self, horizon: usize) -> Vec<f64>;
 
-    /// Convenience one-step-ahead prediction.
+    /// One-step-ahead prediction, equal to `predict(1)[0]`.
+    ///
+    /// Every controller's `λ̂` reads this once per sampling period, and
+    /// the default pays for a `Vec` each time: implementors should
+    /// override it with a form that allocates nothing.
     fn predict_one(&self) -> f64 {
         self.predict(1).first().copied().unwrap_or(f64::NAN)
     }

@@ -1,8 +1,9 @@
 //! Property test: the branch-and-bound lookahead controller returns the
 //! exact optimum of the brute-force enumeration on randomized finite
-//! plants — pruning is an optimization, never an approximation.
+//! plants — pruning is an optimization, never an approximation. And a
+//! search in reused buffers is the search in fresh ones.
 
-use llc_core::{Forecast, LookaheadController, Plant};
+use llc_core::{Forecast, LookaheadController, Plant, SearchScratch};
 use proptest::prelude::*;
 
 /// A randomized finite plant: S states, U inputs, deterministic mixing
@@ -11,6 +12,8 @@ struct TablePlant {
     states: usize,
     inputs: usize,
     costs: Vec<f64>, // indexed state * inputs + input
+    /// A state with no admissible input: reaching it fails the search.
+    barren: Option<usize>,
 }
 
 impl Plant for TablePlant {
@@ -18,7 +21,10 @@ impl Plant for TablePlant {
     type Input = usize;
     type Env = ();
 
-    fn admissible(&self, _x: &usize) -> Vec<usize> {
+    fn admissible(&self, x: &usize) -> Vec<usize> {
+        if self.barren == Some(*x) {
+            return Vec::new();
+        }
         (0..self.inputs).collect()
     }
     fn step(&self, x: &usize, u: &usize, _w: &()) -> usize {
@@ -55,7 +61,7 @@ proptest! {
         x0 in 0usize..8,
         costs in proptest::collection::vec(0.0..100.0f64, 8 * 5),
     ) {
-        let plant = TablePlant { states, inputs, costs };
+        let plant = TablePlant { states, inputs, costs, barren: None };
         let x0 = x0 % states;
         let controller = LookaheadController::new(horizon).unwrap();
         let forecast = Forecast::from_nominal(vec![(); horizon]);
@@ -76,5 +82,51 @@ proptest! {
             x = xn;
         }
         prop_assert!((replay - decision.cost).abs() < 1e-9);
+    }
+
+    /// One scratch carried through decisions of different horizons and
+    /// input-set sizes, with failed searches in between (a forecast too
+    /// short; a barren state, which abandons the search mid-tree with a
+    /// prefix on the stack), decides what a fresh scratch decides.
+    #[test]
+    fn reused_scratch_decides_like_a_fresh_one(
+        jobs in proptest::collection::vec(
+            (
+                (2usize..8, 1usize..5, 1usize..4),
+                (0usize..8, 0usize..16, 0usize..4),
+                proptest::collection::vec(0.0..100.0f64, 8 * 5),
+            ),
+            2..12,
+        ),
+    ) {
+        let mut scratch = SearchScratch::default();
+        for ((states, inputs, horizon), (x0, barren, shortfall), costs) in jobs {
+            let plant = TablePlant {
+                states,
+                inputs,
+                costs,
+                // Half the jobs have no barren state at all.
+                barren: (barren < states).then_some(barren),
+            };
+            let x0 = x0 % states;
+            let controller = LookaheadController::new(horizon).unwrap();
+            // One job in four forecasts a step short of the horizon.
+            let covered = if shortfall == 0 { horizon - 1 } else { horizon };
+            let forecast = Forecast::from_nominal(vec![(); covered]);
+            let fresh = controller.decide(&plant, &x0, None, &forecast);
+            let reused = controller.decide_with(&plant, &x0, None, &forecast, &mut scratch);
+            match (fresh, reused) {
+                (Ok(fresh), Ok((cost, stats))) => {
+                    prop_assert_eq!(scratch.sequence(), &fresh.sequence[..]);
+                    prop_assert_eq!(scratch.sequence()[0], fresh.input);
+                    prop_assert_eq!(cost.to_bits(), fresh.cost.to_bits());
+                    prop_assert_eq!(stats, fresh.stats);
+                }
+                (Err(fresh), Err(reused)) => {
+                    prop_assert_eq!(fresh, reused);
+                }
+                (fresh, reused) => prop_assert!(false, "{fresh:?} vs {reused:?}"),
+            }
+        }
     }
 }
