@@ -1,19 +1,16 @@
 //! Closed-loop trajectory: the full event-driven hierarchy against the
-//! drifting simulated plant, in three arms per drift scenario —
+//! drifting simulated plant, in two arms per drift scenario —
 //!
-//! * **offline-only** — the policy derives realized outcomes and tracks
-//!   its prequential prediction error but never learns from them (the
-//!   train-once controller);
-//! * **caller-driven** — the PR 2 wiring: harness code drains the
-//!   derived outcomes after every tick and pushes them back through
-//!   `record_outcome`/`learn_online` by hand;
-//! * **closed-loop** — `PolicyBuilder::closed_loop` and *zero* harness code: the
-//!   hierarchy records and absorbs its own outcomes in-loop.
+//! * **offline-only** — `PolicyBuilder::outcome_tracking`: the policy
+//!   derives realized outcomes and tracks its prequential prediction
+//!   error but never learns from them (the train-once controller);
+//! * **closed-loop** — `PolicyBuilder::closed_loop` and *zero* harness
+//!   code: the hierarchy absorbs its own outcomes in-loop.
 //!
 //! Tracking error is the prequential mean `|predicted − realized|` cost
 //! over every derived per-member outcome, measured against the maps
-//! before each outcome is absorbed — identical bookkeeping in all three
-//! arms, so the arms differ only in who closes the loop. All arms are
+//! before each outcome is absorbed — identical bookkeeping in both
+//! arms, so the arms differ only in whether the loop is closed. All arms are
 //! fully deterministic (seeded workload, seeded spread); each arm is run
 //! three times and the median taken (MAEs agree across runs, wall-clock
 //! medians de-noise the overhead numbers per the gate-calibration
@@ -28,16 +25,12 @@
 //! Emits machine-readable `BENCH_closed_loop.json` at the workspace
 //! root; `--quick` shortens the run (no JSON rewrite); `--check` gates:
 //! exit non-zero unless, on **every** drift scenario, closed-loop beats
-//! offline-only tracking error and stays within 1.5× of the
-//! caller-driven arm — and, on deep degradation, self-healing strictly
+//! offline-only tracking error — and, on deep degradation, self-healing strictly
 //! beats the drift-blind closed loop's tracking MAE without flapping
 //! frequencies more, with at least one in-run rebuild hot-swapped.
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
-use llc_cluster::{
-    single_module, Action, Cadence, ClusterPolicy, Experiment, HierarchicalPolicy, Observations,
-    PolicyBuilder, PolicyMetrics, RetrainConfig, ScenarioConfig,
-};
+use llc_cluster::{single_module, Experiment, PolicyBuilder, RetrainConfig, ScenarioConfig};
 use llc_core::OnlineConfig;
 use llc_workload::{
     deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario, VirtualStore,
@@ -65,50 +58,9 @@ fn profile_in_ticks(profile: CapacityProfile, ratio: f64) -> CapacityProfile {
     }
 }
 
-/// The PR 2 caller-driven wiring as a policy wrapper: after every tick
-/// the harness (this struct) drains the outcomes the hierarchy derived
-/// and replays them through the public `record_outcome`/`learn_online`
-/// surface.
-struct CallerDriven {
-    inner: HierarchicalPolicy,
-}
-
-impl ClusterPolicy for CallerDriven {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
-        let actions = self.inner.decide(obs);
-        let outcomes = self.inner.drain_realized_outcomes();
-        let mut touched = vec![false; self.inner.num_modules()];
-        for o in &outcomes {
-            self.inner
-                .l1_mut(o.module)
-                .record_outcome(o.member, o.lambda, o.q0, o.entry);
-            touched[o.module] = true;
-        }
-        for (m, touched) in touched.iter().enumerate() {
-            if *touched {
-                self.inner.l1_mut(m).learn_online();
-            }
-        }
-        actions
-    }
-
-    fn name(&self) -> &str {
-        "hierarchical-llc-caller-driven"
-    }
-
-    fn cadence(&self) -> Cadence {
-        self.inner.cadence()
-    }
-
-    fn metrics(&self) -> PolicyMetrics {
-        self.inner.metrics()
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
     Offline,
-    Caller,
     Closed,
     /// Closed loop + drift-aware L0 + retrain consumer (PR 4): the
     /// self-healing stack, benched on the deep-degradation scenario
@@ -120,7 +72,6 @@ impl Arm {
     fn name(self) -> &'static str {
         match self {
             Arm::Offline => "offline",
-            Arm::Caller => "caller",
             Arm::Closed => "closed",
             Arm::SelfHeal => "selfheal",
         }
@@ -158,7 +109,7 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
 fn scenario_config() -> ScenarioConfig {
     // Hash-backed maps: the drift scenarios push the plant beyond the
     // offline envelope, and only the hash substrate absorbs outcomes out
-    // there. `min_active = 2` pins both machines on so the three arms
+    // there. `min_active = 2` pins both machines on so the arms
     // compare *map tracking* under identical plant dynamics rather than
     // boot-dead-time noise (the feed-forward test owns the transition
     // story).
@@ -172,7 +123,7 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
     let cfg = OnlineConfig::default().validated();
     let builder = PolicyBuilder::new(sc.clone());
     let mut policy = match arm {
-        Arm::Offline | Arm::Caller => builder.outcome_tracking(cfg),
+        Arm::Offline => builder.outcome_tracking(),
         Arm::Closed => builder.closed_loop(cfg),
         Arm::SelfHeal => builder
             .drift_aware_l0()
@@ -180,11 +131,6 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
             .retrain(RetrainConfig::default()),
     }
     .build();
-    if arm == Arm::Caller {
-        for m in 0..policy.num_modules() {
-            policy.l1_mut(m).enable_online(cfg);
-        }
-    }
     let ratio = scenario.trace.interval() / 30.0;
     let exp = Experiment {
         drift: Some(profile_in_ticks(scenario.capacity, ratio)),
@@ -192,19 +138,9 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
     };
     let store = VirtualStore::paper_default(seed);
     let started = Instant::now();
-    let log = match arm {
-        Arm::Caller => {
-            let mut wrapped = CallerDriven { inner: policy };
-            let log = exp
-                .run(sc.to_sim_config(), &mut wrapped, &scenario.trace, &store)
-                .expect("well-formed scenario");
-            policy = wrapped.inner;
-            log
-        }
-        _ => exp
-            .run(sc.to_sim_config(), &mut policy, &scenario.trace, &store)
-            .expect("well-formed scenario"),
-    };
+    let log = exp
+        .run(sc.to_sim_config(), &mut policy, &scenario.trace, &store)
+        .expect("well-formed scenario");
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     ArmResult {
         tracking_mae: policy.tracking_error().expect("outcomes were derived"),
@@ -238,10 +174,9 @@ fn main() {
 
     let mut lines = Vec::new();
     let mut offline_beaten = 0usize;
-    let mut within_caller = 0usize;
     for scenario in &scenarios {
         let mut results: Vec<(Arm, ArmResult)> = Vec::new();
-        for arm in [Arm::Offline, Arm::Caller, Arm::Closed] {
+        for arm in [Arm::Offline, Arm::Closed] {
             // The gate consults only the tracking MAEs, which are fully
             // deterministic (seeded workload, seeded spread) — one run
             // suffices in check/quick mode. The JSON-writing path runs
@@ -266,14 +201,12 @@ fn main() {
             results.push((arm, result));
         }
         let offline = &results[0].1;
-        let caller = &results[1].1;
-        let closed = &results[2].1;
+        let closed = &results[1].1;
         println!(
-            "{:<22} offline MAE {:>8.3}  caller MAE {:>8.3}  closed MAE {:>8.3}  \
+            "{:<22} offline MAE {:>8.3}  closed MAE {:>8.3}  \
              ({:.1}x better than offline, {} updates, {} detections{})",
             scenario.name,
             offline.tracking_mae,
-            caller.tracking_mae,
             closed.tracking_mae,
             offline.tracking_mae / closed.tracking_mae.max(1e-12),
             closed.online_updates,
@@ -286,9 +219,6 @@ fn main() {
         );
         if closed.tracking_mae < offline.tracking_mae {
             offline_beaten += 1;
-        }
-        if closed.tracking_mae <= 1.5 * caller.tracking_mae {
-            within_caller += 1;
         }
         for (arm, r) in &results {
             lines.push(json_entry(scenario.name, arm.name(), r));
@@ -339,22 +269,13 @@ fn main() {
     if check {
         // The acceptance invariant: with zero harness code the closed
         // loop must beat the train-once controller on every drift
-        // scenario and stay within 1.5x of the hand-driven PR 2 wiring.
+        // scenario.
         let mut failed = false;
         if offline_beaten == 3 {
             println!("gate ok  closed-loop beats offline-only on 3/3 drift scenarios");
         } else {
             eprintln!(
                 "REGRESSION closed-loop beats offline-only on only {offline_beaten}/3 scenarios"
-            );
-            failed = true;
-        }
-        if within_caller == 3 {
-            println!("gate ok  closed-loop within 1.5x of caller-driven on 3/3 scenarios");
-        } else {
-            eprintln!(
-                "REGRESSION closed-loop within 1.5x of caller-driven on only \
-                 {within_caller}/3 scenarios"
             );
             failed = true;
         }

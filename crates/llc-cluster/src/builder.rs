@@ -10,7 +10,7 @@ use crate::ScenarioConfig;
 use llc_core::OnlineConfig;
 
 /// Fluent builder for a [`HierarchicalPolicy`] with any combination of
-/// the optional subsystems: closed-loop learning (or the caller-driven
+/// the optional subsystems: closed-loop learning (or its measure-only
 /// outcome-tracking variant), the churn watchdog, the retrain consumer,
 /// and the drift-aware L0.
 ///
@@ -28,7 +28,7 @@ use llc_core::OnlineConfig;
 pub struct PolicyBuilder {
     scenario: ScenarioConfig,
     closed_loop: Option<OnlineConfig>,
-    outcome_tracking: Option<OnlineConfig>,
+    outcome_tracking: bool,
     fault_tolerance: Option<FaultToleranceConfig>,
     retrain: Option<RetrainConfig>,
     drift_aware_l0: bool,
@@ -41,7 +41,7 @@ impl PolicyBuilder {
         PolicyBuilder {
             scenario,
             closed_loop: None,
-            outcome_tracking: None,
+            outcome_tracking: false,
             fault_tolerance: None,
             retrain: None,
             drift_aware_l0: false,
@@ -55,16 +55,17 @@ impl PolicyBuilder {
     #[must_use]
     pub fn closed_loop(mut self, cfg: OnlineConfig) -> Self {
         self.closed_loop = Some(cfg);
-        self.outcome_tracking = None;
+        self.outcome_tracking = false;
         self
     }
 
-    /// Derive and queue realized outcomes without learning from them
-    /// (the caller-driven feedback path). Mutually exclusive with
-    /// [`PolicyBuilder::closed_loop`] (last call wins).
+    /// Derive realized outcomes and score the models against them
+    /// without learning from them (the measure-only offline arm).
+    /// Mutually exclusive with [`PolicyBuilder::closed_loop`] (last call
+    /// wins).
     #[must_use]
-    pub fn outcome_tracking(mut self, cfg: OnlineConfig) -> Self {
-        self.outcome_tracking = Some(cfg);
+    pub fn outcome_tracking(mut self) -> Self {
+        self.outcome_tracking = true;
         self.closed_loop = None;
         self
     }
@@ -116,8 +117,8 @@ impl PolicyBuilder {
         if let Some(cfg) = self.closed_loop {
             policy.set_closed_loop(cfg);
         }
-        if let Some(cfg) = self.outcome_tracking {
-            policy.set_outcome_tracking(cfg);
+        if self.outcome_tracking {
+            policy.set_outcome_tracking();
         }
         if let Some(cfg) = self.fault_tolerance {
             policy.set_fault_tolerance(cfg);
@@ -153,11 +154,11 @@ mod tests {
     fn closed_loop_and_tracking_are_exclusive() {
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
             .closed_loop(OnlineConfig::default())
-            .outcome_tracking(OnlineConfig::default())
+            .outcome_tracking()
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Observe);
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
-            .outcome_tracking(OnlineConfig::default())
+            .outcome_tracking()
             .closed_loop(OnlineConfig::default())
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);

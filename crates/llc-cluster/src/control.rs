@@ -31,10 +31,9 @@
 //! ingested observation *does*: in `Learn` mode the hierarchy derives
 //! realized outcomes from the stream and absorbs them into its own
 //! models (the plane's client supplies telemetry and nothing else); in
-//! `Observe` mode outcomes are derived and queued but never learned
-//! from, so the client may drain them and drive the learning loop
-//! itself. The ingest surface is identical in both — the mode is a
-//! property of the policy, not of the transport.
+//! `Observe` mode outcomes are derived and scored against the models
+//! but never learned from. The ingest surface is identical in both —
+//! the mode is a property of the policy, not of the transport.
 //!
 //! [`Experiment`]: crate::Experiment
 

@@ -10,7 +10,6 @@ use crate::retrain::{
 use crate::{L0Config, L0Controller, ScenarioConfig};
 use llc_core::OnlineConfig;
 use llc_sim::{PowerState, WindowStats};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,9 +75,9 @@ struct DecideJob<'a> {
 }
 
 /// How the hierarchy closes its own feedback loop (the paper's Fig. 2 is
-/// a *closed-loop* controller; before this mode existed the online path
-/// had to be driven by harness code calling
-/// [`L1Controller::record_outcome`]/[`L1Controller::learn_online`]).
+/// a *closed-loop* controller): whether realized outcomes are derived
+/// from plant telemetry at all, and whether the learned models absorb
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClosedLoopMode {
     /// No realized-outcome derivation at all (zero overhead) — the
@@ -86,35 +85,14 @@ pub enum ClosedLoopMode {
     #[default]
     Off,
     /// Derive realized per-member outcomes and track the prequential
-    /// prediction error, but never touch the learned models. Outcomes
-    /// accumulate for [`HierarchicalPolicy::drain_realized_outcomes`] so
-    /// an external caller can drive the learning loop itself (the
-    /// caller-driven path, kept for comparison benches and tests).
+    /// prediction error, but never touch the learned models: the
+    /// measure-only arm an offline hierarchy is scored with.
     Observe,
-    /// The full closed loop: derived outcomes are recorded into each
-    /// module's [`L1Controller`] and the [`L2Controller`] residual layer
-    /// and absorbed every period — the hierarchy self-corrects with no
+    /// The full closed loop: each period's derived outcomes are absorbed
+    /// by the module's [`L1Controller`] and the [`L2Controller`] residual
+    /// layer where they are derived — the hierarchy self-corrects with no
     /// harness code.
     Learn,
-}
-
-/// One realized per-member outcome derived from plant telemetry over an
-/// L1 window: the operating point the member actually served at and the
-/// measured [`GEntry`] it produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RealizedOutcome {
-    /// Module index.
-    pub module: usize,
-    /// Member position within the module.
-    pub member: usize,
-    /// Arrival rate actually routed to the member over the window
-    /// (requests/second).
-    pub lambda: f64,
-    /// Queue at the start of the window.
-    pub q0: f64,
-    /// Measured outcome: average cost per L0 period, mean power drawn,
-    /// end-of-window queue.
-    pub entry: GEntry,
 }
 
 /// Internal closed-loop state: telemetry accumulators between slow-level
@@ -123,7 +101,6 @@ pub struct RealizedOutcome {
 #[derive(Debug)]
 struct ClosedLoop {
     mode: ClosedLoopMode,
-    cfg: OnlineConfig,
     /// Per-computer sum of realized per-L0-window costs over the running
     /// L1 window (`Q·slack + R·power` per window, the L0 cost function
     /// evaluated on measurements).
@@ -152,23 +129,26 @@ struct ClosedLoop {
     /// Per-module arrivals over the running L2 window.
     module_arrivals: Vec<u64>,
     /// Module states at the previous L2 tick (the key the L2 outcome is
-    /// recorded at).
+    /// absorbed at).
     l2_snapshot: Option<Vec<ModuleState>>,
     /// Prequential tracking error: `|predicted − realized|` cost summed
     /// over derived outcomes, measured against the maps *before* any
     /// update from the outcome.
     err_sum: f64,
     err_n: u64,
-    /// Outcomes awaiting an external caller (Observe mode only), bounded
-    /// by the configured log capacity (oldest evicted).
-    pending: VecDeque<RealizedOutcome>,
+    /// One module's learnable outcomes of the L1 period that just ended,
+    /// `(member, λ, q₀, realized)` — refilled per module and handed to
+    /// its [`L1Controller::absorb_outcomes`] (Learn mode only).
+    l1_outcomes: Vec<(usize, f64, f64, GEntry)>,
+    /// The modules' outcomes of the L2 period that just ended, `(module,
+    /// λ, state, realized cost)`, for [`L2Controller::absorb_outcomes`].
+    l2_outcomes: Vec<(usize, f64, ModuleState, f64)>,
 }
 
 impl ClosedLoop {
-    fn new(mode: ClosedLoopMode, cfg: OnlineConfig, computers: usize, modules: usize) -> Self {
+    fn new(mode: ClosedLoopMode, computers: usize, modules: usize) -> Self {
         ClosedLoop {
             mode,
-            cfg,
             cost_acc: vec![0.0; computers],
             window_acc: vec![WindowStats::default(); computers],
             q0: vec![0.0; computers],
@@ -180,7 +160,8 @@ impl ClosedLoop {
             l2_snapshot: None,
             err_sum: 0.0,
             err_n: 0,
-            pending: VecDeque::new(),
+            l1_outcomes: Vec::new(),
+            l2_outcomes: Vec::new(),
         }
     }
 }
@@ -513,21 +494,20 @@ impl HierarchicalPolicy {
 
     /// Close the loop in-hierarchy: from now on the policy derives
     /// realized per-member outcomes from the plant telemetry it already
-    /// receives (window response slack + energy + end queue), records
-    /// them into its own L1 controllers and the L2 residual layer, and
-    /// absorbs them every period — no caller-side
-    /// [`L1Controller::record_outcome`]/[`L1Controller::learn_online`]
-    /// required.
+    /// receives (window response slack + energy + end queue) and, every
+    /// period, hands them to its own L1 controllers and the L2 residual
+    /// layer ([`L1Controller::absorb_outcomes`],
+    /// [`L2Controller::absorb_outcomes`]) before deciding on the updated
+    /// models.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub(crate) fn set_closed_loop(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
         // Unconditional: `cfg` defines the whole loop's knobs. Re-enabling
-        // an already-online controller resets its pending log and
-        // detectors to the new configuration rather than silently mixing
-        // an older one into the closed loop.
+        // an already-online controller restarts its detectors under the
+        // new configuration rather than silently mixing an older one into
+        // the closed loop.
         for l1 in &mut self.l1s {
             l1.enable_online(cfg);
         }
@@ -536,27 +516,19 @@ impl HierarchicalPolicy {
         }
         self.closed_loop = Some(ClosedLoop::new(
             ClosedLoopMode::Learn,
-            cfg,
             self.l0s.len(),
             self.members.len(),
         ));
     }
 
-    /// Derive and expose realized outcomes without learning from them:
-    /// the policy tracks its prequential prediction error and queues each
-    /// outcome for [`HierarchicalPolicy::drain_realized_outcomes`], but
-    /// never touches its learned models. This is the caller-driven
-    /// feedback path (the pre-closed-loop wiring) and the offline-only
-    /// control arm of the closed-loop benches.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    pub(crate) fn set_outcome_tracking(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
+    /// Derive realized outcomes without learning from them: the policy
+    /// tracks its prequential prediction error
+    /// ([`HierarchicalPolicy::tracking_error`]) but never touches its
+    /// learned models — the offline-only control arm of the closed-loop
+    /// benches.
+    pub(crate) fn set_outcome_tracking(&mut self) {
         self.closed_loop = Some(ClosedLoop::new(
             ClosedLoopMode::Observe,
-            cfg,
             self.l0s.len(),
             self.members.len(),
         ));
@@ -583,15 +555,6 @@ impl HierarchicalPolicy {
         self.closed_loop.as_ref().map_or(0, |cl| cl.err_n)
     }
 
-    /// Drain the outcomes queued in [`ClosedLoopMode::Observe`] mode
-    /// (oldest first; empty in other modes — `Learn` consumes outcomes
-    /// internally).
-    pub fn drain_realized_outcomes(&mut self) -> Vec<RealizedOutcome> {
-        self.closed_loop
-            .as_mut()
-            .map_or_else(Vec::new, |cl| cl.pending.drain(..).collect())
-    }
-
     /// Online observations blended into the learned models so far,
     /// summed over every L1 and the L2.
     pub fn online_updates(&self) -> u64 {
@@ -603,26 +566,13 @@ impl HierarchicalPolicy {
     /// stopped being local (see `llc_core::DriftDetector`): incremental
     /// blending is patching a model that is wrong everywhere, and an
     /// offline re-train ([`HierarchicalPolicy::build`]) should be
-    /// scheduled. Consumed automatically once the retrain consumer is
-    /// configured ([`crate::PolicyBuilder::retrain`]); callers driving
-    /// their own rebuild should release the latch with
-    /// [`HierarchicalPolicy::acknowledge_retrain`] after scheduling it.
+    /// scheduled. Consumed once the retrain consumer is configured
+    /// ([`crate::PolicyBuilder::retrain`]): the hot-swap of the rebuilt
+    /// models re-arms the detectors that latched. Without it the
+    /// recommendation stays up as a standing alarm.
     pub fn retrain_recommended(&self) -> bool {
         self.l1s.iter().any(|l| l.retrain_recommended())
             || self.l2.as_ref().is_some_and(|l2| l2.retrain_recommended())
-    }
-
-    /// Release the re-train latch on every level's detectors (call after
-    /// scheduling a re-train by hand; a single historical drift episode
-    /// must not pin the recommendation forever). The detectors keep
-    /// observing and will re-latch on the next non-local episode.
-    pub fn acknowledge_retrain(&mut self) {
-        for l1 in &mut self.l1s {
-            l1.acknowledge_retrain();
-        }
-        if let Some(l2) = self.l2.as_mut() {
-            l2.acknowledge_retrain();
-        }
     }
 
     /// Switch on the retrain consumer: when `retrain_recommended()`
@@ -740,7 +690,7 @@ impl HierarchicalPolicy {
                     })
                     .collect();
                 // Re-estimate each member's learning envelope from the
-                // ranges its observation log actually visited: headroom
+                // ranges its absorbed outcomes actually visited: headroom
                 // (×1.5 on λ, ×2 on q₀) above the visited ceiling,
                 // floored so the overload knee (capacity ≈ 1/ĉ_eff)
                 // always stays inside the grid, capped at the static
@@ -825,18 +775,6 @@ impl HierarchicalPolicy {
     /// Panics if `m` is out of range.
     pub fn l1(&self, m: usize) -> &L1Controller {
         &self.l1s[m]
-    }
-
-    /// Mutable access to the L1 controller of module `m` — the
-    /// caller-driven feedback path: enable online learning and replay
-    /// outcomes drained via
-    /// [`HierarchicalPolicy::drain_realized_outcomes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range.
-    pub fn l1_mut(&mut self, m: usize) -> &mut L1Controller {
-        &mut self.l1s[m]
     }
 
     /// The L2 controller, if the scenario has multiple modules.
@@ -1049,22 +987,23 @@ impl ClusterPolicy for HierarchicalPolicy {
                 self.global_arrivals_acc = 0;
 
                 // Closed loop, L2 leg: the realized per-L1-period cost of
-                // each module over the window that just ended, recorded
-                // at the state the previous decision split against, then
-                // absorbed into the residual layer before this decision
-                // consults the models.
+                // each module over the window that just ended, keyed at
+                // the state the previous decision split against, absorbed
+                // into the residual layer before this decision consults
+                // the models.
                 if let Some(cl) = self.closed_loop.as_mut() {
                     if let (ClosedLoopMode::Learn, Some(snapshot)) =
                         (cl.mode, cl.l2_snapshot.as_ref())
                     {
                         let period = self.cadence.l2_every as f64 * self.l0s[0].config().period;
+                        cl.l2_outcomes.clear();
                         for (m, state) in snapshot.iter().enumerate() {
                             let lambda = cl.module_arrivals[m] as f64 / period;
                             let realized = cl.module_cost_acc[m] * self.cadence.l1_every as f64
                                 / self.cadence.l2_every as f64;
-                            l2.record_outcome(m, lambda, *state, realized);
+                            cl.l2_outcomes.push((m, lambda, *state, realized));
                         }
-                        l2.learn_online();
+                        l2.absorb_outcomes(&cl.l2_outcomes);
                     }
                     cl.module_cost_acc.iter_mut().for_each(|c| *c = 0.0);
                     cl.module_arrivals.iter_mut().for_each(|a| *a = 0);
@@ -1148,8 +1087,7 @@ impl ClusterPolicy for HierarchicalPolicy {
 
             // Phase A (serial): per-module observation plumbing, closed
             // loop measurement/learning, and decision inputs. This leg
-            // mutates shared state (filters, outcome logs, maps), so it
-            // stays ordered.
+            // mutates shared state (filters, maps), so it stays ordered.
             let mut preps: Vec<ModulePrep> = Vec::with_capacity(self.members.len());
             for m in 0..self.members.len() {
                 let started = Instant::now();
@@ -1189,6 +1127,8 @@ impl ClusterPolicy for HierarchicalPolicy {
                     if cl.have_snapshot {
                         let period = self.cadence.l1_every as f64 * self.l0s[0].config().period;
                         let cs = self.l1s[m].c_estimates();
+                        let learn = cl.mode == ClosedLoopMode::Learn;
+                        cl.l1_outcomes.clear();
                         for (pos, &i) in self.members[m].iter().enumerate() {
                             // A period in which the dispatcher's sends to
                             // this member failed is always measured (the
@@ -1214,30 +1154,12 @@ impl ClusterPolicy for HierarchicalPolicy {
                                 self.l1s[m].map(pos).query(lambda, cs[pos], cl.q0[i]).cost;
                             cl.err_sum += (predicted - entry.cost).abs();
                             cl.err_n += 1;
-                            if refused {
-                                continue;
-                            }
-                            match cl.mode {
-                                ClosedLoopMode::Learn => {
-                                    self.l1s[m].record_outcome(pos, lambda, cl.q0[i], entry);
-                                }
-                                ClosedLoopMode::Observe => {
-                                    if cl.pending.len() >= cl.cfg.log_capacity {
-                                        cl.pending.pop_front();
-                                    }
-                                    cl.pending.push_back(RealizedOutcome {
-                                        module: m,
-                                        member: pos,
-                                        lambda,
-                                        q0: cl.q0[i],
-                                        entry,
-                                    });
-                                }
-                                ClosedLoopMode::Off => {}
+                            if learn && !refused {
+                                cl.l1_outcomes.push((pos, lambda, cl.q0[i], entry));
                             }
                         }
-                        if cl.mode == ClosedLoopMode::Learn {
-                            self.l1s[m].learn_online();
+                        if learn {
+                            self.l1s[m].absorb_outcomes(&cl.l1_outcomes);
                         }
                     }
                 }

@@ -67,37 +67,6 @@ impl QueueModel {
         let r_next = (1.0 + q_next) * c / (self.service_scale * phi);
         (q_next, r_next)
     }
-
-    /// [`QueueModel::step`] over parallel lanes: advance every `(q, λ, ĉ,
-    /// φ)` tuple one period, writing `q̂(k+1)` back into `qs` and
-    /// `r̂(k+1)` into `rs`. Each lane runs the exact per-element
-    /// arithmetic of [`QueueModel::step`] — the flat loop exists so batch
-    /// replays (many members × band samples advanced in lockstep) spend
-    /// their time in one auto-vectorizable sweep instead of per-probe
-    /// dispatch, not to change any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    pub fn step_batch(
-        &self,
-        qs: &mut [f64],
-        rs: &mut [f64],
-        lambdas: &[f64],
-        cs: &[f64],
-        phis: &[f64],
-    ) {
-        let n = qs.len();
-        assert!(
-            rs.len() == n && lambdas.len() == n && cs.len() == n && phis.len() == n,
-            "batch lanes must have equal length"
-        );
-        for i in 0..n {
-            let (q_next, r_next) = self.step(qs[i], lambdas[i], cs[i], phis[i]);
-            qs[i] = q_next;
-            rs[i] = r_next;
-        }
-    }
 }
 
 /// Configuration of an L0 (per-computer frequency) controller.
@@ -169,6 +138,21 @@ struct L0Plant<'a> {
     q_penalty: Penalty,
     r_penalty: Penalty,
     base_cost: f64,
+}
+
+impl<'a> L0Plant<'a> {
+    /// The plant `config` describes over the frequency table `phis`,
+    /// stepped by `model`.
+    fn new(config: &L0Config, phis: &'a [f64], model: QueueModel) -> Self {
+        L0Plant {
+            phis,
+            model,
+            response: SetPoint::new(config.response_target),
+            q_penalty: Penalty::abs(config.q_weight),
+            r_penalty: Penalty::abs(config.r_weight),
+            base_cost: config.base_cost,
+        }
+    }
 }
 
 impl Plant for L0Plant<'_> {
@@ -364,14 +348,11 @@ impl L0Controller {
                 c,
             });
         }
-        let plant = L0Plant {
-            phis: &self.phis,
-            model: QueueModel::with_scale(self.config.period, self.scale.estimate()),
-            response: SetPoint::new(self.config.response_target),
-            q_penalty: Penalty::abs(self.config.q_weight),
-            r_penalty: Penalty::abs(self.config.r_weight),
-            base_cost: self.config.base_cost,
-        };
+        let plant = L0Plant::new(
+            &self.config,
+            &self.phis,
+            QueueModel::with_scale(self.config.period, self.scale.estimate()),
+        );
         let x0 = L0State {
             q: queue_len as f64,
             r: 0.0,
@@ -419,14 +400,7 @@ impl L0Controller {
         steps: usize,
     ) -> (f64, f64, f64) {
         assert!(steps > 0, "need at least one step");
-        let plant = L0Plant {
-            phis,
-            model: QueueModel::new(config.period),
-            response: SetPoint::new(config.response_target),
-            q_penalty: Penalty::abs(config.q_weight),
-            r_penalty: Penalty::abs(config.r_weight),
-            base_cost: config.base_cost,
-        };
+        let plant = L0Plant::new(config, phis, QueueModel::new(config.period));
         let controller =
             LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
         let env = L0Env { lambda, c };
@@ -448,75 +422,6 @@ impl L0Controller {
             q = next.q;
         }
         (total / steps as f64, power / steps as f64, q)
-    }
-
-    /// [`L0Controller::simulate_model`] over many `(q₀, λ, ĉ)` points in
-    /// lockstep: every point's replay advances one period per iteration,
-    /// with the queue/response updates batched through
-    /// [`QueueModel::step_batch`]. Each point's result is bit-identical
-    /// to its own [`L0Controller::simulate_model`] call — the per-point
-    /// lookahead decisions and cost accumulations run in the same order
-    /// with the same operands; only the loop nesting changes. This is the
-    /// batch back end for out-of-grid abstraction-map lanes (one γ sweep
-    /// can strand a whole band of samples beyond the trained box at
-    /// once).
-    pub fn simulate_model_batch(
-        config: &L0Config,
-        phis: &[f64],
-        points: &[(f64, f64, f64)],
-        steps: usize,
-    ) -> Vec<(f64, f64, f64)> {
-        assert!(steps > 0, "need at least one step");
-        let n = points.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let plant = L0Plant {
-            phis,
-            model: QueueModel::new(config.period),
-            response: SetPoint::new(config.response_target),
-            q_penalty: Penalty::abs(config.q_weight),
-            r_penalty: Penalty::abs(config.r_weight),
-            base_cost: config.base_cost,
-        };
-        let controller =
-            LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
-        let mut qs: Vec<f64> = points.iter().map(|&(q0, _, _)| q0).collect();
-        let mut rs = vec![0.0; n];
-        let lambdas: Vec<f64> = points.iter().map(|&(_, lambda, _)| lambda).collect();
-        let cs: Vec<f64> = points.iter().map(|&(_, _, c)| c).collect();
-        let forecasts: Vec<Forecast<L0Env>> = points
-            .iter()
-            .map(|&(_, lambda, c)| {
-                Forecast::from_nominal(vec![L0Env { lambda, c }; config.horizon])
-            })
-            .collect();
-        let mut scratch = SearchScratch::default();
-        let mut chosen = vec![0.0f64; n];
-        let mut totals = vec![0.0f64; n];
-        let mut powers = vec![0.0f64; n];
-        for _ in 0..steps {
-            for i in 0..n {
-                let x = L0State { q: qs[i], r: 0.0 };
-                controller
-                    .decide_with(&plant, &x, None, &forecasts[i], &mut scratch)
-                    .expect("non-empty input set");
-                chosen[i] = phis[scratch.sequence()[0]];
-            }
-            plant
-                .model
-                .step_batch(&mut qs, &mut rs, &lambdas, &cs, &chosen);
-            for i in 0..n {
-                let slack = plant.response.slack_above(rs[i]);
-                let phi = chosen[i];
-                totals[i] +=
-                    plant.q_penalty.eval(slack) + plant.r_penalty.eval(plant.base_cost + phi * phi);
-                powers[i] += config.base_cost + phi * phi;
-            }
-        }
-        (0..n)
-            .map(|i| (totals[i] / steps as f64, powers[i] / steps as f64, qs[i]))
-            .collect()
     }
 }
 
@@ -625,40 +530,6 @@ mod tests {
         let cfg = L0Config::paper_default();
         let (_, _, q_final) = L0Controller::simulate_model(&cfg, &phis(), 50.0, 5.0, 0.0175, 4);
         assert_eq!(q_final, 0.0, "light load drains the backlog");
-    }
-
-    #[test]
-    fn step_batch_matches_per_lane_steps() {
-        let m = QueueModel::with_scale(30.0, 0.8);
-        let mut qs = vec![0.0, 100.0, 17.0, 3.0];
-        let mut rs = vec![0.0; 4];
-        let lambdas = [10.0, 100.0, 41.0, 0.0];
-        let cs = [0.02, 0.02, 0.0175, 0.015];
-        let phis = [1.0, 1.0, 0.75, 0.25];
-        let expect: Vec<(f64, f64)> = (0..4)
-            .map(|i| m.step(qs[i], lambdas[i], cs[i], phis[i]))
-            .collect();
-        m.step_batch(&mut qs, &mut rs, &lambdas, &cs, &phis);
-        for i in 0..4 {
-            assert_eq!((qs[i], rs[i]), expect[i], "lane {i}");
-        }
-    }
-
-    #[test]
-    fn simulate_model_batch_matches_serial_replays() {
-        let cfg = L0Config::paper_default();
-        let points = vec![
-            (0.0, 5.0, 0.0175),
-            (50.0, 80.0, 0.0175),
-            (200.0, 120.0, 0.02),
-            (3.0, 0.0, 0.015),
-        ];
-        let batch = L0Controller::simulate_model_batch(&cfg, &phis(), &points, 4);
-        for (i, &(q0, lambda, c)) in points.iter().enumerate() {
-            let serial = L0Controller::simulate_model(&cfg, &phis(), q0, lambda, c, 4);
-            assert_eq!(batch[i], serial, "point {i} must be bit-identical");
-        }
-        assert!(L0Controller::simulate_model_batch(&cfg, &phis(), &[], 4).is_empty());
     }
 
     #[test]

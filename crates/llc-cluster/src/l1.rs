@@ -1,9 +1,10 @@
+use crate::learner::OnlineLearner;
 use crate::{L0Config, L0Controller};
 use llc_approx::{
-    train_dense, train_table, Blend, BlendConfig, BlendSchedule, CostMap, DenseGrid, DenseSlab,
-    GridSampler, LookupTable, SimplexGrid,
+    train_dense, train_table, Blend, BlendConfig, CostMap, DenseGrid, DenseSlab, GridSampler,
+    LookupTable, SimplexGrid,
 };
-use llc_core::{DriftDetector, LearnRate, ObservationLog, OnlineConfig, UncertaintyBand};
+use llc_core::{LearnRate, OnlineConfig, UncertaintyBand};
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -478,74 +479,6 @@ impl AbstractionMap {
     /// Cap on the out-of-grid replay memo (~3 MB of entries).
     const REPLAY_CACHE_CAP: usize = 65_536;
 
-    /// Batched [`AbstractionMap::query`]: resolve many `(λ, ĉ, q₀)`
-    /// points at once, answering each exactly as the scalar path would
-    /// (same table probes, same replay-cache consultation) but replaying
-    /// all cache misses through one lockstep
-    /// [`L0Controller::simulate_model_batch`] call — the decision core's
-    /// out-of-grid lane fills land here. Hash-backed maps fall through
-    /// to scalar queries (they have no replay memo to batch against).
-    pub fn query_batch(&self, points: &[(f64, f64, f64)]) -> Vec<GEntry> {
-        if !matches!(self.table, GTable::Dense(_)) {
-            return points
-                .iter()
-                .map(|&(l, c, q)| self.query(l, c, q))
-                .collect();
-        }
-        let mut out: Vec<Option<GEntry>> = vec![None; points.len()];
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_pts: Vec<(f64, f64, f64)> = Vec::new();
-        {
-            let cache = self.replay_cache.lock().expect("cache lock");
-            for (i, &(lambda, c, q0)) in points.iter().enumerate() {
-                let lambda = lambda.max(0.0);
-                let q0 = q0.max(0.0);
-                if lambda <= self.lambda_max && q0 <= self.q_max {
-                    out[i] = Some(self.table.get(&[lambda, c, q0]));
-                } else if let Some(entry) =
-                    cache.get(&(lambda.to_bits(), c.to_bits(), q0.to_bits()))
-                {
-                    out[i] = Some(*entry);
-                } else {
-                    miss_idx.push(i);
-                    // simulate_model_batch lanes are (q₀, λ, ĉ) — and the
-                    // scalar replay floors ĉ, so match it exactly.
-                    miss_pts.push((q0, lambda, c.max(1e-6)));
-                }
-            }
-        }
-        if !miss_pts.is_empty() {
-            let replayed = L0Controller::simulate_model_batch(
-                &self.l0,
-                &self.phis,
-                &miss_pts,
-                self.steps_per_period,
-            );
-            let mut cache = self.replay_cache.lock().expect("cache lock");
-            for (k, &i) in miss_idx.iter().enumerate() {
-                let (cost, power, final_q) = replayed[k];
-                let entry = GEntry {
-                    cost,
-                    power,
-                    final_q,
-                };
-                let (lambda, c, q0) = points[i];
-                let key = (
-                    lambda.max(0.0).to_bits(),
-                    c.to_bits(),
-                    q0.max(0.0).to_bits(),
-                );
-                if cache.len() < Self::REPLAY_CACHE_CAP {
-                    cache.insert(key, entry);
-                }
-                out[i] = Some(entry);
-            }
-        }
-        out.into_iter()
-            .map(|e| e.expect("every point resolved"))
-            .collect()
-    }
-
     /// The struct-of-arrays projection of the dense table's `cost` field,
     /// rebuilt lazily whenever an online blend or reseed has touched cell
     /// values since the last build (`None` on the hash substrate). Values
@@ -740,6 +673,15 @@ struct DecideScratch {
     no_dead: Vec<bool>,
 }
 
+/// One member's effective processing time: the EWMA-filtered demand
+/// telemetry (the prior before any completion) over its
+/// delivered-capacity scale.
+fn effective_c(member: &MemberSpec, filter: &Ewma, scale: f64) -> f64 {
+    let c = filter.estimate();
+    let c = if c > 0.0 { c } else { member.c_prior };
+    c / scale
+}
+
 /// The module controller (§4.2): decides `{α_j}` and `{γ_j}` by bounded
 /// search over the abstraction maps, with three-sample arrival-rate
 /// banding for chattering mitigation.
@@ -783,36 +725,16 @@ pub struct L1Controller {
     /// Per-decision buffers, reused so the steady decide path performs
     /// no heap allocation (see [`DecideScratch`]).
     scratch: DecideScratch,
-    /// Highest arrival rate each member's recorded outcomes have visited
+    /// Highest arrival rate each member's absorbed outcomes have visited
     /// (drives retrain envelope re-estimation).
     visited_lambda_max: Vec<f64>,
-    /// Deepest initial queue each member's recorded outcomes have visited.
+    /// Deepest initial queue each member's absorbed outcomes have visited.
     visited_q_max: Vec<f64>,
-    /// Outcomes recorded per member (0 = no visited envelope yet).
+    /// Outcomes taken per member (0 = no visited envelope yet).
     visited_outcomes: Vec<u64>,
-    /// Online learning state: one outcome log per member plus the knobs,
-    /// present once [`L1Controller::enable_online`] has been called.
-    online: Option<OnlineL1>,
-}
-
-/// Online-learning state of an [`L1Controller`].
-#[derive(Debug, Clone)]
-struct OnlineL1 {
-    cfg: OnlineConfig,
-    /// Steady-state vs fast re-convergence blend schedules; the per
-    /// member drift detectors pick between them.
-    schedule: BlendSchedule,
-    /// Realized per-member outcomes awaiting absorption.
-    logs: Vec<ObservationLog<GEntry>>,
-    /// One Page–Hinkley detector per member over its normalized online
-    /// residual stream (`(realized − predicted) / max(1, |predicted|)`).
-    detectors: Vec<DriftDetector>,
-    /// Learning passes run (drives the staleness-sweep cadence).
-    passes: u64,
-    /// Observations actually blended into a map (weight > 0).
-    applied: u64,
-    /// Observations blended at the fast re-convergence rate.
-    fast_applied: u64,
+    /// Online learning state, one learner slot per member, present once
+    /// [`L1Controller::enable_online`] has been called.
+    online: Option<OnlineLearner>,
 }
 
 impl L1Controller {
@@ -874,37 +796,15 @@ impl L1Controller {
     }
 
     /// Switch on online incremental learning: realized per-member
-    /// outcomes recorded via [`L1Controller::record_outcome`] are blended
-    /// into the abstraction maps by [`L1Controller::learn_online`].
+    /// outcomes handed to [`L1Controller::absorb_outcomes`] are blended
+    /// into the abstraction maps. Calling it again restarts the learner
+    /// (detectors, counters) under the new knobs.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
-        let logs = self
-            .members
-            .iter()
-            .map(|_| ObservationLog::new(cfg.log_capacity))
-            .collect();
-        let detectors = self
-            .members
-            .iter()
-            .map(|_| DriftDetector::new(cfg.detector))
-            .collect();
-        self.online = Some(OnlineL1 {
-            cfg,
-            schedule: BlendSchedule::new(
-                cfg.learning_rate,
-                cfg.fast_learning_rate,
-                cfg.prior_weight,
-            ),
-            logs,
-            detectors,
-            passes: 0,
-            applied: 0,
-            fast_applied: 0,
-        });
+        self.online = Some(OnlineLearner::new(cfg, self.members.len()));
     }
 
     /// `true` once [`L1Controller::enable_online`] has been called.
@@ -914,35 +814,10 @@ impl L1Controller {
 
     /// Observations blended into the maps so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| o.applied)
+        self.online.as_ref().map_or(0, OnlineLearner::updates)
     }
 
-    /// Record the realized outcome of the last control period for
-    /// `member`: the arrival rate actually routed to it, the queue it
-    /// started the period with, and the measured [`GEntry`] (average
-    /// cost, power, end queue). The key's ĉ coordinate is the member's
-    /// current processing-time estimate — the same coordinate the
-    /// decision queried the map at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if online learning is not enabled or `member` is out of
-    /// range.
-    pub fn record_outcome(&mut self, member: usize, lambda: f64, q0: f64, realized: GEntry) {
-        assert!(member < self.members.len(), "member index out of range");
-        let c = self.c_estimates()[member];
-        let tick = self.decisions;
-        let online = self
-            .online
-            .as_mut()
-            .expect("call enable_online before record_outcome");
-        online.logs[member].push(vec![lambda.max(0.0), c, q0.max(0.0)], realized, tick);
-        self.visited_lambda_max[member] = self.visited_lambda_max[member].max(lambda.max(0.0));
-        self.visited_q_max[member] = self.visited_q_max[member].max(q0.max(0.0));
-        self.visited_outcomes[member] += 1;
-    }
-
-    /// The `(λ, q₀)` ceiling `member`'s recorded outcomes have actually
+    /// The `(λ, q₀)` ceiling `member`'s absorbed outcomes have actually
     /// visited, once any outcome exists. Retrain envelope re-estimation
     /// reads this so rebuilt maps size their grids to live traffic
     /// instead of scalar ĉ/ŝ snapshots alone.
@@ -955,15 +830,20 @@ impl L1Controller {
             .then(|| (self.visited_lambda_max[member], self.visited_q_max[member]))
     }
 
-    /// Drain every member's outcome log into its abstraction map (oldest
-    /// first), then run the staleness sweep on the configured cadence.
-    /// Returns the number of observations blended in.
+    /// Absorb one control period's realized outcomes, in slice order, as
+    /// `(member, λ, q₀, realized)`: the arrival rate actually routed to
+    /// the member, the queue it started the period with, and the measured
+    /// [`GEntry`] (average cost, power, end queue). The ĉ coordinate of
+    /// the map key is the member's current processing-time estimate — the
+    /// coordinate the decision queried the map at. Returns the number of
+    /// outcomes blended in.
     ///
     /// Each outcome first feeds the member's drift detector with the
     /// normalized residual against the *current* map; while the detector
     /// reports [`LearnRate::Fast`] (a drift fired within its hold-off
     /// window) the blend runs at the fast re-convergence rate, otherwise
-    /// at the steady-state rate.
+    /// at the steady-state rate. One call is one learning pass: the
+    /// staleness sweep runs after it on the configured cadence.
     ///
     /// The maps are `Arc`-shared; a map still shared with another owner
     /// (offline learning in flight) is copied once on first update and
@@ -972,41 +852,36 @@ impl L1Controller {
     ///
     /// # Panics
     ///
-    /// Panics if online learning is not enabled.
-    pub fn learn_online(&mut self) -> usize {
+    /// Panics if online learning is not enabled or a member index is out
+    /// of range.
+    pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, f64, GEntry)]) -> usize {
         let online = self
             .online
             .as_mut()
-            .expect("call enable_online before learn_online");
-        let cfg = online.cfg;
+            .expect("call enable_online before absorb_outcomes");
         let mut applied = 0usize;
-        let mut fast_applied = 0usize;
-        for (member, log) in online.logs.iter_mut().enumerate() {
-            for obs in log.drain() {
-                let predicted = self.maps[member]
-                    .query(obs.key[0], obs.key[1], obs.key[2])
-                    .cost;
-                let residual = (obs.outcome.cost - predicted) / predicted.abs().max(1.0);
-                online.detectors[member].observe(residual);
-                let fast = online.detectors[member].rate() == LearnRate::Fast;
-                let blend = *online.schedule.select(fast);
-                let map = Arc::make_mut(&mut self.maps[member]);
-                if map.update_online_with(obs.key[0], obs.key[1], obs.key[2], obs.outcome, &blend)
-                    > 0.0
-                {
-                    applied += 1;
-                    if fast {
-                        fast_applied += 1;
-                    }
-                }
+        for &(member, lambda, q0, realized) in outcomes {
+            assert!(member < self.members.len(), "member index out of range");
+            let c = effective_c(
+                &self.members[member],
+                &self.c_filters[member],
+                self.member_scales[member],
+            );
+            let (lambda, q0) = (lambda.max(0.0), q0.max(0.0));
+            self.visited_lambda_max[member] = self.visited_lambda_max[member].max(lambda);
+            self.visited_q_max[member] = self.visited_q_max[member].max(q0);
+            self.visited_outcomes[member] += 1;
+            let map = &mut self.maps[member];
+            let predicted = map.query(lambda, c, q0).cost;
+            if online.absorb(member, realized.cost, predicted, |blend| {
+                Arc::make_mut(map).update_online_with(lambda, c, q0, realized, blend)
+            }) {
+                applied += 1;
             }
         }
-        online.passes += 1;
-        online.applied += applied as u64;
-        online.fast_applied += fast_applied as u64;
-        if cfg.decay_every > 0 && online.passes.is_multiple_of(cfg.decay_every) {
+        if let Some(factor) = online.end_pass() {
             for map in &mut self.maps {
-                Arc::make_mut(map).decay_confidence(cfg.decay_factor);
+                Arc::make_mut(map).decay_confidence(factor);
             }
         }
         applied
@@ -1016,21 +891,21 @@ impl L1Controller {
     pub fn drift_detections(&self) -> u64 {
         self.online
             .as_ref()
-            .map_or(0, |o| o.detectors.iter().map(|d| d.detections()).sum())
+            .map_or(0, |o| o.drift_detections().sum())
     }
 
     /// Drift detections fired per member (position order) — the
     /// per-learner resolution of the metrics surface. Empty while
     /// online learning is off.
     pub fn member_drift_detections(&self) -> Vec<u64> {
-        self.online.as_ref().map_or_else(Vec::new, |o| {
-            o.detectors.iter().map(|d| d.detections()).collect()
-        })
+        self.online
+            .as_ref()
+            .map_or_else(Vec::new, |o| o.drift_detections().collect())
     }
 
     /// Observations blended at the fast re-convergence rate so far.
     pub fn fast_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| o.fast_applied)
+        self.online.as_ref().map_or(0, OnlineLearner::fast_updates)
     }
 
     /// The blend rate member `member`'s updates currently run at.
@@ -1043,27 +918,17 @@ impl L1Controller {
         self.online
             .as_ref()
             .expect("call enable_online before member_learn_rate")
-            .detectors[member]
-            .rate()
+            .rate(member)
     }
 
     /// `true` once any member's detector reports that residuals stopped
     /// being local — the incremental learner is patching a model that is
     /// wrong everywhere, and an offline re-train should be scheduled.
+    /// Latched until [`L1Controller::install_maps`] swaps the maps.
     pub fn retrain_recommended(&self) -> bool {
         self.online
             .as_ref()
-            .is_some_and(|o| o.detectors.iter().any(|d| d.retrain_recommended()))
-    }
-
-    /// Clear every member detector's re-train latch (call after
-    /// scheduling the re-train).
-    pub fn acknowledge_retrain(&mut self) {
-        if let Some(online) = self.online.as_mut() {
-            for d in &mut online.detectors {
-                d.acknowledge_retrain();
-            }
-        }
+            .is_some_and(OnlineLearner::any_retrain_recommended)
     }
 
     /// Number of computers managed.
@@ -1101,10 +966,10 @@ impl L1Controller {
     /// consults the new maps. The retrain consumer calls this after a
     /// background [`AbstractionMap::learn_for_member`] pass over
     /// drift-corrected telemetry ranges. The online state is re-anchored
-    /// on the new models: pending outcome logs are cleared (they were
-    /// residuals against the *old* maps), every member's drift detector
-    /// restarts from a clean slate, and the re-train latch is released.
-    /// Lifetime counters (`online_updates`, `drift_detections`) survive.
+    /// on the new models: every member's drift detector restarts from a
+    /// clean slate (its residuals were against the *old* maps) and the
+    /// re-train latch is released. Lifetime counters (`online_updates`,
+    /// `drift_detections`) survive.
     ///
     /// # Panics
     ///
@@ -1113,11 +978,8 @@ impl L1Controller {
         assert_eq!(maps.len(), self.members.len(), "one map per member");
         self.maps = maps;
         if let Some(online) = self.online.as_mut() {
-            for log in &mut online.logs {
-                let _ = log.drain();
-            }
-            for d in &mut online.detectors {
-                d.rearm();
+            for member in 0..self.members.len() {
+                online.rearm(member);
             }
         }
     }
@@ -1187,11 +1049,7 @@ impl L1Controller {
                 .iter()
                 .zip(&self.c_filters)
                 .zip(&self.member_scales)
-                .map(|((m, f), s)| {
-                    let c = f.estimate();
-                    let c = if c > 0.0 { c } else { m.c_prior };
-                    c / s
-                }),
+                .map(|((m, f), &s)| effective_c(m, f, s)),
         );
     }
 
@@ -1492,44 +1350,24 @@ impl L1Controller {
                     let u = units[pos] as usize;
                     if !lane_filled[j * lane_w + u] {
                         // First visit of this (member, unit) column this
-                        // decision: probe the whole band at once.
-                        // In-grid samples stream off the dense cost slab
-                        // (identical values to scalar queries); any
-                        // out-of-grid samples resolve through one
-                        // batched lockstep replay across the band.
+                        // decision: probe the whole band. In-grid samples
+                        // stream off the dense cost slab (identical values
+                        // to scalar queries); out-of-grid samples are
+                        // scalar queries.
                         lane_filled[j * lane_w + u] = true;
                         let q_j = queues[j] as f64;
                         let c_j = cs[j];
                         let map = &maps[j];
                         let slab = map.cost_slab();
-                        let mut pts = [(0.0f64, 0.0f64, 0.0f64); 3];
-                        let mut out = [false; 3];
-                        let mut npts = 0usize;
                         for (s, &lambda_s) in samples.iter().enumerate() {
                             let lambda_j = u as f64 * quantum * lambda_s;
-                            if map.in_table(lambda_j, q_j) {
-                                lanes[(j * sample_count + s) * lane_w + u] = match slab.as_ref() {
-                                    Some(slab) => slab.value(
-                                        slab.fixed_base(&[0.0, c_j, q_j], 0)
-                                            + slab.axis_offset(0, lambda_j),
-                                    ),
-                                    None => map.query(lambda_j, c_j, q_j).cost,
-                                };
-                            } else {
-                                pts[npts] = (lambda_j, c_j, q_j);
-                                out[s] = true;
-                                npts += 1;
-                            }
-                        }
-                        if npts > 0 {
-                            let entries = map.query_batch(&pts[..npts]);
-                            let mut k = 0usize;
-                            for (s, &o) in out.iter().enumerate() {
-                                if o {
-                                    lanes[(j * sample_count + s) * lane_w + u] = entries[k].cost;
-                                    k += 1;
-                                }
-                            }
+                            lanes[(j * sample_count + s) * lane_w + u] = match slab.as_ref() {
+                                Some(slab) if map.in_table(lambda_j, q_j) => slab.value(
+                                    slab.fixed_base(&[0.0, c_j, q_j], 0)
+                                        + slab.axis_offset(0, lambda_j),
+                                ),
+                                _ => map.query(lambda_j, c_j, q_j).cost,
+                            };
                         }
                     }
                     let base = j * sample_count * lane_w + u;
@@ -2014,7 +1852,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_learn_online_absorbs_recorded_outcomes() {
+    fn controller_absorbs_a_period_of_outcomes() {
         let mut l1 = build_module(2);
         l1.enable_online(llc_core::OnlineConfig::default());
         assert!(l1.online_enabled());
@@ -2026,27 +1864,10 @@ mod tests {
                 power: 3.0,
                 final_q: 1.0,
             };
-            l1.record_outcome(0, 20.0, 0.0, realized);
-            l1.record_outcome(1, 10.0, 0.0, realized);
-            assert_eq!(l1.learn_online(), 2);
+            let outcomes = [(0, 20.0, 0.0, realized), (1, 10.0, 0.0, realized)];
+            assert_eq!(l1.absorb_outcomes(&outcomes), 2);
         }
         assert_eq!(l1.online_updates(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_online")]
-    fn record_outcome_requires_enable() {
-        let mut l1 = build_module(2);
-        l1.record_outcome(
-            0,
-            1.0,
-            0.0,
-            GEntry {
-                cost: 1.0,
-                power: 1.0,
-                final_q: 0.0,
-            },
-        );
     }
 
     #[test]

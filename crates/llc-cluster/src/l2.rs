@@ -1,9 +1,8 @@
 use crate::l1::{AbstractionMap, L1Config, L1Controller, MemberSpec};
+use crate::learner::OnlineLearner;
 use llc_approx::SimplexGrid;
-use llc_approx::{
-    BlendConfig, BlendSchedule, CostMap, DenseGrid, GridSampler, RegressionTree, TreeConfig,
-};
-use llc_core::{BoundedSearch, DriftDetector, LearnRate, ObservationLog, OnlineConfig};
+use llc_approx::{BlendConfig, CostMap, DenseGrid, GridSampler, RegressionTree, TreeConfig};
+use llc_core::{BoundedSearch, OnlineConfig};
 use llc_forecast::{Forecaster, LocalLinearTrend};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -261,8 +260,9 @@ impl ModuleCostModel {
     }
 
     /// Switch on the online residual layer: a zero-initialized dense grid
-    /// over the training domain that [`ModuleCostModel::observe_outcome`]
-    /// blends realized-minus-predicted errors into.
+    /// over the training domain that
+    /// [`ModuleCostModel::observe_outcome_with`] blends
+    /// realized-minus-predicted errors into.
     pub fn enable_online(&mut self) {
         if self.residual.is_none() {
             self.residual = Some(DenseGrid::from_fn(&self.sampler, |_| 0.0));
@@ -274,34 +274,18 @@ impl ModuleCostModel {
         self.residual.is_some()
     }
 
-    /// Blend one realized module outcome into the residual layer: the
-    /// correction cell at `(λ_i, c_factor, q̄, active)` moves toward
-    /// `realized_cost − base prediction`, so repeated visits under drift
-    /// bend the cost surface toward what the module actually does now.
-    /// Returns the blend weight applied (0.0 when the key fell outside
-    /// the trained box, or online learning is disabled).
+    /// Blend one realized module outcome into the residual layer under
+    /// `blend`: the correction cell at `(λ_i, c_factor, q̄, active)` moves
+    /// toward `realized_cost − base prediction`, so repeated visits under
+    /// drift bend the cost surface toward what the module actually does
+    /// now. Returns the blend weight applied (0.0 when the key fell
+    /// outside the trained box, or online learning is disabled).
     ///
     /// Observations beyond the trained queue ceiling are dropped, not
     /// clamped: `key_of` would fold them into the `q_hi` edge cells,
     /// which also answer legitimate near-ceiling queries — the same
     /// edge-poisoning the dense L1 substrate refuses. Overload states
     /// are already handled by the linear extension in `base_predict`.
-    pub fn observe_outcome(
-        &mut self,
-        lambda: f64,
-        c_factor: f64,
-        q_mean: f64,
-        active: usize,
-        realized_cost: f64,
-        cfg: &OnlineConfig,
-    ) -> f64 {
-        let blend = BlendConfig::new(cfg.learning_rate, cfg.prior_weight);
-        self.observe_outcome_with(lambda, c_factor, q_mean, active, realized_cost, &blend)
-    }
-
-    /// [`ModuleCostModel::observe_outcome`] under an explicit blend
-    /// schedule — the drift-detector rate switch picks between the
-    /// steady-state and fast re-convergence schedules per update.
     pub fn observe_outcome_with(
         &mut self,
         lambda: f64,
@@ -491,32 +475,14 @@ pub struct L2Controller {
     forecast_history: Vec<(f64, f64)>,
     total_states: u64,
     decisions: u64,
-    /// Online learning state (knobs + pending outcomes), present once
+    /// Online learning state, one learner slot per module, present once
     /// [`L2Controller::enable_online`] has been called.
-    online: Option<OnlineL2>,
+    online: Option<OnlineLearner>,
     /// One-shot hysteresis relaxation (set on cluster membership change):
     /// the next decision enumerates the full simplex (if it has at most
     /// `MAX_ENUMERATED_SPLITS` points) and skips the switching margin,
     /// then the flag clears itself.
     relax_once: bool,
-}
-
-/// Online-learning state of an [`L2Controller`]. Each pending outcome
-/// carries the module index it belongs to alongside the realized cost.
-#[derive(Debug, Clone)]
-struct OnlineL2 {
-    cfg: OnlineConfig,
-    /// Steady-state vs fast re-convergence blend schedules; the per
-    /// module drift detectors pick between them.
-    schedule: BlendSchedule,
-    log: ObservationLog<(usize, f64)>,
-    /// One Page–Hinkley detector per module over its normalized online
-    /// residual stream.
-    detectors: Vec<DriftDetector>,
-    /// Learning passes run (drives the staleness-sweep cadence).
-    passes: u64,
-    /// Observations actually blended into a model (weight > 0).
-    applied: u64,
 }
 
 impl L2Controller {
@@ -557,34 +523,18 @@ impl L2Controller {
     }
 
     /// Switch on online incremental learning: enables the residual layer
-    /// on every module model; realized outcomes recorded via
-    /// [`L2Controller::record_outcome`] are blended in by
-    /// [`L2Controller::learn_online`].
+    /// on every module model; realized outcomes handed to
+    /// [`L2Controller::absorb_outcomes`] are blended in. Calling it again
+    /// restarts the learner (detectors, counters) under the new knobs.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
+        self.online = Some(OnlineLearner::new(cfg, self.models.len()));
         for model in &mut self.models {
             model.enable_online();
         }
-        self.online = Some(OnlineL2 {
-            cfg,
-            schedule: BlendSchedule::new(
-                cfg.learning_rate,
-                cfg.fast_learning_rate,
-                cfg.prior_weight,
-            ),
-            log: ObservationLog::new(cfg.log_capacity),
-            detectors: self
-                .models
-                .iter()
-                .map(|_| DriftDetector::new(cfg.detector))
-                .collect(),
-            passes: 0,
-            applied: 0,
-        });
     }
 
     /// `true` once [`L2Controller::enable_online`] has been called.
@@ -594,82 +544,50 @@ impl L2Controller {
 
     /// Observations blended into the module models so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| o.applied)
+        self.online.as_ref().map_or(0, OnlineLearner::updates)
     }
 
-    /// Record one module's realized per-period cost at the state it
-    /// served under: the arrival rate actually routed to it (`λ_i`), its
-    /// processing-time factor, mean queue, active machine count, and the
-    /// measured cost over the period.
+    /// Absorb one control period's realized module outcomes, in slice
+    /// order, as `(module, λ_i, state, realized cost)`: the arrival rate
+    /// actually routed to the module, the state it served under
+    /// (processing-time factor, mean queue, active machine count), and
+    /// the measured cost over the period. Each outcome feeds the module's
+    /// drift detector, then blends into its residual layer at the rate
+    /// the detector selects. One call is one learning pass: the staleness
+    /// sweep runs after it on the configured cadence. Returns the number
+    /// of outcomes blended in.
     ///
     /// # Panics
     ///
-    /// Panics if online learning is not enabled or `module` is out of
-    /// range.
-    pub fn record_outcome(
-        &mut self,
-        module: usize,
-        lambda: f64,
-        state: ModuleState,
-        realized_cost: f64,
-    ) {
-        assert!(module < self.models.len(), "module index out of range");
-        let tick = self.decisions;
+    /// Panics if online learning is not enabled or a module index is out
+    /// of range.
+    pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, ModuleState, f64)]) -> usize {
         let online = self
             .online
             .as_mut()
-            .expect("call enable_online before record_outcome");
-        online.log.push(
-            vec![
-                lambda.max(0.0),
-                state.c_factor,
-                state.queue_mean,
-                state.active as f64,
-            ],
-            (module, realized_cost),
-            tick,
-        );
-    }
-
-    /// Drain the outcome log into the module models (oldest first), then
-    /// run the staleness sweep on the configured cadence. Returns the
-    /// number of observations blended in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if online learning is not enabled.
-    pub fn learn_online(&mut self) -> usize {
-        let online = self
-            .online
-            .as_mut()
-            .expect("call enable_online before learn_online");
-        let cfg = online.cfg;
+            .expect("call enable_online before absorb_outcomes");
         let mut applied = 0usize;
-        for obs in online.log.drain() {
-            let (module, realized_cost) = obs.outcome;
-            let active = obs.key[3].round() as usize;
-            let predicted = self.models[module].predict(obs.key[0], obs.key[1], obs.key[2], active);
-            let residual = (realized_cost - predicted) / predicted.abs().max(1.0);
-            online.detectors[module].observe(residual);
-            let fast = online.detectors[module].rate() == LearnRate::Fast;
-            let blend = *online.schedule.select(fast);
-            let w = self.models[module].observe_outcome_with(
-                obs.key[0],
-                obs.key[1],
-                obs.key[2],
-                active,
-                realized_cost,
-                &blend,
-            );
-            if w > 0.0 {
+        for &(module, lambda, state, realized_cost) in outcomes {
+            assert!(module < self.models.len(), "module index out of range");
+            let lambda = lambda.max(0.0);
+            let model = &mut self.models[module];
+            let predicted = model.predict(lambda, state.c_factor, state.queue_mean, state.active);
+            if online.absorb(module, realized_cost, predicted, |blend| {
+                model.observe_outcome_with(
+                    lambda,
+                    state.c_factor,
+                    state.queue_mean,
+                    state.active,
+                    realized_cost,
+                    blend,
+                )
+            }) {
                 applied += 1;
             }
         }
-        online.passes += 1;
-        online.applied += applied as u64;
-        if cfg.decay_every > 0 && online.passes.is_multiple_of(cfg.decay_every) {
+        if let Some(factor) = online.end_pass() {
             for model in &mut self.models {
-                model.decay_confidence(cfg.decay_factor);
+                model.decay_confidence(factor);
             }
         }
         applied
@@ -679,24 +597,25 @@ impl L2Controller {
     pub fn drift_detections(&self) -> u64 {
         self.online
             .as_ref()
-            .map_or(0, |o| o.detectors.iter().map(|d| d.detections()).sum())
+            .map_or(0, |o| o.drift_detections().sum())
     }
 
     /// Drift detections fired per module cost model — the per-learner
     /// resolution of the metrics surface. Empty while online learning
     /// is off.
     pub fn module_drift_detections(&self) -> Vec<u64> {
-        self.online.as_ref().map_or_else(Vec::new, |o| {
-            o.detectors.iter().map(|d| d.detections()).collect()
-        })
+        self.online
+            .as_ref()
+            .map_or_else(Vec::new, |o| o.drift_detections().collect())
     }
 
     /// `true` once any module's detector reports that residuals stopped
-    /// being local (an offline re-train should be scheduled).
+    /// being local (an offline re-train should be scheduled). Latched
+    /// until [`L2Controller::install_model`] swaps the module's model.
     pub fn retrain_recommended(&self) -> bool {
         self.online
             .as_ref()
-            .is_some_and(|o| o.detectors.iter().any(|d| d.retrain_recommended()))
+            .is_some_and(OnlineLearner::any_retrain_recommended)
     }
 
     /// `true` when *this module's* detector latched the re-train signal —
@@ -709,7 +628,7 @@ impl L2Controller {
         assert!(module < self.models.len(), "module index out of range");
         self.online
             .as_ref()
-            .is_some_and(|o| o.detectors[module].retrain_recommended())
+            .is_some_and(|o| o.retrain_recommended(module))
     }
 
     /// Hot-swap a freshly retrained cost model in for `module`: the next
@@ -725,29 +644,9 @@ impl L2Controller {
         assert!(module < self.models.len(), "module index out of range");
         if let Some(online) = self.online.as_mut() {
             model.enable_online();
-            online.detectors[module].rearm();
-            // Outcomes recorded against the old model are stale evidence:
-            // keep the other modules' pending entries, drop this one's.
-            let kept: Vec<_> = online
-                .log
-                .drain()
-                .into_iter()
-                .filter(|obs| obs.outcome.0 != module)
-                .collect();
-            for obs in kept {
-                online.log.push(obs.key, obs.outcome, obs.tick);
-            }
+            online.rearm(module);
         }
         self.models[module] = model;
-    }
-
-    /// Clear every module detector's re-train latch.
-    pub fn acknowledge_retrain(&mut self) {
-        if let Some(online) = self.online.as_mut() {
-            for d in &mut online.detectors {
-                d.acknowledge_retrain();
-            }
-        }
     }
 
     /// Seed the controller with an initial split (e.g. proportional to
@@ -1112,13 +1011,14 @@ mod tests {
     fn residual_layer_corrects_drifted_module_cost() {
         let mut model = module_model(2);
         let cfg = OnlineConfig::default();
+        let blend = BlendConfig::new(cfg.learning_rate, cfg.prior_weight);
         model.enable_online();
         assert!(model.online_enabled());
         let offline = model.predict(50.0, 1.0, 10.0, 2);
         // The module drifted: it now costs 40 units more at this state.
         let realized = offline + 40.0;
         for _ in 0..40 {
-            let w = model.observe_outcome(50.0, 1.0, 10.0, 2, realized, &cfg);
+            let w = model.observe_outcome_with(50.0, 1.0, 10.0, 2, realized, &blend);
             assert!(w > 0.0, "in-domain outcome must blend");
         }
         let adapted = model.predict(50.0, 1.0, 10.0, 2);
@@ -1129,18 +1029,21 @@ mod tests {
         );
         // Over-ceiling outcomes are dropped, not clamped into the q_hi
         // edge cells that also answer legitimate near-ceiling queries.
-        assert_eq!(model.observe_outcome(50.0, 1.0, 500.0, 2, 1e6, &cfg), 0.0);
+        assert_eq!(
+            model.observe_outcome_with(50.0, 1.0, 500.0, 2, 1e6, &blend),
+            0.0
+        );
         // Disabled path unchanged.
         let mut fresh = module_model(2);
         assert!(!fresh.online_enabled());
         assert_eq!(
-            fresh.observe_outcome(50.0, 1.0, 10.0, 2, realized, &cfg),
+            fresh.observe_outcome_with(50.0, 1.0, 10.0, 2, realized, &blend),
             0.0
         );
     }
 
     #[test]
-    fn l2_learn_online_drains_log_into_models() {
+    fn l2_absorbs_a_period_of_outcomes_into_models() {
         let model = module_model(2);
         let models = vec![model.clone(), model];
         let mut l2 = L2Controller::new(L2Config::paper_default(), models);
@@ -1156,9 +1059,11 @@ mod tests {
         let _ = l2.decide(&[state, state]);
         let before = l2.models[0].predict(30.0, 1.0, 5.0, 2);
         for _ in 0..20 {
-            l2.record_outcome(0, 30.0, state, before + 25.0);
-            l2.record_outcome(1, 30.0, state, before + 25.0);
-            assert_eq!(l2.learn_online(), 2);
+            let outcomes = [
+                (0, 30.0, state, before + 25.0),
+                (1, 30.0, state, before + 25.0),
+            ];
+            assert_eq!(l2.absorb_outcomes(&outcomes), 2);
         }
         assert_eq!(l2.online_updates(), 40);
         let after = l2.models[0].predict(30.0, 1.0, 5.0, 2);

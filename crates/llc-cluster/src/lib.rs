@@ -38,6 +38,7 @@ mod hierarchy;
 mod l0;
 mod l1;
 mod l2;
+mod learner;
 mod policy;
 mod profiles;
 mod retrain;
@@ -54,9 +55,7 @@ pub use control::{
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
 };
 pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord};
-pub use hierarchy::{
-    ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead, RealizedOutcome,
-};
+pub use hierarchy::{ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
 pub use l0::{L0Config, L0Controller, L0Decision, QueueModel};
 pub use l1::{
     AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MapBackend, MemberSpec,

@@ -92,7 +92,7 @@ pub(crate) struct ModuleRebuildJob {
     /// covers the capacity actually being delivered.
     pub(crate) specs: Vec<MemberSpec>,
     /// Per-member learning envelopes `(c_range, λ_max, q_max)`,
-    /// re-estimated from the ranges the observation logs *actually
+    /// re-estimated from the ranges the absorbed outcomes *actually
     /// visited* (with headroom and safety floors) rather than the
     /// static [`MemberSpec::learn_envelope`] — the same grid resolution
     /// then concentrates on live traffic.

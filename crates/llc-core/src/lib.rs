@@ -67,6 +67,6 @@ pub use detect::{DetectorConfig, DriftDetector, LearnRate};
 pub use error::Error;
 pub use llc::{Decision, LookaheadController, SearchScratch, SearchStats};
 pub use model::{EnvStep, Forecast, Plant};
-pub use online::{Observation, ObservationLog, OnlineConfig};
+pub use online::OnlineConfig;
 pub use scale::{ScaleEstimatorConfig, ServiceScaleEstimator};
 pub use uncertainty::UncertaintyBand;

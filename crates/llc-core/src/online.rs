@@ -1,111 +1,19 @@
-//! Observation logging for online (incremental) model correction.
+//! Knobs of online (incremental) model correction.
 //!
 //! The paper's §6 outlook: "the abstraction maps … can be updated online
 //! using the observed values" — instead of trusting the offline training
-//! pass forever, each control period records the *realized* outcome of
+//! pass forever, each control period derives the *realized* outcome of
 //! the decision that was taken (the load actually routed, the cost and
-//! queue actually measured) and feeds it back into the learned models.
-//! This module holds the domain-agnostic half of that loop: a bounded
-//! [`ObservationLog`] the controllers fill as outcomes arrive, and the
-//! [`OnlineConfig`] knobs governing how aggressively the learned maps
-//! chase those outcomes. The map-side blending itself lives with the
-//! approximation substrates (`llc-approx`) and their consumers.
-
-use std::collections::VecDeque;
-
-/// One realized control-period outcome: the operating point the
-/// controller queried its model at (`key`, e.g. `(λ, ĉ, q₀)`), and what
-/// the plant actually did there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation<V> {
-    /// The model query key the decision was based on.
-    pub key: Vec<f64>,
-    /// The measured outcome at that key (e.g. realized cost / end queue).
-    pub outcome: V,
-    /// Control period the observation was taken in.
-    pub tick: u64,
-}
-
-/// A bounded FIFO of realized outcomes awaiting absorption into a model.
-///
-/// Controllers push one entry per control period; the learning pass
-/// drains the log in arrival order (oldest first, so blending replays
-/// history in the order it happened). When full, the *oldest* entry is
-/// evicted — under a stalled learner the log keeps the freshest window of
-/// plant behaviour, which is the window worth learning from under drift.
-#[derive(Debug, Clone)]
-pub struct ObservationLog<V> {
-    entries: VecDeque<Observation<V>>,
-    capacity: usize,
-    recorded: u64,
-    evicted: u64,
-}
-
-impl<V> ObservationLog<V> {
-    /// An empty log holding at most `capacity` pending observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "observation log needs capacity");
-        ObservationLog {
-            entries: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            recorded: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Maximum number of pending observations.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Pending (not yet drained) observations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total observations ever pushed.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Observations lost to capacity eviction (a non-zero value means the
-    /// learner is not keeping up with the plant).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Append an observation, evicting the oldest entry when full.
-    pub fn push(&mut self, key: Vec<f64>, outcome: V, tick: u64) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.evicted += 1;
-        }
-        self.entries.push_back(Observation { key, outcome, tick });
-        self.recorded += 1;
-    }
-
-    /// Remove and return all pending observations, oldest first.
-    pub fn drain(&mut self) -> Vec<Observation<V>> {
-        self.entries.drain(..).collect()
-    }
-
-    /// Iterate pending observations without draining, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Observation<V>> {
-        self.entries.iter()
-    }
-}
+//! queue actually measured) and blends it into the learned models where
+//! it is derived. This module holds the domain-agnostic half of that
+//! loop: the [`OnlineConfig`] knobs governing how aggressively the
+//! learned models chase those outcomes. The blending itself lives with
+//! the approximation substrates (`llc-approx`); the learner that drives
+//! it — drift detector, rate switch, staleness sweep — with their
+//! consumers (`llc-cluster`).
 
 /// Knobs of the online learning loop shared by every model that absorbs
-/// an [`ObservationLog`].
+/// realized outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
     /// Floor of the per-update blend weight once a cell is seasoned
@@ -130,8 +38,6 @@ pub struct OnlineConfig {
     /// Run the staleness sweep every this many learning passes
     /// (`0` disables the sweep entirely).
     pub decay_every: u64,
-    /// Capacity of each observation log.
-    pub log_capacity: usize,
 }
 
 impl Default for OnlineConfig {
@@ -143,7 +49,6 @@ impl Default for OnlineConfig {
             prior_weight: 4.0,
             decay_factor: 0.9,
             decay_every: 16,
-            log_capacity: 1024,
         }
     }
 }
@@ -154,7 +59,7 @@ impl OnlineConfig {
     /// # Panics
     ///
     /// Panics on out-of-range knobs (rate outside `(0, 1]`, negative
-    /// prior, decay factor outside `[0, 1]`, zero log capacity).
+    /// prior, decay factor outside `[0, 1]`).
     pub fn validated(self) -> Self {
         assert!(
             self.learning_rate > 0.0 && self.learning_rate <= 1.0,
@@ -173,7 +78,6 @@ impl OnlineConfig {
             (0.0..=1.0).contains(&self.decay_factor),
             "decay factor must lie in [0, 1]"
         );
-        assert!(self.log_capacity > 0, "log capacity must be positive");
         self
     }
 }
@@ -181,32 +85,6 @@ impl OnlineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_keeps_arrival_order() {
-        let mut log = ObservationLog::new(8);
-        log.push(vec![1.0], 10.0, 0);
-        log.push(vec![2.0], 20.0, 1);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.recorded(), 2);
-        let drained = log.drain();
-        assert_eq!(drained[0].key, vec![1.0]);
-        assert_eq!(drained[1].outcome, 20.0);
-        assert!(log.is_empty());
-        assert_eq!(log.recorded(), 2, "drain keeps the lifetime counter");
-    }
-
-    #[test]
-    fn full_log_evicts_oldest() {
-        let mut log = ObservationLog::new(2);
-        log.push(vec![1.0], 1u32, 0);
-        log.push(vec![2.0], 2u32, 1);
-        log.push(vec![3.0], 3u32, 2);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.evicted(), 1);
-        let keys: Vec<f64> = log.iter().map(|o| o.key[0]).collect();
-        assert_eq!(keys, vec![2.0, 3.0], "freshest window survives");
-    }
 
     #[test]
     fn default_config_validates() {
@@ -222,11 +100,5 @@ mod tests {
             ..OnlineConfig::default()
         }
         .validated();
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _: ObservationLog<f64> = ObservationLog::new(0);
     }
 }

@@ -15,7 +15,9 @@
 //! exact re-deliveries are skipped (idempotent re-apply), and a
 //! frequency directive the plant silently ignored (a wedged actuator)
 //! is detected by read-back and reported upstream in the agent
-//! heartbeat.
+//! heartbeat. A directive that decodes but names a computer, module,
+//! frequency index or split the shard does not have is refused where it
+//! enters ([`AgentCore::stage`]) and counted, never actuated.
 
 use crate::codec::{Heartbeat, Hello, Role};
 use llc_cluster::{Directive, DirectiveKind, Experiment, Plant, SimAdapter};
@@ -34,6 +36,11 @@ pub struct ReconcileReport {
     /// Exact re-deliveries skipped (same actuator, same epoch, same
     /// value).
     pub duplicates: u64,
+    /// Directives refused at [`AgentCore::stage`] because they do not fit
+    /// the shard's topology (unknown computer or module, frequency index
+    /// past the table, split of the wrong length or with negative or
+    /// non-finite weights).
+    pub rejected: u64,
 }
 
 /// Per-actuator book entry: the epoch and value last applied.
@@ -73,6 +80,10 @@ fn judge<V: PartialEq + Clone>(book: &mut Option<Book<V>>, epoch: u64, value: &V
 /// lossless ordered link every directive is fresh, so the applied
 /// sequence equals the emission sequence — the property the golden test
 /// relies on.
+///
+/// Directives must fit the `num_computers` × `num_modules` plant the
+/// reconciler was built for; [`AgentCore::stage`] refuses peer input that
+/// does not before it gets here.
 #[derive(Debug)]
 pub struct Reconciler {
     staged: Vec<Directive>,
@@ -292,10 +303,45 @@ impl<'a> AgentCore<'a> {
     }
 
     /// Stage one incoming directive for the next
-    /// [`commit_window`](AgentCore::commit_window).
+    /// [`commit_window`](AgentCore::commit_window). The directive is peer
+    /// input: one that does not fit this shard is refused and counted in
+    /// [`ReconcileReport::rejected`] — it moves neither the plant nor the
+    /// epoch the heartbeat reports.
     pub fn stage(&mut self, directive: Directive) {
+        if !self.fits_shard(&directive) {
+            self.reconciler.report.rejected += 1;
+            return;
+        }
         self.last_epoch = self.last_epoch.max(directive.epoch);
         self.reconciler.stage(directive);
+    }
+
+    /// Whether every index and vector `directive` carries is one the
+    /// reconciler's books and the plant's actuation calls can take.
+    fn fits_shard(&self, directive: &Directive) -> bool {
+        let sim = self.plant.adapter.sim();
+        let members = self.members();
+        let is_split_over = |weights: &[f64], n: usize| {
+            weights.len() == n && weights.iter().all(|w| *w >= 0.0 && w.is_finite())
+        };
+        match &directive.kind {
+            DirectiveKind::Frequency { computer, index } => {
+                *computer < sim.num_computers()
+                    && *index < sim.computer(*computer).frequencies().len()
+            }
+            DirectiveKind::Activation { computer, .. } => *computer < sim.num_computers(),
+            DirectiveKind::Split {
+                module: Some(m),
+                weights,
+            } => members
+                .get(*m)
+                .is_some_and(|module| is_split_over(weights, module.len())),
+            DirectiveKind::Split {
+                module: None,
+                weights,
+            } => is_split_over(weights, members.len()),
+            DirectiveKind::SafeMode { module, .. } => *module < members.len(),
+        }
     }
 
     /// Close the current window: reconcile and actuate the staged
@@ -441,5 +487,93 @@ mod tests {
             },
         ));
         assert_eq!(r.drain().len(), 2);
+    }
+
+    /// Peer input that decodes but does not fit the two-machine,
+    /// one-module shard: each kind is refused and counted, the window
+    /// still commits, and the plant and the reported epoch stay where an
+    /// undisturbed twin's are.
+    #[test]
+    fn malformed_directives_are_refused_at_stage() {
+        use crate::scenario::{Family, RunSpec};
+        let spec = RunSpec::defaults(Family::ClosedLoop);
+        let (exp, trace) = spec.experiment_and_trace();
+        let store = spec.store();
+        let new_agent = || {
+            AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+                .expect("well-formed plant")
+        };
+        let mut agent = new_agent();
+        let mut twin = new_agent();
+        let table = agent.adapter().sim().computer(0).frequencies().len();
+        let malformed = [
+            DirectiveKind::Frequency {
+                computer: 2,
+                index: 0,
+            },
+            DirectiveKind::Frequency {
+                computer: 0,
+                index: table,
+            },
+            DirectiveKind::Activation {
+                computer: usize::MAX,
+                on: true,
+            },
+            DirectiveKind::Split {
+                module: Some(1),
+                weights: vec![0.5, 0.5],
+            },
+            DirectiveKind::Split {
+                module: Some(0),
+                weights: vec![1.0],
+            },
+            DirectiveKind::Split {
+                module: Some(0),
+                weights: vec![f64::NAN, 0.5],
+            },
+            DirectiveKind::Split {
+                module: Some(0),
+                weights: vec![1.5, -0.5],
+            },
+            DirectiveKind::Split {
+                module: None,
+                weights: vec![0.5, 0.5],
+            },
+            DirectiveKind::Split {
+                module: None,
+                weights: vec![f64::INFINITY],
+            },
+            DirectiveKind::SafeMode {
+                module: 1,
+                active: true,
+            },
+        ];
+        for (n, kind) in malformed.into_iter().enumerate() {
+            agent.stage(directive(1_000 + n as u64, kind));
+            assert_eq!(agent.reconcile_report().rejected, n as u64 + 1);
+        }
+        agent
+            .commit_window()
+            .expect("nothing staged, nothing fails");
+        twin.commit_window().expect("clean window");
+        assert_eq!(agent.reconcile_report().applied, 0);
+        assert!(agent.applied_directives().is_empty());
+        assert_eq!(agent.heartbeat(), twin.heartbeat(), "epoch and tick");
+        assert_eq!(agent.observations(), twin.observations(), "plant");
+
+        // The shard still takes a well-formed directive afterwards.
+        agent.stage(directive(
+            1,
+            DirectiveKind::Frequency {
+                computer: 1,
+                index: table - 1,
+            },
+        ));
+        agent.commit_window().expect("in-topology directive");
+        assert_eq!(agent.reconcile_report().applied, 1);
+        assert_eq!(
+            agent.adapter().sim().computer(1).frequency_index(),
+            table - 1
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! Property fuzzing of the wire codec: round-trip identity on every
 //! frame kind, and total (panic-free, never-partially-applied)
-//! rejection of truncated, corrupted and version-skewed input.
+//! rejection of truncated, corrupted and version-skewed input — and of
+//! directives that decode but do not fit the agent's shard.
 
 use llc_net::{
     decode_directive, decode_frame, decode_heartbeat, decode_hello, decode_metrics,
     decode_observation, encode_directive, encode_frame, encode_heartbeat, encode_hello,
-    encode_observation, Frame, FrameKind, Heartbeat, Hello, Role, WireError, HEADER_LEN, VERSION,
+    encode_observation, AgentCore, Family, Frame, FrameKind, Heartbeat, Hello, Role, RunSpec,
+    WireError, HEADER_LEN, VERSION,
 };
 
 use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation};
@@ -126,6 +128,23 @@ fn arb_kind() -> impl Strategy<Value = DirectiveKind> {
         ),
         (0usize..32, arb_bool())
             .prop_map(|(module, active)| DirectiveKind::SafeMode { module, active }),
+    ]
+}
+
+/// Directive payloads a two-machine, one-module shard mostly does not
+/// have: computers and modules past its topology, frequency indices past
+/// any table, splits of every length over every float.
+fn arb_wild_kind() -> impl Strategy<Value = DirectiveKind> {
+    prop_oneof![
+        arb_kind(),
+        (0usize..4, 0usize..4096)
+            .prop_map(|(computer, index)| DirectiveKind::Frequency { computer, index }),
+        ((0usize..3, arb_bool()), collection::vec(arb_f64(), 0..5)).prop_map(
+            |((m, global), weights)| DirectiveKind::Split {
+                module: if global { None } else { Some(m) },
+                weights,
+            }
+        ),
     ]
 }
 
@@ -366,5 +385,45 @@ proptest! {
         let pos = ((pos_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         bytes[pos] ^= flip;
         let _ = decode_directive(&bytes);
+    }
+
+    #[test]
+    fn decoded_out_of_topology_directives_are_refused_not_actuated(
+        stream in collection::vec((0u64..100_000, arb_wild_kind()), 1..24),
+    ) {
+        let spec = RunSpec::defaults(Family::ClosedLoop);
+        let (exp, trace) = spec.experiment_and_trace();
+        let store = spec.store();
+        let mut agent =
+            AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+                .expect("well-formed plant");
+        let staged = stream.len() as u64;
+        for (epoch, kind) in stream {
+            let sent = Directive { tick: 0, time: 0.0, level: Level::L1, epoch, kind };
+            agent.stage(decode_directive(&encode_directive(&sent)).expect("round trip"));
+        }
+        prop_assert!(agent.commit_window().is_ok(), "a refused directive must not fail the window");
+        let report = agent.reconcile_report();
+        prop_assert_eq!(
+            report.applied + report.superseded + report.duplicates + report.rejected,
+            staged
+        );
+        prop_assert_eq!(agent.applied_directives().len() as u64, report.applied);
+        let sim = agent.adapter().sim();
+        for d in agent.applied_directives() {
+            let fits = match &d.kind {
+                DirectiveKind::Frequency { computer, index } => {
+                    *computer < 2 && *index < sim.computer(*computer).frequencies().len()
+                }
+                DirectiveKind::Activation { computer, .. } => *computer < 2,
+                DirectiveKind::Split { module, weights } => {
+                    *module != Some(1)
+                        && weights.len() == if module.is_some() { 2 } else { 1 }
+                        && weights.iter().all(|w| w.is_finite() && *w >= 0.0)
+                }
+                DirectiveKind::SafeMode { module, .. } => *module == 0,
+            };
+            prop_assert!(fits, "actuated a directive the shard does not have: {d:?}");
+        }
     }
 }

@@ -34,7 +34,7 @@ fn main() {
         let mut policy = if closed {
             builder.closed_loop(OnlineConfig::default())
         } else {
-            builder.outcome_tracking(OnlineConfig::default())
+            builder.outcome_tracking()
         }
         .build();
         let exp = Experiment {
@@ -70,7 +70,7 @@ fn main() {
     }
     println!(
         "\nclosed loop tracks the degraded plant {:.1}x more accurately — with no \
-         record_outcome/learn_online calls anywhere in this file.",
+         learner calls anywhere in this file.",
         arms[0] / arms[1].max(1e-12),
     );
 }

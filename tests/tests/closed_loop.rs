@@ -5,9 +5,9 @@
 //! detector switches the learning rate on both map substrates.
 
 use llc_cluster::{
-    single_module, ClosedLoopMode, Experiment, FrequencyProfile, GEntry, HierarchicalPolicy,
-    L0Config, L0Controller, L1Config, L1Controller, LearnSpec, MapBackend, MemberSpec,
-    PolicyBuilder, ScenarioConfig,
+    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, FrequencyProfile, GEntry,
+    HierarchicalPolicy, L0Config, L0Controller, L1Config, L1Controller, LearnSpec, MapBackend,
+    MemberSpec, PolicyBuilder, ScenarioConfig,
 };
 use llc_core::{LearnRate, OnlineConfig};
 use llc_workload::{
@@ -33,7 +33,7 @@ fn run_tracking(sc: &ScenarioConfig, closed: bool) -> (f64, u64, HierarchicalPol
     let mut policy = if closed {
         builder.closed_loop(OnlineConfig::default())
     } else {
-        builder.outcome_tracking(OnlineConfig::default())
+        builder.outcome_tracking()
     }
     .build();
     let exp = Experiment {
@@ -59,8 +59,7 @@ fn closed_loop_beats_offline_with_zero_harness_code() {
     // The offline-only arm derives outcomes but never learns.
     assert_eq!(offline_policy.closed_loop_mode(), ClosedLoopMode::Observe);
     assert_eq!(offline_updates, 0, "Observe mode must not touch the maps");
-    // The closed loop learns without a single record_outcome/learn_online
-    // call in this test.
+    // The closed loop learns without a single learner call in this test.
     assert_eq!(closed_policy.closed_loop_mode(), ClosedLoopMode::Learn);
     assert!(closed_updates > 20, "only {closed_updates} updates applied");
     assert!(
@@ -71,35 +70,6 @@ fn closed_loop_beats_offline_with_zero_harness_code() {
     // fire and conclude the residuals are not local.
     assert!(closed_policy.l1(0).drift_detections() > 0);
     assert!(closed_policy.retrain_recommended());
-}
-
-#[test]
-fn observe_mode_queues_outcomes_for_caller_driven_replay() {
-    let sc = closed_loop_scenario();
-    let (_, _, mut policy) = run_tracking(&sc, false);
-    let outcomes = policy.drain_realized_outcomes();
-    assert!(outcomes.len() > 50, "got {} outcomes", outcomes.len());
-    for o in &outcomes {
-        assert_eq!(o.module, 0);
-        assert!(o.member < 2);
-        assert!(o.lambda.is_finite() && o.lambda >= 0.0);
-        assert!(o.entry.cost.is_finite() && o.entry.cost >= 0.0);
-        assert!(o.entry.power >= 0.0);
-    }
-    assert!(
-        policy.drain_realized_outcomes().is_empty(),
-        "drain must consume the queue"
-    );
-    // Replaying the drained outcomes through the public caller-driven
-    // surface adapts the policy's own maps.
-    policy.l1_mut(0).enable_online(OnlineConfig::default());
-    for o in &outcomes {
-        policy
-            .l1_mut(o.module)
-            .record_outcome(o.member, o.lambda, o.q0, o.entry);
-    }
-    let applied = policy.l1_mut(0).learn_online();
-    assert!(applied > 20, "only {applied} of {} applied", outcomes.len());
 }
 
 /// A two-module cluster at marginal capacity under a square-wave load:
@@ -162,11 +132,9 @@ fn feed_forward_damps_l2_resplit_oscillation() {
     );
 }
 
-/// In a multi-module cluster the closed loop also feeds the L2 residual
-/// layer: realized per-module costs are recorded and absorbed with no
-/// harness code.
-#[test]
-fn closed_loop_feeds_l2_residual_layer() {
+/// The two-module capacity-ramp run behind the L2-leg tests: the
+/// directive log and the policy that produced it.
+fn run_two_module_closed_loop() -> (Vec<Directive>, HierarchicalPolicy) {
     let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
     sc.modules.truncate(2);
     let capacity: f64 = sc
@@ -184,8 +152,18 @@ fn closed_loop_feeds_l2_residual_layer() {
         drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
         ..Experiment::paper_default(31)
     };
-    exp.run(sc.to_sim_config(), &mut policy, &trace, &store)
+    let log = exp
+        .run(sc.to_sim_config(), &mut policy, &trace, &store)
         .expect("well-formed scenario");
+    (log.directives, policy)
+}
+
+/// In a multi-module cluster the closed loop also feeds the L2 residual
+/// layer: realized per-module costs are recorded and absorbed with no
+/// harness code.
+#[test]
+fn closed_loop_feeds_l2_residual_layer() {
+    let (_, policy) = run_two_module_closed_loop();
     let l2 = policy.l2().expect("two modules build an L2");
     assert!(l2.online_enabled());
     assert!(
@@ -194,6 +172,83 @@ fn closed_loop_feeds_l2_residual_layer() {
     );
     assert!(policy.online_updates() > l2.online_updates());
     assert!(policy.tracking_samples() > 0);
+}
+
+/// FNV-1a over every field of every directive, floats by bit pattern.
+fn directive_hash(directives: &[Directive]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for d in directives {
+        eat(d.tick);
+        eat(d.time.to_bits());
+        eat(d.level as u64);
+        eat(d.epoch);
+        match &d.kind {
+            DirectiveKind::Frequency { computer, index } => {
+                eat(1);
+                eat(*computer as u64);
+                eat(*index as u64);
+            }
+            DirectiveKind::Activation { computer, on } => {
+                eat(2);
+                eat(*computer as u64);
+                eat(u64::from(*on));
+            }
+            DirectiveKind::Split { module, weights } => {
+                eat(3);
+                eat(module.map_or(u64::MAX, |m| m as u64));
+                eat(weights.len() as u64);
+                for w in weights {
+                    eat(w.to_bits());
+                }
+            }
+            DirectiveKind::SafeMode { module, active } => {
+                eat(4);
+                eat(*module as u64);
+                eat(u64::from(*active));
+            }
+        }
+    }
+    h
+}
+
+/// The same run pinned bit for bit — every directive, every learner
+/// counter at both levels and the prequential tracking error. The
+/// single-module goldens never reach the L2 online leg; this one does.
+#[test]
+fn two_module_closed_loop_is_pinned_bit_for_bit() {
+    let (directives, policy) = run_two_module_closed_loop();
+    let l2 = policy.l2().expect("two modules build an L2");
+    let pinned = (
+        directives.len(),
+        directive_hash(&directives),
+        policy.online_updates(),
+        l2.online_updates(),
+        (0..2)
+            .map(|m| policy.l1(m).member_drift_detections())
+            .collect::<Vec<_>>(),
+        l2.module_drift_detections(),
+        policy.tracking_samples(),
+        policy.tracking_error().map(f64::to_bits),
+    );
+    assert_eq!(
+        pinned,
+        (
+            204,
+            17_541_355_449_969_148_747,
+            81,
+            12,
+            vec![vec![1; 4]; 2],
+            vec![1, 1],
+            80,
+            Some(4_647_344_795_687_759_854)
+        ),
+        "recorded on the commit before the learner refactor"
+    );
 }
 
 /// The drift detector switches the online learner between the steady and
@@ -217,17 +272,12 @@ fn detector_switches_rate_on_both_substrates() {
         for _ in 0..12 {
             let (cost, power, final_q) =
                 L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c, 4);
-            l1.record_outcome(
-                0,
-                lambda,
-                q,
-                GEntry {
-                    cost,
-                    power,
-                    final_q,
-                },
-            );
-            l1.learn_online();
+            let realized = GEntry {
+                cost,
+                power,
+                final_q,
+            };
+            l1.absorb_outcomes(&[(0, lambda, q, realized)]);
             q = final_q;
         }
         assert_eq!(
@@ -243,17 +293,12 @@ fn detector_switches_rate_on_both_substrates() {
         for _ in 0..12 {
             let (cost, power, final_q) =
                 L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / 0.5, 4);
-            l1.record_outcome(
-                0,
-                lambda,
-                q,
-                GEntry {
-                    cost,
-                    power,
-                    final_q,
-                },
-            );
-            l1.learn_online();
+            let realized = GEntry {
+                cost,
+                power,
+                final_q,
+            };
+            l1.absorb_outcomes(&[(0, lambda, q, realized)]);
             q = final_q;
         }
         assert!(

@@ -97,17 +97,12 @@ fn l1_controller_wiring_adapts_its_maps_under_drift() {
         let routed = d.gamma[0] * lambda;
         let (cost, power, final_q) =
             L0Controller::simulate_model(&l0, &spec.phis, q, routed, c / scale, 4);
-        l1.record_outcome(
-            0,
-            routed,
-            q,
-            GEntry {
-                cost,
-                power,
-                final_q,
-            },
-        );
-        assert_eq!(l1.learn_online(), 1);
+        let realized = GEntry {
+            cost,
+            power,
+            final_q,
+        };
+        assert_eq!(l1.absorb_outcomes(&[(0, routed, q, realized)]), 1);
         q = final_q;
     }
     assert_eq!(l1.online_updates(), 30);

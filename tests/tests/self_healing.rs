@@ -129,17 +129,3 @@ fn retrain_manager_rebuilds_and_hot_swaps_in_run() {
     // bounds the rebuilds either way.
     assert!(policy.tracking_samples() > 100);
 }
-
-/// `acknowledge_retrain` is the manual consume path for callers driving
-/// their own rebuild: the latch clears and the detectors keep observing.
-#[test]
-fn acknowledge_clears_the_policy_level_latch() {
-    let (mut policy, _) = run(false);
-    assert!(
-        policy.retrain_recommended(),
-        "deep degradation must latch the drift-blind policy"
-    );
-    policy.acknowledge_retrain();
-    assert!(!policy.retrain_recommended(), "acknowledge consumes");
-    assert_eq!(policy.retrain_rebuilds(), 0, "no manager, no rebuilds");
-}
