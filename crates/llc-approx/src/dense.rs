@@ -443,13 +443,11 @@ impl<V> CostMap<V> for DenseGrid<V> {
         self.confidence[idx] += 1.0;
         w
     }
-    /// Batched over `llc-par`: the counters are one flat slab, so the
-    /// sweep splits into disjoint chunks (bit-identical to the serial
-    /// loop) — cheap enough to run every few control periods even on
-    /// production-sized grids.
     fn decay_confidence(&mut self, factor: f64) {
         let factor = factor.clamp(0.0, 1.0);
-        llc_par::par_for_each_mut(&mut self.confidence, |c| *c *= factor);
+        for count in &mut self.confidence {
+            *count *= factor;
+        }
     }
     fn confidence(&self, point: &[f64]) -> f64 {
         if self.values.is_empty() || !self.contains(point) {

@@ -107,8 +107,7 @@ impl<V: Clone> LookupTable<V> {
     }
 
     /// Staleness sweep: multiply every cell's online confidence by
-    /// `factor ∈ [0, 1]` (a serial pass — the counter map is sparse,
-    /// unlike the dense substrate's flat slab).
+    /// `factor ∈ [0, 1]`.
     pub fn decay_confidence(&mut self, factor: f64) {
         let factor = factor.clamp(0.0, 1.0);
         for count in self.confidence.values_mut() {

@@ -15,13 +15,11 @@
 //! `--quick` truncation to 200 buckets barely leaves the m = 4 start-up
 //! (4 → 46 hierarchical states) and fails the growth leg.
 
+use llc_bench::centralized::{joint_candidate_count, CentralizedConfig, CentralizedPolicy};
 use llc_bench::claims::{self, ComplexityRow};
 use llc_bench::figures::FIGURE_SEED;
 use llc_bench::report::{ms, quick_mode, write_csv};
-use llc_cluster::{
-    joint_candidate_count, single_module, CentralizedConfig, CentralizedPolicy, Experiment,
-    HierarchicalPolicy,
-};
+use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
 use llc_workload::{synthetic_paper_workload, VirtualStore};
 use std::time::Instant;
 

@@ -1,7 +1,8 @@
-use crate::l0::QueueModel;
-use crate::l1::MemberSpec;
-use crate::policy::{Action, ClusterPolicy, Observations};
+//! The flat joint controller the paper argues against, kept beside its
+//! one caller (`overhead_centralized`).
+
 use llc_approx::SimplexGrid;
+use llc_cluster::{Action, ClusterPolicy, MemberSpec, Observations, QueueModel};
 use llc_core::{Penalty, ScaleEstimatorConfig, ServiceScaleEstimator, SetPoint};
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
 use llc_sim::PowerState;
@@ -307,7 +308,7 @@ impl ClusterPolicy for CentralizedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{single_module, Experiment};
+    use llc_cluster::{single_module, Experiment};
     use llc_workload::{Trace, VirtualStore};
 
     #[test]

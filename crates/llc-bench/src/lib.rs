@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod centralized;
 pub mod claims;
 pub mod figures;
 pub mod report;

@@ -115,7 +115,7 @@ pub fn ms(d: std::time::Duration) -> String {
 
 /// `--quick` flag: shortened runs for CI and development.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("LLC_QUICK").is_some()
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// `--check` flag: regression-gate mode — compare fresh measurements

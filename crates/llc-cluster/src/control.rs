@@ -239,32 +239,6 @@ pub enum DirectiveKind {
     },
 }
 
-impl Directive {
-    /// Translate to the plant-actuation [`Action`], or `None` for
-    /// informational directives ([`DirectiveKind::SafeMode`]).
-    pub fn to_action(&self) -> Option<Action> {
-        match &self.kind {
-            DirectiveKind::Frequency { computer, index } => {
-                Some(Action::SetFrequency(*computer, *index))
-            }
-            DirectiveKind::Activation { computer, on } => Some(if *on {
-                Action::PowerOn(*computer)
-            } else {
-                Action::PowerOff(*computer)
-            }),
-            DirectiveKind::Split {
-                module: Some(m),
-                weights,
-            } => Some(Action::SetComputerWeights(*m, weights.clone())),
-            DirectiveKind::Split {
-                module: None,
-                weights,
-            } => Some(Action::SetModuleWeights(weights.clone())),
-            DirectiveKind::SafeMode { .. } => None,
-        }
-    }
-}
-
 /// Why an observation was refused at the ingest surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
@@ -1076,8 +1050,11 @@ mod tests {
             .expect("split directive");
         assert_eq!(split.level, Level::L1);
         assert_eq!(
-            split.to_action(),
-            Some(Action::SetComputerWeights(0, vec![0.5, 0.5]))
+            split.kind,
+            DirectiveKind::Split {
+                module: Some(0),
+                weights: vec![0.5, 0.5]
+            }
         );
     }
 

@@ -1,8 +1,8 @@
 use crate::control::{
-    ControlPlane, Directive, DirectiveEmit, MemberTelemetry, MetricsSnapshot, ModuleObservation,
-    ObservationIngest,
+    ControlPlane, Directive, DirectiveEmit, DirectiveKind, MemberTelemetry, MetricsSnapshot,
+    ModuleObservation, ObservationIngest,
 };
-use crate::policy::{Action, ClusterPolicy};
+use crate::policy::ClusterPolicy;
 use llc_sim::{ClusterConfig, ClusterSim, PowerState, SimError, WindowStats};
 use llc_workload::{
     derive_seed, spread_arrivals, CapacityProfile, FaultKind, FaultPlan, Gaussian, RequestSampler,
@@ -498,13 +498,21 @@ impl SimAdapter {
     /// Propagates [`SimError`] from malformed weight vectors.
     pub fn actuate(&mut self, directives: &[Directive]) -> Result<(), SimError> {
         for directive in directives {
-            match directive.to_action() {
-                Some(Action::PowerOn(i)) => self.sim.power_on(i),
-                Some(Action::PowerOff(i)) => self.sim.power_off(i),
-                Some(Action::SetFrequency(i, f)) => self.sim.set_frequency(i, f),
-                Some(Action::SetModuleWeights(w)) => self.sim.set_module_weights(&w)?,
-                Some(Action::SetComputerWeights(m, w)) => self.sim.set_computer_weights(m, &w)?,
-                None => {}
+            match &directive.kind {
+                DirectiveKind::Frequency { computer, index } => {
+                    self.sim.set_frequency(*computer, *index);
+                }
+                DirectiveKind::Activation { computer, on: true } => self.sim.power_on(*computer),
+                DirectiveKind::Activation { computer, .. } => self.sim.power_off(*computer),
+                DirectiveKind::Split {
+                    module: Some(m),
+                    weights,
+                } => self.sim.set_computer_weights(*m, weights)?,
+                DirectiveKind::Split {
+                    module: None,
+                    weights,
+                } => self.sim.set_module_weights(weights)?,
+                DirectiveKind::SafeMode { .. } => {}
             }
         }
         Ok(())

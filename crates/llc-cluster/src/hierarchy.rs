@@ -48,32 +48,6 @@ impl LevelOverhead {
     }
 }
 
-/// Decision inputs one module's L1 tick computes in the serial prep
-/// phase — everything the (possibly parallel) decide phase needs, so the
-/// decide jobs touch no shared state.
-struct ModulePrep {
-    queues: Vec<usize>,
-    active: Vec<bool>,
-    dead_pos: Vec<bool>,
-    live_count: usize,
-    safe_mode: bool,
-    /// Which member positions are powered `On` (the safe-mode split
-    /// shares load over these).
-    power_on: Vec<bool>,
-    /// Wall time the serial prep spent on this module.
-    prep: Duration,
-}
-
-/// One module's decide job: exclusive access to its own L1 controller
-/// plus its prepared inputs. Jobs are disjoint, so
-/// [`llc_par::par_for_each_mut`] can fan the decides out across workers
-/// while each decision stays bit-identical to the serial loop.
-struct DecideJob<'a> {
-    l1: &'a mut L1Controller,
-    prep: ModulePrep,
-    out: Option<(L1Decision, Duration)>,
-}
-
 /// How the hierarchy closes its own feedback loop (the paper's Fig. 2 is
 /// a *closed-loop* controller): whether realized outcomes are derived
 /// from plant telemetry at all, and whether the learned models absorb
@@ -294,7 +268,7 @@ pub struct HierarchicalPolicy {
     global_arrivals_acc: u64,
     member_demand_sum: Vec<f64>,
     member_demand_n: Vec<u64>,
-    // Per-module inputs of an L1 tick's phase A, refilled for each module.
+    // Per-module inputs of an L1 tick, refilled for each module.
     member_scales_buf: Vec<f64>,
     member_demands_buf: Vec<Option<f64>>,
     // Decision histories backing the figures.
@@ -1085,10 +1059,10 @@ impl ClusterPolicy for HierarchicalPolicy {
             // round of decisions, so the fresh maps serve immediately.
             self.apply_ready_retrain(obs.tick);
 
-            // Phase A (serial): per-module observation plumbing, closed
-            // loop measurement/learning, and decision inputs. This leg
-            // mutates shared state (filters, maps), so it stays ordered.
-            let mut preps: Vec<ModulePrep> = Vec::with_capacity(self.members.len());
+            // One pass per module, in module order: observation plumbing
+            // and closed-loop measurement/learning, the decide, then the
+            // bookkeeping and the power and routing actions it implies.
+            let mut total_active = 0usize;
             for m in 0..self.members.len() {
                 let started = Instant::now();
                 // Push the drift-aware L0s' capacity scales up: this
@@ -1202,58 +1176,34 @@ impl ClusterPolicy for HierarchicalPolicy {
                 };
                 if let Some(ft) = self.fault_tolerance.as_mut() {
                     ft.safe_now[m] = safe_mode;
+                    ft.safe_mode_periods += u64::from(safe_mode);
                 }
-                let power_on: Vec<bool> = self.members[m]
-                    .iter()
-                    .map(|&i| matches!(obs.computers[i].state, PowerState::On))
-                    .collect();
-                preps.push(ModulePrep {
-                    queues,
-                    active,
-                    dead_pos,
-                    live_count,
-                    safe_mode,
-                    power_on,
-                    prep: started.elapsed(),
-                });
-            }
 
-            // Phase B: the per-module decides — the dominant L1 cost —
-            // fan out over the shared worker pool. Each job owns
-            // disjoint state (its own controller, its own inputs), so
-            // every decision is bit-identical to the serial loop at any
-            // worker count; a single-worker pool runs them inline.
-            let mut jobs: Vec<DecideJob<'_>> = self
-                .l1s
-                .iter_mut()
-                .zip(preps)
-                .map(|(l1, prep)| DecideJob {
-                    l1,
-                    prep,
-                    out: None,
-                })
-                .collect();
-            llc_par::par_for_each_mut(&mut jobs, |job| {
-                let started = Instant::now();
-                let p = &job.prep;
-                let decision = if p.live_count == 0 {
+                // A posture held without consulting the maps.
+                let held = |alpha, gamma| L1Decision {
+                    alpha,
+                    gamma,
+                    expected_cost: f64::INFINITY,
+                    states_evaluated: 0,
+                    candidates_evaluated: 0,
+                    candidates_pruned: 0,
+                };
+                let decision = if live_count == 0 {
                     // Every member is dead: nothing to decide, route and
                     // order nothing, wait for a rejoin.
-                    L1Decision {
-                        alpha: vec![false; p.dead_pos.len()],
-                        gamma: vec![0.0; p.dead_pos.len()],
-                        expected_cost: f64::INFINITY,
-                        states_evaluated: 0,
-                        candidates_evaluated: 0,
-                        candidates_pruned: 0,
-                    }
-                } else if p.safe_mode {
-                    let alpha: Vec<bool> = p.dead_pos.iter().map(|&d| !d).collect();
+                    held(vec![false; dead_pos.len()], vec![0.0; dead_pos.len()])
+                } else if safe_mode {
+                    let alpha: Vec<bool> = dead_pos.iter().map(|&d| !d).collect();
+                    // Share load over the live members powered `On`, or
+                    // over every live member when none is.
                     let serving: Vec<usize> = (0..alpha.len())
-                        .filter(|&pos| !p.dead_pos[pos] && p.power_on[pos])
+                        .filter(|&pos| {
+                            let i = self.members[m][pos];
+                            !dead_pos[pos] && matches!(obs.computers[i].state, PowerState::On)
+                        })
                         .collect();
                     let share_set: Vec<usize> = if serving.is_empty() {
-                        (0..alpha.len()).filter(|&pos| !p.dead_pos[pos]).collect()
+                        (0..alpha.len()).filter(|&pos| !dead_pos[pos]).collect()
                     } else {
                         serving
                     };
@@ -1261,52 +1211,11 @@ impl ClusterPolicy for HierarchicalPolicy {
                     for &pos in &share_set {
                         gamma[pos] = 1.0 / share_set.len() as f64;
                     }
-                    L1Decision {
-                        alpha,
-                        gamma,
-                        expected_cost: f64::INFINITY,
-                        states_evaluated: 0,
-                        candidates_evaluated: 0,
-                        candidates_pruned: 0,
-                    }
-                } else if ft_on {
-                    job.l1
-                        .decide_excluding(&job.prep.queues, &job.prep.active, &job.prep.dead_pos)
+                    held(alpha, gamma)
                 } else {
-                    job.l1.decide(&job.prep.queues, &job.prep.active)
+                    self.l1s[m].decide_excluding(&queues, &active, &dead_pos)
                 };
-                job.out = Some((decision, started.elapsed()));
-            });
 
-            // Phase C (serial, module order): merge. Invariant checks,
-            // fault-tolerance bookkeeping, closed-loop anchoring, power
-            // and routing actions — deterministic regardless of how
-            // phase B was scheduled. Consuming the jobs also releases
-            // the controller borrows for the retrain trigger below.
-            let merged: Vec<(ModulePrep, L1Decision, Duration)> = jobs
-                .into_iter()
-                .map(|job| {
-                    let (decision, spent) = job.out.expect("phase B decided every module");
-                    (job.prep, decision, spent)
-                })
-                .collect();
-            let mut total_active = 0usize;
-            for (m, (prep, decision, decide_time)) in merged.into_iter().enumerate() {
-                let started = Instant::now();
-                let ModulePrep {
-                    active,
-                    dead_pos,
-                    live_count,
-                    safe_mode,
-                    prep: prep_time,
-                    ..
-                } = prep;
-                if safe_mode {
-                    self.fault_tolerance
-                        .as_mut()
-                        .expect("ft_on")
-                        .safe_mode_periods += 1;
-                }
                 // Membership invariants: a dead member gets no load and
                 // the live shares form a full split.
                 debug_assert!(
@@ -1412,10 +1321,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                     "routed weight on a dead member"
                 );
                 actions.push(Action::SetComputerWeights(m, routed));
-                // One record per module per L1 tick, as before: the
-                // module's serial prep + its own decide time (not the
-                // phase's wall clock) + its merge leg.
-                self.overhead[1].record(prep_time + decide_time + started.elapsed());
+                self.overhead[1].record(started.elapsed());
             }
             self.active_history.push((obs.tick, total_active));
             if let Some(cl) = self.closed_loop.as_mut() {

@@ -373,16 +373,6 @@ pub struct L2Config {
     pub period: f64,
     /// Module-fraction quantum (paper: 0.1).
     pub gamma_quantum: f64,
-    /// Maximum quanta moved per re-split. A module's machine count needs
-    /// a full L1 period (the boot dead time) to follow its load share, so
-    /// wholesale re-splits outrun the plant; bounding each decision to a
-    /// neighborhood of the current split keeps the cascade stable. `0`
-    /// disables the bound (full simplex enumeration every decision).
-    pub max_move_quanta: usize,
-    /// Hysteresis: adopt a new split only if it beats the current one by
-    /// this relative margin (tree predictions are noisy; a flapping split
-    /// costs boot dead times downstream).
-    pub switch_margin: f64,
     /// Feed each re-split forward into the affected modules' λ forecasts
     /// (see `L1Controller::feed_forward_lambda`): without it a module's
     /// own trailing forecast only sees its new share one L1 period — one
@@ -397,8 +387,6 @@ impl L2Config {
         L2Config {
             period: 120.0,
             gamma_quantum: 0.1,
-            max_move_quanta: 1,
-            switch_margin: 0.1,
             feed_forward: true,
         }
     }
@@ -434,6 +422,17 @@ pub struct L2Decision {
 /// enumerate those searches the neighborhood of the standing split (the
 /// even one, if none stands yet) instead.
 const MAX_ENUMERATED_SPLITS: usize = 100_000;
+
+/// Maximum quanta moved per re-split. A module's machine count needs a
+/// full L1 period (the boot dead time) to follow its load share, so
+/// wholesale re-splits outrun the plant; bounding each decision to a
+/// neighborhood of the current split keeps the cascade stable.
+const MAX_MOVE_QUANTA: usize = 1;
+
+/// Hysteresis: adopt a new split only if it beats the current one by this
+/// relative margin (tree predictions are noisy; a flapping split costs
+/// boot dead times downstream).
+const SWITCH_MARGIN: f64 = 0.1;
 
 /// Every grid point within `bound` single-quantum transfers of `prev`,
 /// `prev` first, then ring by ring in [`SimplexGrid::neighbors`] order —
@@ -701,20 +700,17 @@ impl L2Controller {
 
         let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
         // First decision: full enumeration. Afterwards: the bounded
-        // neighborhood of the previous split (up to `max_move_quanta`
+        // neighborhood of the previous split (up to `MAX_MOVE_QUANTA`
         // single-quantum transfers), mirroring the L1's "limited
         // neighborhood of [the current] state". A relaxed decision
         // enumerates again — where the simplex can be enumerated.
-        let bound = self.config.max_move_quanta;
         let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
         let candidates = match &self.prev_gamma {
-            Some(prev) if (bound > 0 && !relaxed) || !enumerable => {
-                neighborhood(&grid, prev, bound.max(1))
-            }
+            Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev, MAX_MOVE_QUANTA),
             // Unseeded and too large to enumerate: start from the even split.
             None if !enumerable => {
                 let even = grid.snap(&vec![1.0; self.models.len()]);
-                neighborhood(&grid, &even, bound.max(1))
+                neighborhood(&grid, &even, MAX_MOVE_QUANTA)
             }
             _ => grid.enumerate(),
         };
@@ -744,7 +740,7 @@ impl L2Controller {
                     .iter()
                     .zip(&opt.candidate)
                     .any(|(a, b)| (a - b).abs() > 1e-9);
-                if moved && opt.cost > prev_cost * (1.0 - self.config.switch_margin) {
+                if moved && opt.cost > prev_cost * (1.0 - SWITCH_MARGIN) {
                     (prev.clone(), prev_cost)
                 } else {
                     (opt.candidate, opt.cost)

@@ -30,7 +30,6 @@
 
 mod baselines;
 mod builder;
-mod centralized;
 mod config;
 mod control;
 mod experiment;
@@ -45,7 +44,6 @@ mod retrain;
 
 pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
 pub use builder::PolicyBuilder;
-pub use centralized::{joint_candidate_count, CentralizedConfig, CentralizedPolicy};
 pub use config::{
     cluster_of, module_of_four, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,
 };

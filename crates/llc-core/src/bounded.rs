@@ -107,62 +107,6 @@ impl BoundedSearch {
         }
     }
 
-    /// [`BoundedSearch::minimize`] over a *visitor* neighborhood: instead
-    /// of materializing a `Vec` of neighbors per round, `neighbors` calls
-    /// the supplied visitor once per neighbor (in the same order a `Vec`
-    /// enumeration would use), borrowing a shared scratch candidate. Only
-    /// candidates that improve the round's best are cloned, so the inner
-    /// loop of a hot search allocates nothing. Identical trajectory to
-    /// [`BoundedSearch::minimize`] for the same neighbor order: same
-    /// budgets, same tie-breaking, same result.
-    pub fn minimize_with<C, F, N>(
-        &self,
-        start: C,
-        mut evaluate: F,
-        mut neighbors: N,
-    ) -> LocalOptimum<C>
-    where
-        C: Clone,
-        F: FnMut(&C) -> f64,
-        N: FnMut(&C, &mut dyn FnMut(&C)),
-    {
-        let mut best = start;
-        let mut best_cost = evaluate(&best);
-        let mut evaluations = 1;
-        let mut rounds = 0;
-
-        while rounds < self.max_rounds && evaluations < self.max_evaluations {
-            rounds += 1;
-            let mut round_best: Option<(C, f64)> = None;
-            neighbors(&best, &mut |cand| {
-                // Mirrors the pre-evaluation budget check of the Vec
-                // path: once the budget is spent, remaining neighbors of
-                // the round are skipped without being evaluated.
-                if evaluations >= self.max_evaluations {
-                    return;
-                }
-                let cost = evaluate(cand);
-                evaluations += 1;
-                if cost < round_best.as_ref().map_or(best_cost, |(_, c)| *c) {
-                    round_best = Some((cand.clone(), cost));
-                }
-            });
-            if let Some((cand, cost)) = round_best {
-                best = cand;
-                best_cost = cost;
-            } else {
-                break;
-            }
-        }
-
-        LocalOptimum {
-            candidate: best,
-            cost: best_cost,
-            evaluations,
-            rounds,
-        }
-    }
-
     /// Pick the minimum-cost candidate out of an explicit finite set.
     ///
     /// This is the degenerate "neighborhood = whole set, one round" search
@@ -250,22 +194,6 @@ mod tests {
         let s = BoundedSearch::default();
         let opt = s.minimize(1, f, line_neighbors);
         assert_eq!(opt.candidate, 2);
-    }
-
-    #[test]
-    fn minimize_with_matches_vec_path() {
-        // Same start, same neighbor order: the visitor variant must
-        // reproduce the Vec variant's trajectory exactly, including
-        // under tight round and evaluation budgets.
-        for (rounds, evals) in [(100, 10_000), (3, 10_000), (1_000, 7), (2, 3)] {
-            let s = BoundedSearch::new(rounds, evals);
-            let vec_opt = s.minimize(0, quad, line_neighbors);
-            let vis_opt = s.minimize_with(0, quad, |x: &i64, visit| {
-                visit(&(x - 1));
-                visit(&(x + 1));
-            });
-            assert_eq!(vec_opt, vis_opt, "rounds={rounds} evals={evals}");
-        }
     }
 
     #[test]

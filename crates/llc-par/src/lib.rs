@@ -1,4 +1,5 @@
-//! Deterministic scoped-thread fan-out for the offline learning pipeline.
+//! Deterministic scoped-thread fan-out for the offline learning pipeline
+//! and the plant's lane sweep.
 //!
 //! The registry-less build environment cannot pull `rayon`, so this crate
 //! provides the small slice of it the workspace needs: [`par_map`], an
@@ -58,7 +59,7 @@ pub fn num_threads() -> usize {
 
 /// `true` when called from inside a [`par_map`] worker (nested calls run
 /// inline).
-pub fn in_worker() -> bool {
+fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -113,11 +114,10 @@ where
 /// Apply `f` to every element of `items` in place, in parallel.
 ///
 /// The mutable sibling of [`par_map`], for sweeps that update large flat
-/// buffers without producing a new allocation — e.g. the online-learning
-/// staleness decay over a dense grid's per-cell confidence counters.
-/// Each worker owns a contiguous disjoint chunk, so the result is
-/// identical to the serial loop for any pure per-element `f` and there is
-/// no synchronization beyond the scope join.
+/// buffers without producing a new allocation — the plant's per-machine
+/// lane sweep. Each worker owns a contiguous disjoint chunk, so the
+/// result is identical to the serial loop for any pure per-element `f`
+/// and there is no synchronization beyond the scope join.
 pub fn par_for_each_mut<T: Send, F>(items: &mut [T], f: F)
 where
     F: Fn(&mut T) + Sync,

@@ -5,13 +5,14 @@
 //! detector switches the learning rate on both map substrates.
 
 use llc_cluster::{
-    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, FrequencyProfile, GEntry,
-    HierarchicalPolicy, L0Config, L0Controller, L1Config, L1Controller, LearnSpec, MapBackend,
-    MemberSpec, PolicyBuilder, ScenarioConfig,
+    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, FaultToleranceConfig,
+    FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller, L1Config, L1Controller,
+    LearnSpec, MapBackend, MemberSpec, PolicyBuilder, RetrainConfig, ScenarioConfig,
 };
 use llc_core::{LearnRate, OnlineConfig};
 use llc_workload::{
-    drift_scenarios, CapacityProfile, DiurnalShape, SyntheticBuilder, Trace, VirtualStore,
+    drift_scenarios, CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan,
+    SyntheticBuilder, Trace, VirtualStore,
 };
 
 /// The bench's closed-loop scenario: two machines pinned on (so the
@@ -21,6 +22,15 @@ fn closed_loop_scenario() -> ScenarioConfig {
     let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
     sc.l1.min_active = 2;
     sc
+}
+
+/// Service capacity of the whole cluster, `Σ speed / c_prior` (req/s).
+fn cluster_capacity(sc: &ScenarioConfig) -> f64 {
+    sc.member_specs()
+        .iter()
+        .flatten()
+        .map(|m| m.speed / m.c_prior)
+        .sum()
 }
 
 fn run_tracking(sc: &ScenarioConfig, closed: bool) -> (f64, u64, HierarchicalPolicy) {
@@ -84,12 +94,7 @@ fn feed_forward_damps_l2_resplit_oscillation() {
         let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
         sc.modules.truncate(2);
         sc.l2.feed_forward = feed_forward;
-        let capacity: f64 = sc
-            .member_specs()
-            .iter()
-            .flatten()
-            .map(|m| m.speed / m.c_prior)
-            .sum();
+        let capacity = cluster_capacity(&sc);
         // Square wave between 35% and 75% of cluster capacity, 8 minutes
         // per phase: marginal at the crests once boot dead times are
         // counted, quiet enough in the troughs that machines shed.
@@ -137,12 +142,7 @@ fn feed_forward_damps_l2_resplit_oscillation() {
 fn run_two_module_closed_loop() -> (Vec<Directive>, HierarchicalPolicy) {
     let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
     sc.modules.truncate(2);
-    let capacity: f64 = sc
-        .member_specs()
-        .iter()
-        .flatten()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
+    let capacity = cluster_capacity(&sc);
     let trace = Trace::new(30.0, vec![0.5 * capacity * 30.0; 48]).expect("well-formed trace");
     let store = VirtualStore::paper_default(31);
     let mut policy = PolicyBuilder::new(sc.clone())
@@ -249,6 +249,88 @@ fn two_module_closed_loop_is_pinned_bit_for_bit() {
         ),
         "recorded on the commit before the learner refactor"
     );
+}
+
+/// The L1 phase under everything the fault-tolerant stack can throw at
+/// it, pinned bit for bit: two modules under closed loop + watchdog +
+/// retrain + drift-aware L0 on a degrading plant, with a fault plan that
+/// kills all of module 1 (`live_count == 0`), blacks out three of module
+/// 0's four members (quorum-loss safe mode) and crashes one member alone
+/// (a decide over three survivors). Every other fault-tolerance suite is
+/// single-module. The worker count governs offline learning, the retrain
+/// rebuild and the plant sweep; none of it may move a directive.
+#[test]
+fn two_module_fault_run_is_pinned_bit_for_bit() {
+    fn run() -> (usize, u64, usize, u64, u64, u64, usize, Option<u64>) {
+        let mut sc = llc_cluster::paper_cluster_16()
+            .with_coarse_learning()
+            .with_hash_maps();
+        sc.modules.truncate(2);
+        let capacity = cluster_capacity(&sc);
+        let trace = Trace::new(30.0, vec![0.45 * capacity * 30.0; 160]).expect("well-formed trace");
+        let store = VirtualStore::paper_default(41);
+        let mut policy = PolicyBuilder::new(sc.clone())
+            .closed_loop(OnlineConfig::default())
+            .fault_tolerance(FaultToleranceConfig::default())
+            .retrain(RetrainConfig::default())
+            .drift_aware_l0()
+            .build();
+        let event = |tick, computer, kind| FaultEvent {
+            tick,
+            computer,
+            kind,
+        };
+        let mut events = Vec::new();
+        for c in 4..8 {
+            events.push(event(24, c, FaultKind::Crash { requeue: false }));
+            events.push(event(48, c, FaultKind::Restart));
+        }
+        for c in 1..4 {
+            events.push(event(80, c, FaultKind::BlackoutStart));
+            events.push(event(96, c, FaultKind::BlackoutEnd));
+        }
+        events.push(event(120, 2, FaultKind::Crash { requeue: true }));
+        events.push(event(140, 2, FaultKind::Restart));
+        let exp = Experiment {
+            drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
+            faults: Some(FaultPlan::new(events)),
+            ..Experiment::paper_default(41)
+        };
+        let log = exp
+            .run(sc.to_sim_config(), &mut policy, &trace, &store)
+            .expect("well-formed scenario");
+        let safe_mode_directives = log
+            .directives
+            .iter()
+            .filter(|d| matches!(d.kind, DirectiveKind::SafeMode { .. }))
+            .count();
+        (
+            log.directives.len(),
+            directive_hash(&log.directives),
+            safe_mode_directives,
+            policy.member_deaths(),
+            policy.member_recoveries(),
+            policy.safe_mode_periods(),
+            policy.retrain_rebuilds(),
+            policy.tracking_error().map(f64::to_bits),
+        )
+    }
+    for threads in [1, 4] {
+        assert_eq!(
+            llc_par::with_threads(threads, run),
+            (
+                488,
+                4_871_585_484_290_491_830,
+                4,
+                8,
+                8,
+                2,
+                1,
+                Some(4_657_992_811_526_462_306)
+            ),
+            "{threads} worker(s): recorded on the commit before the L1 fan-out was collapsed"
+        );
+    }
 }
 
 /// The drift detector switches the online learner between the steady and
