@@ -15,10 +15,17 @@
 //! match-evening crest replay, and the gated path always replays that
 //! crest on the small cluster so the trace loader stays exercised in CI.
 //!
+//! A `hierarchy_build` section puts the controller's set-up beside the
+//! plant: wall time of `HierarchicalPolicy::build` at each size, and how
+//! many distinct abstraction maps the built policy actually holds. The
+//! sizes differ in machine count, not in the kinds of machine, so the
+//! 1000-machine build must cost about what the 16-machine build does.
+//!
 //! Emits `BENCH_scale.json` at the workspace root (full runs). Pass
 //! `--quick` for a fast smoke run, `--check` for the CI regression gate:
 //! bit-identical sharding determinism, batched-vs-per-request accounting
-//! equivalence, and sim-rate floors against the committed baseline. The
+//! equivalence, sim-rate floors against the committed baseline, and the
+//! build-time ratio and map count of the hierarchy at 1000 machines. The
 //! sharded-faster-than-serial comparison is only *gated* on a runner
 //! with at least four cores: with one core both arms run the same serial
 //! code path, and a two-core container shares its second core with
@@ -29,7 +36,7 @@
 use llc_bench::report::{
     self, check_mode, gate_ratio, json_number, median3, quick_mode, runner_json,
 };
-use llc_cluster::cluster_of;
+use llc_cluster::{cluster_of, paper_cluster_16, AbstractionMap, HierarchicalPolicy};
 use llc_sim::{ClusterConfig, ClusterSim, WindowStats};
 use llc_workload::wc98_like_day;
 use std::time::Instant;
@@ -53,6 +60,15 @@ const SCALE_FALLBACK_TOLERANCE: f64 = 0.40;
 
 /// Cores below which the sharded-faster gate is skipped.
 const MIN_CORES_FOR_SHARDED_GATE: usize = 4;
+
+/// The 1000-machine hierarchy may cost at most this multiple of the
+/// 16-machine build. By construction it is ~1.25x (five module
+/// compositions against four, the same four machine profiles); a build
+/// that learns per member again costs ~60x.
+const MAX_BUILD_RATIO: f64 = 3.0;
+/// Distinct abstraction maps a `cluster_of` hierarchy may hold: one per
+/// `FrequencyProfile`.
+const MAX_DISTINCT_MAPS: usize = 4;
 
 /// One cluster size of the sweep: `modules` heterogeneous modules of
 /// four computers each (the §5.2 composition patterns).
@@ -206,6 +222,32 @@ fn time_arm(size: &Size, counts: &[u64], threads: usize) -> f64 {
     median3(|| run_batched(size, counts, threads).wall_s)
 }
 
+/// Build the paper-default hierarchy over this size's machines (default
+/// learning resolution, dense maps — what `benchmark/` builds): median of
+/// three wall times in seconds, and the number of distinct abstraction
+/// maps the built policy's L1 controllers consult.
+fn time_hierarchy_build(size: &Size) -> (f64, usize) {
+    let mut scenario = paper_cluster_16();
+    scenario.modules = cluster_of(size.modules);
+    let mut distinct_maps = 0;
+    let build_s = median3(|| {
+        let started = Instant::now();
+        let policy = HierarchicalPolicy::build(&scenario);
+        let wall_s = started.elapsed().as_secs_f64();
+        let mut maps: Vec<*const AbstractionMap> = (0..size.modules)
+            .flat_map(|m| {
+                let l1 = policy.l1(m);
+                (0..l1.num_members()).map(move |j| std::ptr::from_ref(l1.map(j)))
+            })
+            .collect();
+        maps.sort();
+        maps.dedup();
+        distinct_maps = maps.len();
+        wall_s
+    });
+    (build_s, distinct_maps)
+}
+
 /// `true` when two runs produced bit-identical per-window stats, drops
 /// and energy — the sharding determinism contract.
 fn identical(a: &RunOutcome, b: &RunOutcome) -> bool {
@@ -309,8 +351,38 @@ fn main() {
         wc98_small.arrivals, wc98_small.dropped
     );
 
+    // --- Hierarchy set-up: learned once per kind, whatever the count. --
+    let builds: Vec<(f64, usize)> = sizes.iter().map(time_hierarchy_build).collect();
+    for (size, (build_s, distinct_maps)) in sizes.iter().zip(&builds) {
+        println!(
+            "hierarchy build ({:>4} machines): {build_s:.3} s, {distinct_maps} distinct maps",
+            size.machines()
+        );
+    }
+    let build_ratio = builds[builds.len() - 1].0 / builds[0].0;
+
     if check {
         let mut failures = Vec::new();
+        let verdict = format!(
+            "hierarchy build at {} machines costs {build_ratio:.2}x the {}-machine build \
+             (limit {MAX_BUILD_RATIO}x)",
+            sizes[sizes.len() - 1].machines(),
+            sizes[0].machines(),
+        );
+        if build_ratio > MAX_BUILD_RATIO {
+            failures.push(format!("REGRESSION {verdict}"));
+        } else {
+            println!("gate ok  {verdict}");
+        }
+        for (size, (_, distinct_maps)) in sizes.iter().zip(&builds) {
+            if *distinct_maps > MAX_DISTINCT_MAPS {
+                failures.push(format!(
+                    "REGRESSION hierarchy build: {distinct_maps} distinct maps at {} machines \
+                     (limit {MAX_DISTINCT_MAPS})",
+                    size.machines()
+                ));
+            }
+        }
         if !deterministic {
             failures.push("REGRESSION sharding determinism: 1/2/8-worker runs differ".to_string());
         }
@@ -429,6 +501,14 @@ fn main() {
             sos = serial_s / sharded_s,
         ));
     }
+    let mut build_rows = String::new();
+    for (size, (build_s, distinct_maps)) in sizes.iter().zip(&builds) {
+        build_rows.push_str(&format!(
+            "    \"build_s_{machines}\": {build_s:.3},\n    \
+             \"distinct_maps_{machines}\": {distinct_maps},\n",
+            machines = size.machines(),
+        ));
+    }
     let json = format!(
         "{{\n  {runner},\n  \"timing\": \"median of 3 runs per arm\",\n  \
          \"traffic\": \"{traffic}\",\n  \
@@ -441,6 +521,9 @@ fn main() {
          \"wc98_replay\": {{\n    \"machines\": {wm},\n    \"windows\": {ww},\n    \
          \"arrivals\": {wa},\n    \"dropped\": {wd},\n    \
          \"sim_s_per_wall_s\": {wr:.0}\n  }},\n  \
+         \"hierarchy_build\": {{\n    \"scenario\": \"paper_cluster_16 knobs over cluster_of(p), \
+         default learning resolution, dense maps\",\n{build_rows}    \
+         \"largest_over_smallest\": {build_ratio:.3}\n  }},\n  \
          \"determinism\": \"{det}\"\n}}\n",
         runner = runner_json(threads),
         traffic = if trace_mode {

@@ -10,6 +10,7 @@ use crate::retrain::{
 use crate::{L0Config, L0Controller, ScenarioConfig};
 use llc_core::OnlineConfig;
 use llc_sim::{PowerState, WindowStats};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -223,6 +224,18 @@ impl FaultTolerance {
     }
 }
 
+/// What makes two members the same *kind* of machine to the offline
+/// learners: the bit patterns of `speed`, `c_prior` and every scaling
+/// factor. Equal keys give bit-equal abstraction maps (the L0 config,
+/// grid resolution and substrate are build-wide).
+fn spec_bits(spec: &MemberSpec) -> Vec<u64> {
+    [spec.speed, spec.c_prior]
+        .iter()
+        .chain(&spec.phis)
+        .map(|x| x.to_bits())
+        .collect()
+}
+
 /// Replace the freshly rebuilt map of every member flagged `keep_old`
 /// with its currently installed map: a member that died between the
 /// rebuild trigger and the swap fed the job telemetry poisoned by its
@@ -302,9 +315,12 @@ pub struct HierarchicalPolicy {
 
 impl HierarchicalPolicy {
     /// Build the full hierarchy for a scenario, running the offline
-    /// learning passes (L0-model replay for every abstraction map; module
-    /// simulation for every regression tree when more than one module
-    /// exists).
+    /// learning passes: one L0-model replay per *distinct* member spec
+    /// and, when more than one module exists, one module simulation per
+    /// distinct ordered composition. Both learners are pure functions of
+    /// their inputs, so members of one kind share a single abstraction
+    /// map and modules of one composition a single regression tree —
+    /// set-up scales with the kinds of machine, not their count.
     pub fn build(scenario: &ScenarioConfig) -> Self {
         let specs = scenario.member_specs();
         let mut l0s = Vec::new();
@@ -314,12 +330,28 @@ impl HierarchicalPolicy {
         let mut module_models = Vec::new();
         let mut next_index = 0usize;
 
-        // Learn every member's abstraction map in one fan-out across all
-        // modules — each map is an independent offline grid. The maps are
-        // then *shared* (Arc) between the module cost-model learning and
-        // the L1 controllers instead of deep-cloned per consumer.
-        let flat_specs: Vec<&MemberSpec> = specs.iter().flatten().collect();
-        let flat_maps: Vec<Arc<AbstractionMap>> = llc_par::par_map(&flat_specs, |m| {
+        // Number the distinct member specs in first-seen order and learn
+        // one map per kind in one fan-out — each map is an independent
+        // offline grid. The maps are *shared* (Arc) between every member
+        // of the kind, the module cost-model learning and the L1
+        // controllers; a map written online is copied on its first write.
+        let mut kind_ids: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut kind_specs: Vec<&MemberSpec> = Vec::new();
+        let kinds: Vec<Vec<usize>> = specs
+            .iter()
+            .map(|module| {
+                module
+                    .iter()
+                    .map(|m| {
+                        *kind_ids.entry(spec_bits(m)).or_insert_with(|| {
+                            kind_specs.push(m);
+                            kind_specs.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let kind_maps: Vec<Arc<AbstractionMap>> = llc_par::par_map(&kind_specs, |m| {
             Arc::new(AbstractionMap::learn_for_member(
                 &scenario.l0,
                 m,
@@ -327,25 +359,33 @@ impl HierarchicalPolicy {
                 scenario.map_backend,
             ))
         });
-        let mut flat_maps = flat_maps.into_iter();
+        // One learned model per ordered composition (the kinds of a
+        // module's members, in member order); each module gets its own
+        // copy, which shares the tree and owns its online residual.
+        let mut composition_models: HashMap<&[usize], ModuleCostModel> = HashMap::new();
 
-        for module_specs in &specs {
-            let maps: Vec<Arc<AbstractionMap>> = module_specs
+        for (module_specs, module_kinds) in specs.iter().zip(&kinds) {
+            let maps: Vec<Arc<AbstractionMap>> = module_kinds
                 .iter()
-                .map(|_| flat_maps.next().expect("one learned map per member"))
+                .map(|&k| Arc::clone(&kind_maps[k]))
                 .collect();
 
             if specs.len() > 1 {
-                // Offered-load ceiling for the module tree: the sum of
-                // member peak rates with some overload headroom.
-                let capacity: f64 = module_specs.iter().map(|m| m.speed / m.c_prior).sum();
-                module_models.push(ModuleCostModel::learn(
-                    &scenario.l1,
-                    module_specs,
-                    &maps,
-                    capacity * 1.3,
-                    scenario.module_learn,
-                ));
+                let model = composition_models
+                    .entry(module_kinds.as_slice())
+                    .or_insert_with(|| {
+                        // Offered-load ceiling for the module tree: the sum
+                        // of member peak rates with some overload headroom.
+                        let capacity: f64 = module_specs.iter().map(|m| m.speed / m.c_prior).sum();
+                        ModuleCostModel::learn(
+                            &scenario.l1,
+                            module_specs,
+                            &maps,
+                            capacity * 1.3,
+                            scenario.module_learn,
+                        )
+                    });
+                module_models.push(model.clone());
             }
 
             let indices: Vec<usize> = (next_index..next_index + module_specs.len()).collect();

@@ -689,9 +689,10 @@ fn effective_c(member: &MemberSpec, filter: &Ewma, scale: f64) -> f64 {
 pub struct L1Controller {
     config: L1Config,
     members: Vec<MemberSpec>,
-    /// Shared (not cloned) per-member abstraction maps: offline module
-    /// learning replays thousands of short-lived `L1Controller`s over the
-    /// same maps, so construction must not deep-copy the tables.
+    /// Shared (not cloned) per-member abstraction maps: members of one
+    /// kind may hold the same map, and offline module learning replays
+    /// thousands of short-lived `L1Controller`s over the same maps, so
+    /// construction must not deep-copy the tables.
     maps: Vec<Arc<AbstractionMap>>,
     lambda_forecast: LocalLinearTrend,
     band: UncertaintyBand,
@@ -845,10 +846,11 @@ impl L1Controller {
     /// at the steady-state rate. One call is one learning pass: the
     /// staleness sweep runs after it on the configured cadence.
     ///
-    /// The maps are `Arc`-shared; a map still shared with another owner
-    /// (offline learning in flight) is copied once on first update and
-    /// diverges from there — in the steady running hierarchy each L1 is
-    /// the sole owner and the update is in-place.
+    /// The maps are `Arc`-shared — [`crate::HierarchicalPolicy::build`]
+    /// hands every member of one kind the same map. A map still shared
+    /// with another owner is copied once, on its first update, and
+    /// diverges from there; from then on the member is the sole owner and
+    /// updates are in place. Members that never learn keep sharing.
     ///
     /// # Panics
     ///

@@ -26,7 +26,11 @@ use std::sync::Arc;
 /// queue ceiling with a slope measured from the training data.
 #[derive(Debug, Clone)]
 pub struct ModuleCostModel {
-    tree: RegressionTree,
+    /// The offline surface, immutable after [`ModuleCostModel::learn`] and
+    /// therefore shared: cloning a model copies the handle, so every
+    /// module of one composition reads the same tree while owning its own
+    /// `residual`.
+    tree: Arc<RegressionTree>,
     /// Upper edge of the trained queue grid.
     q_hi: f64,
     /// Marginal cost per queued request past `q_hi`, measured from the
@@ -250,7 +254,7 @@ impl ModuleCostModel {
         // marginal slope.
         let overload_arrival_cost = overload_slope * l1_config.period / members.len() as f64;
         ModuleCostModel {
-            tree,
+            tree: Arc::new(tree),
             q_hi,
             overload_slope,
             overload_arrival_cost,
@@ -1070,6 +1074,101 @@ mod tests {
     }
 
     use llc_core::OnlineConfig;
+
+    /// The L2 of a ten-module `cluster_of` build (two modules of each of
+    /// the five compositions), coarse learning.
+    fn built_l2() -> (crate::ScenarioConfig, L2Controller) {
+        let mut scenario = crate::paper_cluster_16().with_coarse_learning();
+        scenario.modules = crate::cluster_of(10);
+        let policy = crate::HierarchicalPolicy::build(&scenario);
+        let l2 = policy.l2().expect("ten modules have an L2").clone();
+        (scenario, l2)
+    }
+
+    /// `(λ, c_factor, q̄, active)` over and past the trained box.
+    fn prediction_sweep() -> Vec<(f64, f64, f64, usize)> {
+        let mut sweep = Vec::new();
+        for l in 0..=12 {
+            for c in [0.7, 1.0, 1.4] {
+                for q in [0.0, 40.0, 100.0, 160.0] {
+                    for active in 1..=4 {
+                        sweep.push((l as f64 * 40.0, c, q, active));
+                    }
+                }
+            }
+        }
+        sweep
+    }
+
+    fn predictions(model: &ModuleCostModel) -> Vec<u64> {
+        prediction_sweep()
+            .into_iter()
+            .map(|(l, c, q, a)| model.predict(l, c, q, a).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn build_learns_one_tree_per_composition_and_shares_it() {
+        let (scenario, l2) = built_l2();
+        let tree = |i: usize| Arc::as_ptr(&l2.models[i].tree);
+        for i in 0..5 {
+            assert_eq!(tree(i), tree(i + 5), "modules {i} and {} share", i + 5);
+            assert_eq!(predictions(&l2.models[i]), predictions(&l2.models[i + 5]));
+        }
+        assert_ne!(tree(0), tree(1), "different compositions, different trees");
+        let mut trees: Vec<_> = (0..10).map(tree).collect();
+        trees.sort();
+        trees.dedup();
+        assert_eq!(trees.len(), 5);
+
+        // The shared model is the model module 5 would have learned alone.
+        let specs = scenario.member_specs().swap_remove(5);
+        let maps: Vec<Arc<AbstractionMap>> = specs
+            .iter()
+            .map(|m| {
+                Arc::new(AbstractionMap::learn_for_member(
+                    &scenario.l0,
+                    m,
+                    scenario.learn,
+                    scenario.map_backend,
+                ))
+            })
+            .collect();
+        let capacity: f64 = specs.iter().map(|m| m.speed / m.c_prior).sum();
+        let solo = ModuleCostModel::learn(
+            &scenario.l1,
+            &specs,
+            &maps,
+            capacity * 1.3,
+            scenario.module_learn,
+        );
+        assert_eq!(predictions(&l2.models[5]), predictions(&solo));
+    }
+
+    #[test]
+    fn an_absorbed_outcome_stays_in_its_own_modules_residual() {
+        let (_, mut l2) = built_l2();
+        l2.enable_online(OnlineConfig::default());
+        let before_0 = predictions(&l2.models[0]);
+        let before_5 = predictions(&l2.models[5]);
+        assert_eq!(before_0, before_5);
+        let state = ModuleState {
+            c_factor: 1.0,
+            queue_mean: 5.0,
+            active: 3,
+        };
+        let realized = l2.models[0].predict(120.0, 1.0, 5.0, 3) + 25.0;
+        for _ in 0..20 {
+            assert_eq!(l2.absorb_outcomes(&[(0, 120.0, state, realized)]), 1);
+        }
+        assert_ne!(predictions(&l2.models[0]), before_0, "module 0 learned");
+        assert_eq!(predictions(&l2.models[5]), before_5, "module 5 did not");
+        assert_eq!(
+            Arc::as_ptr(&l2.models[0].tree),
+            Arc::as_ptr(&l2.models[5].tree),
+            "the offline tree is never written, so it stays shared"
+        );
+    }
 
     #[test]
     fn forecast_history_tracks_pairs() {

@@ -9,10 +9,11 @@ use llc_workload::{wc98_like_fig6, VirtualStore};
 
 fn main() {
     // Full-fidelity offline learning: the coarse test grids are too crude
-    // for good L2 splits. Expect ~30-60 s of learning before the run.
+    // for good L2 splits. One map per machine profile and one tree per
+    // module composition: about half a second before the run.
     let scenario = paper_cluster_16();
     println!(
-        "building hierarchy for {} computers in {} modules (offline learning, ~1 min) ...",
+        "building hierarchy for {} computers in {} modules (offline learning, under a second) ...",
         scenario.num_computers(),
         scenario.num_modules()
     );
