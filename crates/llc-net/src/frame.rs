@@ -177,13 +177,33 @@ impl std::error::Error for WireError {}
 /// Encode `frame` to wire bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(frame.version);
-    out.push(frame.kind.as_u8());
-    out.extend_from_slice(&frame.seq.to_le_bytes());
-    out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame.payload);
+    encode_frame_into(
+        &mut out,
+        frame.version,
+        frame.kind,
+        frame.seq,
+        &frame.payload,
+    );
     out
+}
+
+/// Append one frame's wire bytes to `out` — what [`encode_frame`] returns,
+/// without the `Frame` or a buffer of its own, so a transport can lay a
+/// window's frames end to end in one write buffer.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    version: u8,
+    kind: FrameKind,
+    seq: u32,
+    payload: &[u8],
+) {
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(version);
+    out.push(kind.as_u8());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Decode one frame from the front of `buf`, returning the frame and

@@ -10,14 +10,17 @@
 
 use llc_cluster::{Directive, Experiment, HierarchicalPolicy};
 use llc_net::scenario::{Family, RunSpec};
-use llc_net::{run_agent, serve_controller, AgentCore, ControldCore, FrameTransport, TcpLink};
+use llc_net::{
+    run_agent, serve_controller, AgentCore, ControldCore, FrameTransport, LinkCounters, TcpLink,
+};
 use llc_workload::Trace;
 use std::net::TcpListener;
 
 /// Run the distributed loop — controller serving on an OS-assigned
 /// loopback port, agent connecting from a second thread — in lockstep,
 /// and return (controller directives log, agent applied directives,
-/// final policy, agent wedged events, controller metrics).
+/// final policy, agent wedged events, controller metrics, the agent's
+/// and the controller's link counters).
 fn run_distributed(
     spec: &RunSpec,
     exp: &Experiment,
@@ -28,6 +31,7 @@ fn run_distributed(
     HierarchicalPolicy,
     u64,
     llc_cluster::MetricsSnapshot,
+    [LinkCounters; 2],
 ) {
     let ticks_trace = trace.rebucket(exp.t_l0).expect("well-formed trace");
     let total_ticks = ticks_trace.len() as u64;
@@ -50,7 +54,11 @@ fn run_distributed(
         let stream = std::net::TcpStream::connect(addr).expect("controller is listening");
         let mut link = TcpLink::new(stream).expect("link");
         run_agent(&mut core, &mut link, None).expect("lossless lockstep session");
-        (core.applied_directives().to_vec(), core.wedged_events())
+        (
+            core.applied_directives().to_vec(),
+            core.wedged_events(),
+            link.counters(),
+        )
     });
 
     let members: Vec<Vec<usize>> = {
@@ -73,10 +81,17 @@ fn run_distributed(
     let mut link = TcpLink::new(stream).expect("link");
     serve_controller(&mut core, &mut link, None).expect("lossless lockstep session");
 
-    let (applied, wedged) = agent.join().expect("agent finished cleanly");
+    let (applied, wedged, agent_link) = agent.join().expect("agent finished cleanly");
     let metrics = core.metrics(&link.counters());
     let directives = core.directives_log().to_vec();
-    (directives, applied, core.into_policy(), wedged, metrics)
+    (
+        directives,
+        applied,
+        core.into_policy(),
+        wedged,
+        metrics,
+        [agent_link, link.counters()],
+    )
 }
 
 /// In-process reference: the canonical `Experiment::run`.
@@ -103,7 +118,8 @@ fn assert_golden(family: Family) {
     let (exp, trace) = spec.experiment_and_trace();
 
     let (reference, ref_policy) = run_in_process(&spec, &exp, &trace);
-    let (networked, applied, net_policy, wedged, metrics) = run_distributed(&spec, &exp, &trace);
+    let (networked, applied, net_policy, wedged, metrics, [agent_link, controller_link]) =
+        run_distributed(&spec, &exp, &trace);
 
     assert_eq!(
         reference.len(),
@@ -137,6 +153,27 @@ fn assert_golden(family: Family) {
     assert!(t.bytes_in > 0 && t.bytes_out > 0);
     assert_eq!(wedged, 0, "no stuck actuators in these schedules");
     assert!(!reference.is_empty());
+
+    // The link moves a window in one write: per side, one per tick plus
+    // the handshake (and the controller's closing metrics) — while every
+    // frame is still sent and counted one by one.
+    let ticks = metrics.ticks_decided;
+    let modules = spec.scenario_config().member_specs().len() as u64;
+    assert_eq!(agent_link.frames_out, 1 + ticks * (modules + 1));
+    assert_eq!(
+        controller_link.frames_out,
+        1 + networked.len() as u64 + ticks + 1
+    );
+    assert_eq!(agent_link.frames_in, controller_link.frames_out);
+    assert_eq!(controller_link.frames_in, agent_link.frames_out);
+    for (side, link) in [("agent", agent_link), ("controller", controller_link)] {
+        assert!(
+            (ticks..=ticks + 2).contains(&link.writes_out),
+            "{side}: {} writes for {ticks} ticks ({} frames)",
+            link.writes_out,
+            link.frames_out
+        );
+    }
 }
 
 #[test]
