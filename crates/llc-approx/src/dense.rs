@@ -287,129 +287,6 @@ impl<V> DenseGrid<V> {
     }
 }
 
-impl<V> DenseGrid<V> {
-    /// Project one scalar field of every cell into a [`DenseSlab`]: a
-    /// struct-of-arrays view sharing this grid's exact quantization and
-    /// slot layout, so `slab.get_clamped(p) == f(grid.get_clamped(p))`
-    /// bit for bit on every query. Batch consumers (the L1 γ-lane
-    /// evaluation) use the split base/axis indexing to sweep one axis of
-    /// the slab with the other axes' slot arithmetic hoisted out of the
-    /// loop.
-    pub fn project(&self, f: impl Fn(&V) -> f64) -> DenseSlab {
-        DenseSlab {
-            dims: self
-                .dims
-                .iter()
-                .map(|d| SlabDim {
-                    quant: d.quant,
-                    cell_min: d.cell_min,
-                    slot_of_cell: d.slot_of_cell.clone(),
-                    stride: d.stride,
-                })
-                .collect(),
-            values: self.values.iter().map(f).collect(),
-        }
-    }
-}
-
-/// One axis of a [`DenseSlab`]: the quantization and cell-to-slot
-/// metadata of the source grid's axis (see `DenseDim`), without the
-/// per-slot cell list the slab never needs.
-#[derive(Debug, Clone)]
-struct SlabDim {
-    quant: Quantizer,
-    cell_min: i64,
-    slot_of_cell: Vec<u32>,
-    stride: usize,
-}
-
-/// A flat `f64` slab projected from one field of a [`DenseGrid`]
-/// (see [`DenseGrid::project`]): same dimensions, same clamp-and-stride
-/// indexing, contiguous scalar storage.
-///
-/// The point of the projection is *lane* access: a sweep that varies one
-/// coordinate while the others stay fixed computes the fixed axes' slot
-/// contribution once ([`DenseSlab::fixed_base`]) and then walks the
-/// varying axis with a single quantize-clamp-add per step
-/// ([`DenseSlab::axis_offset`]) over memory that holds nothing but the
-/// field being summed — the auto-vectorizable shape the full
-/// struct-of-`GEntry` grid cannot offer.
-#[derive(Debug, Clone)]
-pub struct DenseSlab {
-    dims: Vec<SlabDim>,
-    values: Vec<f64>,
-}
-
-impl DenseSlab {
-    /// Number of key dimensions.
-    pub fn num_dims(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Number of stored cells.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if the slab holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The flat-index contribution of coordinate `v` along `axis`
-    /// (clamped into the trained range), i.e. `slot(v) · stride(axis)`.
-    #[inline]
-    pub fn axis_offset(&self, axis: usize, v: f64) -> usize {
-        let dim = &self.dims[axis];
-        let cell = dim.quant.cell(v);
-        let offset = (cell - dim.cell_min).clamp(0, dim.slot_of_cell.len() as i64 - 1);
-        dim.slot_of_cell[offset as usize] as usize * dim.stride
-    }
-
-    /// Sum of the flat-index contributions of every axis *except* `vary`
-    /// at `point` — the loop-invariant part of a lane sweep along axis
-    /// `vary` (whose coordinate in `point` is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics on key dimension mismatch.
-    #[inline]
-    pub fn fixed_base(&self, point: &[f64], vary: usize) -> usize {
-        assert_eq!(point.len(), self.dims.len(), "key dimension mismatch");
-        point
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != vary)
-            .map(|(d, &v)| self.axis_offset(d, v))
-            .sum()
-    }
-
-    /// The stored value at flat index `idx` (as composed from
-    /// [`DenseSlab::fixed_base`] + [`DenseSlab::axis_offset`]).
-    #[inline]
-    pub fn value(&self, idx: usize) -> f64 {
-        self.values[idx]
-    }
-
-    /// The value for `point`, clamped into the trained box — identical
-    /// to the source grid's [`DenseGrid::get_clamped`] on the projected
-    /// field.
-    ///
-    /// # Panics
-    ///
-    /// Panics on key dimension mismatch.
-    #[inline]
-    pub fn get_clamped(&self, point: &[f64]) -> f64 {
-        assert_eq!(point.len(), self.dims.len(), "key dimension mismatch");
-        let idx: usize = point
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| self.axis_offset(d, v))
-            .sum();
-        self.values[idx]
-    }
-}
-
 impl<V> CostMap<V> for DenseGrid<V> {
     fn num_dims(&self) -> usize {
         DenseGrid::num_dims(self)
@@ -581,29 +458,6 @@ mod tests {
         assert_eq!(w, 0.0, "out-of-box outcomes must not corrupt edge cells");
         assert_eq!(*grid.get_clamped(&[100.0, 99.0]), edge_before);
         assert_eq!(CostMap::confidence(&grid, &[100.0, 99.0]), 0.0);
-    }
-
-    #[test]
-    fn slab_projection_matches_grid_field() {
-        let (sampler, grid) = grid_2d();
-        let slab = grid.project(|v| *v);
-        assert_eq!(slab.len(), grid.len());
-        assert_eq!(slab.num_dims(), 2);
-        assert!(!slab.is_empty());
-        for p in sampler.points() {
-            assert_eq!(slab.get_clamped(&p), *grid.get_clamped(&p));
-        }
-        // Clamped (out-of-box) queries agree too.
-        for q in [[-5.0, 1.0], [100.0, -5.0], [2.3, 99.0]] {
-            assert_eq!(slab.get_clamped(&q), *grid.get_clamped(&q));
-        }
-        // Lane indexing: fixed base + varying-axis offset reproduces the
-        // full clamped lookup along dimension 0.
-        let base = slab.fixed_base(&[0.0, 20.0], 0);
-        for x in [0.0, 1.0, 2.0, 3.9, 50.0] {
-            let idx = base + slab.axis_offset(0, x);
-            assert_eq!(slab.value(idx), slab.get_clamped(&[x, 20.0]));
-        }
     }
 
     #[test]

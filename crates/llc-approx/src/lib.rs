@@ -52,7 +52,7 @@ mod regtree;
 mod simplex;
 mod table;
 
-pub use dense::{CostMap, DenseGrid, DenseSlab};
+pub use dense::{CostMap, DenseGrid};
 pub use learn::{train_dense, train_table, GridSampler};
 pub use online::{Blend, BlendConfig, BlendSchedule};
 pub use quantize::Quantizer;

@@ -277,6 +277,17 @@ pub enum IngestError {
         /// The first tick not accepted yet.
         horizon_end: u64,
     },
+    /// A member's window carries a `response_sum`, `demand_sum` or
+    /// `energy` that is NaN, infinite or negative. These feed the cost
+    /// the online learners blend into the abstraction maps, where one
+    /// NaN would stay for good; the observation is refused whole and the
+    /// module dark-filled for the tick.
+    NonFinite {
+        /// The module reported for.
+        module: usize,
+        /// The member position whose window is unusable.
+        member: usize,
+    },
 }
 
 /// How far ahead of the next undecided tick the ingest surface buffers.
@@ -310,6 +321,10 @@ impl std::fmt::Display for IngestError {
                 "observation for tick {tick} is beyond the ingest horizon \
                  (ticks before {horizon_end} are accepted)"
             ),
+            IngestError::NonFinite { module, member } => write!(
+                f,
+                "non-finite or negative window sums for member {member} of module {module}"
+            ),
         }
     }
 }
@@ -341,9 +356,9 @@ pub trait ObservationIngest {
     ///
     /// # Errors
     ///
-    /// Refuses observations naming unknown modules/members,
-    /// observations for already-decided ticks, and observations beyond
-    /// the ingest horizon (see [`IngestError`]).
+    /// Refuses observations naming unknown modules/members or carrying
+    /// non-finite window sums, observations for already-decided ticks,
+    /// and observations beyond the ingest horizon (see [`IngestError`]).
     fn ingest(&mut self, observation: ModuleObservation) -> Result<(), IngestError>;
 }
 
@@ -914,6 +929,17 @@ impl<P: ClusterPolicy> ObservationIngest for ControlPlane<P> {
                 module: m,
                 member: bad.member,
                 members: module_len,
+            });
+        }
+        let usable = |x: f64| x.is_finite() && x >= 0.0;
+        if let Some(bad) = observation.members.iter().find(|t| {
+            !(usable(t.window.response_sum)
+                && usable(t.window.demand_sum)
+                && usable(t.window.energy))
+        }) {
+            return Err(IngestError::NonFinite {
+                module: m,
+                member: bad.member,
             });
         }
         if observation.tick < self.next_tick {

@@ -1,5 +1,5 @@
 use llc_core::{
-    Error as LlcError, Forecast, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
+    Error as LlcError, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
@@ -216,7 +216,7 @@ pub struct L0Controller {
     /// The lookahead's environment forecast and search buffers, kept
     /// and rewritten in place: a machine decides every `T_L0`, and a
     /// cluster is many machines.
-    forecast: Forecast<L0Env>,
+    forecast: Vec<L0Env>,
     scratch: SearchScratch<usize>,
     /// Online delivered-capacity estimator (the drift-aware L0; inert
     /// unless `config.scale.enabled`).
@@ -251,13 +251,13 @@ impl L0Controller {
             controller,
             lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
             c_filter: Ewma::paper_default(),
-            forecast: Forecast::from_nominal(vec![
+            forecast: vec![
                 L0Env {
                     lambda: 0.0,
                     c: 0.0
                 };
                 config.horizon
-            ]),
+            ],
             scratch: SearchScratch::default(),
             scale: ServiceScaleEstimator::new(config.scale),
             config,
@@ -337,16 +337,15 @@ impl L0Controller {
     /// table and the internally built forecast).
     pub fn decide(&mut self, queue_len: usize) -> Result<L0Decision, LlcError> {
         let c = self.c_estimate();
-        for (step, lambda) in self
+        for (env, lambda) in self
             .forecast
-            .steps_mut()
             .iter_mut()
             .zip(self.lambda_forecast.predictions())
         {
-            step.set_certain(L0Env {
+            *env = L0Env {
                 lambda: lambda.max(0.0),
                 c,
-            });
+            };
         }
         let plant = L0Plant::new(
             &self.config,
@@ -404,7 +403,7 @@ impl L0Controller {
         let controller =
             LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
         let env = L0Env { lambda, c };
-        let forecast = Forecast::from_nominal(vec![env; config.horizon]);
+        let forecast = vec![env; config.horizon];
         let mut scratch = SearchScratch::default();
         let mut q = q0;
         let mut total = 0.0;

@@ -1,8 +1,8 @@
 use crate::learner::OnlineLearner;
 use crate::{L0Config, L0Controller};
 use llc_approx::{
-    train_dense, train_table, Blend, BlendConfig, CostMap, DenseGrid, DenseSlab, GridSampler,
-    LookupTable, SimplexGrid,
+    train_dense, train_table, Blend, BlendConfig, CostMap, DenseGrid, GridSampler, LookupTable,
+    SimplexGrid,
 };
 use llc_core::{LearnRate, OnlineConfig, UncertaintyBand};
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
@@ -126,16 +126,6 @@ pub struct AbstractionMap {
     /// it (the maps are `Arc`-shared). Keyed by exact bit patterns:
     /// cached answers are bit-identical to fresh replays.
     replay_cache: Mutex<HashMap<(u64, u64, u64), GEntry>>,
-    /// Bumped whenever a table cell's *value* may have changed (online
-    /// blends, reseeds) — the cost-slab cache below keys on it.
-    version: u64,
-    /// Lazily built struct-of-arrays projection of the dense table's
-    /// `cost` field (see [`DenseSlab`]), tagged with the `version` it was
-    /// built at. The L1 γ search fills whole cost lanes from this —
-    /// contiguous `f64` reads instead of per-probe strided [`GEntry`]
-    /// lookups. `None` cache or a stale tag rebuilds on demand; the hash
-    /// substrate never populates it.
-    cost_slab: Mutex<Option<(u64, Arc<DenseSlab>)>>,
 }
 
 impl Clone for AbstractionMap {
@@ -147,11 +137,9 @@ impl Clone for AbstractionMap {
             steps_per_period: self.steps_per_period,
             l0: self.l0,
             phis: self.phis.clone(),
-            // Fresh caches: cheaper to refill than to deep-copy, and
-            // semantically invisible (pure derivations of the table).
+            // A fresh cache: cheaper to refill than to deep-copy, and
+            // semantically invisible (a pure function of the key).
             replay_cache: Mutex::new(HashMap::new()),
-            version: self.version,
-            cost_slab: Mutex::new(None),
         }
     }
 }
@@ -273,8 +261,6 @@ impl AbstractionMap {
             l0: *l0,
             phis: phis.to_vec(),
             replay_cache: Mutex::new(HashMap::new()),
-            version: 0,
-            cost_slab: Mutex::new(None),
         }
     }
 
@@ -299,15 +285,6 @@ impl AbstractionMap {
     /// `true` if the map holds no cells.
     pub fn is_empty(&self) -> bool {
         self.table.len() == 0
-    }
-
-    /// `true` when `(λ, q₀)` falls inside the trained grid, i.e. a
-    /// [`AbstractionMap::query`] will be a pure table probe rather than an
-    /// analytic-model replay. Callers use this to decide what is worth
-    /// memoizing: table probes are O(1), replays are not.
-    #[inline]
-    pub fn in_table(&self, lambda: f64, q0: f64) -> bool {
-        lambda.max(0.0) <= self.lambda_max && q0.max(0.0) <= self.q_max
     }
 
     /// Approximate cost/next-queue for `(λ, ĉ, q₀)`.
@@ -409,18 +386,13 @@ impl AbstractionMap {
     ) -> f64 {
         let lambda = lambda.max(0.0);
         let q0 = q0.max(0.0);
-        let w = self.table.update(&[lambda, c, q0], &outcome, blend);
-        if w > 0.0 {
-            self.version += 1;
-        }
-        w
+        self.table.update(&[lambda, c, q0], &outcome, blend)
     }
 
     /// Staleness sweep: shrink every cell's online confidence by
     /// `factor`, so cells the traffic left behind re-adapt quickly when
     /// it returns. Batched over `llc-par` on the dense substrate.
-    /// Confidence is metadata — cell *values* are untouched, so the
-    /// cost-slab cache stays valid.
+    /// Confidence is metadata — cell *values* are untouched.
     pub fn decay_confidence(&mut self, factor: f64) {
         self.table.decay_confidence(factor);
     }
@@ -453,9 +425,6 @@ impl AbstractionMap {
                     applied += 1;
                 }
             });
-        if applied > 0 {
-            self.version += 1;
-        }
         applied
     }
 
@@ -478,28 +447,6 @@ impl AbstractionMap {
 
     /// Cap on the out-of-grid replay memo (~3 MB of entries).
     const REPLAY_CACHE_CAP: usize = 65_536;
-
-    /// The struct-of-arrays projection of the dense table's `cost` field,
-    /// rebuilt lazily whenever an online blend or reseed has touched cell
-    /// values since the last build (`None` on the hash substrate). Values
-    /// read through the slab are bit-identical to
-    /// [`AbstractionMap::query`]'s in-grid probes — same per-axis
-    /// clamp-and-stride indexing, same stored `f64`s.
-    pub fn cost_slab(&self) -> Option<Arc<DenseSlab>> {
-        let grid = match &self.table {
-            GTable::Dense(grid) => grid,
-            GTable::Hash(_) => return None,
-        };
-        let mut cached = self.cost_slab.lock().expect("slab lock");
-        if let Some((version, slab)) = cached.as_ref() {
-            if *version == self.version {
-                return Some(Arc::clone(slab));
-            }
-        }
-        let slab = Arc::new(grid.project(|e| e.cost));
-        *cached = Some((self.version, Arc::clone(&slab)));
-        Some(slab)
-    }
 
     /// Upper edge of the trained arrival-rate grid (req/s).
     pub fn trained_lambda_max(&self) -> f64 {
@@ -633,13 +580,13 @@ impl MemberSpec {
 #[derive(Debug, Clone, Default)]
 struct DecideScratch {
     /// γ cost lanes: `lanes[(j·3 + s)·(levels+1) + u]` is the map cost
-    /// of routing `u` γ quanta to member `j` under band sample `s` —
-    /// filled lazily, one (member, unit) column at a time as the
-    /// hill-climbs actually visit it, then read by every candidate's
-    /// evaluation as three flat loads per active member. Kept
-    /// per-sample (not pre-summed across the band) so the evaluator
-    /// can reproduce the scalar objective's summation order bit for
-    /// bit.
+    /// ([`AbstractionMap::query`]) of routing `u` γ quanta to member `j`
+    /// under band sample `s` — filled lazily, one (member, unit) column
+    /// at a time as the hill-climbs actually visit it, then read by
+    /// every candidate's evaluation as three flat loads per active
+    /// member. Kept per-sample (not pre-summed across the band) so the
+    /// evaluator can reproduce the scalar objective's summation order
+    /// bit for bit.
     lanes: Vec<f64>,
     /// Which `(member, unit)` lane columns are filled this decision.
     lane_filled: Vec<bool>,
@@ -776,7 +723,7 @@ impl L1Controller {
             members,
             maps,
             lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
-            band: UncertaintyBand::new(0.25).with_floor(0.0),
+            band: UncertaintyBand::new(0.25),
             c_filters,
             member_scales: vec![1.0; m],
             prev_alpha: vec![false; m],
@@ -1352,24 +1299,13 @@ impl L1Controller {
                     let u = units[pos] as usize;
                     if !lane_filled[j * lane_w + u] {
                         // First visit of this (member, unit) column this
-                        // decision: probe the whole band. In-grid samples
-                        // stream off the dense cost slab (identical values
-                        // to scalar queries); out-of-grid samples are
-                        // scalar queries.
+                        // decision: probe the whole band.
                         lane_filled[j * lane_w + u] = true;
                         let q_j = queues[j] as f64;
-                        let c_j = cs[j];
-                        let map = &maps[j];
-                        let slab = map.cost_slab();
                         for (s, &lambda_s) in samples.iter().enumerate() {
                             let lambda_j = u as f64 * quantum * lambda_s;
-                            lanes[(j * sample_count + s) * lane_w + u] = match slab.as_ref() {
-                                Some(slab) if map.in_table(lambda_j, q_j) => slab.value(
-                                    slab.fixed_base(&[0.0, c_j, q_j], 0)
-                                        + slab.axis_offset(0, lambda_j),
-                                ),
-                                _ => map.query(lambda_j, c_j, q_j).cost,
-                            };
+                            lanes[(j * sample_count + s) * lane_w + u] =
+                                maps[j].query(lambda_j, cs[j], q_j).cost;
                         }
                     }
                     let base = j * sample_count * lane_w + u;

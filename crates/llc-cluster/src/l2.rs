@@ -4,7 +4,6 @@ use llc_approx::SimplexGrid;
 use llc_approx::{BlendConfig, CostMap, DenseGrid, GridSampler, RegressionTree, TreeConfig};
 use llc_core::{BoundedSearch, OnlineConfig};
 use llc_forecast::{Forecaster, LocalLinearTrend};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The per-module cost approximation `J̃_i` used by the L2 controller.
@@ -427,40 +426,26 @@ pub struct L2Decision {
 /// even one, if none stands yet) instead.
 const MAX_ENUMERATED_SPLITS: usize = 100_000;
 
-/// Maximum quanta moved per re-split. A module's machine count needs a
-/// full L1 period (the boot dead time) to follow its load share, so
-/// wholesale re-splits outrun the plant; bounding each decision to a
-/// neighborhood of the current split keeps the cascade stable.
-const MAX_MOVE_QUANTA: usize = 1;
-
 /// Hysteresis: adopt a new split only if it beats the current one by this
 /// relative margin (tree predictions are noisy; a flapping split costs
 /// boot dead times downstream).
 const SWITCH_MARGIN: f64 = 0.1;
 
-/// Every grid point within `bound` single-quantum transfers of `prev`,
-/// `prev` first, then ring by ring in [`SimplexGrid::neighbors`] order —
-/// the order ties in the split search break by.
-fn neighborhood(grid: &SimplexGrid, prev: &[f64], bound: usize) -> Vec<Vec<f64>> {
+/// `prev`, then every grid point one single-quantum transfer away from
+/// it, in [`SimplexGrid::neighbors`] order — the order ties in the split
+/// search break by. One quantum per re-split, because a module's machine
+/// count needs a full L1 period (the boot dead time) to follow its load
+/// share: wholesale re-splits outrun the plant, and bounding each
+/// decision to the ring around the current split keeps the cascade
+/// stable. (Transfers between distinct module pairs from one point land
+/// on distinct points, none of them `prev`, so nothing is listed twice.)
+fn neighborhood(grid: &SimplexGrid, prev: &[f64]) -> Vec<Vec<f64>> {
     let q = grid.quantum();
     let start: Vec<i64> = prev.iter().map(|&x| (x / q).round() as i64).collect();
-    let mut seen: HashSet<Vec<i64>> = HashSet::from([start.clone()]);
     let mut all = vec![prev.to_vec()];
-    let mut frontier = vec![start];
-    let mut scratch = Vec::new();
-    for _ in 0..bound {
-        let mut next = Vec::new();
-        for point in &frontier {
-            grid.for_each_neighbor_units(point, &mut scratch, &mut |units| {
-                if !seen.contains(units) {
-                    seen.insert(units.to_vec());
-                    all.push(units.iter().map(|&u| u as f64 * q).collect());
-                    next.push(units.to_vec());
-                }
-            });
-        }
-        frontier = next;
-    }
+    grid.for_each_neighbor_units(&start, &mut Vec::new(), &mut |units| {
+        all.push(units.iter().map(|&u| u as f64 * q).collect());
+    });
     all
 }
 
@@ -703,18 +688,17 @@ impl L2Controller {
         self.last_prediction = Some(lambda_g);
 
         let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
-        // First decision: full enumeration. Afterwards: the bounded
-        // neighborhood of the previous split (up to `MAX_MOVE_QUANTA`
-        // single-quantum transfers), mirroring the L1's "limited
-        // neighborhood of [the current] state". A relaxed decision
-        // enumerates again — where the simplex can be enumerated.
+        // First decision: full enumeration. Afterwards: the previous
+        // split and its ring of single-quantum transfers, mirroring the
+        // L1's "limited neighborhood of [the current] state". A relaxed
+        // decision enumerates again — where the simplex can be enumerated.
         let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
         let candidates = match &self.prev_gamma {
-            Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev, MAX_MOVE_QUANTA),
+            Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev),
             // Unseeded and too large to enumerate: start from the even split.
             None if !enumerable => {
                 let even = grid.snap(&vec![1.0; self.models.len()]);
-                neighborhood(&grid, &even, MAX_MOVE_QUANTA)
+                neighborhood(&grid, &even)
             }
             _ => grid.enumerate(),
         };
@@ -954,29 +938,21 @@ mod tests {
 
     /// The neighborhood as it was first built: every neighbor checked
     /// against every accepted point, component by component.
-    fn scanned_neighborhood(grid: &SimplexGrid, prev: &[f64], bound: usize) -> Vec<Vec<f64>> {
-        let mut frontier = vec![prev.to_vec()];
+    fn scanned_neighborhood(grid: &SimplexGrid, prev: &[f64]) -> Vec<Vec<f64>> {
         let mut all = vec![prev.to_vec()];
-        for _ in 0..bound {
-            let mut next = Vec::new();
-            for point in &frontier {
-                for n in grid.neighbors(point) {
-                    if !all
-                        .iter()
-                        .any(|p: &Vec<f64>| p.iter().zip(&n).all(|(a, b)| (a - b).abs() < 1e-9))
-                    {
-                        all.push(n.clone());
-                        next.push(n);
-                    }
-                }
+        for n in grid.neighbors(prev) {
+            if !all
+                .iter()
+                .any(|p: &Vec<f64>| p.iter().zip(&n).all(|(a, b)| (a - b).abs() < 1e-9))
+            {
+                all.push(n);
             }
-            frontier = next;
         }
         all
     }
 
     #[test]
-    fn hashed_neighborhood_lists_the_scanned_candidates_in_order() {
+    fn neighborhood_is_the_scanned_ring_without_duplicates() {
         let bits = |all: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
             all.iter()
                 .map(|p| p.iter().map(|x| x.to_bits()).collect())
@@ -984,26 +960,22 @@ mod tests {
         };
         let mut corner = vec![0.0; 32];
         corner[..3].copy_from_slice(&[5.0, 3.0, 2.0]);
-        // Two rings around a 32-way even split are ~5·10⁵ points: more
-        // than the quadratic scan can list in a test.
-        for (quantum, weights, max_bound) in [
-            (0.1, vec![1.0, 2.0, 3.0, 4.0], 2),
-            (0.1, vec![4.0, 0.0, 1.0, 3.0, 2.0], 2),
-            (1.0 / 128.0, vec![1.0; 32], 1),
-            (0.1, corner, 2),
+        for (quantum, weights) in [
+            (0.1, vec![1.0, 2.0, 3.0, 4.0]),
+            (0.1, vec![4.0, 0.0, 1.0, 3.0, 2.0]),
+            (1.0 / 128.0, vec![1.0; 32]),
+            (0.1, corner),
         ] {
             let grid = SimplexGrid::with_quantum(weights.len(), quantum);
             let prev = grid.snap(&weights);
-            for bound in 1..=max_bound {
-                let hashed = neighborhood(&grid, &prev, bound);
-                assert!(hashed.len() > weights.len());
-                assert_eq!(
-                    bits(hashed),
-                    bits(scanned_neighborhood(&grid, &prev, bound)),
-                    "{} modules, {bound} quanta",
-                    weights.len()
-                );
-            }
+            let ring = neighborhood(&grid, &prev);
+            assert!(ring.len() > weights.len());
+            assert_eq!(
+                bits(ring),
+                bits(scanned_neighborhood(&grid, &prev)),
+                "{} modules",
+                weights.len()
+            );
         }
     }
 

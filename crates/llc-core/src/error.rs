@@ -15,8 +15,6 @@ pub enum Error {
         /// Steps actually present in the forecast.
         available: usize,
     },
-    /// A scenario set inside a forecast step carries no samples.
-    EmptyScenario,
     /// Bounded search was started with an empty candidate set.
     EmptyCandidateSet,
 }
@@ -33,7 +31,6 @@ impl fmt::Display for Error {
                 f,
                 "forecast provides {available} environment steps but the horizon needs {required}"
             ),
-            Error::EmptyScenario => write!(f, "environment scenario set is empty"),
             Error::EmptyCandidateSet => write!(f, "bounded search started with no candidates"),
         }
     }
@@ -54,7 +51,6 @@ mod tests {
                 required: 3,
                 available: 1,
             },
-            Error::EmptyScenario,
             Error::EmptyCandidateSet,
         ];
         for v in variants {

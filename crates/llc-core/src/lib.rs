@@ -14,18 +14,19 @@
 //!
 //! The crate is deliberately domain-agnostic: the controlled system is
 //! described by the [`Plant`] trait (dynamics, admissible inputs, cost),
-//! the environment forecast by [`EnvStep`] scenario sets (which also carry
-//! the paper's ±δ uncertainty band used for chattering mitigation), and
-//! search strategy by [`LookaheadController`] (exhaustive with
+//! the environment forecast by a slice with one `Plant::Env` per future
+//! step, and search strategy by [`LookaheadController`] (exhaustive with
 //! branch-and-bound pruning) or [`BoundedSearch`] (local neighborhood
-//! search for combinatorial input spaces).
+//! search for combinatorial input spaces). [`UncertaintyBand`] tracks the
+//! forecast-error half-width `δ`; the module controller that does the
+//! paper's `λ̂ ± δ` chattering mitigation builds its three samples from it.
 //!
 //! # Example
 //!
 //! A one-dimensional thermostat-like plant with three inputs:
 //!
 //! ```
-//! use llc_core::{Plant, LookaheadController, EnvStep, Forecast};
+//! use llc_core::{Plant, LookaheadController};
 //!
 //! struct Thermo;
 //! impl Plant for Thermo {
@@ -41,8 +42,7 @@
 //!
 //! # fn main() -> Result<(), llc_core::Error> {
 //! let controller = LookaheadController::new(3)?;
-//! let forecast = Forecast::from_nominal(vec![0.5, 0.5, 0.5]);
-//! let decision = controller.decide(&Thermo, &17.0, None, &forecast)?;
+//! let decision = controller.decide(&Thermo, &17.0, None, &[0.5, 0.5, 0.5])?;
 //! assert_eq!(decision.input, 1); // heat towards the set-point
 //! # Ok(())
 //! # }
@@ -66,7 +66,7 @@ pub use cost::{Norm, Penalty, SetPoint};
 pub use detect::{DetectorConfig, DriftDetector, LearnRate};
 pub use error::Error;
 pub use llc::{Decision, LookaheadController, SearchScratch, SearchStats};
-pub use model::{EnvStep, Forecast, Plant};
+pub use model::Plant;
 pub use online::OnlineConfig;
 pub use scale::{ScaleEstimatorConfig, ServiceScaleEstimator};
 pub use uncertainty::UncertaintyBand;

@@ -1,4 +1,4 @@
-use crate::{Error, Forecast, Plant};
+use crate::{Error, Plant};
 
 /// Statistics gathered during one lookahead decision.
 ///
@@ -80,11 +80,12 @@ impl<I> SearchScratch<I> {
 /// ```
 ///
 /// The tree of all admissible input sequences is expanded from the current
-/// state up to the horizon `N`; per-step costs are the *expected* cost over
-/// the forecast's scenario samples (chattering mitigation), while the
-/// trajectory advances along the nominal sample. Since all costs are
+/// state up to the horizon `N`, one `step` and one `cost` per node against
+/// the forecast's environment for that depth. Since all costs are
 /// non-negative, partial sums that already exceed the incumbent best are
-/// pruned.
+/// pruned. (The paper's three-sample `λ̂ ± δ` chattering mitigation belongs
+/// to the module controller, which averages its own samples; see
+/// [`UncertaintyBand`](crate::UncertaintyBand).)
 ///
 /// The worst-case number of explored states is `Σ_{q=1..N} |U|^q`, which the
 /// paper keeps small by construction (processors offer 6–10 frequencies,
@@ -115,14 +116,14 @@ impl LookaheadController {
     /// Compute the optimal first input from state `x0`.
     ///
     /// `prev_input` is the input applied during the previous sampling
-    /// period (for `‖Δu‖` switching penalties). The forecast must cover at
-    /// least `N` steps. This is [`LookaheadController::decide_with`] on a
-    /// fresh scratch.
+    /// period (for `‖Δu‖` switching penalties). `forecast[q]` is the
+    /// environment estimate `ω̂(k+q)` and must cover at least `N` steps.
+    /// This is [`LookaheadController::decide_with`] on a fresh scratch.
     ///
     /// # Errors
     ///
-    /// * [`Error::ForecastTooShort`] / [`Error::EmptyScenario`] if the
-    ///   forecast cannot cover the horizon;
+    /// * [`Error::ForecastTooShort`] if the forecast cannot cover the
+    ///   horizon;
     /// * [`Error::EmptyInputSet`] if the plant offers no admissible input
     ///   in `x0`.
     pub fn decide<P: Plant>(
@@ -130,7 +131,7 @@ impl LookaheadController {
         plant: &P,
         x0: &P::State,
         prev_input: Option<&P::Input>,
-        forecast: &Forecast<P::Env>,
+        forecast: &[P::Env],
     ) -> Result<Decision<P::Input>, Error> {
         let mut scratch = SearchScratch::default();
         let (cost, stats) = self.decide_with(plant, x0, prev_input, forecast, &mut scratch)?;
@@ -158,10 +159,15 @@ impl LookaheadController {
         plant: &P,
         x0: &P::State,
         prev_input: Option<&P::Input>,
-        forecast: &Forecast<P::Env>,
+        forecast: &[P::Env],
         scratch: &mut SearchScratch<P::Input>,
     ) -> Result<(f64, SearchStats), Error> {
-        forecast.validate(self.horizon)?;
+        if forecast.len() < self.horizon {
+            return Err(Error::ForecastTooShort {
+                required: self.horizon,
+                available: forecast.len(),
+            });
+        }
 
         scratch.prefix.clear();
         scratch.sequence.clear();
@@ -186,7 +192,7 @@ impl LookaheadController {
 /// One depth-first expansion of the input tree with pruning.
 struct Search<'a, P: Plant> {
     plant: &'a P,
-    forecast: &'a Forecast<P::Env>,
+    forecast: &'a [P::Env],
     horizon: usize,
     prefix: &'a mut Vec<P::Input>,
     /// The incumbent sequence, meaningful once `best_cost` is set.
@@ -220,29 +226,20 @@ impl<P: Plant> Search<'_, P> {
         if mine.is_empty() {
             return Err(Error::EmptyInputSet);
         }
-        let step = &self.forecast[depth];
-        let total_w = step.total_weight();
+        let env = &self.forecast[depth];
 
         for u in mine.iter() {
-            // Expected cost over the scenario samples; nominal successor
-            // carries the trajectory forward.
-            let mut expected = 0.0;
-            for (w_env, weight) in &step.samples {
-                let x_s = self.plant.step(x, u, w_env);
-                expected += weight * self.plant.cost(&x_s, u, prev);
-            }
-            expected /= total_w;
+            let x_next = self.plant.step(x, u, env);
             self.stats.states_explored += 1;
 
-            let acc_next = acc + expected;
+            let acc_next = acc + self.plant.cost(&x_next, u, prev);
             if self.best_cost.is_some_and(|c| acc_next >= c) {
                 self.stats.pruned += 1;
                 continue;
             }
 
-            let x_nominal = self.plant.step(x, u, &step.nominal);
             self.prefix.push(u.clone());
-            self.expand(&x_nominal, Some(u), depth + 1, acc_next, deeper)?;
+            self.expand(&x_next, Some(u), depth + 1, acc_next, deeper)?;
             self.prefix.pop();
         }
         Ok(())
@@ -252,7 +249,6 @@ impl<P: Plant> Search<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnvStep;
 
     /// Scalar integrator: x' = x + u + w, cost |x' - 10| + 0.01|u|.
     struct Integrator;
@@ -271,8 +267,8 @@ mod tests {
         }
     }
 
-    fn certain_forecast(n: usize) -> Forecast<f64> {
-        Forecast::from_nominal(vec![0.0; n])
+    fn certain_forecast(n: usize) -> Vec<f64> {
+        vec![0.0; n]
     }
 
     #[test]
@@ -368,42 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_averaging_shifts_decision() {
-        // A plant whose cost blows up for states above the set-point. An
-        // uncertainty band that includes a high-drift sample should make
-        // the controller more conservative than the nominal-only forecast.
-        struct Asym;
-        impl Plant for Asym {
-            type State = f64;
-            type Input = i32;
-            type Env = f64;
-            fn admissible(&self, _x: &f64) -> Vec<i32> {
-                vec![0, 1, 2]
-            }
-            fn step(&self, x: &f64, u: &i32, w: &f64) -> f64 {
-                x + f64::from(*u) + w
-            }
-            fn cost(&self, x: &f64, _u: &i32, _p: Option<&i32>) -> f64 {
-                if *x > 10.0 {
-                    100.0 * (x - 10.0)
-                } else {
-                    10.0 - x
-                }
-            }
-        }
-        let c = LookaheadController::new(1).unwrap();
-        let nominal_only = Forecast::from_nominal(vec![0.0]);
-        let d_nom = c.decide(&Asym, &8.0, None, &nominal_only).unwrap();
-        assert_eq!(d_nom.input, 2, "nominal forecast fills the gap exactly");
-
-        let band = Forecast::new(vec![
-            EnvStep::with_samples(0.0, vec![-1.0, 0.0, 1.0]).unwrap()
-        ]);
-        let d_band = c.decide(&Asym, &8.0, None, &band).unwrap();
-        assert_eq!(d_band.input, 1, "band-aware controller backs off");
-    }
-
-    #[test]
     fn switching_penalty_respects_prev_input() {
         // Plant with a pure switching cost: it should keep the previous
         // input when states are cost-equivalent.
@@ -426,8 +386,7 @@ mod tests {
             }
         }
         let c = LookaheadController::new(2).unwrap();
-        let f = Forecast::from_nominal(vec![(), ()]);
-        let d = c.decide(&Sticky, &0.0, Some(&2), &f).unwrap();
+        let d = c.decide(&Sticky, &0.0, Some(&2), &[(), ()]).unwrap();
         assert_eq!(d.input, 2);
         assert!(d.cost.abs() < 1e-12);
     }

@@ -1,5 +1,3 @@
-use crate::Error;
-
 /// A controlled switching hybrid system, in the sense of the paper's
 /// discrete-time state-space equation `x(k+1) = f(x(k), u(k), ω(k))`.
 ///
@@ -49,192 +47,39 @@ pub trait Plant {
     fn cost(&self, x_next: &Self::State, u: &Self::Input, prev: Option<&Self::Input>) -> f64;
 }
 
-/// The environment scenario set for one future time step.
-///
-/// The paper's chattering mitigation evaluates each candidate action
-/// against *three* samples of the forecast arrival rate
-/// (`λ̂−δ`, `λ̂`, `λ̂+δ`) and averages their costs, while the search tree
-/// itself advances along the nominal sample. `EnvStep` captures exactly
-/// that: a nominal sample used to extend the state trajectory plus a
-/// weighted sample set used for expected-cost evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnvStep<E> {
-    /// The nominal (most likely) environment sample; the search recurses
-    /// through the state produced by this sample.
-    pub nominal: E,
-    /// Weighted samples for expected-cost evaluation. Weights need not be
-    /// normalized; the controller divides by their sum. Must be non-empty.
-    pub samples: Vec<(E, f64)>,
-}
-
-impl<E: Clone> EnvStep<E> {
-    /// A deterministic step: the nominal sample with weight 1.
-    pub fn certain(env: E) -> Self {
-        EnvStep {
-            nominal: env.clone(),
-            samples: vec![(env, 1.0)],
-        }
-    }
-
-    /// Make this a deterministic step at `env`, keeping the sample buffer.
-    pub fn set_certain(&mut self, env: E) {
-        self.samples.clear();
-        self.samples.push((env.clone(), 1.0));
-        self.nominal = env;
-    }
-
-    /// A step with equally-weighted samples around a nominal value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyScenario`] if `samples` is empty.
-    pub fn with_samples(nominal: E, samples: Vec<E>) -> Result<Self, Error> {
-        if samples.is_empty() {
-            return Err(Error::EmptyScenario);
-        }
-        Ok(EnvStep {
-            nominal,
-            samples: samples.into_iter().map(|s| (s, 1.0)).collect(),
-        })
-    }
-
-    /// Total sample weight (the normalizer for expected costs).
-    pub fn total_weight(&self) -> f64 {
-        self.samples.iter().map(|(_, w)| *w).sum()
-    }
-}
-
-/// An environment forecast covering the prediction horizon: one
-/// [`EnvStep`] per future time step, index 0 being `ω̂(k)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Forecast<E> {
-    steps: Vec<EnvStep<E>>,
-}
-
-impl<E: Clone> Forecast<E> {
-    /// Build a forecast from per-step scenario sets.
-    pub fn new(steps: Vec<EnvStep<E>>) -> Self {
-        Forecast { steps }
-    }
-
-    /// Build a purely deterministic forecast from nominal values.
-    pub fn from_nominal(nominals: Vec<E>) -> Self {
-        Forecast {
-            steps: nominals.into_iter().map(EnvStep::certain).collect(),
-        }
-    }
-
-    /// Number of forecast steps available.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` if the forecast holds no steps at all.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The scenario set for future step `q` (0-based).
-    pub fn step(&self, q: usize) -> Option<&EnvStep<E>> {
-        self.steps.get(q)
-    }
-
-    /// The per-step scenario sets, writable in place: a controller that
-    /// forecasts every sampling period refreshes the values of a forecast
-    /// it keeps, instead of building a new one.
-    pub fn steps_mut(&mut self) -> &mut [EnvStep<E>] {
-        &mut self.steps
-    }
-
-    /// Iterate over the per-step scenario sets.
-    pub fn iter(&self) -> std::slice::Iter<'_, EnvStep<E>> {
-        self.steps.iter()
-    }
-
-    /// Validate that the forecast covers at least `horizon` steps and that
-    /// no step has an empty sample set.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ForecastTooShort`] or [`Error::EmptyScenario`].
-    pub fn validate(&self, horizon: usize) -> Result<(), Error> {
-        if self.steps.len() < horizon {
-            return Err(Error::ForecastTooShort {
-                required: horizon,
-                available: self.steps.len(),
-            });
-        }
-        if self.steps.iter().any(|s| s.samples.is_empty()) {
-            return Err(Error::EmptyScenario);
-        }
-        Ok(())
-    }
-}
-
-impl<E> std::ops::Index<usize> for Forecast<E> {
-    type Output = EnvStep<E>;
-    fn index(&self, q: usize) -> &EnvStep<E> {
-        &self.steps[q]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Error, LookaheadController};
 
-    #[test]
-    fn certain_step_has_single_unit_weight_sample() {
-        let s = EnvStep::certain(3.5_f64);
-        assert_eq!(s.samples.len(), 1);
-        assert!((s.total_weight() - 1.0).abs() < 1e-12);
-        assert_eq!(s.nominal, 3.5);
-    }
-
-    #[test]
-    fn set_certain_rewrites_a_step_in_place() {
-        let mut f = Forecast::from_nominal(vec![1.0, 2.0]);
-        f.steps_mut()[1].set_certain(7.5);
-        assert_eq!(f, Forecast::from_nominal(vec![1.0, 7.5]));
-        let mut banded = EnvStep::with_samples(2.0, vec![1.0, 2.0, 3.0]).unwrap();
-        banded.set_certain(4.0);
-        assert_eq!(banded, EnvStep::certain(4.0));
-    }
-
-    #[test]
-    fn with_samples_rejects_empty() {
-        assert_eq!(
-            EnvStep::<f64>::with_samples(1.0, vec![]),
-            Err(Error::EmptyScenario)
-        );
-    }
-
-    #[test]
-    fn with_samples_weights_equally() {
-        let s = EnvStep::with_samples(2.0, vec![1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(s.samples.len(), 3);
-        assert!((s.total_weight() - 3.0).abs() < 1e-12);
+    /// `x' = x + u + w`, cost `|x'|`.
+    struct Drift;
+    impl Plant for Drift {
+        type State = f64;
+        type Input = i8;
+        type Env = f64;
+        fn admissible(&self, _x: &f64) -> Vec<i8> {
+            vec![-1, 0, 1]
+        }
+        fn step(&self, x: &f64, u: &i8, w: &f64) -> f64 {
+            x + f64::from(*u) + w
+        }
+        fn cost(&self, x: &f64, _u: &i8, _prev: Option<&i8>) -> f64 {
+            x.abs()
+        }
     }
 
     #[test]
     fn forecast_validate_checks_length() {
-        let f = Forecast::from_nominal(vec![1.0, 2.0]);
-        assert!(f.validate(2).is_ok());
+        let c = LookaheadController::new(3).unwrap();
+        assert!(c.decide(&Drift, &0.0, None, &[1.0, 2.0, 3.0]).is_ok());
+        assert!(c.decide(&Drift, &0.0, None, &[1.0, 2.0, 3.0, 4.0]).is_ok());
         assert_eq!(
-            f.validate(3),
-            Err(Error::ForecastTooShort {
+            c.decide(&Drift, &0.0, None, &[1.0, 2.0]).unwrap_err(),
+            Error::ForecastTooShort {
                 required: 3,
                 available: 2
-            })
+            }
         );
-    }
-
-    #[test]
-    fn forecast_indexing_and_iter() {
-        let f = Forecast::from_nominal(vec![10.0, 20.0]);
-        assert_eq!(f[1].nominal, 20.0);
-        assert_eq!(f.iter().count(), 2);
-        assert!(!f.is_empty());
-        assert_eq!(f.len(), 2);
-        assert!(f.step(5).is_none());
     }
 }

@@ -1,5 +1,3 @@
-use crate::{EnvStep, Forecast};
-
 /// The forecast uncertainty band `λ̂(q) ± δ(q)` used for chattering
 /// mitigation (§4.2 of the paper).
 ///
@@ -10,8 +8,9 @@ use crate::{EnvStep, Forecast};
 /// the *average* of the three costs, damping configuration flapping caused
 /// by noisy forecasts.
 ///
-/// `UncertaintyBand` tracks `δ` online from (actual, forecast) pairs and
-/// expands scalar forecasts into three-sample [`EnvStep`]s.
+/// `UncertaintyBand` tracks `δ` online from (actual, forecast) pairs; the
+/// module controller builds the three samples around its own `λ̂` from
+/// [`UncertaintyBand::delta`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UncertaintyBand {
     /// Exponential smoothing factor for the running mean absolute error.
@@ -20,9 +19,6 @@ pub struct UncertaintyBand {
     delta: f64,
     /// Number of observations absorbed.
     observations: u64,
-    /// Lower clamp applied when sampling (e.g. arrival rates cannot go
-    /// negative).
-    floor: Option<f64>,
 }
 
 impl UncertaintyBand {
@@ -41,15 +37,7 @@ impl UncertaintyBand {
             smoothing,
             delta: 0.0,
             observations: 0,
-            floor: None,
         }
-    }
-
-    /// Clamp generated samples from below at `floor` (e.g. 0 for rates).
-    #[must_use]
-    pub fn with_floor(mut self, floor: f64) -> Self {
-        self.floor = Some(floor);
-        self
     }
 
     /// Record an (actual, forecast) pair, updating the mean absolute error.
@@ -71,28 +59,6 @@ impl UncertaintyBand {
     /// Number of error observations absorbed so far.
     pub fn observations(&self) -> u64 {
         self.observations
-    }
-
-    /// The three-sample scenario `{λ̂−δ, λ̂, λ̂+δ}` around a nominal
-    /// forecast, with equal weights and the nominal sample carried forward.
-    pub fn scenario(&self, nominal: f64) -> EnvStep<f64> {
-        let clamp = |v: f64| match self.floor {
-            Some(fl) => v.max(fl),
-            None => v,
-        };
-        EnvStep {
-            nominal: clamp(nominal),
-            samples: vec![
-                (clamp(nominal - self.delta), 1.0),
-                (clamp(nominal), 1.0),
-                (clamp(nominal + self.delta), 1.0),
-            ],
-        }
-    }
-
-    /// Expand a sequence of nominal forecasts into a banded [`Forecast`].
-    pub fn forecast(&self, nominals: &[f64]) -> Forecast<f64> {
-        Forecast::new(nominals.iter().map(|&n| self.scenario(n)).collect())
     }
 }
 
@@ -118,34 +84,6 @@ mod tests {
         assert!((b.delta() - 5.0).abs() < 1e-12);
         b.observe(0.0, 0.0); // -> 2.5
         assert!((b.delta() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scenario_has_three_samples_around_nominal() {
-        let mut b = UncertaintyBand::new(1.0);
-        b.observe(104.0, 100.0);
-        let s = b.scenario(50.0);
-        assert_eq!(s.nominal, 50.0);
-        let values: Vec<f64> = s.samples.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, vec![46.0, 50.0, 54.0]);
-    }
-
-    #[test]
-    fn floor_clamps_samples() {
-        let mut b = UncertaintyBand::new(1.0).with_floor(0.0);
-        b.observe(20.0, 0.0); // delta 20
-        let s = b.scenario(5.0);
-        let values: Vec<f64> = s.samples.iter().map(|(v, _)| *v).collect();
-        assert_eq!(values, vec![0.0, 5.0, 25.0]);
-    }
-
-    #[test]
-    fn forecast_expands_each_step() {
-        let b = UncertaintyBand::new(0.3);
-        let f = b.forecast(&[1.0, 2.0, 3.0]);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f[2].nominal, 3.0);
-        assert_eq!(f[0].samples.len(), 3);
     }
 
     #[test]

@@ -224,6 +224,12 @@ impl<P: ClusterPolicy> ControldCore<P> {
                         self.payload_errors += 1;
                         Err(WireError::BadPayload("observation names unknown topology"))
                     }
+                    Err(IngestError::NonFinite { .. }) => {
+                        self.payload_errors += 1;
+                        Err(WireError::BadPayload(
+                            "observation carries non-finite window sums",
+                        ))
+                    }
                 }
             }
             FrameKind::Heartbeat => fallible(

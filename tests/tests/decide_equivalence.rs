@@ -299,7 +299,9 @@ fn reference_decide(
                     let units = (gamma_active[pos] / quantum).round() as i64;
                     let lambda_j = units as f64 * quantum * lambda_s;
                     let q_j = queues[j] as f64;
-                    sample_cost += if maps[j].in_table(lambda_j, q_j) {
+                    let in_table = lambda_j.max(0.0) <= maps[j].trained_lambda_max()
+                        && q_j.max(0.0) <= maps[j].trained_q_max();
+                    sample_cost += if in_table {
                         maps[j].query(lambda_j, cs[j], q_j).cost
                     } else {
                         *memo

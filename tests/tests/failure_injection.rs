@@ -1,11 +1,14 @@
 //! Failure injection: a machine that never finishes booting (infinite
 //! dead time) must not sink requests — the boot-aware routing keeps load
-//! on the serving machines and the module soldiers on.
+//! on the serving machines and the module soldiers on. And a sensor
+//! that reports NaN must not reach the learned maps.
 
 use llc_cluster::{
-    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, PolicyBuilder,
+    single_module, ControlPlane, DirectiveEmit, Experiment, FaultToleranceConfig,
+    HierarchicalPolicy, IngestError, ObservationIngest, Plant, PolicyBuilder,
 };
 use llc_core::OnlineConfig;
+use llc_net::{decode_observation, encode_observation};
 use llc_sim::PowerState;
 use llc_workload::{FaultEvent, FaultKind, FaultPlan, Trace, VirtualStore};
 
@@ -169,4 +172,74 @@ fn sim_reports_infinite_boot_as_booting_forever() {
         sim.computer(0).state(),
         PowerState::Booting { .. }
     ));
+}
+
+/// One window whose energy meter reads NaN, arriving over the wire: the
+/// plane refuses the observation and dark-fills the module for that
+/// tick, so neither the abstraction maps the closed loop writes online
+/// nor the tracking error ever see the NaN.
+#[test]
+fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
+    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let mut policy = PolicyBuilder::new(scenario.clone())
+        .closed_loop(OnlineConfig::default())
+        .build();
+    let experiment = Experiment::paper_default(8);
+    let l1_every = (scenario.l1.period / experiment.t_l0).round() as u64;
+    let poisoned_tick = 4 * l1_every + 1;
+    let total_ticks = poisoned_tick + 8 * l1_every + 1;
+    let trace = Trace::new(30.0, vec![70.0 * 30.0; total_ticks as usize]).unwrap();
+    let store = VirtualStore::paper_default(8);
+    let mut plant = Plant::new(scenario.to_sim_config(), &experiment, &trace, &store).unwrap();
+    let mut plane = ControlPlane::new(
+        &mut policy,
+        plant.adapter.members().to_vec(),
+        experiment.t_l0,
+    );
+
+    for tick in 0..total_ticks {
+        let mut observation = plant.adapter.observe(tick).pop().expect("one module");
+        if tick == poisoned_tick {
+            observation.members[1].window.energy = f64::NAN;
+        }
+        let wire = decode_observation(&encode_observation(&observation)).unwrap();
+        let refused = plane.ingest(wire).err();
+        let dark_before = plane.metrics().dark_filled_members;
+        let _ = plane.step();
+        let dark_filled = plane.metrics().dark_filled_members - dark_before;
+        if tick == poisoned_tick {
+            let nan_member = IngestError::NonFinite {
+                module: 0,
+                member: 1,
+            };
+            assert_eq!(refused, Some(nan_member));
+            assert_eq!(dark_filled, 4, "the whole module is dark for the tick");
+        } else {
+            assert_eq!((refused, dark_filled), (None, 0), "tick {tick}");
+        }
+        plant.adapter.actuate(&plane.drain_directives()).unwrap();
+        plant.inject_window(tick).unwrap();
+    }
+    drop(plane);
+
+    assert!(
+        policy.online_updates() > 0,
+        "the closed loop wrote the maps"
+    );
+    assert!(policy.tracking_error().is_some_and(f64::is_finite));
+    let l1 = policy.l1(0);
+    for (j, &c) in l1.c_estimates().iter().enumerate() {
+        let map = l1.map(j);
+        for li in 0..=64 {
+            let lambda = map.trained_lambda_max() * f64::from(li) / 64.0;
+            for qi in 0..=8 {
+                let q = map.trained_q_max() * f64::from(qi) / 8.0;
+                let g = map.query(lambda, c, q);
+                assert!(
+                    g.cost.is_finite() && g.power.is_finite() && g.final_q.is_finite(),
+                    "member {j}: cell at λ={lambda}, q={q} reads {g:?}"
+                );
+            }
+        }
+    }
 }

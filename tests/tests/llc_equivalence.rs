@@ -3,8 +3,9 @@
 //! plants — pruning is an optimization, never an approximation. And a
 //! search in reused buffers is the search in fresh ones.
 
-use llc_core::{Forecast, LookaheadController, Plant, SearchScratch};
+use llc_core::{LookaheadController, Plant, SearchScratch};
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// A randomized finite plant: S states, U inputs, deterministic mixing
 /// transition, arbitrary non-negative cost table.
@@ -14,6 +15,8 @@ struct TablePlant {
     costs: Vec<f64>, // indexed state * inputs + input
     /// A state with no admissible input: reaching it fails the search.
     barren: Option<usize>,
+    /// Calls to `step` so far.
+    steps: Cell<usize>,
 }
 
 impl Plant for TablePlant {
@@ -28,6 +31,7 @@ impl Plant for TablePlant {
         (0..self.inputs).collect()
     }
     fn step(&self, x: &usize, u: &usize, _w: &()) -> usize {
+        self.steps.set(self.steps.get() + 1);
         (x.wrapping_mul(31).wrapping_add(u * 7 + 1)) % self.states
     }
     fn cost(&self, x_next: &usize, u: &usize, _prev: Option<&usize>) -> f64 {
@@ -61,11 +65,12 @@ proptest! {
         x0 in 0usize..8,
         costs in proptest::collection::vec(0.0..100.0f64, 8 * 5),
     ) {
-        let plant = TablePlant { states, inputs, costs, barren: None };
+        let plant = TablePlant { states, inputs, costs, barren: None, steps: Cell::new(0) };
         let x0 = x0 % states;
         let controller = LookaheadController::new(horizon).unwrap();
-        let forecast = Forecast::from_nominal(vec![(); horizon]);
-        let decision = controller.decide(&plant, &x0, None, &forecast).unwrap();
+        let decision = controller.decide(&plant, &x0, None, &vec![(); horizon]).unwrap();
+        // The search predicts each state it explores once.
+        prop_assert_eq!(plant.steps.get(), decision.stats.states_explored);
         let optimum = brute_force(&plant, x0, horizon);
         prop_assert!(
             (decision.cost - optimum).abs() < 1e-9,
@@ -107,12 +112,13 @@ proptest! {
                 costs,
                 // Half the jobs have no barren state at all.
                 barren: (barren < states).then_some(barren),
+                steps: Cell::new(0),
             };
             let x0 = x0 % states;
             let controller = LookaheadController::new(horizon).unwrap();
             // One job in four forecasts a step short of the horizon.
             let covered = if shortfall == 0 { horizon - 1 } else { horizon };
-            let forecast = Forecast::from_nominal(vec![(); covered]);
+            let forecast = vec![(); covered];
             let fresh = controller.decide(&plant, &x0, None, &forecast);
             let reused = controller.decide_with(&plant, &x0, None, &forecast, &mut scratch);
             match (fresh, reused) {
