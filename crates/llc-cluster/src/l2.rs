@@ -431,28 +431,31 @@ const MAX_ENUMERATED_SPLITS: usize = 100_000;
 /// boot dead times downstream).
 const SWITCH_MARGIN: f64 = 0.1;
 
-/// `prev`, then every grid point one single-quantum transfer away from
-/// it, in [`SimplexGrid::neighbors`] order — the order ties in the split
-/// search break by. One quantum per re-split, because a module's machine
-/// count needs a full L1 period (the boot dead time) to follow its load
-/// share: wholesale re-splits outrun the plant, and bounding each
-/// decision to the ring around the current split keeps the cascade
-/// stable. (Transfers between distinct module pairs from one point land
-/// on distinct points, none of them `prev`, so nothing is listed twice.)
-fn neighborhood(grid: &SimplexGrid, prev: &[f64]) -> Vec<Vec<f64>> {
-    let q = grid.quantum();
-    let start: Vec<i64> = prev.iter().map(|&x| (x / q).round() as i64).collect();
-    let mut all = vec![prev.to_vec()];
-    grid.for_each_neighbor_units(&start, &mut Vec::new(), &mut |units| {
-        all.push(units.iter().map(|&u| u as f64 * q).collect());
-    });
-    all
+/// Scratch of the ring search, kept on the controller so a steady-state
+/// decision allocates nothing that grows with the ring.
+#[derive(Debug, Clone, Default)]
+struct RingScratch {
+    /// The ring's centre in quanta.
+    units: Vec<i64>,
+    /// Neighbor buffer of [`SimplexGrid::for_each_neighbor_units`].
+    neighbor: Vec<i64>,
+    /// The best neighbor seen so far, in quanta.
+    best: Vec<i64>,
+    /// Module `i`'s cost one quantum down, unchanged and one quantum up,
+    /// at `[i]`, `[modules + i]` and `[2·modules + i]`.
+    memo: Vec<f64>,
 }
 
 /// The cluster-level controller (§5): splits the global arrivals across
-/// modules by exhaustive enumeration of the quantized simplex (286 points
-/// for four modules at quantum 0.1), scoring each split with the
-/// regression-tree module models.
+/// modules, scoring each split with the regression-tree module models.
+///
+/// The first decision, and one relaxed after a membership change,
+/// enumerates the quantized simplex exhaustively where it is small enough
+/// (286 points for four modules at quantum 0.1). Every other decision
+/// searches the standing split and its ring of single-quantum transfers,
+/// pricing each module once per share it can be handed — a candidate
+/// split is then a sum of memoised terms, not a walk of every module's
+/// tree.
 #[derive(Debug, Clone)]
 pub struct L2Controller {
     config: L2Config,
@@ -471,6 +474,8 @@ pub struct L2Controller {
     /// `MAX_ENUMERATED_SPLITS` points) and skips the switching margin,
     /// then the flag clears itself.
     relax_once: bool,
+    /// Touched only inside [`L2Controller::decide`].
+    ring: RingScratch,
 }
 
 impl L2Controller {
@@ -492,6 +497,7 @@ impl L2Controller {
             decisions: 0,
             online: None,
             relax_once: false,
+            ring: RingScratch::default(),
         }
     }
 
@@ -693,58 +699,139 @@ impl L2Controller {
         // L1's "limited neighborhood of [the current] state". A relaxed
         // decision enumerates again — where the simplex can be enumerated.
         let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
-        let candidates = match &self.prev_gamma {
-            Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev),
+        let prev = self.prev_gamma.take();
+        let hysteresis = prev.is_some() && !relaxed;
+        let centre = match prev {
+            Some(prev) if !relaxed || !enumerable => Some(prev),
             // Unseeded and too large to enumerate: start from the even split.
-            None if !enumerable => {
-                let even = grid.snap(&vec![1.0; self.models.len()]);
-                neighborhood(&grid, &even)
-            }
-            _ => grid.enumerate(),
+            None if !enumerable => Some(grid.snap(&vec![1.0; self.models.len()])),
+            _ => None,
         };
-        let evaluate = |gamma: &Vec<f64>| -> f64 {
-            gamma
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| {
-                    self.models[i].predict(
-                        g * lambda_g,
-                        modules[i].c_factor,
-                        modules[i].queue_mean,
-                        modules[i].active,
-                    )
-                })
-                .sum()
+        let models = &self.models;
+        let price = |i: usize, g: f64| {
+            models[i].predict(
+                g * lambda_g,
+                modules[i].c_factor,
+                modules[i].queue_mean,
+                modules[i].active,
+            )
         };
-        let opt = BoundedSearch::argmin(candidates, evaluate).expect("simplex grid is never empty");
-
-        // Hysteresis: keep the current split unless the winner clears the
-        // switching margin — tree predictions are noisy and a flapping
-        // split costs boot dead times downstream.
-        let (gamma, cost) = match &self.prev_gamma {
-            Some(prev) if !relaxed => {
-                let prev_cost = evaluate(prev);
-                let moved = prev
+        let (gamma, cost, states_evaluated) = match centre {
+            Some(centre) => {
+                let opt = ring_argmin(&mut self.ring, &grid, &centre, price);
+                // Hysteresis: keep the current split unless the winner
+                // clears the switching margin — tree predictions are noisy
+                // and a flapping split costs boot dead times downstream.
+                let moved = centre
                     .iter()
-                    .zip(&opt.candidate)
+                    .zip(&opt.split)
                     .any(|(a, b)| (a - b).abs() > 1e-9);
-                if moved && opt.cost > prev_cost * (1.0 - SWITCH_MARGIN) {
-                    (prev.clone(), prev_cost)
+                if hysteresis && moved && opt.cost > opt.centre_cost * (1.0 - SWITCH_MARGIN) {
+                    (centre, opt.centre_cost, opt.evaluations)
                 } else {
-                    (opt.candidate, opt.cost)
+                    (opt.split, opt.cost, opt.evaluations)
                 }
             }
-            _ => (opt.candidate, opt.cost),
+            None => {
+                let opt = BoundedSearch::argmin(grid.enumerate(), |gamma: &Vec<f64>| {
+                    gamma.iter().enumerate().map(|(i, &g)| price(i, g)).sum()
+                })
+                .expect("simplex grid is never empty");
+                (opt.candidate, opt.cost, opt.evaluations)
+            }
         };
 
-        self.total_states += opt.evaluations as u64;
+        self.total_states += states_evaluated as u64;
         self.decisions += 1;
         self.prev_gamma = Some(gamma.clone());
         L2Decision {
             gamma,
             expected_cost: cost,
-            states_evaluated: opt.evaluations,
+            states_evaluated,
         }
+    }
+}
+
+/// What [`ring_argmin`] found.
+struct RingOptimum {
+    /// The cheapest split of the ring.
+    split: Vec<f64>,
+    /// Its cost.
+    cost: f64,
+    /// Splits evaluated: the centre and every neighbor.
+    evaluations: usize,
+    /// Cost of the centre itself, for the hysteresis.
+    centre_cost: f64,
+}
+
+/// The cheapest of `centre` and every grid point one single-quantum
+/// transfer away from it; ties go to the centre, then to the earlier
+/// neighbor in [`SimplexGrid::for_each_neighbor_units`] order. One quantum per
+/// re-split, because a module's machine count needs a full L1 period (the
+/// boot dead time) to follow its load share: wholesale re-splits outrun
+/// the plant, and bounding each decision to the ring around the current
+/// split keeps the cascade stable.
+///
+/// `price(i, γ_i)` is called once per module per share the ring can hand
+/// it — the centre's as stored, and one quantum down, unchanged and one
+/// quantum up as multiples of the quantum (not always the stored bits) —
+/// and every split is the sum of its modules' memoised prices.
+fn ring_argmin(
+    ring: &mut RingScratch,
+    grid: &SimplexGrid,
+    centre: &[f64],
+    price: impl Fn(usize, f64) -> f64,
+) -> RingOptimum {
+    let RingScratch {
+        units,
+        neighbor,
+        best,
+        memo,
+    } = ring;
+    let n = centre.len();
+    let q = grid.quantum();
+    units.clear();
+    units.extend(centre.iter().map(|&x| (x / q).round() as i64));
+    memo.clear();
+    for step in [-1, 0, 1] {
+        memo.extend(units.iter().enumerate().map(|(i, &u)| {
+            // No transfer takes a quantum from a module that has none.
+            if u + step < 0 {
+                f64::INFINITY
+            } else {
+                price(i, (u + step) as f64 * q)
+            }
+        }));
+    }
+    let centre_cost: f64 = centre.iter().enumerate().map(|(i, &g)| price(i, g)).sum();
+    let mut cost = centre_cost;
+    let mut evaluations = 1;
+    grid.for_each_neighbor_units(units, neighbor, &mut |next| {
+        // Summed left to right like any other split: a running delta on
+        // the centre's cost would round differently.
+        let next_cost: f64 = next
+            .iter()
+            .zip(units.iter())
+            .enumerate()
+            .map(|(i, (&v, &u))| memo[(v - u + 1) as usize * n + i])
+            .sum();
+        evaluations += 1;
+        if next_cost < cost {
+            cost = next_cost;
+            best.clear();
+            best.extend_from_slice(next);
+        }
+    });
+    let split = if cost < centre_cost {
+        best.iter().map(|&u| u as f64 * q).collect()
+    } else {
+        centre.to_vec()
+    };
+    RingOptimum {
+        split,
+        cost,
+        evaluations,
+        centre_cost,
     }
 }
 
@@ -936,6 +1023,82 @@ mod tests {
         }
     }
 
+    /// The ring as the search first materialised it: `prev`, then every
+    /// neighbor as a vector of its own.
+    fn neighborhood(grid: &SimplexGrid, prev: &[f64]) -> Vec<Vec<f64>> {
+        let q = grid.quantum();
+        let start: Vec<i64> = prev.iter().map(|&x| (x / q).round() as i64).collect();
+        let mut all = vec![prev.to_vec()];
+        grid.for_each_neighbor_units(&start, &mut Vec::new(), &mut |units| {
+            all.push(units.iter().map(|&u| u as f64 * q).collect());
+        });
+        all
+    }
+
+    impl L2Controller {
+        /// `decide` as it stood before the ring was memoised: every
+        /// candidate materialised and every module's model walked for
+        /// each, the standing split priced a second time for the
+        /// hysteresis. The differential oracle of the tests below.
+        fn decide_reference(&mut self, modules: &[ModuleState]) -> L2Decision {
+            assert_eq!(modules.len(), self.models.len(), "state per module");
+            let relaxed = std::mem::take(&mut self.relax_once);
+            let lambda_g = self.lambda_forecast.predict_one().max(0.0);
+            self.last_prediction = Some(lambda_g);
+
+            let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
+            let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
+            let candidates = match &self.prev_gamma {
+                Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev),
+                None if !enumerable => {
+                    let even = grid.snap(&vec![1.0; self.models.len()]);
+                    neighborhood(&grid, &even)
+                }
+                _ => grid.enumerate(),
+            };
+            let evaluate = |gamma: &Vec<f64>| -> f64 {
+                gamma
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &g)| {
+                        self.models[i].predict(
+                            g * lambda_g,
+                            modules[i].c_factor,
+                            modules[i].queue_mean,
+                            modules[i].active,
+                        )
+                    })
+                    .sum()
+            };
+            let opt =
+                BoundedSearch::argmin(candidates, evaluate).expect("simplex grid is never empty");
+            let (gamma, cost) = match &self.prev_gamma {
+                Some(prev) if !relaxed => {
+                    let prev_cost = evaluate(prev);
+                    let moved = prev
+                        .iter()
+                        .zip(&opt.candidate)
+                        .any(|(a, b)| (a - b).abs() > 1e-9);
+                    if moved && opt.cost > prev_cost * (1.0 - SWITCH_MARGIN) {
+                        (prev.clone(), prev_cost)
+                    } else {
+                        (opt.candidate, opt.cost)
+                    }
+                }
+                _ => (opt.candidate, opt.cost),
+            };
+
+            self.total_states += opt.evaluations as u64;
+            self.decisions += 1;
+            self.prev_gamma = Some(gamma.clone());
+            L2Decision {
+                gamma,
+                expected_cost: cost,
+                states_evaluated: opt.evaluations,
+            }
+        }
+    }
+
     /// The neighborhood as it was first built: every neighbor checked
     /// against every accepted point, component by component.
     fn scanned_neighborhood(grid: &SimplexGrid, prev: &[f64]) -> Vec<Vec<f64>> {
@@ -977,6 +1140,123 @@ mod tests {
                 weights.len()
             );
         }
+    }
+
+    /// Drive `l2` and a clone through the same generated periods — load
+    /// swings, drifted and drowned modules, membership relaxations and,
+    /// when the residual layer is on, absorbed outcomes — one deciding
+    /// through the memoised ring, the other through `decide_reference`.
+    /// Returns the decisions, which must agree bit for bit.
+    fn decide_against_reference(
+        mut l2: L2Controller,
+        seed: u64,
+        decides: usize,
+        relax_every: usize,
+    ) -> Vec<L2Decision> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut reference = l2.clone();
+        let modules = l2.num_modules();
+        let mut decisions = Vec::new();
+        for step in 0..decides {
+            let arrivals = rng.gen_range(0..60_000u64);
+            l2.observe(arrivals);
+            reference.observe(arrivals);
+            let states: Vec<ModuleState> = (0..modules)
+                .map(|_| ModuleState {
+                    c_factor: rng.gen_range(0.6..1.5),
+                    queue_mean: match rng.gen_range(0..4u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(100.0..600.0), // past `q_hi`
+                        _ => rng.gen_range(0.0..100.0),
+                    },
+                    active: rng.gen_range(1..=3usize),
+                })
+                .collect();
+            if l2.online_enabled() {
+                let outcomes: Vec<_> = (0..modules)
+                    .map(|i| {
+                        (
+                            i,
+                            rng.gen_range(0.0..300.0),
+                            states[i],
+                            rng.gen_range(0.0..400.0),
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    l2.absorb_outcomes(&outcomes),
+                    reference.absorb_outcomes(&outcomes)
+                );
+            }
+            if step % relax_every == relax_every - 1 {
+                l2.relax_hysteresis_once();
+                reference.relax_hysteresis_once();
+            }
+            let got = l2.decide(&states);
+            let want = reference.decide_reference(&states);
+            let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.gamma), bits(&want.gamma), "split, decide {step}");
+            assert_eq!(
+                got.expected_cost.to_bits(),
+                want.expected_cost.to_bits(),
+                "cost, decide {step}"
+            );
+            assert_eq!(got.states_evaluated, want.states_evaluated, "decide {step}");
+            decisions.push(got);
+        }
+        assert_eq!(
+            l2.mean_states_evaluated(),
+            reference.mean_states_evaluated()
+        );
+        let moves = decisions
+            .windows(2)
+            .filter(|w| w[0].gamma != w[1].gamma)
+            .count();
+        assert!(
+            moves >= 10,
+            "the generated periods must move the split, got {moves}"
+        );
+        decisions
+    }
+
+    #[test]
+    fn memoised_ring_decides_as_the_materialised_ring_did() {
+        let at_quantum = |gamma_quantum: f64| L2Config {
+            gamma_quantum,
+            ..L2Config::paper_default()
+        };
+        let kinds = [module_model(2), module_model(3)];
+        let mixed_models = |modules: usize| -> Vec<ModuleCostModel> {
+            (0..modules).map(|i| kinds[i % 2].clone()).collect()
+        };
+        // Four modules, unseeded: enumerates first and when relaxed, rings
+        // otherwise.
+        let l2 = L2Controller::new(at_quantum(0.1), mixed_models(4));
+        let decisions = decide_against_reference(l2, 1, 60, 11);
+        assert_eq!(decisions[0].states_evaluated, 286);
+        assert!(decisions[1].states_evaluated <= 13);
+
+        // Seven modules seeded with three of them at zero quanta, the
+        // residual layer learning every period.
+        let mut l2 = L2Controller::new(at_quantum(0.1), mixed_models(7));
+        l2.set_initial_split(vec![4.0, 0.0, 1.0, 3.0, 2.0, 0.0, 0.0]);
+        l2.enable_online(OnlineConfig::default());
+        decide_against_reference(l2, 2, 60, 11);
+
+        // 32 modules as `scale128_*` runs them: too many to enumerate
+        // even when relaxed, every one of the 993 splits still counted.
+        // A quantum of 1/128 rarely clears the switching margin, so most
+        // of this run's moves are relaxed ones.
+        let mut l2 = L2Controller::new(at_quantum(1.0 / 128.0), mixed_models(32));
+        l2.set_initial_split(vec![1.0; 32]);
+        let decisions = decide_against_reference(l2, 3, 50, 3);
+        assert_eq!(decisions[0].states_evaluated, 1 + 32 * 31);
+
+        // Unseeded and not enumerable: the ring around the even split,
+        // most modules at zero quanta.
+        let l2 = L2Controller::new(at_quantum(0.1), mixed_models(32));
+        decide_against_reference(l2, 4, 50, 11);
     }
 
     #[test]

@@ -77,23 +77,22 @@ impl WeightedRouter {
     /// Route one request: returns the winning target index, or `None` if
     /// all weights are zero.
     pub fn route(&mut self) -> Option<usize> {
-        let total: f64 = self.weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        for (c, w) in self.credits.iter_mut().zip(&self.weights) {
-            *c += w;
-        }
-        // argmax credit among enabled targets; ties break on lowest index.
+        // One pass over the enabled targets: credit each its weight and
+        // keep the most-credited so far, the lowest index on ties. (A
+        // disabled target's weight and credit are both `0.0`, so passing
+        // it over leaves its credit the same bits adding would.)
         let mut best = None;
         let mut best_credit = f64::NEG_INFINITY;
-        for (i, (&c, &w)) in self.credits.iter().zip(&self.weights).enumerate() {
-            if w > 0.0 && c > best_credit {
-                best = Some(i);
-                best_credit = c;
+        for (i, (c, &w)) in self.credits.iter_mut().zip(&self.weights).enumerate() {
+            if w > 0.0 {
+                *c += w;
+                if *c > best_credit {
+                    best = Some(i);
+                    best_credit = *c;
+                }
             }
         }
-        let winner = best.expect("total weight positive implies an enabled target");
+        let winner = best?;
         self.credits[winner] -= 1.0;
         Some(winner)
     }
@@ -188,6 +187,31 @@ mod tests {
             }
         }
         counts
+    }
+
+    impl WeightedRouter {
+        /// `route` as it stood before the three passes were fused: total
+        /// the weights, credit every target, then scan every credit.
+        fn route_reference(&mut self) -> Option<usize> {
+            let total: f64 = self.weights.iter().sum();
+            if total <= 0.0 {
+                return None;
+            }
+            for (c, w) in self.credits.iter_mut().zip(&self.weights) {
+                *c += w;
+            }
+            let mut best = None;
+            let mut best_credit = f64::NEG_INFINITY;
+            for (i, (&c, &w)) in self.credits.iter().zip(&self.weights).enumerate() {
+                if w > 0.0 && c > best_credit {
+                    best = Some(i);
+                    best_credit = c;
+                }
+            }
+            let winner = best.expect("total weight positive implies an enabled target");
+            self.credits[winner] -= 1.0;
+            Some(winner)
+        }
     }
 
     #[test]
@@ -332,6 +356,38 @@ mod tests {
                     (*c as f64 - expected).abs() <= raw.len() as f64 + 1.0,
                     "target {}: got {}, expected {:.1}", i, c, expected
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_route_matches_the_three_pass_reference(
+            phases in proptest::collection::vec(
+                (proptest::collection::vec(0.0..4.0f64, 6), 0usize..64, 0usize..40),
+                1..8,
+            ),
+        ) {
+            let mut fused = WeightedRouter::new(6);
+            let mut reference = WeightedRouter::new(6);
+            let bits = |r: &WeightedRouter| -> Vec<u64> {
+                r.credits.iter().map(|c| c.to_bits()).collect()
+            };
+            for (raw, zero_mask, calls) in phases {
+                // Mid-stream reconfiguration: un-normalised weights, the
+                // masked targets disabled — all of them one phase in eight.
+                let all_off = zero_mask % 8 == 7;
+                let weights: Vec<f64> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &w)| if all_off || zero_mask >> i & 1 == 1 { 0.0 } else { w })
+                    .collect();
+                fused.set_weights(&weights);
+                reference.set_weights(&weights);
+                for _ in 0..calls {
+                    prop_assert_eq!(fused.route(), reference.route_reference());
+                    prop_assert_eq!(bits(&fused), bits(&reference));
+                }
             }
         }
     }

@@ -25,8 +25,10 @@ impl Gaussian {
     ///
     /// # Panics
     ///
-    /// Panics if `std_dev` is negative or non-finite.
+    /// Panics if `mean` is non-finite, or `std_dev` is negative or
+    /// non-finite.
     pub fn new(mean: f64, std_dev: f64) -> Self {
+        assert!(mean.is_finite(), "mean must be finite, got {mean}");
         assert!(
             std_dev.is_finite() && std_dev >= 0.0,
             "standard deviation must be finite and >= 0, got {std_dev}"
@@ -68,7 +70,7 @@ impl LogNormal {
     ///
     /// # Panics
     ///
-    /// Panics if `sigma` is negative or non-finite.
+    /// Panics if `mu` is non-finite, or `sigma` is negative or non-finite.
     pub fn new(mu: f64, sigma: f64) -> Self {
         LogNormal {
             normal: Gaussian::new(mu, sigma),
@@ -175,6 +177,14 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, derive_seed(42, 0), "deterministic");
+    }
+
+    #[test]
+    #[should_panic(expected = "mean must be finite")]
+    fn gaussian_refuses_a_non_finite_mean() {
+        // A lognormal stack distance built on it would be NaN, and
+        // `NaN as usize == 0` re-references the front of the stack for ever.
+        let _ = LogNormal::new(f64::NAN, 1.5);
     }
 
     #[test]

@@ -65,18 +65,54 @@ pub use wc98::{wc98_like_day, wc98_like_fig6};
 ///
 /// # Panics
 ///
-/// Panics if `width` is not positive.
+/// Panics if `width` is not positive and finite, or `start` is not finite.
 pub fn spread_arrivals<R: rand::Rng>(rng: &mut R, start: f64, width: f64, n: usize) -> Vec<f64> {
-    assert!(width > 0.0, "window width must be positive");
-    let mut times: Vec<f64> = (0..n).map(|_| start + rng.gen::<f64>() * width).collect();
-    times.sort_by(f64::total_cmp);
+    assert!(
+        width > 0.0 && width.is_finite(),
+        "window width must be positive and finite, got {width}"
+    );
+    assert!(
+        start.is_finite(),
+        "window start must be finite, got {start}"
+    );
+    let draws: Vec<f64> = (0..n).map(|_| start + rng.gen::<f64>() * width).collect();
+    // `n` uniform draws over `n` equal-width buckets leave about one per
+    // bucket: a counting pass puts every draw within a few places of its
+    // rank, and the insertion pass that finishes the order under
+    // `total_cmp` (the order `sort_by(f64::total_cmp)` gives) has next to
+    // nothing left to move.
+    let bucket = |t: f64| (((t - start) / width * n as f64) as usize).min(n - 1);
+    let mut ends = vec![0usize; n];
+    for &t in &draws {
+        ends[bucket(t)] += 1;
+    }
+    let mut filled = 0;
+    for end in &mut ends {
+        filled += *end;
+        *end = filled;
+    }
+    let mut times = vec![0.0; n];
+    for &t in draws.iter().rev() {
+        let slot = &mut ends[bucket(t)];
+        *slot -= 1;
+        times[*slot] = t;
+    }
+    for i in 1..n {
+        let t = times[i];
+        let mut j = i;
+        while j > 0 && times[j - 1].total_cmp(&t).is_gt() {
+            times[j] = times[j - 1];
+            j -= 1;
+        }
+        times[j] = t;
+    }
     times
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn spread_arrivals_sorted_within_window() {
@@ -91,5 +127,69 @@ mod tests {
     fn spread_zero_arrivals_is_empty() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert!(spread_arrivals(&mut rng, 0.0, 1.0, 0).is_empty());
+    }
+
+    /// `spread_arrivals` as it stood before the bucket pass: a comparison
+    /// sort of the draws.
+    fn spread_reference<R: rand::Rng>(rng: &mut R, start: f64, width: f64, n: usize) -> Vec<f64> {
+        let mut times: Vec<f64> = (0..n).map(|_| start + rng.gen::<f64>() * width).collect();
+        times.sort_by(f64::total_cmp);
+        times
+    }
+
+    /// A source with eight bits of entropy per draw, so a window of any
+    /// size repeats instants.
+    struct Coarse(rand::rngs::StdRng);
+
+    impl RngCore for Coarse {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64() & (0xFF << 56)
+        }
+    }
+
+    #[test]
+    fn bucketed_spread_matches_the_comparison_sort() {
+        let bits = |times: Vec<f64>| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        // Tick 9600 of a 30 s day is where the instants have the fewest
+        // bits left for the offset inside the window.
+        for start in [0.0, -45.0, 9_600.0 * 30.0, 1e15] {
+            for width in [30.0, 120.0, 1e-3] {
+                for n in [0, 1, 2, 7_000] {
+                    let mut a = rand::rngs::StdRng::seed_from_u64(n as u64 + 5);
+                    let mut b = a.clone();
+                    assert_eq!(
+                        bits(spread_arrivals(&mut a, start, width, n)),
+                        bits(spread_reference(&mut b, start, width, n)),
+                        "start {start} width {width} n {n}"
+                    );
+                    assert_eq!(a.next_u64(), b.next_u64(), "same draws taken");
+                    let mut a = Coarse(rand::rngs::StdRng::seed_from_u64(n as u64 + 6));
+                    let mut b = Coarse(a.0.clone());
+                    let got = spread_arrivals(&mut a, start, width, n);
+                    if n == 7_000 {
+                        assert!(got.windows(2).any(|w| w[0] == w[1]), "instants repeat");
+                    }
+                    assert_eq!(
+                        bits(got),
+                        bits(spread_reference(&mut b, start, width, n)),
+                        "repeated draws, start {start} width {width} n {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "width must be positive and finite")]
+    fn spread_refuses_an_infinite_window() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        spread_arrivals(&mut rng, 0.0, f64::INFINITY, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "start must be finite")]
+    fn spread_refuses_a_non_finite_start() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        spread_arrivals(&mut rng, f64::NAN, 30.0, 3);
     }
 }

@@ -25,8 +25,10 @@ impl VirtualStore {
     ///
     /// # Panics
     ///
-    /// Panics if `popular_count` is 0 or ≥ `n_objects`, if the share is
-    /// outside `[0, 1]`, or if the demand range is invalid.
+    /// Panics if `popular_count` is 0 or ≥ `n_objects`, if `n_objects`
+    /// exceeds `u32::MAX` (object ids are stored as `u32` by
+    /// [`LocalityModel`](crate::LocalityModel)), if the share is outside
+    /// `[0, 1]`, or if the demand range is invalid.
     pub fn new(
         n_objects: usize,
         popular_count: usize,
@@ -38,6 +40,10 @@ impl VirtualStore {
         assert!(
             popular_count > 0 && popular_count < n_objects,
             "popular set must be a strict non-empty subset"
+        );
+        assert!(
+            u32::try_from(n_objects).is_ok(),
+            "store must hold at most u32::MAX objects, got {n_objects}"
         );
         assert!(
             (0.0..=1.0).contains(&popular_share),
@@ -120,6 +126,13 @@ mod tests {
         assert!(s.demands.iter().all(|&d| (0.010..=0.025).contains(&d)));
         let m = s.mean_demand();
         assert!((m - 0.0175).abs() < 0.0005, "mean demand {m}");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "at most u32::MAX objects")]
+    fn store_refuses_more_objects_than_u32_ids() {
+        let _ = VirtualStore::new(u32::MAX as usize + 1, 1_000, 0.9, 0.010, 0.025, 1);
     }
 
     #[test]
