@@ -1,4 +1,4 @@
-use crate::{DenseGrid, LookupTable, Quantizer};
+use crate::DenseGrid;
 
 /// A rectangular grid sampler over a continuous input domain: each
 /// dimension is `(lo, hi, steps)` and the full cartesian product is
@@ -72,8 +72,7 @@ impl GridSampler {
         }
     }
 
-    /// Per-dimension quantization cell widths matching the grid pitch —
-    /// the `cell_steps` argument [`train_table`] expects.
+    /// Per-dimension quantization cell widths matching the grid pitch.
     pub fn cell_steps(&self) -> Vec<f64> {
         (0..self.dims.len()).map(|d| self.spacing(d)).collect()
     }
@@ -124,36 +123,10 @@ impl GridSampler {
     }
 }
 
-/// Train a [`LookupTable`] by evaluating `f` at every grid point: the
-/// simulation-based learning step behind the L1 abstraction map `g`.
-/// `cell_steps` supplies the per-dimension quantization of the table keys.
-///
-/// # Panics
-///
-/// Panics if `cell_steps` length differs from the sampler's dimensions.
-pub fn train_table<V: Clone>(
-    sampler: &GridSampler,
-    cell_steps: &[f64],
-    mut f: impl FnMut(&[f64]) -> V,
-) -> LookupTable<V> {
-    assert_eq!(
-        cell_steps.len(),
-        sampler.num_dims(),
-        "one cell step per grid dimension required"
-    );
-    let mut table = LookupTable::new(cell_steps.iter().map(|&s| Quantizer::new(s)).collect());
-    for p in sampler.points() {
-        let v = f(&p);
-        table.insert(&p, v);
-    }
-    table
-}
-
 /// Train a [`DenseGrid`] by evaluating `f` at every grid point, in
 /// parallel. The cell widths are derived from the sampler itself
 /// ([`GridSampler::cell_steps`]), so grid pitch and quantization cannot
-/// desynchronize. This is the fast path for the L1 abstraction map `g`;
-/// [`train_table`] remains for sparse or ragged domains.
+/// desynchronize.
 pub fn train_dense<V: Send>(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Sync) -> DenseGrid<V> {
     DenseGrid::from_fn(sampler, f)
 }
@@ -161,6 +134,7 @@ pub fn train_dense<V: Send>(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Syn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::train_table;
 
     #[test]
     fn grid_count_and_bounds() {

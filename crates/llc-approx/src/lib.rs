@@ -6,24 +6,23 @@
 //!
 //! * the L1 controller consults an **abstraction map `g`** — "obtained
 //!   off-line as a hash table" — that predicts the cost and next state a
-//!   L0-controlled computer achieves under given load. Two substrates
-//!   implement it behind the [`CostMap`] trait: [`DenseGrid`] (flat
-//!   storage, O(1) clamp + stride probes — the default for rectangular
-//!   [`GridSampler`] domains) and [`LookupTable`] (hash table keyed by
-//!   [`Quantizer`] cells, for sparse or ragged domains);
+//!   L0-controlled computer achieves under given load: [`DenseGrid`],
+//!   flat storage over a rectangular [`GridSampler`] domain with O(1)
+//!   clamp + stride probes, plus a sorted side-map of the cells first
+//!   written online;
 //! * the L2 controller consults a **compact regression tree** trained from
 //!   module simulations ([`RegressionTree`], classic CART with
 //!   variance-reduction splits);
 //! * both are trained by **simulation-based learning** over sampled input
-//!   grids ([`GridSampler`], [`train_table`], [`train_dense`]);
+//!   grids ([`GridSampler`], [`train_dense`]);
 //! * the decision variables γ (load fractions) live on a quantized
 //!   probability simplex ([`SimplexGrid`]: enumeration and neighborhood
 //!   moves at quantum 0.05 / 0.1 as in the experiments);
-//! * both map substrates also take **online (incremental) updates** —
-//!   [`CostMap::update`] blends realized outcomes into the trained cells
-//!   under a confidence-weighted learning rate ([`BlendConfig`]), the
-//!   paper's §6 drift-handling outlook: dense grids blend in place,
-//!   hash tables insert-or-blend and grow their coverage.
+//! * the map takes **online (incremental) updates** —
+//!   [`DenseGrid::update`] blends realized outcomes into the stored cells
+//!   under a confidence-weighted learning rate ([`BlendConfig`]) and
+//!   grows a cell for an outcome no stored cell holds, the paper's §6
+//!   drift-handling outlook.
 //!
 //! # Example
 //!
@@ -50,12 +49,12 @@ mod online;
 mod quantize;
 mod regtree;
 mod simplex;
+#[cfg(test)]
 mod table;
 
-pub use dense::{CostMap, DenseGrid};
-pub use learn::{train_dense, train_table, GridSampler};
+pub use dense::DenseGrid;
+pub use learn::{train_dense, GridSampler};
 pub use online::{Blend, BlendConfig, BlendSchedule};
 pub use quantize::Quantizer;
 pub use regtree::{RegressionTree, TreeConfig, TreeError};
 pub use simplex::SimplexGrid;
-pub use table::LookupTable;

@@ -2,14 +2,12 @@
 //!
 //! The paper's §6 outlook calls for updating the learned abstraction maps
 //! from *observed* outcomes instead of relying solely on the offline
-//! training pass. This module supplies the two ingredients the substrates
-//! share: [`Blend`], the value-side contract (move a stored cell a
-//! fraction of the way toward an observed target), and [`BlendConfig`],
-//! the confidence-weighted learning-rate schedule. The substrate-specific
-//! halves (where the cell lives, what happens to never-trained cells)
-//! stay with [`DenseGrid`](crate::DenseGrid) and
-//! [`LookupTable`](crate::LookupTable) behind
-//! [`CostMap::update`](crate::CostMap::update).
+//! training pass. This module supplies the two ingredients of a write:
+//! [`Blend`], the value-side contract (move a stored cell a fraction of
+//! the way toward an observed target), and [`BlendConfig`], the
+//! confidence-weighted learning-rate schedule. Where the cell lives, and
+//! what happens to one never stored, is
+//! [`DenseGrid::update`](crate::DenseGrid::update)'s half.
 
 /// Values a cost-map cell can hold while supporting exponential blending
 /// toward an observed target.
@@ -27,7 +25,7 @@ impl Blend for f64 {
     }
 }
 
-/// Confidence-weighted blending schedule shared by both substrates.
+/// Confidence-weighted blending schedule.
 ///
 /// Every trained cell starts with `prior_weight` pseudo-observations (the
 /// offline training pass) and accumulates one count per online update.
@@ -42,7 +40,7 @@ impl Blend for f64 {
 /// average (`learning_rate`) once the cell is seasoned, which is what
 /// tracks *drift*: a plant that changes keeps moving the average, and old
 /// outcomes are forgotten geometrically. The staleness sweep
-/// ([`CostMap::decay_confidence`](crate::CostMap::decay_confidence))
+/// ([`DenseGrid::decay_confidence`](crate::DenseGrid::decay_confidence))
 /// shrinks `n` between bursts so cells that stop being visited become
 /// quick to re-adapt when traffic returns to them.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,7 +1,9 @@
-use crate::{Blend, BlendConfig, Quantizer};
+use crate::{Blend, BlendConfig, GridSampler, Quantizer};
 use std::collections::HashMap;
 
-/// The abstraction map `g` as a quantized-key hash table.
+/// The abstraction map `g` as a quantized-key hash table — the paper's
+/// literal substrate, kept as the test oracle [`DenseGrid`](crate::DenseGrid)
+/// is held bit-equal to (`dense::tests`).
 ///
 /// "The map g is initially obtained in off-line fashion by simulating the
 /// L0 controller using various values from the input set … and a quantized
@@ -15,7 +17,7 @@ use std::collections::HashMap;
 /// to a nearest-neighbor scan in cell space, so the table always answers
 /// once at least one entry exists.
 #[derive(Debug, Clone)]
-pub struct LookupTable<V> {
+pub(crate) struct LookupTable<V> {
     dims: Vec<Quantizer>,
     map: HashMap<Vec<i64>, V>,
     /// Per-dimension [min, max] observed cell ranges.
@@ -31,7 +33,7 @@ impl<V: Clone> LookupTable<V> {
     /// # Panics
     ///
     /// Panics if `dims` is empty.
-    pub fn new(dims: Vec<Quantizer>) -> Self {
+    pub(crate) fn new(dims: Vec<Quantizer>) -> Self {
         assert!(!dims.is_empty(), "table needs at least one key dimension");
         let n = dims.len();
         LookupTable {
@@ -43,17 +45,17 @@ impl<V: Clone> LookupTable<V> {
     }
 
     /// Number of key dimensions.
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.dims.len()
     }
 
     /// Number of stored cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// `true` if nothing has been stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -70,7 +72,7 @@ impl<V: Clone> LookupTable<V> {
     ///
     /// This is the *offline* write path: it also resets the cell's online
     /// confidence, so a retrained cell behaves like a fresh prior.
-    pub fn insert(&mut self, point: &[f64], value: V) {
+    pub(crate) fn insert(&mut self, point: &[f64], value: V) {
         let cells = self.cells_of(point);
         for (i, &c) in cells.iter().enumerate() {
             self.ranges[i] = Some(match self.ranges[i] {
@@ -88,7 +90,7 @@ impl<V: Clone> LookupTable<V> {
     /// or beyond the trained ranges) is inserted at full weight, growing
     /// the table's coverage from observed traffic. Returns the weight
     /// applied (`1.0` for an insert).
-    pub fn update(&mut self, point: &[f64], target: &V, cfg: &BlendConfig) -> f64
+    pub(crate) fn update(&mut self, point: &[f64], target: &V, cfg: &BlendConfig) -> f64
     where
         V: Blend,
     {
@@ -108,7 +110,7 @@ impl<V: Clone> LookupTable<V> {
 
     /// Staleness sweep: multiply every cell's online confidence by
     /// `factor ∈ [0, 1]`.
-    pub fn decay_confidence(&mut self, factor: f64) {
+    pub(crate) fn decay_confidence(&mut self, factor: f64) {
         let factor = factor.clamp(0.0, 1.0);
         for count in self.confidence.values_mut() {
             *count *= factor;
@@ -116,7 +118,7 @@ impl<V: Clone> LookupTable<V> {
     }
 
     /// Online observations credited to the cell containing `point`.
-    pub fn confidence(&self, point: &[f64]) -> f64 {
+    pub(crate) fn confidence(&self, point: &[f64]) -> f64 {
         self.confidence
             .get(&self.cells_of(point))
             .copied()
@@ -124,14 +126,14 @@ impl<V: Clone> LookupTable<V> {
     }
 
     /// Exact lookup of the cell containing `point`.
-    pub fn get_exact(&self, point: &[f64]) -> Option<&V> {
+    pub(crate) fn get_exact(&self, point: &[f64]) -> Option<&V> {
         self.map.get(&self.cells_of(point))
     }
 
     /// Robust lookup: exact, then range-clamped, then nearest stored cell
     /// by L1 distance in cell space. Returns `None` only when the table is
     /// empty.
-    pub fn get(&self, point: &[f64]) -> Option<&V> {
+    pub(crate) fn get(&self, point: &[f64]) -> Option<&V> {
         let cells = self.cells_of(point);
         if let Some(v) = self.map.get(&cells) {
             return Some(v);
@@ -175,7 +177,11 @@ impl<V: Clone> LookupTable<V> {
     /// confidence)`, in sorted cell-key order so the visit — and any map
     /// rebuilt from it — is deterministic regardless of hash iteration
     /// order.
-    pub fn for_each_confident(&self, min_confidence: f64, f: &mut dyn FnMut(&[f64], &V, f64)) {
+    pub(crate) fn for_each_confident(
+        &self,
+        min_confidence: f64,
+        f: &mut dyn FnMut(&[f64], &V, f64),
+    ) {
         let mut cells: Vec<&Vec<i64>> = self
             .confidence
             .iter()
@@ -193,18 +199,26 @@ impl<V: Clone> LookupTable<V> {
             f(&centers, &self.map[key], self.confidence[key]);
         }
     }
+}
 
-    /// Iterate stored `(cell_centers, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Vec<f64>, &V)> + '_ {
-        self.map.iter().map(move |(cells, v)| {
-            let centers = cells
-                .iter()
-                .zip(&self.dims)
-                .map(|(&c, q)| q.center(c))
-                .collect();
-            (centers, v)
-        })
+/// Train a [`LookupTable`] by inserting `f` at every grid point in
+/// enumeration order; `cell_steps` quantizes the keys.
+pub(crate) fn train_table<V: Clone>(
+    sampler: &GridSampler,
+    cell_steps: &[f64],
+    mut f: impl FnMut(&[f64]) -> V,
+) -> LookupTable<V> {
+    assert_eq!(
+        cell_steps.len(),
+        sampler.num_dims(),
+        "one cell step per grid dimension required"
+    );
+    let mut table = LookupTable::new(cell_steps.iter().map(|&s| Quantizer::new(s)).collect());
+    for p in sampler.points() {
+        let v = f(&p);
+        table.insert(&p, v);
     }
+    table
 }
 
 #[cfg(test)]
@@ -262,15 +276,6 @@ mod tests {
         t.insert(&[0.9], 2.0); // same cell 0
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&[0.5]), Some(&2.0));
-    }
-
-    #[test]
-    fn iter_reports_cell_centers() {
-        let mut t = LookupTable::new(vec![Quantizer::new(2.0)]);
-        t.insert(&[1.0], 7.0);
-        let items: Vec<(Vec<f64>, &f64)> = t.iter().collect();
-        assert_eq!(items.len(), 1);
-        assert!((items[0].0[0] - 1.0).abs() < 1e-12, "center of cell [0,2)");
     }
 
     #[test]

@@ -107,13 +107,11 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
 }
 
 fn scenario_config() -> ScenarioConfig {
-    // Hash-backed maps: the drift scenarios push the plant beyond the
-    // offline envelope, and only the hash substrate absorbs outcomes out
-    // there. `min_active = 2` pins both machines on so the arms
-    // compare *map tracking* under identical plant dynamics rather than
+    // `min_active = 2` pins both machines on so the arms compare *map
+    // tracking* under identical plant dynamics rather than
     // boot-dead-time noise (the feed-forward test owns the transition
     // story).
-    let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
+    let mut sc = single_module(2).with_coarse_learning();
     sc.l1.min_active = 2;
     sc
 }

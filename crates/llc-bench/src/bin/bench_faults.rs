@@ -173,9 +173,7 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
 }
 
 fn scenario_config() -> ScenarioConfig {
-    // Hash-backed maps: crashes push the survivors beyond the offline
-    // envelope, and only the hash substrate absorbs outcomes out there.
-    single_module(4).with_coarse_learning().with_hash_maps()
+    single_module(4).with_coarse_learning()
 }
 
 fn run_arm(fs: &FaultScenario, tolerant: bool, seed: u64) -> ArmResult {
@@ -327,7 +325,7 @@ fn main() {
 
     let ft = FaultToleranceConfig::default();
     let json = format!(
-        "{{\n  {runner},\n  \"config\": {{\n    \"cluster\": \"single_module(4), coarse learning, hash maps\",\n    \"periods\": {buckets},\n    \"period_seconds\": 120,\n    \"suspect_after\": {sa},\n    \"telemetry_quorum\": {tq},\n    \"recovery_bound_l1_periods\": {RECOVERY_BOUND},\n    \"recovery_factor\": {RECOVERY_FACTOR},\n    \"timing\": \"median of 3 runs per arm\"\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
+        "{{\n  {runner},\n  \"config\": {{\n    \"cluster\": \"single_module(4), coarse learning\",\n    \"periods\": {buckets},\n    \"period_seconds\": 120,\n    \"suspect_after\": {sa},\n    \"telemetry_quorum\": {tq},\n    \"recovery_bound_l1_periods\": {RECOVERY_BOUND},\n    \"recovery_factor\": {RECOVERY_FACTOR},\n    \"timing\": \"median of 3 runs per arm\"\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
         runner = runner_json(threads),
         sa = ft.suspect_after,
         tq = ft.telemetry_quorum,

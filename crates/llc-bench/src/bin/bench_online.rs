@@ -1,25 +1,24 @@
 //! Online-learning trajectory under drift: offline-only vs
-//! online-updated abstraction maps on both substrates, across the three
-//! canonical drift scenarios (`llc_workload::drift_scenarios`). For each
-//! control period the map is queried at the operating point the
-//! controller would see (nominal ĉ — capacity drift is invisible to
-//! demand telemetry), the *drifted* plant generates the realized outcome,
+//! online-updated abstraction maps across the three canonical drift
+//! scenarios (`llc_workload::drift_scenarios`). For each control period
+//! the map is queried at the operating point the controller would see
+//! (nominal ĉ — capacity drift is invisible to demand telemetry), the
+//! *drifted* plant generates the realized outcome,
 //! and the online map absorbs it prequentially (error measured before the
 //! update). Emits machine-readable `BENCH_online.json` at the workspace
 //! root; `--quick` shortens the run (no JSON rewrite); `--check` gates:
 //! exit non-zero unless online tracking error beats offline-only on at
-//! least two scenarios per substrate.
+//! least two scenarios.
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
 use llc_cluster::{
-    AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, LearnSpec, MapBackend,
-    MemberSpec,
+    AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, LearnSpec, MemberSpec,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, DriftScenario};
 use std::time::Instant;
 
-/// Tracking comparison over one scenario on one substrate.
+/// Tracking comparison over one scenario.
 struct RunResult {
     offline_mae: f64,
     online_mae: f64,
@@ -44,13 +43,13 @@ impl RunResult {
 /// 1/0.7 longer per request); both maps are queried at the nominal key.
 fn run_scenario(
     scenario: &DriftScenario,
-    backend: MapBackend,
     spec: &MemberSpec,
     learn: LearnSpec,
     cfg: &OnlineConfig,
 ) -> RunResult {
     let l0 = L0Config::paper_default();
-    let offline = AbstractionMap::learn_for_member(&l0, spec, learn, backend);
+    let (c_range, lambda_max, q_max) = spec.learn_envelope();
+    let offline = AbstractionMap::learn(&l0, &spec.phis, c_range, lambda_max, q_max, learn);
     let mut online = offline.clone();
     let c_nom = spec.c_prior;
     let steps_per_period = 4;
@@ -97,13 +96,6 @@ fn run_scenario(
     }
 }
 
-fn backend_name(backend: MapBackend) -> &'static str {
-    match backend {
-        MapBackend::Dense => "dense",
-        MapBackend::Hash => "hash",
-    }
-}
-
 fn main() {
     let quick = quick_mode();
     let check = check_mode();
@@ -117,8 +109,7 @@ fn main() {
     let buckets = if quick { 150 } else { 600 };
     let cfg = OnlineConfig::default().validated();
     // Peak near 45% of the machine's nominal capacity: stable throughout
-    // the drift range, so queries stay inside the trained grid where both
-    // substrates can be compared cell-for-cell.
+    // the drift range, so queries stay inside the trained grid.
     let peak_rate = 0.45 / spec.c_prior;
     let scenarios = drift_scenarios(0xD21F7, buckets, 120.0, peak_rate);
     println!(
@@ -126,63 +117,43 @@ fn main() {
     );
 
     let mut lines = Vec::new();
-    let mut wins: Vec<(MapBackend, usize)> = Vec::new();
-    for backend in [MapBackend::Dense, MapBackend::Hash] {
-        let mut backend_wins = 0usize;
-        for scenario in &scenarios {
-            let r = run_scenario(scenario, backend, &spec, learn, &cfg);
-            println!(
-                "{:<22} {:<5}  offline MAE {:>8.3}  online MAE {:>8.3}  ({:.1}x better, \
-                 {:.0} ns/update, {}/{} applied)",
-                scenario.name,
-                backend_name(backend),
-                r.offline_mae,
-                r.online_mae,
-                r.improvement(),
-                r.update_ns,
-                r.updates_applied,
-                r.periods,
-            );
-            if r.online_mae < r.offline_mae {
-                backend_wins += 1;
-            }
-            lines.push(format!(
-                "    \"{}:{}\": {{\n      \"offline_mae\": {:.4},\n      \"online_mae\": {:.4},\n      \"improvement\": {:.3},\n      \"update_ns\": {:.1},\n      \"updates_applied\": {},\n      \"periods\": {}\n    }}",
-                scenario.name,
-                backend_name(backend),
-                r.offline_mae,
-                r.online_mae,
-                r.improvement(),
-                r.update_ns,
-                r.updates_applied,
-                r.periods,
-            ));
+    let mut wins = 0usize;
+    for scenario in &scenarios {
+        let r = run_scenario(scenario, &spec, learn, &cfg);
+        println!(
+            "{:<22}  offline MAE {:>8.3}  online MAE {:>8.3}  ({:.1}x better, \
+             {:.0} ns/update, {}/{} applied)",
+            scenario.name,
+            r.offline_mae,
+            r.online_mae,
+            r.improvement(),
+            r.update_ns,
+            r.updates_applied,
+            r.periods,
+        );
+        if r.online_mae < r.offline_mae {
+            wins += 1;
         }
-        wins.push((backend, backend_wins));
+        lines.push(format!(
+            "    \"{}\": {{\n      \"offline_mae\": {:.4},\n      \"online_mae\": {:.4},\n      \"improvement\": {:.3},\n      \"update_ns\": {:.1},\n      \"updates_applied\": {},\n      \"periods\": {}\n    }}",
+            scenario.name,
+            r.offline_mae,
+            r.online_mae,
+            r.improvement(),
+            r.update_ns,
+            r.updates_applied,
+            r.periods,
+        ));
     }
 
     if check {
         // The acceptance invariant this repo commits to: online tracking
-        // beats offline-only on at least two drift scenarios per
-        // substrate.
-        let mut failed = false;
-        for (backend, n) in &wins {
-            if *n >= 2 {
-                println!(
-                    "gate ok  {}: online beats offline on {n}/3 drift scenarios",
-                    backend_name(*backend)
-                );
-            } else {
-                eprintln!(
-                    "REGRESSION {}: online beats offline on only {n}/3 drift scenarios (need 2)",
-                    backend_name(*backend)
-                );
-                failed = true;
-            }
-        }
-        if failed {
+        // beats offline-only on at least two drift scenarios.
+        if wins < 2 {
+            eprintln!("REGRESSION: online beats offline on only {wins}/3 drift scenarios (need 2)");
             std::process::exit(1);
         }
+        println!("gate ok: online beats offline on {wins}/3 drift scenarios");
         return;
     }
     if quick {

@@ -20,12 +20,8 @@ pub struct ScenarioConfig {
     pub learn: LearnSpec,
     /// Module-tree grid resolution.
     pub module_learn: ModuleLearnSpec,
-    /// Which lookup substrate backs the abstraction maps. `Dense` (the
-    /// default) is the fast fixed-envelope grid; `Hash` insert-or-blends
-    /// online outcomes *beyond* the trained envelope, growing coverage
-    /// from observed traffic — the substrate of choice for a closed-loop
-    /// run expected to drift into operating regions the offline pass
-    /// never sampled.
+    /// No-op until ROADMAP item 10: `benchmark/src/replay.rs` reads it.
+    #[doc(hidden)]
     pub map_backend: MapBackend,
 }
 
@@ -49,12 +45,11 @@ impl ScenarioConfig {
         self
     }
 
-    /// Back the abstraction maps with the hash substrate, whose online
-    /// updates grow coverage beyond the trained envelope (see
-    /// [`ScenarioConfig::map_backend`]).
+    /// No-op until ROADMAP item 10: `benchmark/src/workloads.rs` calls
+    /// it. Every map grows coverage from online outcomes.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_hash_maps(mut self) -> Self {
-        self.map_backend = MapBackend::Hash;
+    pub fn with_hash_maps(self) -> Self {
         self
     }
 

@@ -1,6 +1,6 @@
 use crate::control::{Cadence, PolicyMetrics};
 use crate::l1::{
-    AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MapBackend, MemberSpec,
+    AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MemberSpec,
 };
 use crate::l2::{L2Controller, ModuleCostModel, ModuleLearnSpec, ModuleState};
 use crate::policy::{Action, ClusterPolicy, Observations};
@@ -226,8 +226,8 @@ impl FaultTolerance {
 
 /// What makes two members the same *kind* of machine to the offline
 /// learners: the bit patterns of `speed`, `c_prior` and every scaling
-/// factor. Equal keys give bit-equal abstraction maps (the L0 config,
-/// grid resolution and substrate are build-wide).
+/// factor. Equal keys give bit-equal abstraction maps (the L0 config
+/// and grid resolution are build-wide).
 fn spec_bits(spec: &MemberSpec) -> Vec<u64> {
     [spec.speed, spec.c_prior]
         .iter()
@@ -304,7 +304,6 @@ pub struct HierarchicalPolicy {
     l1_config: L1Config,
     learn: LearnSpec,
     module_learn: ModuleLearnSpec,
-    map_backend: MapBackend,
     /// The retrain consumer, present once retraining is configured
     /// (see [`crate::PolicyBuilder::retrain`]).
     retrain: Option<RetrainManager>,
@@ -352,11 +351,14 @@ impl HierarchicalPolicy {
             })
             .collect();
         let kind_maps: Vec<Arc<AbstractionMap>> = llc_par::par_map(&kind_specs, |m| {
-            Arc::new(AbstractionMap::learn_for_member(
+            let (c_range, lambda_max, q_max) = m.learn_envelope();
+            Arc::new(AbstractionMap::learn(
                 &scenario.l0,
-                m,
+                &m.phis,
+                c_range,
+                lambda_max,
+                q_max,
                 scenario.learn,
-                scenario.map_backend,
             ))
         });
         // One learned model per ordered composition (the kinds of a
@@ -445,7 +447,6 @@ impl HierarchicalPolicy {
             l1_config: scenario.l1,
             learn: scenario.learn,
             module_learn: scenario.module_learn,
-            map_backend: scenario.map_backend,
             retrain: None,
             fault_tolerance: None,
         }
@@ -745,7 +746,6 @@ impl HierarchicalPolicy {
             l1: self.l1_config,
             learn: self.learn,
             module_learn: self.module_learn,
-            backend: self.map_backend,
         };
         self.retrain.as_mut().expect("checked above").spawn(
             jobs,

@@ -1,7 +1,7 @@
 use crate::l1::{AbstractionMap, L1Config, L1Controller, MemberSpec};
 use crate::learner::OnlineLearner;
 use llc_approx::SimplexGrid;
-use llc_approx::{BlendConfig, CostMap, DenseGrid, GridSampler, RegressionTree, TreeConfig};
+use llc_approx::{BlendConfig, DenseGrid, GridSampler, RegressionTree, TreeConfig};
 use llc_core::{BoundedSearch, OnlineConfig};
 use llc_forecast::{Forecaster, LocalLinearTrend};
 use std::sync::Arc;
@@ -286,9 +286,12 @@ impl ModuleCostModel {
     ///
     /// Observations beyond the trained queue ceiling are dropped, not
     /// clamped: `key_of` would fold them into the `q_hi` edge cells,
-    /// which also answer legitimate near-ceiling queries — the same
-    /// edge-poisoning the dense L1 substrate refuses. Overload states
-    /// are already handled by the linear extension in `base_predict`.
+    /// which also answer legitimate near-ceiling queries — the
+    /// edge-poisoning [`DenseGrid::update_in_box`] refuses on the other
+    /// axes. Nor does the layer grow cells out there as the L1 maps do:
+    /// it is a correction added to `base_predict`, whose linear extension
+    /// already handles overload states, and a grown cell would answer
+    /// for every clamped key nearer to it than to the trained edge.
     pub fn observe_outcome_with(
         &mut self,
         lambda: f64,
@@ -304,7 +307,7 @@ impl ModuleCostModel {
         let key = self.key_of(lambda, c_factor, q_mean, active);
         let target = realized_cost - self.base_predict(lambda, c_factor, q_mean, active);
         match self.residual.as_mut() {
-            Some(grid) => grid.update(&key, &target, blend),
+            Some(grid) => grid.update_in_box(&key, &target, blend),
             None => 0.0,
         }
     }
@@ -353,12 +356,7 @@ impl ModuleCostModel {
     pub fn predict(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> f64 {
         let base = self.base_predict(lambda, c_factor, q_mean, active);
         match &self.residual {
-            Some(grid) => {
-                base + grid
-                    .probe(&self.key_of(lambda, c_factor, q_mean, active))
-                    .copied()
-                    .unwrap_or(0.0)
-            }
+            Some(grid) => base + grid.probe(&self.key_of(lambda, c_factor, q_mean, active)),
             None => base,
         }
     }
@@ -1378,11 +1376,14 @@ mod tests {
         let maps: Vec<Arc<AbstractionMap>> = specs
             .iter()
             .map(|m| {
-                Arc::new(AbstractionMap::learn_for_member(
+                let (c_range, lambda_max, q_max) = m.learn_envelope();
+                Arc::new(AbstractionMap::learn(
                     &scenario.l0,
-                    m,
+                    &m.phis,
+                    c_range,
+                    lambda_max,
+                    q_max,
                     scenario.learn,
-                    scenario.map_backend,
                 ))
             })
             .collect();

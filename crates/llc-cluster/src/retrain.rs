@@ -26,7 +26,7 @@
 //!    the *next* rebuild — subject to a cooldown and a lifetime budget
 //!    that keep a persistently noisy plant from thrashing rebuilds.
 
-use crate::l1::{AbstractionMap, L1Config, LearnSpec, MapBackend, MemberSpec};
+use crate::l1::{AbstractionMap, L1Config, LearnSpec, MemberSpec};
 use crate::l2::{ModuleCostModel, ModuleLearnSpec};
 use crate::L0Config;
 use llc_approx::BlendConfig;
@@ -110,7 +110,6 @@ pub(crate) struct RebuildContext {
     pub(crate) l1: L1Config,
     pub(crate) learn: LearnSpec,
     pub(crate) module_learn: ModuleLearnSpec,
-    pub(crate) backend: MapBackend,
 }
 
 /// What a background rebuild hands back for the hot-swap.
@@ -238,14 +237,8 @@ impl RetrainManager {
                 let fresh: Vec<AbstractionMap> = llc_par::par_map_range(job.specs.len(), |i| {
                     let spec = &job.specs[i];
                     let (c_range, lambda_max, q_max) = job.envelopes[i];
-                    AbstractionMap::learn_with_backend(
-                        &ctx.l0,
-                        &spec.phis,
-                        c_range,
-                        lambda_max,
-                        q_max,
-                        ctx.learn,
-                        ctx.backend,
+                    AbstractionMap::learn(
+                        &ctx.l0, &spec.phis, c_range, lambda_max, q_max, ctx.learn,
                     )
                 });
                 let maps: Vec<Arc<AbstractionMap>> = fresh

@@ -8,7 +8,7 @@
 //! it is derived. This module holds the domain-agnostic half of that
 //! loop: the [`OnlineConfig`] knobs governing how aggressively the
 //! learned models chase those outcomes. The blending itself lives with
-//! the approximation substrates (`llc-approx`); the learner that drives
+//! the cost map (`llc-approx`); the learner that drives
 //! it — drift detector, rate switch, staleness sweep — with their
 //! consumers (`llc-cluster`).
 

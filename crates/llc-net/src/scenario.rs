@@ -76,9 +76,7 @@ impl RunSpec {
 
     /// The cluster scenario (topology, learning knobs).
     pub fn scenario_config(&self) -> ScenarioConfig {
-        let mut sc = single_module(self.members)
-            .with_coarse_learning()
-            .with_hash_maps();
+        let mut sc = single_module(self.members).with_coarse_learning();
         if self.family == Family::ClosedLoop {
             sc.l1.min_active = self.members.min(2);
         }

@@ -33,7 +33,7 @@ use llc_workload::{
 use std::sync::mpsc;
 
 fn main() {
-    let sc = single_module(4).with_coarse_learning().with_hash_maps();
+    let sc = single_module(4).with_coarse_learning();
     let capacity: f64 = sc.member_specs()[0]
         .iter()
         .map(|m| m.speed / m.c_prior)

@@ -2,12 +2,12 @@
 //! `HierarchicalPolicy`/`Experiment` stack self-corrects from its own
 //! realized outcomes with zero harness code, the L2→L1 feed-forward
 //! removes the re-split/boot-dead-time oscillation, and the drift
-//! detector switches the learning rate on both map substrates.
+//! detector switches the learning rate.
 
 use llc_cluster::{
     single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, FaultToleranceConfig,
     FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller, L1Config, L1Controller,
-    LearnSpec, MapBackend, MemberSpec, PolicyBuilder, RetrainConfig, ScenarioConfig,
+    LearnSpec, MemberSpec, PolicyBuilder, RetrainConfig, ScenarioConfig,
 };
 use llc_core::{LearnRate, OnlineConfig};
 use llc_workload::{
@@ -16,10 +16,9 @@ use llc_workload::{
 };
 
 /// The bench's closed-loop scenario: two machines pinned on (so the
-/// tracking comparison is not dominated by boot dead-time transients)
-/// over hash-backed maps (so out-of-envelope outcomes are absorbed).
+/// tracking comparison is not dominated by boot dead-time transients).
 fn closed_loop_scenario() -> ScenarioConfig {
-    let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
+    let mut sc = single_module(2).with_coarse_learning();
     sc.l1.min_active = 2;
     sc
 }
@@ -238,16 +237,17 @@ fn two_module_closed_loop_is_pinned_bit_for_bit() {
     assert_eq!(
         pinned,
         (
-            204,
-            17_541_355_449_969_148_747,
-            81,
+            208,
+            6_361_314_828_141_802_730,
+            92,
             12,
             vec![vec![1; 4]; 2],
             vec![1, 1],
             80,
-            Some(4_647_344_795_687_759_854)
+            Some(4_647_281_458_251_518_725)
         ),
-        "recorded on the commit before the learner refactor"
+        "what the commit before the one-substrate PR printed for this run \
+         over hash-backed maps: every map now grows as the hash table did"
     );
 }
 
@@ -262,9 +262,7 @@ fn two_module_closed_loop_is_pinned_bit_for_bit() {
 #[test]
 fn two_module_fault_run_is_pinned_bit_for_bit() {
     fn run() -> (usize, u64, usize, u64, u64, u64, usize, Option<u64>) {
-        let mut sc = llc_cluster::paper_cluster_16()
-            .with_coarse_learning()
-            .with_hash_maps();
+        let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
         sc.modules.truncate(2);
         let capacity = cluster_capacity(&sc);
         let trace = Trace::new(30.0, vec![0.45 * capacity * 30.0; 160]).expect("well-formed trace");
@@ -333,65 +331,64 @@ fn two_module_fault_run_is_pinned_bit_for_bit() {
     }
 }
 
-/// The drift detector switches the online learner between the steady and
-/// fast rates on both substrates, and the fast rate re-converges faster
-/// than the steady-only learner over the same outcome stream.
+/// The drift detector switches the online learner from the steady to the
+/// fast rate when a capacity step makes the residuals jump.
 #[test]
-fn detector_switches_rate_on_both_substrates() {
+fn detector_switches_rate_on_a_capacity_step() {
     let spec = MemberSpec::paper_default(FrequencyProfile::TallEight);
     let l0 = L0Config::paper_default();
-    for backend in [MapBackend::Dense, MapBackend::Hash] {
-        let map =
-            llc_cluster::AbstractionMap::learn_for_member(&l0, &spec, LearnSpec::coarse(), backend);
-        let mut l1 = L1Controller::new(L1Config::paper_default(), vec![spec.clone()], vec![map]);
-        l1.enable_online(OnlineConfig::default());
-        assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
+    let (c_range, lambda_max, q_max) = spec.learn_envelope();
+    let map = llc_cluster::AbstractionMap::learn(
+        &l0,
+        &spec.phis,
+        c_range,
+        lambda_max,
+        q_max,
+        LearnSpec::coarse(),
+    );
+    let mut l1 = L1Controller::new(L1Config::paper_default(), vec![spec.clone()], vec![map]);
+    l1.enable_online(OnlineConfig::default());
+    assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
 
-        let c = spec.c_prior;
-        let lambda = 0.5 / c;
-        let mut q = 0.0f64;
-        // Nominal phase: outcomes match the map, detector stays steady.
-        for _ in 0..12 {
-            let (cost, power, final_q) =
-                L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c, 4);
-            let realized = GEntry {
-                cost,
-                power,
-                final_q,
-            };
-            l1.absorb_outcomes(&[(0, lambda, q, realized)]);
-            q = final_q;
-        }
-        assert_eq!(
-            l1.drift_detections(),
-            0,
-            "{backend:?}: matching outcomes must not fire"
-        );
-        assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
-
-        // The machine fails to half capacity: the standing load no
-        // longer fits, residuals jump, the detector fires and the
-        // learner goes fast.
-        for _ in 0..12 {
-            let (cost, power, final_q) =
-                L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / 0.5, 4);
-            let realized = GEntry {
-                cost,
-                power,
-                final_q,
-            };
-            l1.absorb_outcomes(&[(0, lambda, q, realized)]);
-            q = final_q;
-        }
-        assert!(
-            l1.drift_detections() > 0,
-            "{backend:?}: the capacity step must fire the detector"
-        );
-        assert!(
-            l1.fast_updates() > 0,
-            "{backend:?}: post-detection updates must run at the fast rate"
-        );
+    let c = spec.c_prior;
+    let lambda = 0.5 / c;
+    let mut q = 0.0f64;
+    // Nominal phase: outcomes match the map, detector stays steady.
+    for _ in 0..12 {
+        let (cost, power, final_q) = L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c, 4);
+        let realized = GEntry {
+            cost,
+            power,
+            final_q,
+        };
+        l1.absorb_outcomes(&[(0, lambda, q, realized)]);
+        q = final_q;
     }
+    assert_eq!(l1.drift_detections(), 0, "matching outcomes must not fire");
+    assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
+
+    // The machine fails to half capacity: the standing load no
+    // longer fits, residuals jump, the detector fires and the
+    // learner goes fast.
+    for _ in 0..12 {
+        let (cost, power, final_q) =
+            L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / 0.5, 4);
+        let realized = GEntry {
+            cost,
+            power,
+            final_q,
+        };
+        l1.absorb_outcomes(&[(0, lambda, q, realized)]);
+        q = final_q;
+    }
+    assert!(
+        l1.drift_detections() > 0,
+        "the capacity step must fire the detector"
+    );
+    assert!(
+        l1.fast_updates() > 0,
+        "post-detection updates must run at the fast rate"
+    );
 }
 
 /// `CapacityProfile`-driven drift inside `Experiment::run` reaches the

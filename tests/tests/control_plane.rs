@@ -86,7 +86,7 @@ fn assert_equivalent(
 /// drift scenario under the in-hierarchy closed loop.
 #[test]
 fn experiment_and_hand_rolled_loop_agree_closed_loop() {
-    let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
+    let mut sc = single_module(2).with_coarse_learning();
     sc.l1.min_active = 2;
     let capacity: f64 = sc.member_specs()[0]
         .iter()
@@ -119,7 +119,7 @@ fn experiment_and_hand_rolled_loop_agree_closed_loop() {
 /// under the watchdog'd closed loop.
 #[test]
 fn experiment_and_hand_rolled_loop_agree_faults() {
-    let sc = single_module(4).with_coarse_learning().with_hash_maps();
+    let sc = single_module(4).with_coarse_learning();
     let capacity: f64 = sc.member_specs()[0]
         .iter()
         .map(|m| m.speed / m.c_prior)
@@ -156,7 +156,7 @@ fn experiment_and_hand_rolled_loop_agree_faults() {
 /// reaching into any subsystem struct.
 #[test]
 fn metrics_snapshot_reports_every_subsystem() {
-    let sc = single_module(4).with_coarse_learning().with_hash_maps();
+    let sc = single_module(4).with_coarse_learning();
     let capacity: f64 = sc.member_specs()[0]
         .iter()
         .map(|m| m.speed / m.c_prior)

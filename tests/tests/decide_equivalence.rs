@@ -31,7 +31,7 @@ use llc_approx::SimplexGrid;
 use llc_cluster::{
     cluster_of, single_module, AbstractionMap, Action, Cadence, ClusterPolicy, Experiment,
     FaultToleranceConfig, HierarchicalPolicy, L0Config, L1Config, L1Controller, LearnSpec,
-    MapBackend, MemberSpec, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
+    MemberSpec, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
 };
 use llc_core::{BoundedSearch, OnlineConfig};
 use llc_workload::{drift_scenarios, fault_scenarios, CapacityProfile, VirtualStore};
@@ -101,14 +101,14 @@ fn assert_directives_equal(pruned: &[Vec<Action>], exhaustive: &[Vec<Action>], l
     }
 }
 
-/// The closed-loop bench family (`bench_closed_loop --quick`): hash-map
+/// The closed-loop bench family (`bench_closed_loop --quick`):
 /// single_module(2) with both machines pinned on, over the three seeded
 /// drift scenarios.
 #[test]
 fn pruned_search_matches_exhaustive_on_closed_loop_scenarios() {
     let buckets = 60; // the bench's --quick horizon
     let base_sc = {
-        let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
+        let mut sc = single_module(2).with_coarse_learning();
         sc.l1.min_active = 2;
         sc
     };
@@ -142,14 +142,14 @@ fn pruned_search_matches_exhaustive_on_closed_loop_scenarios() {
     }
 }
 
-/// The fault bench family (`bench_faults`): hash-map single_module(4)
+/// The fault bench family (`bench_faults`): single_module(4)
 /// under the four seeded fault schedules, with the watchdog stack on —
 /// so the comparison also covers `decide_excluding` with dead members,
 /// the safe-mode fallback and post-rejoin recruiting.
 #[test]
 fn pruned_search_matches_exhaustive_on_fault_scenarios() {
     let buckets = 90; // the bench horizon (quick keeps it too)
-    let base_sc = single_module(4).with_coarse_learning().with_hash_maps();
+    let base_sc = single_module(4).with_coarse_learning();
     let capacity: f64 = base_sc.member_specs()[0]
         .iter()
         .map(|m| m.speed / m.c_prior)
@@ -193,11 +193,14 @@ fn learned_module() -> &'static (Vec<MemberSpec>, Vec<Arc<AbstractionMap>>) {
         let maps: Vec<Arc<AbstractionMap>> = members
             .iter()
             .map(|s| {
-                Arc::new(AbstractionMap::learn_for_member(
+                let (c_range, lambda_max, q_max) = s.learn_envelope();
+                Arc::new(AbstractionMap::learn(
                     &L0Config::paper_default(),
-                    s,
+                    &s.phis,
+                    c_range,
+                    lambda_max,
+                    q_max,
                     LearnSpec::coarse(),
-                    MapBackend::Dense,
                 ))
             })
             .collect();

@@ -43,9 +43,7 @@ const DELAY_DIR: (u64, u64) = (132, 133);
 const DELAY_DIR_TICKS: u64 = 5;
 
 fn scenario() -> ScenarioConfig {
-    let mut sc = single_module(MEMBERS)
-        .with_coarse_learning()
-        .with_hash_maps();
+    let mut sc = single_module(MEMBERS).with_coarse_learning();
     // Keep every machine powered: the equivalence argument wants the
     // watchdog driven purely by telemetry streaks, not by activation
     // decisions diverging between the two runs.

@@ -93,7 +93,7 @@ fn dead_machine_keeps_zero_queue() {
 /// read zero for the whole crash→boot-done stretch.
 #[test]
 fn restart_under_overload_has_no_arrival_hoarding_window() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let capacity: f64 = scenario.member_specs()[0]
         .iter()
         .map(|m| m.speed / m.c_prior)
@@ -180,7 +180,7 @@ fn sim_reports_infinite_boot_as_booting_forever() {
 /// nor the tracking error ever see the NaN.
 #[test]
 fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let mut policy = PolicyBuilder::new(scenario.clone())
         .closed_loop(OnlineConfig::default())
         .build();

@@ -30,7 +30,7 @@ fn tolerant_policy(scenario: &llc_cluster::ScenarioConfig) -> HierarchicalPolicy
 /// whole churn.
 #[test]
 fn crash_and_restart_death_and_rejoin() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let rate = 0.6 * capacity(&scenario);
     let trace = Trace::new(30.0, vec![rate * 30.0; 60]).unwrap();
     let store = VirtualStore::paper_default(11);
@@ -72,7 +72,7 @@ fn crash_and_restart_death_and_rejoin() {
 /// member on, uniform split) instead of optimizing over blank windows.
 #[test]
 fn quorum_loss_triggers_safe_mode_and_clears() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let rate = 0.5 * capacity(&scenario);
     let trace = Trace::new(30.0, vec![rate * 30.0; 50]).unwrap();
     let store = VirtualStore::paper_default(13);
@@ -120,7 +120,7 @@ fn quorum_loss_triggers_safe_mode_and_clears() {
 /// and every death matched by a rejoin (no member is lost forever).
 #[test]
 fn canonical_scenarios_survive_with_invariants_armed() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let cap = capacity(&scenario);
     // Short horizon to keep the debug-profile run fast — but long enough
     // (80 ticks) that every schedule finishes in-run: the rolling
@@ -166,7 +166,7 @@ fn store_for(name: &str) -> VirtualStore {
 /// pinned here at test scale.
 #[test]
 fn tolerant_tracks_better_than_blind_through_a_crash() {
-    let scenario = single_module(4).with_coarse_learning().with_hash_maps();
+    let scenario = single_module(4).with_coarse_learning();
     let rate = 0.7 * capacity(&scenario);
     let trace = Trace::new(30.0, vec![rate * 30.0; 60]).unwrap();
     let plan = FaultPlan::new(vec![

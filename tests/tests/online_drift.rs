@@ -1,11 +1,11 @@
 //! Drift integration: when delivered capacity degrades mid-run, an
 //! online-updated model tracks the plant better than the offline-only
-//! one — on both map substrates, and through the full L1 record/learn
-//! wiring as well as the L2 residual layer.
+//! one — through the full L1 record/learn wiring as well as the L2
+//! residual layer.
 
 use llc_cluster::{
     AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, L1Config, L1Controller,
-    LearnSpec, MapBackend, MemberSpec,
+    LearnSpec, MemberSpec,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, DriftScenario};
@@ -14,21 +14,24 @@ fn member() -> MemberSpec {
     MemberSpec::paper_default(FrequencyProfile::TallEight)
 }
 
-fn learn_map(spec: &MemberSpec, backend: MapBackend) -> AbstractionMap {
-    AbstractionMap::learn_for_member(
+fn learn_map(spec: &MemberSpec) -> AbstractionMap {
+    let (c_range, lambda_max, q_max) = spec.learn_envelope();
+    AbstractionMap::learn(
         &L0Config::paper_default(),
-        spec,
+        &spec.phis,
+        c_range,
+        lambda_max,
+        q_max,
         LearnSpec::coarse(),
-        backend,
     )
 }
 
 /// Prequential tracking error of offline-only vs online-updated maps
 /// over one drift scenario (every bucket = one L1 period; truth from the
 /// analytic L0 model at the drifted effective service time).
-fn tracking_errors(scenario: &DriftScenario, backend: MapBackend, spec: &MemberSpec) -> (f64, f64) {
+fn tracking_errors(scenario: &DriftScenario, spec: &MemberSpec) -> (f64, f64) {
     let l0 = L0Config::paper_default();
-    let offline = learn_map(spec, backend);
+    let offline = learn_map(spec);
     let mut online = offline.clone();
     let cfg = OnlineConfig::default();
     let c = spec.c_prior;
@@ -65,14 +68,12 @@ fn online_tracking_beats_offline_when_capacity_degrades_midrun() {
             .iter()
             .find(|s| s.name == name)
             .expect("scenario exists");
-        for backend in [MapBackend::Dense, MapBackend::Hash] {
-            let (offline_mae, online_mae) = tracking_errors(scenario, backend, &spec);
-            assert!(
-                online_mae < offline_mae,
-                "{name}/{backend:?}: online MAE {online_mae:.4} must beat \
-                 offline MAE {offline_mae:.4}"
-            );
-        }
+        let (offline_mae, online_mae) = tracking_errors(scenario, &spec);
+        assert!(
+            online_mae < offline_mae,
+            "{name}: online MAE {online_mae:.4} must beat \
+             offline MAE {offline_mae:.4}"
+        );
     }
 }
 
@@ -80,7 +81,7 @@ fn online_tracking_beats_offline_when_capacity_degrades_midrun() {
 fn l1_controller_wiring_adapts_its_maps_under_drift() {
     let spec = member();
     let l0 = L0Config::paper_default();
-    let offline = learn_map(&spec, MapBackend::Dense);
+    let offline = learn_map(&spec);
     let mut l1 = L1Controller::new(
         L1Config::paper_default(),
         vec![spec.clone()],

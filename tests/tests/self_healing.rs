@@ -11,7 +11,7 @@ use llc_core::OnlineConfig;
 use llc_workload::{deep_degradation_scenario, VirtualStore};
 
 fn base_scenario() -> ScenarioConfig {
-    let mut sc = single_module(2).with_coarse_learning().with_hash_maps();
+    let mut sc = single_module(2).with_coarse_learning();
     sc.l1.min_active = 2;
     sc
 }
