@@ -5,8 +5,8 @@ use crate::control::{
 use crate::policy::ClusterPolicy;
 use llc_sim::{ClusterConfig, ClusterSim, PowerState, SimError, WindowStats};
 use llc_workload::{
-    derive_seed, spread_arrivals, CapacityProfile, FaultKind, FaultPlan, Gaussian, RequestSampler,
-    Trace, VirtualStore,
+    derive_seed, spread_arrivals_into, CapacityProfile, FaultKind, FaultPlan, Gaussian,
+    RequestSampler, SpreadScratch, Trace, VirtualStore,
 };
 use rand::SeedableRng;
 use std::time::Duration;
@@ -536,9 +536,11 @@ impl SimAdapter {
     /// Propagates [`SimError`] (cannot occur in a well-formed run).
     pub fn advance_window(&mut self, tick: u64) -> Result<(), SimError> {
         self.sim.run_until((tick + 1) as f64 * self.t_l0)?;
-        self.prev_comp_stats = self.sim.drain_computer_stats();
-        self.prev_mod_stats = self.sim.drain_module_stats();
-        self.prev_rejections = self.sim.drain_dispatch_rejections();
+        self.sim
+            .drain_computer_stats_into(&mut self.prev_comp_stats);
+        self.sim.drain_module_stats_into(&mut self.prev_mod_stats);
+        self.sim
+            .drain_dispatch_rejections_into(&mut self.prev_rejections);
         Ok(())
     }
 }
@@ -557,7 +559,19 @@ pub struct Plant<'a> {
     ticks_trace: Trace,
     sampler: RequestSampler<'a>,
     spread_rng: rand::rngs::StdRng,
+    /// The spread's working storage and the window's arrival instants,
+    /// kept so that no window but the run's largest allocates them.
+    spread: SpreadScratch,
+    instants: Vec<f64>,
 }
+
+/// Most arrivals [`Plant::new`] accepts in one tick of its trace. A
+/// window's arrivals are materialised — instants, then requests, about
+/// 90 bytes each — on the tick they occur, so a trace file with one
+/// absurd bucket would otherwise abort the run when it got there. Eight
+/// times the ~1 M a window of the 1000-machine scale arm carries, and
+/// far inside the `u32` bucket ids of [`spread_arrivals_into`].
+pub const MAX_WINDOW_ARRIVALS: usize = 1 << 23;
 
 impl<'a> Plant<'a> {
     /// A cluster built from `sim_config` under `experiment`'s drift and
@@ -567,8 +581,9 @@ impl<'a> Plant<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from prewarming (cannot occur for a
-    /// well-formed cluster).
+    /// [`SimError::WindowTooLarge`] if a tick of the rebucketed trace
+    /// carries more than [`MAX_WINDOW_ARRIVALS`]; propagates [`SimError`]
+    /// from prewarming (cannot occur for a well-formed cluster).
     ///
     /// # Panics
     ///
@@ -582,6 +597,14 @@ impl<'a> Plant<'a> {
         let ticks_trace = trace
             .rebucket(experiment.t_l0)
             .expect("trace bucket width must be an integer ratio of t_l0");
+        let too_large = |&(_, &count): &(usize, &f64)| count.round() > MAX_WINDOW_ARRIVALS as f64;
+        if let Some((tick, &arrivals)) = ticks_trace.counts().iter().enumerate().find(too_large) {
+            return Err(SimError::WindowTooLarge {
+                tick,
+                arrivals,
+                max: MAX_WINDOW_ARRIVALS,
+            });
+        }
         let mut adapter = SimAdapter::new(sim_config, experiment, ticks_trace.len());
         if experiment.prewarmed {
             adapter.prewarm()?;
@@ -591,6 +614,8 @@ impl<'a> Plant<'a> {
             ticks_trace,
             sampler: RequestSampler::paper_default(store, experiment.seed),
             spread_rng: rand::rngs::StdRng::seed_from_u64(derive_seed(experiment.seed, 0xA121)),
+            spread: SpreadScratch::default(),
+            instants: Vec::new(),
         })
     }
 
@@ -616,7 +641,15 @@ impl<'a> Plant<'a> {
         let count = self.ticks_trace.count(tick as usize).round().max(0.0) as usize;
         let t_l0 = self.adapter.t_l0;
         let start = tick as f64 * t_l0;
-        for at in spread_arrivals(&mut self.spread_rng, start, t_l0, count) {
+        spread_arrivals_into(
+            &mut self.spread_rng,
+            start,
+            t_l0,
+            count,
+            &mut self.spread,
+            &mut self.instants,
+        );
+        for &at in &self.instants {
             let (_, demand) = self.sampler.next_request();
             self.adapter.schedule_arrival(at, demand)?;
         }
@@ -649,7 +682,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] (cannot occur with a well-formed trace) and
+    /// [`SimError::WindowTooLarge`] as [`Plant::new`]; otherwise
+    /// propagates [`SimError`] (cannot occur with a well-formed trace) and
     /// trace rebucketing errors as a panic with context.
     ///
     /// # Panics
@@ -829,6 +863,41 @@ mod tests {
             assert_eq!(a.energy, b.energy);
         }
         assert_eq!(l1.directives, l2.directives);
+    }
+
+    #[test]
+    fn a_window_past_the_bound_is_refused_before_the_run_starts() {
+        let store = VirtualStore::paper_default(1);
+        let exp = Experiment::paper_default(7);
+        let at_bound = MAX_WINDOW_ARRIVALS as f64;
+        let trace = |crest: f64| Trace::new(30.0, vec![10.0, 10.0, crest, 10.0]).unwrap();
+        // Counts are rounded to whole arrivals: the bound itself, and
+        // what rounds to it, build.
+        for crest in [at_bound, at_bound + 0.4] {
+            let plant = Plant::new(tiny_cluster(), &exp, &trace(crest), &store).unwrap();
+            assert_eq!(plant.total_ticks(), 4);
+        }
+        let refused = SimError::WindowTooLarge {
+            tick: 2,
+            arrivals: 1e15,
+            max: MAX_WINDOW_ARRIVALS,
+        };
+        assert_eq!(
+            Plant::new(tiny_cluster(), &exp, &trace(1e15), &store).unwrap_err(),
+            refused
+        );
+        let mut policy = AlwaysMaxPolicy::new(vec![vec![(1.0, 2), (1.0, 2)]]);
+        assert_eq!(
+            exp.run(tiny_cluster(), &mut policy, &trace(1e15), &store)
+                .unwrap_err(),
+            refused
+        );
+        // Rebucketed first: a two-minute bucket is four ticks' worth.
+        let coarse = Trace::new(120.0, vec![at_bound * 4.0 + 8.0]).unwrap();
+        assert!(matches!(
+            Plant::new(tiny_cluster(), &exp, &coarse, &store),
+            Err(SimError::WindowTooLarge { tick: 0, .. })
+        ));
     }
 
     #[test]

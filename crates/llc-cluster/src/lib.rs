@@ -52,7 +52,10 @@ pub use control::{
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
 };
-pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord};
+pub use experiment::{
+    Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord,
+    MAX_WINDOW_ARRIVALS,
+};
 pub use hierarchy::{ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
 pub use l0::{L0Config, L0Controller, L0Decision, QueueModel};
 pub use l1::{

@@ -195,7 +195,8 @@ impl<'a> AgentCore<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from prewarming.
+    /// Propagates [`SimError`] from [`Plant::new`]: a trace window past
+    /// its bound, or prewarming.
     ///
     /// # Panics
     ///
@@ -487,6 +488,18 @@ mod tests {
             },
         ));
         assert_eq!(r.drain().len(), 2);
+    }
+
+    #[test]
+    fn a_trace_window_past_the_plant_bound_is_refused_at_construction() {
+        use crate::scenario::{Family, RunSpec};
+        let spec = RunSpec::defaults(Family::ClosedLoop);
+        let (exp, _) = spec.experiment_and_trace();
+        let store = spec.store();
+        let trace = Trace::new(exp.t_l0, vec![100.0, 1e15]).expect("finite counts");
+        let refused = AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+            .expect_err("an unbounded window");
+        assert!(matches!(refused, SimError::WindowTooLarge { tick: 1, .. }));
     }
 
     /// Peer input that decodes but does not fit the two-machine,

@@ -24,6 +24,16 @@ pub enum SimError {
         /// The offending requested time.
         requested: f64,
     },
+    /// A trace asked for more arrivals in one window than a plant will
+    /// materialise.
+    WindowTooLarge {
+        /// The offending base tick.
+        tick: usize,
+        /// Arrivals the trace carries for it.
+        arrivals: f64,
+        /// The most a window may carry.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -40,6 +50,14 @@ impl fmt::Display for SimError {
             SimError::TimeRanBackwards { now, requested } => {
                 write!(f, "requested time {requested} precedes current time {now}")
             }
+            SimError::WindowTooLarge {
+                tick,
+                arrivals,
+                max,
+            } => write!(
+                f,
+                "tick {tick} carries {arrivals} arrivals, a window holds at most {max}"
+            ),
         }
     }
 }
@@ -152,6 +170,8 @@ pub struct ClusterSim {
     dispatch_rejected: Vec<u64>,
     /// Per-computer routed arrivals awaiting the next sweep.
     pending: Vec<Pending>,
+    /// What each lane of the last sweep refused; kept for its buffer.
+    lane_rejections: Vec<u64>,
 }
 
 impl ClusterSim {
@@ -201,6 +221,7 @@ impl ClusterSim {
             stuck_actuators: vec![false; computer_count],
             dispatch_rejected: vec![0; computer_count],
             pending: vec![Pending::default(); computer_count],
+            lane_rejections: Vec::with_capacity(computer_count),
         }
     }
 
@@ -493,15 +514,30 @@ impl ClusterSim {
     /// computer order. Each window carries the energy drawn since the
     /// previous drain (integrated up to the current simulation time).
     pub fn drain_computer_stats(&mut self) -> Vec<WindowStats> {
+        let mut stats = Vec::new();
+        self.drain_computer_stats_into(&mut stats);
+        stats
+    }
+
+    /// [`ClusterSim::drain_computer_stats`], overwriting `stats` — a
+    /// buffer kept from window to window is allocated once.
+    pub fn drain_computer_stats_into(&mut self, stats: &mut Vec<WindowStats>) {
         let now = self.now;
-        (0..self.machines.len())
-            .map(|i| self.machines.drain_stats(i, now))
-            .collect()
+        stats.clear();
+        stats.extend((0..self.machines.len()).map(|i| self.machines.drain_stats(i, now)));
     }
 
     /// Drain per-module arrival statistics (module-level routing counts).
     pub fn drain_module_stats(&mut self) -> Vec<WindowStats> {
-        self.module_stats.iter_mut().map(|s| s.drain()).collect()
+        let mut stats = Vec::new();
+        self.drain_module_stats_into(&mut stats);
+        stats
+    }
+
+    /// [`ClusterSim::drain_module_stats`], overwriting `stats`.
+    pub fn drain_module_stats_into(&mut self, stats: &mut Vec<WindowStats>) {
+        stats.clear();
+        stats.extend(self.module_stats.iter_mut().map(|s| s.drain()));
     }
 
     /// Drain the per-computer dispatcher-side rejection counters
@@ -512,10 +548,16 @@ impl ClusterSim {
     /// machine crashes or its sensors black out, because the dispatcher
     /// measures its own failed sends.
     pub fn drain_dispatch_rejections(&mut self) -> Vec<u64> {
-        self.dispatch_rejected
-            .iter_mut()
-            .map(std::mem::take)
-            .collect()
+        let mut rejections = Vec::new();
+        self.drain_dispatch_rejections_into(&mut rejections);
+        rejections
+    }
+
+    /// [`ClusterSim::drain_dispatch_rejections`], overwriting
+    /// `rejections`.
+    pub fn drain_dispatch_rejections_into(&mut self, rejections: &mut Vec<u64>) {
+        rejections.clear();
+        rejections.extend(self.dispatch_rejected.iter_mut().map(std::mem::take));
     }
 
     /// Advance the plant to absolute time `t`: route the scheduled
@@ -542,19 +584,25 @@ impl ClusterSim {
         }
         self.route_due(t);
         let arrivals: u64 = self.pending.iter().map(Pending::len).sum();
-        let mut lanes: Vec<MachineLane<'_>> = self
+        self.lane_rejections.clear();
+        let lanes = self
             .machines
             .machines_mut()
             .zip(&mut self.pending)
-            .map(|(machine, pending)| MachineLane::new(machine, pending))
-            .collect();
+            .map(|(machine, pending)| MachineLane::new(machine, pending));
         if arrivals < FAN_OUT_MIN_ARRIVALS {
-            lanes.iter_mut().for_each(|lane| lane.step(t));
+            self.lane_rejections.extend(lanes.map(|mut lane| {
+                lane.step(t);
+                lane.rejected
+            }));
         } else {
+            let mut lanes: Vec<MachineLane<'_>> = lanes.collect();
             llc_par::par_for_each_mut(&mut lanes, |lane| lane.step(t));
+            self.lane_rejections
+                .extend(lanes.iter().map(|lane| lane.rejected));
         }
-        let rejected: Vec<u64> = lanes.iter().map(|lane| lane.rejected).collect();
-        for (comp, count) in rejected.into_iter().enumerate() {
+        for comp in 0..self.lane_rejections.len() {
+            let count = self.lane_rejections[comp];
             if count > 0 {
                 self.charge_rejections(comp, count);
             }
@@ -570,7 +618,11 @@ impl ClusterSim {
     /// weights may change before they are due.
     fn route_due(&mut self, t: f64) {
         let mut scheduled = std::mem::take(&mut self.scheduled);
-        scheduled.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        // A window submitted in time order — the usual case — is left
+        // alone: the sort would allocate its merge buffer to move nothing.
+        if !scheduled.is_sorted_by(|a, b| a.arrival.total_cmp(&b.arrival).is_le()) {
+            scheduled.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        }
         let due = scheduled.partition_point(|r| r.arrival <= t);
         for request in scheduled.drain(..due) {
             let Some(m) = self.global_router.route() else {

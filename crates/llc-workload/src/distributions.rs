@@ -199,6 +199,26 @@ mod tests {
         assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
+    /// Counts the raw draws taken from the generator it wraps.
+    struct CountingRng(rand::rngs::StdRng, usize);
+
+    impl rand::RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn a_gaussian_sample_takes_two_raw_draws() {
+        // `RequestSampler` rewinds its generator by counting on it.
+        let mut r = CountingRng(rng(8), 0);
+        for n in 1..=1_000 {
+            LogNormal::new(50.0_f64.ln(), 1.5).sample(&mut r);
+            assert_eq!(r.1, 2 * n);
+        }
+    }
+
     #[test]
     fn zero_std_gaussian_is_constant() {
         let g = Gaussian::new(5.0, 0.0);

@@ -22,6 +22,16 @@
 //! Zipf, lognormal) are implemented in this crate on top of the
 //! `rand` uniform source — no external statistics dependency.
 //!
+//! [`RequestSampler`] owns its generator and draws ahead: 64 stack
+//! distances at a time, before it walks its LRU stack for any of them,
+//! because the lognormal's libm calls and the stack's move-to-front stall
+//! each other when they alternate. The stream cannot tell. Only a request
+//! that misses the stack takes further draws, and it first rewinds the
+//! generator to where its own distance draw left it and drops the rest of
+//! the chunk — every draw comes from the state a sampler working one
+//! request at a time would take it from. [`spread_arrivals_into`] is the
+//! arrival-instant half of a window, on buffers its caller keeps.
+//!
 //! # Example
 //!
 //! ```
@@ -59,14 +69,54 @@ pub use synthetic::{synthetic_paper_workload, DiurnalShape, NoiseSegment, Synthe
 pub use trace::{Trace, TraceError};
 pub use wc98::{wc98_like_day, wc98_like_fig6};
 
+/// Working storage of [`spread_arrivals_into`], kept by a caller that
+/// spreads window after window so that none but the largest allocates.
+#[derive(Debug, Clone, Default)]
+pub struct SpreadScratch {
+    /// The draws, in draw order.
+    draws: Vec<f64>,
+    /// Each draw's bucket.
+    buckets: Vec<u32>,
+    /// Per bucket: one past the last output slot not yet filled.
+    ends: Vec<u32>,
+}
+
 /// Spread `n` arrivals uniformly at random inside the window
 /// `[start, start + width)`, returned sorted — the standard way of turning
 /// a per-bucket count trace into individual arrival instants.
 ///
 /// # Panics
 ///
-/// Panics if `width` is not positive and finite, or `start` is not finite.
+/// As [`spread_arrivals_into`].
 pub fn spread_arrivals<R: rand::Rng>(rng: &mut R, start: f64, width: f64, n: usize) -> Vec<f64> {
+    let mut times = Vec::new();
+    spread_arrivals_into(
+        rng,
+        start,
+        width,
+        n,
+        &mut SpreadScratch::default(),
+        &mut times,
+    );
+    times
+}
+
+/// [`spread_arrivals`] on the caller's buffers: `times` is overwritten
+/// with the `n` sorted instants, and neither it nor `scratch` allocates
+/// once it has held a window as large.
+///
+/// # Panics
+///
+/// Panics if `width` is not positive and finite, `start` is not finite,
+/// or `n` exceeds `u32::MAX` (bucket ids are `u32`).
+pub fn spread_arrivals_into<R: rand::Rng>(
+    rng: &mut R,
+    start: f64,
+    width: f64,
+    n: usize,
+    scratch: &mut SpreadScratch,
+    times: &mut Vec<f64>,
+) {
     assert!(
         width > 0.0 && width.is_finite(),
         "window width must be positive and finite, got {width}"
@@ -75,27 +125,44 @@ pub fn spread_arrivals<R: rand::Rng>(rng: &mut R, start: f64, width: f64, n: usi
         start.is_finite(),
         "window start must be finite, got {start}"
     );
-    let draws: Vec<f64> = (0..n).map(|_| start + rng.gen::<f64>() * width).collect();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a window holds at most u32::MAX arrivals, got {n}"
+    );
+    let SpreadScratch {
+        draws,
+        buckets,
+        ends,
+    } = scratch;
+    draws.clear();
+    draws.reserve(n);
+    buckets.clear();
+    buckets.reserve(n);
+    ends.clear();
+    ends.resize(n, 0);
+    times.clear();
+    times.resize(n, 0.0);
     // `n` uniform draws over `n` equal-width buckets leave about one per
     // bucket: a counting pass puts every draw within a few places of its
     // rank, and the insertion pass that finishes the order under
     // `total_cmp` (the order `sort_by(f64::total_cmp)` gives) has next to
     // nothing left to move.
-    let bucket = |t: f64| (((t - start) / width * n as f64) as usize).min(n - 1);
-    let mut ends = vec![0usize; n];
-    for &t in &draws {
-        ends[bucket(t)] += 1;
+    for _ in 0..n {
+        let t = start + rng.gen::<f64>() * width;
+        let bucket = (((t - start) / width * n as f64) as usize).min(n - 1);
+        draws.push(t);
+        buckets.push(bucket as u32);
+        ends[bucket] += 1;
     }
     let mut filled = 0;
-    for end in &mut ends {
+    for end in ends.iter_mut() {
         filled += *end;
         *end = filled;
     }
-    let mut times = vec![0.0; n];
-    for &t in draws.iter().rev() {
-        let slot = &mut ends[bucket(t)];
+    for (&t, &bucket) in draws.iter().zip(buckets.iter()).rev() {
+        let slot = &mut ends[bucket as usize];
         *slot -= 1;
-        times[*slot] = t;
+        times[*slot as usize] = t;
     }
     for i in 1..n {
         let t = times[i];
@@ -106,7 +173,6 @@ pub fn spread_arrivals<R: rand::Rng>(rng: &mut R, start: f64, width: f64, n: usi
         }
         times[j] = t;
     }
-    times
 }
 
 #[cfg(test)]
@@ -139,6 +205,7 @@ mod tests {
 
     /// A source with eight bits of entropy per draw, so a window of any
     /// size repeats instants.
+    #[derive(Clone)]
     struct Coarse(rand::rngs::StdRng);
 
     impl RngCore for Coarse {
@@ -177,6 +244,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One scratch through windows of changing size gives what a fresh
+    /// [`spread_arrivals`] gives from a clone of the generator.
+    fn carried_scratch_matches_fresh<R: RngCore + Clone>(mut a: R) {
+        let bits = |times: &[f64]| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        let (mut scratch, mut times) = (SpreadScratch::default(), Vec::new());
+        for start in [0.0, -45.0, 9_600.0 * 30.0, 1e15] {
+            for width in [30.0, 120.0, 1e-3] {
+                // Shrinking leaves stale entries behind every buffer's
+                // length; growing back reads none of them.
+                for n in [7_000, 0, 1, 2, 7_000, 3] {
+                    let mut b = a.clone();
+                    spread_arrivals_into(&mut a, start, width, n, &mut scratch, &mut times);
+                    assert_eq!(
+                        bits(&times),
+                        bits(&spread_arrivals(&mut b, start, width, n)),
+                        "start {start} width {width} n {n}"
+                    );
+                    assert_eq!(a.clone().next_u64(), b.next_u64(), "same draws taken");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_scratch_carried_across_windows_spreads_as_a_fresh_one() {
+        carried_scratch_matches_fresh(rand::rngs::StdRng::seed_from_u64(11));
+        carried_scratch_matches_fresh(Coarse(rand::rngs::StdRng::seed_from_u64(12)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX arrivals")]
+    fn spread_refuses_more_arrivals_than_bucket_ids() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let (mut scratch, mut times) = (SpreadScratch::default(), Vec::new());
+        let n = u32::MAX as usize + 1;
+        spread_arrivals_into(&mut rng, 0.0, 30.0, n, &mut scratch, &mut times);
     }
 
     #[test]

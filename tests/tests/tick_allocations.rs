@@ -1,11 +1,12 @@
 //! Allocation budget of the control tick, counted by a `#[global_allocator]`
 //! that is this binary's alone: an L0-only tick of the hierarchy allocates
-//! nothing, and a steady-state L2 decision allocates a constant — not a
-//! function of the ring it searches.
+//! nothing, a steady-state L2 decision allocates a constant — not a
+//! function of the ring it searches — and a plant window allocates nothing
+//! once its buffers have held the run's largest.
 
 use llc_cluster::{
     cluster_of, paper_cluster_16, Action, ClusterPolicy, Experiment, HierarchicalPolicy,
-    ModuleState, Observations, ScenarioConfig,
+    ModuleState, Observations, Plant, ScenarioConfig,
 };
 use llc_workload::{Trace, VirtualStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -172,4 +173,29 @@ fn an_l0_only_tick_of_the_32_module_hierarchy_allocates_nothing() {
         slow_most <= SLOW_TICK_ALLOCATIONS,
         "an L1/L2 tick allocated {slow_most} times"
     );
+}
+
+#[test]
+fn a_plant_window_allocates_nothing_once_the_crest_has_passed() {
+    // 300 req/s on sixteen prewarmed machines at full speed: every queue
+    // stays short, so the windows differ in their arrivals only.
+    let crest = 300.0 * 30.0;
+    let counts = vec![crest, crest / 2.0, 0.0, 1.0, crest, crest - 1.0, 2.0];
+    let trace = Trace::new(30.0, counts.clone()).unwrap();
+    let store = VirtualStore::paper_default(3);
+    let mut plant = Plant::new(
+        paper_cluster_16().to_sim_config(),
+        &Experiment::paper_default(17),
+        &trace,
+        &store,
+    )
+    .unwrap();
+    for (tick, &count) in counts.iter().enumerate() {
+        let (injected, allocations) = counted(|| plant.inject_window(tick as u64).unwrap());
+        assert_eq!(injected, count as usize);
+        if tick > 0 {
+            assert_eq!(allocations, 0, "window {tick} of {count} arrivals");
+        }
+    }
+    assert_eq!(plant.adapter.sim().dropped(), 0);
 }
