@@ -2,7 +2,12 @@
 //! (the paper uses 3) on the single-module experiment and report QoS,
 //! energy and search cost. The expected trade-off: longer horizons
 //! explore exponentially more states for marginal QoS gains.
+//!
+//! Asserted: the run exits non-zero unless the L0 states explored per
+//! decision strictly increase with `N`, each at least twice the previous
+//! (7 / 60 / 303 / 1 157 at default scale).
 
+use llc_bench::claims;
 use llc_bench::figures::FIGURE_SEED;
 use llc_bench::report::{quick_mode, write_csv};
 use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
@@ -17,6 +22,7 @@ fn main() {
     println!("{}", "-".repeat(70));
 
     let mut rows = Vec::new();
+    let mut search_cost = Vec::new();
     for horizon in [1usize, 2, 3, 4] {
         let mut scenario = single_module(4);
         scenario.l0.horizon = horizon;
@@ -46,6 +52,7 @@ fn main() {
             "{horizon},{:.3},{:.4},{:.0},{states:.0}",
             s.mean_response, s.violation_fraction, s.total_energy
         ));
+        search_cost.push((horizon, states));
     }
 
     println!();
@@ -56,4 +63,8 @@ fn main() {
         &rows,
     );
     println!("wrote {}", path.display());
+    claims::enforce(
+        "L0 states per decision at least double with each step of the horizon",
+        claims::lookahead_cost_grows_with_horizon(&search_cost),
+    );
 }

@@ -26,14 +26,17 @@
 //! decision costs per level, and — the number the L2 is judged by — per
 //! split it weighed: a split is a sum of per-module prices worked out
 //! once per decision, so that cost must not grow with the module count.
+//! Nor may an L0 decision's: each machine searches its own lookahead
+//! tree, whatever the size of the cluster around it.
 //!
 //! Emits `BENCH_scale.json` at the workspace root (full runs). Pass
 //! `--quick` for a fast smoke run, `--check` for the CI regression gate:
 //! bit-identical sharding determinism, batched-vs-per-request accounting
 //! equivalence, sim-rate floors against the committed baseline, the
 //! build-time ratio and map count of the hierarchy at 1000 machines, and
-//! of the closed loop the L2's cost per split at 128 machines against 16
-//! and the share of requests served at both. The
+//! of the closed loop the L2's cost per split at 128 machines against 16,
+//! an L0 decision at 1000 machines against 16, and the share of requests
+//! served at 16 and 128. The
 //! sharded-faster-than-serial comparison is only *gated* on a runner
 //! with at least four cores: with one core both arms run the same serial
 //! code path, and a two-core container shares its second core with
@@ -92,6 +95,12 @@ const TICK_RHO: f64 = 0.3;
 /// that prices every module again for every split reads only 1.4x or so
 /// (~1050 ns over 993 splits); one that sums memoised prices reads ~0.1x.
 const MAX_SPLIT_COST_RATIO: f64 = 1.0;
+/// An L0 decision at 1000 machines may cost at most this multiple of one
+/// at 16 — the per-machine half of "decide µs per machine does not grow
+/// with the cluster" (ROADMAP item 1(c)), both measured in this process.
+/// Every machine runs the same horizon-3 search over its own queue, so
+/// what can move the ratio is memory the search touches, not its work.
+const MAX_L0_DECIDE_RATIO: f64 = 2.0;
 /// Share of the requests offered that the closed loop must serve at the
 /// gated sizes.
 const MIN_SERVED_FRAC: f64 = 0.99;
@@ -446,6 +455,7 @@ fn main() {
         );
     }
     let split_cost_ratio = ticks[1].l2_ns_per_split / ticks[0].l2_ns_per_split;
+    let l0_decide_ratio = ticks[ticks.len() - 1].level_us[0] / ticks[0].level_us[0];
 
     if check {
         let mut failures = Vec::new();
@@ -456,6 +466,17 @@ fn main() {
             sizes[0].machines(),
         );
         if split_cost_ratio > MAX_SPLIT_COST_RATIO {
+            failures.push(format!("REGRESSION {verdict}"));
+        } else {
+            println!("gate ok  {verdict}");
+        }
+        let verdict = format!(
+            "an L0 decision at {} machines costs {l0_decide_ratio:.2}x one at {} \
+             (limit {MAX_L0_DECIDE_RATIO}x)",
+            sizes[sizes.len() - 1].machines(),
+            sizes[0].machines(),
+        );
+        if l0_decide_ratio > MAX_L0_DECIDE_RATIO {
             failures.push(format!("REGRESSION {verdict}"));
         } else {
             println!("gate ok  {verdict}");

@@ -1,8 +1,8 @@
-//! The paper claims three figure binaries end on, as functions over
-//! their result rows: `baseline_table`, `ablation_chatter` and
-//! `overhead_centralized` call [`enforce`] on one of these after
-//! printing their table, so a refactor that silently breaks a claim
-//! turns CI red instead of changing a number nobody reads.
+//! The paper claims four figure binaries end on, as functions over
+//! their result rows: `baseline_table`, `ablation_chatter`,
+//! `ablation_horizon` and `overhead_centralized` call [`enforce`] on one
+//! of these after printing their table, so a refactor that silently
+//! breaks a claim turns CI red instead of changing a number nobody reads.
 
 /// One `baseline_table` policy run.
 #[derive(Debug, Clone)]
@@ -62,6 +62,27 @@ pub fn band_switches_no_more(with_band: u64, without_band: u64) -> Result<(), St
         Err(format!(
             "{with_band} switch-ons with the band > {without_band} without it"
         ))
+    }
+}
+
+/// `ablation_horizon`: the L0 lookahead's search cost grows with its
+/// horizon — states explored per decision strictly increase in `N`, each
+/// at least twice the previous. `rows` is `(N, states per decision)` in
+/// ascending `N`.
+pub fn lookahead_cost_grows_with_horizon(rows: &[(usize, f64)]) -> Result<(), String> {
+    if rows.len() < 2 {
+        return Err("need at least two horizons".to_string());
+    }
+    match rows
+        .windows(2)
+        .find(|w| !(w[1].0 > w[0].0 && w[1].1 >= 2.0 * w[0].1 && w[1].1 > w[0].1))
+    {
+        Some(w) => Err(format!(
+            "L0 states per decision went {:.0} at N = {} to {:.0} at N = {} \
+             (must at least double as N grows)",
+            w[0].1, w[0].0, w[1].1, w[1].0
+        )),
+        None => Ok(()),
     }
 }
 
@@ -143,6 +164,19 @@ mod tests {
         assert!(band_switches_no_more(82, 97).is_ok());
         assert!(band_switches_no_more(14, 14).is_ok());
         assert!(band_switches_no_more(15, 14).is_err());
+    }
+
+    #[test]
+    fn horizon_claim_fires_when_the_search_stops_doubling() {
+        let today = [(1, 7.0), (2, 60.0), (3, 303.0), (4, 1157.0)];
+        assert!(lookahead_cost_grows_with_horizon(&today).is_ok());
+        let flattening = [(1, 7.0), (2, 60.0), (3, 110.0), (4, 1157.0)];
+        assert!(lookahead_cost_grows_with_horizon(&flattening).is_err());
+        let shrinking = [(1, 7.0), (2, 60.0), (3, 303.0), (4, 300.0)];
+        assert!(lookahead_cost_grows_with_horizon(&shrinking).is_err());
+        let idle = [(1, 0.0), (2, 0.0)];
+        assert!(lookahead_cost_grows_with_horizon(&idle).is_err());
+        assert!(lookahead_cost_grows_with_horizon(&today[..1]).is_err());
     }
 
     #[test]

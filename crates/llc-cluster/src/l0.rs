@@ -23,6 +23,12 @@ use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
 ///
 /// Shared between the L0 controller's lookahead and the offline learning
 /// of the L1 abstraction map (which replays exactly this model).
+///
+/// [`QueueModel::step`] is written in terms of its parts — `ŝ·φ`, the
+/// service rate `ŝ·φ/ĉ`, eq. (5)'s queue, the work `(1 + q̂)·ĉ` ahead of
+/// an arrival and eq. (6)'s quotient — so that the L0 lookahead works the
+/// parts that are constant over a decision out once per frequency and
+/// steps only what depends on the node, bit for bit as `step` would.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueModel {
     /// Sampling period `T` in seconds.
@@ -63,9 +69,52 @@ impl QueueModel {
     pub fn step(&self, q: f64, lambda: f64, c: f64, phi: f64) -> (f64, f64) {
         debug_assert!(phi > 0.0 && phi <= 1.0, "φ out of range: {phi}");
         debug_assert!(c > 0.0, "processing time must be positive");
-        let q_next = (q + (lambda - self.service_scale * phi / c) * self.period).max(0.0);
-        let r_next = (1.0 + q_next) * c / (self.service_scale * phi);
-        (q_next, r_next)
+        let delivered = self.delivered(phi);
+        let q_next = self.next_queue(q, lambda, Self::service_rate(delivered, c));
+        (
+            q_next,
+            Self::response(Self::backlog_work(q_next, c), delivered),
+        )
+    }
+
+    /// `ŝ·φ`: the share of full speed delivered at scaling factor `phi`.
+    pub(crate) fn delivered(&self, phi: f64) -> f64 {
+        self.service_scale * phi
+    }
+
+    /// `ŝ·φ/ĉ`: the service rate in requests/second, from
+    /// [`delivered`](QueueModel::delivered) and the processing time `c`.
+    pub(crate) fn service_rate(delivered: f64, c: f64) -> f64 {
+        delivered / c
+    }
+
+    /// Eq. (5): `q̂(k+1) = max(0, q(k) + (λ̂(k) − rate)·T)`.
+    pub(crate) fn next_queue(&self, q: f64, lambda: f64, rate: f64) -> f64 {
+        (q + (lambda - rate) * self.period).max(0.0)
+    }
+
+    /// `(1 + q̂(k+1))·ĉ(k)`: the work ahead of an arrival, in
+    /// full-speed seconds — eq. (6)'s numerator.
+    pub(crate) fn backlog_work(q_next: f64, c: f64) -> f64 {
+        (1.0 + q_next) * c
+    }
+
+    /// Eq. (6): `r̂(k+1) = work / (ŝ·φ)`.
+    pub(crate) fn response(work: f64, delivered: f64) -> f64 {
+        work / delivered
+    }
+
+    /// A bound on [`backlog_work`](QueueModel::backlog_work) under which
+    /// the [`response`](QueueModel::response) at `delivered` is certainly
+    /// at most `target`, without dividing: for positive normal operands,
+    /// `fl(fl(target·delivered)·(1 − 2⁻⁵⁰))` lies strictly below the exact
+    /// `target·delivered` (two roundings move it by at most
+    /// `(1 + 2⁻⁵³)²`), so a work at or under it has an exact quotient
+    /// strictly below `target`, and the rounded quotient cannot exceed it.
+    /// A non-positive `target` gives a bound no positive work meets.
+    pub(crate) fn work_within(target: f64, delivered: f64) -> f64 {
+        const MARGIN: f64 = 1.0 - 4.0 * f64::EPSILON;
+        target * delivered * MARGIN
     }
 }
 
@@ -115,42 +164,76 @@ impl L0Config {
     }
 }
 
-/// Model state carried through the L0 lookahead tree.
+/// Model state carried through the L0 lookahead tree: the queue, and the
+/// work ahead of an arrival [`QueueModel::backlog_work`] — the response
+/// time before its division by `ŝ·φ`, which the cost makes only when the
+/// target could be missed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct L0State {
     q: f64,
-    r: f64,
+    work: f64,
 }
 
-/// Environment sample: forecast arrival rate and processing time.
+/// What one frequency contributes to every node of a decision's tree,
+/// worked out once per decision from the [`QueueModel`] parts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct L0Env {
-    lambda: f64,
-    c: f64,
+struct Setting {
+    /// `ŝ·φ`.
+    delivered: f64,
+    /// `ŝ·φ/ĉ`.
+    rate: f64,
+    /// [`QueueModel::work_within`] the response target: at or under it
+    /// the slack is zero.
+    work_within: f64,
+    /// The power term `R·|a + φ²|`.
+    power: f64,
 }
 
 /// The [`Plant`] adapter exposing the queue model to the generic
-/// lookahead controller. Inputs are frequency-table indices.
+/// lookahead controller. Inputs are frequency-table indices; the
+/// environment of a step is its forecast arrival rate `λ̂` (the
+/// processing time `ĉ` is one estimate for the whole horizon).
 struct L0Plant<'a> {
-    phis: &'a [f64],
+    settings: &'a [Setting],
     model: QueueModel,
+    c: f64,
     response: SetPoint,
     q_penalty: Penalty,
-    r_penalty: Penalty,
-    base_cost: f64,
 }
 
 impl<'a> L0Plant<'a> {
     /// The plant `config` describes over the frequency table `phis`,
-    /// stepped by `model`.
-    fn new(config: &L0Config, phis: &'a [f64], model: QueueModel) -> Self {
+    /// stepped by `model` at processing time `c`; its per-frequency
+    /// constants are written into `settings`.
+    fn new(
+        config: &L0Config,
+        phis: &[f64],
+        model: QueueModel,
+        c: f64,
+        settings: &'a mut Vec<Setting>,
+    ) -> Self {
+        debug_assert!(c > 0.0, "processing time must be positive");
+        debug_assert!(
+            phis.iter().all(|&phi| phi > 0.0 && phi <= 1.0),
+            "φ out of range: {phis:?}"
+        );
+        let r_penalty = Penalty::abs(config.r_weight);
+        settings.clear();
+        settings.extend(phis.iter().map(|&phi| {
+            let delivered = model.delivered(phi);
+            Setting {
+                delivered,
+                rate: QueueModel::service_rate(delivered, c),
+                work_within: QueueModel::work_within(config.response_target, delivered),
+                power: r_penalty.eval(config.base_cost + phi * phi),
+            }
+        }));
         L0Plant {
-            phis,
+            settings,
             model,
+            c,
             response: SetPoint::new(config.response_target),
             q_penalty: Penalty::abs(config.q_weight),
-            r_penalty: Penalty::abs(config.r_weight),
-            base_cost: config.base_cost,
         }
     }
 }
@@ -158,22 +241,25 @@ impl<'a> L0Plant<'a> {
 impl Plant for L0Plant<'_> {
     type State = L0State;
     type Input = usize;
-    type Env = L0Env;
+    type Env = f64;
 
     fn admissible(&self, _x: &L0State) -> Vec<usize> {
-        (0..self.phis.len()).collect()
+        (0..self.settings.len()).collect()
     }
 
     fn admissible_into(&self, _x: &L0State, out: &mut Vec<usize>) {
         // State-independent input set: skip the per-node allocation the
         // lookahead search would otherwise pay (it expands thousands of
         // nodes per offline-learning grid point).
-        out.extend(0..self.phis.len());
+        out.extend(0..self.settings.len());
     }
 
-    fn step(&self, x: &L0State, u: &usize, w: &L0Env) -> L0State {
-        let (q, r) = self.model.step(x.q, w.lambda, w.c, self.phis[*u]);
-        L0State { q, r }
+    fn step(&self, x: &L0State, u: &usize, lambda: &f64) -> L0State {
+        let q = self.model.next_queue(x.q, *lambda, self.settings[*u].rate);
+        L0State {
+            q,
+            work: QueueModel::backlog_work(q, self.c),
+        }
     }
 
     fn cost(&self, x_next: &L0State, u: &usize, _prev: Option<&usize>) -> f64 {
@@ -181,9 +267,13 @@ impl Plant for L0Plant<'_> {
         // weighted; power ψ = a + φ². Frequency switches are free (§4.1:
         // "switching between different operating frequencies incurs
         // negligible power-consumption overhead").
-        let slack = self.response.slack_above(x_next.r);
-        let phi = self.phis[*u];
-        self.q_penalty.eval(slack) + self.r_penalty.eval(self.base_cost + phi * phi)
+        let setting = &self.settings[*u];
+        if x_next.work <= setting.work_within {
+            // ε = +0.0, so its penalty adds nothing.
+            return setting.power;
+        }
+        let r = QueueModel::response(x_next.work, setting.delivered);
+        self.q_penalty.eval(self.response.slack_above(r)) + setting.power
     }
 }
 
@@ -213,11 +303,12 @@ pub struct L0Controller {
     controller: LookaheadController,
     lambda_forecast: LocalLinearTrend,
     c_filter: Ewma,
-    /// The lookahead's environment forecast and search buffers, kept
-    /// and rewritten in place: a machine decides every `T_L0`, and a
-    /// cluster is many machines.
-    forecast: Vec<L0Env>,
-    scratch: SearchScratch<usize>,
+    /// The lookahead's arrival forecast, per-frequency constants and
+    /// search buffers, kept and rewritten in place: a machine decides
+    /// every `T_L0`, and a cluster is many machines.
+    forecast: Vec<f64>,
+    settings: Vec<Setting>,
+    scratch: SearchScratch<usize, L0State>,
     /// Online delivered-capacity estimator (the drift-aware L0; inert
     /// unless `config.scale.enabled`).
     scale: ServiceScaleEstimator,
@@ -247,19 +338,14 @@ impl L0Controller {
         let controller =
             LookaheadController::new(config.horizon).expect("config.horizon must be >= 1");
         L0Controller {
-            phis,
             controller,
             lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
             c_filter: Ewma::paper_default(),
-            forecast: vec![
-                L0Env {
-                    lambda: 0.0,
-                    c: 0.0
-                };
-                config.horizon
-            ],
+            forecast: vec![0.0; config.horizon],
+            settings: Vec::with_capacity(phis.len()),
             scratch: SearchScratch::default(),
             scale: ServiceScaleEstimator::new(config.scale),
+            phis,
             config,
             total_stats: SearchStats::default(),
             decisions: 0,
@@ -336,25 +422,23 @@ impl L0Controller {
     /// Propagates [`llc_core::Error`] (cannot occur with a non-empty φ
     /// table and the internally built forecast).
     pub fn decide(&mut self, queue_len: usize) -> Result<L0Decision, LlcError> {
-        let c = self.c_estimate();
         for (env, lambda) in self
             .forecast
             .iter_mut()
             .zip(self.lambda_forecast.predictions())
         {
-            *env = L0Env {
-                lambda: lambda.max(0.0),
-                c,
-            };
+            *env = lambda.max(0.0);
         }
         let plant = L0Plant::new(
             &self.config,
             &self.phis,
             QueueModel::with_scale(self.config.period, self.scale.estimate()),
+            self.c_estimate(),
+            &mut self.settings,
         );
         let x0 = L0State {
             q: queue_len as f64,
-            r: 0.0,
+            work: 0.0,
         };
         let (cost, stats) =
             self.controller
@@ -399,22 +483,28 @@ impl L0Controller {
         steps: usize,
     ) -> (f64, f64, f64) {
         assert!(steps > 0, "need at least one step");
-        let plant = L0Plant::new(config, phis, QueueModel::new(config.period));
+        let mut settings = Vec::new();
+        let plant = L0Plant::new(
+            config,
+            phis,
+            QueueModel::new(config.period),
+            c,
+            &mut settings,
+        );
         let controller =
             LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
-        let env = L0Env { lambda, c };
-        let forecast = vec![env; config.horizon];
+        let forecast = vec![lambda; config.horizon];
         let mut scratch = SearchScratch::default();
         let mut q = q0;
         let mut total = 0.0;
         let mut power = 0.0;
         for _ in 0..steps {
-            let x = L0State { q, r: 0.0 };
+            let x = L0State { q, work: 0.0 };
             controller
                 .decide_with(&plant, &x, None, &forecast, &mut scratch)
                 .expect("non-empty input set");
             let u = scratch.sequence()[0];
-            let next = plant.step(&x, &u, &env);
+            let next = plant.step(&x, &u, &lambda);
             total += plant.cost(&next, &u, None);
             let phi = phis[u];
             power += config.base_cost + phi * phi;
@@ -434,6 +524,177 @@ mod tests {
 
     fn controller() -> L0Controller {
         L0Controller::new(L0Config::paper_default(), phis())
+    }
+
+    /// The plant as it was before it carried per-decision constants:
+    /// [`QueueModel::step`] per node, and the slack divided out every time.
+    struct Reference<'a> {
+        phis: &'a [f64],
+        model: QueueModel,
+        config: L0Config,
+    }
+
+    impl Plant for Reference<'_> {
+        type State = (f64, f64);
+        type Input = usize;
+        type Env = (f64, f64);
+
+        fn admissible(&self, _x: &(f64, f64)) -> Vec<usize> {
+            (0..self.phis.len()).collect()
+        }
+
+        fn step(&self, x: &(f64, f64), u: &usize, &(lambda, c): &(f64, f64)) -> (f64, f64) {
+            self.model.step(x.0, lambda, c, self.phis[*u])
+        }
+
+        fn cost(&self, x_next: &(f64, f64), u: &usize, _prev: Option<&usize>) -> f64 {
+            let slack = SetPoint::new(self.config.response_target).slack_above(x_next.1);
+            let phi = self.phis[*u];
+            Penalty::abs(self.config.q_weight).eval(slack)
+                + Penalty::abs(self.config.r_weight).eval(self.config.base_cost + phi * phi)
+        }
+    }
+
+    /// The reference cost of landing on `work` at `delivered` under `u`.
+    fn reference_cost(reference: &Reference, work: f64, delivered: f64, u: usize) -> f64 {
+        reference.cost(&(0.0, QueueModel::response(work, delivered)), &u, None)
+    }
+
+    #[test]
+    fn plant_steps_and_costs_as_the_queue_model_does() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10_0C05);
+        let config = L0Config::paper_default();
+        let mut settings = Vec::new();
+        for _ in 0..20_000 {
+            let (q, lambda) = (rng.gen_range(0.0..400.0), rng.gen_range(0.0..120.0));
+            let (c, scale) = (rng.gen_range(0.005..0.04), rng.gen_range(0.2..1.2));
+            let phis = [rng.gen_range(0.05..1.0), 1.0];
+            let model = QueueModel::with_scale(config.period, scale);
+            let plant = L0Plant::new(&config, &phis, model, c, &mut settings);
+            let reference = Reference {
+                phis: &phis,
+                model,
+                config,
+            };
+            for (u, phi) in phis.iter().enumerate() {
+                let next = plant.step(&L0State { q, work: 0.0 }, &u, &lambda);
+                let (q_ref, r_ref) = reference.step(&(q, 0.0), &u, &(lambda, c));
+                assert_eq!(next.q.to_bits(), q_ref.to_bits());
+                let r = QueueModel::response(next.work, plant.settings[u].delivered);
+                assert_eq!(r.to_bits(), r_ref.to_bits());
+                let cost = plant.cost(&next, &u, None);
+                let cost_ref = reference.cost(&(q_ref, r_ref), &u, None);
+                assert_eq!(
+                    cost.to_bits(),
+                    cost_ref.to_bits(),
+                    "q {q} λ {lambda} ĉ {c} ŝ {scale} φ {phi}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_division_is_skipped_only_where_the_target_cannot_be_missed() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1_u64);
+        let mut settings = Vec::new();
+        let mut exact = 0;
+        for _ in 0..20_000 {
+            let mut config = L0Config::paper_default();
+            config.response_target = rng.gen_range(0.05..8.0);
+            let phis = [rng.gen_range(0.05..1.0)];
+            let model = QueueModel::with_scale(config.period, rng.gen_range(0.2..1.2));
+            let plant = L0Plant::new(&config, &phis, model, 0.0175, &mut settings);
+            let reference = Reference {
+                phis: &phis,
+                model,
+                config,
+            };
+            let Setting {
+                delivered,
+                work_within,
+                power,
+                ..
+            } = plant.settings[0];
+            // At the bound and a few ulps either side of it.
+            for ulps in -4i64..=4 {
+                let work = f64::from_bits(work_within.to_bits().wrapping_add_signed(ulps));
+                if work <= work_within {
+                    assert!(QueueModel::response(work, delivered) <= config.response_target);
+                }
+                let cost = plant.cost(&L0State { q: 0.0, work }, &0, None);
+                assert_eq!(
+                    cost.to_bits(),
+                    reference_cost(&reference, work, delivered, 0).to_bits(),
+                    "r* {} ŝφ {delivered} work {work}",
+                    config.response_target
+                );
+            }
+            // Where r̂ lands on r* exactly: no slack, but past the bound.
+            let work = config.response_target * delivered;
+            if QueueModel::response(work, delivered) == config.response_target {
+                exact += 1;
+                assert!(work > work_within);
+                let cost = plant.cost(&L0State { q: 0.0, work }, &0, None);
+                assert_eq!(cost.to_bits(), power.to_bits());
+                assert_eq!(
+                    cost.to_bits(),
+                    reference_cost(&reference, work, delivered, 0).to_bits()
+                );
+            }
+        }
+        assert!(exact > 1000, "r̂ = r* exactly only {exact} times");
+    }
+
+    /// The controller's decisions against the reference plant searched by
+    /// the same lookahead — which `llc_core`'s differential test holds to
+    /// the recursive expansion it replaced — over queues 0–60, idle to
+    /// overload, at a learned `ŝ < 1`.
+    #[test]
+    fn decide_matches_the_reference_plant_over_a_load_sweep() {
+        let mut config = L0Config::paper_default();
+        config.scale = llc_core::ScaleEstimatorConfig::enabled();
+        let phis = [0.3, 0.45, 0.6, 0.75, 0.9, 1.0];
+        let search = LookaheadController::new(config.horizon).unwrap();
+        let mut scaled = 0;
+        let mut chosen = [0; 6];
+        for lambda in [0.0, 2.0, 10.0, 25.0, 40.0, 55.0, 70.0, 120.0] {
+            let mut l0 = L0Controller::new(config, phis.to_vec());
+            for window in 0..6 {
+                l0.observe((lambda * 30.0) as u64, Some(0.0175));
+                // Busy windows delivering 70 % of nominal at φ = 0.6.
+                l0.observe_service((0.7 * 0.6 / 0.0175 * 30.0) as u64, true, 2);
+                for queue in (0..=60).step_by(6) {
+                    let decision = l0.decide(queue).unwrap();
+                    scaled += usize::from(l0.scale_estimate() < 1.0);
+                    let reference = Reference {
+                        phis: &phis,
+                        model: QueueModel::with_scale(config.period, l0.scale_estimate()),
+                        config,
+                    };
+                    let c = l0.c_estimate();
+                    let forecast: Vec<_> = l0.forecast.iter().map(|&lambda| (lambda, c)).collect();
+                    let expected = search
+                        .decide(&reference, &(queue as f64, 0.0), None, &forecast)
+                        .unwrap();
+                    chosen[expected.input] += 1;
+                    let at = format!("λ {lambda} window {window} queue {queue}");
+                    assert_eq!(decision.frequency_index, expected.input, "{at}");
+                    assert_eq!(
+                        decision.predicted_cost.to_bits(),
+                        expected.cost.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(decision.stats, expected.stats, "{at}");
+                }
+            }
+        }
+        assert!(scaled > 0, "the sweep never ran at ŝ < 1");
+        assert!(
+            chosen.iter().filter(|&&n| n > 0).count() >= 4,
+            "the sweep chose too few frequencies: {chosen:?}"
+        );
     }
 
     #[test]

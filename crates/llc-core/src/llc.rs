@@ -35,40 +35,70 @@ pub struct Decision<I> {
 
 /// The buffers one lookahead search works in.
 ///
-/// A search needs the input prefix it is standing on, one admissible-set
-/// buffer per depth, and the incumbent sequence. A controller that decides
-/// every sampling period keeps one of these and hands it to
-/// [`LookaheadController::decide_with`], so that steady-state decisions
-/// stay off the heap. Nothing carries over from one search to the next
-/// but capacity: a scratch may be shared between controllers of different
-/// horizons and plants of different input-set sizes, and after a search
-/// that failed.
+/// A search keeps one *row* per depth of the path it stands on — the
+/// children of that depth's node: each admissible input with the state it
+/// predicts and the cost accumulated along the path to it — stacked depth
+/// by depth in three contiguous buffers, and the incumbent sequence. A
+/// controller that decides every sampling period keeps one of these and
+/// hands it to [`LookaheadController::decide_with`], so that steady-state
+/// decisions stay off the heap. Nothing carries over from one search to
+/// the next but capacity: a scratch may be shared between controllers of
+/// different horizons and plants of different input-set sizes, and after
+/// a search that failed.
 #[derive(Debug, Clone)]
-pub struct SearchScratch<I> {
-    prefix: Vec<I>,
-    /// One admissible-set buffer per depth, reused across the whole tree:
-    /// the search expands O(|U|^N) nodes and a heap allocation per node
-    /// would dominate cheap plants.
-    input_bufs: Vec<Vec<I>>,
+pub struct SearchScratch<I, S> {
+    rows: Rows<I, S>,
     sequence: Vec<I>,
 }
 
-impl<I> Default for SearchScratch<I> {
+impl<I, S> Default for SearchScratch<I, S> {
     fn default() -> Self {
         SearchScratch {
-            prefix: Vec::new(),
-            input_bufs: Vec::new(),
+            rows: Rows {
+                inputs: Vec::new(),
+                states: Vec::new(),
+                accs: Vec::new(),
+                frames: Vec::new(),
+                admitted: Vec::new(),
+            },
             sequence: Vec::new(),
         }
     }
 }
 
-impl<I> SearchScratch<I> {
+impl<I, S> SearchScratch<I, S> {
     /// The minimizing input sequence of the last successful search, first
     /// step first (unspecified after a failed one).
     pub fn sequence(&self) -> &[I] {
         &self.sequence
     }
+}
+
+/// The rows of the interior nodes the walk stands on, root first: the row
+/// at depth `d` is `frames[d].start..` up to the next row's start (the top
+/// row runs to the end), in the plant's input order. The search expands
+/// O(|U|^N) nodes and a heap allocation per node would dominate cheap
+/// plants; these buffers only ever hold one path's rows.
+#[derive(Debug, Clone)]
+struct Rows<I, S> {
+    inputs: Vec<I>,
+    /// The state each input predicts.
+    states: Vec<S>,
+    /// The cost accumulated from the root through each child.
+    accs: Vec<f64>,
+    frames: Vec<Frame>,
+    /// The admissible set of the node being expanded. The leaf row lives
+    /// here: its children are offered to the incumbent as they are
+    /// evaluated, and never expanded.
+    admitted: Vec<I>,
+}
+
+/// Where one row starts in [`Rows`], and the next child the walk visits
+/// in it (the one before is the child the walk stands on below).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    start: usize,
+    next: usize,
 }
 
 /// Exhaustive limited-lookahead controller with branch-and-bound pruning.
@@ -86,6 +116,19 @@ impl<I> SearchScratch<I> {
 /// pruned. (The paper's three-sample `λ̂ ± δ` chattering mitigation belongs
 /// to the module controller, which averages its own samples; see
 /// [`UncertaintyBand`](crate::UncertaintyBand).)
+///
+/// The walk is depth-first and iterative. Expanding a node evaluates all
+/// of its children into that depth's row of the [`SearchScratch`] first —
+/// every admissible input stepped and costed, and counted in
+/// [`SearchStats::states_explored`] as it is evaluated — and then visits
+/// the row in input order: a child whose accumulated cost is at least the
+/// incumbent's is counted in [`SearchStats::pruned`] and skipped, any
+/// other is expanded in turn. The last depth's row holds leaves: it is
+/// scanned as it is evaluated, without a branch per leaf — one costing at
+/// least the incumbent is counted as pruned, one costing strictly less
+/// takes the incumbent's place, and the first leaf of the search is
+/// always taken. So every input of every expanded node is evaluated
+/// exactly once, and a `NaN` total is neither pruned nor accepted.
 ///
 /// The worst-case number of explored states is `Σ_{q=1..N} |U|^q`, which the
 /// paper keeps small by construction (processors offer 6–10 frequencies,
@@ -125,7 +168,7 @@ impl LookaheadController {
     /// * [`Error::ForecastTooShort`] if the forecast cannot cover the
     ///   horizon;
     /// * [`Error::EmptyInputSet`] if the plant offers no admissible input
-    ///   in `x0`.
+    ///   in `x0`, or in a state the search expands.
     pub fn decide<P: Plant>(
         &self,
         plant: &P,
@@ -160,7 +203,7 @@ impl LookaheadController {
         x0: &P::State,
         prev_input: Option<&P::Input>,
         forecast: &[P::Env],
-        scratch: &mut SearchScratch<P::Input>,
+        scratch: &mut SearchScratch<P::Input, P::State>,
     ) -> Result<(f64, SearchStats), Error> {
         if forecast.len() < self.horizon {
             return Err(Error::ForecastTooShort {
@@ -169,86 +212,379 @@ impl LookaheadController {
             });
         }
 
-        scratch.prefix.clear();
-        scratch.sequence.clear();
-        if scratch.input_bufs.len() < self.horizon {
-            scratch.input_bufs.resize_with(self.horizon, Vec::new);
+        let SearchScratch { rows, sequence } = scratch;
+        sequence.clear();
+        sequence.reserve(self.horizon);
+        rows.clear();
+        let leaf = self.horizon - 1;
+        let mut tally = Tally::default();
+
+        if leaf == 0 {
+            let taken = offer_leaves(plant, rows, x0, prev_input, &forecast[0], 0.0, &mut tally)?;
+            sequence.extend(taken.map(|w| rows.admitted[w].clone()));
+            return tally.result();
         }
-        let mut search = Search {
-            plant,
-            forecast,
-            horizon: self.horizon,
-            prefix: &mut scratch.prefix,
-            best: &mut scratch.sequence,
-            best_cost: None,
-            stats: SearchStats::default(),
-        };
-        search.expand(x0, prev_input, 0, 0.0, &mut scratch.input_bufs)?;
-        let cost = search.best_cost.ok_or(Error::EmptyInputSet)?;
-        Ok((cost, search.stats))
+        rows.admit(plant, x0, &mut tally.stats)?;
+        rows.reserve(leaf);
+        rows.push(plant, x0, prev_input, &forecast[0], 0.0);
+        loop {
+            let depth = rows.frames.len() - 1;
+            let Frame { start, next } = rows.frames[depth];
+            // Skip the children the incumbent prunes.
+            let i = next
+                + rows.accs[next..]
+                    .iter()
+                    .take_while(|&&acc| acc >= tally.cost)
+                    .count();
+            tally.stats.pruned += i - next;
+            if i == rows.accs.len() {
+                // This row is done: back to its parent's.
+                rows.pop(start);
+                if depth == 0 {
+                    return tally.result();
+                }
+                continue;
+            }
+            rows.frames[depth].next = i + 1;
+            let (x, prev, acc) = (rows.states[i].clone(), rows.inputs[i].clone(), rows.accs[i]);
+            let env = &forecast[depth + 1];
+            if depth + 1 < leaf {
+                rows.admit(plant, &x, &mut tally.stats)?;
+                rows.push(plant, &x, Some(&prev), env, acc);
+            } else if let Some(w) =
+                offer_leaves(plant, rows, &x, Some(&prev), env, acc, &mut tally)?
+            {
+                sequence.clear();
+                sequence.extend(
+                    rows.frames
+                        .iter()
+                        .map(|frame| rows.inputs[frame.next - 1].clone()),
+                );
+                sequence.push(rows.admitted[w].clone());
+            }
+        }
     }
 }
 
-/// One depth-first expansion of the input tree with pruning.
-struct Search<'a, P: Plant> {
-    plant: &'a P,
-    forecast: &'a [P::Env],
-    horizon: usize,
-    prefix: &'a mut Vec<P::Input>,
-    /// The incumbent sequence, meaningful once `best_cost` is set.
-    best: &'a mut Vec<P::Input>,
-    best_cost: Option<f64>,
+/// What the walk has found so far: the cost of the cheapest complete
+/// trajectory, and the search statistics.
+struct Tally {
+    /// The incumbent's cost; `NaN` before the first leaf, so that nothing
+    /// is pruned.
+    cost: f64,
+    found: bool,
     stats: SearchStats,
 }
 
-impl<P: Plant> Search<'_, P> {
-    fn expand(
-        &mut self,
-        x: &P::State,
-        prev: Option<&P::Input>,
-        depth: usize,
-        acc: f64,
-        input_bufs: &mut [Vec<P::Input>],
-    ) -> Result<(), Error> {
-        if depth == self.horizon {
-            if self.best_cost.is_none_or(|c| acc < c) {
-                self.best_cost = Some(acc);
-                self.best.clone_from(self.prefix);
-            }
-            return Ok(());
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            cost: f64::NAN,
+            found: false,
+            stats: SearchStats::default(),
         }
+    }
+}
 
-        let (mine, deeper) = input_bufs
-            .split_first_mut()
-            .expect("one input buffer per depth");
-        mine.clear();
-        self.plant.admissible_into(x, mine);
-        if mine.is_empty() {
+impl Tally {
+    fn result(&self) -> Result<(f64, SearchStats), Error> {
+        if self.found {
+            Ok((self.cost, self.stats))
+        } else {
+            Err(Error::EmptyInputSet)
+        }
+    }
+}
+
+impl<I: Clone, S> Rows<I, S> {
+    fn clear(&mut self) {
+        self.inputs.clear();
+        self.states.clear();
+        self.accs.clear();
+        self.frames.clear();
+    }
+
+    /// The admissible inputs of the node `x` into `admitted`, counted as
+    /// explored.
+    fn admit<P: Plant<Input = I, State = S>>(
+        &mut self,
+        plant: &P,
+        x: &S,
+        stats: &mut SearchStats,
+    ) -> Result<(), Error> {
+        self.admitted.clear();
+        plant.admissible_into(x, &mut self.admitted);
+        if self.admitted.is_empty() {
             return Err(Error::EmptyInputSet);
         }
-        let env = &self.forecast[depth];
-
-        for u in mine.iter() {
-            let x_next = self.plant.step(x, u, env);
-            self.stats.states_explored += 1;
-
-            let acc_next = acc + self.plant.cost(&x_next, u, prev);
-            if self.best_cost.is_some_and(|c| acc_next >= c) {
-                self.stats.pruned += 1;
-                continue;
-            }
-
-            self.prefix.push(u.clone());
-            self.expand(&x_next, Some(u), depth + 1, acc_next, deeper)?;
-            self.prefix.pop();
-        }
+        stats.states_explored += self.admitted.len();
         Ok(())
     }
+
+    /// Room for `rows` rows the size of the admitted set, so that a fresh
+    /// scratch allocates each buffer once.
+    fn reserve(&mut self, rows: usize) {
+        let children = rows * self.admitted.len();
+        self.inputs.reserve(children);
+        self.states.reserve(children);
+        self.accs.reserve(children);
+        self.frames.reserve(rows);
+    }
+
+    /// Expand the interior node `x` (reached through `prev` at accumulated
+    /// cost `acc`), whose inputs were just admitted: evaluate every child
+    /// into a new top row — its state, then its accumulated cost.
+    fn push<P: Plant<Input = I, State = S>>(
+        &mut self,
+        plant: &P,
+        x: &S,
+        prev: Option<&I>,
+        env: &P::Env,
+        acc: f64,
+    ) {
+        let start = self.inputs.len();
+        self.frames.push(Frame { start, next: start });
+        self.states
+            .extend(self.admitted.iter().map(|u| plant.step(x, u, env)));
+        self.accs.extend(
+            self.states[start..]
+                .iter()
+                .zip(&self.admitted)
+                .map(|(x_next, u)| acc + plant.cost(x_next, u, prev)),
+        );
+        self.inputs.append(&mut self.admitted);
+    }
+
+    /// Drop the top row, which starts at `start`.
+    fn pop(&mut self, start: usize) {
+        self.frames.pop();
+        self.inputs.truncate(start);
+        self.states.truncate(start);
+        self.accs.truncate(start);
+    }
+}
+
+/// Evaluate the children of the last interior node `x` — leaves — into
+/// `rows.admitted` and offer each to the incumbent in input order, without
+/// a branch per child: a leaf costing at least the incumbent is pruned,
+/// one costing strictly less replaces it, and the first leaf of the search
+/// is taken whatever it costs. Returns the index in `rows.admitted` of the
+/// last leaf taken, if any.
+fn offer_leaves<P: Plant>(
+    plant: &P,
+    rows: &mut Rows<P::Input, P::State>,
+    x: &P::State,
+    prev: Option<&P::Input>,
+    env: &P::Env,
+    acc: f64,
+    tally: &mut Tally,
+) -> Result<Option<usize>, Error> {
+    const NONE: usize = usize::MAX;
+    rows.admit(plant, x, &mut tally.stats)?;
+    let leaf_cost = |u| acc + plant.cost(&plant.step(x, u, env), u, prev);
+    let leaves = &rows.admitted;
+    let (mut incumbent, mut winner, first) = if tally.found {
+        (tally.cost, NONE, 0)
+    } else {
+        (leaf_cost(&leaves[0]), 0, 1)
+    };
+    let mut pruned = 0;
+    for (i, u) in leaves.iter().enumerate().skip(first) {
+        let total = leaf_cost(u);
+        pruned += usize::from(total >= incumbent);
+        let better = total < incumbent;
+        incumbent = if better { total } else { incumbent };
+        winner = if better { i } else { winner };
+    }
+    tally.stats.pruned += pruned;
+    tally.cost = incumbent;
+    tally.found = true;
+    Ok((winner != NONE).then_some(winner))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::{Cell, RefCell};
+
+    /// The recursive expansion the row walk replaced, kept as its oracle:
+    /// each child is stepped, costed and tested against the incumbent
+    /// before its next sibling is evaluated.
+    struct Search<'a, P: Plant> {
+        plant: &'a P,
+        forecast: &'a [P::Env],
+        horizon: usize,
+        prefix: Vec<P::Input>,
+        /// The incumbent sequence, meaningful once `best_cost` is set.
+        best: Vec<P::Input>,
+        best_cost: Option<f64>,
+        stats: SearchStats,
+    }
+
+    impl<P: Plant> Search<'_, P> {
+        fn expand(
+            &mut self,
+            x: &P::State,
+            prev: Option<&P::Input>,
+            depth: usize,
+            acc: f64,
+        ) -> Result<(), Error> {
+            if depth == self.horizon {
+                if self.best_cost.is_none_or(|c| acc < c) {
+                    self.best_cost = Some(acc);
+                    self.best.clone_from(&self.prefix);
+                }
+                return Ok(());
+            }
+            let mut inputs = Vec::new();
+            self.plant.admissible_into(x, &mut inputs);
+            if inputs.is_empty() {
+                return Err(Error::EmptyInputSet);
+            }
+            let env = &self.forecast[depth];
+            for u in &inputs {
+                let x_next = self.plant.step(x, u, env);
+                self.stats.states_explored += 1;
+                let acc_next = acc + self.plant.cost(&x_next, u, prev);
+                if self.best_cost.is_some_and(|c| acc_next >= c) {
+                    self.stats.pruned += 1;
+                    continue;
+                }
+                self.prefix.push(u.clone());
+                self.expand(&x_next, Some(u), depth + 1, acc_next)?;
+                self.prefix.pop();
+            }
+            Ok(())
+        }
+    }
+
+    /// The oracle's decision: cost, statistics and sequence.
+    fn decide_recursive<P: Plant>(
+        horizon: usize,
+        plant: &P,
+        x0: &P::State,
+        prev_input: Option<&P::Input>,
+        forecast: &[P::Env],
+    ) -> Result<(f64, SearchStats, Vec<P::Input>), Error> {
+        let mut search = Search {
+            plant,
+            forecast,
+            horizon,
+            prefix: Vec::new(),
+            best: Vec::new(),
+            best_cost: None,
+            stats: SearchStats::default(),
+        };
+        search.expand(x0, prev_input, 0, 0.0)?;
+        let cost = search.best_cost.ok_or(Error::EmptyInputSet)?;
+        Ok((cost, search.stats, search.best))
+    }
+
+    /// A random finite plant built to hit every corner of the accept and
+    /// prune rules: state-dependent input sets (empty in some states),
+    /// small-integer costs that tie exactly, zero, `NaN` and `+∞` costs,
+    /// and a penalty for switching away from the previous input. It logs
+    /// the states it is asked to expand and counts its `step` calls.
+    struct Rugged {
+        /// Admissible inputs per state (0: the state is barren).
+        fan_out: Vec<usize>,
+        costs: Vec<f64>,
+        switch_penalty: f64,
+        steps: Cell<usize>,
+        expanded: RefCell<Vec<usize>>,
+    }
+
+    impl Plant for Rugged {
+        type State = usize;
+        type Input = usize;
+        type Env = usize;
+        fn admissible(&self, x: &usize) -> Vec<usize> {
+            self.expanded.borrow_mut().push(*x);
+            // The order depends on the state too.
+            (0..self.fan_out[*x]).map(|j| (j * 3 + x) % 7).collect()
+        }
+        fn step(&self, x: &usize, u: &usize, w: &usize) -> usize {
+            self.steps.set(self.steps.get() + 1);
+            (x * 31 + u * 7 + w + 1) % self.fan_out.len()
+        }
+        fn cost(&self, x_next: &usize, u: &usize, prev: Option<&usize>) -> f64 {
+            let switch = match prev {
+                Some(p) if p != u => self.switch_penalty,
+                _ => 0.0,
+            };
+            self.costs[(x_next * 7 + u) % self.costs.len()] + switch
+        }
+    }
+
+    fn rugged_cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            (0u8..4).prop_map(f64::from),
+            (0u8..4).prop_map(f64::from),
+            (0u8..4).prop_map(f64::from),
+            0.0..10.0f64,
+            0.0..10.0f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row walk, in one scratch reused across jobs, decides what
+        /// the recursion decides: the same error from the same node, or
+        /// the same cost bits, sequence, statistics and `step` calls.
+        #[test]
+        fn row_walk_matches_the_recursive_oracle(
+            jobs in proptest::collection::vec(
+                (
+                    (1usize..6, 0usize..12, proptest::collection::vec(
+                        prop_oneof![1usize..6, 1usize..6, 1usize..6, 1usize..6, Just(0usize)],
+                        2..9,
+                    )),
+                    (proptest::collection::vec(rugged_cost(), 1..24), 0u8..3, 0usize..8),
+                    proptest::collection::vec(0usize..5, 5),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut scratch = SearchScratch::default();
+            for ((horizon, x0, mut fan_out), (costs, switch, prev), forecast) in jobs {
+                // The root always has a choice; a barren state fails the
+                // search only if the walk reaches it.
+                let x0 = x0 % fan_out.len();
+                fan_out[x0] = fan_out[x0].max(1);
+                let plant = Rugged {
+                    fan_out,
+                    costs,
+                    switch_penalty: f64::from(switch),
+                    steps: Cell::new(0),
+                    expanded: RefCell::new(Vec::new()),
+                };
+                let prev = (prev < 7).then_some(prev);
+                let oracle = decide_recursive(horizon, &plant, &x0, prev.as_ref(), &forecast);
+                let oracle_steps = plant.steps.replace(0);
+                let oracle_expanded = plant.expanded.take();
+
+                let controller = LookaheadController::new(horizon).unwrap();
+                let walk = controller.decide_with(&plant, &x0, prev.as_ref(), &forecast, &mut scratch);
+                prop_assert_eq!(plant.expanded.take(), oracle_expanded);
+                match (oracle, walk) {
+                    (Ok((cost, stats, sequence)), Ok((walk_cost, walk_stats))) => {
+                        prop_assert_eq!(walk_cost.to_bits(), cost.to_bits());
+                        prop_assert_eq!(scratch.sequence(), &sequence[..]);
+                        prop_assert_eq!(walk_stats, stats);
+                        prop_assert_eq!(plant.steps.get(), oracle_steps);
+                        prop_assert_eq!(stats.states_explored, oracle_steps);
+                    }
+                    (Err(oracle), Err(walk)) => prop_assert_eq!(walk, oracle),
+                    (oracle, walk) => prop_assert!(false, "{oracle:?} vs {walk:?}"),
+                }
+            }
+        }
+    }
 
     /// Scalar integrator: x' = x + u + w, cost |x' - 10| + 0.01|u|.
     struct Integrator;
