@@ -5,7 +5,7 @@
 //!
 //! Asserted: the run exits non-zero unless the L0 states explored per
 //! decision strictly increase with `N`, each at least twice the previous
-//! (7 / 60 / 303 / 1 157 at default scale).
+//! (7 / 45 / 194 / 623 at default scale).
 
 use llc_bench::claims;
 use llc_bench::figures::FIGURE_SEED;

@@ -27,7 +27,8 @@
 //! split it weighed: a split is a sum of per-module prices worked out
 //! once per decision, so that cost must not grow with the module count.
 //! Nor may an L0 decision's: each machine searches its own lookahead
-//! tree, whatever the size of the cluster around it.
+//! tree, whatever the size of the cluster around it. The states an L0
+//! search explored per decision are recorded beside its time, not gated.
 //!
 //! Emits `BENCH_scale.json` at the workspace root (full runs). Pass
 //! `--quick` for a fast smoke run, `--check` for the CI regression gate:
@@ -290,6 +291,8 @@ struct TickOutcome {
     level_us: [f64; 3],
     /// Mean L2 decide time over the mean number of splits it weighed.
     l2_ns_per_split: f64,
+    /// States an L0 lookahead explored per decision, over every machine.
+    l0_states: f64,
     served_frac: f64,
     mean_response_s: f64,
 }
@@ -318,9 +321,19 @@ fn run_hierarchy_tick(size: &Size) -> TickOutcome {
         .l2()
         .expect("every size has several modules")
         .mean_states_evaluated();
+    let (states, decisions) = (0..policy.num_computers()).map(|i| policy.l0(i)).fold(
+        (0.0, 0),
+        |(states, decisions), l0| {
+            (
+                states + l0.mean_states_explored() * l0.decisions() as f64,
+                decisions + l0.decisions(),
+            )
+        },
+    );
     TickOutcome {
         level_us,
         l2_ns_per_split: level_us[2] * 1e3 / splits,
+        l0_states: states / decisions as f64,
         served_frac: 1.0 - summary.total_dropped as f64 / summary.total_arrivals as f64,
         mean_response_s: summary.mean_response,
     }
@@ -443,10 +456,11 @@ fn main() {
     let ticks: Vec<TickOutcome> = sizes.iter().map(run_hierarchy_tick).collect();
     for (size, tick) in sizes.iter().zip(&ticks) {
         println!(
-            "hierarchy tick  ({:>4} machines): L0 {:.1} us, L1 {:.1} us, L2 {:.1} us \
-             ({:.0} ns per split), served {:.4}, mean response {:.2} s",
+            "hierarchy tick  ({:>4} machines): L0 {:.1} us ({:.1} states), L1 {:.1} us, \
+             L2 {:.1} us ({:.0} ns per split), served {:.4}, mean response {:.2} s",
             size.machines(),
             tick.level_us[0],
+            tick.l0_states,
             tick.level_us[1],
             tick.level_us[2],
             tick.l2_ns_per_split,
@@ -642,13 +656,16 @@ fn main() {
     let mut tick_rows = String::new();
     for (size, tick) in sizes.iter().zip(&ticks) {
         tick_rows.push_str(&format!(
-            "    \"l0_decide_us_{machines}\": {l0:.2},\n    \"l1_decide_us_{machines}\": {l1:.2},\n    \
+            "    \"l0_decide_us_{machines}\": {l0:.2},\n    \
+             \"l0_states_per_decide_{machines}\": {l0_states:.1},\n    \
+             \"l1_decide_us_{machines}\": {l1:.2},\n    \
              \"l2_decide_us_{machines}\": {l2:.2},\n    \
              \"l2_ns_per_split_{machines}\": {per_split:.1},\n    \
              \"served_frac_{machines}\": {served:.4},\n    \
              \"mean_response_s_{machines}\": {response:.3},\n",
             machines = size.machines(),
             l0 = tick.level_us[0],
+            l0_states = tick.l0_states,
             l1 = tick.level_us[1],
             l2 = tick.level_us[2],
             per_split = tick.l2_ns_per_split,

@@ -168,11 +168,11 @@ mod tests {
 
     #[test]
     fn horizon_claim_fires_when_the_search_stops_doubling() {
-        let today = [(1, 7.0), (2, 60.0), (3, 303.0), (4, 1157.0)];
+        let today = [(1, 7.0), (2, 45.0), (3, 194.0), (4, 623.0)];
         assert!(lookahead_cost_grows_with_horizon(&today).is_ok());
-        let flattening = [(1, 7.0), (2, 60.0), (3, 110.0), (4, 1157.0)];
+        let flattening = [(1, 7.0), (2, 45.0), (3, 80.0), (4, 623.0)];
         assert!(lookahead_cost_grows_with_horizon(&flattening).is_err());
-        let shrinking = [(1, 7.0), (2, 60.0), (3, 303.0), (4, 300.0)];
+        let shrinking = [(1, 7.0), (2, 45.0), (3, 194.0), (4, 190.0)];
         assert!(lookahead_cost_grows_with_horizon(&shrinking).is_err());
         let idle = [(1, 0.0), (2, 0.0)];
         assert!(lookahead_cost_grows_with_horizon(&idle).is_err());

@@ -193,6 +193,13 @@ struct Setting {
 /// lookahead controller. Inputs are frequency-table indices; the
 /// environment of a step is its forecast arrival rate `λ̂` (the
 /// processing time `ĉ` is one estimate for the whole horizon).
+///
+/// It floors each step's cost at the cheapest frequency's cost out of the
+/// lowest queue the step can start from (see [`Plant::cost_floors`]
+/// below): at least that frequency's power, and the response penalty too
+/// once even the fastest frequency cannot drain the backlog. At low load
+/// the floors are the cheapest power, which lets the search cut a path as
+/// soon as it pays for a faster frequency than the incumbent did.
 struct L0Plant<'a> {
     settings: &'a [Setting],
     model: QueueModel,
@@ -274,6 +281,30 @@ impl Plant for L0Plant<'_> {
         }
         let r = QueueModel::response(x_next.work, setting.delivered);
         self.q_penalty.eval(self.response.slack_above(r)) + setting.power
+    }
+
+    /// Step `d`'s floor is the cheapest step out of the lowest queue any
+    /// path can stand on at depth `d`: `q_lo[0] = q0`, and `q_lo[d + 1]`
+    /// the queue after step `d` at the fastest service rate. Every rounded
+    /// operation of [`QueueModel::next_queue`] is monotone — up in the
+    /// queue, down in the rate — so no path's queue at depth `d` is below
+    /// `q_lo[d]`. The cost is monotone in the queue it lands on: the work
+    /// `(1 + q̂)ĉ`, the response, the slack and its penalty all are, and
+    /// the undivided branch returns the power alone, at most the penalised
+    /// sum. So a node at step `d` costs at least its own input's cost out
+    /// of `q_lo[d]`, hence at least the cheapest input's.
+    fn cost_floors(&self, x0: &L0State, forecast: &[f64], floors: &mut [f64]) {
+        let fastest = self
+            .settings
+            .iter()
+            .fold(f64::NEG_INFINITY, |rate, s| rate.max(s.rate));
+        let mut lowest = *x0;
+        for (floor, lambda) in floors.iter_mut().zip(forecast) {
+            *floor = (0..self.settings.len())
+                .map(|u| self.cost(&self.step(&lowest, &u, lambda), &u, None))
+                .fold(f64::INFINITY, f64::min);
+            lowest.q = self.model.next_queue(lowest.q, *lambda, fastest);
+        }
     }
 }
 
@@ -647,10 +678,71 @@ mod tests {
         assert!(exact > 1000, "r̂ = r* exactly only {exact} times");
     }
 
+    /// Each step's floor is at most the cost of every node the full tree
+    /// holds at that step, and at the first step, out of the root's own
+    /// queue, exactly the cheapest of them: idle to overload forecasts,
+    /// empty to deep queues, φ tables of 4–8 entries at `ŝ ≤ 1`.
+    #[test]
+    fn cost_floors_hold_under_every_node_of_the_full_tree() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1_00_25);
+        let config = L0Config::paper_default();
+        let mut settings = Vec::new();
+        let mut floors = vec![0.0; config.horizon];
+        for _ in 0..1_000 {
+            let mut phis: Vec<f64> = (0..rng.gen_range(3..8))
+                .map(|_| rng.gen_range(0.05..1.0))
+                .chain([1.0])
+                .collect();
+            phis.sort_by(f64::total_cmp);
+            let (c, scale) = (rng.gen_range(0.005..0.04), rng.gen_range(0.2..=1.0));
+            let model = QueueModel::with_scale(config.period, scale);
+            let plant = L0Plant::new(&config, &phis, model, c, &mut settings);
+            // What the fastest frequency serves: a quarter of the steps
+            // see no load, a quarter more than it can take.
+            let capacity = scale / c;
+            let forecast: Vec<f64> = (0..config.horizon)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => rng.gen_range(1.0..3.0) * capacity,
+                    _ => rng.gen_range(0.0..capacity),
+                })
+                .collect();
+            let q0 = if rng.gen_bool(0.3) {
+                0.0
+            } else {
+                rng.gen_range(0.0..400.0)
+            };
+            let root = L0State { q: q0, work: 0.0 };
+            floors.fill(0.0);
+            plant.cost_floors(&root, &forecast, &mut floors);
+            let mut level = vec![root];
+            for (d, lambda) in forecast.iter().enumerate() {
+                let mut cheapest = f64::INFINITY;
+                let mut below = Vec::with_capacity(level.len() * phis.len());
+                for x in &level {
+                    for u in 0..phis.len() {
+                        let next = plant.step(x, &u, lambda);
+                        cheapest = cheapest.min(plant.cost(&next, &u, None));
+                        below.push(next);
+                    }
+                }
+                let at = format!("step {d} q0 {q0} λ̂ {forecast:?} ĉ {c} ŝ {scale} φ {phis:?}");
+                assert!(floors[d] <= cheapest, "{at}: {} > {cheapest}", floors[d]);
+                if d == 0 {
+                    assert_eq!(floors[0].to_bits(), cheapest.to_bits(), "{at}");
+                }
+                level = below;
+            }
+        }
+    }
+
     /// The controller's decisions against the reference plant searched by
     /// the same lookahead — which `llc_core`'s differential test holds to
     /// the recursive expansion it replaced — over queues 0–60, idle to
-    /// overload, at a learned `ŝ < 1`.
+    /// overload, at a learned `ŝ < 1`. The reference has no cost floors,
+    /// so it prunes on path cost alone: the floors must never cost a state
+    /// and must save some on a good share of the sweep.
     #[test]
     fn decide_matches_the_reference_plant_over_a_load_sweep() {
         let mut config = L0Config::paper_default();
@@ -659,6 +751,7 @@ mod tests {
         let search = LookaheadController::new(config.horizon).unwrap();
         let mut scaled = 0;
         let mut chosen = [0; 6];
+        let (mut cases, mut fewer) = (0, 0);
         for lambda in [0.0, 2.0, 10.0, 25.0, 40.0, 55.0, 70.0, 120.0] {
             let mut l0 = L0Controller::new(config, phis.to_vec());
             for window in 0..6 {
@@ -686,10 +779,20 @@ mod tests {
                         expected.cost.to_bits(),
                         "{at}"
                     );
-                    assert_eq!(decision.stats, expected.stats, "{at}");
+                    let (explored, reference) = (
+                        decision.stats.states_explored,
+                        expected.stats.states_explored,
+                    );
+                    assert!(explored <= reference, "{at}: {explored} > {reference}");
+                    cases += 1;
+                    fewer += usize::from(explored < reference);
                 }
             }
         }
+        assert!(
+            4 * fewer >= cases,
+            "the floors saved states in {fewer} of {cases} decisions"
+        );
         assert!(scaled > 0, "the sweep never ran at ŝ < 1");
         assert!(
             chosen.iter().filter(|&&n| n > 0).count() >= 4,

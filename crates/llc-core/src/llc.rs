@@ -38,16 +38,18 @@ pub struct Decision<I> {
 /// A search keeps one *row* per depth of the path it stands on — the
 /// children of that depth's node: each admissible input with the state it
 /// predicts and the cost accumulated along the path to it — stacked depth
-/// by depth in three contiguous buffers, and the incumbent sequence. A
-/// controller that decides every sampling period keeps one of these and
-/// hands it to [`LookaheadController::decide_with`], so that steady-state
-/// decisions stay off the heap. Nothing carries over from one search to
-/// the next but capacity: a scratch may be shared between controllers of
-/// different horizons and plants of different input-set sizes, and after
-/// a search that failed.
+/// by depth in three contiguous buffers, the plant's cost floor per step,
+/// and the incumbent sequence. A controller that decides every sampling
+/// period keeps one of these and hands it to
+/// [`LookaheadController::decide_with`], so that steady-state decisions
+/// stay off the heap. Nothing carries over from one search to the next
+/// but capacity: a scratch may be shared between controllers of different
+/// horizons and plants of different input-set sizes, and after a search
+/// that failed.
 #[derive(Debug, Clone)]
 pub struct SearchScratch<I, S> {
     rows: Rows<I, S>,
+    floors: Vec<f64>,
     sequence: Vec<I>,
 }
 
@@ -61,6 +63,7 @@ impl<I, S> Default for SearchScratch<I, S> {
                 frames: Vec::new(),
                 admitted: Vec::new(),
             },
+            floors: Vec::new(),
             sequence: Vec::new(),
         }
     }
@@ -112,23 +115,38 @@ struct Frame {
 /// The tree of all admissible input sequences is expanded from the current
 /// state up to the horizon `N`, one `step` and one `cost` per node against
 /// the forecast's environment for that depth. Since all costs are
-/// non-negative, partial sums that already exceed the incumbent best are
+/// non-negative, a partial path whose cost, plus what the steps below it
+/// must still cost at least, already reaches the incumbent best is
 /// pruned. (The paper's three-sample `λ̂ ± δ` chattering mitigation belongs
 /// to the module controller, which averages its own samples; see
 /// [`UncertaintyBand`](crate::UncertaintyBand).)
+///
+/// What the steps below must cost at least is the plant's word: before it
+/// expands anything a search asks [`Plant::cost_floors`] for a floor
+/// `f[d]` under the cost of every node at step `d`, zeros unless the plant
+/// knows better. A child at step `d` with accumulated cost `acc` is cut
+/// when its bound `b = acc + f[d+1] + … + f[N−1]`, added one term at a
+/// time in that order, is at least the incumbent's cost. That is the
+/// order in which the walk adds up a leaf's total, and rounded addition
+/// is monotone, so every leaf below the child totals at least `b` and the
+/// strict-`<` accept below would take none of them: the decision, its
+/// cost bits and its sequence are the ones the floorless search finds.
+/// Computing the floors is not expanding nodes and counts in neither
+/// statistic.
 ///
 /// The walk is depth-first and iterative. Expanding a node evaluates all
 /// of its children into that depth's row of the [`SearchScratch`] first —
 /// every admissible input stepped and costed, and counted in
 /// [`SearchStats::states_explored`] as it is evaluated — and then visits
-/// the row in input order: a child whose accumulated cost is at least the
-/// incumbent's is counted in [`SearchStats::pruned`] and skipped, any
+/// the row in input order: a child whose bound is at least the
+/// incumbent's cost is counted in [`SearchStats::pruned`] and skipped, any
 /// other is expanded in turn. The last depth's row holds leaves: it is
 /// scanned as it is evaluated, without a branch per leaf — one costing at
 /// least the incumbent is counted as pruned, one costing strictly less
 /// takes the incumbent's place, and the first leaf of the search is
 /// always taken. So every input of every expanded node is evaluated
-/// exactly once, and a `NaN` total is neither pruned nor accepted.
+/// exactly once, and a `NaN` total or bound is neither pruned nor
+/// accepted.
 ///
 /// The worst-case number of explored states is `Σ_{q=1..N} |U|^q`, which the
 /// paper keeps small by construction (processors offer 6–10 frequencies,
@@ -212,7 +230,11 @@ impl LookaheadController {
             });
         }
 
-        let SearchScratch { rows, sequence } = scratch;
+        let SearchScratch {
+            rows,
+            floors,
+            sequence,
+        } = scratch;
         sequence.clear();
         sequence.reserve(self.horizon);
         rows.clear();
@@ -224,6 +246,9 @@ impl LookaheadController {
             sequence.extend(taken.map(|w| rows.admitted[w].clone()));
             return tally.result();
         }
+        floors.clear();
+        floors.resize(self.horizon, 0.0);
+        plant.cost_floors(x0, &forecast[..self.horizon], floors);
         rows.admit(plant, x0, &mut tally.stats)?;
         rows.reserve(leaf);
         rows.push(plant, x0, prev_input, &forecast[0], 0.0);
@@ -231,10 +256,11 @@ impl LookaheadController {
             let depth = rows.frames.len() - 1;
             let Frame { start, next } = rows.frames[depth];
             // Skip the children the incumbent prunes.
+            let below = &floors[depth + 1..];
             let i = next
                 + rows.accs[next..]
                     .iter()
-                    .take_while(|&&acc| acc >= tally.cost)
+                    .take_while(|&&acc| bound(acc, below) >= tally.cost)
                     .count();
             tally.stats.pruned += i - next;
             if i == rows.accs.len() {
@@ -264,6 +290,13 @@ impl LookaheadController {
             }
         }
     }
+}
+
+/// The least any leaf below a node at accumulated cost `acc` can total,
+/// given the cost floors of the steps below it: `acc` plus each floor, in
+/// step order, as the leaf's own total is summed.
+fn bound(acc: f64, floors: &[f64]) -> f64 {
+    floors.iter().fold(acc, |b, f| b + f)
 }
 
 /// What the walk has found so far: the cost of the cheapest complete
@@ -409,12 +442,14 @@ mod tests {
     use std::cell::{Cell, RefCell};
 
     /// The recursive expansion the row walk replaced, kept as its oracle:
-    /// each child is stepped, costed and tested against the incumbent
-    /// before its next sibling is evaluated.
+    /// each child is stepped, costed and its bound tested against the
+    /// incumbent before its next sibling is evaluated.
     struct Search<'a, P: Plant> {
         plant: &'a P,
         forecast: &'a [P::Env],
         horizon: usize,
+        /// The plant's cost floor per step.
+        floors: Vec<f64>,
         prefix: Vec<P::Input>,
         /// The incumbent sequence, meaningful once `best_cost` is set.
         best: Vec<P::Input>,
@@ -447,7 +482,10 @@ mod tests {
                 let x_next = self.plant.step(x, u, env);
                 self.stats.states_explored += 1;
                 let acc_next = acc + self.plant.cost(&x_next, u, prev);
-                if self.best_cost.is_some_and(|c| acc_next >= c) {
+                if self
+                    .best_cost
+                    .is_some_and(|c| bound(acc_next, &self.floors[depth + 1..]) >= c)
+                {
                     self.stats.pruned += 1;
                     continue;
                 }
@@ -467,10 +505,13 @@ mod tests {
         prev_input: Option<&P::Input>,
         forecast: &[P::Env],
     ) -> Result<(f64, SearchStats, Vec<P::Input>), Error> {
+        let mut floors = vec![0.0; horizon];
+        plant.cost_floors(x0, &forecast[..horizon], &mut floors);
         let mut search = Search {
             plant,
             forecast,
             horizon,
+            floors,
             prefix: Vec::new(),
             best: Vec::new(),
             best_cost: None,
@@ -484,15 +525,31 @@ mod tests {
     /// A random finite plant built to hit every corner of the accept and
     /// prune rules: state-dependent input sets (empty in some states),
     /// small-integer costs that tie exactly, zero, `NaN` and `+∞` costs,
-    /// and a penalty for switching away from the previous input. It logs
-    /// the states it is asked to expand and counts its `step` calls.
+    /// a penalty for switching away from the previous input, and whatever
+    /// cost floors it is handed, valid or not. It logs the states it is
+    /// asked to expand and counts its `step` calls.
     struct Rugged {
         /// Admissible inputs per state (0: the state is barren).
         fan_out: Vec<usize>,
         costs: Vec<f64>,
         switch_penalty: f64,
+        /// The floors of the first steps; the rest stay zero.
+        floors: Vec<f64>,
         steps: Cell<usize>,
         expanded: RefCell<Vec<usize>>,
+    }
+
+    impl Rugged {
+        fn new(fan_out: Vec<usize>, costs: Vec<f64>, switch: u8, floors: Vec<f64>) -> Self {
+            Rugged {
+                fan_out,
+                costs,
+                switch_penalty: f64::from(switch),
+                floors,
+                steps: Cell::new(0),
+                expanded: RefCell::new(Vec::new()),
+            }
+        }
     }
 
     impl Plant for Rugged {
@@ -515,6 +572,11 @@ mod tests {
             };
             self.costs[(x_next * 7 + u) % self.costs.len()] + switch
         }
+        fn cost_floors(&self, _x0: &usize, _forecast: &[usize], floors: &mut [f64]) {
+            for (floor, &mine) in floors.iter_mut().zip(&self.floors) {
+                *floor = mine;
+            }
+        }
     }
 
     fn rugged_cost() -> impl Strategy<Value = f64> {
@@ -530,12 +592,41 @@ mod tests {
         ]
     }
 
+    /// Any floor at all: valid, too high, negative, infinite or `NaN`.
+    fn any_floor() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (0u8..4).prop_map(f64::from),
+            (0u8..4).prop_map(f64::from),
+            0.0..10.0f64,
+            -3.0..3.0f64,
+        ]
+    }
+
+    /// Costs that mostly sit well above zero, so that the cheapest of a
+    /// table is a floor worth having; `NaN` and `+∞` still turn up.
+    fn floored_cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            (1u8..5).prop_map(f64::from),
+            (1u8..5).prop_map(f64::from),
+            (1u8..5).prop_map(f64::from),
+            0.5..10.0f64,
+            0.5..10.0f64,
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The row walk, in one scratch reused across jobs, decides what
-        /// the recursion decides: the same error from the same node, or
-        /// the same cost bits, sequence, statistics and `step` calls.
+        /// the recursion decides under the same cost floors, whatever they
+        /// are: the same error from the same node, or the same cost bits,
+        /// sequence, statistics and `step` calls.
         #[test]
         fn row_walk_matches_the_recursive_oracle(
             jobs in proptest::collection::vec(
@@ -545,24 +636,21 @@ mod tests {
                         2..9,
                     )),
                     (proptest::collection::vec(rugged_cost(), 1..24), 0u8..3, 0usize..8),
-                    proptest::collection::vec(0usize..5, 5),
+                    (
+                        proptest::collection::vec(0usize..5, 5),
+                        proptest::collection::vec(any_floor(), 0..6),
+                    ),
                 ),
                 1..6,
             ),
         ) {
             let mut scratch = SearchScratch::default();
-            for ((horizon, x0, mut fan_out), (costs, switch, prev), forecast) in jobs {
+            for ((horizon, x0, mut fan_out), (costs, switch, prev), (forecast, floors)) in jobs {
                 // The root always has a choice; a barren state fails the
                 // search only if the walk reaches it.
                 let x0 = x0 % fan_out.len();
                 fan_out[x0] = fan_out[x0].max(1);
-                let plant = Rugged {
-                    fan_out,
-                    costs,
-                    switch_penalty: f64::from(switch),
-                    steps: Cell::new(0),
-                    expanded: RefCell::new(Vec::new()),
-                };
+                let plant = Rugged::new(fan_out, costs, switch, floors);
                 let prev = (prev < 7).then_some(prev);
                 let oracle = decide_recursive(horizon, &plant, &x0, prev.as_ref(), &forecast);
                 let oracle_steps = plant.steps.replace(0);
@@ -582,6 +670,51 @@ mod tests {
                     (Err(oracle), Err(walk)) => prop_assert_eq!(walk, oracle),
                     (oracle, walk) => prop_assert!(false, "{oracle:?} vs {walk:?}"),
                 }
+            }
+        }
+
+        /// Floors no higher than the cheapest cost the plant can charge
+        /// change no decision: on plants without barren states (a floor
+        /// may cut the node that would have failed the search), the walk
+        /// returns the floorless recursion's cost bits and sequence, and
+        /// explores no more than it.
+        #[test]
+        fn floors_under_every_cost_keep_the_decision(
+            jobs in proptest::collection::vec(
+                (
+                    (1usize..6, 0usize..12, proptest::collection::vec(1usize..6, 2..9)),
+                    (proptest::collection::vec(floored_cost(), 1..24), 0u8..3, 0usize..8),
+                    (
+                        proptest::collection::vec(0usize..5, 5),
+                        proptest::collection::vec(prop_oneof![Just(1.0), Just(0.0), 0.0..1.0f64], 5),
+                    ),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut scratch = SearchScratch::default();
+            for ((horizon, x0, fan_out), (costs, switch, prev), (forecast, shares)) in jobs {
+                let x0 = x0 % fan_out.len();
+                let prev = (prev < 7).then_some(prev);
+                // Every cost is a table entry plus a non-negative penalty.
+                let cheapest = costs
+                    .iter()
+                    .filter(|c| !c.is_nan())
+                    .fold(f64::INFINITY, |m, &c| m.min(c));
+                // A share of it, at most all of it (0·∞ is no floor).
+                let floors = shares.iter().map(|s| (s * cheapest).max(0.0)).collect();
+                let floorless = Rugged::new(fan_out.clone(), costs.clone(), switch, Vec::new());
+                let (cost, stats, sequence) =
+                    decide_recursive(horizon, &floorless, &x0, prev.as_ref(), &forecast).unwrap();
+
+                let plant = Rugged::new(fan_out, costs, switch, floors);
+                let controller = LookaheadController::new(horizon).unwrap();
+                let (walk_cost, walk_stats) = controller
+                    .decide_with(&plant, &x0, prev.as_ref(), &forecast, &mut scratch)
+                    .unwrap();
+                prop_assert_eq!(walk_cost.to_bits(), cost.to_bits());
+                prop_assert_eq!(scratch.sequence(), &sequence[..]);
+                prop_assert!(walk_stats.states_explored <= stats.states_explored);
             }
         }
     }

@@ -10,6 +10,7 @@ use llc_cluster::{
     LearnSpec, MemberSpec, PolicyBuilder, RetrainConfig, ScenarioConfig,
 };
 use llc_core::{LearnRate, OnlineConfig};
+use llc_tests::Fnv;
 use llc_workload::{
     drift_scenarios, CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan,
     SyntheticBuilder, Trace, VirtualStore,
@@ -175,44 +176,9 @@ fn closed_loop_feeds_l2_residual_layer() {
 
 /// FNV-1a over every field of every directive, floats by bit pattern.
 fn directive_hash(directives: &[Directive]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for d in directives {
-        eat(d.tick);
-        eat(d.time.to_bits());
-        eat(d.level as u64);
-        eat(d.epoch);
-        match &d.kind {
-            DirectiveKind::Frequency { computer, index } => {
-                eat(1);
-                eat(*computer as u64);
-                eat(*index as u64);
-            }
-            DirectiveKind::Activation { computer, on } => {
-                eat(2);
-                eat(*computer as u64);
-                eat(u64::from(*on));
-            }
-            DirectiveKind::Split { module, weights } => {
-                eat(3);
-                eat(module.map_or(u64::MAX, |m| m as u64));
-                eat(weights.len() as u64);
-                for w in weights {
-                    eat(w.to_bits());
-                }
-            }
-            DirectiveKind::SafeMode { module, active } => {
-                eat(4);
-                eat(*module as u64);
-                eat(u64::from(*active));
-            }
-        }
-    }
-    h
+    let mut h = Fnv::default();
+    directives.iter().for_each(|d| h.directive(d));
+    h.0
 }
 
 /// The same run pinned bit for bit — every directive, every learner

@@ -27,14 +27,15 @@
 
 use llc_cluster::{
     cluster_of, paper_cluster_16, single_module, ControlPlane, Directive, DirectiveEmit,
-    DirectiveKind, Experiment, FaultToleranceConfig, HierarchicalPolicy, ObservationIngest,
-    PolicyBuilder, RetrainConfig, ScenarioConfig,
+    Experiment, FaultToleranceConfig, HierarchicalPolicy, ObservationIngest, PolicyBuilder,
+    RetrainConfig, ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_net::{
     decode_directive, encode_directive, encode_heartbeat, encode_observation, AgentCore,
     ControldCore, FrameKind, FrameTransport, PipeLink,
 };
+use llc_tests::Fnv;
 use llc_workload::{
     derive_seed, drift_scenarios, wc98_like_fig6, CapacityProfile, FaultEvent, FaultKind,
     FaultPlan, Trace, VirtualStore,
@@ -58,48 +59,6 @@ struct Tick {
     dropped: u64,
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn directive(&mut self, d: &Directive) {
-        self.eat(d.tick);
-        self.eat(d.time.to_bits());
-        self.eat(d.level as u64);
-        self.eat(d.epoch);
-        match &d.kind {
-            DirectiveKind::Frequency { computer, index } => {
-                self.eat(1);
-                self.eat(*computer as u64);
-                self.eat(*index as u64);
-            }
-            DirectiveKind::Activation { computer, on } => {
-                self.eat(2);
-                self.eat(*computer as u64);
-                self.eat(u64::from(*on));
-            }
-            DirectiveKind::Split { module, weights } => {
-                self.eat(3);
-                self.eat(module.map_or(u64::MAX, |m| m as u64));
-                self.eat(weights.len() as u64);
-                for w in weights {
-                    self.eat(w.to_bits());
-                }
-            }
-            DirectiveKind::SafeMode { module, active } => {
-                self.eat(4);
-                self.eat(*module as u64);
-                self.eat(u64::from(*active));
-            }
-        }
-    }
-}
-
 /// A run's row of the matrix: final hash, directive count and the
 /// running hash's low 32 bits after each tick.
 #[derive(Debug, PartialEq)]
@@ -111,7 +70,7 @@ struct Row {
 
 impl Row {
     fn of(ticks: &[Tick]) -> Row {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::default();
         let chain = ticks
             .iter()
             .map(|t| {
