@@ -199,7 +199,11 @@ struct Setting {
 /// below): at least that frequency's power, and the response penalty too
 /// once even the fastest frequency cannot drain the backlog. At low load
 /// the floors are the cheapest power, which lets the search cut a path as
-/// soon as it pays for a faster frequency than the incumbent did.
+/// soon as it pays for a faster frequency than the incumbent did. It
+/// guides the search down those cheapest frequencies, so that past
+/// capacity the search starts from the full-speed path, whose total the
+/// floors meet, and cuts nearly every other child one step in instead of
+/// walking the slow frequencies first.
 struct L0Plant<'a> {
     settings: &'a [Setting],
     model: QueueModel,
@@ -293,17 +297,38 @@ impl Plant for L0Plant<'_> {
     /// the undivided branch returns the power alone, at most the penalised
     /// sum. So a node at step `d` costs at least its own input's cost out
     /// of `q_lo[d]`, hence at least the cheapest input's.
-    fn cost_floors(&self, x0: &L0State, forecast: &[f64], floors: &mut [f64]) {
+    ///
+    /// The guide is each step's cheapest input, the first of equals. In
+    /// overload that is the fastest frequency throughout, whose path is
+    /// the one that stands on `q_lo`: its leaf totals the floors exactly.
+    /// A guide of index 0 throughout is the walk's own first descent,
+    /// which seeds nothing the first leaf would not, so it is left empty.
+    fn cost_floors(
+        &self,
+        x0: &L0State,
+        forecast: &[f64],
+        floors: &mut [f64],
+        guide: &mut Vec<usize>,
+    ) {
         let fastest = self
             .settings
             .iter()
             .fold(f64::NEG_INFINITY, |rate, s| rate.max(s.rate));
         let mut lowest = *x0;
         for (floor, lambda) in floors.iter_mut().zip(forecast) {
-            *floor = (0..self.settings.len())
-                .map(|u| self.cost(&self.step(&lowest, &u, lambda), &u, None))
-                .fold(f64::INFINITY, f64::min);
+            let mut cheapest = 0;
+            *floor = f64::INFINITY;
+            for u in 0..self.settings.len() {
+                let cost = self.cost(&self.step(&lowest, &u, lambda), &u, None);
+                if cost < *floor {
+                    (*floor, cheapest) = (cost, u);
+                }
+            }
+            guide.push(cheapest);
             lowest.q = self.model.next_queue(lowest.q, *lambda, fastest);
+        }
+        if guide.iter().all(|&u| u == 0) {
+            guide.clear();
         }
     }
 }
@@ -689,6 +714,7 @@ mod tests {
         let config = L0Config::paper_default();
         let mut settings = Vec::new();
         let mut floors = vec![0.0; config.horizon];
+        let mut guide = Vec::new();
         for _ in 0..1_000 {
             let mut phis: Vec<f64> = (0..rng.gen_range(3..8))
                 .map(|_| rng.gen_range(0.05..1.0))
@@ -715,7 +741,8 @@ mod tests {
             };
             let root = L0State { q: q0, work: 0.0 };
             floors.fill(0.0);
-            plant.cost_floors(&root, &forecast, &mut floors);
+            guide.clear();
+            plant.cost_floors(&root, &forecast, &mut floors, &mut guide);
             let mut level = vec![root];
             for (d, lambda) in forecast.iter().enumerate() {
                 let mut cheapest = f64::INFINITY;
@@ -737,12 +764,100 @@ mod tests {
         }
     }
 
+    /// The guide is empty or one valid index per step; it is empty exactly
+    /// when every step's first cheapest frequency out of the lowest
+    /// reachable queue is index 0, and is those frequencies otherwise. At
+    /// `λ̂·ĉ ≥ 1.2·ŝ·φ_max` on every step it is the fastest throughout.
+    #[test]
+    fn the_guide_is_each_steps_first_cheapest_frequency() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6_01DE);
+        let config = L0Config::paper_default();
+        let mut settings = Vec::new();
+        let (mut floors, mut guide) = (vec![0.0; config.horizon], Vec::new());
+        let (mut empty, mut overloaded) = (0, 0);
+        for _ in 0..2_000 {
+            let mut phis: Vec<f64> = (0..rng.gen_range(3..8))
+                .map(|_| rng.gen_range(0.05..1.0))
+                .chain([1.0])
+                .collect();
+            phis.sort_by(f64::total_cmp);
+            let (c, scale) = (rng.gen_range(0.005..0.04), rng.gen_range(0.2..=1.0));
+            let model = QueueModel::with_scale(config.period, scale);
+            let plant = L0Plant::new(&config, &phis, model, c, &mut settings);
+            let reference = Reference {
+                phis: &phis,
+                model,
+                config,
+            };
+            let capacity = scale / c;
+            let overload = rng.gen_bool(0.25);
+            let forecast: Vec<f64> = (0..config.horizon)
+                .map(|_| match rng.gen_range(0..4) {
+                    _ if overload => rng.gen_range(1.2..3.0) * capacity,
+                    0 => 0.0,
+                    1 => rng.gen_range(1.0..3.0) * capacity,
+                    _ => rng.gen_range(0.0..capacity),
+                })
+                .collect();
+            let q0 = if rng.gen_bool(0.3) {
+                0.0
+            } else {
+                rng.gen_range(0.0..400.0)
+            };
+            guide.clear();
+            plant.cost_floors(
+                &L0State { q: q0, work: 0.0 },
+                &forecast,
+                &mut floors,
+                &mut guide,
+            );
+            // Each step's first cheapest frequency out of the lowest
+            // queue, that queue drained at full speed.
+            let mut lowest = q0;
+            let cheapest: Vec<usize> = forecast
+                .iter()
+                .map(|&lambda| {
+                    let costs: Vec<f64> = (0..phis.len())
+                        .map(|u| {
+                            let next = reference.step(&(lowest, 0.0), &u, &(lambda, c));
+                            reference.cost(&next, &u, None)
+                        })
+                        .collect();
+                    lowest = reference
+                        .step(&(lowest, 0.0), &(phis.len() - 1), &(lambda, c))
+                        .0;
+                    (0..phis.len())
+                        .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
+                        .unwrap()
+                })
+                .collect();
+            let at = format!("q0 {q0} λ̂ {forecast:?} ĉ {c} ŝ {scale} φ {phis:?}");
+            if cheapest.iter().all(|&u| u == 0) {
+                assert!(guide.is_empty(), "{at}: {guide:?}");
+                empty += 1;
+            } else {
+                assert_eq!(guide, cheapest, "{at}");
+            }
+            if overload {
+                assert_eq!(guide, vec![phis.len() - 1; config.horizon], "{at}");
+                overloaded += 1;
+            }
+        }
+        assert!(
+            empty > 30 && overloaded > 300,
+            "{empty} empty, {overloaded} overloaded"
+        );
+    }
+
     /// The controller's decisions against the reference plant searched by
     /// the same lookahead — which `llc_core`'s differential test holds to
     /// the recursive expansion it replaced — over queues 0–60, idle to
-    /// overload, at a learned `ŝ < 1`. The reference has no cost floors,
-    /// so it prunes on path cost alone: the floors must never cost a state
-    /// and must save some on a good share of the sweep.
+    /// overload, at a learned `ŝ < 1`. The reference has neither cost
+    /// floors nor a guide, so it prunes on path cost alone: the floors and
+    /// the guide must never cost a state, must save some on a good share
+    /// of the sweep, and must save some on every decision whose forecast
+    /// is past capacity.
     #[test]
     fn decide_matches_the_reference_plant_over_a_load_sweep() {
         let mut config = L0Config::paper_default();
@@ -751,7 +866,7 @@ mod tests {
         let search = LookaheadController::new(config.horizon).unwrap();
         let mut scaled = 0;
         let mut chosen = [0; 6];
-        let (mut cases, mut fewer) = (0, 0);
+        let (mut cases, mut fewer, mut overloaded) = (0, 0, 0);
         for lambda in [0.0, 2.0, 10.0, 25.0, 40.0, 55.0, 70.0, 120.0] {
             let mut l0 = L0Controller::new(config, phis.to_vec());
             for window in 0..6 {
@@ -786,6 +901,11 @@ mod tests {
                     assert!(explored <= reference, "{at}: {explored} > {reference}");
                     cases += 1;
                     fewer += usize::from(explored < reference);
+                    let capacity = l0.scale_estimate() * phis[5] / c;
+                    if l0.forecast.iter().all(|&lambda| lambda >= 1.2 * capacity) {
+                        assert!(explored < reference, "{at}: {explored} states, overloaded");
+                        overloaded += 1;
+                    }
                 }
             }
         }
@@ -793,6 +913,7 @@ mod tests {
             4 * fewer >= cases,
             "the floors saved states in {fewer} of {cases} decisions"
         );
+        assert!(overloaded > 0, "the sweep never ran past capacity");
         assert!(scaled > 0, "the sweep never ran at ŝ < 1");
         assert!(
             chosen.iter().filter(|&&n| n > 0).count() >= 4,

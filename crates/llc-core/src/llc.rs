@@ -39,7 +39,8 @@ pub struct Decision<I> {
 /// children of that depth's node: each admissible input with the state it
 /// predicts and the cost accumulated along the path to it — stacked depth
 /// by depth in three contiguous buffers, the plant's cost floor per step,
-/// and the incumbent sequence. A controller that decides every sampling
+/// and the incumbent sequence, which also holds the plant's guide until
+/// the walk takes its first leaf. A controller that decides every sampling
 /// period keeps one of these and hands it to
 /// [`LookaheadController::decide_with`], so that steady-state decisions
 /// stay off the heap. Nothing carries over from one search to the next
@@ -131,8 +132,27 @@ struct Frame {
 /// is monotone, so every leaf below the child totals at least `b` and the
 /// strict-`<` accept below would take none of them: the decision, its
 /// cost bits and its sequence are the ones the floorless search finds.
-/// Computing the floors is not expanding nodes and counts in neither
-/// statistic.
+///
+/// Floors cut nothing until there is an incumbent, so the plant may name
+/// a path to seed one: the guide [`Plant::cost_floors`] writes, one input
+/// per step. If every guide input is in the admissible set of the state
+/// the guide reaches before it, the search steps and costs the guide from
+/// `x0` (with `prev_input` at the first step, then the guide's own
+/// previous input) and adds its total `B` from `0.0`, as the walk adds a
+/// leaf's. If `B` is finite the walk starts with incumbent `next_up(B)`
+/// and no leaf taken; otherwise, as with no guide, the incumbent starts
+/// unset. The tree, its order and the accept are untouched, so the answer
+/// is the unseeded one. Let `m` be the least leaf total and `L*` the
+/// first leaf in walk order to reach it. The incumbent is always
+/// `next_up(B) > B ≥ m` or the total of a leaf taken, so it is at least
+/// `m`, and it equals `m` only once a leaf totalling `m` was taken, which
+/// `L*` is the first to be. A child cut with `L*` below it would need
+/// `m ≥ bound ≥ incumbent ≥ m`, so none is: `L*` is offered, taken, and
+/// no later tie displaces it. At every point of the walk the seeded
+/// incumbent is at most the unseeded one, so the seed only ever saves
+/// states. The one exception is a search whose first leaf costs `NaN`:
+/// unseeded, it keeps that `NaN`. Computing the floors and walking the
+/// guide are not expanding nodes and count in neither statistic.
 ///
 /// The walk is depth-first and iterative. Expanding a node evaluates all
 /// of its children into that depth's row of the [`SearchScratch`] first —
@@ -143,10 +163,11 @@ struct Frame {
 /// other is expanded in turn. The last depth's row holds leaves: it is
 /// scanned as it is evaluated, without a branch per leaf — one costing at
 /// least the incumbent is counted as pruned, one costing strictly less
-/// takes the incumbent's place, and the first leaf of the search is
-/// always taken. So every input of every expanded node is evaluated
-/// exactly once, and a `NaN` total or bound is neither pruned nor
-/// accepted.
+/// takes the incumbent's place, and while the incumbent is unset the
+/// first leaf is taken whatever it costs. So every input of every
+/// expanded node is evaluated exactly once, and a `NaN` total or bound is
+/// neither pruned nor accepted. A search that takes no leaf fails with
+/// [`Error::EmptyInputSet`].
 ///
 /// The worst-case number of explored states is `Σ_{q=1..N} |U|^q`, which the
 /// paper keeps small by construction (processors offer 6–10 frequencies,
@@ -248,7 +269,14 @@ impl LookaheadController {
         }
         floors.clear();
         floors.resize(self.horizon, 0.0);
-        plant.cost_floors(x0, &forecast[..self.horizon], floors);
+        let forecast = &forecast[..self.horizon];
+        plant.cost_floors(x0, forecast, floors, sequence);
+        let admitted = &mut rows.admitted;
+        let total = guide_total(plant, x0, prev_input, forecast, sequence, admitted);
+        if let Some(total) = total.filter(|total| total.is_finite()) {
+            tally.cost = total.next_up();
+            tally.set = true;
+        }
         rows.admit(plant, x0, &mut tally.stats)?;
         rows.reserve(leaf);
         rows.push(plant, x0, prev_input, &forecast[0], 0.0);
@@ -299,12 +327,42 @@ fn bound(acc: f64, floors: &[f64]) -> f64 {
     floors.iter().fold(acc, |b, f| b + f)
 }
 
+/// The total of the plant's `guide`, added from `0.0` as the walk adds a
+/// leaf's, if it is a full path from `x0`: one input per step of
+/// `forecast`, each in the admissible set of the state before it.
+fn guide_total<P: Plant>(
+    plant: &P,
+    x0: &P::State,
+    prev_input: Option<&P::Input>,
+    forecast: &[P::Env],
+    guide: &[P::Input],
+    admitted: &mut Vec<P::Input>,
+) -> Option<f64> {
+    if guide.len() != forecast.len() {
+        return None;
+    }
+    let (mut x, mut prev, mut total) = (x0.clone(), prev_input, 0.0);
+    for (u, env) in guide.iter().zip(forecast) {
+        admitted.clear();
+        plant.admissible_into(&x, admitted);
+        if !admitted.contains(u) {
+            return None;
+        }
+        x = plant.step(&x, u, env);
+        total += plant.cost(&x, u, prev);
+        prev = Some(u);
+    }
+    Some(total)
+}
+
 /// What the walk has found so far: the cost of the cheapest complete
 /// trajectory, and the search statistics.
 struct Tally {
-    /// The incumbent's cost; `NaN` before the first leaf, so that nothing
-    /// is pruned.
+    /// The incumbent's cost; `NaN` while unset, so that nothing is pruned.
     cost: f64,
+    /// Whether the incumbent is set: seeded by the guide, or a leaf taken.
+    set: bool,
+    /// Whether a leaf was taken.
     found: bool,
     stats: SearchStats,
 }
@@ -313,6 +371,7 @@ impl Default for Tally {
     fn default() -> Self {
         Tally {
             cost: f64::NAN,
+            set: false,
             found: false,
             stats: SearchStats::default(),
         }
@@ -400,9 +459,9 @@ impl<I: Clone, S> Rows<I, S> {
 /// Evaluate the children of the last interior node `x` — leaves — into
 /// `rows.admitted` and offer each to the incumbent in input order, without
 /// a branch per child: a leaf costing at least the incumbent is pruned,
-/// one costing strictly less replaces it, and the first leaf of the search
-/// is taken whatever it costs. Returns the index in `rows.admitted` of the
-/// last leaf taken, if any.
+/// one costing strictly less replaces it, and while the incumbent is unset
+/// the first leaf is taken whatever it costs. Returns the index in
+/// `rows.admitted` of the last leaf taken, if any.
 fn offer_leaves<P: Plant>(
     plant: &P,
     rows: &mut Rows<P::Input, P::State>,
@@ -416,7 +475,7 @@ fn offer_leaves<P: Plant>(
     rows.admit(plant, x, &mut tally.stats)?;
     let leaf_cost = |u| acc + plant.cost(&plant.step(x, u, env), u, prev);
     let leaves = &rows.admitted;
-    let (mut incumbent, mut winner, first) = if tally.found {
+    let (mut incumbent, mut winner, first) = if tally.set {
         (tally.cost, NONE, 0)
     } else {
         (leaf_cost(&leaves[0]), 0, 1)
@@ -431,8 +490,10 @@ fn offer_leaves<P: Plant>(
     }
     tally.stats.pruned += pruned;
     tally.cost = incumbent;
-    tally.found = true;
-    Ok((winner != NONE).then_some(winner))
+    tally.set = true;
+    let taken = winner != NONE;
+    tally.found |= taken;
+    Ok(taken.then_some(winner))
 }
 
 #[cfg(test)]
@@ -451,9 +512,10 @@ mod tests {
         /// The plant's cost floor per step.
         floors: Vec<f64>,
         prefix: Vec<P::Input>,
-        /// The incumbent sequence, meaningful once `best_cost` is set.
+        /// The incumbent sequence, meaningful once a leaf is taken.
         best: Vec<P::Input>,
         best_cost: Option<f64>,
+        found: bool,
         stats: SearchStats,
     }
 
@@ -469,6 +531,7 @@ mod tests {
                 if self.best_cost.is_none_or(|c| acc < c) {
                     self.best_cost = Some(acc);
                     self.best.clone_from(&self.prefix);
+                    self.found = true;
                 }
                 return Ok(());
             }
@@ -497,16 +560,44 @@ mod tests {
         }
     }
 
-    /// The oracle's decision: cost, statistics and sequence.
+    /// The oracle's decision: cost, statistics, sequence, and the `step`
+    /// calls its guide walk made.
+    type Verdict<I> = (f64, SearchStats, Vec<I>, usize);
+
     fn decide_recursive<P: Plant>(
         horizon: usize,
         plant: &P,
         x0: &P::State,
         prev_input: Option<&P::Input>,
         forecast: &[P::Env],
-    ) -> Result<(f64, SearchStats, Vec<P::Input>), Error> {
+    ) -> Result<Verdict<P::Input>, Error> {
         let mut floors = vec![0.0; horizon];
-        plant.cost_floors(x0, &forecast[..horizon], &mut floors);
+        let mut guide = Vec::new();
+        // A one-step search asks for neither.
+        if horizon > 1 {
+            plant.cost_floors(x0, &forecast[..horizon], &mut floors, &mut guide);
+        }
+        // The seed: one ulp above the guide's total, if the guide is a
+        // full admissible path whose total is finite.
+        let mut seed = None;
+        let mut guide_steps = 0;
+        if guide.len() == horizon {
+            let (mut x, mut prev, mut total) = (x0.clone(), prev_input, 0.0);
+            let mut admissible = true;
+            for (u, env) in guide.iter().zip(forecast) {
+                if !plant.admissible(&x).contains(u) {
+                    admissible = false;
+                    break;
+                }
+                x = plant.step(&x, u, env);
+                guide_steps += 1;
+                total += plant.cost(&x, u, prev);
+                prev = Some(u);
+            }
+            if admissible && total.is_finite() {
+                seed = Some(total.next_up());
+            }
+        }
         let mut search = Search {
             plant,
             forecast,
@@ -514,20 +605,23 @@ mod tests {
             floors,
             prefix: Vec::new(),
             best: Vec::new(),
-            best_cost: None,
+            best_cost: seed,
+            found: false,
             stats: SearchStats::default(),
         };
         search.expand(x0, prev_input, 0, 0.0)?;
-        let cost = search.best_cost.ok_or(Error::EmptyInputSet)?;
-        Ok((cost, search.stats, search.best))
+        match search.best_cost {
+            Some(cost) if search.found => Ok((cost, search.stats, search.best, guide_steps)),
+            _ => Err(Error::EmptyInputSet),
+        }
     }
 
     /// A random finite plant built to hit every corner of the accept and
     /// prune rules: state-dependent input sets (empty in some states),
     /// small-integer costs that tie exactly, zero, `NaN` and `+∞` costs,
     /// a penalty for switching away from the previous input, and whatever
-    /// cost floors it is handed, valid or not. It logs the states it is
-    /// asked to expand and counts its `step` calls.
+    /// cost floors and guide it is handed, valid or not. It logs the
+    /// states it is asked to expand and counts its `step` calls.
     struct Rugged {
         /// Admissible inputs per state (0: the state is barren).
         fan_out: Vec<usize>,
@@ -535,6 +629,13 @@ mod tests {
         switch_penalty: f64,
         /// The floors of the first steps; the rest stay zero.
         floors: Vec<f64>,
+        /// What the guide takes at each step: below 8, that entry (mod
+        /// the set's size) of the admissible set of the state the guide
+        /// stands on; from 8 up, or in a barren state, the raw input
+        /// `pick % 7`, admissible or not.
+        picks: Vec<usize>,
+        /// The guide's length less the horizon, clamped to `0..=picks.len()`.
+        skew: isize,
         steps: Cell<usize>,
         expanded: RefCell<Vec<usize>>,
     }
@@ -546,9 +647,31 @@ mod tests {
                 costs,
                 switch_penalty: f64::from(switch),
                 floors,
+                picks: Vec::new(),
+                skew: 0,
                 steps: Cell::new(0),
                 expanded: RefCell::new(Vec::new()),
             }
+        }
+
+        /// This plant handing out the guide `picks` and `skew` describe.
+        fn guided(self, picks: Vec<usize>, skew: isize) -> Self {
+            Rugged {
+                picks,
+                skew,
+                ..self
+            }
+        }
+
+        /// [`Plant::admissible`], unlogged.
+        fn inputs(&self, x: usize) -> impl Iterator<Item = usize> {
+            // The order depends on the state too.
+            (0..self.fan_out[x]).map(move |j| (j * 3 + x) % 7)
+        }
+
+        /// [`Plant::step`], uncounted.
+        fn next(&self, x: usize, u: usize, w: usize) -> usize {
+            (x * 31 + u * 7 + w + 1) % self.fan_out.len()
         }
     }
 
@@ -558,12 +681,11 @@ mod tests {
         type Env = usize;
         fn admissible(&self, x: &usize) -> Vec<usize> {
             self.expanded.borrow_mut().push(*x);
-            // The order depends on the state too.
-            (0..self.fan_out[*x]).map(|j| (j * 3 + x) % 7).collect()
+            self.inputs(*x).collect()
         }
         fn step(&self, x: &usize, u: &usize, w: &usize) -> usize {
             self.steps.set(self.steps.get() + 1);
-            (x * 31 + u * 7 + w + 1) % self.fan_out.len()
+            self.next(*x, *u, *w)
         }
         fn cost(&self, x_next: &usize, u: &usize, prev: Option<&usize>) -> f64 {
             let switch = match prev {
@@ -572,11 +694,42 @@ mod tests {
             };
             self.costs[(x_next * 7 + u) % self.costs.len()] + switch
         }
-        fn cost_floors(&self, _x0: &usize, _forecast: &[usize], floors: &mut [f64]) {
+        fn cost_floors(
+            &self,
+            x0: &usize,
+            forecast: &[usize],
+            floors: &mut [f64],
+            guide: &mut Vec<usize>,
+        ) {
             for (floor, &mine) in floors.iter_mut().zip(&self.floors) {
                 *floor = mine;
             }
+            let len = (forecast.len() as isize)
+                .saturating_add(self.skew)
+                .clamp(0, self.picks.len() as isize) as usize;
+            let mut x = *x0;
+            for (d, &pick) in self.picks[..len].iter().enumerate() {
+                let inputs: Vec<usize> = self.inputs(x).collect();
+                let u = if pick < 8 && !inputs.is_empty() {
+                    inputs[pick % inputs.len()]
+                } else {
+                    pick % 7
+                };
+                guide.push(u);
+                if let Some(&w) = forecast.get(d) {
+                    x = self.next(x, u, w);
+                }
+            }
         }
+    }
+
+    /// A guide for [`Rugged::guided`]: mostly admissible and a full path,
+    /// sometimes inadmissible, short, long or absent.
+    fn any_guide() -> impl Strategy<Value = (Vec<usize>, isize)> {
+        (
+            proptest::collection::vec(prop_oneof![0usize..8, 0usize..8, 0usize..16], 7),
+            prop_oneof![Just(0isize), Just(0), Just(0), Just(-1), Just(1), Just(-9)],
+        )
     }
 
     fn rugged_cost() -> impl Strategy<Value = f64> {
@@ -620,13 +773,26 @@ mod tests {
         ]
     }
 
+    /// Costs that are never `NaN`: small integers that tie exactly, zero,
+    /// reals and `+∞`.
+    fn ordered_cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::INFINITY),
+            (0u8..5).prop_map(f64::from),
+            (1u8..5).prop_map(f64::from),
+            (1u8..5).prop_map(f64::from),
+            0.5..10.0f64,
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The row walk, in one scratch reused across jobs, decides what
-        /// the recursion decides under the same cost floors, whatever they
-        /// are: the same error from the same node, or the same cost bits,
-        /// sequence, statistics and `step` calls.
+        /// the recursion decides under the same cost floors and guide,
+        /// whatever they are: the same error from the same node, or the
+        /// same cost bits, sequence, statistics and `step` calls — one per
+        /// state explored, and one per guide step walked.
         #[test]
         fn row_walk_matches_the_recursive_oracle(
             jobs in proptest::collection::vec(
@@ -639,18 +805,19 @@ mod tests {
                     (
                         proptest::collection::vec(0usize..5, 5),
                         proptest::collection::vec(any_floor(), 0..6),
+                        any_guide(),
                     ),
                 ),
                 1..6,
             ),
         ) {
             let mut scratch = SearchScratch::default();
-            for ((horizon, x0, mut fan_out), (costs, switch, prev), (forecast, floors)) in jobs {
+            for ((horizon, x0, mut fan_out), (costs, switch, prev), (forecast, floors, (picks, skew))) in jobs {
                 // The root always has a choice; a barren state fails the
                 // search only if the walk reaches it.
                 let x0 = x0 % fan_out.len();
                 fan_out[x0] = fan_out[x0].max(1);
-                let plant = Rugged::new(fan_out, costs, switch, floors);
+                let plant = Rugged::new(fan_out, costs, switch, floors).guided(picks, skew);
                 let prev = (prev < 7).then_some(prev);
                 let oracle = decide_recursive(horizon, &plant, &x0, prev.as_ref(), &forecast);
                 let oracle_steps = plant.steps.replace(0);
@@ -660,12 +827,12 @@ mod tests {
                 let walk = controller.decide_with(&plant, &x0, prev.as_ref(), &forecast, &mut scratch);
                 prop_assert_eq!(plant.expanded.take(), oracle_expanded);
                 match (oracle, walk) {
-                    (Ok((cost, stats, sequence)), Ok((walk_cost, walk_stats))) => {
+                    (Ok((cost, stats, sequence, guide_steps)), Ok((walk_cost, walk_stats))) => {
                         prop_assert_eq!(walk_cost.to_bits(), cost.to_bits());
                         prop_assert_eq!(scratch.sequence(), &sequence[..]);
                         prop_assert_eq!(walk_stats, stats);
                         prop_assert_eq!(plant.steps.get(), oracle_steps);
-                        prop_assert_eq!(stats.states_explored, oracle_steps);
+                        prop_assert_eq!(stats.states_explored + guide_steps, oracle_steps);
                     }
                     (Err(oracle), Err(walk)) => prop_assert_eq!(walk, oracle),
                     (oracle, walk) => prop_assert!(false, "{oracle:?} vs {walk:?}"),
@@ -704,7 +871,7 @@ mod tests {
                 // A share of it, at most all of it (0·∞ is no floor).
                 let floors = shares.iter().map(|s| (s * cheapest).max(0.0)).collect();
                 let floorless = Rugged::new(fan_out.clone(), costs.clone(), switch, Vec::new());
-                let (cost, stats, sequence) =
+                let (cost, stats, sequence, _) =
                     decide_recursive(horizon, &floorless, &x0, prev.as_ref(), &forecast).unwrap();
 
                 let plant = Rugged::new(fan_out, costs, switch, floors);
@@ -712,6 +879,49 @@ mod tests {
                 let (walk_cost, walk_stats) = controller
                     .decide_with(&plant, &x0, prev.as_ref(), &forecast, &mut scratch)
                     .unwrap();
+                prop_assert_eq!(walk_cost.to_bits(), cost.to_bits());
+                prop_assert_eq!(scratch.sequence(), &sequence[..]);
+                prop_assert!(walk_stats.states_explored <= stats.states_explored);
+            }
+        }
+
+        /// A guide changes no decision: on plants without barren states or
+        /// `NaN` costs, under floors no higher than the cheapest cost, the
+        /// walk seeded from any admissible guide returns the unguided
+        /// recursion's cost bits and sequence, and explores no more than
+        /// it. Costs are small integers often enough that the guide's
+        /// total ties the optimum exactly.
+        #[test]
+        fn any_admissible_guide_keeps_the_decision(
+            jobs in proptest::collection::vec(
+                (
+                    (2usize..6, 0usize..12, proptest::collection::vec(1usize..6, 2..9)),
+                    (proptest::collection::vec(ordered_cost(), 1..24), 0u8..3, 0usize..8),
+                    (
+                        proptest::collection::vec(0usize..5, 5),
+                        proptest::collection::vec(prop_oneof![Just(1.0), Just(0.0), 0.0..1.0f64], 5),
+                        proptest::collection::vec(0usize..8, 5),
+                    ),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut scratch = SearchScratch::default();
+            for ((horizon, x0, fan_out), (costs, switch, prev), (forecast, shares, picks)) in jobs {
+                let x0 = x0 % fan_out.len();
+                let prev = (prev < 7).then_some(prev);
+                let cheapest = costs.iter().fold(f64::INFINITY, |m, &c| m.min(c));
+                let floors: Vec<f64> = shares.iter().map(|s| (s * cheapest).max(0.0)).collect();
+                let unguided = Rugged::new(fan_out.clone(), costs.clone(), switch, floors.clone());
+                let (cost, stats, sequence, _) =
+                    decide_recursive(horizon, &unguided, &x0, prev.as_ref(), &forecast).unwrap();
+
+                let plant = Rugged::new(fan_out, costs, switch, floors).guided(picks, 0);
+                let controller = LookaheadController::new(horizon).unwrap();
+                let walk = controller.decide_with(&plant, &x0, prev.as_ref(), &forecast, &mut scratch);
+                let Ok((walk_cost, walk_stats)) = walk else {
+                    return Err(TestCaseError::fail(format!("{walk:?}, but the optimum is {cost}")));
+                };
                 prop_assert_eq!(walk_cost.to_bits(), cost.to_bits());
                 prop_assert_eq!(scratch.sequence(), &sequence[..]);
                 prop_assert!(walk_stats.states_explored <= stats.states_explored);

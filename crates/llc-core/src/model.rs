@@ -46,21 +46,37 @@ pub trait Plant {
     /// the first decision.
     fn cost(&self, x_next: &Self::State, u: &Self::Input, prev: Option<&Self::Input>) -> f64;
 
-    /// Floors under the cost of each step of the tree rooted at `x0`.
+    /// Floors under the cost of each step of the tree rooted at `x0`, and
+    /// a path to try first.
     ///
     /// The lookahead search zero-fills `floors` (one per step of its
-    /// horizon, `forecast[d]` being step `d`'s environment) once per
-    /// decision and calls this before it expands anything; a one-step
-    /// search has no steps below a node and does not ask. A plant may
-    /// raise `floors[d]` to any value at most the cost of *every* node the
-    /// search could reach at step `d` (depth `d + 1`): on any input path
-    /// from `x0`, with any `prev`. The search then cuts a subtree once the
-    /// cost along its path plus the floors of the steps still below it
-    /// reaches the incumbent (see
+    /// horizon, `forecast[d]` being step `d`'s environment) and clears
+    /// `guide` once per decision, and calls this before it expands
+    /// anything; a one-step search has no steps below a node and does not
+    /// ask. A plant may raise `floors[d]` to any value at most the cost of
+    /// *every* node the search could reach at step `d` (depth `d + 1`): on
+    /// any input path from `x0`, with any `prev`. The search then cuts a
+    /// subtree once the cost along its path plus the floors of the steps
+    /// still below it reaches the incumbent (see
     /// [`LookaheadController`](crate::LookaheadController)). A floor above
     /// some node's cost can cut the optimum away; the default leaves every
     /// floor at zero, which prunes exactly as a path-cost bound does.
-    fn cost_floors(&self, _x0: &Self::State, _forecast: &[Self::Env], _floors: &mut [f64]) {}
+    ///
+    /// A plant may also push into `guide` one input per step: a path it
+    /// expects to be cheap. If that path is admissible from `x0` and its
+    /// total is finite, the search starts its incumbent just above that
+    /// total instead of unset, so the floors cut from the first row on.
+    /// Under valid floors and costs that are never `NaN`, any guide leaves
+    /// the decision as it was, and a cheap one saves the most. The default
+    /// leaves `guide` empty.
+    fn cost_floors(
+        &self,
+        _x0: &Self::State,
+        _forecast: &[Self::Env],
+        _floors: &mut [f64],
+        _guide: &mut Vec<Self::Input>,
+    ) {
+    }
 }
 
 #[cfg(test)]
