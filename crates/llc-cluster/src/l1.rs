@@ -1,8 +1,8 @@
-use crate::learner::OnlineLearner;
+use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
 use llc_approx::{train_dense, Blend, BlendConfig, DenseGrid, GridSampler, SimplexGrid};
 use llc_core::{LearnRate, OnlineConfig, UncertaintyBand};
-use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
+use llc_forecast::{Ewma, Forecaster};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -262,23 +262,8 @@ impl AbstractionMap {
         cfg: &OnlineConfig,
     ) -> f64 {
         let blend = BlendConfig::new(cfg.learning_rate, cfg.prior_weight);
-        self.update_online_with(lambda, c, q0, outcome, &blend)
-    }
-
-    /// [`AbstractionMap::update_online`] under an explicit blend
-    /// schedule — the drift-detector rate switch picks between the
-    /// steady-state and fast re-convergence schedules per update.
-    pub fn update_online_with(
-        &mut self,
-        lambda: f64,
-        c: f64,
-        q0: f64,
-        outcome: GEntry,
-        blend: &BlendConfig,
-    ) -> f64 {
-        let lambda = lambda.max(0.0);
-        let q0 = q0.max(0.0);
-        self.table.update(&[lambda, c, q0], &outcome, blend)
+        self.table
+            .update(&[lambda.max(0.0), c, q0.max(0.0)], &outcome, &blend)
     }
 
     /// Staleness sweep: shrink every cell's online confidence by
@@ -300,7 +285,7 @@ impl AbstractionMap {
     /// visited — realized outcomes, not model replays — are the one part
     /// of the old map worth keeping. Returns the number of cells that
     /// blended in, each exactly as the online update path writes it.
-    pub fn reseed_online_from(
+    pub(crate) fn reseed_online_from(
         &mut self,
         old: &AbstractionMap,
         min_confidence: f64,
@@ -345,6 +330,37 @@ impl AbstractionMap {
     /// Upper edge of the trained initial-queue grid.
     pub fn trained_q_max(&self) -> f64 {
         self.q_max
+    }
+}
+
+/// A member's map as the L1's split level sees it: keyed by `(ĉ, q₀)`,
+/// learning from [`GEntry`] outcomes. A map still shared with another
+/// owner is copied once, on its first write.
+impl SplitChild for Arc<AbstractionMap> {
+    type Key = (f64, f64);
+    type Outcome = GEntry;
+
+    fn cost(&self, lambda: f64, (c, q0): (f64, f64)) -> f64 {
+        self.query(lambda, c, q0).cost
+    }
+
+    fn realized(outcome: &GEntry) -> f64 {
+        outcome.cost
+    }
+
+    fn blend(
+        &mut self,
+        lambda: f64,
+        (c, q0): (f64, f64),
+        outcome: GEntry,
+        blend: &BlendConfig,
+    ) -> f64 {
+        let key = [lambda.max(0.0), c, q0.max(0.0)];
+        Arc::make_mut(self).table.update(&key, &outcome, blend)
+    }
+
+    fn decay_confidence(&mut self, factor: f64) {
+        Arc::make_mut(self).decay_confidence(factor);
     }
 }
 
@@ -460,25 +476,11 @@ impl MemberSpec {
     }
 }
 
-/// Every per-decision buffer [`L1Controller::decide`] needs, owned by
-/// the controller and reused across decisions so the steady decide path
-/// performs no heap allocation. Taken off the controller with
-/// `std::mem::take` for the duration of a decision (the borrow checker
-/// cannot see that the buffers and the rest of `self` are disjoint
-/// across the closures the search builds) and restored at the end.
+/// The buffers [`L1Controller::decide`] needs beside its split level's,
+/// reused so the steady decide path allocates nothing. Taken off the
+/// controller for the duration of a decision and restored at the end.
 #[derive(Debug, Clone, Default)]
 struct DecideScratch {
-    /// γ cost lanes: `lanes[(j·3 + s)·(levels+1) + u]` is the map cost
-    /// ([`AbstractionMap::query`]) of routing `u` γ quanta to member `j`
-    /// under band sample `s` — filled lazily, one (member, unit) column
-    /// at a time as the hill-climbs actually visit it, then read by
-    /// every candidate's evaluation as three flat loads per active
-    /// member. Kept per-sample (not pre-summed across the band) so the
-    /// evaluator can reproduce the scalar objective's summation order
-    /// bit for bit.
-    lanes: Vec<f64>,
-    /// Which `(member, unit)` lane columns are filled this decision.
-    lane_filled: Vec<bool>,
     /// Candidate α vectors, flattened `m` entries per candidate.
     candidates: Vec<bool>,
     /// Per-candidate switch-on penalty.
@@ -491,12 +493,8 @@ struct DecideScratch {
     order: Vec<usize>,
     /// Per-member zero-load backlog drain cost.
     drain_costs: Vec<f64>,
-    /// Hill-climb state: current γ split in grid units.
-    climb_units: Vec<i64>,
-    /// Neighbor-enumeration workspace for the simplex visitor.
-    scratch_units: Vec<i64>,
-    /// Best neighbor found in the current climb round.
-    round_units: Vec<i64>,
+    /// The γ climb's start: the warm-start split in grid units.
+    start: Vec<i64>,
     /// Indices of the members active under the current candidate.
     active_idx: Vec<usize>,
     /// Warm-start load split over the active members.
@@ -525,12 +523,12 @@ fn effective_c(member: &MemberSpec, filter: &Ewma, scale: f64) -> f64 {
 pub struct L1Controller {
     config: L1Config,
     members: Vec<MemberSpec>,
-    /// Shared (not cloned) per-member abstraction maps: members of one
-    /// kind may hold the same map, and offline module learning replays
-    /// thousands of short-lived `L1Controller`s over the same maps, so
-    /// construction must not deep-copy the tables.
-    maps: Vec<Arc<AbstractionMap>>,
-    lambda_forecast: LocalLinearTrend,
+    /// The split over the members: their abstraction maps, the module's
+    /// λ forecast and the online learner. The maps are shared, not
+    /// cloned: members of one kind may hold the same map, and offline
+    /// module learning replays thousands of short-lived `L1Controller`s
+    /// over the same maps, so construction must not deep-copy the tables.
+    level: SplitLevel<Arc<AbstractionMap>>,
     band: UncertaintyBand,
     c_filters: Vec<Ewma>,
     /// Per-member delivered-capacity scales `ŝ` pushed up from the
@@ -550,11 +548,6 @@ pub struct L1Controller {
     /// cluster (see [`L1Controller::feed_forward_lambda`]); consumed by
     /// the next decision in place of the trailing forecast.
     pending_feed_forward: Option<f64>,
-    last_prediction: Option<f64>,
-    /// (actual rate, predicted rate) per L1 period — Fig. 4's Kalman plot.
-    forecast_history: Vec<(f64, f64)>,
-    total_states: u64,
-    decisions: u64,
     /// Lifetime count of candidate α vectors whose γ search ran.
     total_candidates_evaluated: u64,
     /// Lifetime count of candidate α vectors pruned by the bound.
@@ -562,16 +555,10 @@ pub struct L1Controller {
     /// Per-decision buffers, reused so the steady decide path performs
     /// no heap allocation (see [`DecideScratch`]).
     scratch: DecideScratch,
-    /// Highest arrival rate each member's absorbed outcomes have visited
-    /// (drives retrain envelope re-estimation).
-    visited_lambda_max: Vec<f64>,
-    /// Deepest initial queue each member's absorbed outcomes have visited.
-    visited_q_max: Vec<f64>,
-    /// Outcomes taken per member (0 = no visited envelope yet).
-    visited_outcomes: Vec<u64>,
-    /// Online learning state, one learner slot per member, present once
-    /// [`L1Controller::enable_online`] has been called.
-    online: Option<OnlineLearner>,
+    /// The highest arrival rate and deepest initial queue each member's
+    /// absorbed outcomes have visited, once it has absorbed one (drives
+    /// retrain envelope re-estimation).
+    visited: Vec<Option<(f64, f64)>>,
 }
 
 impl L1Controller {
@@ -610,25 +597,17 @@ impl L1Controller {
         L1Controller {
             config,
             members,
-            maps,
-            lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
+            level: SplitLevel::new(maps),
             band: UncertaintyBand::new(0.25),
             c_filters,
             member_scales: vec![1.0; m],
             prev_alpha: vec![false; m],
             prev_gamma: vec![0.0; m],
             pending_feed_forward: None,
-            last_prediction: None,
-            forecast_history: Vec::new(),
-            total_states: 0,
-            decisions: 0,
             total_candidates_evaluated: 0,
             total_candidates_pruned: 0,
             scratch: DecideScratch::default(),
-            visited_lambda_max: vec![0.0; m],
-            visited_q_max: vec![0.0; m],
-            visited_outcomes: vec![0; m],
-            online: None,
+            visited: vec![None; m],
         }
     }
 
@@ -641,17 +620,12 @@ impl L1Controller {
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        self.online = Some(OnlineLearner::new(cfg, self.members.len()));
-    }
-
-    /// `true` once [`L1Controller::enable_online`] has been called.
-    pub fn online_enabled(&self) -> bool {
-        self.online.is_some()
+        self.level.enable_online(cfg);
     }
 
     /// Observations blended into the maps so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, OnlineLearner::updates)
+        self.level.online_updates()
     }
 
     /// The `(λ, q₀)` ceiling `member`'s absorbed outcomes have actually
@@ -662,88 +636,56 @@ impl L1Controller {
     /// # Panics
     ///
     /// Panics if `member` is out of range.
-    pub fn visited_envelope(&self, member: usize) -> Option<(f64, f64)> {
-        (self.visited_outcomes[member] > 0)
-            .then(|| (self.visited_lambda_max[member], self.visited_q_max[member]))
+    pub(crate) fn visited_envelope(&self, member: usize) -> Option<(f64, f64)> {
+        self.visited[member]
     }
 
     /// Absorb one control period's realized outcomes, in slice order, as
     /// `(member, λ, q₀, realized)`: the arrival rate actually routed to
     /// the member, the queue it started the period with, and the measured
-    /// [`GEntry`] (average cost, power, end queue). The ĉ coordinate of
-    /// the map key is the member's current processing-time estimate — the
-    /// coordinate the decision queried the map at. Returns the number of
-    /// outcomes blended in.
-    ///
-    /// Each outcome first feeds the member's drift detector with the
-    /// normalized residual against the *current* map; while the detector
-    /// reports [`LearnRate::Fast`] (a drift fired within its hold-off
-    /// window) the blend runs at the fast re-convergence rate, otherwise
-    /// at the steady-state rate. One call is one learning pass: the
-    /// staleness sweep runs after it on the configured cadence.
-    ///
-    /// The maps are `Arc`-shared — [`crate::HierarchicalPolicy::build`]
-    /// hands every member of one kind the same map. A map still shared
-    /// with another owner is copied once, on its first update, and
-    /// diverges from there; from then on the member is the sole owner and
-    /// updates are in place. Members that never learn keep sharing.
+    /// [`GEntry`]. The map key's ĉ is the member's current estimate, the
+    /// one the decision queried. Each outcome feeds the member's drift
+    /// detector its residual against the current map, then blends in at
+    /// the rate the detector selects ([`LearnRate::Fast`] while a drift
+    /// fired within its hold-off window). One call is one learning pass,
+    /// followed by the staleness sweep on its cadence. A map still shared
+    /// with another member is copied on its first update; members that
+    /// never learn keep sharing. Returns the number of outcomes blended
+    /// in.
     ///
     /// # Panics
     ///
     /// Panics if online learning is not enabled or a member index is out
     /// of range.
     pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, f64, GEntry)]) -> usize {
-        let online = self
-            .online
-            .as_mut()
-            .expect("call enable_online before absorb_outcomes");
-        let mut applied = 0usize;
-        for &(member, lambda, q0, realized) in outcomes {
-            assert!(member < self.members.len(), "member index out of range");
-            let c = effective_c(
-                &self.members[member],
-                &self.c_filters[member],
-                self.member_scales[member],
-            );
-            let (lambda, q0) = (lambda.max(0.0), q0.max(0.0));
-            self.visited_lambda_max[member] = self.visited_lambda_max[member].max(lambda);
-            self.visited_q_max[member] = self.visited_q_max[member].max(q0);
-            self.visited_outcomes[member] += 1;
-            let map = &mut self.maps[member];
-            let predicted = map.query(lambda, c, q0).cost;
-            if online.absorb(member, realized.cost, predicted, |blend| {
-                Arc::make_mut(map).update_online_with(lambda, c, q0, realized, blend)
-            }) {
-                applied += 1;
-            }
-        }
-        if let Some(factor) = online.end_pass() {
-            for map in &mut self.maps {
-                Arc::make_mut(map).decay_confidence(factor);
-            }
-        }
-        applied
+        let (members, filters, scales) = (&self.members, &self.c_filters, &self.member_scales);
+        let visited = &mut self.visited;
+        self.level
+            .absorb(outcomes.iter().map(|&(member, lambda, q0, realized)| {
+                let c = effective_c(&members[member], &filters[member], scales[member]);
+                let (lambda, q0) = (lambda.max(0.0), q0.max(0.0));
+                let (seen_lambda, seen_q) = visited[member].get_or_insert((0.0, 0.0));
+                *seen_lambda = seen_lambda.max(lambda);
+                *seen_q = seen_q.max(q0);
+                (member, lambda, (c, q0), realized)
+            }))
     }
 
     /// Drift detections fired across the members' residual streams.
     pub fn drift_detections(&self) -> u64 {
-        self.online
-            .as_ref()
-            .map_or(0, |o| o.drift_detections().sum())
+        self.level.drift_detections()
     }
 
     /// Drift detections fired per member (position order) — the
     /// per-learner resolution of the metrics surface. Empty while
     /// online learning is off.
     pub fn member_drift_detections(&self) -> Vec<u64> {
-        self.online
-            .as_ref()
-            .map_or_else(Vec::new, |o| o.drift_detections().collect())
+        self.level.child_drift_detections()
     }
 
     /// Observations blended at the fast re-convergence rate so far.
     pub fn fast_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, OnlineLearner::fast_updates)
+        self.level.online.as_ref().map_or(0, |o| o.fast_applied)
     }
 
     /// The blend rate member `member`'s updates currently run at.
@@ -753,20 +695,20 @@ impl L1Controller {
     /// Panics if online learning is not enabled or `member` is out of
     /// range.
     pub fn member_learn_rate(&self, member: usize) -> LearnRate {
-        self.online
+        self.level
+            .online
             .as_ref()
             .expect("call enable_online before member_learn_rate")
-            .rate(member)
+            .detectors[member]
+            .rate()
     }
 
     /// `true` once any member's detector reports that residuals stopped
     /// being local — the incremental learner is patching a model that is
     /// wrong everywhere, and an offline re-train should be scheduled.
-    /// Latched until [`L1Controller::install_maps`] swaps the maps.
+    /// Latched until retrained maps are swapped in.
     pub fn retrain_recommended(&self) -> bool {
-        self.online
-            .as_ref()
-            .is_some_and(OnlineLearner::any_retrain_recommended)
+        self.level.retrain_recommended()
     }
 
     /// Number of computers managed.
@@ -781,7 +723,7 @@ impl L1Controller {
     ///
     /// Panics if `member` is out of range.
     pub fn map(&self, member: usize) -> &AbstractionMap {
-        &self.maps[member]
+        &self.level.children[member]
     }
 
     /// The shared handle of `member`'s abstraction map (an `Arc` clone
@@ -791,8 +733,8 @@ impl L1Controller {
     /// # Panics
     ///
     /// Panics if `member` is out of range.
-    pub fn map_arc(&self, member: usize) -> &Arc<AbstractionMap> {
-        &self.maps[member]
+    pub(crate) fn map_arc(&self, member: usize) -> &Arc<AbstractionMap> {
+        &self.level.children[member]
     }
 
     /// The static member descriptions the controller was built over.
@@ -812,12 +754,12 @@ impl L1Controller {
     /// # Panics
     ///
     /// Panics if the map count differs from the member count.
-    pub fn install_maps(&mut self, maps: Vec<Arc<AbstractionMap>>) {
+    pub(crate) fn install_maps(&mut self, maps: Vec<Arc<AbstractionMap>>) {
         assert_eq!(maps.len(), self.members.len(), "one map per member");
-        self.maps = maps;
-        if let Some(online) = self.online.as_mut() {
-            for member in 0..self.members.len() {
-                online.rearm(member);
+        self.level.children = maps;
+        if let Some(online) = self.level.online.as_mut() {
+            for detector in &mut online.detectors {
+                detector.rearm();
             }
         }
     }
@@ -831,11 +773,9 @@ impl L1Controller {
             "one demand slot per member"
         );
         let actual_rate = module_arrivals as f64 / self.config.period;
-        if let Some(pred) = self.last_prediction {
+        if let Some(pred) = self.level.observe(actual_rate) {
             self.band.observe(actual_rate, pred);
-            self.forecast_history.push((actual_rate, pred));
         }
-        self.lambda_forecast.observe(actual_rate);
         for (filter, demand) in self.c_filters.iter_mut().zip(member_demands) {
             if let Some(c) = demand {
                 filter.observe(*c);
@@ -853,7 +793,7 @@ impl L1Controller {
     ///
     /// Panics if the slice length differs from the member count or any
     /// scale is not positive.
-    pub fn set_member_scales(&mut self, scales: &[f64]) {
+    pub(crate) fn set_member_scales(&mut self, scales: &[f64]) {
         assert_eq!(scales.len(), self.members.len(), "one scale per member");
         assert!(
             scales.iter().all(|&s| s > 0.0 && s.is_finite()),
@@ -862,45 +802,33 @@ impl L1Controller {
         self.member_scales.copy_from_slice(scales);
     }
 
-    /// The per-member delivered-capacity scales in force.
-    pub fn member_scales(&self) -> &[f64] {
-        &self.member_scales
-    }
-
     /// Current per-member *effective* processing-time estimates: the
     /// EWMA-filtered demand telemetry ĉ (falling back to the prior before
     /// any completion), divided by the member's delivered-capacity scale
     /// ŝ — at nominal scale exactly the paper's estimate.
     pub fn c_estimates(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.c_estimates_into(&mut out);
-        out
+        self.c_iter().collect()
     }
 
-    /// [`c_estimates`](Self::c_estimates) into a caller-owned buffer —
-    /// the decide path refreshes its scratch copy through this to keep
-    /// the steady loop allocation-free.
-    fn c_estimates_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.members
-                .iter()
-                .zip(&self.c_filters)
-                .zip(&self.member_scales)
-                .map(|((m, f), &s)| effective_c(m, f, s)),
-        );
+    /// [`c_estimates`](Self::c_estimates) without the `Vec`, in member
+    /// order.
+    fn c_iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.members
+            .iter()
+            .zip(&self.c_filters)
+            .zip(&self.member_scales)
+            .map(|((m, f), &s)| effective_c(m, f, s))
     }
 
     /// Aggregate (mean) processing-time estimate — the module state
     /// exposed upward to the L2 controller (eq. 12).
-    pub fn module_c_estimate(&self) -> f64 {
-        let cs = self.c_estimates();
-        cs.iter().sum::<f64>() / cs.len() as f64
+    pub(crate) fn module_c_estimate(&self) -> f64 {
+        self.c_iter().sum::<f64>() / self.members.len() as f64
     }
 
     /// Module arrival-rate forecast (one `T_L1` ahead, req/s).
     pub fn lambda_estimate(&self) -> f64 {
-        self.lambda_forecast.predict_one().max(0.0)
+        self.level.lambda_estimate()
     }
 
     /// Feed the upper level's re-split decision forward: the next
@@ -910,7 +838,7 @@ impl L1Controller {
     /// boot dead time — after the fact. One-shot: subsequent decisions
     /// return to the trailing forecast, which by then has observed the
     /// new share.
-    pub fn feed_forward_lambda(&mut self, lambda: f64) {
+    pub(crate) fn feed_forward_lambda(&mut self, lambda: f64) {
         self.pending_feed_forward = Some(lambda.max(0.0));
     }
 
@@ -921,26 +849,22 @@ impl L1Controller {
 
     /// The recorded (actual, predicted) arrival-rate pairs.
     pub fn forecast_history(&self) -> &[(f64, f64)] {
-        &self.forecast_history
+        &self.level.forecast_history
     }
 
     /// Average candidate states evaluated per decision.
     pub fn mean_states_evaluated(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.total_states as f64 / self.decisions as f64
-        }
+        self.level.mean_states_evaluated()
     }
 
     /// Candidate α vectors whose γ search ran, across all decisions.
-    pub fn candidates_evaluated(&self) -> u64 {
+    pub(crate) fn candidates_evaluated(&self) -> u64 {
         self.total_candidates_evaluated
     }
 
     /// Candidate α vectors pruned by the admissible bound, across all
     /// decisions. Zero while `pruned_search` is off.
-    pub fn candidates_pruned(&self) -> u64 {
+    pub(crate) fn candidates_pruned(&self) -> u64 {
         self.total_candidates_pruned
     }
 
@@ -972,7 +896,7 @@ impl L1Controller {
     ///
     /// Panics if slice lengths disagree with the member count or every
     /// member is dead (the caller's safe mode must handle that case).
-    pub fn decide_excluding(
+    pub(crate) fn decide_excluding(
         &mut self,
         queues: &[usize],
         active: &[bool],
@@ -986,13 +910,9 @@ impl L1Controller {
         assert!(live_count > 0, "at least one member must be live");
         let min_active = self.config.min_active.min(live_count);
 
-        let lambda_hat = match self.pending_feed_forward.take() {
-            // The L2 just re-split: plan for the assigned share now, not
-            // a dead time from now.
-            Some(ff) => ff,
-            None => self.lambda_forecast.predict_one().max(0.0),
-        };
-        self.last_prediction = Some(lambda_hat);
+        // After an L2 re-split, plan for the assigned share now, not a
+        // dead time from now.
+        let lambda_hat = self.level.plan(self.pending_feed_forward.take());
         let delta = if self.config.use_uncertainty_band {
             self.band.delta()
         } else {
@@ -1006,21 +926,18 @@ impl L1Controller {
         let mut states = 0usize;
 
         let quantum = self.config.gamma_quantum;
-        let levels = (1.0 / quantum).round() as usize;
-        let lane_w = levels + 1;
-        let max_rounds = self.config.search_rounds;
-        let max_evals = self.config.search_evals;
         // All per-decision buffers live in controller-owned scratch, so
-        // the steady decide path allocates nothing; taken out of `self`
-        // so the candidate loop can borrow maps/members freely.
+        // the steady decide path allocates nothing.
         let mut ds = std::mem::take(&mut self.scratch);
-        self.c_estimates_into(&mut ds.cs);
+        ds.cs.clear();
+        ds.cs.extend(self.c_iter());
         let cs = &ds.cs;
         // Cost of draining each computer's standing queue at zero load.
+        let maps = &self.level.children;
         ds.drain_costs.clear();
         ds.drain_costs.extend((0..m).map(|j| {
             if queues[j] > 0 {
-                self.maps[j].query(0.0, cs[j], queues[j] as f64).cost
+                maps[j].query(0.0, cs[j], queues[j] as f64).cost
             } else {
                 0.0
             }
@@ -1111,16 +1028,16 @@ impl L1Controller {
                 .sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
         }
 
-        // Shared γ cost lanes (see the scratch docs). Lane slots are
-        // filled lazily — a (member, unit) column is probed only when
-        // some candidate's hill-climb actually evaluates it, which on a
-        // warm-started steady decision is a handful of units around the
-        // standing split rather than the full quantum range. The fill
-        // marks persist across candidates, so shared members are still
-        // probed once per decision.
-        ds.lanes.resize(m * samples.len() * lane_w, 0.0);
-        ds.lane_filled.clear();
-        ds.lane_filled.resize(m * lane_w, false);
+        // One lane table for every candidate's γ search: a member's key
+        // `(ĉ, q₀)` and the band are the same under each, so a member's
+        // share priced for one candidate serves the rest. A warm-started
+        // steady decision prices a handful of units around the standing
+        // split rather than the full quantum range.
+        self.level.begin(
+            quantum,
+            &samples,
+            cs.iter().zip(queues).map(|(&c, &q)| (c, q as f64)),
+        );
 
         let mut best: Option<(f64, usize, Vec<bool>, Vec<f64>)> = None;
         let mut candidates_evaluated = 0usize;
@@ -1169,79 +1086,17 @@ impl L1Controller {
             // `snap` would choose, without the f64 roundtrip (grid
             // points are exactly `u·quantum`, so the unit form is
             // lossless) or its allocations.
-            grid.snap_units_into(&ds.weights, &mut ds.climb_units, &mut ds.snap_rema);
+            grid.snap_units_into(&ds.weights, &mut ds.start, &mut ds.snap_rema);
 
-            let sample_count = samples.len();
-            let lanes = &mut ds.lanes;
-            let lane_filled = &mut ds.lane_filled;
-            let idx_ref = &ds.active_idx;
-            let maps = &self.maps;
-            let mut evaluate = |units: &[i64]| -> f64 {
-                // Bit-exact replica of the scalar objective's summation
-                // order (sample-major, member-inner): one register
-                // accumulator per band sample, each updated member by
-                // member, reproduces every sample's partial sum exactly,
-                // and the left-to-right combine matches the scalar
-                // `total += sample_cost` fold over the three samples.
-                let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
-                for (pos, &j) in idx_ref.iter().enumerate() {
-                    let u = units[pos] as usize;
-                    if !lane_filled[j * lane_w + u] {
-                        // First visit of this (member, unit) column this
-                        // decision: probe the whole band.
-                        lane_filled[j * lane_w + u] = true;
-                        let q_j = queues[j] as f64;
-                        for (s, &lambda_s) in samples.iter().enumerate() {
-                            let lambda_j = u as f64 * quantum * lambda_s;
-                            lanes[(j * sample_count + s) * lane_w + u] =
-                                maps[j].query(lambda_j, cs[j], q_j).cost;
-                        }
-                    }
-                    let base = j * sample_count * lane_w + u;
-                    s0 += lanes[base];
-                    s1 += lanes[base + lane_w];
-                    s2 += lanes[base + 2 * lane_w];
-                }
-                (s0 + s1 + s2) / sample_count as f64
-            };
-
-            // Unit-space hill-climb replicating `BoundedSearch::minimize`
-            // move for move (evaluate the start, round/evaluation budgets
-            // with the pre-evaluation budget check, strict first-wins
-            // round improvement) — but over integer γ quanta through the
-            // allocation-free neighbor visitor, so one neighbor
-            // evaluation is three flat lane loads per active member and
-            // the whole decision is bit-identical to the scalar probe
-            // path (shared by the pruned and exhaustive searches alike).
-            let mut climb_cost = evaluate(&ds.climb_units);
-            let mut evaluations = 1usize;
-            let mut rounds = 0usize;
-            let round_units = &mut ds.round_units;
-            while rounds < max_rounds && evaluations < max_evals {
-                rounds += 1;
-                let mut round_best: Option<f64> = None;
-                grid.for_each_neighbor_units(&ds.climb_units, &mut ds.scratch_units, &mut |cand| {
-                    if evaluations >= max_evals {
-                        return;
-                    }
-                    let cost = evaluate(cand);
-                    evaluations += 1;
-                    if cost < round_best.map_or(climb_cost, |c| c) {
-                        round_best = Some(cost);
-                        round_units.clear();
-                        round_units.extend_from_slice(cand);
-                    }
-                });
-                match round_best {
-                    Some(cost) => {
-                        ds.climb_units.clear();
-                        ds.climb_units.extend_from_slice(round_units);
-                        climb_cost = cost;
-                    }
-                    None => break,
-                }
-            }
+            // The γ search: the best-improvement climb over single-quantum
+            // transfers between the active members, within the round and
+            // evaluation budgets, each split priced over the whole band.
+            let (rounds, evals) = (self.config.search_rounds, self.config.search_evals);
+            let (climb_cost, _, evaluations) =
+                self.level
+                    .climb(&grid, &ds.active_idx, &ds.start, rounds, evals);
             states += evaluations * samples.len();
+            let units = self.level.best();
 
             // Hard power-budget constraint: expected draw of the chosen
             // configuration at the nominal forecast.
@@ -1249,14 +1104,10 @@ impl L1Controller {
                 let power: f64 = ds
                     .active_idx
                     .iter()
-                    .enumerate()
-                    .map(|(pos, &j)| {
-                        self.maps[j]
-                            .query(
-                                ds.climb_units[pos] as f64 * quantum * lambda_hat,
-                                cs[j],
-                                queues[j] as f64,
-                            )
+                    .zip(units)
+                    .map(|(&j, &u)| {
+                        self.level.children[j]
+                            .query(u as f64 * quantum * lambda_hat, cs[j], queues[j] as f64)
                             .power
                     })
                     .sum();
@@ -1277,8 +1128,8 @@ impl L1Controller {
             };
             if accept {
                 let mut gamma_full = vec![0.0; m];
-                for (pos, &j) in ds.active_idx.iter().enumerate() {
-                    gamma_full[j] = ds.climb_units[pos] as f64 * quantum;
+                for (&j, &u) in ds.active_idx.iter().zip(units) {
+                    gamma_full[j] = u as f64 * quantum;
                 }
                 best = Some((total_cost, ci, alpha.to_vec(), gamma_full));
             }
@@ -1305,10 +1156,9 @@ impl L1Controller {
         self.scratch = ds;
         self.prev_alpha.copy_from_slice(&alpha);
         self.prev_gamma.copy_from_slice(&gamma);
-        self.total_states += states as u64;
+        self.level.record(states);
         self.total_candidates_evaluated += candidates_evaluated as u64;
         self.total_candidates_pruned += candidates_pruned as u64;
-        self.decisions += 1;
         L1Decision {
             alpha,
             gamma,
@@ -1702,14 +1552,13 @@ mod tests {
         let scaled = l1.c_estimates();
         assert!((scaled[0] - nominal[0] / 0.5).abs() < 1e-12);
         assert_eq!(scaled[1], nominal[1]);
-        assert_eq!(l1.member_scales(), &[0.5, 1.0]);
     }
 
     #[test]
     fn controller_absorbs_a_period_of_outcomes() {
         let mut l1 = build_module(2);
         l1.enable_online(llc_core::OnlineConfig::default());
-        assert!(l1.online_enabled());
+        assert!(l1.level.online.is_some());
         for _ in 0..4 {
             l1.observe(30 * 120, &[Some(0.0175); 2]);
             let _ = l1.decide(&[0, 0], &[true, true]);

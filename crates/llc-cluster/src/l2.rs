@@ -1,9 +1,8 @@
 use crate::l1::{AbstractionMap, L1Config, L1Controller, MemberSpec};
-use crate::learner::OnlineLearner;
+use crate::split::{SplitChild, SplitLevel};
 use llc_approx::SimplexGrid;
 use llc_approx::{BlendConfig, DenseGrid, GridSampler, RegressionTree, TreeConfig};
-use llc_core::{BoundedSearch, OnlineConfig};
-use llc_forecast::{Forecaster, LocalLinearTrend};
+use llc_core::OnlineConfig;
 use std::sync::Arc;
 
 /// The per-module cost approximation `J̃_i` used by the L2 controller.
@@ -263,9 +262,8 @@ impl ModuleCostModel {
     }
 
     /// Switch on the online residual layer: a zero-initialized dense grid
-    /// over the training domain that
-    /// [`ModuleCostModel::observe_outcome_with`] blends
-    /// realized-minus-predicted errors into.
+    /// over the training domain that [`L2Controller::absorb_outcomes`]
+    /// blends realized-minus-predicted errors into.
     pub fn enable_online(&mut self) {
         if self.residual.is_none() {
             self.residual = Some(DenseGrid::from_fn(&self.sampler, |_| 0.0));
@@ -292,7 +290,7 @@ impl ModuleCostModel {
     /// it is a correction added to `base_predict`, whose linear extension
     /// already handles overload states, and a grown cell would answer
     /// for every clamped key nearer to it than to the trained edge.
-    pub fn observe_outcome_with(
+    pub(crate) fn observe_outcome_with(
         &mut self,
         lambda: f64,
         c_factor: f64,
@@ -360,10 +358,33 @@ impl ModuleCostModel {
             None => base,
         }
     }
+}
 
-    /// Size of the underlying tree (for the "compact" claim).
-    pub fn tree_nodes(&self) -> usize {
-        self.tree.node_count()
+/// A module's cost model as the L2's split level sees it: keyed by the
+/// module's state, learning from realized per-period costs.
+impl SplitChild for ModuleCostModel {
+    type Key = ModuleState;
+    type Outcome = f64;
+
+    fn cost(&self, lambda: f64, state: ModuleState) -> f64 {
+        self.predict(lambda, state.c_factor, state.queue_mean, state.active)
+    }
+
+    fn realized(cost: &f64) -> f64 {
+        *cost
+    }
+
+    fn blend(&mut self, lambda: f64, state: ModuleState, cost: f64, blend: &BlendConfig) -> f64 {
+        let ModuleState {
+            c_factor,
+            queue_mean,
+            active,
+        } = state;
+        self.observe_outcome_with(lambda, c_factor, queue_mean, active, cost, blend)
+    }
+
+    fn decay_confidence(&mut self, factor: f64) {
+        ModuleCostModel::decay_confidence(self, factor);
     }
 }
 
@@ -429,51 +450,34 @@ const MAX_ENUMERATED_SPLITS: usize = 100_000;
 /// boot dead times downstream).
 const SWITCH_MARGIN: f64 = 0.1;
 
-/// Scratch of the ring search, kept on the controller so a steady-state
-/// decision allocates nothing that grows with the ring.
-#[derive(Debug, Clone, Default)]
-struct RingScratch {
-    /// The ring's centre in quanta.
-    units: Vec<i64>,
-    /// Neighbor buffer of [`SimplexGrid::for_each_neighbor_units`].
-    neighbor: Vec<i64>,
-    /// The best neighbor seen so far, in quanta.
-    best: Vec<i64>,
-    /// Module `i`'s cost one quantum down, unchanged and one quantum up,
-    /// at `[i]`, `[modules + i]` and `[2·modules + i]`.
-    memo: Vec<f64>,
+/// `weights` snapped onto `grid`, in quanta.
+fn snap_units(grid: &SimplexGrid, weights: &[f64]) -> Vec<i64> {
+    let mut units = Vec::new();
+    grid.snap_units_into(weights, &mut units, &mut Vec::new());
+    units
 }
 
 /// The cluster-level controller (§5): splits the global arrivals across
 /// modules, scoring each split with the regression-tree module models.
 ///
 /// The first decision, and one relaxed after a membership change,
-/// enumerates the quantized simplex exhaustively where it is small enough
-/// (286 points for four modules at quantum 0.1). Every other decision
-/// searches the standing split and its ring of single-quantum transfers,
-/// pricing each module once per share it can be handed — a candidate
-/// split is then a sum of memoised terms, not a walk of every module's
-/// tree.
+/// enumerates the quantized simplex where it is small enough (286 points
+/// for four modules at quantum 0.1); every other decision climbs one round
+/// from the standing split, over its ring of single-quantum transfers.
+/// Either prices each module once per share, not once per split.
 #[derive(Debug, Clone)]
 pub struct L2Controller {
     config: L2Config,
-    models: Vec<ModuleCostModel>,
-    lambda_forecast: LocalLinearTrend,
-    last_prediction: Option<f64>,
-    prev_gamma: Option<Vec<f64>>,
-    forecast_history: Vec<(f64, f64)>,
-    total_states: u64,
-    decisions: u64,
-    /// Online learning state, one learner slot per module, present once
-    /// [`L2Controller::enable_online`] has been called.
-    online: Option<OnlineLearner>,
-    /// One-shot hysteresis relaxation (set on cluster membership change):
-    /// the next decision enumerates the full simplex (if it has at most
-    /// `MAX_ENUMERATED_SPLITS` points) and skips the switching margin,
-    /// then the flag clears itself.
+    /// The split over the modules: their cost models, the global λ
+    /// forecast and the online learner.
+    level: SplitLevel<ModuleCostModel>,
+    /// The standing split in quanta: each decision's answer is these
+    /// times the grid's quantum.
+    prev: Option<Vec<i64>>,
+    /// Set by [`L2Controller::relax_hysteresis_once`] for one decision.
     relax_once: bool,
-    /// Touched only inside [`L2Controller::decide`].
-    ring: RingScratch,
+    /// Every module, in order: the children each split covers.
+    all: Vec<usize>,
 }
 
 impl L2Controller {
@@ -486,16 +490,10 @@ impl L2Controller {
         assert!(!models.is_empty(), "cluster needs at least one module");
         L2Controller {
             config,
-            models,
-            lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
-            last_prediction: None,
-            prev_gamma: None,
-            forecast_history: Vec::new(),
-            total_states: 0,
-            decisions: 0,
-            online: None,
+            all: (0..models.len()).collect(),
+            level: SplitLevel::new(models),
+            prev: None,
             relax_once: false,
-            ring: RingScratch::default(),
         }
     }
 
@@ -505,13 +503,8 @@ impl L2Controller {
     /// through without the switching margin. A simplex too large to
     /// enumerate (dozens of modules) is searched around the previous
     /// split as usual; the margin is still skipped.
-    pub fn relax_hysteresis_once(&mut self) {
+    pub(crate) fn relax_hysteresis_once(&mut self) {
         self.relax_once = true;
-    }
-
-    /// Number of modules managed.
-    pub fn num_modules(&self) -> usize {
-        self.models.len()
     }
 
     /// Switch on online incremental learning: enables the residual layer
@@ -523,20 +516,20 @@ impl L2Controller {
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        self.online = Some(OnlineLearner::new(cfg, self.models.len()));
-        for model in &mut self.models {
+        self.level.enable_online(cfg);
+        for model in &mut self.level.children {
             model.enable_online();
         }
     }
 
     /// `true` once [`L2Controller::enable_online`] has been called.
     pub fn online_enabled(&self) -> bool {
-        self.online.is_some()
+        self.level.online.is_some()
     }
 
     /// Observations blended into the module models so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, OnlineLearner::updates)
+        self.level.online_updates()
     }
 
     /// Absorb one control period's realized module outcomes, in slice
@@ -554,60 +547,21 @@ impl L2Controller {
     /// Panics if online learning is not enabled or a module index is out
     /// of range.
     pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, ModuleState, f64)]) -> usize {
-        let online = self
-            .online
-            .as_mut()
-            .expect("call enable_online before absorb_outcomes");
-        let mut applied = 0usize;
-        for &(module, lambda, state, realized_cost) in outcomes {
-            assert!(module < self.models.len(), "module index out of range");
-            let lambda = lambda.max(0.0);
-            let model = &mut self.models[module];
-            let predicted = model.predict(lambda, state.c_factor, state.queue_mean, state.active);
-            if online.absorb(module, realized_cost, predicted, |blend| {
-                model.observe_outcome_with(
-                    lambda,
-                    state.c_factor,
-                    state.queue_mean,
-                    state.active,
-                    realized_cost,
-                    blend,
-                )
-            }) {
-                applied += 1;
-            }
-        }
-        if let Some(factor) = online.end_pass() {
-            for model in &mut self.models {
-                model.decay_confidence(factor);
-            }
-        }
-        applied
-    }
-
-    /// Drift detections fired across the module residual streams.
-    pub fn drift_detections(&self) -> u64 {
-        self.online
-            .as_ref()
-            .map_or(0, |o| o.drift_detections().sum())
+        self.level.absorb(outcomes.iter().copied())
     }
 
     /// Drift detections fired per module cost model — the per-learner
     /// resolution of the metrics surface. Empty while online learning
     /// is off.
     pub fn module_drift_detections(&self) -> Vec<u64> {
-        self.online
-            .as_ref()
-            .map_or_else(Vec::new, |o| o.drift_detections().collect())
+        self.level.child_drift_detections()
     }
 
     /// `true` once any module's detector reports that residuals stopped
     /// being local (an offline re-train should be scheduled). Latched
-    /// until [`L2Controller::install_model`] swaps the module's model.
-    pub fn retrain_recommended(&self) -> bool {
-        self.online
-            .as_ref()
-            .is_some_and(OnlineLearner::any_retrain_recommended)
+    /// until a retrained model is swapped in for the module.
+    pub(crate) fn retrain_recommended(&self) -> bool {
+        self.level.retrain_recommended()
     }
 
     /// `true` when *this module's* detector latched the re-train signal —
@@ -616,11 +570,12 @@ impl L2Controller {
     /// # Panics
     ///
     /// Panics if `module` is out of range.
-    pub fn module_retrain_recommended(&self, module: usize) -> bool {
-        assert!(module < self.models.len(), "module index out of range");
-        self.online
+    pub(crate) fn module_retrain_recommended(&self, module: usize) -> bool {
+        assert!(module < self.all.len(), "module index out of range");
+        self.level
+            .online
             .as_ref()
-            .is_some_and(|o| o.retrain_recommended(module))
+            .is_some_and(|o| o.detectors[module].retrain_recommended())
     }
 
     /// Hot-swap a freshly retrained cost model in for `module`: the next
@@ -632,13 +587,13 @@ impl L2Controller {
     /// # Panics
     ///
     /// Panics if `module` is out of range.
-    pub fn install_model(&mut self, module: usize, mut model: ModuleCostModel) {
-        assert!(module < self.models.len(), "module index out of range");
-        if let Some(online) = self.online.as_mut() {
+    pub(crate) fn install_model(&mut self, module: usize, mut model: ModuleCostModel) {
+        assert!(module < self.all.len(), "module index out of range");
+        if let Some(online) = self.level.online.as_mut() {
             model.enable_online();
-            online.rearm(module);
+            online.detectors[module].rearm();
         }
-        self.models[module] = model;
+        self.level.children[module] = model;
     }
 
     /// Seed the controller with an initial split (e.g. proportional to
@@ -646,38 +601,26 @@ impl L2Controller {
     /// candidate split costs the same, so an unseeded first decision
     /// would degenerate to an arbitrary simplex corner and the bounded
     /// re-split would crawl back from it.
-    pub fn set_initial_split(&mut self, gamma: Vec<f64>) {
-        assert_eq!(gamma.len(), self.models.len(), "one fraction per module");
-        let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
-        self.prev_gamma = Some(grid.snap(&gamma));
+    pub(crate) fn set_initial_split(&mut self, gamma: Vec<f64>) {
+        assert_eq!(gamma.len(), self.all.len(), "one fraction per module");
+        let grid = SimplexGrid::with_quantum(self.all.len(), self.config.gamma_quantum);
+        self.prev = Some(snap_units(&grid, &gamma));
     }
 
     /// Feed one L2 window: global arrivals over `T_L2`.
     pub fn observe(&mut self, global_arrivals: u64) {
-        let rate = global_arrivals as f64 / self.config.period;
-        if let Some(pred) = self.last_prediction {
-            self.forecast_history.push((rate, pred));
-        }
-        self.lambda_forecast.observe(rate);
+        self.level
+            .observe(global_arrivals as f64 / self.config.period);
     }
 
     /// Global arrival-rate forecast (req/s).
-    pub fn lambda_estimate(&self) -> f64 {
-        self.lambda_forecast.predict_one().max(0.0)
-    }
-
-    /// Recorded (actual, predicted) global rates.
-    pub fn forecast_history(&self) -> &[(f64, f64)] {
-        &self.forecast_history
+    pub(crate) fn lambda_estimate(&self) -> f64 {
+        self.level.lambda_estimate()
     }
 
     /// Average splits evaluated per decision.
     pub fn mean_states_evaluated(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.total_states as f64 / self.decisions as f64
-        }
+        self.level.mean_states_evaluated()
     }
 
     /// Decide the split `{γ_i}` given per-module states.
@@ -686,150 +629,56 @@ impl L2Controller {
     ///
     /// Panics if `modules` length differs from the model count.
     pub fn decide(&mut self, modules: &[ModuleState]) -> L2Decision {
-        assert_eq!(modules.len(), self.models.len(), "state per module");
+        assert_eq!(modules.len(), self.all.len(), "state per module");
         let relaxed = std::mem::take(&mut self.relax_once);
-        let lambda_g = self.lambda_forecast.predict_one().max(0.0);
-        self.last_prediction = Some(lambda_g);
+        let lambda_g = self.level.plan(None);
 
-        let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
+        let grid = SimplexGrid::with_quantum(self.all.len(), self.config.gamma_quantum);
+        let q = grid.quantum();
+        self.level.begin(q, &[lambda_g], modules.iter().copied());
         // First decision: full enumeration. Afterwards: the previous
         // split and its ring of single-quantum transfers, mirroring the
         // L1's "limited neighborhood of [the current] state". A relaxed
         // decision enumerates again — where the simplex can be enumerated.
         let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
-        let prev = self.prev_gamma.take();
+        let prev = self.prev.take();
         let hysteresis = prev.is_some() && !relaxed;
         let centre = match prev {
             Some(prev) if !relaxed || !enumerable => Some(prev),
             // Unseeded and too large to enumerate: start from the even split.
-            None if !enumerable => Some(grid.snap(&vec![1.0; self.models.len()])),
+            None if !enumerable => Some(snap_units(&grid, &vec![1.0; self.all.len()])),
             _ => None,
         };
-        let models = &self.models;
-        let price = |i: usize, g: f64| {
-            models[i].predict(
-                g * lambda_g,
-                modules[i].c_factor,
-                modules[i].queue_mean,
-                modules[i].active,
-            )
-        };
-        let (gamma, cost, states_evaluated) = match centre {
+        let (units, cost, states_evaluated) = match &centre {
+            // One quantum per re-split: a module's machine count needs a
+            // full L1 period (the boot dead time) to follow its share, so
+            // wholesale re-splits outrun the plant.
             Some(centre) => {
-                let opt = ring_argmin(&mut self.ring, &grid, &centre, price);
+                let (cost, centre_cost, evaluations) =
+                    self.level.climb(&grid, &self.all, centre, 1, usize::MAX);
                 // Hysteresis: keep the current split unless the winner
                 // clears the switching margin — tree predictions are noisy
                 // and a flapping split costs boot dead times downstream.
-                let moved = centre
-                    .iter()
-                    .zip(&opt.split)
-                    .any(|(a, b)| (a - b).abs() > 1e-9);
-                if hysteresis && moved && opt.cost > opt.centre_cost * (1.0 - SWITCH_MARGIN) {
-                    (centre, opt.centre_cost, opt.evaluations)
+                let moved = cost < centre_cost;
+                if hysteresis && moved && cost > centre_cost * (1.0 - SWITCH_MARGIN) {
+                    (&centre[..], centre_cost, evaluations)
                 } else {
-                    (opt.split, opt.cost, opt.evaluations)
+                    (self.level.best(), cost, evaluations)
                 }
             }
             None => {
-                let opt = BoundedSearch::argmin(grid.enumerate(), |gamma: &Vec<f64>| {
-                    gamma.iter().enumerate().map(|(i, &g)| price(i, g)).sum()
-                })
-                .expect("simplex grid is never empty");
-                (opt.candidate, opt.cost, opt.evaluations)
+                let (cost, count) = self.level.exhaustive(&grid, &self.all);
+                (self.level.best(), cost, count)
             }
         };
-
-        self.total_states += states_evaluated as u64;
-        self.decisions += 1;
-        self.prev_gamma = Some(gamma.clone());
+        let gamma = units.iter().map(|&u| u as f64 * q).collect();
+        self.prev = Some(units.to_vec());
+        self.level.record(states_evaluated);
         L2Decision {
             gamma,
             expected_cost: cost,
             states_evaluated,
         }
-    }
-}
-
-/// What [`ring_argmin`] found.
-struct RingOptimum {
-    /// The cheapest split of the ring.
-    split: Vec<f64>,
-    /// Its cost.
-    cost: f64,
-    /// Splits evaluated: the centre and every neighbor.
-    evaluations: usize,
-    /// Cost of the centre itself, for the hysteresis.
-    centre_cost: f64,
-}
-
-/// The cheapest of `centre` and every grid point one single-quantum
-/// transfer away from it; ties go to the centre, then to the earlier
-/// neighbor in [`SimplexGrid::for_each_neighbor_units`] order. One quantum per
-/// re-split, because a module's machine count needs a full L1 period (the
-/// boot dead time) to follow its load share: wholesale re-splits outrun
-/// the plant, and bounding each decision to the ring around the current
-/// split keeps the cascade stable.
-///
-/// `price(i, γ_i)` is called once per module per share the ring can hand
-/// it — the centre's as stored, and one quantum down, unchanged and one
-/// quantum up as multiples of the quantum (not always the stored bits) —
-/// and every split is the sum of its modules' memoised prices.
-fn ring_argmin(
-    ring: &mut RingScratch,
-    grid: &SimplexGrid,
-    centre: &[f64],
-    price: impl Fn(usize, f64) -> f64,
-) -> RingOptimum {
-    let RingScratch {
-        units,
-        neighbor,
-        best,
-        memo,
-    } = ring;
-    let n = centre.len();
-    let q = grid.quantum();
-    units.clear();
-    units.extend(centre.iter().map(|&x| (x / q).round() as i64));
-    memo.clear();
-    for step in [-1, 0, 1] {
-        memo.extend(units.iter().enumerate().map(|(i, &u)| {
-            // No transfer takes a quantum from a module that has none.
-            if u + step < 0 {
-                f64::INFINITY
-            } else {
-                price(i, (u + step) as f64 * q)
-            }
-        }));
-    }
-    let centre_cost: f64 = centre.iter().enumerate().map(|(i, &g)| price(i, g)).sum();
-    let mut cost = centre_cost;
-    let mut evaluations = 1;
-    grid.for_each_neighbor_units(units, neighbor, &mut |next| {
-        // Summed left to right like any other split: a running delta on
-        // the centre's cost would round differently.
-        let next_cost: f64 = next
-            .iter()
-            .zip(units.iter())
-            .enumerate()
-            .map(|(i, (&v, &u))| memo[(v - u + 1) as usize * n + i])
-            .sum();
-        evaluations += 1;
-        if next_cost < cost {
-            cost = next_cost;
-            best.clear();
-            best.extend_from_slice(next);
-        }
-    });
-    let split = if cost < centre_cost {
-        best.iter().map(|&u| u as f64 * q).collect()
-    } else {
-        centre.to_vec()
-    };
-    RingOptimum {
-        split,
-        cost,
-        evaluations,
-        centre_cost,
     }
 }
 
@@ -892,7 +741,10 @@ mod tests {
             heavy > light,
             "overloading a module must cost more ({heavy:.2} vs {light:.2})"
         );
-        assert!(model.tree_nodes() >= 3, "tree must have learned splits");
+        assert!(
+            model.tree.node_count() >= 3,
+            "tree must have learned splits"
+        );
     }
 
     #[test]
@@ -1034,22 +886,27 @@ mod tests {
     }
 
     impl L2Controller {
-        /// `decide` as it stood before the ring was memoised: every
+        /// `decide` as it stood before shares were priced once: every
         /// candidate materialised and every module's model walked for
         /// each, the standing split priced a second time for the
         /// hysteresis. The differential oracle of the tests below.
         fn decide_reference(&mut self, modules: &[ModuleState]) -> L2Decision {
-            assert_eq!(modules.len(), self.models.len(), "state per module");
+            let models = &self.level.children;
+            assert_eq!(modules.len(), models.len(), "state per module");
             let relaxed = std::mem::take(&mut self.relax_once);
-            let lambda_g = self.lambda_forecast.predict_one().max(0.0);
-            self.last_prediction = Some(lambda_g);
+            let lambda_g = self.level.lambda_estimate();
 
-            let grid = SimplexGrid::with_quantum(self.models.len(), self.config.gamma_quantum);
+            let grid = SimplexGrid::with_quantum(models.len(), self.config.gamma_quantum);
+            let q = grid.quantum();
+            let prev: Option<Vec<f64>> = self
+                .prev
+                .as_ref()
+                .map(|units| units.iter().map(|&u| u as f64 * q).collect());
             let enumerable = grid.count() <= MAX_ENUMERATED_SPLITS;
-            let candidates = match &self.prev_gamma {
+            let candidates = match &prev {
                 Some(prev) if !relaxed || !enumerable => neighborhood(&grid, prev),
                 None if !enumerable => {
-                    let even = grid.snap(&vec![1.0; self.models.len()]);
+                    let even = grid.snap(&vec![1.0; models.len()]);
                     neighborhood(&grid, &even)
                 }
                 _ => grid.enumerate(),
@@ -1059,7 +916,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(i, &g)| {
-                        self.models[i].predict(
+                        models[i].predict(
                             g * lambda_g,
                             modules[i].c_factor,
                             modules[i].queue_mean,
@@ -1068,31 +925,36 @@ mod tests {
                     })
                     .sum()
             };
-            let opt =
-                BoundedSearch::argmin(candidates, evaluate).expect("simplex grid is never empty");
-            let (gamma, cost) = match &self.prev_gamma {
+            // The first candidate, then any strictly cheaper one.
+            let evaluations = candidates.len();
+            let mut best: Option<(Vec<f64>, f64)> = None;
+            for candidate in candidates {
+                let cost = evaluate(&candidate);
+                if best.as_ref().is_none_or(|(_, least)| cost < *least) {
+                    best = Some((candidate, cost));
+                }
+            }
+            let (winner, least) = best.expect("simplex grid is never empty");
+            let (gamma, cost) = match &prev {
                 Some(prev) if !relaxed => {
                     let prev_cost = evaluate(prev);
-                    let moved = prev
-                        .iter()
-                        .zip(&opt.candidate)
-                        .any(|(a, b)| (a - b).abs() > 1e-9);
-                    if moved && opt.cost > prev_cost * (1.0 - SWITCH_MARGIN) {
+                    let moved = prev.iter().zip(&winner).any(|(a, b)| (a - b).abs() > 1e-9);
+                    if moved && least > prev_cost * (1.0 - SWITCH_MARGIN) {
                         (prev.clone(), prev_cost)
                     } else {
-                        (opt.candidate, opt.cost)
+                        (winner, least)
                     }
                 }
-                _ => (opt.candidate, opt.cost),
+                _ => (winner, least),
             };
 
-            self.total_states += opt.evaluations as u64;
-            self.decisions += 1;
-            self.prev_gamma = Some(gamma.clone());
+            self.level.plan(Some(lambda_g));
+            self.level.record(evaluations);
+            self.prev = Some(gamma.iter().map(|&g| (g / q).round() as i64).collect());
             L2Decision {
                 gamma,
                 expected_cost: cost,
-                states_evaluated: opt.evaluations,
+                states_evaluated: evaluations,
             }
         }
     }
@@ -1154,7 +1016,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut reference = l2.clone();
-        let modules = l2.num_modules();
+        let modules = l2.all.len();
         let mut decisions = Vec::new();
         for step in 0..decides {
             let arrivals = rng.gen_range(0..60_000u64);
@@ -1307,7 +1169,7 @@ mod tests {
             active: 2,
         };
         let _ = l2.decide(&[state, state]);
-        let before = l2.models[0].predict(30.0, 1.0, 5.0, 2);
+        let before = l2.level.children[0].predict(30.0, 1.0, 5.0, 2);
         for _ in 0..20 {
             let outcomes = [
                 (0, 30.0, state, before + 25.0),
@@ -1316,7 +1178,7 @@ mod tests {
             assert_eq!(l2.absorb_outcomes(&outcomes), 2);
         }
         assert_eq!(l2.online_updates(), 40);
-        let after = l2.models[0].predict(30.0, 1.0, 5.0, 2);
+        let after = l2.level.children[0].predict(30.0, 1.0, 5.0, 2);
         assert!(
             after > before + 15.0,
             "online outcomes must raise the prediction ({before:.2} -> {after:.2})"
@@ -1360,10 +1222,13 @@ mod tests {
     #[test]
     fn build_learns_one_tree_per_composition_and_shares_it() {
         let (scenario, l2) = built_l2();
-        let tree = |i: usize| Arc::as_ptr(&l2.models[i].tree);
+        let tree = |i: usize| Arc::as_ptr(&l2.level.children[i].tree);
         for i in 0..5 {
             assert_eq!(tree(i), tree(i + 5), "modules {i} and {} share", i + 5);
-            assert_eq!(predictions(&l2.models[i]), predictions(&l2.models[i + 5]));
+            assert_eq!(
+                predictions(&l2.level.children[i]),
+                predictions(&l2.level.children[i + 5])
+            );
         }
         assert_ne!(tree(0), tree(1), "different compositions, different trees");
         let mut trees: Vec<_> = (0..10).map(tree).collect();
@@ -1395,30 +1260,38 @@ mod tests {
             capacity * 1.3,
             scenario.module_learn,
         );
-        assert_eq!(predictions(&l2.models[5]), predictions(&solo));
+        assert_eq!(predictions(&l2.level.children[5]), predictions(&solo));
     }
 
     #[test]
     fn an_absorbed_outcome_stays_in_its_own_modules_residual() {
         let (_, mut l2) = built_l2();
         l2.enable_online(OnlineConfig::default());
-        let before_0 = predictions(&l2.models[0]);
-        let before_5 = predictions(&l2.models[5]);
+        let before_0 = predictions(&l2.level.children[0]);
+        let before_5 = predictions(&l2.level.children[5]);
         assert_eq!(before_0, before_5);
         let state = ModuleState {
             c_factor: 1.0,
             queue_mean: 5.0,
             active: 3,
         };
-        let realized = l2.models[0].predict(120.0, 1.0, 5.0, 3) + 25.0;
+        let realized = l2.level.children[0].predict(120.0, 1.0, 5.0, 3) + 25.0;
         for _ in 0..20 {
             assert_eq!(l2.absorb_outcomes(&[(0, 120.0, state, realized)]), 1);
         }
-        assert_ne!(predictions(&l2.models[0]), before_0, "module 0 learned");
-        assert_eq!(predictions(&l2.models[5]), before_5, "module 5 did not");
+        assert_ne!(
+            predictions(&l2.level.children[0]),
+            before_0,
+            "module 0 learned"
+        );
         assert_eq!(
-            Arc::as_ptr(&l2.models[0].tree),
-            Arc::as_ptr(&l2.models[5].tree),
+            predictions(&l2.level.children[5]),
+            before_5,
+            "module 5 did not"
+        );
+        assert_eq!(
+            Arc::as_ptr(&l2.level.children[0].tree),
+            Arc::as_ptr(&l2.level.children[5].tree),
             "the offline tree is never written, so it stays shared"
         );
     }
@@ -1434,7 +1307,7 @@ mod tests {
             active: 2,
         }]);
         l2.observe(1300);
-        assert_eq!(l2.forecast_history().len(), 1);
+        assert_eq!(l2.level.forecast_history.len(), 1);
         assert!(l2.mean_states_evaluated() > 0.0);
     }
 }

@@ -37,10 +37,10 @@ mod hierarchy;
 mod l0;
 mod l1;
 mod l2;
-mod learner;
 mod policy;
 mod profiles;
 mod retrain;
+mod split;
 
 pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
 pub use builder::PolicyBuilder;

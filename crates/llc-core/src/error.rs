@@ -15,8 +15,6 @@ pub enum Error {
         /// Steps actually present in the forecast.
         available: usize,
     },
-    /// Bounded search was started with an empty candidate set.
-    EmptyCandidateSet,
 }
 
 impl fmt::Display for Error {
@@ -31,7 +29,6 @@ impl fmt::Display for Error {
                 f,
                 "forecast provides {available} environment steps but the horizon needs {required}"
             ),
-            Error::EmptyCandidateSet => write!(f, "bounded search started with no candidates"),
         }
     }
 }
@@ -51,7 +48,6 @@ mod tests {
                 required: 3,
                 available: 1,
             },
-            Error::EmptyCandidateSet,
         ];
         for v in variants {
             let s = v.to_string();

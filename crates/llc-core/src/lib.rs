@@ -15,9 +15,8 @@
 //! The crate is deliberately domain-agnostic: the controlled system is
 //! described by the [`Plant`] trait (dynamics, admissible inputs, cost),
 //! the environment forecast by a slice with one `Plant::Env` per future
-//! step, and search strategy by [`LookaheadController`] (exhaustive with
-//! branch-and-bound pruning) or [`BoundedSearch`] (local neighborhood
-//! search for combinatorial input spaces). [`UncertaintyBand`] tracks the
+//! step, and the search by [`LookaheadController`] (exhaustive, with
+//! branch-and-bound pruning). [`UncertaintyBand`] tracks the
 //! forecast-error half-width `δ`; the module controller that does the
 //! paper's `λ̂ ± δ` chattering mitigation builds its three samples from it.
 //!
@@ -51,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bounded;
 mod cost;
 mod detect;
 mod error;
@@ -61,7 +59,6 @@ mod online;
 mod scale;
 mod uncertainty;
 
-pub use bounded::{BoundedSearch, LocalOptimum};
 pub use cost::{Norm, Penalty, SetPoint};
 pub use detect::{DetectorConfig, DriftDetector, LearnRate};
 pub use error::Error;

@@ -33,7 +33,7 @@ use llc_cluster::{
     FaultToleranceConfig, HierarchicalPolicy, L0Config, L1Config, L1Controller, LearnSpec,
     MemberSpec, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
 };
-use llc_core::{BoundedSearch, OnlineConfig};
+use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, fault_scenarios, CapacityProfile, VirtualStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -290,7 +290,7 @@ fn reference_decide(
                 }
             })
             .collect();
-        let start = grid.snap(&weights);
+        let mut split = grid.snap(&weights);
         let mut evaluate = |gamma_active: &Vec<f64>| -> f64 {
             let mut total = 0.0;
             for (s, &lambda_s) in samples.iter().enumerate() {
@@ -316,13 +316,34 @@ fn reference_decide(
             }
             total / samples.len() as f64
         };
-        let search = BoundedSearch::new(config.search_rounds, config.search_evals);
-        let opt = search.minimize(start, &mut evaluate, |g| grid.neighbors(g));
-        let total_cost = opt.cost + switch_cost + drain_cost;
+        // Best-improvement hill-climb: each round moves to the strictly
+        // cheapest neighbor, first in `neighbors` order; the evaluation
+        // budget is checked before every evaluation.
+        let mut cost = evaluate(&split);
+        let (mut evaluations, mut rounds) = (1, 0);
+        while rounds < config.search_rounds && evaluations < config.search_evals {
+            rounds += 1;
+            let mut round_best: Option<(Vec<f64>, f64)> = None;
+            for next in grid.neighbors(&split) {
+                if evaluations >= config.search_evals {
+                    break;
+                }
+                let next_cost = evaluate(&next);
+                evaluations += 1;
+                if next_cost < round_best.as_ref().map_or(cost, |best| best.1) {
+                    round_best = Some((next, next_cost));
+                }
+            }
+            match round_best {
+                Some((next, next_cost)) => (split, cost) = (next, next_cost),
+                None => break,
+            }
+        }
+        let total_cost = cost + switch_cost + drain_cost;
         if best.as_ref().is_none_or(|(c, _, _)| total_cost < *c) {
             let mut gamma_full = vec![0.0; m];
             for (pos, &j) in active_idx.iter().enumerate() {
-                gamma_full[j] = opt.candidate[pos];
+                gamma_full[j] = split[pos];
             }
             best = Some((total_cost, alpha, gamma_full));
         }

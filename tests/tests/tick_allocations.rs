@@ -132,11 +132,12 @@ impl ClusterPolicy for Counted {
 }
 
 /// Upper bound on the allocations of an L1/L2 tick of the 32-module
-/// hierarchy under the load below. The most such a tick made when the L2
-/// ring search stopped materialising its candidates was 314 (1318 with
-/// them) — 32 L1 decisions and the actions returned; whatever lowers that
+/// hierarchy under the load below: the most such a tick makes, 32 L1
+/// decisions and the actions returned. It was 1318 while the L2 ring
+/// search materialised its candidates, and 314 while the L2 read each
+/// module's processing time through a fresh `Vec`; whatever lowers it
 /// should lower this.
-const SLOW_TICK_ALLOCATIONS: u64 = 320;
+const SLOW_TICK_ALLOCATIONS: u64 = 282;
 
 #[test]
 fn an_l0_only_tick_of_the_32_module_hierarchy_allocates_nothing() {
