@@ -298,6 +298,16 @@ pub enum IngestError {
 /// pending map it caps stays at `INGEST_HORIZON_TICKS × modules` slots.
 pub const INGEST_HORIZON_TICKS: u64 = 512;
 
+/// How many emitted directives a [`ControlPlane`] holds for a drain. A
+/// client that drains after every step holds one tick's worth (at most
+/// a frequency and an activation per machine, a split and a safe-mode
+/// flag per module and one cluster split: ~2 500 for 1000 machines in
+/// 250 modules), so the bound is tens of ticks of a client that stopped
+/// draining. Past it the oldest directive goes, counted in
+/// [`MetricsSnapshot::dropped_directives`]: actuators apply the latest
+/// epoch, so a newer directive to the same actuator supersedes it anyway.
+pub const OUTBOX_CAPACITY: usize = 1 << 16;
+
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -363,8 +373,9 @@ pub trait ObservationIngest {
 }
 
 /// The directive-emit surface of a control plane: decisions accumulate
-/// in an internal queue and are drained by the transport that delivers
-/// them to the plant.
+/// in an internal queue, bounded at [`OUTBOX_CAPACITY`] for
+/// [`ControlPlane`], and are drained by the transport that delivers them
+/// to the plant.
 pub trait DirectiveEmit {
     /// Take every directive emitted since the last drain, oldest first.
     /// Within one tick the order is the policy's actuation order and
@@ -533,6 +544,9 @@ pub struct MetricsSnapshot {
     pub dark_filled_members: u64,
     /// Directives emitted so far.
     pub directives_emitted: u64,
+    /// Emitted directives dropped undrained, oldest first, to keep the
+    /// outbox at [`OUTBOX_CAPACITY`].
+    pub dropped_directives: u64,
     /// Decide-latency accounting.
     pub decide: LatencyStats,
     /// The policy's own operational counters.
@@ -608,7 +622,7 @@ pub struct ControlPlane<P: ClusterPolicy> {
     next_tick: u64,
     /// Buffered observations for undecided ticks, one slot per module.
     pending: BTreeMap<u64, Vec<Option<ModuleObservation>>>,
-    /// Emitted directives awaiting a drain.
+    /// Emitted directives awaiting a drain, at most [`OUTBOX_CAPACITY`].
     out: VecDeque<Directive>,
     /// Last known state/frequency per computer, used to dark-fill
     /// members that sent no telemetry at all.
@@ -623,6 +637,7 @@ pub struct ControlPlane<P: ClusterPolicy> {
     future: u64,
     dark_filled: u64,
     emitted: u64,
+    dropped_directives: u64,
     decide: LatencyStats,
 }
 
@@ -673,6 +688,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             future: 0,
             dark_filled: 0,
             emitted: 0,
+            dropped_directives: 0,
             decide: LatencyStats::default(),
         }
     }
@@ -833,7 +849,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
                     },
                 ),
             };
-            self.out.push_back(Directive {
+            self.queue(Directive {
                 tick,
                 time,
                 level,
@@ -848,9 +864,9 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         if self.cadence.is_l1_tick(tick) {
             let safe_now = self.policy.metrics().safe_mode_active;
             if safe_now.len() == self.safe_mode_prev.len() {
-                for (m, (&was, &is)) in self.safe_mode_prev.iter().zip(&safe_now).enumerate() {
-                    if was != is {
-                        self.out.push_back(Directive {
+                for (m, &is) in safe_now.iter().enumerate() {
+                    if self.safe_mode_prev[m] != is {
+                        self.queue(Directive {
                             tick,
                             time,
                             level: Level::L1,
@@ -874,6 +890,16 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             decide_time,
             directives: emitted,
         }
+    }
+
+    /// Queue `directive` for the next drain. A full outbox drops its
+    /// oldest directive first, and counts it.
+    fn queue(&mut self, directive: Directive) {
+        if self.out.len() == OUTBOX_CAPACITY {
+            self.out.pop_front();
+            self.dropped_directives += 1;
+        }
+        self.out.push_back(directive);
     }
 
     /// Step every tick whose window has fully elapsed by virtual time
@@ -907,6 +933,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             future_observations: self.future,
             dark_filled_members: self.dark_filled,
             directives_emitted: self.emitted,
+            dropped_directives: self.dropped_directives,
             decide,
             policy,
             transport: TransportMetrics::default(),
@@ -1132,6 +1159,38 @@ mod tests {
             .unwrap();
         assert_eq!(plane.pending.len(), 1);
         assert_eq!(plane.metrics().observations_ingested, 1);
+    }
+
+    #[test]
+    fn an_undrained_outbox_stays_at_its_bound_and_counts_the_rest() {
+        /// Eight frequency directives a tick.
+        struct Chatty;
+        impl ClusterPolicy for Chatty {
+            fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+                (0..8)
+                    .map(|i| Action::SetFrequency(i % 2, obs.tick as usize % 3))
+                    .collect()
+            }
+            fn name(&self) -> &str {
+                "chatty"
+            }
+        }
+        let mut plane = ControlPlane::new(Chatty, vec![vec![0, 1]], 30.0);
+        for _ in 0..10_000 {
+            plane.step();
+            assert!(plane.out.len() <= OUTBOX_CAPACITY);
+        }
+        let m = plane.metrics();
+        assert_eq!(m.directives_emitted, 80_000);
+        assert_eq!(m.dropped_directives, 80_000 - OUTBOX_CAPACITY as u64);
+        // The oldest went: the newest are left, in emit order.
+        let left = plane.drain_directives();
+        assert_eq!(left.len(), OUTBOX_CAPACITY);
+        let first_kept = (80_000 - OUTBOX_CAPACITY as u64) / 8;
+        for (directives, tick) in left.chunks_exact(8).zip(first_kept..) {
+            assert!(directives.iter().all(|d| d.tick == tick), "tick {tick}");
+        }
+        assert_eq!(left.last().map(|d| d.tick), Some(9_999));
     }
 
     #[test]

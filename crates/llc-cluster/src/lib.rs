@@ -50,7 +50,7 @@ pub use config::{
 pub use control::{
     Cadence, ControlPlane, Directive, DirectiveEmit, DirectiveKind, IngestError, LatencyStats,
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
-    StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
+    StepReport, TransportMetrics, INGEST_HORIZON_TICKS, OUTBOX_CAPACITY,
 };
 pub use experiment::{
     Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord,

@@ -458,6 +458,7 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     put_u64(&mut out, m.future_observations);
     put_u64(&mut out, m.dark_filled_members);
     put_u64(&mut out, m.directives_emitted);
+    put_u64(&mut out, m.dropped_directives);
 
     put_u64(&mut out, m.decide.decisions);
     put_duration(&mut out, m.decide.total);
@@ -518,6 +519,7 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     let future_observations = r.u64()?;
     let dark_filled_members = r.u64()?;
     let directives_emitted = r.u64()?;
+    let dropped_directives = r.u64()?;
 
     let decide = LatencyStats {
         decisions: r.u64()?,
@@ -574,6 +576,7 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
         future_observations,
         dark_filled_members,
         directives_emitted,
+        dropped_directives,
         decide,
         policy: PolicyMetrics {
             online_updates,
@@ -712,6 +715,7 @@ mod tests {
             future_observations: 7,
             dark_filled_members: 12,
             directives_emitted: 400,
+            dropped_directives: 3,
             decide: LatencyStats {
                 decisions: 90,
                 total: Duration::from_micros(720),

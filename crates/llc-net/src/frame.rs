@@ -28,8 +28,8 @@ use std::fmt;
 pub const MAGIC: [u8; 2] = *b"LN";
 
 /// The protocol version this build speaks (2: the Metrics payload
-/// gained `future_observations`).
-pub const VERSION: u8 = 2;
+/// gained `future_observations`; 3: `dropped_directives`).
+pub const VERSION: u8 = 3;
 
 /// Bytes of header before the payload.
 pub const HEADER_LEN: usize = 12;

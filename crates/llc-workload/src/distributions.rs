@@ -48,12 +48,23 @@ impl Gaussian {
 
     /// Draw one sample.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        // Box-Muller; guard u1 away from 0.
-        let u1: f64 = rng.gen::<f64>().max(1e-300);
-        let u2: f64 = rng.gen();
+        let (u1, u2) = box_muller_uniforms(rng);
+        self.transform(u1, u2)
+    }
+
+    /// Box–Muller's sample at the uniforms [`box_muller_uniforms`] drew.
+    pub(crate) fn transform(&self, u1: f64, u2: f64) -> f64 {
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         self.mean + self.std_dev * z
     }
+}
+
+/// The two uniforms one Box–Muller sample takes, in draw order, the first
+/// guarded away from 0.
+pub(crate) fn box_muller_uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = rng.gen::<f64>().max(1e-300);
+    let u2: f64 = rng.gen();
+    (u1, u2)
 }
 
 /// Lognormal distribution: `exp(N(mu, sigma))`.
@@ -85,6 +96,11 @@ impl LogNormal {
     /// Draw one sample (always positive).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         self.normal.sample(rng).exp()
+    }
+
+    /// The normal whose exponential this is.
+    pub(crate) fn normal(&self) -> Gaussian {
+        self.normal
     }
 }
 

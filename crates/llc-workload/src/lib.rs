@@ -24,13 +24,17 @@
 //!
 //! [`RequestSampler`] owns its generator and draws ahead: 64 stack
 //! distances at a time, before it walks its LRU stack for any of them,
-//! because the lognormal's libm calls and the stack's move-to-front stall
-//! each other when they alternate. The stream cannot tell. Only a request
-//! that misses the stack takes further draws, and it first rewinds the
-//! generator to where its own distance draw left it and drops the rest of
-//! the chunk — every draw comes from the state a sampler working one
-//! request at a time would take it from. [`spread_arrivals_into`] is the
-//! arrival-instant half of a window, on buffers its caller keeps.
+//! because the draw and the stack's move-to-front stall each other when
+//! they alternate. The draw computes the lognormal's exponent for the
+//! whole chunk with polynomial `ln` and `cos` in vector lanes, and takes
+//! libm's `ln`/`cos`/`exp` chain only for a depth it cannot certify equal
+//! to that chain's (two draws in a million on the paper default). The
+//! stream cannot tell. Only a request that misses the stack takes further
+//! draws, and it first rewinds the generator to where its own distance
+//! draw left it and drops the rest of the chunk — every draw comes from
+//! the state a sampler working one request at a time would take it from.
+//! [`spread_arrivals_into`] is the arrival-instant half of a window, on
+//! buffers its caller keeps.
 //!
 //! # Example
 //!
@@ -146,10 +150,13 @@ pub fn spread_arrivals_into<R: rand::Rng>(
     // bucket: a counting pass puts every draw within a few places of its
     // rank, and the insertion pass that finishes the order under
     // `total_cmp` (the order `sort_by(f64::total_cmp)` gives) has next to
-    // nothing left to move.
+    // nothing left to move. A draw is bucketed by its uniform, on which
+    // its instant never decreases, so the buckets order the instants as
+    // well as buckets of the instants would.
     for _ in 0..n {
-        let t = start + rng.gen::<f64>() * width;
-        let bucket = (((t - start) / width * n as f64) as usize).min(n - 1);
+        let u = rng.gen::<f64>();
+        let t = start + u * width;
+        let bucket = ((u * n as f64) as usize).min(n - 1);
         draws.push(t);
         buckets.push(bucket as u32);
         ends[bucket] += 1;
@@ -214,6 +221,20 @@ mod tests {
         }
     }
 
+    /// A source that hands out each raw draw twice in a row, so every
+    /// window of two or more arrivals holds a duplicate uniform.
+    #[derive(Clone)]
+    struct Twice(rand::rngs::StdRng, Option<u64>);
+
+    impl RngCore for Twice {
+        fn next_u64(&mut self) -> u64 {
+            match self.1.take() {
+                Some(x) => x,
+                None => *self.1.insert(self.0.next_u64()),
+            }
+        }
+    }
+
     #[test]
     fn bucketed_spread_matches_the_comparison_sort() {
         let bits = |times: Vec<f64>| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
@@ -221,7 +242,18 @@ mod tests {
         // bits left for the offset inside the window.
         for start in [0.0, -45.0, 9_600.0 * 30.0, 1e15] {
             for width in [30.0, 120.0, 1e-3] {
-                for n in [0, 1, 2, 7_000] {
+                for n in [0, 1, 2, 3, 7_000] {
+                    let mut a = Twice(rand::rngs::StdRng::seed_from_u64(n as u64 + 7), None);
+                    let mut b = a.clone();
+                    let got = spread_arrivals(&mut a, start, width, n);
+                    if n >= 2 {
+                        assert!(got.windows(2).any(|w| w[0] == w[1]), "draws repeat");
+                    }
+                    assert_eq!(
+                        bits(got),
+                        bits(spread_reference(&mut b, start, width, n)),
+                        "duplicate draws, start {start} width {width} n {n}"
+                    );
                     let mut a = rand::rngs::StdRng::seed_from_u64(n as u64 + 5);
                     let mut b = a.clone();
                     assert_eq!(

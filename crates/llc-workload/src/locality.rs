@@ -1,5 +1,6 @@
+use crate::distributions::box_muller_uniforms;
 use crate::{derive_seed, LogNormal, VirtualStore};
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Lognormal temporal-locality model (§4.3: "in many web workloads,
 /// temporal locality follows a lognormal distribution", after Barford &
@@ -71,11 +72,140 @@ impl LocalityModel {
         self.stack.copy_within(..above, 1);
         self.stack[0] = object;
     }
+
+    /// Fill `depths` with the stack depths of the next [`CHUNK`] distance
+    /// draws from `rng`, each `floor(exp(y))` capped at `max_depth`, with
+    /// `y = μ + σ·√(−2 ln u₁)·cos 2πu₂` Box–Muller's normal. A depth past
+    /// the cap re-references nothing, as the cap does (`stack.len() ≤
+    /// max_depth`). Returns how many draws took the libm chain.
+    ///
+    /// The depths are [`LogNormal::sample`]'s, floored, without calling
+    /// its `ln` and `cos`. Three passes over the chunk:
+    /// 1. the uniforms, two a depth in draw order;
+    /// 2. `y` through [`ln_fast`] and [`cos_2pi_fast`], branch-free, so
+    ///    the compiler runs it in vector lanes;
+    /// 3. libm `exp(y)`, certified when it clears both integer boundaries
+    ///    around it by a factor `1 ± m`: `y` is at least `m` clear of
+    ///    `ln k` and `ln(k + 1)`, `m = MARGIN·(1 + |μ| + σ)`. An uncertain
+    ///    draw (2 in 10⁶ on the paper default) runs libm's whole chain on
+    ///    its own uniforms.
+    ///
+    /// Why a certified depth is libm's: libm's `ln`, `cos` and `exp` are
+    /// within 1 ulp of exact, `sqrt` and the arithmetic are correctly
+    /// rounded, and the kernels' distance from libm is measured by
+    /// `kernels_stay_within_a_hundredth_of_the_margin` (at most 4·10⁻¹³
+    /// in `y` at σ = 2.5 and the longest `√(−2 ln u₁)`, against 10⁻¹¹
+    /// allowed). So the fast `y` is within `m/100` of libm's: the
+    /// kernels' error scales with `σ`, the final roundings with `|μ|`.
+    /// libm's `exp` then moves its value by at most 2⁻⁵² relative, far
+    /// inside the factor the check leaves.
+    fn draw_depths<R: Rng>(&self, rng: &mut R, depths: &mut [usize; CHUNK]) -> usize {
+        let normal = self.distance.normal();
+        let (mu, sigma) = (normal.mean(), normal.std_dev());
+        let mut u1 = [0.0; CHUNK];
+        let mut u2 = [0.0; CHUNK];
+        for (a, b) in u1.iter_mut().zip(&mut u2) {
+            (*a, *b) = box_muller_uniforms(rng);
+        }
+        let mut y = [0.0; CHUNK];
+        for ((y, &a), &b) in y.iter_mut().zip(&u1).zip(&u2) {
+            *y = mu + sigma * ((-2.0 * ln_fast(a)).sqrt() * cos_2pi_fast(b));
+        }
+        let margin = MARGIN * (1.0 + mu.abs() + sigma);
+        let cap = self.max_depth as f64;
+        let mut fallbacks = 0;
+        for (i, (depth, &y)) in depths.iter_mut().zip(&y).enumerate() {
+            let value = y.exp();
+            let k = value.min(cap) as usize;
+            let clear = value * (1.0 - margin) >= k as f64
+                && (k == self.max_depth || value * (1.0 + margin) < (k + 1) as f64);
+            *depth = if clear {
+                k
+            } else {
+                fallbacks += 1;
+                let value = normal.transform(u1[i], u2[i]).exp();
+                (value.floor() as usize).min(self.max_depth)
+            };
+        }
+        fallbacks
+    }
 }
 
-/// Stack distances [`RequestSampler`] draws at a time. The curve is flat
-/// from 16 to 256 (draw phase 27–29 ns a request, walk phase 20–22); at
-/// 1024 a miss rate of 0.2 % throws away more than one draw per request.
+/// How far the fast chain's `y` must clear an integer boundary `ln k`,
+/// per unit of the draw's scale `1 + |μ| + σ`, to stand for libm's.
+const MARGIN: f64 = 1e-9;
+
+/// `ln x` for a normal positive `x`: the exponent split off, the mantissa
+/// folded into `[√½, √2]`, then `ln m = 2·atanh f`, `f = (m − 1)/(m + 1)`,
+/// by its odd series through `f¹⁷` (`|f| ≤ 0.172`, so the first term left
+/// out is below 10⁻¹⁵ of the sum). The error is relative, as libm's is,
+/// which `√(−2 ln u₁)` needs as `u₁ → 1`. Branch-free and libm-free.
+fn ln_fast(x: f64) -> f64 {
+    /// `1/(2n + 1)`, `n = 0..=8`.
+    const ATANH: [f64; 9] = [
+        1.0,
+        1.0 / 3.0,
+        1.0 / 5.0,
+        1.0 / 7.0,
+        1.0 / 9.0,
+        1.0 / 11.0,
+        1.0 / 13.0,
+        1.0 / 15.0,
+        1.0 / 17.0,
+    ];
+    const MANTISSA: u64 = (1 << 52) - 1;
+    /// `2⁵²`: its bits with a biased exponent or-ed in read `2⁵² + e`.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let bits = x.to_bits();
+    let m = f64::from_bits(bits & MANTISSA | 1.0_f64.to_bits());
+    let e = f64::from_bits(TWO_52.to_bits() | bits >> 52) - (TWO_52 + 1023.0);
+    let fold = m > std::f64::consts::SQRT_2;
+    let (m, e) = if fold { (0.5 * m, e + 1.0) } else { (m, e) };
+    let f = (m - 1.0) / (m + 1.0);
+    e * std::f64::consts::LN_2 + 2.0 * f * polynomial(f * f, &ATANH)
+}
+
+/// `cos 2πu` for a `u ∈ [0, 1)` on rand's 2⁻⁵³ grid: folded onto the
+/// quarter turn `b ∈ [0, ¼]` (`|u − ½|` and `½ − a` are exact on that
+/// grid), then cosine's even Taylor series through `x¹⁸` at `x = 2πb ≤
+/// π/2`, whose first term left out is below 4·10⁻¹⁵. Branch-free and
+/// libm-free.
+fn cos_2pi_fast(u: f64) -> f64 {
+    /// `(−1)ⁿ/(2n)!`, `n = 0..=9`; every factorial is exact in `f64`.
+    const COS: [f64; 10] = [
+        1.0,
+        -1.0 / 2.0,
+        1.0 / 24.0,
+        -1.0 / 720.0,
+        1.0 / 40_320.0,
+        -1.0 / 3_628_800.0,
+        1.0 / 479_001_600.0,
+        -1.0 / 87_178_291_200.0,
+        1.0 / 20_922_789_888_000.0,
+        -1.0 / 6_402_373_705_728_000.0,
+    ];
+    // cos 2πu = −cos 2πa, and cos 2πa = ±cos 2πb by the side of ¼ `a` is on.
+    let a = (u - 0.5).abs();
+    let b = a.min(0.5 - a);
+    let x = std::f64::consts::TAU * b;
+    let p = polynomial(x * x, &COS);
+    if a > 0.25 {
+        p
+    } else {
+        -p
+    }
+}
+
+/// `Σ cₙ·wⁿ` by Horner's rule.
+fn polynomial(w: f64, coefficients: &[f64]) -> f64 {
+    coefficients.iter().rev().fold(0.0, |p, &c| p * w + c)
+}
+
+/// Stack distances [`RequestSampler`] draws at a time. On the paper
+/// default (one pinned core of a Xeon) the draw phase costs 24–26 ns a
+/// request from 16 to 64, 28 at 128 and 32 at 256, as misses throw away
+/// more of a longer chunk; the walk phase costs 21–24 throughout. Drawn
+/// through libm, the draw phase was 44–48 ns from 16 to 128.
 const CHUNK: usize = 64;
 
 /// A deterministic stream of `(object, demand)` requests combining the
@@ -83,16 +213,18 @@ const CHUNK: usize = 64;
 /// experiment driver draws from when spreading a trace bucket into
 /// individual requests.
 ///
-/// The sampler owns its generator, so it draws ahead: 64 stack
-/// distances at a time, before it walks the LRU stack for any of them.
-/// Interleaved one request at a time, the lognormal's libm calls and the
-/// stack's `copy_within` stall each other (63–78 ns the pair, against
-/// 49 ns apart). A miss needs the generator as it stood right after
-/// that request's own distance draw, so it rewinds to there — the state
-/// at the chunk's start, stepped past the distances already served —
-/// takes the popularity draw, and drops the rest of the chunk: the
-/// stream of requests is the one a draw-by-draw sampler gives, bit for
-/// bit.
+/// The sampler owns its generator, so it draws ahead: 64 stack distances
+/// at a time, before it walks the LRU stack for any of them. The draw
+/// takes the chunk's uniforms first, computes the lognormal's exponent
+/// for all of them in vector lanes with polynomial `ln` and `cos`, and
+/// certifies each depth against libm's, which it computes only for the
+/// rare draw it cannot certify. Interleaved one request at a time, the
+/// draw and the stack's `copy_within` would stall each other. A miss
+/// needs the generator as it stood right after that request's own
+/// distance draw, so it rewinds to there — the state at the chunk's
+/// start, stepped past the distances already served — takes the
+/// popularity draw, and drops the rest of the chunk: the stream of
+/// requests is the one a draw-by-draw sampler gives, bit for bit.
 #[derive(Debug, Clone)]
 pub struct RequestSampler<'a> {
     store: &'a VirtualStore,
@@ -135,9 +267,7 @@ impl<'a> RequestSampler<'a> {
     pub fn next_request(&mut self) -> (usize, f64) {
         if self.served == CHUNK {
             self.chunk_start = self.rng.clone();
-            for depth in &mut self.depths {
-                *depth = self.locality.distance.sample(&mut self.rng).floor() as usize;
-            }
+            self.locality.draw_depths(&mut self.rng, &mut self.depths);
             self.served = 0;
         }
         let depth = self.depths[self.served];
@@ -163,7 +293,145 @@ impl<'a> RequestSampler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+
+    /// The parameter sets of `contiguous_stack_matches_the_deque_reference`;
+    /// the first is the paper default.
+    fn parameter_sets() -> [LocalityModel; 3] {
+        [
+            LocalityModel::paper_default(),
+            LocalityModel::new(10.0_f64.ln(), 2.0, 64),
+            LocalityModel::new(3.0_f64.ln(), 2.5, 1),
+        ]
+    }
+
+    /// Draw `chunks` chunks from `model` and a chunk's worth of libm
+    /// depths (`LogNormal::sample`, floored, capped) from a clone of the
+    /// generator beside each; every depth and the generators after every
+    /// chunk must agree. Returns the fallbacks taken.
+    fn assert_depths_match_the_libm_chain(
+        model: &LocalityModel,
+        seed: u64,
+        chunks: usize,
+    ) -> usize {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut reference = rng.clone();
+        let mut depths = [0; CHUNK];
+        let mut fallbacks = 0;
+        for c in 0..chunks {
+            fallbacks += model.draw_depths(&mut rng, &mut depths);
+            for (i, &depth) in depths.iter().enumerate() {
+                let value = model.distance.sample(&mut reference);
+                let want = (value.floor() as usize).min(model.max_depth);
+                assert_eq!(depth, want, "chunk {c} draw {i}, exp(y) = {value:e}");
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "chunk {c}");
+        }
+        fallbacks
+    }
+
+    #[test]
+    fn sampler_depths_match_the_libm_chain() {
+        for model in parameter_sets() {
+            let draws = 1 << 20;
+            let fallbacks = assert_depths_match_the_libm_chain(&model, 29, draws / CHUNK);
+            // The fast path carries the stream; libm only stands in.
+            assert!(fallbacks * 10_000 < draws, "{fallbacks} fallbacks");
+        }
+    }
+
+    /// Run in release with `cargo test --release -p llc-workload --
+    /// --ignored`; prints the fallbacks taken per parameter set.
+    #[test]
+    #[ignore = "10⁸ draws per parameter set, for a release build"]
+    fn sampler_depths_match_the_libm_chain_over_1e8_draws() {
+        for (seed, model) in parameter_sets().into_iter().enumerate() {
+            let chunks = 100_000_000_usize.div_ceil(CHUNK);
+            let fallbacks = assert_depths_match_the_libm_chain(&model, seed as u64, chunks);
+            let normal = model.distance.normal();
+            println!(
+                "mu {:.4} sigma {} max_depth {}: {} draws, 0 mismatches, {fallbacks} fallbacks",
+                normal.mean(),
+                normal.std_dev(),
+                model.max_depth,
+                chunks * CHUNK,
+            );
+        }
+    }
+
+    /// Hands out a fixed list of raw draws.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the script covers every draw")
+        }
+    }
+
+    #[test]
+    fn a_draw_on_a_boundary_takes_the_libm_chain() {
+        let model = LocalityModel::paper_default();
+        let normal = model.distance.normal();
+        let (mu, sigma) = (normal.mean(), normal.std_dev());
+        let margin = MARGIN * (1.0 + mu.abs() + sigma);
+        // The raw draw whose uniform is `u`, rounded onto rand's grid.
+        let raw = |u: f64| ((u * 2f64.powi(53)).round() as u64) << 11;
+        let mut sides = std::collections::BTreeSet::new();
+        // Above the median with `u₂ = 0` (cos = 1), below it with `u₂ = ½`
+        // (cos = −1): `u₁ = exp(−s²/2)` puts `y = μ ± σ·s` on `ln k`.
+        for (k, u2) in [(100.0_f64, 0.0), (7.0, 0.5)] {
+            let s = (k.ln() - mu).abs() / sigma;
+            let u1 = (-s * s / 2.0).exp();
+            for nudge in -8_i64..=8 {
+                let on_boundary = raw(u1).wrapping_add_signed(nudge << 11);
+                let mut background = rand::rngs::StdRng::seed_from_u64(nudge as u64);
+                let mut script: Vec<u64> = (0..2 * CHUNK).map(|_| background.next_u64()).collect();
+                // Slot 37 of the chunk draws the boundary pair.
+                script[74] = on_boundary;
+                script[75] = raw(u2);
+                let (u1, u2) =
+                    box_muller_uniforms(&mut Script(vec![on_boundary, raw(u2)].into_iter()));
+                let y = normal.transform(u1, u2);
+                assert!((y - k.ln()).abs() < margin / 100.0, "y {y} is on ln {k}");
+                let mut depths = [0; CHUNK];
+                let fallbacks =
+                    model.draw_depths(&mut Script(script.clone().into_iter()), &mut depths);
+                assert_eq!(fallbacks, 1, "k {k} nudge {nudge}");
+                let mut reference = Script(script.into_iter());
+                for (i, &depth) in depths.iter().enumerate() {
+                    let want = (model.distance.sample(&mut reference).floor() as usize)
+                        .min(model.max_depth);
+                    assert_eq!(depth, want, "k {k} nudge {nudge} draw {i}");
+                }
+                sides.insert(depths[37]);
+            }
+        }
+        // The nudges straddle both boundaries: libm's chain lands either side.
+        assert_eq!(sides.into_iter().collect::<Vec<_>>(), [6, 7, 99, 100]);
+    }
+
+    #[test]
+    fn kernels_stay_within_a_hundredth_of_the_margin() {
+        // The widest σ and the longest `√(−2 ln u₁)` (at the guard,
+        // `u₁ = 10⁻³⁰⁰`) any draw in use meets.
+        let sigma = 2.5;
+        let longest = (-2.0 * 1e-300_f64.ln()).sqrt();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2006);
+        let grid = (0..1 << 20).map(|j| j as f64 / f64::from(1 << 20));
+        let random: Vec<f64> = (0..1_000_000).map(|_| rng.gen::<f64>()).collect();
+        let tails =
+            (1..=1_024).flat_map(|j| [j as f64 / 2f64.powi(53), 1.0 - j as f64 / 2f64.powi(53)]);
+        let points: Vec<f64> = grid.chain(random).chain(tails).collect();
+        let (mut ln_worst, mut cos_worst) = (0.0_f64, 0.0_f64);
+        for &u in &points {
+            let u1 = u.max(1e-300);
+            let s = |ln: f64| (-2.0 * ln).sqrt();
+            ln_worst = ln_worst.max(sigma * (s(ln_fast(u1)) - s(u1.ln())).abs());
+            let libm = (2.0 * std::f64::consts::PI * u).cos();
+            cos_worst = cos_worst.max(sigma * longest * (cos_2pi_fast(u) - libm).abs());
+        }
+        assert!(ln_worst <= MARGIN / 100.0, "ln moves y by {ln_worst:e}");
+        assert!(cos_worst <= MARGIN / 100.0, "cos moves y by {cos_worst:e}");
+    }
 
     /// The model as it stood before the stack went contiguous and the
     /// sampler drew ahead: a `VecDeque` of `usize`, `remove` +
