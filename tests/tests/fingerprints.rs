@@ -21,7 +21,7 @@
 //! | row | plant | stack | transport |
 //! |---|---|---|---|
 //! | `paper16` | 16 machines / 4 modules, the §5.2 day's crest | paper-blind | function call |
-//! | `adverse4` | 4 machines / 1 module, capacity drift and a fault plan | drift-aware L0, closed loop, retrain, fault tolerance | function call |
+//! | `adverse4` | 4 machines / 1 module, 208 ticks, capacity drift and a fault plan | drift-aware L0, closed loop, retrain, fault tolerance | function call |
 //! | `scale128` | 128 machines / 32 modules, split quantum 1/128 | paper-blind | function call |
 //! | `scale128_pipe` | the same run | the same | codec over an in-memory `PipeLink` |
 
@@ -349,14 +349,16 @@ fn adverse_fault_plan(seed: u64) -> FaultPlan {
 }
 
 /// Four machines under a diurnal capacity dip and a fault plan, with every
-/// adaptive feature on, 18 × 120 s.
+/// adaptive feature on, 52 × 120 s: 208 ticks, so each L0's arrival
+/// forecaster runs well past the fixed point its covariance reaches after
+/// 177 observations.
 fn adverse4() -> Vec<Run> {
     let scenario = single_module(4).with_coarse_learning();
     SEEDS
         .iter()
         .map(|&seed| {
             let drift =
-                drift_scenarios(seed, 18, 120.0, 0.55 * capacity_rate(&scenario)).swap_remove(1);
+                drift_scenarios(seed, 52, 120.0, 0.55 * capacity_rate(&scenario)).swap_remove(1);
             // The dip's period is in 120 s buckets; the plant evaluates
             // it per 30 s tick.
             let capacity = match drift.capacity {
