@@ -412,12 +412,25 @@ impl LatencyStats {
 
     /// Mean decide latency, or zero before any decision.
     pub fn mean(&self) -> Duration {
-        if self.decisions == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.decisions as u32
-        }
+        mean_duration(self.total, self.decisions)
     }
+}
+
+/// `total / count`, rounded down to the nanosecond, or zero for a zero
+/// `count`. Divides in `u128` nanoseconds: a count past `u32::MAX` (a
+/// thousand machines' L0 decisions in about four years) must neither
+/// truncate nor divide by zero.
+pub(crate) fn mean_duration(total: Duration, count: u64) -> Duration {
+    const NANOS_PER_SEC: u128 = 1_000_000_000;
+    if count == 0 {
+        return Duration::ZERO;
+    }
+    let nanos = total.as_nanos() / u128::from(count);
+    // At most `total`, so its whole seconds fit `total`'s `u64`.
+    Duration::new(
+        (nanos / NANOS_PER_SEC) as u64,
+        (nanos % NANOS_PER_SEC) as u32,
+    )
 }
 
 /// The operational counters a [`ClusterPolicy`] exposes through the
@@ -628,6 +641,10 @@ pub struct ControlPlane<P: ClusterPolicy> {
     /// members that sent no telemetry at all.
     last_state: Vec<PowerState>,
     last_frequency: Vec<usize>,
+    /// The observations each step hands the policy, refilled in place.
+    frame: Observations,
+    /// Per computer: named by an observation of the tick being assembled.
+    heard: Vec<bool>,
     /// Safe-mode posture per module at the previous L1 tick (diffed to
     /// emit `SafeMode` directives on transitions).
     safe_mode_prev: Vec<bool>,
@@ -681,6 +698,13 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             out: VecDeque::new(),
             last_state: vec![PowerState::Off; num_computers],
             last_frequency: vec![0; num_computers],
+            frame: Observations {
+                tick: 0,
+                time: 0.0,
+                computers: Vec::with_capacity(num_computers),
+                modules: Vec::with_capacity(num_modules),
+            },
+            heard: vec![false; num_computers],
             safe_mode_prev: vec![false; num_modules],
             ingested: 0,
             out_of_order: 0,
@@ -749,22 +773,44 @@ impl<P: ClusterPolicy> ControlPlane<P> {
     pub fn step(&mut self) -> StepReport {
         let tick = self.next_tick;
         let time = tick as f64 * self.t_l0;
-        let num_computers = self.computer_module.len();
-        let slot = self
-            .pending
-            .remove(&tick)
-            .unwrap_or_else(|| vec![None; self.members.len()]);
+        let frame = &mut self.frame;
+        frame.tick = tick;
+        frame.time = time;
+        // Dark-fill every member first: blank window, and the state and
+        // frequency last reported for it.
+        frame.computers.clear();
+        frame
+            .computers
+            .extend((0..self.computer_module.len()).map(|i| ComputerObs {
+                index: i,
+                module: self.computer_module[i],
+                queue: 0,
+                window: WindowStats::default(),
+                state: self.last_state[i],
+                frequency_index: self.last_frequency[i],
+                telemetry_ok: false,
+                rejected: 0,
+            }));
+        frame.modules.clear();
+        frame
+            .modules
+            .extend((0..self.members.len()).map(|index| ModuleObs {
+                index,
+                arrivals: 0,
+                dropped: 0,
+            }));
+        self.heard.fill(false);
 
-        let mut computers: Vec<Option<ComputerObs>> = vec![None; num_computers];
-        let mut modules = Vec::with_capacity(self.members.len());
-        for (m, entry) in slot.into_iter().enumerate() {
-            let (arrivals, dropped) = entry.as_ref().map_or((0, 0), |o| (o.arrivals, o.dropped));
-            modules.push(ModuleObs {
-                index: m,
-                arrivals,
-                dropped,
-            });
-            let Some(observation) = entry else { continue };
+        // Then overwrite the members reported, the last report of a
+        // member winning.
+        let mut dark_filled = self.heard.len() as u64;
+        let slot = self.pending.remove(&tick).unwrap_or_default();
+        for (m, observation) in slot.into_iter().enumerate() {
+            let Some(observation) = observation else {
+                continue;
+            };
+            frame.modules[m].arrivals = observation.arrivals;
+            frame.modules[m].dropped = observation.dropped;
             for t in observation.members {
                 let i = self.members[m][t.member];
                 // The reporter freezes state/frequency at its last
@@ -773,7 +819,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
                 // dark-filling members that stop reporting entirely.
                 self.last_state[i] = t.state;
                 self.last_frequency[i] = t.frequency_index;
-                computers[i] = Some(ComputerObs {
+                frame.computers[i] = ComputerObs {
                     index: i,
                     module: m,
                     queue: t.queue,
@@ -782,39 +828,16 @@ impl<P: ClusterPolicy> ControlPlane<P> {
                     frequency_index: t.frequency_index,
                     telemetry_ok: t.telemetry_ok,
                     rejected: t.rejected,
-                });
+                };
+                if !std::mem::replace(&mut self.heard[i], true) {
+                    dark_filled -= 1;
+                }
             }
         }
-        let mut dark_filled = 0u64;
-        let computers: Vec<ComputerObs> = computers
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                c.unwrap_or_else(|| {
-                    dark_filled += 1;
-                    ComputerObs {
-                        index: i,
-                        module: self.computer_module[i],
-                        queue: 0,
-                        window: WindowStats::default(),
-                        state: self.last_state[i],
-                        frequency_index: self.last_frequency[i],
-                        telemetry_ok: false,
-                        rejected: 0,
-                    }
-                })
-            })
-            .collect();
         self.dark_filled += dark_filled;
 
-        let obs = Observations {
-            tick,
-            time,
-            computers,
-            modules,
-        };
         let started = Instant::now();
-        let actions = self.policy.decide(&obs);
+        let actions = self.policy.decide(&self.frame);
         let decide_time = started.elapsed();
         self.decide.record(decide_time);
 
@@ -1212,6 +1235,119 @@ mod tests {
         // The dark fill froze the last known state.
         assert_eq!(plane.last_state[1], PowerState::On);
         assert_eq!(plane.last_frequency[1], 1);
+    }
+
+    /// Keeps a copy of every frame it is handed.
+    struct Recorder(Vec<Observations>);
+
+    impl ClusterPolicy for Recorder {
+        fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+            self.0.push(obs.clone());
+            Vec::new()
+        }
+        fn name(&self) -> &str {
+            "recorder"
+        }
+    }
+
+    #[test]
+    fn a_member_silent_after_a_report_is_dark_filled_not_repeated() {
+        let mut plane = ControlPlane::new(Recorder(Vec::new()), vec![vec![0, 1]], 30.0);
+        let loud = MemberTelemetry {
+            member: 0,
+            queue: 7,
+            window: WindowStats {
+                arrivals: 40,
+                completions: 38,
+                response_sum: 9.5,
+                demand_sum: 0.7,
+                dropped: 2,
+                energy: 51.0,
+            },
+            state: PowerState::Draining,
+            frequency_index: 3,
+            telemetry_ok: true,
+            rejected: 4,
+        };
+        plane
+            .ingest(observation(0, vec![loud.clone(), telemetry(1)]))
+            .unwrap();
+        plane.step();
+        plane.ingest(observation(1, vec![telemetry(1)])).unwrap();
+        plane.step();
+        plane.step();
+
+        let frames = &plane.policy().0;
+        assert_eq!(frames[0].computers[0].window, loud.window);
+        let dark = ComputerObs {
+            index: 0,
+            module: 0,
+            queue: 0,
+            window: WindowStats::default(),
+            state: PowerState::Draining,
+            frequency_index: 3,
+            telemetry_ok: false,
+            rejected: 0,
+        };
+        assert_eq!(frames[1].computers[0], dark);
+        assert!(frames[1].computers[1].telemetry_ok);
+        // A tick nobody reported for: every member dark, the module blank.
+        assert_eq!((frames[2].tick, frames[2].time), (2, 60.0));
+        assert_eq!(frames[2].computers[0], dark);
+        assert!(!frames[2].computers[1].telemetry_ok);
+        assert_eq!(frames[2].computers[1].queue, 0);
+        assert_eq!(
+            frames[2].modules,
+            vec![ModuleObs {
+                index: 0,
+                arrivals: 0,
+                dropped: 0
+            }]
+        );
+        assert_eq!(plane.metrics().dark_filled_members, 1 + 2);
+    }
+
+    #[test]
+    fn a_member_named_twice_counts_once_and_the_last_report_wins() {
+        let mut plane = ControlPlane::new(Recorder(Vec::new()), vec![vec![0, 1, 2]], 30.0);
+        let second = MemberTelemetry {
+            queue: 9,
+            frequency_index: 0,
+            state: PowerState::Off,
+            ..telemetry(0)
+        };
+        plane
+            .ingest(observation(0, vec![telemetry(0), second, telemetry(2)]))
+            .unwrap();
+        plane.step();
+        let frame = &plane.policy().0[0];
+        assert_eq!(frame.computers[0].queue, 9);
+        assert_eq!(frame.computers[0].state, PowerState::Off);
+        assert!(!frame.computers[1].telemetry_ok);
+        assert_eq!(plane.metrics().dark_filled_members, 1);
+        assert_eq!(plane.last_state[0], PowerState::Off);
+        assert_eq!(plane.last_frequency[0], 0);
+    }
+
+    #[test]
+    fn means_hold_past_u32_max_decisions() {
+        let total = Duration::from_secs(1 << 32);
+        for (decisions, mean) in [
+            (1u64 << 32, Duration::from_secs(1)),
+            ((1 << 32) + 1, Duration::from_nanos(999_999_999)),
+        ] {
+            let latency = LatencyStats {
+                decisions,
+                total,
+                ..LatencyStats::default()
+            };
+            assert_eq!(latency.mean(), mean, "{decisions} decisions");
+            let level = LevelOverhead { total, decisions };
+            assert_eq!(level.mean(), mean, "{decisions} decisions");
+        }
+        assert_eq!(LatencyStats::default().mean(), Duration::ZERO);
+        // One decision may take longer than `u64::MAX` nanoseconds.
+        assert_eq!(mean_duration(Duration::MAX, 1), Duration::MAX);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::control::{Cadence, PolicyMetrics};
+use crate::control::{mean_duration, Cadence, PolicyMetrics};
 use crate::l1::{
     AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MemberSpec,
 };
@@ -25,6 +25,13 @@ use std::time::{Duration, Instant};
 const DROP_TIMEOUT_FACTOR: f64 = 8.0;
 
 /// Wall-clock overhead accounting per hierarchy level.
+///
+/// The L1 and L2 time each decision on its own. The L0 times its round
+/// instead: one clock read either side of the tick's loop over the
+/// machines, its elapsed time and decision count added here. Its mean is
+/// then the round's time per decision, the loop's skips included; a
+/// clock pair around each of its sub-microsecond decides would cost a
+/// good part of what it measures.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelOverhead {
     /// Total time spent deciding at this level.
@@ -34,18 +41,15 @@ pub struct LevelOverhead {
 }
 
 impl LevelOverhead {
-    fn record(&mut self, elapsed: Duration) {
+    /// Add `decisions` decisions that took `elapsed` together.
+    fn record(&mut self, elapsed: Duration, decisions: u64) {
         self.total += elapsed;
-        self.decisions += 1;
+        self.decisions += decisions;
     }
 
     /// Mean decision time, or zero before any decision.
     pub fn mean(&self) -> Duration {
-        if self.decisions == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.decisions as u32
-        }
+        mean_duration(self.total, self.decisions)
     }
 }
 
@@ -1081,7 +1085,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                 self.gamma_module_history
                     .push((obs.tick, decision.gamma.clone()));
                 actions.push(Action::SetModuleWeights(decision.gamma));
-                self.overhead[2].record(started.elapsed());
+                self.overhead[2].record(started.elapsed(), 1);
             } else {
                 self.global_arrivals_acc = 0;
                 // No L2 (single-module scenario): the global dispatcher
@@ -1361,7 +1365,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                     "routed weight on a dead member"
                 );
                 actions.push(Action::SetComputerWeights(m, routed));
-                self.overhead[1].record(started.elapsed());
+                self.overhead[1].record(started.elapsed(), 1);
             }
             self.active_history.push((obs.tick, total_active));
             if let Some(cl) = self.closed_loop.as_mut() {
@@ -1373,7 +1377,10 @@ impl ClusterPolicy for HierarchicalPolicy {
             self.maybe_trigger_retrain(obs.tick);
         }
 
-        // --- L0: per-computer frequency, every tick, active machines. ---
+        // --- L0: per-computer frequency, every tick, active machines,
+        // timed as one round (see `LevelOverhead`). ---
+        let started = Instant::now();
+        let mut decided = 0u64;
         for comp in &obs.computers {
             if matches!(comp.state, PowerState::Off) {
                 continue;
@@ -1385,14 +1392,16 @@ impl ClusterPolicy for HierarchicalPolicy {
                     continue;
                 }
             }
-            let started = Instant::now();
             let decision = self.l0s[comp.index]
                 .decide(comp.queue)
                 .expect("frequency table is non-empty");
-            self.overhead[0].record(started.elapsed());
+            decided += 1;
             if decision.frequency_index != comp.frequency_index {
                 actions.push(Action::SetFrequency(comp.index, decision.frequency_index));
             }
+        }
+        if decided > 0 {
+            self.overhead[0].record(started.elapsed(), decided);
         }
 
         actions

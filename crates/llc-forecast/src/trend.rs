@@ -74,6 +74,14 @@ fn symmetrize<const N: usize>(a: &Mat<N, N>) -> Mat<N, N> {
     zip_with(a, &transpose(a), |x, y| (x + y) * 0.5)
 }
 
+/// Equal bit for bit (`0.0` is not `-0.0`, and a NaN equals its own bits).
+fn same_bits<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>) -> bool {
+    a.iter()
+        .flatten()
+        .zip(b.iter().flatten())
+        .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Local-linear-trend forecaster — the paper's "ARIMA model, implemented
 /// by a Kalman filter" for arrival-rate prediction.
 ///
@@ -95,13 +103,18 @@ fn symmetrize<const N: usize>(a: &Mat<N, N>) -> Mat<N, N> {
 ///
 /// Every computer's L0 controller steps one of these each sampling
 /// period, so the filter is a fixed-size kernel: two states, a 2×2
-/// covariance, no heap.
+/// covariance, no heap. The covariance recursion never reads the data, so
+/// once a step leaves the posterior covariance bit for bit where it was,
+/// every later step would too, with the same gain: from then on only the
+/// state is stepped (177 observations in at the default noise).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalLinearTrend {
     /// State estimate `[level, slope]ᵀ`.
     x: Mat<2, 1>,
     /// Estimate covariance.
     p: Mat<2, 2>,
+    /// The gain of the step that left `p` at its fixed point, once one has.
+    steady_gain: Option<Mat<2, 1>>,
     q_level: f64,
     q_slope: f64,
     r: f64,
@@ -136,6 +149,7 @@ impl LocalLinearTrend {
             x: [[0.0], [0.0]],
             // Diffuse prior: the first observations dominate.
             p: [[1e6, 0.0], [0.0, 1e6]],
+            steady_gain: None,
             q_level,
             q_slope,
             r,
@@ -211,9 +225,18 @@ impl LocalLinearTrend {
     /// `1e-12`, which takes `r = 0` and vanishing process noise: the gain
     /// is undefined there.
     fn step(&mut self, z: f64) {
+        if let Some(k) = self.steady_gain {
+            // The state half of the full step below, operation for
+            // operation.
+            self.x = matmul(&F, &self.x);
+            let y = minus(&[[z]], &matmul(&H, &self.x));
+            self.x = plus(&self.x, &matmul(&k, &y));
+            return;
+        }
         let q = [[self.q_level, 0.0], [0.0, self.q_slope]];
         let r = [[self.r]];
         let h_t = transpose(&H);
+        let posterior = self.p;
 
         // Time update.
         self.x = matmul(&F, &self.x);
@@ -232,6 +255,12 @@ impl LocalLinearTrend {
         let a = matmul(&matmul(&i_kh, &self.p), &transpose(&i_kh));
         let b = matmul(&matmul(&k, &r), &transpose(&k));
         self.p = symmetrize(&plus(&a, &b));
+        // `P → P'` is a function of the bits of `P` alone: a step that
+        // leaves them unchanged is a fixed point, and every later step
+        // would recompute this gain.
+        if same_bits(&self.p, &posterior) {
+            self.steady_gain = Some(k);
+        }
     }
 }
 
@@ -447,6 +476,65 @@ mod tests {
             }
         }
         assert_same_state(&kernel, &oracle, 5);
+    }
+
+    /// A thousand samples for a filter past its fixed point: exact zeros,
+    /// a ramp down through the floor, noise, and every seventh one a
+    /// sample the filter must skip.
+    fn past_the_fixed_point() -> impl Iterator<Item = f64> {
+        (0..1000usize).map(|k| match (k % 7, k / 250) {
+            (3, _) => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][k / 7 % 3],
+            (_, 0 | 3) => 0.0,
+            (_, 1) => 600.0 - 4.0 * (k - 250) as f64,
+            _ => ((k * 2654435761) % 1000) as f64,
+        })
+    }
+
+    /// Kernel and oracle, floored at zero, over a ramp of `warm` samples
+    /// and then [`past_the_fixed_point`], held to the bit after every
+    /// sample. Returns the observation at which the kernel took its steady
+    /// gain, if it did.
+    fn settle_and_follow((ql, qs, r): (f64, f64, f64), warm: usize) -> Option<u64> {
+        let mut kernel = LocalLinearTrend::new(ql, qs, r).with_floor(0.0);
+        let mut oracle = HeapTrend::new(ql, qs, r);
+        oracle.floor = Some(0.0);
+        let mut settled_at = None;
+        let ramp = (0..warm).map(|k| 300.0 + 7.0 * k as f64);
+        for z in ramp.chain(past_the_fixed_point()) {
+            kernel.observe(z);
+            oracle.observe(z);
+            assert_same_state(&kernel, &oracle, 3);
+            if kernel.steady_gain.is_some() {
+                settled_at.get_or_insert(kernel.observations());
+            }
+        }
+        assert_eq!(kernel.observations(), (warm + 1000 - 143) as u64);
+        // The recursion the kernel stopped running is still where the
+        // oracle's full one is.
+        let covariance = oracle.kf.covariance();
+        for (r, row) in kernel.p.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                assert_eq!(v.to_bits(), covariance.get(r, c).to_bits(), "P[{r}][{c}]");
+            }
+        }
+        settled_at
+    }
+
+    #[test]
+    fn a_settled_filter_steps_its_state_to_the_bit() {
+        // The L0's own filter; and one whose gain still moves on the step
+        // that settles its covariance, so reusing the step before's is off.
+        assert_eq!(settle_and_follow((10.0, 0.1, 100.0), 177), Some(177));
+        assert_eq!(settle_and_follow((1.0, 0.1, 10.0), 75), Some(75));
+    }
+
+    #[test]
+    fn a_filter_that_never_settles_keeps_the_full_step() {
+        // Without slope noise the slope variance shrinks like 1/n for ever;
+        // at unit noise the covariance alternates between two values from
+        // the 25th observation on.
+        assert_eq!(settle_and_follow((10.0, 0.0, 100.0), 177), None);
+        assert_eq!(settle_and_follow((1.0, 1.0, 1.0), 177), None);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Allocation budget of the control tick, counted by a `#[global_allocator]`
 //! that is this binary's alone: an L0-only tick of the hierarchy allocates
-//! nothing, a steady-state L2 decision allocates a constant — not a
-//! function of the ring it searches — and a plant window allocates nothing
-//! once its buffers have held the run's largest.
+//! nothing, and behind a control plane nothing but the tick's ingest slot;
+//! a steady-state L2 decision allocates a constant — not a function of the
+//! ring it searches — and a plant window allocates nothing once its
+//! buffers have held the run's largest.
 
 use llc_cluster::{
-    cluster_of, paper_cluster_16, Action, ClusterPolicy, Experiment, HierarchicalPolicy,
-    ModuleState, Observations, Plant, ScenarioConfig,
+    cluster_of, paper_cluster_16, Action, ClusterPolicy, ControlPlane, DirectiveEmit, Experiment,
+    HierarchicalPolicy, ModuleState, ObservationIngest, Observations, Plant, ScenarioConfig,
 };
+use llc_net::AgentCore;
 use llc_workload::{Trace, VirtualStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,6 +176,45 @@ fn an_l0_only_tick_of_the_32_module_hierarchy_allocates_nothing() {
         slow_most <= SLOW_TICK_ALLOCATIONS,
         "an L1/L2 tick allocated {slow_most} times"
     );
+}
+
+/// What ingesting the first observation of a tick allocates: the tick's
+/// slot of one entry per module.
+const INGEST_SLOT_ALLOCATIONS: u64 = 1;
+
+#[test]
+fn an_l0_only_round_of_the_32_module_plane_allocates_only_its_ingest_slot() {
+    let scenario = scenario(32);
+    let exp = Experiment::paper_default(17);
+    let trace = Trace::new(30.0, vec![300.0 * 30.0; 40]).unwrap();
+    let store = VirtualStore::paper_default(3);
+    let mut agent = AgentCore::new(scenario.to_sim_config(), &exp, &trace, &store).unwrap();
+    let policy = HierarchicalPolicy::build(&scenario);
+    let cadence = policy.cadence();
+    let mut plane = ControlPlane::new(policy, agent.members().to_vec(), exp.t_l0);
+    let mut quiet = 0;
+    while !agent.finished() {
+        let tick = plane.next_tick();
+        let observations = agent.observations();
+        let (directives, allocations) = counted(|| {
+            for observation in observations {
+                plane.ingest(observation).unwrap();
+            }
+            plane.step();
+            plane.drain_directives()
+        });
+        // Past the first L1 periods, which size the controllers' scratch.
+        let l0_only = !(cadence.is_l1_tick(tick) || cadence.is_l2_tick(tick));
+        if tick >= 8 && l0_only && directives.is_empty() {
+            assert_eq!(allocations, INGEST_SLOT_ALLOCATIONS, "tick {tick}");
+            quiet += 1;
+        }
+        for d in directives {
+            agent.stage(d);
+        }
+        agent.commit_window().unwrap();
+    }
+    assert!(quiet >= 8, "only {quiet} L0-only rounds emitted nothing");
 }
 
 #[test]
