@@ -805,10 +805,8 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         // member winning.
         let mut dark_filled = self.heard.len() as u64;
         let slot = self.pending.remove(&tick).unwrap_or_default();
-        for (m, observation) in slot.into_iter().enumerate() {
-            let Some(observation) = observation else {
-                continue;
-            };
+        for (m, entry) in slot.into_iter().enumerate() {
+            let Some(observation) = entry else { continue };
             frame.modules[m].arrivals = observation.arrivals;
             frame.modules[m].dropped = observation.dropped;
             for t in observation.members {

@@ -225,42 +225,42 @@ impl LocalLinearTrend {
     /// `1e-12`, which takes `r = 0` and vanishing process noise: the gain
     /// is undefined there.
     fn step(&mut self, z: f64) {
-        if let Some(k) = self.steady_gain {
-            // The state half of the full step below, operation for
-            // operation.
-            self.x = matmul(&F, &self.x);
-            let y = minus(&[[z]], &matmul(&H, &self.x));
-            self.x = plus(&self.x, &matmul(&k, &y));
-            return;
-        }
+        let k = match self.steady_gain {
+            Some(k) => k,
+            None => self.step_covariance(),
+        };
+        // The state reads the covariance only through `k`.
+        self.x = matmul(&F, &self.x);
+        let y = minus(&[[z]], &matmul(&H, &self.x));
+        self.x = plus(&self.x, &matmul(&k, &y));
+    }
+
+    /// The covariance half of [`step`](Self::step): time update, then
+    /// measurement update, returning the gain. `P → P'` is a function of
+    /// the bits of `P` alone, so a step that leaves them unchanged is a
+    /// fixed point and every later one would return this gain again: it
+    /// is kept as the steady gain.
+    fn step_covariance(&mut self) -> Mat<2, 1> {
         let q = [[self.q_level, 0.0], [0.0, self.q_slope]];
         let r = [[self.r]];
         let h_t = transpose(&H);
         let posterior = self.p;
 
-        // Time update.
-        self.x = matmul(&F, &self.x);
         self.p = symmetrize(&plus(&matmul(&matmul(&F, &self.p), &transpose(&F)), &q));
-
-        // Measurement update.
-        let y = minus(&[[z]], &matmul(&H, &self.x));
         let s = plus(&matmul(&matmul(&H, &self.p), &h_t), &r)[0][0];
         if s.abs() < 1e-12 {
             panic!("innovation variance collapsed to {s}: no gain is defined");
         }
         let k = matmul(&matmul(&self.p, &h_t), &[[1.0 / s]]);
-        self.x = plus(&self.x, &matmul(&k, &y));
         let i_kh = minus(&IDENTITY, &matmul(&k, &H));
         // Joseph form keeps P symmetric PSD.
         let a = matmul(&matmul(&i_kh, &self.p), &transpose(&i_kh));
         let b = matmul(&matmul(&k, &r), &transpose(&k));
         self.p = symmetrize(&plus(&a, &b));
-        // `P → P'` is a function of the bits of `P` alone: a step that
-        // leaves them unchanged is a fixed point, and every later step
-        // would recompute this gain.
         if same_bits(&self.p, &posterior) {
             self.steady_gain = Some(k);
         }
+        k
     }
 }
 
