@@ -1,28 +1,23 @@
-//! The node-agent side of the distributed loop: a locally-instantiated
-//! plant shard plus the directive [`Reconciler`].
+//! The plant half of the control loop: [`Plant`], the one window
+//! machine every driver steps, and the directive [`Reconciler`] every
+//! actuation passes through. [`Experiment::run`] steps it by function
+//! call and the node agent of `llc-net` over a wire; over a lossless
+//! link the two are equal *bit for bit*, which is what the golden
+//! equivalence test pins. Over a lossy one the reconciler keeps
+//! actuation safe: the latest epoch wins per actuator, exact
+//! re-deliveries are skipped, a frequency the plant silently ignored (a
+//! wedged actuator) is caught by read-back, and a directive that does
+//! not fit the plant is refused at [`Plant::stage`] and counted.
 //!
-//! [`AgentCore`] owns exactly the plant half of `Experiment::run` — a
-//! [`Plant`]: the [`SimAdapter`], the rebucketed trace, the request
-//! sampler and the arrival-spreading RNG — and exposes it one window at
-//! a time: render observations, stage whatever directives the
-//! wire delivered, commit the window (reconcile → actuate → inject
-//! arrivals → advance the plant). Driven in lockstep over a lossless
-//! link it reproduces the in-process loop *bit for bit*, which is what
-//! the golden equivalence test pins.
-//!
-//! The [`Reconciler`] is what makes the loop safe when the wire is not
-//! lossless: directives are keyed by actuator, the latest epoch wins,
-//! exact re-deliveries are skipped (idempotent re-apply), and a
-//! frequency directive the plant silently ignored (a wedged actuator)
-//! is detected by read-back and reported upstream in the agent
-//! heartbeat. A directive that decodes but names a computer, module,
-//! frequency index or split the shard does not have is refused where it
-//! enters ([`AgentCore::stage`]) and counted, never actuated.
+//! [`Experiment::run`]: crate::Experiment::run
 
-use crate::codec::{Heartbeat, Hello, Role};
-use llc_cluster::{Directive, DirectiveKind, Experiment, Plant, SimAdapter};
+use crate::control::{Directive, DirectiveKind, ModuleObservation};
+use crate::experiment::{Experiment, SimAdapter};
 use llc_sim::{ClusterConfig, SimError};
-use llc_workload::{Trace, VirtualStore};
+use llc_workload::{
+    derive_seed, spread_arrivals_into, RequestSampler, SpreadScratch, Trace, VirtualStore,
+};
+use rand::SeedableRng;
 
 /// Outcome of reconciling one window's staged directives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,8 +31,8 @@ pub struct ReconcileReport {
     /// Exact re-deliveries skipped (same actuator, same epoch, same
     /// value).
     pub duplicates: u64,
-    /// Directives refused at [`AgentCore::stage`] because they do not fit
-    /// the shard's topology (unknown computer or module, frequency index
+    /// Directives refused at [`Plant::stage`] because they do not fit
+    /// the plant's topology (unknown computer or module, frequency index
     /// past the table, split of the wrong length or with negative or
     /// non-finite weights).
     pub rejected: u64,
@@ -82,7 +77,7 @@ fn judge<V: PartialEq + Clone>(book: &mut Option<Book<V>>, epoch: u64, value: &V
 /// relies on.
 ///
 /// Directives must fit the `num_computers` × `num_modules` plant the
-/// reconciler was built for; [`AgentCore::stage`] refuses peer input that
+/// reconciler was built for; [`Plant::stage`] refuses peer input that
 /// does not before it gets here.
 #[derive(Debug)]
 pub struct Reconciler {
@@ -160,96 +155,102 @@ impl Reconciler {
     }
 }
 
-/// The agent's whole state machine, transport-free: the session loop
-/// (or a test playing scheduler) moves frames, `AgentCore` moves the
-/// plant.
+/// The plant half of the control loop, the one window machine every
+/// driver steps: a [`SimAdapter`] over a fresh cluster (prewarmed if the
+/// experiment says so), the trace rebucketed to ticks, the two seeded
+/// streams — request bodies and arrival instants — that turn a tick's
+/// bucket count into scheduled requests, and the [`Reconciler`] between
+/// the directives and the plant. [`Experiment::run`], the node agent and
+/// `examples/control_plane.rs` all step it through
+/// [`observations`](Plant::observations) → [`stage`](Plant::stage) →
+/// [`commit_window`](Plant::commit_window), so for one seed they feed
+/// the plant identical requests and actuate it identically.
 ///
-/// The borrow on the [`VirtualStore`] mirrors `Experiment::run`'s
-/// sampler lifetime.
-pub struct AgentCore<'a> {
-    plant: Plant<'a>,
-    reconciler: Reconciler,
+/// The adapter is readable through [`adapter`](Plant::adapter) and
+/// mutable through the window protocol only. The borrow on the
+/// [`VirtualStore`] is the request sampler's.
+///
+/// [`Experiment::run`]: crate::Experiment::run
+#[derive(Debug)]
+pub struct Plant<'a> {
+    adapter: SimAdapter,
     t_l0: f64,
+    ticks_trace: Trace,
+    sampler: RequestSampler<'a>,
+    spread_rng: rand::rngs::StdRng,
+    /// The spread's working storage and the window's arrival instants,
+    /// kept so that no window but the run's largest allocates them.
+    spread: SpreadScratch,
+    instants: Vec<f64>,
+    reconciler: Reconciler,
     tick: u64,
-    total_ticks: u64,
     last_epoch: u64,
     wedged_events: u64,
     wedged_members: Vec<bool>,
     applied_log: Vec<Directive>,
 }
 
-impl std::fmt::Debug for AgentCore<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AgentCore")
-            .field("tick", &self.tick)
-            .field("total_ticks", &self.total_ticks)
-            .field("wedged_events", &self.wedged_events)
-            .finish_non_exhaustive()
-    }
-}
+/// Most arrivals [`Plant::new`] accepts in one tick of its trace. A
+/// window's arrivals are materialised — instants, then requests, about
+/// 90 bytes each — on the tick they occur, so a trace file with one
+/// absurd bucket would otherwise abort the run when it got there. Eight
+/// times the ~1 M a window of the 1000-machine scale arm carries, and
+/// far inside the `u32` bucket ids of [`spread_arrivals_into`].
+pub const MAX_WINDOW_ARRIVALS: usize = 1 << 23;
 
-impl<'a> AgentCore<'a> {
-    /// Instantiate the plant shard exactly as `Experiment::run` would:
-    /// same adapter, same prewarm, same sampler and spreading streams
-    /// for the same seed.
+impl<'a> Plant<'a> {
+    /// A cluster built from `sim_config` under `experiment`'s drift and
+    /// fault schedule, to be driven by `trace` (arrivals per bucket;
+    /// rebucketed to the tick length) with request bodies drawn from
+    /// `store`.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from [`Plant::new`]: a trace window past
-    /// its bound, or prewarming.
+    /// [`SimError::WindowTooLarge`] if a tick of the rebucketed trace
+    /// carries more than [`MAX_WINDOW_ARRIVALS`]; propagates [`SimError`]
+    /// from prewarming (cannot occur for a well-formed cluster).
     ///
     /// # Panics
     ///
-    /// Panics if the trace's bucket width is incompatible with the
-    /// experiment's `t_l0`.
+    /// Panics if the trace's bucket width is incompatible with `t_l0`.
     pub fn new(
         sim_config: ClusterConfig,
         experiment: &Experiment,
         trace: &Trace,
         store: &'a VirtualStore,
-    ) -> Result<AgentCore<'a>, SimError> {
-        let plant = Plant::new(sim_config, experiment, trace, store)?;
-        let num_computers = plant.adapter.sim().num_computers();
-        let num_modules = plant.adapter.members().len();
-        Ok(AgentCore {
-            reconciler: Reconciler::new(num_computers, num_modules),
+    ) -> Result<Self, SimError> {
+        let ticks_trace = trace
+            .rebucket(experiment.t_l0)
+            .expect("trace bucket width must be an integer ratio of t_l0");
+        let too_large = |&(_, &count): &(usize, &f64)| count.round() > MAX_WINDOW_ARRIVALS as f64;
+        if let Some((tick, &arrivals)) = ticks_trace.counts().iter().enumerate().find(too_large) {
+            return Err(SimError::WindowTooLarge {
+                tick,
+                arrivals,
+                max: MAX_WINDOW_ARRIVALS,
+            });
+        }
+        let mut adapter = SimAdapter::new(sim_config, experiment, ticks_trace.len());
+        if experiment.prewarmed {
+            adapter.prewarm()?;
+        }
+        let num_computers = adapter.sim().num_computers();
+        let num_modules = adapter.members().len();
+        Ok(Plant {
+            adapter,
             t_l0: experiment.t_l0,
+            ticks_trace,
+            sampler: RequestSampler::paper_default(store, experiment.seed),
+            spread_rng: rand::rngs::StdRng::seed_from_u64(derive_seed(experiment.seed, 0xA121)),
+            spread: SpreadScratch::default(),
+            instants: Vec::new(),
+            reconciler: Reconciler::new(num_computers, num_modules),
             tick: 0,
-            total_ticks: plant.total_ticks() as u64,
-            plant,
             last_epoch: 0,
             wedged_events: 0,
             wedged_members: vec![false; num_computers],
             applied_log: Vec::new(),
         })
-    }
-
-    /// The handshake frame describing this shard.
-    pub fn hello(&self) -> Hello {
-        Hello {
-            role: Role::Agent,
-            tick: self.tick,
-            epoch: self.last_epoch,
-            t_l0: self.t_l0,
-            total_ticks: self.total_ticks,
-            members_per_module: self
-                .members()
-                .iter()
-                .map(|m| u32::try_from(m.len()).expect("module size fits u32"))
-                .collect(),
-        }
-    }
-
-    /// The end-of-window heartbeat: "every observation for
-    /// [`tick`](AgentCore::tick) has been sent", carrying the
-    /// cumulative wedged-actuation count.
-    pub fn heartbeat(&self) -> Heartbeat {
-        Heartbeat {
-            role: Role::Agent,
-            tick: self.tick,
-            epoch: self.last_epoch,
-            wedged: u32::try_from(self.wedged_events).unwrap_or(u32::MAX),
-        }
     }
 
     /// The next window awaiting a decision.
@@ -259,22 +260,35 @@ impl<'a> AgentCore<'a> {
 
     /// Run length in base ticks.
     pub fn total_ticks(&self) -> u64 {
-        self.total_ticks
+        self.ticks_trace.len() as u64
     }
 
     /// Whether every window has been committed.
     pub fn finished(&self) -> bool {
-        self.tick >= self.total_ticks
+        self.tick >= self.total_ticks()
+    }
+
+    /// Base tick length `T_L0` in seconds.
+    pub fn t_l0(&self) -> f64 {
+        self.t_l0
+    }
+
+    /// The newest epoch staged so far (what the agent's handshake and
+    /// heartbeat report).
+    pub fn last_epoch(&self) -> u64 {
+        self.last_epoch
     }
 
     /// Module topology (global computer indices per module).
     pub fn members(&self) -> &[Vec<usize>] {
-        self.plant.adapter.members()
+        self.adapter.members()
     }
 
-    /// The plant adapter (read-only; the core owns mutation).
+    /// The plant adapter, read-only: only [`commit_window`] moves it.
+    ///
+    /// [`commit_window`]: Plant::commit_window
     pub fn adapter(&self) -> &SimAdapter {
-        &self.plant.adapter
+        &self.adapter
     }
 
     /// Cumulative wedged-actuation events detected by read-back.
@@ -297,15 +311,15 @@ impl<'a> AgentCore<'a> {
         &self.applied_log
     }
 
-    /// Render the current tick's observations (one per module), exactly
-    /// as the in-process loop would.
-    pub fn observations(&mut self) -> Vec<llc_cluster::ModuleObservation> {
-        self.plant.adapter.observe(self.tick)
+    /// Render the current tick's observations (one per module) through
+    /// the drift and fault injectors: [`SimAdapter::observe`].
+    pub fn observations(&mut self) -> Vec<ModuleObservation> {
+        self.adapter.observe(self.tick)
     }
 
     /// Stage one incoming directive for the next
-    /// [`commit_window`](AgentCore::commit_window). The directive is peer
-    /// input: one that does not fit this shard is refused and counted in
+    /// [`commit_window`](Plant::commit_window). The directive is peer
+    /// input: one that does not fit this plant is refused and counted in
     /// [`ReconcileReport::rejected`] — it moves neither the plant nor the
     /// epoch the heartbeat reports.
     pub fn stage(&mut self, directive: Directive) {
@@ -320,7 +334,7 @@ impl<'a> AgentCore<'a> {
     /// Whether every index and vector `directive` carries is one the
     /// reconciler's books and the plant's actuation calls can take.
     fn fits_shard(&self, directive: &Directive) -> bool {
-        let sim = self.plant.adapter.sim();
+        let sim = self.adapter.sim();
         let members = self.members();
         let is_split_over = |weights: &[f64], n: usize| {
             weights.len() == n && weights.iter().all(|w| *w >= 0.0 && w.is_finite())
@@ -348,25 +362,25 @@ impl<'a> AgentCore<'a> {
     /// Close the current window: reconcile and actuate the staged
     /// directives (with wedge read-back on frequency sets), inject the
     /// window's arrivals, advance the plant, move to the next tick.
+    /// Returns the number of arrivals injected.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from actuation or arrival scheduling.
-    pub fn commit_window(&mut self) -> Result<(), SimError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is [`finished`](Plant::finished).
+    pub fn commit_window(&mut self) -> Result<usize, SimError> {
         let tick = self.tick;
 
         // Apply one directive at a time so the frequency read-back sees
         // exactly the post-apply state — the sim-call sequence is
         // identical to a batch `actuate`.
         for d in self.reconciler.drain() {
-            self.plant.adapter.actuate(std::slice::from_ref(&d))?;
+            self.adapter.actuate(std::slice::from_ref(&d))?;
             if let DirectiveKind::Frequency { computer, index } = &d.kind {
-                let realized = self
-                    .plant
-                    .adapter
-                    .sim()
-                    .computer(*computer)
-                    .frequency_index();
+                let realized = self.adapter.sim().computer(*computer).frequency_index();
                 let wedged = realized != *index;
                 if wedged {
                     self.wedged_events += 1;
@@ -376,16 +390,42 @@ impl<'a> AgentCore<'a> {
             self.applied_log.push(d);
         }
 
-        self.plant.inject_window(tick)?;
+        let count = self.inject_window(tick)?;
         self.tick += 1;
-        Ok(())
+        Ok(count)
+    }
+
+    /// Inject tick `tick`'s arrivals and run the plant through its
+    /// window: the trace's bucket count spread uniformly over the
+    /// window, one request body per arrival, then
+    /// [`SimAdapter::advance_window`]. Returns the number of arrivals
+    /// injected.
+    fn inject_window(&mut self, tick: u64) -> Result<usize, SimError> {
+        let count = self.ticks_trace.count(tick as usize).round().max(0.0) as usize;
+        let t_l0 = self.t_l0;
+        let start = tick as f64 * t_l0;
+        spread_arrivals_into(
+            &mut self.spread_rng,
+            start,
+            t_l0,
+            count,
+            &mut self.spread,
+            &mut self.instants,
+        );
+        for &at in &self.instants {
+            let (_, demand) = self.sampler.next_request();
+            self.adapter.schedule_arrival(at, demand)?;
+        }
+        self.adapter.advance_window(tick)?;
+        Ok(count)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_cluster::Level;
+    use crate::config::single_module;
+    use crate::control::Level;
 
     fn directive(epoch: u64, kind: DirectiveKind) -> Directive {
         Directive {
@@ -490,32 +530,35 @@ mod tests {
         assert_eq!(r.drain().len(), 2);
     }
 
+    /// A two-machine, one-module plant under the paper's driver.
+    fn two_machines() -> (ClusterConfig, Experiment, VirtualStore) {
+        let sim_config = single_module(2).to_sim_config();
+        (
+            sim_config,
+            Experiment::paper_default(0xBEEF),
+            VirtualStore::paper_default(0xBEEF),
+        )
+    }
+
     #[test]
     fn a_trace_window_past_the_plant_bound_is_refused_at_construction() {
-        use crate::scenario::{Family, RunSpec};
-        let spec = RunSpec::defaults(Family::ClosedLoop);
-        let (exp, _) = spec.experiment_and_trace();
-        let store = spec.store();
+        let (sim_config, exp, store) = two_machines();
         let trace = Trace::new(exp.t_l0, vec![100.0, 1e15]).expect("finite counts");
-        let refused = AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
-            .expect_err("an unbounded window");
+        let refused =
+            Plant::new(sim_config, &exp, &trace, &store).expect_err("an unbounded window");
         assert!(matches!(refused, SimError::WindowTooLarge { tick: 1, .. }));
     }
 
     /// Peer input that decodes but does not fit the two-machine,
-    /// one-module shard: each kind is refused and counted, the window
+    /// one-module plant: each kind is refused and counted, the window
     /// still commits, and the plant and the reported epoch stay where an
     /// undisturbed twin's are.
     #[test]
     fn malformed_directives_are_refused_at_stage() {
-        use crate::scenario::{Family, RunSpec};
-        let spec = RunSpec::defaults(Family::ClosedLoop);
-        let (exp, trace) = spec.experiment_and_trace();
-        let store = spec.store();
-        let new_agent = || {
-            AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
-                .expect("well-formed plant")
-        };
+        let (sim_config, exp, store) = two_machines();
+        let trace = Trace::new(exp.t_l0, vec![60.0; 8]).expect("finite counts");
+        let new_agent =
+            || Plant::new(sim_config.clone(), &exp, &trace, &store).expect("well-formed plant");
         let mut agent = new_agent();
         let mut twin = new_agent();
         let table = agent.adapter().sim().computer(0).frequencies().len();
@@ -571,10 +614,11 @@ mod tests {
         twin.commit_window().expect("clean window");
         assert_eq!(agent.reconcile_report().applied, 0);
         assert!(agent.applied_directives().is_empty());
-        assert_eq!(agent.heartbeat(), twin.heartbeat(), "epoch and tick");
+        let heartbeat = |p: &Plant| (p.tick(), p.last_epoch(), p.wedged_events());
+        assert_eq!(heartbeat(&agent), heartbeat(&twin), "epoch and tick");
         assert_eq!(agent.observations(), twin.observations(), "plant");
 
-        // The shard still takes a well-formed directive afterwards.
+        // The plant still takes a well-formed directive afterwards.
         agent.stage(directive(
             1,
             DirectiveKind::Frequency {

@@ -737,11 +737,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         &self.policy
     }
 
-    /// Mutable access to the policy behind the plane.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// Dissolve the plane and hand the policy back.
     pub fn into_policy(self) -> P {
         self.policy

@@ -1,12 +1,12 @@
+use crate::agent::Plant;
 use crate::control::{
-    ControlPlane, Directive, DirectiveEmit, DirectiveKind, MemberTelemetry, MetricsSnapshot,
-    ModuleObservation, ObservationIngest,
+    mean_duration, ControlPlane, Directive, DirectiveEmit, DirectiveKind, MemberTelemetry,
+    MetricsSnapshot, ModuleObservation, ObservationIngest,
 };
 use crate::policy::ClusterPolicy;
 use llc_sim::{ClusterConfig, ClusterSim, PowerState, SimError, WindowStats};
 use llc_workload::{
-    derive_seed, spread_arrivals_into, CapacityProfile, FaultKind, FaultPlan, Gaussian,
-    RequestSampler, SpreadScratch, Trace, VirtualStore,
+    derive_seed, CapacityProfile, FaultKind, FaultPlan, Gaussian, Trace, VirtualStore,
 };
 use rand::SeedableRng;
 use std::time::Duration;
@@ -127,18 +127,8 @@ impl ExperimentLog {
             total_energy: self.ticks.last().map_or(0.0, |t| t.energy),
             total_dropped: self.ticks.last().map_or(0, |t| t.dropped),
             total_switch_ons: self.total_switch_ons,
-            mean_decision_time: if self.ticks.is_empty() {
-                Duration::ZERO
-            } else {
-                decision_total / self.ticks.len() as u32
-            },
+            mean_decision_time: mean_duration(decision_total, self.ticks.len() as u64),
         }
-    }
-
-    /// The number-of-active-computers series (Fig. 4 bottom, Fig. 6
-    /// bottom).
-    pub fn active_series(&self) -> Vec<(f64, usize)> {
-        self.ticks.iter().map(|t| (t.time, t.active)).collect()
     }
 
     /// The frequency series of one computer (Fig. 5 top).
@@ -163,14 +153,6 @@ impl ExperimentLog {
         self.ticks
             .iter()
             .map(|t| (t.time, t.computer_responses[computer]))
-            .collect()
-    }
-
-    /// Cluster-wide per-window mean response series.
-    pub fn cluster_response_series(&self) -> Vec<(f64, Option<f64>)> {
-        self.ticks
-            .iter()
-            .map(|t| (t.time, t.mean_response))
             .collect()
     }
 
@@ -203,11 +185,12 @@ impl ExperimentLog {
 /// a workload trace and the virtual store.
 ///
 /// Since the control-plane split, `Experiment` is one *client* of the
-/// ingest/emit API: it owns the plant side (a [`SimAdapter`] wrapping
-/// [`ClusterSim`] plus the drift/fault injectors), feeds the plane one
-/// [`ModuleObservation`] per module per tick, and actuates the drained
-/// [`Directive`]s back into the simulator — the same loop
-/// `examples/control_plane.rs` runs over a channel.
+/// ingest/emit API: it steps a [`Plant`] (a [`SimAdapter`] wrapping
+/// [`ClusterSim`] plus the drift/fault injectors, behind the directive
+/// reconciler), feeds the plane one [`ModuleObservation`] per module per
+/// tick, and stages the drained [`Directive`]s back into the plant — the
+/// same loop `examples/control_plane.rs` runs over a channel and the node
+/// agent over a wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Base sampling period `T_L0` (seconds per tick).
@@ -241,10 +224,11 @@ pub struct Experiment {
 /// runs the plant to the end of the tick's window and banks the realized
 /// stats the *next* observation reports.
 ///
-/// [`Experiment::run`] is one user; `examples/control_plane.rs` drives
-/// the same adapter from a separate thread over channels. Both build it
-/// through [`Plant`] and feed the plane identical streams for identical
-/// seeds, which is what the golden equivalence test pins.
+/// A [`Plant`] owns one and moves it only through its window protocol,
+/// so every driver — [`Experiment::run`], the node agent,
+/// `examples/control_plane.rs` — actuates through the directive
+/// reconciler and feeds the plane identical streams for identical seeds,
+/// which is what the golden equivalence test pins.
 pub struct SimAdapter {
     sim: ClusterSim,
     t_l0: f64,
@@ -545,119 +529,6 @@ impl SimAdapter {
     }
 }
 
-/// The plant half of the control loop as every lockstep client builds
-/// it: a [`SimAdapter`] over a fresh cluster (prewarmed if the
-/// experiment says so), the trace rebucketed to ticks, and the two
-/// seeded streams — request bodies and arrival instants — that turn a
-/// tick's bucket count into scheduled requests. [`Experiment::run`], the
-/// node agent and `examples/control_plane.rs` all construct it here, so
-/// for one seed they feed the plant identical requests.
-#[derive(Debug)]
-pub struct Plant<'a> {
-    /// The plant: observe, actuate and read it through this.
-    pub adapter: SimAdapter,
-    ticks_trace: Trace,
-    sampler: RequestSampler<'a>,
-    spread_rng: rand::rngs::StdRng,
-    /// The spread's working storage and the window's arrival instants,
-    /// kept so that no window but the run's largest allocates them.
-    spread: SpreadScratch,
-    instants: Vec<f64>,
-}
-
-/// Most arrivals [`Plant::new`] accepts in one tick of its trace. A
-/// window's arrivals are materialised — instants, then requests, about
-/// 90 bytes each — on the tick they occur, so a trace file with one
-/// absurd bucket would otherwise abort the run when it got there. Eight
-/// times the ~1 M a window of the 1000-machine scale arm carries, and
-/// far inside the `u32` bucket ids of [`spread_arrivals_into`].
-pub const MAX_WINDOW_ARRIVALS: usize = 1 << 23;
-
-impl<'a> Plant<'a> {
-    /// A cluster built from `sim_config` under `experiment`'s drift and
-    /// fault schedule, to be driven by `trace` (arrivals per bucket;
-    /// rebucketed to the tick length) with request bodies drawn from
-    /// `store`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WindowTooLarge`] if a tick of the rebucketed trace
-    /// carries more than [`MAX_WINDOW_ARRIVALS`]; propagates [`SimError`]
-    /// from prewarming (cannot occur for a well-formed cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's bucket width is incompatible with `t_l0`.
-    pub fn new(
-        sim_config: ClusterConfig,
-        experiment: &Experiment,
-        trace: &Trace,
-        store: &'a VirtualStore,
-    ) -> Result<Self, SimError> {
-        let ticks_trace = trace
-            .rebucket(experiment.t_l0)
-            .expect("trace bucket width must be an integer ratio of t_l0");
-        let too_large = |&(_, &count): &(usize, &f64)| count.round() > MAX_WINDOW_ARRIVALS as f64;
-        if let Some((tick, &arrivals)) = ticks_trace.counts().iter().enumerate().find(too_large) {
-            return Err(SimError::WindowTooLarge {
-                tick,
-                arrivals,
-                max: MAX_WINDOW_ARRIVALS,
-            });
-        }
-        let mut adapter = SimAdapter::new(sim_config, experiment, ticks_trace.len());
-        if experiment.prewarmed {
-            adapter.prewarm()?;
-        }
-        Ok(Plant {
-            adapter,
-            ticks_trace,
-            sampler: RequestSampler::paper_default(store, experiment.seed),
-            spread_rng: rand::rngs::StdRng::seed_from_u64(derive_seed(experiment.seed, 0xA121)),
-            spread: SpreadScratch::default(),
-            instants: Vec::new(),
-        })
-    }
-
-    /// Run length in base ticks.
-    pub fn total_ticks(&self) -> usize {
-        self.ticks_trace.len()
-    }
-
-    /// Inject tick `tick`'s arrivals and run the plant through its
-    /// window: the trace's bucket count spread uniformly over the
-    /// window, one request body per arrival, then
-    /// [`SimAdapter::advance_window`]. Returns the number of arrivals
-    /// injected.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] (cannot occur in a well-formed run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is beyond the trace.
-    pub fn inject_window(&mut self, tick: u64) -> Result<usize, SimError> {
-        let count = self.ticks_trace.count(tick as usize).round().max(0.0) as usize;
-        let t_l0 = self.adapter.t_l0;
-        let start = tick as f64 * t_l0;
-        spread_arrivals_into(
-            &mut self.spread_rng,
-            start,
-            t_l0,
-            count,
-            &mut self.spread,
-            &mut self.instants,
-        );
-        for &at in &self.instants {
-            let (_, demand) = self.sampler.next_request();
-            self.adapter.schedule_arrival(at, demand)?;
-        }
-        self.adapter.advance_window(tick)?;
-        Ok(count)
-    }
-}
-
 impl Experiment {
     /// Paper-default driver: 30 s ticks, pre-warmed cluster, `r* = 4 s`.
     pub fn paper_default(seed: u64) -> Self {
@@ -675,10 +546,10 @@ impl Experiment {
     /// `trace` (arrivals per bucket; rebucketed to the tick length) with
     /// request bodies drawn from `store`.
     ///
-    /// The loop is the canonical control-plane client: observe the
-    /// plant through a [`SimAdapter`], ingest into a [`ControlPlane`],
-    /// step, drain and actuate the directives, advance the plant one
-    /// window.
+    /// The loop is [`Plant`] ⇄ [`ControlPlane`] by function call: ingest
+    /// the plant's observations, step, stage the drained directives,
+    /// commit the window. The log's [`directives`](ExperimentLog::directives)
+    /// are the plant's applied log.
     ///
     /// # Errors
     ///
@@ -688,7 +559,10 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the trace's bucket width is incompatible with `t_l0`.
+    /// Panics if the trace's bucket width is incompatible with `t_l0`, or
+    /// if the plant's reconciler supersedes, skips or refuses a directive
+    /// the policy emitted: in a lossless lockstep loop every directive
+    /// is fresh and fits the plant, so one that is not is a policy bug.
     pub fn run(
         &self,
         sim_config: ClusterConfig,
@@ -697,47 +571,55 @@ impl Experiment {
         store: &VirtualStore,
     ) -> Result<ExperimentLog, SimError> {
         let mut plant = Plant::new(sim_config, self, trace, store)?;
-        let total_ticks = plant.total_ticks();
-        let num_computers = plant.adapter.sim().num_computers();
+        let num_computers = plant.adapter().sim().num_computers();
         let mut log = ExperimentLog {
             policy: policy.name().to_string(),
             response_target: self.response_target,
-            ticks: Vec::with_capacity(total_ticks),
+            ticks: Vec::with_capacity(plant.total_ticks() as usize),
             directives: Vec::new(),
             metrics: MetricsSnapshot::default(),
             total_switch_ons: 0,
         };
 
-        let mut plane = ControlPlane::new(policy, plant.adapter.members().to_vec(), self.t_l0);
-        for tick in 0..total_ticks as u64 {
-            let t = tick as f64 * self.t_l0;
+        let mut plane = ControlPlane::new(policy, plant.members().to_vec(), self.t_l0);
+        while !plant.finished() {
+            let tick = plant.tick();
 
             // 1. Observe: previous window + instantaneous state, one
             // observation per module, through the drift/fault filters.
-            for observation in plant.adapter.observe(tick) {
+            for observation in plant.observations() {
                 plane
                     .ingest(observation)
                     .expect("lockstep stream is in-order and well-formed");
             }
 
-            // 2. Decide and actuate.
+            // 2. Decide, then actuate, inject this window's arrivals and
+            // advance the plant.
             debug_assert!(plane.ready(), "every module reported");
             let report = plane.step();
-            let directives = plane.drain_directives();
-            plant.adapter.actuate(&directives)?;
-            log.directives.extend(directives);
+            for directive in plane.drain_directives() {
+                plant.stage(directive);
+            }
+            let count = plant.commit_window()?;
+            let reconciled = plant.reconcile_report();
+            assert_eq!(
+                (
+                    reconciled.superseded,
+                    reconciled.duplicates,
+                    reconciled.rejected
+                ),
+                (0, 0, 0),
+                "tick {tick}: the plant must apply every directive the policy emits"
+            );
 
-            // 3. Inject this window's arrivals and advance the plant.
-            let count = plant.inject_window(tick)?;
-
-            // 4. Record.
-            let sim = plant.adapter.sim();
-            let stats = plant.adapter.window_stats();
+            // 3. Record.
+            let sim = plant.adapter().sim();
+            let stats = plant.adapter().window_stats();
             let completions: u64 = stats.iter().map(|w| w.completions).sum();
             let response_sum: f64 = stats.iter().map(|w| w.response_sum).sum();
             log.ticks.push(TickRecord {
                 tick,
-                time: t,
+                time: tick as f64 * self.t_l0,
                 arrivals: count as u64,
                 completions,
                 mean_response: if completions > 0 {
@@ -765,8 +647,9 @@ impl Experiment {
             });
         }
 
+        log.directives = plant.applied_directives().to_vec();
         log.total_switch_ons = (0..num_computers)
-            .map(|i| plant.adapter.sim().computer(i).switch_ons())
+            .map(|i| plant.adapter().sim().computer(i).switch_ons())
             .sum();
         log.metrics = plane.metrics();
         Ok(log)
@@ -776,6 +659,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::MAX_WINDOW_ARRIVALS;
     use crate::baselines::AlwaysMaxPolicy;
     use crate::policy::{Action, Observations};
     use llc_workload::Trace;
@@ -832,7 +716,6 @@ mod tests {
             .run(tiny_cluster(), &mut policy, &flat_trace(10, 100.0), &store)
             .unwrap();
         assert_eq!(log.ticks.len(), 10);
-        assert_eq!(log.active_series().len(), 10);
         assert_eq!(log.frequency_series(0).len(), 10);
         assert_eq!(log.response_series(1).len(), 10);
         // Energy is cumulative, hence non-decreasing.
@@ -898,6 +781,25 @@ mod tests {
             Plant::new(tiny_cluster(), &exp, &coarse, &store),
             Err(SimError::WindowTooLarge { tick: 0, .. })
         ));
+    }
+
+    /// A directive the plant refuses — here a computer the two-machine
+    /// cluster does not have — stops the run loudly, not silently.
+    #[test]
+    #[should_panic(expected = "the plant must apply every directive the policy emits")]
+    fn a_directive_the_plant_refuses_fails_the_run() {
+        struct OffTheEnd;
+        impl ClusterPolicy for OffTheEnd {
+            fn decide(&mut self, _o: &Observations) -> Vec<Action> {
+                vec![Action::SetFrequency(99, 0)]
+            }
+            fn name(&self) -> &str {
+                "off-the-end"
+            }
+        }
+        let store = VirtualStore::paper_default(6);
+        let exp = Experiment::paper_default(6);
+        let _ = exp.run(tiny_cluster(), &mut OffTheEnd, &flat_trace(2, 50.0), &store);
     }
 
     #[test]

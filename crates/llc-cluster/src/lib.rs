@@ -23,11 +23,14 @@
 //! [`ClusterPolicy`] trait; [`ThresholdPolicy`] and [`AlwaysMaxPolicy`]
 //! are the comparison baselines; [`Experiment`] drives any policy against
 //! the [`llc_sim`] plant fed by an [`llc_workload`] trace and records the
-//! series behind every figure of the evaluation.
+//! series behind every figure of the evaluation. The plant half of that
+//! loop is one type, [`Plant`], which every driver steps one window at a
+//! time and which actuates only through its [`Reconciler`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod agent;
 mod baselines;
 mod builder;
 mod config;
@@ -42,6 +45,7 @@ mod profiles;
 mod retrain;
 mod split;
 
+pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
 pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
 pub use builder::PolicyBuilder;
 pub use config::{
@@ -52,10 +56,7 @@ pub use control::{
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS, OUTBOX_CAPACITY,
 };
-pub use experiment::{
-    Experiment, ExperimentLog, ExperimentSummary, Plant, SimAdapter, TickRecord,
-    MAX_WINDOW_ARRIVALS,
-};
+pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, SimAdapter, TickRecord};
 pub use hierarchy::{ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
 pub use l0::{L0Config, L0Controller, L0Decision, QueueModel};
 pub use l1::{

@@ -1,5 +1,6 @@
 //! `llc-agent` — the node agent: instantiates its shard of the plant (a
-//! `ClusterSim` behind a `SimAdapter`), connects to `llc-controld`,
+//! `Plant`: a `ClusterSim` behind a `SimAdapter` and the directive
+//! reconciler), connects to `llc-controld`,
 //! streams one observation per module per window, and reconciles
 //! whatever directives come back (latest epoch wins per actuator,
 //! idempotent re-apply, wedged actuators detected by read-back and
@@ -15,55 +16,42 @@
 //! rejects mismatches. In paced mode (`--pace-ms > 0`) a dropped
 //! connection is retried with backoff until the run completes.
 
-use llc_net::scenario::{flag_value, Family, RunSpec};
-use llc_net::{run_agent, AgentCore, SessionError, TcpLink};
+use llc_cluster::Plant;
+use llc_net::scenario::{flag_value, RunSpec};
+use llc_net::{run_agent, SessionError, TcpLink};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "usage: llc-agent --connect ADDR [--scenario closed-loop|faults] \
+                 [--members N] [--buckets N] [--seed N] [--pace-ms MS]";
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: llc-agent --connect ADDR [--scenario closed-loop|faults] \
-             [--members N] [--buckets N] [--seed N] [--pace-ms MS]"
-        );
+        eprintln!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let connect = flag_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:7700".into());
-    let family = match Family::parse(
-        &flag_value(&args, "--scenario").unwrap_or_else(|| "closed-loop".into()),
-    ) {
-        Ok(f) => f,
+    let run = RunSpec::from_args(&args).and_then(|(spec, pace)| {
+        let connect = flag_value(&args, "--connect")?.unwrap_or("127.0.0.1:7700");
+        Ok((spec, pace, connect))
+    });
+    let (spec, pace, connect) = match run {
+        Ok(run) => run,
         Err(e) => {
-            eprintln!("llc-agent: {e}");
+            eprintln!("llc-agent: {e}\n{usage}");
             return ExitCode::FAILURE;
         }
     };
-    let mut spec = RunSpec::defaults(family);
-    if let Some(v) = flag_value(&args, "--members") {
-        spec.members = v.parse().expect("--members takes an integer");
-    }
-    if let Some(v) = flag_value(&args, "--buckets") {
-        spec.buckets = v.parse().expect("--buckets takes an integer");
-    }
-    if let Some(v) = flag_value(&args, "--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    let pace_ms: u64 = flag_value(&args, "--pace-ms")
-        .map_or(0, |v| v.parse().expect("--pace-ms takes milliseconds"));
-    let pace = (pace_ms > 0).then(|| Duration::from_millis(pace_ms));
 
     let (exp, trace) = spec.experiment_and_trace();
     let store = spec.store();
-    let mut core =
-        match AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("llc-agent: cannot instantiate plant: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let mut core = match Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("llc-agent: cannot instantiate plant: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     eprintln!(
         "llc-agent: plant up ({} modules, {} ticks); connecting to {connect}",
         core.members().len(),
@@ -72,7 +60,7 @@ fn main() -> ExitCode {
 
     let mut attempts = 0u32;
     while !core.finished() {
-        let stream = match TcpStream::connect(&connect) {
+        let stream = match TcpStream::connect(connect) {
             Ok(s) => s,
             Err(e) => {
                 attempts += 1;

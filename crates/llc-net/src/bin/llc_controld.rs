@@ -15,68 +15,35 @@
 //! missed the deadline. Agents may drop and reconnect mid-run in paced
 //! mode; reconnects are counted in the metrics' transport section.
 
-use llc_net::scenario::{flag_value, Family, RunSpec};
-use llc_net::{serve_controller, ControldCore, FrameTransport, SessionError, TcpLink};
+use llc_net::scenario::{flag_value, RunSpec};
+use llc_net::{serve_controller, FrameTransport, SessionError, TcpLink};
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = "usage: llc-controld --listen ADDR [--scenario closed-loop|faults] \
+                 [--members N] [--buckets N] [--seed N] [--pace-ms MS]";
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: llc-controld --listen ADDR [--scenario closed-loop|faults] \
-             [--members N] [--buckets N] [--seed N] [--pace-ms MS]"
-        );
+        eprintln!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let listen = flag_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7700".into());
-    let family = match Family::parse(
-        &flag_value(&args, "--scenario").unwrap_or_else(|| "closed-loop".into()),
-    ) {
-        Ok(f) => f,
+    let run = RunSpec::from_args(&args).and_then(|(spec, pace)| {
+        let listen = flag_value(&args, "--listen")?.unwrap_or("127.0.0.1:7700");
+        Ok((spec, pace, listen))
+    });
+    let (spec, pace, listen) = match run {
+        Ok(run) => run,
         Err(e) => {
-            eprintln!("llc-controld: {e}");
+            eprintln!("llc-controld: {e}\n{usage}");
             return ExitCode::FAILURE;
         }
     };
-    let mut spec = RunSpec::defaults(family);
-    if let Some(v) = flag_value(&args, "--members") {
-        spec.members = v.parse().expect("--members takes an integer");
-    }
-    if let Some(v) = flag_value(&args, "--buckets") {
-        spec.buckets = v.parse().expect("--buckets takes an integer");
-    }
-    if let Some(v) = flag_value(&args, "--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    let pace_ms: u64 = flag_value(&args, "--pace-ms")
-        .map_or(0, |v| v.parse().expect("--pace-ms takes milliseconds"));
-    let pace = (pace_ms > 0).then(|| Duration::from_millis(pace_ms));
+    let mut core = spec.controller();
+    let total_ticks = core.hello().total_ticks;
+    let pace_ms = pace.map_or(0, |p| p.as_millis());
 
-    let (exp, trace) = spec.experiment_and_trace();
-    let ticks_trace = trace.rebucket(exp.t_l0).expect("well-formed trace");
-    let total_ticks = ticks_trace.len() as u64;
-    // The topology the plane manages: contiguous indices per module,
-    // derived from the same scenario the agent instantiates.
-    let members: Vec<Vec<usize>> = {
-        let sizes: Vec<usize> = spec
-            .scenario_config()
-            .member_specs()
-            .iter()
-            .map(Vec::len)
-            .collect();
-        let mut members = Vec::with_capacity(sizes.len());
-        let mut next = 0usize;
-        for n in sizes {
-            members.push((next..next + n).collect::<Vec<_>>());
-            next += n;
-        }
-        members
-    };
-    let mut core = ControldCore::new(spec.policy(), members, exp.t_l0, total_ticks);
-
-    let listener = match TcpListener::bind(&listen) {
+    let listener = match TcpListener::bind(listen) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("llc-controld: cannot listen on {listen}: {e}");

@@ -12,7 +12,7 @@
 use crate::frame::{put_bool, put_f64, put_u32, put_u64, put_u8, put_usize, Reader, WireError};
 use llc_cluster::{
     Directive, DirectiveKind, LatencyStats, Level, LevelOverhead, MemberTelemetry, MetricsSnapshot,
-    ModuleObservation, PolicyMetrics, TransportMetrics,
+    ModuleObservation, Plant, PolicyMetrics, TransportMetrics,
 };
 use llc_sim::{PowerState, WindowStats};
 use std::time::Duration;
@@ -84,6 +84,39 @@ pub struct Heartbeat {
     /// Cumulative wedged-actuator detections (agent → controller;
     /// zero from the controller).
     pub wedged: u32,
+}
+
+impl Hello {
+    /// The handshake a node agent sends for `plant`: its clock, the
+    /// newest epoch it has staged, and its topology.
+    pub fn agent(plant: &Plant<'_>) -> Hello {
+        Hello {
+            role: Role::Agent,
+            tick: plant.tick(),
+            epoch: plant.last_epoch(),
+            t_l0: plant.t_l0(),
+            total_ticks: plant.total_ticks(),
+            members_per_module: plant
+                .members()
+                .iter()
+                .map(|m| u32::try_from(m.len()).expect("module size fits u32"))
+                .collect(),
+        }
+    }
+}
+
+impl Heartbeat {
+    /// A node agent's end-of-window marker for `plant`: "every
+    /// observation for [`Plant::tick`] has been sent", carrying the
+    /// cumulative wedged-actuation count.
+    pub fn agent(plant: &Plant<'_>) -> Heartbeat {
+        Heartbeat {
+            role: Role::Agent,
+            tick: plant.tick(),
+            epoch: plant.last_epoch(),
+            wedged: u32::try_from(plant.wedged_events()).unwrap_or(u32::MAX),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

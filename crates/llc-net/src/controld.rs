@@ -53,7 +53,6 @@ pub struct ControldCore<P: ClusterPolicy> {
     t_l0: f64,
     total_ticks: u64,
     directives_log: Vec<Directive>,
-    last_agent_heartbeat: Option<Heartbeat>,
     payload_errors: u64,
     late_observations: u64,
     lost_observation_windows: u64,
@@ -77,7 +76,6 @@ impl<P: ClusterPolicy> ControldCore<P> {
             t_l0,
             total_ticks,
             directives_log: Vec::new(),
-            last_agent_heartbeat: None,
             payload_errors: 0,
             late_observations: 0,
             lost_observation_windows: 0,
@@ -175,11 +173,6 @@ impl<P: ClusterPolicy> ControldCore<P> {
         &self.directives_log
     }
 
-    /// The agent's most recent end-of-window heartbeat.
-    pub fn last_agent_heartbeat(&self) -> Option<&Heartbeat> {
-        self.last_agent_heartbeat.as_ref()
-    }
-
     /// Record a transport reconnect (the binary calls this when it
     /// accepts a replacement connection).
     pub fn note_reconnect(&mut self) {
@@ -235,7 +228,6 @@ impl<P: ClusterPolicy> ControldCore<P> {
             FrameKind::Heartbeat => fallible(
                 decode_heartbeat(&frame.payload).map(|hb| {
                     self.wedged_reports = u64::from(hb.wedged);
-                    self.last_agent_heartbeat = Some(hb);
                     CtrlEvent::AgentHeartbeat(hb)
                 }),
                 &mut self.payload_errors,

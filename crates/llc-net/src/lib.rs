@@ -18,9 +18,12 @@
 //! * [`link`] — the transport seam: [`TcpLink`] over a socket,
 //!   [`PipeLink`] in memory for deterministic tests, [`LossyLink`]
 //!   injecting deterministic frame drops and delays.
-//! * [`agent`] — the node-agent core: a locally-instantiated plant
-//!   shard plus the directive [`Reconciler`] (latest-epoch-wins per
-//!   actuator, idempotent re-apply, wedged-actuator read-back).
+//! * the node agent is [`llc_cluster::Plant`] itself: the plant shard
+//!   the agent instantiates, stepped one window at a time through its
+//!   directive [`Reconciler`] (latest-epoch-wins per actuator,
+//!   idempotent re-apply, wedged-actuator read-back). This crate adds
+//!   only its session messages, [`Hello::agent`] and
+//!   [`Heartbeat::agent`], and the session loop [`run_agent`].
 //! * [`controld`] — the controller core: a
 //!   [`ControlPlane`](llc_cluster::ControlPlane) plus transport
 //!   accounting (late and lost observations, decode errors,
@@ -29,14 +32,14 @@
 //! * [`session`] — the two session loops (lockstep and wall-clock
 //!   paced) and the window protocol tying it together.
 //!
-//! The `llc-agent` and `llc-controld` binaries wrap the cores in a TCP
-//! connect/listen shell; `examples/distributed_control.rs` runs both in
-//! one process over loopback.
+//! The `llc-agent` and `llc-controld` binaries wrap the plant and the
+//! controller core in a TCP connect/listen shell;
+//! `examples/distributed_control.rs` runs both in one process over
+//! loopback.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
 pub mod codec;
 pub mod controld;
 pub mod frame;
@@ -44,7 +47,6 @@ pub mod link;
 pub mod scenario;
 pub mod session;
 
-pub use agent::{AgentCore, ReconcileReport, Reconciler};
 pub use codec::{
     decode_directive, decode_heartbeat, decode_hello, decode_metrics, decode_observation,
     encode_directive, encode_heartbeat, encode_hello, encode_metrics, encode_observation,
@@ -57,3 +59,7 @@ pub use frame::{
 pub use link::{FrameTransport, Impairment, LinkCounters, LinkError, LossyLink, PipeLink, TcpLink};
 pub use scenario::{Family, RunSpec};
 pub use session::{run_agent, serve_controller, SessionError};
+
+// `benchmark/` is built from outside this workspace and names the
+// agent's plant `AgentCore`.
+pub use llc_cluster::{Plant as AgentCore, ReconcileReport, Reconciler};

@@ -508,11 +508,6 @@ impl<T: FrameTransport> LossyLink<T> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 impl<T: FrameTransport> FrameTransport for LossyLink<T> {

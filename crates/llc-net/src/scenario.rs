@@ -9,12 +9,18 @@
 //! loop) and `faults` (crash–restart schedule under the watchdog'd
 //! closed loop).
 
+use crate::controld::ControldCore;
 use llc_cluster::{
     single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, PolicyBuilder,
     ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, fault_scenarios, Trace, VirtualStore};
+use std::str::FromStr;
+use std::time::Duration;
+
+/// Most machines [`single_module`] builds a module of.
+const MAX_MEMBERS: usize = 10;
 
 /// Which bench family to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +80,46 @@ impl RunSpec {
         }
     }
 
+    /// The run both ends derive from the command line: the `--scenario`
+    /// family's [`defaults`](RunSpec::defaults), overridden by
+    /// `--members`, `--buckets` and `--seed`, and the `--pace-ms` wall
+    /// clock per tick (`None`, lockstep, when absent or zero). Other
+    /// arguments are left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag: an unknown scenario, a flag without
+    /// its value, a value that is not an unsigned integer, members
+    /// outside `1..=10` (the module [`single_module`] builds) or zero
+    /// buckets.
+    pub fn from_args(args: &[String]) -> Result<(RunSpec, Option<Duration>), String> {
+        let family = match flag_value(args, "--scenario")? {
+            Some(name) => Family::parse(name)?,
+            None => Family::ClosedLoop,
+        };
+        let mut spec = RunSpec::defaults(family);
+        if let Some(members) = parsed(args, "--members")? {
+            if !(1..=MAX_MEMBERS).contains(&members) {
+                return Err(format!(
+                    "--members takes 1..={MAX_MEMBERS} machines, got {members}"
+                ));
+            }
+            spec.members = members;
+        }
+        if let Some(buckets) = parsed(args, "--buckets")? {
+            if buckets == 0 {
+                return Err("--buckets takes at least one bucket".into());
+            }
+            spec.buckets = buckets;
+        }
+        if let Some(seed) = parsed(args, "--seed")? {
+            spec.seed = seed;
+        }
+        let pace_ms: u64 = parsed(args, "--pace-ms")?.unwrap_or(0);
+        let pace = (pace_ms > 0).then(|| Duration::from_millis(pace_ms));
+        Ok((spec, pace))
+    }
+
     /// The cluster scenario (topology, learning knobs).
     pub fn scenario_config(&self) -> ScenarioConfig {
         let mut sc = single_module(self.members).with_coarse_learning();
@@ -122,6 +168,20 @@ impl RunSpec {
         VirtualStore::paper_default(self.seed)
     }
 
+    /// The controller for this run: the family's policy over the
+    /// topology it was built for, for as many ticks as the agent's
+    /// [`Plant`](llc_cluster::Plant) runs.
+    pub fn controller(&self) -> ControldCore<HierarchicalPolicy> {
+        let (exp, trace) = self.experiment_and_trace();
+        let total_ticks = trace
+            .rebucket(exp.t_l0)
+            .expect("the family's buckets are whole ticks")
+            .len() as u64;
+        let policy = self.policy();
+        let members = policy.module_members().to_vec();
+        ControldCore::new(policy, members, exp.t_l0, total_ticks)
+    }
+
     /// The controller-side policy stack for this family.
     pub fn policy(&self) -> HierarchicalPolicy {
         let builder =
@@ -135,13 +195,30 @@ impl RunSpec {
     }
 }
 
-/// Minimal `--flag value` extractor for the binaries: returns the value
-/// following `name`, if present.
-pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Minimal `--flag value` extractor for the binaries: the value
+/// following `name`, if the flag is given.
+///
+/// # Errors
+///
+/// The flag is given last, without a value.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{name} takes a value")),
+    }
+}
+
+/// [`flag_value`] parsed as an unsigned integer.
+fn parsed<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name} takes an unsigned integer, got '{v}'"))
+        })
+        .transpose()
 }
 
 #[cfg(test)]
@@ -156,6 +233,67 @@ mod tests {
             assert!(!trace.is_empty());
             assert_eq!(exp.seed, spec.seed);
             let _ = spec.policy();
+        }
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_override_the_family_defaults() {
+        let (spec, pace) = RunSpec::from_args(&args(
+            "--connect 127.0.0.1:7700 --scenario faults --members 3 --buckets 12 --seed 9 --pace-ms 50",
+        ))
+        .unwrap();
+        assert_eq!(
+            spec,
+            RunSpec {
+                family: Family::Faults,
+                members: 3,
+                buckets: 12,
+                seed: 9,
+            }
+        );
+        assert_eq!(pace, Some(Duration::from_millis(50)));
+        assert_eq!(
+            RunSpec::from_args(&args("--pace-ms 0")),
+            Ok((RunSpec::defaults(Family::ClosedLoop), None))
+        );
+    }
+
+    #[test]
+    fn bad_flags_are_refused_not_panicked() {
+        for line in [
+            "--members 0",
+            "--members 11",
+            "--members two",
+            "--buckets 0",
+            "--buckets -3",
+            "--seed -1",
+            "--seed 1.5",
+            "--pace-ms soon",
+            "--scenario storm",
+            "--seed",
+        ] {
+            let refused = RunSpec::from_args(&args(line));
+            assert!(refused.is_err(), "{line}: {refused:?}");
+        }
+    }
+
+    #[test]
+    fn the_controller_manages_the_plant_the_agent_builds() {
+        for family in [Family::ClosedLoop, Family::Faults] {
+            let spec = RunSpec::defaults(family);
+            let (exp, trace) = spec.experiment_and_trace();
+            let store = spec.store();
+            let sim_config = spec.scenario_config().to_sim_config();
+            let plant = llc_cluster::Plant::new(sim_config, &exp, &trace, &store).unwrap();
+            let controller = spec.controller();
+            assert_eq!(controller.plane().members(), plant.members());
+            assert_eq!(controller.hello().total_ticks, plant.total_ticks());
+            let hello = crate::codec::Hello::agent(&plant);
+            assert_eq!(controller.check_agent_hello(&hello), Ok(()));
         }
     }
 

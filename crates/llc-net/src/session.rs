@@ -1,5 +1,5 @@
-//! Session loops: drive an [`AgentCore`] and a [`ControldCore`] against
-//! each other over any [`FrameTransport`].
+//! Session loops: drive a node agent's [`Plant`] and a [`ControldCore`]
+//! against each other over any [`FrameTransport`].
 //!
 //! Two pacing modes share one wire protocol:
 //!
@@ -23,15 +23,14 @@
 //! `Metrics` frame — the full [`MetricsSnapshot`] including the
 //! transport section.
 
-use crate::agent::AgentCore;
 use crate::codec::{
     decode_heartbeat, decode_hello, decode_metrics, encode_directive, encode_heartbeat,
-    encode_hello, encode_metrics, encode_observation, Hello, Role,
+    encode_hello, encode_metrics, encode_observation, Heartbeat, Hello, Role,
 };
 use crate::controld::ControldCore;
 use crate::frame::{Frame, FrameKind, WireError};
 use crate::link::{FrameTransport, LinkError};
-use llc_cluster::{ClusterPolicy, MetricsSnapshot};
+use llc_cluster::{ClusterPolicy, MetricsSnapshot, Plant};
 use llc_sim::SimError;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -211,20 +210,21 @@ fn serve_paced<P: ClusterPolicy, T: FrameTransport>(
     Ok(())
 }
 
-/// Run the agent side of a session to completion. Returns the
-/// controller's final [`MetricsSnapshot`] if its `Metrics` frame
-/// arrived.
+/// Run the agent side of a session to completion: step `core` through
+/// its window protocol, staging the directives the wire delivers.
+/// Returns the controller's final [`MetricsSnapshot`] if its `Metrics`
+/// frame arrived.
 ///
 /// # Errors
 ///
 /// [`SessionError`] on transport failure, handshake mismatch, or (in
 /// lockstep mode) any undecodable frame.
 pub fn run_agent<T: FrameTransport>(
-    core: &mut AgentCore<'_>,
+    core: &mut Plant<'_>,
     link: &mut T,
     pace: Option<Duration>,
 ) -> Result<Option<MetricsSnapshot>, SessionError> {
-    link.send(FrameKind::Hello, encode_hello(&core.hello()))?;
+    link.send(FrameKind::Hello, encode_hello(&Hello::agent(core)))?;
     let hello = wait_for_hello(link)?;
     if hello.role != Role::Controller {
         return Err(SessionError::Protocol(format!(
@@ -232,14 +232,12 @@ pub fn run_agent<T: FrameTransport>(
             hello.role
         )));
     }
-    if hello.t_l0.to_bits() != core.hello().t_l0.to_bits()
-        || hello.total_ticks != core.total_ticks()
-    {
+    if hello.t_l0.to_bits() != core.t_l0().to_bits() || hello.total_ticks != core.total_ticks() {
         return Err(SessionError::Protocol(format!(
             "run shape mismatch: controller ({} s, {} ticks), agent ({} s, {} ticks)",
             hello.t_l0,
             hello.total_ticks,
-            core.hello().t_l0,
+            core.t_l0(),
             core.total_ticks()
         )));
     }
@@ -249,7 +247,10 @@ pub fn run_agent<T: FrameTransport>(
         for observation in core.observations() {
             link.send(FrameKind::Observation, encode_observation(&observation))?;
         }
-        link.send(FrameKind::Heartbeat, encode_heartbeat(&core.heartbeat()))?;
+        link.send(
+            FrameKind::Heartbeat,
+            encode_heartbeat(&Heartbeat::agent(core)),
+        )?;
 
         // Wait for the commit marker covering this tick; in paced mode
         // give up at the deadline and commit with whatever arrived.

@@ -6,11 +6,11 @@
 use llc_net::{
     decode_directive, decode_frame, decode_heartbeat, decode_hello, decode_metrics,
     decode_observation, encode_directive, encode_frame, encode_heartbeat, encode_hello,
-    encode_observation, AgentCore, Family, Frame, FrameKind, Heartbeat, Hello, Role, RunSpec,
-    WireError, HEADER_LEN, VERSION,
+    encode_observation, Family, Frame, FrameKind, Heartbeat, Hello, Role, RunSpec, WireError,
+    HEADER_LEN, VERSION,
 };
 
-use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation};
+use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation, Plant};
 use llc_sim::{PowerState, WindowStats};
 use proptest::prelude::*;
 use proptest::{collection, strategy::Strategy};
@@ -395,7 +395,7 @@ proptest! {
         let (exp, trace) = spec.experiment_and_trace();
         let store = spec.store();
         let mut agent =
-            AgentCore::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+            Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
                 .expect("well-formed plant");
         let staged = stream.len() as u64;
         for (epoch, kind) in stream {

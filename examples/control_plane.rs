@@ -3,10 +3,10 @@
 //! Two threads talk over channels, the way a real deployment would talk
 //! over a network:
 //!
-//! * the **plant thread** owns the simulated cluster (via `SimAdapter`)
-//!   and the workload; every 30 s window it ships one
-//!   `ModuleObservation` per module and applies whatever `Directive`s
-//!   come back;
+//! * the **plant thread** owns the simulated cluster and the workload
+//!   (a `Plant`); every 30 s window it ships one `ModuleObservation` per
+//!   module, stages whatever `Directive`s come back and commits the
+//!   window;
 //! * the **controller thread** (here: `main`) owns a `ControlPlane`
 //!   wrapping the full self-healing hierarchy; it ingests observations,
 //!   steps the virtual clock, and drains stamped directives.
@@ -67,12 +67,13 @@ fn main() {
     };
     let t_l0 = exp.t_l0;
 
-    // The plant side: cluster, workload and injectors behind one
-    // constructor, the same one `Experiment::run` and the node agent use.
+    // The plant side: cluster, workload, injectors and the directive
+    // reconciler behind one type, the one `Experiment::run` and the node
+    // agent step.
     let store = VirtualStore::paper_default(5);
     let mut plant =
         Plant::new(sc.to_sim_config(), &exp, &fs.trace, &store).expect("well-formed cluster");
-    let members = plant.adapter.members().to_vec();
+    let members = plant.members().to_vec();
 
     // The controller side: the full self-healing stack behind the
     // ingest/emit API.
@@ -89,17 +90,16 @@ fn main() {
     let (dir_tx, dir_rx) = mpsc::channel();
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            for tick in 0..plant.total_ticks() as u64 {
-                for observation in plant.adapter.observe(tick) {
+            while !plant.finished() {
+                for observation in plant.observations() {
                     obs_tx.send(observation).expect("controller is up");
                 }
                 let directives: Vec<llc_cluster::Directive> =
                     dir_rx.recv().expect("controller is up");
-                plant
-                    .adapter
-                    .actuate(&directives)
-                    .expect("well-formed directives");
-                plant.inject_window(tick).expect("well-formed run");
+                for directive in directives {
+                    plant.stage(directive);
+                }
+                plant.commit_window().expect("well-formed run");
             }
         });
         while let Ok(first) = obs_rx.recv() {

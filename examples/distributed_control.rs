@@ -4,10 +4,11 @@
 //! This is exactly what `llc-agent` and `llc-controld` do as separate
 //! binaries, compressed into one runnable example:
 //!
-//! * the **agent thread** owns the plant shard (`AgentCore` around a
-//!   `SimAdapter`): each 30 s window it streams one `Observation` frame
-//!   per module plus a `Heartbeat` commit marker, then reconciles and
-//!   actuates whatever `Directive` frames come back;
+//! * the **agent thread** owns the plant shard (a `Plant`: a
+//!   `SimAdapter` behind the directive reconciler): each 30 s window it
+//!   streams one `Observation` frame per module plus a `Heartbeat`
+//!   commit marker, then reconciles and actuates whatever `Directive`
+//!   frames come back;
 //! * the **controller** (here: `main`) owns the watchdog'd closed-loop
 //!   hierarchy behind a `ControldCore`: it ingests frames, decides each
 //!   tick, and ships epoch-stamped directives down the same socket.
@@ -20,56 +21,35 @@
 //!
 //! Run with: `cargo run --release -p llc-examples --example distributed_control`
 
+use llc_cluster::Plant;
 use llc_net::scenario::{Family, RunSpec};
-use llc_net::{run_agent, serve_controller, AgentCore, ControldCore, FrameTransport, TcpLink};
+use llc_net::{run_agent, serve_controller, FrameTransport, TcpLink};
 use std::net::{TcpListener, TcpStream};
 
 fn main() {
     let spec = RunSpec::defaults(Family::Faults);
     let (exp, trace) = spec.experiment_and_trace();
-    let ticks_trace = trace.rebucket(exp.t_l0).expect("well-formed trace");
-    let total_ticks = ticks_trace.len() as u64;
+    let mut core = spec.controller();
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound socket");
     println!(
         "controller listening on {addr} — {} machines, {} ticks of {:.0} s",
-        spec.members, total_ticks, exp.t_l0
+        spec.members,
+        core.hello().total_ticks,
+        exp.t_l0
     );
 
-    let agent_exp = exp.clone();
-    let agent_trace = trace.clone();
     let agent = std::thread::spawn(move || {
         let store = spec.store();
-        let mut core = AgentCore::new(
-            spec.scenario_config().to_sim_config(),
-            &agent_exp,
-            &agent_trace,
-            &store,
-        )
-        .expect("well-formed plant");
+        let mut core = Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+            .expect("well-formed plant");
         let stream = TcpStream::connect(addr).expect("controller is listening");
         let mut link = TcpLink::new(stream).expect("link");
         run_agent(&mut core, &mut link, None).expect("lossless lockstep session");
         (core.reconcile_report(), core.wedged_events())
     });
 
-    let members: Vec<Vec<usize>> = {
-        let sizes: Vec<usize> = spec
-            .scenario_config()
-            .member_specs()
-            .iter()
-            .map(Vec::len)
-            .collect();
-        let mut members = Vec::new();
-        let mut next = 0usize;
-        for n in sizes {
-            members.push((next..next + n).collect());
-            next += n;
-        }
-        members
-    };
-    let mut core = ControldCore::new(spec.policy(), members, exp.t_l0, total_ticks);
     let (stream, peer) = listener.accept().expect("agent connects");
     println!("agent connected from {peer}");
     let mut link = TcpLink::new(stream).expect("link");

@@ -8,11 +8,9 @@
 //! the lockstep session replays the exact observe → ingest → step →
 //! actuate → advance ordering of the in-process loop.
 
-use llc_cluster::{Directive, Experiment, HierarchicalPolicy};
+use llc_cluster::{Directive, Experiment, HierarchicalPolicy, Plant};
 use llc_net::scenario::{Family, RunSpec};
-use llc_net::{
-    run_agent, serve_controller, AgentCore, ControldCore, FrameTransport, LinkCounters, TcpLink,
-};
+use llc_net::{run_agent, serve_controller, FrameTransport, LinkCounters, TcpLink};
 use llc_workload::Trace;
 use std::net::TcpListener;
 
@@ -33,9 +31,6 @@ fn run_distributed(
     llc_cluster::MetricsSnapshot,
     [LinkCounters; 2],
 ) {
-    let ticks_trace = trace.rebucket(exp.t_l0).expect("well-formed trace");
-    let total_ticks = ticks_trace.len() as u64;
-
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound");
 
@@ -44,7 +39,7 @@ fn run_distributed(
     let agent_trace = trace.clone();
     let agent = std::thread::spawn(move || {
         let store = agent_spec.store();
-        let mut core = AgentCore::new(
+        let mut core = Plant::new(
             agent_spec.scenario_config().to_sim_config(),
             &agent_exp,
             &agent_trace,
@@ -61,22 +56,7 @@ fn run_distributed(
         )
     });
 
-    let members: Vec<Vec<usize>> = {
-        let sizes: Vec<usize> = spec
-            .scenario_config()
-            .member_specs()
-            .iter()
-            .map(Vec::len)
-            .collect();
-        let mut members = Vec::new();
-        let mut next = 0usize;
-        for n in sizes {
-            members.push((next..next + n).collect());
-            next += n;
-        }
-        members
-    };
-    let mut core = ControldCore::new(spec.policy(), members, exp.t_l0, total_ticks);
+    let mut core = spec.controller();
     let (stream, _) = listener.accept().expect("agent connects");
     let mut link = TcpLink::new(stream).expect("link");
     serve_controller(&mut core, &mut link, None).expect("lossless lockstep session");

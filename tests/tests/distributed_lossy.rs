@@ -13,13 +13,13 @@
 //! actuates a duplicate.
 
 use llc_cluster::{
-    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, PolicyBuilder,
+    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, Plant, PolicyBuilder,
     ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_net::{
-    decode_directive, encode_directive, encode_heartbeat, encode_observation, AgentCore,
-    ControldCore, FrameKind, FrameTransport, Impairment, LossyLink, PipeLink,
+    decode_directive, encode_directive, encode_heartbeat, encode_observation, ControldCore,
+    FrameKind, FrameTransport, Heartbeat, Impairment, LossyLink, PipeLink,
 };
 use llc_workload::{fault_scenarios, FaultEvent, FaultKind, FaultPlan, Trace, VirtualStore};
 
@@ -79,7 +79,7 @@ fn run_lossy(
 ) -> (
     HierarchicalPolicy,
     llc_cluster::TransportMetrics,
-    llc_net::ReconcileReport,
+    llc_cluster::ReconcileReport,
     u64,
     u32,
 ) {
@@ -88,7 +88,7 @@ fn run_lossy(
     let exp = Experiment::paper_default(5); // no plant faults: the *link* is the fault
     let store = VirtualStore::paper_default(5);
     let mut agent =
-        AgentCore::new(sc.to_sim_config(), &exp, &trace, &store).expect("well-formed plant");
+        Plant::new(sc.to_sim_config(), &exp, &trace, &store).expect("well-formed plant");
     let total_ticks = agent.total_ticks();
     let mut ctrl = ControldCore::new(policy(&sc), agent.members().to_vec(), exp.t_l0, total_ticks);
 
@@ -106,7 +106,10 @@ fn run_lossy(
                 .expect("pipe send");
         }
         agent_link
-            .send(FrameKind::Heartbeat, encode_heartbeat(&agent.heartbeat()))
+            .send(
+                FrameKind::Heartbeat,
+                encode_heartbeat(&Heartbeat::agent(&agent)),
+            )
             .expect("pipe send");
 
         // The controller's window deadline: drain whatever arrived,
@@ -144,7 +147,7 @@ fn run_lossy(
         .clone();
     let reconcile = agent.reconcile_report();
     let wedged = agent.wedged_events();
-    let heartbeat_wedged = agent.heartbeat().wedged;
+    let heartbeat_wedged = Heartbeat::agent(&agent).wedged;
     (
         ctrl.into_policy(),
         transport,
@@ -274,7 +277,7 @@ fn wedged_actuator_is_detected_and_reported() {
     };
     let store = VirtualStore::paper_default(5);
     let mut agent =
-        AgentCore::new(sc.to_sim_config(), &exp, &stuck.trace, &store).expect("well-formed plant");
+        Plant::new(sc.to_sim_config(), &exp, &stuck.trace, &store).expect("well-formed plant");
     let total_ticks = agent.total_ticks();
     let mut ctrl = ControldCore::new(policy(&sc), agent.members().to_vec(), exp.t_l0, total_ticks);
 
@@ -287,7 +290,10 @@ fn wedged_actuator_is_detected_and_reported() {
                 .expect("pipe send");
         }
         agent_link
-            .send(FrameKind::Heartbeat, encode_heartbeat(&agent.heartbeat()))
+            .send(
+                FrameKind::Heartbeat,
+                encode_heartbeat(&Heartbeat::agent(&agent)),
+            )
             .expect("pipe send");
         while let Some(frame) = ctrl_link.recv(None).expect("pipe recv") {
             ctrl.handle_frame(&frame).expect("lossless frames decode");
@@ -318,7 +324,10 @@ fn wedged_actuator_is_detected_and_reported() {
     // One more heartbeat would carry it upstream; the controller's
     // transport metrics expose the last report it saw.
     agent_link
-        .send(FrameKind::Heartbeat, encode_heartbeat(&agent.heartbeat()))
+        .send(
+            FrameKind::Heartbeat,
+            encode_heartbeat(&Heartbeat::agent(&agent)),
+        )
         .expect("pipe send");
     while let Some(frame) = ctrl_link.recv(None).expect("pipe recv") {
         ctrl.handle_frame(&frame).expect("lossless frames decode");

@@ -191,14 +191,11 @@ fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
     let trace = Trace::new(30.0, vec![70.0 * 30.0; total_ticks as usize]).unwrap();
     let store = VirtualStore::paper_default(8);
     let mut plant = Plant::new(scenario.to_sim_config(), &experiment, &trace, &store).unwrap();
-    let mut plane = ControlPlane::new(
-        &mut policy,
-        plant.adapter.members().to_vec(),
-        experiment.t_l0,
-    );
+    let mut plane = ControlPlane::new(&mut policy, plant.members().to_vec(), experiment.t_l0);
 
-    for tick in 0..total_ticks {
-        let mut observation = plant.adapter.observe(tick).pop().expect("one module");
+    while !plant.finished() {
+        let tick = plant.tick();
+        let mut observation = plant.observations().pop().expect("one module");
         if tick == poisoned_tick {
             observation.members[1].window.energy = f64::NAN;
         }
@@ -217,8 +214,10 @@ fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
         } else {
             assert_eq!((refused, dark_filled), (None, 0), "tick {tick}");
         }
-        plant.adapter.actuate(&plane.drain_directives()).unwrap();
-        plant.inject_window(tick).unwrap();
+        for directive in plane.drain_directives() {
+            plant.stage(directive);
+        }
+        plant.commit_window().unwrap();
     }
     drop(plane);
 

@@ -27,13 +27,13 @@
 
 use llc_cluster::{
     cluster_of, paper_cluster_16, single_module, ControlPlane, Directive, DirectiveEmit,
-    Experiment, FaultToleranceConfig, HierarchicalPolicy, ObservationIngest, PolicyBuilder,
+    Experiment, FaultToleranceConfig, HierarchicalPolicy, ObservationIngest, Plant, PolicyBuilder,
     RetrainConfig, ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_net::{
-    decode_directive, encode_directive, encode_heartbeat, encode_observation, AgentCore,
-    ControldCore, FrameKind, FrameTransport, PipeLink,
+    decode_directive, encode_directive, encode_heartbeat, encode_observation, ControldCore,
+    FrameKind, FrameTransport, Heartbeat, PipeLink,
 };
 use llc_tests::Fnv;
 use llc_workload::{
@@ -201,7 +201,7 @@ fn check(runs: Vec<Run>) {
 }
 
 /// Window `tick` as the agent just committed it.
-fn window(core: &AgentCore, directives: Vec<Directive>) -> Tick {
+fn window(core: &Plant, directives: Vec<Directive>) -> Tick {
     let stats = core.adapter().window_stats();
     let sim = core.adapter().sim();
     Tick {
@@ -221,7 +221,7 @@ fn run_in_process(
     trace: &Trace,
 ) -> Vec<Tick> {
     let store = VirtualStore::paper_default(exp.seed);
-    let mut core = AgentCore::new(scenario.to_sim_config(), exp, trace, &store).unwrap();
+    let mut core = Plant::new(scenario.to_sim_config(), exp, trace, &store).unwrap();
     let mut plane = ControlPlane::new(policy, core.members().to_vec(), exp.t_l0);
     let mut ticks = Vec::new();
     while !core.finished() {
@@ -249,7 +249,7 @@ fn run_over_pipe(
     trace: &Trace,
 ) -> Vec<Tick> {
     let store = VirtualStore::paper_default(exp.seed);
-    let mut agent = AgentCore::new(scenario.to_sim_config(), exp, trace, &store).unwrap();
+    let mut agent = Plant::new(scenario.to_sim_config(), exp, trace, &store).unwrap();
     let mut ctrl = ControldCore::new(
         policy,
         agent.members().to_vec(),
@@ -265,7 +265,10 @@ fn run_over_pipe(
                 .unwrap();
         }
         agent_link
-            .send(FrameKind::Heartbeat, encode_heartbeat(&agent.heartbeat()))
+            .send(
+                FrameKind::Heartbeat,
+                encode_heartbeat(&Heartbeat::agent(&agent)),
+            )
             .unwrap();
         while let Some(frame) = ctrl_link.recv(None).unwrap() {
             ctrl.handle_frame(&frame).unwrap();

@@ -9,7 +9,6 @@ use llc_cluster::{
     cluster_of, paper_cluster_16, Action, ClusterPolicy, ControlPlane, DirectiveEmit, Experiment,
     HierarchicalPolicy, ModuleState, ObservationIngest, Observations, Plant, ScenarioConfig,
 };
-use llc_net::AgentCore;
 use llc_workload::{Trace, VirtualStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -188,7 +187,7 @@ fn an_l0_only_round_of_the_32_module_plane_allocates_only_its_ingest_slot() {
     let exp = Experiment::paper_default(17);
     let trace = Trace::new(30.0, vec![300.0 * 30.0; 40]).unwrap();
     let store = VirtualStore::paper_default(3);
-    let mut agent = AgentCore::new(scenario.to_sim_config(), &exp, &trace, &store).unwrap();
+    let mut agent = Plant::new(scenario.to_sim_config(), &exp, &trace, &store).unwrap();
     let policy = HierarchicalPolicy::build(&scenario);
     let cadence = policy.cadence();
     let mut plane = ControlPlane::new(policy, agent.members().to_vec(), exp.t_l0);
@@ -233,11 +232,11 @@ fn a_plant_window_allocates_nothing_once_the_crest_has_passed() {
     )
     .unwrap();
     for (tick, &count) in counts.iter().enumerate() {
-        let (injected, allocations) = counted(|| plant.inject_window(tick as u64).unwrap());
+        let (injected, allocations) = counted(|| plant.commit_window().unwrap());
         assert_eq!(injected, count as usize);
         if tick > 0 {
             assert_eq!(allocations, 0, "window {tick} of {count} arrivals");
         }
     }
-    assert_eq!(plant.adapter.sim().dropped(), 0);
+    assert_eq!(plant.adapter().sim().dropped(), 0);
 }
