@@ -135,17 +135,19 @@ pub fn paper_cluster_20() -> ScenarioConfig {
     paper_scenario(5)
 }
 
+/// Most computers [`single_module`] builds a module of.
+pub const MAX_SINGLE_MODULE: usize = 10;
+
 /// A single-module scenario (the §4.3 experiments: m computers, no L2).
 pub fn single_module(m: usize) -> ScenarioConfig {
     use FrequencyProfile::*;
-    let profiles = [
+    let profiles: [FrequencyProfile; MAX_SINGLE_MODULE] = [
         MobileSix, WideEight, BusSeven, TallEight, TallEight, WideEight, BusSeven, MobileSix,
         TallEight, WideEight,
     ];
     assert!(
-        (1..=profiles.len()).contains(&m),
-        "single module supports 1..={} computers",
-        profiles.len()
+        (1..=MAX_SINGLE_MODULE).contains(&m),
+        "single module supports 1..={MAX_SINGLE_MODULE} computers"
     );
     let mut config = paper_scenario(1);
     config.modules = vec![profiles[..m]

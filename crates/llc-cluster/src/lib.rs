@@ -50,6 +50,7 @@ pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
 pub use builder::PolicyBuilder;
 pub use config::{
     cluster_of, module_of_four, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,
+    MAX_SINGLE_MODULE,
 };
 pub use control::{
     Cadence, ControlPlane, Directive, DirectiveEmit, DirectiveKind, IngestError, LatencyStats,

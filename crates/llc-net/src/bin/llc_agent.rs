@@ -16,7 +16,6 @@
 //! rejects mismatches. In paced mode (`--pace-ms > 0`) a dropped
 //! connection is retried with backoff until the run completes.
 
-use llc_cluster::Plant;
 use llc_net::scenario::{flag_value, RunSpec};
 use llc_net::{run_agent, SessionError, TcpLink};
 use std::net::TcpStream;
@@ -43,9 +42,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let (exp, trace) = spec.experiment_and_trace();
     let store = spec.store();
-    let mut core = match Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store) {
+    let mut core = match spec.plant(&store) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("llc-agent: cannot instantiate plant: {e}");

@@ -60,6 +60,6 @@ pub use link::{FrameTransport, Impairment, LinkCounters, LinkError, LossyLink, P
 pub use scenario::{Family, RunSpec};
 pub use session::{run_agent, serve_controller, SessionError};
 
-// `benchmark/` is built from outside this workspace and names the
-// agent's plant `AgentCore`.
+// `benchmark/` is built from outside this workspace and still names
+// the agent's plant by its old name.
 pub use llc_cluster::{Plant as AgentCore, ReconcileReport, Reconciler};

@@ -11,16 +11,19 @@
 
 use crate::controld::ControldCore;
 use llc_cluster::{
-    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, PolicyBuilder,
-    ScenarioConfig,
+    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, Plant, PolicyBuilder,
+    ScenarioConfig, MAX_SINGLE_MODULE,
 };
 use llc_core::OnlineConfig;
-use llc_workload::{drift_scenarios, fault_scenarios, Trace, VirtualStore};
+use llc_sim::SimError;
+use llc_workload::{
+    drift_scenarios, fault_scenarios, Trace, VirtualStore, MIN_FAULT_MACHINES, MIN_FAULT_TICKS,
+};
 use std::str::FromStr;
 use std::time::Duration;
 
-/// Most machines [`single_module`] builds a module of.
-const MAX_MEMBERS: usize = 10;
+/// Seconds per trace bucket (`T_L1`).
+const BUCKET_S: f64 = 120.0;
 
 /// Which bench family to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,31 +92,32 @@ impl RunSpec {
     /// # Errors
     ///
     /// A message naming the flag: an unknown scenario, a flag without
-    /// its value, a value that is not an unsigned integer, members
-    /// outside `1..=10` (the module [`single_module`] builds) or zero
-    /// buckets.
+    /// its value, a value that is not an unsigned integer, or a run the
+    /// family cannot build. Every family needs at least one bucket and
+    /// at most [`MAX_SINGLE_MODULE`] members; the faults family needs
+    /// [`MIN_FAULT_MACHINES`] members and [`MIN_FAULT_TICKS`] ticks
+    /// (10 buckets).
     pub fn from_args(args: &[String]) -> Result<(RunSpec, Option<Duration>), String> {
         let family = match flag_value(args, "--scenario")? {
             Some(name) => Family::parse(name)?,
             None => Family::ClosedLoop,
         };
         let mut spec = RunSpec::defaults(family);
-        if let Some(members) = parsed(args, "--members")? {
-            if !(1..=MAX_MEMBERS).contains(&members) {
-                return Err(format!(
-                    "--members takes 1..={MAX_MEMBERS} machines, got {members}"
-                ));
-            }
-            spec.members = members;
-        }
-        if let Some(buckets) = parsed(args, "--buckets")? {
-            if buckets == 0 {
-                return Err("--buckets takes at least one bucket".into());
-            }
-            spec.buckets = buckets;
-        }
-        if let Some(seed) = parsed(args, "--seed")? {
-            spec.seed = seed;
+        spec.members = parsed(args, "--members")?.unwrap_or(spec.members);
+        spec.buckets = parsed(args, "--buckets")?.unwrap_or(spec.buckets);
+        spec.seed = parsed(args, "--seed")?.unwrap_or(spec.seed);
+        let (min_members, min_ticks) = match family {
+            Family::ClosedLoop => (1, 1),
+            Family::Faults => (MIN_FAULT_MACHINES, MIN_FAULT_TICKS),
+        };
+        let t_l0 = Experiment::paper_default(spec.seed).t_l0;
+        let min_buckets = (min_ticks as f64 * t_l0 / BUCKET_S).ceil() as usize;
+        let members_fit = (min_members..=MAX_SINGLE_MODULE).contains(&spec.members);
+        if !members_fit || spec.buckets < min_buckets {
+            return Err(format!(
+                "this scenario takes --members {min_members}..={MAX_SINGLE_MODULE} and \
+                 --buckets {min_buckets} or more"
+            ));
         }
         let pace_ms: u64 = parsed(args, "--pace-ms")?.unwrap_or(0);
         let pace = (pace_ms > 0).then(|| Duration::from_millis(pace_ms));
@@ -141,7 +145,7 @@ impl RunSpec {
         match self.family {
             Family::ClosedLoop => {
                 let scenario =
-                    drift_scenarios(0xC105ED, self.buckets, 120.0, 0.55 * self.capacity())
+                    drift_scenarios(0xC105ED, self.buckets, BUCKET_S, 0.55 * self.capacity())
                         .swap_remove(2);
                 let exp = Experiment {
                     drift: Some(scenario.capacity),
@@ -150,9 +154,14 @@ impl RunSpec {
                 (exp, scenario.trace)
             }
             Family::Faults => {
-                let fs =
-                    fault_scenarios(0xFA11, self.buckets, 120.0, self.capacity(), self.members)
-                        .swap_remove(0);
+                let fs = fault_scenarios(
+                    0xFA11,
+                    self.buckets,
+                    BUCKET_S,
+                    self.capacity(),
+                    self.members,
+                )
+                .swap_remove(0);
                 let exp = Experiment {
                     faults: Some(fs.plan),
                     ..Experiment::paper_default(self.seed)
@@ -168,9 +177,20 @@ impl RunSpec {
         VirtualStore::paper_default(self.seed)
     }
 
+    /// The agent's plant for this run, drawing request bodies from
+    /// `store` (this spec's [`store`](RunSpec::store)).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from [`Plant::new`].
+    pub fn plant<'a>(&self, store: &'a VirtualStore) -> Result<Plant<'a>, SimError> {
+        let (exp, trace) = self.experiment_and_trace();
+        Plant::new(self.scenario_config().to_sim_config(), &exp, &trace, store)
+    }
+
     /// The controller for this run: the family's policy over the
     /// topology it was built for, for as many ticks as the agent's
-    /// [`Plant`](llc_cluster::Plant) runs.
+    /// [`plant`](RunSpec::plant) runs.
     pub fn controller(&self) -> ControldCore<HierarchicalPolicy> {
         let (exp, trace) = self.experiment_and_trace();
         let total_ticks = trace
@@ -267,6 +287,8 @@ mod tests {
         for line in [
             "--members 0",
             "--members 11",
+            "--scenario faults --members 1",
+            "--scenario faults --buckets 9",
             "--members two",
             "--buckets 0",
             "--buckets -3",
@@ -282,13 +304,32 @@ mod tests {
     }
 
     #[test]
+    fn the_edges_of_the_accepted_flags_build_both_ends() {
+        for line in [
+            "--members 1 --buckets 1",
+            "--members 10",
+            "--scenario faults --members 2 --buckets 10",
+            "--scenario faults --members 10",
+        ] {
+            let (spec, _) = RunSpec::from_args(&args(line)).unwrap();
+            let store = spec.store();
+            let plant = spec.plant(&store).unwrap();
+            let controller = spec.controller();
+            assert_eq!(controller.plane().members(), plant.members(), "{line}");
+            assert_eq!(
+                controller.hello().total_ticks,
+                plant.total_ticks(),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
     fn the_controller_manages_the_plant_the_agent_builds() {
         for family in [Family::ClosedLoop, Family::Faults] {
             let spec = RunSpec::defaults(family);
-            let (exp, trace) = spec.experiment_and_trace();
             let store = spec.store();
-            let sim_config = spec.scenario_config().to_sim_config();
-            let plant = llc_cluster::Plant::new(sim_config, &exp, &trace, &store).unwrap();
+            let plant = spec.plant(&store).unwrap();
             let controller = spec.controller();
             assert_eq!(controller.plane().members(), plant.members());
             assert_eq!(controller.hello().total_ticks, plant.total_ticks());

@@ -10,7 +10,7 @@ use llc_net::{
     HEADER_LEN, VERSION,
 };
 
-use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation, Plant};
+use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation};
 use llc_sim::{PowerState, WindowStats};
 use proptest::prelude::*;
 use proptest::{collection, strategy::Strategy};
@@ -392,11 +392,8 @@ proptest! {
         stream in collection::vec((0u64..100_000, arb_wild_kind()), 1..24),
     ) {
         let spec = RunSpec::defaults(Family::ClosedLoop);
-        let (exp, trace) = spec.experiment_and_trace();
         let store = spec.store();
-        let mut agent =
-            Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
-                .expect("well-formed plant");
+        let mut agent = spec.plant(&store).expect("well-formed plant");
         let staged = stream.len() as u64;
         for (epoch, kind) in stream {
             let sent = Directive { tick: 0, time: 0.0, level: Level::L1, epoch, kind };

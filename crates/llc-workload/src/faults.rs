@@ -155,6 +155,11 @@ fn steady_trace(seed: u64, buckets: usize, interval: f64, peak_rate: f64, load_f
     .build(seed)
 }
 
+/// Fewest machines [`fault_scenarios`] takes: a crash needs a survivor.
+pub const MIN_FAULT_MACHINES: usize = 2;
+/// Fewest 30 s ticks a [`fault_scenarios`] run spans.
+pub const MIN_FAULT_TICKS: u64 = 40;
+
 /// The four canonical fault scenarios over `buckets` buckets of
 /// `interval` seconds, with arrival rates near 55–70 % of `peak_rate`
 /// requests/second (the load must still fit the survivors of a crash),
@@ -165,8 +170,9 @@ fn steady_trace(seed: u64, buckets: usize, interval: f64, peak_rate: f64, load_f
 ///
 /// # Panics
 ///
-/// Panics if `buckets == 0`, `interval <= 0`, `peak_rate <= 0`, or
-/// `machines < 2` (every scenario needs a surviving peer).
+/// Panics if `buckets == 0`, `interval <= 0`, `peak_rate <= 0`,
+/// `machines < MIN_FAULT_MACHINES`, or the run spans fewer than
+/// [`MIN_FAULT_TICKS`] ticks.
 pub fn fault_scenarios(
     seed: u64,
     buckets: usize,
@@ -177,9 +183,9 @@ pub fn fault_scenarios(
     assert!(buckets > 0, "need at least one bucket");
     assert!(interval > 0.0, "interval must be positive");
     assert!(peak_rate > 0.0, "peak rate must be positive");
-    assert!(machines >= 2, "fault scenarios need a surviving peer");
+    assert!(machines >= MIN_FAULT_MACHINES, "no surviving peer");
     let ticks = (buckets as f64 * interval / 30.0).round() as u64;
-    assert!(ticks >= 40, "run too short for the fault schedules");
+    assert!(ticks >= MIN_FAULT_TICKS, "run too short for faults");
     let t = |frac: f64| (frac * ticks as f64).round() as u64;
     let trace =
         |salt: u64, load: f64| steady_trace(seed ^ salt, buckets, interval, peak_rate, load);

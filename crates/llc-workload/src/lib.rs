@@ -65,7 +65,10 @@ mod wc98;
 
 pub use distributions::{derive_seed, Gaussian, LogNormal, Zipf};
 pub use drift::{deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario};
-pub use faults::{fault_scenarios, FaultEvent, FaultKind, FaultPlan, FaultScenario};
+pub use faults::{
+    fault_scenarios, FaultEvent, FaultKind, FaultPlan, FaultScenario, MIN_FAULT_MACHINES,
+    MIN_FAULT_TICKS,
+};
 pub use flash::FlashCrowd;
 pub use locality::{LocalityModel, RequestSampler};
 pub use store::VirtualStore;

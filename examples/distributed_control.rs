@@ -21,14 +21,12 @@
 //!
 //! Run with: `cargo run --release -p llc-examples --example distributed_control`
 
-use llc_cluster::Plant;
 use llc_net::scenario::{Family, RunSpec};
 use llc_net::{run_agent, serve_controller, FrameTransport, TcpLink};
 use std::net::{TcpListener, TcpStream};
 
 fn main() {
     let spec = RunSpec::defaults(Family::Faults);
-    let (exp, trace) = spec.experiment_and_trace();
     let mut core = spec.controller();
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
@@ -37,13 +35,12 @@ fn main() {
         "controller listening on {addr} — {} machines, {} ticks of {:.0} s",
         spec.members,
         core.hello().total_ticks,
-        exp.t_l0
+        core.hello().t_l0
     );
 
     let agent = std::thread::spawn(move || {
         let store = spec.store();
-        let mut core = Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
-            .expect("well-formed plant");
+        let mut core = spec.plant(&store).expect("well-formed plant");
         let stream = TcpStream::connect(addr).expect("controller is listening");
         let mut link = TcpLink::new(stream).expect("link");
         run_agent(&mut core, &mut link, None).expect("lossless lockstep session");

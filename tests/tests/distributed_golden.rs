@@ -8,10 +8,9 @@
 //! the lockstep session replays the exact observe → ingest → step →
 //! actuate → advance ordering of the in-process loop.
 
-use llc_cluster::{Directive, Experiment, HierarchicalPolicy, Plant};
+use llc_cluster::{Directive, HierarchicalPolicy};
 use llc_net::scenario::{Family, RunSpec};
 use llc_net::{run_agent, serve_controller, FrameTransport, LinkCounters, TcpLink};
-use llc_workload::Trace;
 use std::net::TcpListener;
 
 /// Run the distributed loop — controller serving on an OS-assigned
@@ -21,8 +20,6 @@ use std::net::TcpListener;
 /// and the controller's link counters).
 fn run_distributed(
     spec: &RunSpec,
-    exp: &Experiment,
-    trace: &Trace,
 ) -> (
     Vec<Directive>,
     Vec<Directive>,
@@ -35,17 +32,9 @@ fn run_distributed(
     let addr = listener.local_addr().expect("bound");
 
     let agent_spec = *spec;
-    let agent_exp = exp.clone();
-    let agent_trace = trace.clone();
     let agent = std::thread::spawn(move || {
         let store = agent_spec.store();
-        let mut core = Plant::new(
-            agent_spec.scenario_config().to_sim_config(),
-            &agent_exp,
-            &agent_trace,
-            &store,
-        )
-        .expect("well-formed plant");
+        let mut core = agent_spec.plant(&store).expect("well-formed plant");
         let stream = std::net::TcpStream::connect(addr).expect("controller is listening");
         let mut link = TcpLink::new(stream).expect("link");
         run_agent(&mut core, &mut link, None).expect("lossless lockstep session");
@@ -75,18 +64,15 @@ fn run_distributed(
 }
 
 /// In-process reference: the canonical `Experiment::run`.
-fn run_in_process(
-    spec: &RunSpec,
-    exp: &Experiment,
-    trace: &Trace,
-) -> (Vec<Directive>, HierarchicalPolicy) {
+fn run_in_process(spec: &RunSpec) -> (Vec<Directive>, HierarchicalPolicy) {
+    let (exp, trace) = spec.experiment_and_trace();
     let store = spec.store();
     let mut policy = spec.policy();
     let log = exp
         .run(
             spec.scenario_config().to_sim_config(),
             &mut policy,
-            trace,
+            &trace,
             &store,
         )
         .expect("well-formed scenario");
@@ -95,11 +81,10 @@ fn run_in_process(
 
 fn assert_golden(family: Family) {
     let spec = RunSpec::defaults(family);
-    let (exp, trace) = spec.experiment_and_trace();
 
-    let (reference, ref_policy) = run_in_process(&spec, &exp, &trace);
+    let (reference, ref_policy) = run_in_process(&spec);
     let (networked, applied, net_policy, wedged, metrics, [agent_link, controller_link]) =
-        run_distributed(&spec, &exp, &trace);
+        run_distributed(&spec);
 
     assert_eq!(
         reference.len(),
