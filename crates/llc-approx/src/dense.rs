@@ -317,7 +317,7 @@ impl<V> DenseGrid<V> {
     /// Insert-or-blend — the §6 write path. A stored cell blends toward
     /// the observed `target` with the weight `cfg` gives its accumulated
     /// confidence, so the map self-corrects under drift without an
-    /// offline retraining pass; a cell never stored (a hole, or beyond
+    /// offline learning pass; a cell never stored (a hole, or beyond
     /// the trained box) is *grown*: inserted at the target, weight 1.0.
     /// Returns the weight applied — 0.0 when a new cell was refused
     /// because the grid already holds its bound of grown cells.
@@ -380,36 +380,6 @@ impl<V> DenseGrid<V> {
         let grown = self.grown.values_mut().map(|(_, conf)| conf);
         for count in self.confidence.iter_mut().chain(grown) {
             *count *= factor;
-        }
-    }
-
-    /// Visit every stored cell that has absorbed at least
-    /// `min_confidence` online observations (and at least one), as
-    /// `(cell center, value, confidence)` — the reseed surface of the
-    /// retrain hot-swap: cells the plant has actually visited carry
-    /// *measured* truth worth carrying into a freshly rebuilt map, while
-    /// offline-only cells are exactly what the rebuild replaces. Cells
-    /// are visited in ascending key order, trained and grown alike, so
-    /// re-applying them into another map is reproducible.
-    pub fn for_each_confident(&self, min_confidence: f64, f: &mut dyn FnMut(&[f64], &V, f64)) {
-        let keep = |conf: &f64| *conf > 0.0 && *conf >= min_confidence;
-        let trained = self
-            .confidence
-            .iter()
-            .enumerate()
-            .filter(|(_, conf)| keep(conf))
-            .map(|(idx, &conf)| (self.key_of_slot(idx), &self.values[idx], conf));
-        let grown = self
-            .grown
-            .iter()
-            .filter(|(_, (_, conf))| keep(conf))
-            .map(|(key, (v, conf))| (*key, v, *conf));
-        let mut cells: Vec<(CellKey, &V, f64)> = trained.chain(grown).collect();
-        cells.sort_unstable_by_key(|&(key, _, _)| key);
-        let mut centers = vec![0.0; self.dims.len()];
-        for (key, v, conf) in cells {
-            self.centers_into(&key, &mut centers);
-            f(&centers, v, conf);
         }
     }
 }
@@ -517,18 +487,6 @@ mod tests {
         }
     }
 
-    fn confident_cells<V: Copy>(
-        visit: impl Fn(f64, &mut dyn FnMut(&[f64], &V, f64)),
-        min_confidence: f64,
-    ) -> Vec<(Vec<u64>, V, u64)> {
-        let mut out = Vec::new();
-        visit(min_confidence, &mut |centers, v, conf| {
-            let centers = centers.iter().map(|c| c.to_bits()).collect();
-            out.push((centers, *v, conf.to_bits()));
-        });
-        out
-    }
-
     /// The differential that lets the hash table leave product code:
     /// interleaved online writes, staleness sweeps and reads answer
     /// bit-for-bit as [`LookupTable`] does, on grids whose λ axis
@@ -586,13 +544,6 @@ mod tests {
             }
             assert_eq!(hash.len(), dense.len(), "sampler {si}: stored cells");
             assert!(dense.len() > dense.values.len() + 50, "sampler {si}: grew");
-            for min_confidence in [0.0, 1.5] {
-                assert_eq!(
-                    confident_cells(|m, f| hash.for_each_confident(m, f), min_confidence),
-                    confident_cells(|m, f| dense.for_each_confident(m, f), min_confidence),
-                    "sampler {si}: confident-cell visit at {min_confidence}"
-                );
-            }
         }
     }
 

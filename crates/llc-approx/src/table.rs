@@ -71,7 +71,7 @@ impl<V: Clone> LookupTable<V> {
     /// Insert (or overwrite) the value for the cell containing `point`.
     ///
     /// This is the *offline* write path: it also resets the cell's online
-    /// confidence, so a retrained cell behaves like a fresh prior.
+    /// confidence, so a re-learned cell behaves like a fresh prior.
     pub(crate) fn insert(&mut self, point: &[f64], value: V) {
         let cells = self.cells_of(point);
         for (i, &c) in cells.iter().enumerate() {
@@ -170,34 +170,6 @@ impl<V: Clone> LookupTable<V> {
                 da.cmp(&db).then_with(|| ka.cmp(kb))
             })
             .map(|(_, v)| v)
-    }
-
-    /// Visit stored cells holding at least `min_confidence` online
-    /// observations (and at least one) as `(cell center, value,
-    /// confidence)`, in sorted cell-key order so the visit — and any map
-    /// rebuilt from it — is deterministic regardless of hash iteration
-    /// order.
-    pub(crate) fn for_each_confident(
-        &self,
-        min_confidence: f64,
-        f: &mut dyn FnMut(&[f64], &V, f64),
-    ) {
-        let mut cells: Vec<&Vec<i64>> = self
-            .confidence
-            .iter()
-            .filter(|(cells, &conf)| {
-                conf > 0.0 && conf >= min_confidence && self.map.contains_key(*cells)
-            })
-            .map(|(cells, _)| cells)
-            .collect();
-        cells.sort();
-        let mut centers = vec![0.0; self.dims.len()];
-        for key in cells {
-            for (d, (&c, q)) in key.iter().zip(&self.dims).enumerate() {
-                centers[d] = q.center(c);
-            }
-            f(&centers, &self.map[key], self.confidence[key]);
-        }
     }
 }
 
@@ -319,7 +291,7 @@ mod tests {
         t.update(&p, &50.0, &BlendConfig::default());
         assert_eq!(t.confidence(&p), 1.0);
         t.insert(&p, 3.0);
-        assert_eq!(t.confidence(&p), 0.0, "retrained cell is a fresh prior");
+        assert_eq!(t.confidence(&p), 0.0, "re-learned cell is a fresh prior");
         t.decay_confidence(0.5);
         assert_eq!(t.confidence(&p), 0.0);
     }

@@ -18,19 +18,19 @@
 //!
 //! A fourth scenario, **deep-degradation** (capacity steps to half of
 //! nominal while the load still fits the degraded plant), compares the
-//! plain closed loop against the **self-healing** stack — drift-aware
-//! L0 (`ServiceScaleEstimator` threaded through the queue model) plus
-//! the `RetrainManager` background rebuild + hot-swap.
+//! plain closed loop against the **self-healing** arm: the same closed
+//! loop over a drift-aware L0 (`ServiceScaleEstimator` threaded through
+//! the queue model).
 //!
 //! Emits machine-readable `BENCH_closed_loop.json` at the workspace
 //! root; `--quick` shortens the run (no JSON rewrite); `--check` gates:
 //! exit non-zero unless, on **every** drift scenario, closed-loop beats
 //! offline-only tracking error — and, on deep degradation, self-healing strictly
 //! beats the drift-blind closed loop's tracking MAE without flapping
-//! frequencies more, with at least one in-run rebuild hot-swapped.
+//! frequencies more.
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
-use llc_cluster::{single_module, Experiment, PolicyBuilder, RetrainConfig, ScenarioConfig};
+use llc_cluster::{single_module, Experiment, PolicyBuilder, ScenarioConfig};
 use llc_core::OnlineConfig;
 use llc_workload::{
     deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario, VirtualStore,
@@ -62,9 +62,8 @@ fn profile_in_ticks(profile: CapacityProfile, ratio: f64) -> CapacityProfile {
 enum Arm {
     Offline,
     Closed,
-    /// Closed loop + drift-aware L0 + retrain consumer (PR 4): the
-    /// self-healing stack, benched on the deep-degradation scenario
-    /// against the plain closed loop.
+    /// Drift-aware L0 + closed loop: the self-healing stack, benched on
+    /// the deep-degradation scenario against the plain closed loop.
     SelfHeal,
 }
 
@@ -83,25 +82,20 @@ struct ArmResult {
     samples: u64,
     online_updates: u64,
     detections: u64,
-    retrain: bool,
     /// Frequency switches summed over computers — the deep-degradation
     /// limit-cycle metric (the φ decision variance of the gate).
     freq_switches: usize,
-    /// Background rebuilds hot-swapped by the retrain consumer.
-    rebuilds: usize,
     run_ms: f64,
 }
 
 fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
     format!(
-        "    \"{scenario}:{arm}\": {{\n      \"tracking_mae\": {:.4},\n      \"samples\": {},\n      \"online_updates\": {},\n      \"drift_detections\": {},\n      \"retrain_recommended\": {},\n      \"freq_switches\": {},\n      \"rebuilds\": {},\n      \"run_ms\": {:.1}\n    }}",
+        "    \"{scenario}:{arm}\": {{\n      \"tracking_mae\": {:.4},\n      \"samples\": {},\n      \"online_updates\": {},\n      \"drift_detections\": {},\n      \"freq_switches\": {},\n      \"run_ms\": {:.1}\n    }}",
         r.tracking_mae,
         r.samples,
         r.online_updates,
         r.detections,
-        r.retrain,
         r.freq_switches,
-        r.rebuilds,
         r.run_ms,
     )
 }
@@ -123,10 +117,7 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
     let mut policy = match arm {
         Arm::Offline => builder.outcome_tracking(),
         Arm::Closed => builder.closed_loop(cfg),
-        Arm::SelfHeal => builder
-            .drift_aware_l0()
-            .closed_loop(cfg)
-            .retrain(RetrainConfig::default()),
+        Arm::SelfHeal => builder.drift_aware_l0().closed_loop(cfg),
     }
     .build();
     let ratio = scenario.trace.interval() / 30.0;
@@ -147,9 +138,7 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
         detections: (0..policy.num_modules())
             .map(|m| policy.l1(m).drift_detections())
             .sum(),
-        retrain: policy.retrain_recommended(),
         freq_switches: log.frequency_switches(),
-        rebuilds: policy.retrain_rebuilds(),
         run_ms,
     }
 }
@@ -202,18 +191,13 @@ fn main() {
         let closed = &results[1].1;
         println!(
             "{:<22} offline MAE {:>8.3}  closed MAE {:>8.3}  \
-             ({:.1}x better than offline, {} updates, {} detections{})",
+             ({:.1}x better than offline, {} updates, {} detections)",
             scenario.name,
             offline.tracking_mae,
             closed.tracking_mae,
             offline.tracking_mae / closed.tracking_mae.max(1e-12),
             closed.online_updates,
             closed.detections,
-            if closed.retrain {
-                ", retrain flagged"
-            } else {
-                ""
-            },
         );
         if closed.tracking_mae < offline.tracking_mae {
             offline_beaten += 1;
@@ -224,7 +208,7 @@ fn main() {
     }
 
     // --- Deep degradation: the self-healing stack (drift-aware L0 +
-    // retrain hot-swap) against the PR 3 closed loop. The drift-blind
+    // closed loop) against the drift-blind closed loop. The drift-blind
     // closed loop limit-cycles here: its queue model believes in
     // capacity the plant stopped delivering. ---
     let deep = deep_degradation_scenario(0xC105ED, buckets, 120.0, capacity);
@@ -250,14 +234,13 @@ fn main() {
     let deep_closed = &deep_results[0].1;
     let deep_heal = &deep_results[1].1;
     println!(
-        "{:<22} closed MAE {:>8.3} ({} switches)  selfheal MAE {:>8.3} ({} switches, {} rebuilds)  \
+        "{:<22} closed MAE {:>8.3} ({} switches)  selfheal MAE {:>8.3} ({} switches)  \
          ({:.1}x better)",
         deep.name,
         deep_closed.tracking_mae,
         deep_closed.freq_switches,
         deep_heal.tracking_mae,
         deep_heal.freq_switches,
-        deep_heal.rebuilds,
         deep_closed.tracking_mae / deep_heal.tracking_mae.max(1e-12),
     );
     for (arm, r) in &deep_results {
@@ -277,11 +260,10 @@ fn main() {
             );
             failed = true;
         }
-        // The self-healing invariants (PR 4): on deep degradation the
-        // drift-aware L0 + retrain hot-swap must strictly beat the
-        // drift-blind closed loop's tracking, must not flap frequencies
-        // more (no limit-cycle regression), and must have actually
-        // rebuilt and hot-swapped maps in-run.
+        // The self-healing invariants: on deep degradation the
+        // drift-aware L0 must strictly beat the drift-blind closed loop's
+        // tracking and must not flap frequencies more (no limit-cycle
+        // regression).
         if deep_heal.tracking_mae < deep_closed.tracking_mae {
             println!(
                 "gate ok  self-healing beats drift-blind closed loop on deep degradation \
@@ -305,15 +287,6 @@ fn main() {
                 "REGRESSION self-healing flaps frequencies more ({} > {})",
                 deep_heal.freq_switches, deep_closed.freq_switches
             );
-            failed = true;
-        }
-        if deep_heal.rebuilds >= 1 {
-            println!(
-                "gate ok  retrain consumer rebuilt and hot-swapped {} time(s) in-run",
-                deep_heal.rebuilds
-            );
-        } else {
-            eprintln!("REGRESSION retrain consumer never fired on deep degradation");
             failed = true;
         }
         if failed {

@@ -21,7 +21,7 @@ use llc_bench::figures::FIGURE_SEED;
 use llc_bench::report::{ms, quick_mode, write_csv};
 use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
 use llc_workload::{synthetic_paper_workload, VirtualStore};
-use std::time::Instant;
+use std::time::Duration;
 
 fn main() {
     println!("§3 — centralized vs hierarchical decision complexity\n");
@@ -92,15 +92,23 @@ fn main() {
 
         // Centralized.
         let members = scenario.member_specs().remove(0);
-        let mut c = CentralizedPolicy::new(CentralizedConfig::paper_default(), members);
-        let started = Instant::now();
+        let config = CentralizedConfig::paper_default();
+        let mut c = CentralizedPolicy::new(config, members);
         let log_c = Experiment::paper_default(FIGURE_SEED)
             .run(scenario.to_sim_config(), &mut c, &trace, &store)
             .expect("well-formed scenario");
-        let elapsed = started.elapsed();
         let sc = log_c.summary();
-        let decisions = (trace.rebucket(30.0).unwrap().len() as u64 / 4).max(1);
-        let c_decide = elapsed / decisions as u32;
+        // Decide time of the joint decisions alone, as the hierarchy's
+        // L1 overhead is: the ticks between them only refresh filters.
+        let joint: Vec<Duration> = log_c
+            .ticks
+            .iter()
+            .filter(|t| t.tick.is_multiple_of(config.period_ticks))
+            .map(|t| t.decision_time)
+            .collect();
+        let total_ns: u128 = joint.iter().map(Duration::as_nanos).sum();
+        let mean_ns = total_ns / joint.len().max(1) as u128;
+        let c_decide = Duration::from_nanos(u64::try_from(mean_ns).unwrap_or(u64::MAX));
         let c_states = c.mean_states_evaluated();
         println!(
             "{:<18} | {m:>3} | {:>14.0} | {:>13} | {:>12.2} | {:>12.0}",

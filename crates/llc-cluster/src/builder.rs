@@ -1,18 +1,23 @@
 //! One-stop construction of a fully configured [`HierarchicalPolicy`].
 //!
 //! The self-healing subsystems (closed-loop learning, the churn
-//! watchdog, the retrain consumer, the drift-aware L0) are all switched
-//! on here; [`PolicyBuilder`] is the only construction surface.
+//! watchdog, the drift-aware L0) are all switched on here;
+//! [`PolicyBuilder`] is the only construction surface.
 
 use crate::hierarchy::{FaultToleranceConfig, HierarchicalPolicy};
-use crate::retrain::RetrainConfig;
 use crate::ScenarioConfig;
 use llc_core::OnlineConfig;
 
+/// No-op until ROADMAP item 13: `benchmark/src/workloads.rs` passes it
+/// to [`PolicyBuilder::retrain`]. Drift is healed by the drift-aware L0
+/// and the online learner; nothing rebuilds maps in the background.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetrainConfig;
+
 /// Fluent builder for a [`HierarchicalPolicy`] with any combination of
 /// the optional subsystems: closed-loop learning (or its measure-only
-/// outcome-tracking variant), the churn watchdog, the retrain consumer,
-/// and the drift-aware L0.
+/// outcome-tracking variant), the churn watchdog and the drift-aware L0.
 ///
 /// ```no_run
 /// use llc_cluster::{single_module, PolicyBuilder};
@@ -20,7 +25,6 @@ use llc_core::OnlineConfig;
 /// let policy = PolicyBuilder::new(single_module(4).with_coarse_learning())
 ///     .closed_loop(llc_core::OnlineConfig::default())
 ///     .fault_tolerance(llc_cluster::FaultToleranceConfig::default())
-///     .retrain(llc_cluster::RetrainConfig::default())
 ///     .drift_aware_l0()
 ///     .build();
 /// ```
@@ -30,7 +34,6 @@ pub struct PolicyBuilder {
     closed_loop: Option<OnlineConfig>,
     outcome_tracking: bool,
     fault_tolerance: Option<FaultToleranceConfig>,
-    retrain: Option<RetrainConfig>,
     drift_aware_l0: bool,
 }
 
@@ -43,7 +46,6 @@ impl PolicyBuilder {
             closed_loop: None,
             outcome_tracking: false,
             fault_tolerance: None,
-            retrain: None,
             drift_aware_l0: false,
         }
     }
@@ -78,11 +80,11 @@ impl PolicyBuilder {
         self
     }
 
-    /// Switch on the retrain consumer: background map/model rebuild
-    /// with a deterministic hot-swap when the drift detectors latch.
+    /// No-op until ROADMAP item 13: `benchmark/src/workloads.rs` calls
+    /// it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn retrain(mut self, cfg: RetrainConfig) -> Self {
-        self.retrain = Some(cfg);
+    pub fn retrain(self, _: RetrainConfig) -> Self {
         self
     }
 
@@ -106,8 +108,7 @@ impl PolicyBuilder {
     /// # Panics
     ///
     /// Panics on out-of-range knobs in any configured subsystem (see
-    /// [`OnlineConfig::validated`], [`FaultToleranceConfig::validated`],
-    /// [`RetrainConfig::validated`]).
+    /// [`OnlineConfig::validated`], [`FaultToleranceConfig::validated`]).
     pub fn build(self) -> HierarchicalPolicy {
         let mut scenario = self.scenario;
         if self.drift_aware_l0 {
@@ -122,9 +123,6 @@ impl PolicyBuilder {
         }
         if let Some(cfg) = self.fault_tolerance {
             policy.set_fault_tolerance(cfg);
-        }
-        if let Some(cfg) = self.retrain {
-            policy.set_retrain(cfg);
         }
         policy
     }
@@ -141,12 +139,10 @@ mod tests {
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
             .closed_loop(OnlineConfig::default())
             .fault_tolerance(FaultToleranceConfig::default())
-            .retrain(RetrainConfig::default())
             .drift_aware_l0()
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);
         assert!(policy.fault_tolerance_enabled());
-        assert_eq!(policy.retrain_rebuilds(), 0);
         assert!(policy.l0(0).config().scale.enabled, "drift-aware L0 on");
     }
 

@@ -82,15 +82,6 @@ impl ScenarioConfig {
     }
 }
 
-/// The paper's four-computer module (§4.3): heterogeneous computers
-/// C1–C4 with paper-default power parameters.
-pub fn module_of_four() -> Vec<ComputerProfile> {
-    FrequencyProfile::module_set()
-        .into_iter()
-        .map(ComputerProfile::paper_default)
-        .collect()
-}
-
 /// `p` heterogeneous modules of four computers each: "different sets of
 /// computers are present within each module" (§5.2). Five composition
 /// patterns cycle as `p` grows.

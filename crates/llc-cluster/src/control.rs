@@ -16,9 +16,8 @@
 //!   clock, assembles per-tick [`Observations`] for any
 //!   [`ClusterPolicy`], and exposes a [`MetricsSnapshot`] combining its
 //!   own driver counters (ingest, reordering, decide latency) with the
-//!   policy's [`PolicyMetrics`] (drift detections per learner, retrain
-//!   triggers/rebuilds, member deaths/recoveries, safe-mode periods,
-//!   feed-forward events).
+//!   policy's [`PolicyMetrics`] (drift detections per learner, member
+//!   deaths/recoveries, safe-mode periods, feed-forward events).
 //!
 //! [`Experiment`] is one client of this API (its sim adapter translates
 //! plant state into observations and directives into actuation);
@@ -108,16 +107,6 @@ impl Cadence {
             Level::L0 => tick,
             Level::L1 => tick / self.l1_every,
             Level::L2 => tick / self.l2_every,
-        }
-    }
-
-    /// The wall-clock period of `level` in seconds, given the base tick
-    /// length.
-    pub fn period_of(&self, level: Level, t_l0: f64) -> f64 {
-        match level {
-            Level::L0 => t_l0,
-            Level::L1 => self.l1_every as f64 * t_l0,
-            Level::L2 => self.l2_every as f64 * t_l0,
         }
     }
 }
@@ -435,8 +424,8 @@ pub(crate) fn mean_duration(total: Duration, count: u64) -> Duration {
 
 /// The operational counters a [`ClusterPolicy`] exposes through the
 /// metrics surface. Everything here used to be buried in private
-/// counters across three structs with three access idioms
-/// (`HierarchicalPolicy`, its watchdog, its retrain manager); the
+/// counters across structs with their own access idioms
+/// (`HierarchicalPolicy`, its watchdog, its learners); the
 /// control plane surfaces them all in one place via
 /// [`MetricsSnapshot`]. A policy without a given subsystem reports
 /// zeros/empties — the defaults.
@@ -457,12 +446,10 @@ pub struct PolicyMetrics {
     pub tracking_error: Option<f64>,
     /// Realized outcomes derived so far.
     pub tracking_samples: u64,
-    /// Background rebuilds triggered so far (completed plus in flight).
-    pub retrain_triggers: u64,
-    /// Background rebuilds completed and hot-swapped so far.
+    /// Always 0: nothing rebuilds maps in the background. Kept until
+    /// ROADMAP item 13 because `benchmark/src/report.rs` reads it.
+    #[doc(hidden)]
     pub rebuilds: u64,
-    /// `true` while a background rebuild is in flight.
-    pub retrain_pending: bool,
     /// Members declared dead so far (cumulative).
     pub member_deaths: u64,
     /// Dead members that rejoined so far.
@@ -533,9 +520,8 @@ pub struct TransportMetrics {
 /// driver's own ingest/emit/latency counters plus the policy's
 /// [`PolicyMetrics`]. This is the one metrics surface — the counters
 /// that used to require knowing which struct owned them
-/// (`member_deaths` on the policy, `rebuilds` on the retrain manager,
-/// per-learner detections on each controller) are all reachable from
-/// here.
+/// (`member_deaths` on the policy, per-learner detections on each
+/// controller) are all reachable from here.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// The next undecided tick of the virtual clock.
@@ -583,11 +569,6 @@ impl MetricsSnapshot {
     /// Module-periods spent in safe mode so far.
     pub fn safe_mode_periods(&self) -> u64 {
         self.policy.safe_mode_periods
-    }
-
-    /// Background rebuilds completed and hot-swapped so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.policy.rebuilds
     }
 
     /// Total drift detections across every learner at every level.
@@ -1398,6 +1379,5 @@ mod tests {
         assert_eq!(c.epoch(Level::L0, 7), 7);
         assert_eq!(c.epoch(Level::L1, 7), 1);
         assert_eq!(c.epoch(Level::L2, 7), 0);
-        assert_eq!(c.period_of(Level::L2, 30.0), 240.0);
     }
 }

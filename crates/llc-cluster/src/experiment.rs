@@ -80,8 +80,7 @@ pub struct ExperimentLog {
     /// emission order (the actuation order).
     pub directives: Vec<Directive>,
     /// The control plane's final [`MetricsSnapshot`] — decide latency,
-    /// drift detections, retrain/rebuild counters, member
-    /// deaths/recoveries, safe-mode periods.
+    /// drift detections, member deaths/recoveries, safe-mode periods.
     pub metrics: MetricsSnapshot,
     /// Switch-on transitions across all computers over the whole run.
     pub(crate) total_switch_ons: u64,

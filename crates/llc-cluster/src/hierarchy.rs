@@ -1,13 +1,8 @@
 use crate::control::{mean_duration, Cadence, PolicyMetrics};
-use crate::l1::{
-    AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MemberSpec,
-};
-use crate::l2::{L2Controller, ModuleCostModel, ModuleLearnSpec, ModuleState};
+use crate::l1::{AbstractionMap, GEntry, L1Controller, L1Decision, MemberSpec};
+use crate::l2::{L2Controller, ModuleCostModel, ModuleState};
 use crate::policy::{Action, ClusterPolicy, Observations};
-use crate::retrain::{
-    ModuleRebuildJob, RebuildContext, RebuildRecord, RetrainConfig, RetrainManager,
-};
-use crate::{L0Config, L0Controller, ScenarioConfig};
+use crate::{L0Controller, ScenarioConfig};
 use llc_core::OnlineConfig;
 use llc_sim::{PowerState, WindowStats};
 use std::collections::HashMap;
@@ -240,29 +235,6 @@ fn spec_bits(spec: &MemberSpec) -> Vec<u64> {
         .collect()
 }
 
-/// Replace the freshly rebuilt map of every member flagged `keep_old`
-/// with its currently installed map: a member that died between the
-/// rebuild trigger and the swap fed the job telemetry poisoned by its
-/// fault, so its fresh map must not be installed — it keeps the pre-fault
-/// map until it rejoins and a later rebuild covers it.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub(crate) fn filter_rebuilt_maps(
-    fresh: Vec<Arc<AbstractionMap>>,
-    keep_old: &[bool],
-    old: &[Arc<AbstractionMap>],
-) -> Vec<Arc<AbstractionMap>> {
-    assert_eq!(fresh.len(), keep_old.len(), "one flag per rebuilt map");
-    assert_eq!(old.len(), keep_old.len(), "one installed map per member");
-    fresh
-        .into_iter()
-        .zip(keep_old.iter().zip(old))
-        .map(|(f, (&k, o))| if k { Arc::clone(o) } else { f })
-        .collect()
-}
-
 /// The complete three-level controller of Fig. 2, implementing
 /// [`ClusterPolicy`]: L2 splits global load over modules, each module's
 /// L1 picks `{α, γ}`, each computer's L0 picks the frequency. Offline
@@ -302,15 +274,6 @@ pub struct HierarchicalPolicy {
     /// In-hierarchy feedback state, present once a closed-loop mode is
     /// enabled.
     closed_loop: Option<ClosedLoop>,
-    /// Build context retained for retrain rebuilds (the knobs
-    /// [`HierarchicalPolicy::build`] learned the original models with).
-    l0_config: L0Config,
-    l1_config: L1Config,
-    learn: LearnSpec,
-    module_learn: ModuleLearnSpec,
-    /// The retrain consumer, present once retraining is configured
-    /// (see [`crate::PolicyBuilder::retrain`]).
-    retrain: Option<RetrainManager>,
     /// Churn watchdog, present once fault tolerance is configured
     /// (see [`crate::PolicyBuilder::fault_tolerance`]).
     fault_tolerance: Option<FaultTolerance>,
@@ -447,11 +410,6 @@ impl HierarchicalPolicy {
             feed_forward_events: 0,
             last_gamma: None,
             closed_loop: None,
-            l0_config: scenario.l0,
-            l1_config: scenario.l1,
-            learn: scenario.learn,
-            module_learn: scenario.module_learn,
-            retrain: None,
             fault_tolerance: None,
         }
     }
@@ -464,10 +422,9 @@ impl HierarchicalPolicy {
     /// their state through telemetry gaps instead of ingesting blanks; a
     /// module below the telemetry quorum falls back to safe mode (all
     /// live members on, uniform split); the L2 relaxes its hysteresis for
-    /// one decision on every membership change; and a member that died
-    /// between a retrain trigger and the hot-swap keeps its pre-fault
-    /// map. Without this call the policy is fault-blind: blank blackout
-    /// windows and crashed machines are taken at face value.
+    /// one decision on every membership change. Without this call the
+    /// policy is fault-blind: blank blackout windows and crashed machines
+    /// are taken at face value.
     ///
     /// # Panics
     ///
@@ -483,15 +440,6 @@ impl HierarchicalPolicy {
         self.fault_tolerance.is_some()
     }
 
-    /// `true` while the watchdog considers computer `i` dead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range (with fault tolerance enabled).
-    pub fn member_dead(&self, i: usize) -> bool {
-        self.fault_tolerance.as_ref().is_some_and(|ft| ft.dead[i])
-    }
-
     /// Members declared dead so far (cumulative, not current).
     pub fn member_deaths(&self) -> u64 {
         self.fault_tolerance.as_ref().map_or(0, |ft| ft.deaths)
@@ -503,8 +451,7 @@ impl HierarchicalPolicy {
     }
 
     /// Module-periods spent in safe mode (uniform split over live
-    /// members) because telemetry fell below quorum or a member died with
-    /// a retrain in flight.
+    /// members) because telemetry fell below quorum.
     pub fn safe_mode_periods(&self) -> u64 {
         self.fault_tolerance
             .as_ref()
@@ -579,184 +526,6 @@ impl HierarchicalPolicy {
     pub fn online_updates(&self) -> u64 {
         let l1: u64 = self.l1s.iter().map(|l| l.online_updates()).sum();
         l1 + self.l2.as_ref().map_or(0, |l2| l2.online_updates())
-    }
-
-    /// `true` once any level's drift detector reports that residuals
-    /// stopped being local (see `llc_core::DriftDetector`): incremental
-    /// blending is patching a model that is wrong everywhere, and an
-    /// offline re-train ([`HierarchicalPolicy::build`]) should be
-    /// scheduled. Consumed once the retrain consumer is configured
-    /// ([`crate::PolicyBuilder::retrain`]): the hot-swap of the rebuilt
-    /// models re-arms the detectors that latched. Without it the
-    /// recommendation stays up as a standing alarm.
-    pub fn retrain_recommended(&self) -> bool {
-        self.l1s.iter().any(|l| l.retrain_recommended())
-            || self.l2.as_ref().is_some_and(|l2| l2.retrain_recommended())
-    }
-
-    /// Switch on the retrain consumer: when `retrain_recommended()`
-    /// latches, a background thread rebuilds the affected modules'
-    /// abstraction maps (and, in multi-module clusters, their L2 cost
-    /// models) over envelopes centered on fresh drift-corrected `ĉ/ŝ`
-    /// telemetry, and the hierarchy hot-swaps them in exactly one L1
-    /// period later — detect → latch → rebuild → hot-swap → reset, with
-    /// `cfg`'s cooldown and budget guarding against rebuild thrash.
-    /// Meaningful together with [`crate::PolicyBuilder::closed_loop`]
-    /// (the latch is raised by the online learning path).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`RetrainConfig::validated`]).
-    pub(crate) fn set_retrain(&mut self, cfg: RetrainConfig) {
-        self.retrain = Some(RetrainManager::new(cfg));
-    }
-
-    /// Background rebuilds completed and hot-swapped so far.
-    pub fn retrain_rebuilds(&self) -> usize {
-        self.retrain.as_ref().map_or(0, |r| r.rebuilds())
-    }
-
-    /// The completed rebuilds (trigger tick, swap tick, modules), oldest
-    /// first.
-    pub fn retrain_history(&self) -> &[RebuildRecord] {
-        self.retrain.as_ref().map_or(&[], |r| r.history())
-    }
-
-    /// `true` while a background rebuild is in flight (spawned but not
-    /// yet hot-swapped).
-    pub fn retrain_pending(&self) -> bool {
-        self.retrain.as_ref().is_some_and(|r| r.pending())
-    }
-
-    /// Hot-swap a finished background rebuild in, if one is ready at
-    /// `tick`: install the fresh maps into the affected L1s (resetting
-    /// their detectors and releasing the latch) and the fresh cost
-    /// models into the L2.
-    fn apply_ready_retrain(&mut self, tick: u64) {
-        let Some(manager) = self.retrain.as_mut() else {
-            return;
-        };
-        let Some(output) = manager.take_ready(tick) else {
-            return;
-        };
-        for (m, maps) in output.maps {
-            // A member that died between the trigger and this swap fed
-            // the rebuild telemetry poisoned by its fault: keep its
-            // installed pre-fault map and install fresh maps only for the
-            // surviving membership.
-            let maps = match self.fault_tolerance.as_ref() {
-                Some(ft) => {
-                    let keep_old: Vec<bool> = self.members[m].iter().map(|&i| ft.dead[i]).collect();
-                    if keep_old.iter().any(|&k| k) {
-                        let old: Vec<Arc<AbstractionMap>> = (0..keep_old.len())
-                            .map(|pos| Arc::clone(self.l1s[m].map_arc(pos)))
-                            .collect();
-                        filter_rebuilt_maps(maps, &keep_old, &old)
-                    } else {
-                        maps
-                    }
-                }
-                None => maps,
-            };
-            self.l1s[m].install_maps(maps);
-        }
-        if let Some(l2) = self.l2.as_mut() {
-            for (m, model) in output.models {
-                l2.install_model(m, model);
-            }
-        }
-    }
-
-    /// Spawn a background rebuild when the latch is up and the manager's
-    /// cooldown/budget allow it. The job snapshots *effective* member
-    /// processing times (`ĉ/ŝ`: demand telemetry over the drift-aware
-    /// L0 capacity scale) so the rebuilt envelopes cover the capacity
-    /// actually being delivered, and is joined one L1 period later.
-    fn maybe_trigger_retrain(&mut self, tick: u64) {
-        let Some(manager) = self.retrain.as_ref() else {
-            return;
-        };
-        let cooldown = manager.config().cooldown_periods * self.cadence.l1_every;
-        if !manager.can_trigger(tick, cooldown) {
-            return;
-        }
-        let l2_latched: Vec<bool> = (0..self.members.len())
-            .map(|m| {
-                self.l2
-                    .as_ref()
-                    .is_some_and(|l2| l2.module_retrain_recommended(m))
-            })
-            .collect();
-        let affected: Vec<usize> = (0..self.members.len())
-            .filter(|&m| self.l1s[m].retrain_recommended() || l2_latched[m])
-            .collect();
-        if affected.is_empty() {
-            return;
-        }
-        let has_l2 = self.l2.is_some();
-        let jobs: Vec<ModuleRebuildJob> = affected
-            .iter()
-            .map(|&m| {
-                let cs = self.l1s[m].c_estimates();
-                let specs: Vec<MemberSpec> = self.l1s[m]
-                    .member_specs()
-                    .iter()
-                    .zip(&cs)
-                    .map(|(spec, &c_eff)| MemberSpec {
-                        phis: spec.phis.clone(),
-                        speed: spec.speed,
-                        c_prior: c_eff,
-                    })
-                    .collect();
-                // Re-estimate each member's learning envelope from the
-                // ranges its absorbed outcomes actually visited: headroom
-                // (×1.5 on λ, ×2 on q₀) above the visited ceiling,
-                // floored so the overload knee (capacity ≈ 1/ĉ_eff)
-                // always stays inside the grid, capped at the static
-                // envelope. Same grid steps over a tighter box = finer
-                // cells exactly where the traffic lives. Members with no
-                // recorded outcomes keep the static envelope.
-                let envelopes: Vec<((f64, f64), f64, f64)> = specs
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, spec)| {
-                        let (c_range, lambda_default, q_default) = spec.learn_envelope();
-                        match self.l1s[m].visited_envelope(pos) {
-                            Some((lambda_vis, q_vis)) => {
-                                let lambda_floor = 1.25 / spec.c_prior;
-                                let lambda_max =
-                                    (lambda_vis * 1.5).clamp(lambda_floor, lambda_default);
-                                let q_max = (q_vis * 2.0).clamp(25.0, q_default);
-                                (c_range, lambda_max, q_max)
-                            }
-                            None => (c_range, lambda_default, q_default),
-                        }
-                    })
-                    .collect();
-                let old_maps: Vec<Arc<AbstractionMap>> = (0..specs.len())
-                    .map(|pos| Arc::clone(self.l1s[m].map_arc(pos)))
-                    .collect();
-                ModuleRebuildJob {
-                    module: m,
-                    specs,
-                    envelopes,
-                    old_maps,
-                    rebuild_model: has_l2,
-                }
-            })
-            .collect();
-        let ctx = RebuildContext {
-            l0: self.l0_config,
-            l1: self.l1_config,
-            learn: self.learn,
-            module_learn: self.module_learn,
-        };
-        self.retrain.as_mut().expect("checked above").spawn(
-            jobs,
-            ctx,
-            tick,
-            tick + self.cadence.l1_every,
-        );
     }
 
     /// Number of computers managed.
@@ -1099,10 +868,6 @@ impl ClusterPolicy for HierarchicalPolicy {
 
         // --- L1: per-module α and γ. ---
         if self.cadence.is_l1_tick(obs.tick) {
-            // Hot-swap a finished background rebuild in *before* this
-            // round of decisions, so the fresh maps serve immediately.
-            self.apply_ready_retrain(obs.tick);
-
             // One pass per module, in module order: observation plumbing
             // and closed-loop measurement/learning, the decide, then the
             // bookkeeping and the power and routing actions it implies.
@@ -1196,12 +961,11 @@ impl ClusterPolicy for HierarchicalPolicy {
                 };
                 let live_count = dead_pos.iter().filter(|&&d| !d).count();
                 // Safe mode: when too few live members deliver healthy
-                // telemetry for the learned models to be trusted, or a
-                // member died with a rebuild in flight, stop optimizing
-                // and hold the module in its analytically safe posture —
-                // every live member on, load split uniformly over those
-                // actually serving. The L0s' analytic queue models keep
-                // picking frequencies underneath.
+                // telemetry for the learned models to be trusted, stop
+                // optimizing and hold the module in its analytically safe
+                // posture — every live member on, load split uniformly
+                // over those actually serving. The L0s' analytic queue
+                // models keep picking frequencies underneath.
                 let safe_mode = ft_on && live_count > 0 && {
                     let healthy = self.members[m]
                         .iter()
@@ -1214,9 +978,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                         .expect("ft_on")
                         .cfg
                         .telemetry_quorum;
-                    let any_dead = dead_pos.iter().any(|&d| d);
-                    ((healthy as f64) < quorum * live_count as f64)
-                        || (any_dead && self.retrain.as_ref().is_some_and(|r| r.pending()))
+                    (healthy as f64) < quorum * live_count as f64
                 };
                 if let Some(ft) = self.fault_tolerance.as_mut() {
                     ft.safe_now[m] = safe_mode;
@@ -1371,10 +1133,6 @@ impl ClusterPolicy for HierarchicalPolicy {
             if let Some(cl) = self.closed_loop.as_mut() {
                 cl.have_snapshot = true;
             }
-            // The learning passes above may have pushed a detector over
-            // its locality threshold: consume the latch by spawning the
-            // background rebuild (joined one L1 period from now).
-            self.maybe_trigger_retrain(obs.tick);
         }
 
         // --- L0: per-computer frequency, every tick, active machines,
@@ -1429,9 +1187,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                 .map_or_else(Vec::new, |l2| l2.module_drift_detections()),
             tracking_error: self.tracking_error(),
             tracking_samples: self.tracking_samples(),
-            retrain_triggers: self.retrain.as_ref().map_or(0, |r| r.triggers()),
-            rebuilds: self.retrain.as_ref().map_or(0, |r| r.rebuilds() as u64),
-            retrain_pending: self.retrain_pending(),
+            rebuilds: 0,
             member_deaths: self.member_deaths(),
             member_recoveries: self.member_recoveries(),
             members_dead: self
@@ -1566,7 +1322,10 @@ mod tests {
             blackout(&mut o, 1);
             let _ = policy.decide(&o);
         }
-        assert!(policy.member_dead(1), "3 dark windows must declare death");
+        assert!(
+            policy.metrics().members_dead[1],
+            "3 dark windows must declare death"
+        );
         assert_eq!(policy.member_deaths(), 1);
 
         // L1 tick while dead: no load and no directives for member 1 —
@@ -1590,7 +1349,10 @@ mod tests {
 
         // Telemetry returns (machine was serving all along): rejoin.
         let _ = policy.decide(&obs_for(&policy, 5, 3000));
-        assert!(!policy.member_dead(1), "healthy powered member rejoins");
+        assert!(
+            !policy.metrics().members_dead[1],
+            "healthy powered member rejoins"
+        );
         assert_eq!(policy.member_recoveries(), 1);
     }
 
@@ -1612,14 +1374,17 @@ mod tests {
             let _ = policy.decide(&o);
         }
         assert!(
-            policy.member_dead(1),
+            policy.metrics().members_dead[1],
             "a machine found Off while wanted on has crashed"
         );
         // Restart (repair + boot): powered again with telemetry → rejoin.
         let mut o = obs_for(&policy, 12, 3000);
         o.computers[1].state = PowerState::Booting { ready_at: 480.0 };
         let _ = policy.decide(&o);
-        assert!(!policy.member_dead(1), "restarted member rejoins");
+        assert!(
+            !policy.metrics().members_dead[1],
+            "restarted member rejoins"
+        );
         assert_eq!(policy.member_recoveries(), 1);
     }
 
@@ -1655,26 +1420,5 @@ mod tests {
             }
         }
         assert_eq!(policy.member_deaths(), 0, "nobody declared dead yet");
-    }
-
-    #[test]
-    fn filter_rebuilt_maps_keeps_installed_map_for_dead_members() {
-        let scenario = single_module(2).with_coarse_learning();
-        let policy = HierarchicalPolicy::build(&scenario);
-        let old: Vec<Arc<AbstractionMap>> = (0..2)
-            .map(|pos| Arc::clone(policy.l1(0).map_arc(pos)))
-            .collect();
-        let fresh: Vec<Arc<AbstractionMap>> = old.iter().map(|m| Arc::new((**m).clone())).collect();
-        let fresh_ptrs: Vec<_> = fresh.iter().map(Arc::as_ptr).collect();
-        let out = filter_rebuilt_maps(fresh, &[false, true], &old);
-        assert_eq!(
-            out[0].as_ref() as *const _,
-            fresh_ptrs[0],
-            "live: fresh map"
-        );
-        assert!(
-            Arc::ptr_eq(&out[1], &old[1]),
-            "dead: keeps the installed pre-fault map"
-        );
     }
 }

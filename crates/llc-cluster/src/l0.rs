@@ -18,8 +18,8 @@ use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
 /// realized completions, see [`llc_core::ServiceScaleEstimator`])
 /// restores the model to the capacity actually being delivered. Scaling
 /// the service rate by `ŝ` is algebraically identical to stretching the
-/// processing time to `ĉ/ŝ` — the identity the retrain path exploits
-/// when it rebuilds abstraction maps over drift-corrected ĉ ranges.
+/// processing time to `ĉ/ŝ`, which is the effective processing time
+/// the L1 queries its abstraction maps at.
 ///
 /// Shared between the L0 controller's lookahead and the offline learning
 /// of the L1 abstraction map (which replays exactly this model).
@@ -457,17 +457,6 @@ impl L0Controller {
     /// runs at (1.0 while the estimator is disabled or unfed).
     pub fn scale_estimate(&self) -> f64 {
         self.scale.estimate()
-    }
-
-    /// Forget the learned capacity scale and re-converge from the
-    /// nominal prior — for callers that *know* the plant was restored
-    /// (a machine replaced, a throttle lifted). The retrain hot-swap
-    /// deliberately does **not** call this: the rebuilt maps are
-    /// centered on `ĉ/ŝ`, so ŝ must keep tracking the still-degraded
-    /// plant or the L0 would believe in nominal capacity again and
-    /// reintroduce the limit cycle the estimator exists to kill.
-    pub fn reset_scale(&mut self) {
-        self.scale.reset();
     }
 
     /// Decide the frequency index for the next period given the observed
@@ -1076,8 +1065,6 @@ mod tests {
             aware_choice >= 2,
             "half capacity at 20 req/s needs delivered rate ≥ load (φ ≥ 0.75), got index {aware_choice}"
         );
-        aware.reset_scale();
-        assert_eq!(aware.scale_estimate(), 1.0);
     }
 
     #[test]

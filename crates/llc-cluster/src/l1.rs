@@ -278,30 +278,6 @@ impl AbstractionMap {
         self.table.confidence(&[lambda.max(0.0), c, q0.max(0.0)])
     }
 
-    /// Carry measured truth across a retrain: re-apply every cell of
-    /// `old` that absorbed at least `min_confidence` online observations
-    /// into this (freshly rebuilt) map under `blend`. The rebuild
-    /// replaces the stale *offline* surface; the cells the plant actually
-    /// visited — realized outcomes, not model replays — are the one part
-    /// of the old map worth keeping. Returns the number of cells that
-    /// blended in, each exactly as the online update path writes it.
-    pub(crate) fn reseed_online_from(
-        &mut self,
-        old: &AbstractionMap,
-        min_confidence: f64,
-        blend: &BlendConfig,
-    ) -> usize {
-        let mut applied = 0usize;
-        let table = &mut self.table;
-        old.table
-            .for_each_confident(min_confidence, &mut |key, entry, _conf| {
-                if table.update(key, entry, blend) > 0.0 {
-                    applied += 1;
-                }
-            });
-        applied
-    }
-
     /// The exact out-of-grid answer: replay the analytic L0 model.
     fn replay(&self, lambda: f64, c: f64, q0: f64) -> GEntry {
         let (cost, power, final_q) = L0Controller::simulate_model(
@@ -555,10 +531,6 @@ pub struct L1Controller {
     /// Per-decision buffers, reused so the steady decide path performs
     /// no heap allocation (see [`DecideScratch`]).
     scratch: DecideScratch,
-    /// The highest arrival rate and deepest initial queue each member's
-    /// absorbed outcomes have visited, once it has absorbed one (drives
-    /// retrain envelope re-estimation).
-    visited: Vec<Option<(f64, f64)>>,
 }
 
 impl L1Controller {
@@ -607,7 +579,6 @@ impl L1Controller {
             total_candidates_evaluated: 0,
             total_candidates_pruned: 0,
             scratch: DecideScratch::default(),
-            visited: vec![None; m],
         }
     }
 
@@ -626,18 +597,6 @@ impl L1Controller {
     /// Observations blended into the maps so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
         self.level.online_updates()
-    }
-
-    /// The `(λ, q₀)` ceiling `member`'s absorbed outcomes have actually
-    /// visited, once any outcome exists. Retrain envelope re-estimation
-    /// reads this so rebuilt maps size their grids to live traffic
-    /// instead of scalar ĉ/ŝ snapshots alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is out of range.
-    pub(crate) fn visited_envelope(&self, member: usize) -> Option<(f64, f64)> {
-        self.visited[member]
     }
 
     /// Absorb one control period's realized outcomes, in slice order, as
@@ -659,15 +618,10 @@ impl L1Controller {
     /// of range.
     pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, f64, GEntry)]) -> usize {
         let (members, filters, scales) = (&self.members, &self.c_filters, &self.member_scales);
-        let visited = &mut self.visited;
         self.level
             .absorb(outcomes.iter().map(|&(member, lambda, q0, realized)| {
                 let c = effective_c(&members[member], &filters[member], scales[member]);
-                let (lambda, q0) = (lambda.max(0.0), q0.max(0.0));
-                let (seen_lambda, seen_q) = visited[member].get_or_insert((0.0, 0.0));
-                *seen_lambda = seen_lambda.max(lambda);
-                *seen_q = seen_q.max(q0);
-                (member, lambda, (c, q0), realized)
+                (member, lambda.max(0.0), (c, q0.max(0.0)), realized)
             }))
     }
 
@@ -703,14 +657,6 @@ impl L1Controller {
             .rate()
     }
 
-    /// `true` once any member's detector reports that residuals stopped
-    /// being local — the incremental learner is patching a model that is
-    /// wrong everywhere, and an offline re-train should be scheduled.
-    /// Latched until retrained maps are swapped in.
-    pub fn retrain_recommended(&self) -> bool {
-        self.level.retrain_recommended()
-    }
-
     /// Number of computers managed.
     pub fn num_members(&self) -> usize {
         self.members.len()
@@ -726,42 +672,9 @@ impl L1Controller {
         &self.level.children[member]
     }
 
-    /// The shared handle of `member`'s abstraction map (an `Arc` clone
-    /// is O(1) — the retrain path snapshots old maps through this to
-    /// re-seed their measured cells into a rebuilt map).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is out of range.
-    pub(crate) fn map_arc(&self, member: usize) -> &Arc<AbstractionMap> {
-        &self.level.children[member]
-    }
-
     /// The static member descriptions the controller was built over.
     pub fn member_specs(&self) -> &[MemberSpec] {
         &self.members
-    }
-
-    /// Hot-swap freshly retrained abstraction maps in: the next decision
-    /// consults the new maps. The retrain consumer calls this after a
-    /// background [`AbstractionMap::learn`] pass over
-    /// drift-corrected telemetry ranges. The online state is re-anchored
-    /// on the new models: every member's drift detector restarts from a
-    /// clean slate (its residuals were against the *old* maps) and the
-    /// re-train latch is released. Lifetime counters (`online_updates`,
-    /// `drift_detections`) survive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map count differs from the member count.
-    pub(crate) fn install_maps(&mut self, maps: Vec<Arc<AbstractionMap>>) {
-        assert_eq!(maps.len(), self.members.len(), "one map per member");
-        self.level.children = maps;
-        if let Some(online) = self.level.online.as_mut() {
-            for detector in &mut online.detectors {
-                detector.rearm();
-            }
-        }
     }
 
     /// Feed one L1 window: module arrivals over `T_L1` and the mean local
@@ -1483,62 +1396,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reseed_carries_measured_cells_into_a_rebuilt_map() {
-        use llc_approx::BlendConfig;
-        use llc_core::OnlineConfig;
-        let m = member(FrequencyProfile::TallEight);
-        let l0 = L0Config::paper_default();
-        let learn = |c_mid: f64| {
-            AbstractionMap::learn(
-                &l0,
-                &m.phis,
-                (c_mid * 0.6, c_mid * 1.6),
-                2.0 / (c_mid * 0.6),
-                150.0,
-                LearnSpec::coarse(),
-            )
-        };
-        // The old map absorbed measured outcomes at one operating point
-        // (in-envelope for both the old and rebuilt grids).
-        let mut old = learn(0.0175);
-        let measured = GEntry {
-            cost: 77.0,
-            power: 2.5,
-            final_q: 3.0,
-        };
-        let cfg = OnlineConfig::default();
-        for _ in 0..30 {
-            assert!(old.update_online(20.0, 0.02, 10.0, measured, &cfg) > 0.0);
-        }
-        // Rebuild over a drift-corrected (stretched) envelope, then
-        // reseed: the visited cell's measured truth carries over. The old
-        // cell's *center* re-quantizes into the rebuilt grid, so probe
-        // the λ neighborhood rather than one exact key.
-        let mut rebuilt = learn(0.02);
-        let closest = |map: &AbstractionMap| {
-            (0..45)
-                .map(|l| (map.query(l as f64, 0.02, 10.0).cost - measured.cost).abs())
-                .fold(f64::INFINITY, f64::min)
-        };
-        let before = closest(&rebuilt);
-        let applied = rebuilt.reseed_online_from(&old, 2.0, &BlendConfig::new(0.5, 0.0));
-        assert!(applied >= 1, "confident cell must reseed");
-        let after = closest(&rebuilt);
-        assert!(
-            after < before,
-            "reseed must pull the rebuilt surface toward the measurement \
-             (closest gap {before:.2} -> {after:.2})"
-        );
-        // A low-confidence threshold filter: nothing carried when the bar
-        // is higher than any cell's count.
-        let mut fresh = learn(0.02);
-        assert_eq!(
-            fresh.reseed_online_from(&old, 1e9, &BlendConfig::new(0.5, 0.0)),
-            0
-        );
     }
 
     #[test]

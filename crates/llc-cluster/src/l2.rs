@@ -557,45 +557,6 @@ impl L2Controller {
         self.level.child_drift_detections()
     }
 
-    /// `true` once any module's detector reports that residuals stopped
-    /// being local (an offline re-train should be scheduled). Latched
-    /// until a retrained model is swapped in for the module.
-    pub(crate) fn retrain_recommended(&self) -> bool {
-        self.level.retrain_recommended()
-    }
-
-    /// `true` when *this module's* detector latched the re-train signal —
-    /// the per-module resolution the retrain consumer rebuilds at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `module` is out of range.
-    pub(crate) fn module_retrain_recommended(&self, module: usize) -> bool {
-        assert!(module < self.all.len(), "module index out of range");
-        self.level
-            .online
-            .as_ref()
-            .is_some_and(|o| o.detectors[module].retrain_recommended())
-    }
-
-    /// Hot-swap a freshly retrained cost model in for `module`: the next
-    /// decision scores splits against the new model. The module's online
-    /// residual layer starts from zero (the residuals corrected the *old*
-    /// tree), its drift detector re-arms, and — if online learning is on —
-    /// the new model's residual grid is enabled immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `module` is out of range.
-    pub(crate) fn install_model(&mut self, module: usize, mut model: ModuleCostModel) {
-        assert!(module < self.all.len(), "module index out of range");
-        if let Some(online) = self.level.online.as_mut() {
-            model.enable_online();
-            online.detectors[module].rearm();
-        }
-        self.level.children[module] = model;
-    }
-
     /// Seed the controller with an initial split (e.g. proportional to
     /// module capacity). Before any workload has been observed every
     /// candidate split costs the same, so an unseeded first decision

@@ -42,14 +42,13 @@ mod l1;
 mod l2;
 mod policy;
 mod profiles;
-mod retrain;
 mod split;
 
 pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
 pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
-pub use builder::PolicyBuilder;
+pub use builder::{PolicyBuilder, RetrainConfig};
 pub use config::{
-    cluster_of, module_of_four, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,
+    cluster_of, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,
     MAX_SINGLE_MODULE,
 };
 pub use control::{
@@ -66,4 +65,3 @@ pub use l1::{
 pub use l2::{L2Config, L2Controller, L2Decision, ModuleCostModel, ModuleLearnSpec, ModuleState};
 pub use policy::{Action, ClusterPolicy, ComputerObs, ModuleObs, Observations};
 pub use profiles::{ComputerProfile, FrequencyProfile};
-pub use retrain::{RebuildRecord, RetrainConfig, RetrainManager};

@@ -120,7 +120,7 @@ pub trait ClusterPolicy {
 
     /// The policy's operational counters for the metrics surface. The
     /// default reports nothing — appropriate for baselines with no
-    /// learners, watchdogs or retrain machinery.
+    /// learners or watchdogs.
     fn metrics(&self) -> PolicyMetrics {
         PolicyMetrics::default()
     }

@@ -73,8 +73,8 @@ pub(crate) struct Learner {
     /// Steady-state and fast re-convergence schedules.
     schedule: BlendSchedule,
     /// One Page–Hinkley detector per child over its normalized residuals
-    /// `(realized − predicted) / max(1, |predicted|)`, each holding its
-    /// child's re-train latch.
+    /// `(realized − predicted) / max(1, |predicted|)`, whose detections
+    /// set the child's learning rate.
     pub(crate) detectors: Vec<DriftDetector>,
     /// Learning passes run (the staleness sweep's cadence).
     passes: u64,
@@ -264,13 +264,6 @@ impl<C: SplitChild> SplitLevel<C> {
         self.online.as_ref().map_or_else(Vec::new, |o| {
             o.detectors.iter().map(DriftDetector::detections).collect()
         })
-    }
-
-    /// `true` once any child's detector latched the re-train signal.
-    pub(crate) fn retrain_recommended(&self) -> bool {
-        self.online
-            .as_ref()
-            .is_some_and(|o| o.detectors.iter().any(DriftDetector::retrain_recommended))
     }
 
     /// Absorb one period's realized outcomes, in order, as

@@ -8,20 +8,13 @@
 //! online residuals (`realized − predicted`, normalized): in steady state
 //! the learner runs at a slow rate, and when the test flags a sustained
 //! mean shift the learner switches to a fast re-convergence rate for a
-//! hold-off window. When detections stop being *local* — several firings
-//! inside a short window, meaning the residual field is moving everywhere
-//! the traffic goes rather than in one drifted cell — the detector
-//! latches a [`DriftDetector::retrain_recommended`] signal: incremental
-//! cell blending is no longer the right tool and an offline re-train
-//! should be scheduled.
+//! hold-off window.
 //!
 //! The test is the classic two-sided Page–Hinkley/CUSUM form: cumulative
 //! deviation of the residual from its running mean, less an
 //! insensitivity margin `delta`, floored at zero; a drift is declared
 //! when either side's accumulator exceeds `threshold`. Detection resets
 //! the statistics so the test re-arms against the post-drift regime.
-
-use std::collections::VecDeque;
 
 /// Knobs of a [`DriftDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,14 +31,6 @@ pub struct DetectorConfig {
     /// Samples the learner stays at the fast re-convergence rate after a
     /// detection before falling back to the steady-state rate.
     pub fast_hold: u64,
-    /// Window (in samples) over which detections are counted for the
-    /// re-train recommendation.
-    pub retrain_window: u64,
-    /// Detections within [`DetectorConfig::retrain_window`] that latch
-    /// [`DriftDetector::retrain_recommended`]: repeated firings in a
-    /// short window mean the drift is global, not a local cell gone
-    /// stale. `0` disables the signal.
-    pub retrain_detections: u32,
 }
 
 impl Default for DetectorConfig {
@@ -62,8 +47,6 @@ impl Default for DetectorConfig {
             threshold: 0.3,
             min_samples: 8,
             fast_hold: 24,
-            retrain_window: 96,
-            retrain_detections: 3,
         }
     }
 }
@@ -101,9 +84,7 @@ pub enum LearnRate {
 /// Two-sided Page–Hinkley drift detector over a residual stream.
 ///
 /// Feed one residual per learning update via [`DriftDetector::observe`];
-/// consult [`DriftDetector::rate`] for the blend schedule to use and
-/// [`DriftDetector::retrain_recommended`] for the offline re-train
-/// signal.
+/// consult [`DriftDetector::rate`] for the blend schedule to use.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DetectorConfig,
@@ -117,14 +98,10 @@ pub struct DriftDetector {
     down: f64,
     /// Samples remaining at the fast rate.
     fast_left: u64,
-    /// Lifetime samples observed (drives the retrain window).
+    /// Lifetime samples observed.
     total: u64,
     /// Lifetime detections.
     detections: u64,
-    /// Sample indices of recent detections (pruned to the window).
-    recent: VecDeque<u64>,
-    /// Latched once detections stop being local.
-    retrain: bool,
 }
 
 impl DriftDetector {
@@ -144,8 +121,6 @@ impl DriftDetector {
             fast_left: 0,
             total: 0,
             detections: 0,
-            recent: VecDeque::new(),
-            retrain: false,
         }
     }
 
@@ -174,26 +149,12 @@ impl DriftDetector {
         if fired {
             self.detections += 1;
             self.fast_left = self.cfg.fast_hold;
-            self.recent.push_back(self.total);
             // Re-arm against the post-drift regime: the old mean is
             // exactly what stopped being true.
             self.n = 0;
             self.mean = 0.0;
             self.up = 0.0;
             self.down = 0.0;
-        }
-        // Prune and evaluate the locality window.
-        while self
-            .recent
-            .front()
-            .is_some_and(|&t| self.total.saturating_sub(t) >= self.cfg.retrain_window)
-        {
-            self.recent.pop_front();
-        }
-        if self.cfg.retrain_detections > 0
-            && self.recent.len() >= self.cfg.retrain_detections as usize
-        {
-            self.retrain = true;
         }
         fired
     }
@@ -215,35 +176,6 @@ impl DriftDetector {
     /// Lifetime residuals observed.
     pub fn samples(&self) -> u64 {
         self.total
-    }
-
-    /// `true` once detections stopped being local (≥
-    /// `retrain_detections` firings within `retrain_window` samples):
-    /// the incremental learner is patching a model that is wrong
-    /// everywhere, and an offline re-train should be scheduled. Latched
-    /// until [`DriftDetector::acknowledge_retrain`].
-    pub fn retrain_recommended(&self) -> bool {
-        self.retrain
-    }
-
-    /// Clear the re-train latch (call after scheduling the re-train).
-    pub fn acknowledge_retrain(&mut self) {
-        self.retrain = false;
-        self.recent.clear();
-    }
-
-    /// Re-arm the test against a freshly swapped model: the running
-    /// statistics, fast-rate hold and re-train latch all restart from a
-    /// clean slate (old residuals were measured against a model that no
-    /// longer exists), while the lifetime `samples`/`detections`
-    /// counters survive for reporting.
-    pub fn rearm(&mut self) {
-        self.n = 0;
-        self.mean = 0.0;
-        self.up = 0.0;
-        self.down = 0.0;
-        self.fast_left = 0;
-        self.acknowledge_retrain();
     }
 }
 
@@ -269,7 +201,6 @@ mod tests {
         }
         assert_eq!(d.detections(), 0, "steady noise must not trip the test");
         assert_eq!(d.rate(), LearnRate::Steady);
-        assert!(!d.retrain_recommended());
     }
 
     #[test]
@@ -324,90 +255,6 @@ mod tests {
             d.observe(x + 1.0);
         }
         assert_eq!(d.rate(), LearnRate::Steady);
-    }
-
-    #[test]
-    fn global_drift_latches_retrain() {
-        let cfg = DetectorConfig {
-            retrain_window: 200,
-            retrain_detections: 3,
-            ..DetectorConfig::default()
-        };
-        let mut d = DriftDetector::new(cfg);
-        // A residual field that keeps moving: repeated level shifts, the
-        // signature of a model wrong everywhere rather than one stale
-        // cell.
-        let mut level = 0.0;
-        for (k, x) in noise(37, 400, 0.05).into_iter().enumerate() {
-            if k % 40 == 0 {
-                level += 0.6;
-            }
-            d.observe(x + level);
-            if d.retrain_recommended() {
-                break;
-            }
-        }
-        assert!(d.retrain_recommended(), "repeated shifts must latch");
-        assert!(d.detections() >= 3);
-        d.acknowledge_retrain();
-        assert!(!d.retrain_recommended());
-    }
-
-    /// The full retrain-latch lifecycle the `RetrainManager` consumes:
-    /// latch on global drift, acknowledge (consume), and *re-latch* when
-    /// a later drift episode is again non-local — a single historical
-    /// episode must not pin the recommendation forever, and consuming it
-    /// must not deafen the detector to the next one.
-    #[test]
-    fn latch_consume_relatch_cycle() {
-        let cfg = DetectorConfig {
-            retrain_window: 200,
-            retrain_detections: 3,
-            ..DetectorConfig::default()
-        };
-        let mut d = DriftDetector::new(cfg);
-        let drive_until_latched = |d: &mut DriftDetector, seed: u64| {
-            let mut level = 0.0;
-            for (k, x) in noise(seed, 600, 0.05).into_iter().enumerate() {
-                if k % 40 == 0 {
-                    level += 0.6;
-                }
-                d.observe(x + level);
-                if d.retrain_recommended() {
-                    return;
-                }
-            }
-            panic!("repeated shifts must latch");
-        };
-        drive_until_latched(&mut d, 41);
-        assert!(d.retrain_recommended(), "episode 1 latches");
-        let after_first = d.detections();
-
-        // Consume: the latch clears and *stays* clear through a long
-        // stationary stretch (post-consumption quiet must not re-latch
-        // off the historical firings).
-        d.acknowledge_retrain();
-        assert!(!d.retrain_recommended(), "acknowledge consumes the latch");
-        for x in noise(43, 300, 0.05) {
-            d.observe(x);
-        }
-        assert!(
-            !d.retrain_recommended(),
-            "a single historical episode must not pin the recommendation"
-        );
-
-        // A second global-drift episode re-latches from scratch.
-        drive_until_latched(&mut d, 47);
-        assert!(d.retrain_recommended(), "episode 2 re-latches");
-        assert!(d.detections() > after_first);
-
-        // `rearm` (the hot-swap path) also consumes the latch and
-        // restarts the running statistics, keeping lifetime counters.
-        let lifetime = d.detections();
-        d.rearm();
-        assert!(!d.retrain_recommended());
-        assert_eq!(d.detections(), lifetime);
-        assert_eq!(d.rate(), LearnRate::Steady, "fast hold cleared");
     }
 
     #[test]

@@ -193,14 +193,6 @@ impl ServiceScaleEstimator {
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
-
-    /// Forget everything and return to the nominal prior — for callers
-    /// that know the plant was restored to nominal (the retrain
-    /// hot-swap intentionally keeps the estimate: its rebuilt models
-    /// assume ŝ continues to track the degraded plant).
-    pub fn reset(&mut self) {
-        self.scale = None;
-    }
 }
 
 #[cfg(test)]
@@ -248,8 +240,6 @@ mod tests {
             e.estimate()
         );
         assert_eq!(e.accepted(), 30);
-        e.reset();
-        assert_eq!(e.estimate(), 1.0);
     }
 
     #[test]

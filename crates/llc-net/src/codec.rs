@@ -508,9 +508,6 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     put_u64_vec(&mut out, &p.model_drift_detections);
     put_opt_f64(&mut out, p.tracking_error);
     put_u64(&mut out, p.tracking_samples);
-    put_u64(&mut out, p.retrain_triggers);
-    put_u64(&mut out, p.rebuilds);
-    put_bool(&mut out, p.retrain_pending);
     put_u64(&mut out, p.member_deaths);
     put_u64(&mut out, p.member_recoveries);
     put_bool_vec(&mut out, &p.members_dead);
@@ -571,9 +568,6 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     let model_drift_detections = read_u64_vec(&mut r)?;
     let tracking_error = read_opt_f64(&mut r)?;
     let tracking_samples = r.u64()?;
-    let retrain_triggers = r.u64()?;
-    let rebuilds = r.u64()?;
-    let retrain_pending = r.bool()?;
     let member_deaths = r.u64()?;
     let member_recoveries = r.u64()?;
     let members_dead = read_bool_vec(&mut r)?;
@@ -617,9 +611,7 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
             model_drift_detections,
             tracking_error,
             tracking_samples,
-            retrain_triggers,
-            rebuilds,
-            retrain_pending,
+            rebuilds: 0,
             member_deaths,
             member_recoveries,
             members_dead,
@@ -762,9 +754,7 @@ mod tests {
                 model_drift_detections: vec![1, 0],
                 tracking_error: Some(0.03125),
                 tracking_samples: 88,
-                retrain_triggers: 2,
-                rebuilds: 1,
-                retrain_pending: true,
+                rebuilds: 0,
                 member_deaths: 3,
                 member_recoveries: 2,
                 members_dead: vec![false, true, false, false],

@@ -15,16 +15,15 @@
 //! module below its telemetry quorum, and the plant silently sheds 45%
 //! of its capacity — so the run exercises the whole metrics surface:
 //! watch the `SafeMode` directives stream past, then read the final
-//! `MetricsSnapshot` — decide latency, drift detections, retrain
-//! rebuilds, member deaths/recoveries, safe-mode periods — from one
-//! endpoint.
+//! `MetricsSnapshot` — decide latency, drift detections, member
+//! deaths/recoveries, safe-mode periods — from one endpoint.
 //!
 //! Run with: `cargo run --release -p llc-examples --example control_plane`
 
 use llc_cluster::DirectiveEmit;
 use llc_cluster::{
     single_module, ControlPlane, DirectiveKind, Experiment, FaultToleranceConfig,
-    ObservationIngest, Plant, PolicyBuilder, RetrainConfig,
+    ObservationIngest, Plant, PolicyBuilder,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{
@@ -80,7 +79,6 @@ fn main() {
     let policy = PolicyBuilder::new(sc.clone())
         .closed_loop(OnlineConfig::default())
         .fault_tolerance(FaultToleranceConfig::default())
-        .retrain(RetrainConfig::default())
         .drift_aware_l0()
         .build();
     let num_modules = members.len();
@@ -146,11 +144,9 @@ fn main() {
         m.decide.max,
     );
     println!(
-        "learn:  {} online updates, {} drift detections, {} retrain triggers, {} rebuilds",
+        "learn:  {} online updates, {} drift detections",
         m.policy.online_updates,
         m.drift_detections(),
-        m.policy.retrain_triggers,
-        m.rebuilds(),
     );
     println!(
         "churn:  {} member deaths, {} recoveries, {} safe-mode periods, {} feed-forward events",

@@ -8,7 +8,7 @@
 use llc_cluster::{
     single_module, ClusterPolicy, ControlPlane, Directive, DirectiveEmit, DirectiveKind,
     Experiment, ExperimentLog, FaultToleranceConfig, HierarchicalPolicy, Level, ObservationIngest,
-    PolicyBuilder, RetrainConfig, ScenarioConfig, SimAdapter,
+    PolicyBuilder, ScenarioConfig, SimAdapter,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{
@@ -152,7 +152,7 @@ fn experiment_and_hand_rolled_loop_agree_faults() {
 
 /// The one metrics surface: during a faulted, drifting run of the full
 /// self-healing stack, `MetricsSnapshot` must report drift detections,
-/// rebuilds, member deaths/recoveries and safe-mode periods — without
+/// member deaths/recoveries and safe-mode periods — without
 /// reaching into any subsystem struct.
 #[test]
 fn metrics_snapshot_reports_every_subsystem() {
@@ -163,7 +163,7 @@ fn metrics_snapshot_reports_every_subsystem() {
         .sum();
     // The control_plane example's schedule: crash-restart plus a 3-of-4
     // blackout (quorum loss → safe mode) plus a silent capacity step
-    // (drift detections → retrain → rebuilds).
+    // (drift detections).
     let fs = fault_scenarios(0xFA11, 90, 120.0, capacity, 4).swap_remove(0);
     let mut events = fs.plan.events().to_vec();
     for computer in 1..4 {
@@ -191,7 +191,6 @@ fn metrics_snapshot_reports_every_subsystem() {
     let mut policy = PolicyBuilder::new(sc.clone())
         .closed_loop(OnlineConfig::default())
         .fault_tolerance(FaultToleranceConfig::default())
-        .retrain(RetrainConfig::default())
         .drift_aware_l0()
         .build();
     let log = exp
@@ -218,8 +217,6 @@ fn metrics_snapshot_reports_every_subsystem() {
         m.drift_detections() > 0,
         "capacity step must fire detectors"
     );
-    assert!(m.policy.retrain_triggers >= m.rebuilds());
-    assert!(m.rebuilds() > 0, "retrain consumer must hot-swap in-run");
     assert!(m.member_deaths() > 0, "crash + blackout must kill members");
     assert!(
         m.member_recoveries() > 0,

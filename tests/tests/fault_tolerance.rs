@@ -6,7 +6,8 @@
 //! one, no directive ever targets a dead member).
 
 use llc_cluster::{
-    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, PolicyBuilder,
+    single_module, ClusterPolicy, Experiment, FaultToleranceConfig, HierarchicalPolicy,
+    PolicyBuilder,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{fault_scenarios, FaultEvent, FaultKind, FaultPlan, Trace, VirtualStore};
@@ -55,7 +56,10 @@ fn crash_and_restart_death_and_rejoin() {
         .unwrap();
     assert_eq!(policy.member_deaths(), 1);
     assert_eq!(policy.member_recoveries(), 1);
-    assert!(!policy.member_dead(2), "rejoined by the end of the run");
+    assert!(
+        !policy.metrics().members_dead[2],
+        "rejoined by the end of the run"
+    );
     let mae = policy.tracking_error().expect("outcomes were derived");
     assert!(mae.is_finite(), "tracking error poisoned: {mae}");
     // The rejoined member serves again: it completes work after boot.

@@ -21,14 +21,14 @@
 //! | row | plant | stack | transport |
 //! |---|---|---|---|
 //! | `paper16` | 16 machines / 4 modules, the §5.2 day's crest | paper-blind | function call |
-//! | `adverse4` | 4 machines / 1 module, 208 ticks, capacity drift and a fault plan | drift-aware L0, closed loop, retrain, fault tolerance | function call |
+//! | `adverse4` | 4 machines / 1 module, 208 ticks, capacity drift and a fault plan | drift-aware L0, closed loop, fault tolerance | function call |
 //! | `scale128` | 128 machines / 32 modules, split quantum 1/128 | paper-blind | function call |
 //! | `scale128_pipe` | the same run | the same | codec over an in-memory `PipeLink` |
 
 use llc_cluster::{
     cluster_of, paper_cluster_16, single_module, ControlPlane, Directive, DirectiveEmit,
     Experiment, FaultToleranceConfig, HierarchicalPolicy, ObservationIngest, Plant, PolicyBuilder,
-    RetrainConfig, ScenarioConfig,
+    ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_net::{
@@ -384,7 +384,6 @@ fn adverse4() -> Vec<Run> {
             let policy = PolicyBuilder::new(scenario.clone())
                 .drift_aware_l0()
                 .closed_loop(OnlineConfig::default())
-                .retrain(RetrainConfig::default())
                 .fault_tolerance(FaultToleranceConfig::default())
                 .build();
             let ticks = run_in_process(policy, &scenario, &exp, &drift.trace);
