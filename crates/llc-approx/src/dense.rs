@@ -226,15 +226,6 @@ impl<V> DenseGrid<V> {
         }
     }
 
-    /// `true` when every coordinate of `key` falls inside the trained
-    /// box (no clamping needed).
-    #[inline]
-    fn in_trained_box(&self, key: &CellKey) -> bool {
-        key.iter().zip(&self.dims).all(|(&cell, dim)| {
-            cell >= dim.cell_min && cell - dim.cell_min < dim.slot_of_cell.len() as i64
-        })
-    }
-
     /// The cell centers of `key`, into `centers`.
     fn centers_into(&self, key: &CellKey, centers: &mut [f64]) {
         for ((c, &k), dim) in centers.iter_mut().zip(key).zip(&self.dims) {
@@ -348,30 +339,6 @@ impl<V> DenseGrid<V> {
         1.0
     }
 
-    /// In-box blending only, growing nothing: a point inside the trained
-    /// box blends the trained cell that answers for it, and an outcome
-    /// observed *outside* the box is dropped (weight 0.0) rather than
-    /// blended into the edge cell it would clamp to — edge cells answer
-    /// every clamped query, so corrupting them with out-of-region
-    /// outcomes would poison the whole overload tail. The write for a
-    /// layer whose out-of-box behaviour is modelled elsewhere.
-    pub fn update_in_box(&mut self, point: &[f64], target: &V, cfg: &BlendConfig) -> f64
-    where
-        V: Blend,
-    {
-        let key = self.key_of(point);
-        if !self.in_trained_box(&key) {
-            return 0.0;
-        }
-        let idx = self.nearest_trained(&key).0;
-        blend_cell(
-            &mut self.values[idx],
-            &mut self.confidence[idx],
-            target,
-            cfg,
-        )
-    }
-
     /// Staleness sweep: multiply every cell's online confidence count by
     /// `factor ∈ [0, 1]`, so cells that stop being visited become quick
     /// to re-adapt when traffic returns to them.
@@ -413,7 +380,6 @@ mod tests {
         assert_eq!(grid.num_dims(), 2);
         for p in sampler.points() {
             assert_eq!(*grid.probe(&p), p[0] * 100.0 + p[1]);
-            assert!(grid.in_trained_box(&grid.key_of(&p)));
         }
     }
 
@@ -422,7 +388,6 @@ mod tests {
         let (_, grid) = grid_2d();
         assert_eq!(*grid.probe(&[100.0, -5.0]), 410.0);
         assert_eq!(*grid.probe(&[-3.0, 99.0]), 30.0);
-        assert!(!grid.in_trained_box(&grid.key_of(&[100.0, -5.0])));
     }
 
     /// A point per axis drawn from well past both edges of `sampler`, so
@@ -595,21 +560,6 @@ mod tests {
         // Other cells untouched, and a stored cell grows nothing.
         assert_eq!(*grid.probe(&[0.0, 10.0]), 10.0);
         assert_eq!(grid.len(), 15);
-    }
-
-    #[test]
-    fn out_of_box_update_is_dropped() {
-        let (_, mut grid) = grid_2d();
-        let edge_before = *grid.probe(&[100.0, 99.0]);
-        let w = grid.update_in_box(&[100.0, 99.0], &1e9, &BlendConfig::default());
-        assert_eq!(w, 0.0, "out-of-box outcomes must not corrupt edge cells");
-        assert_eq!(*grid.probe(&[100.0, 99.0]), edge_before);
-        assert_eq!(grid.confidence(&[100.0, 99.0]), 0.0);
-        assert_eq!(grid.len(), 15, "the in-box write grows nothing");
-        // Inside the box it blends like `update`.
-        let w = grid.update_in_box(&[2.0, 20.0], &0.0, &BlendConfig::new(0.25, 3.0));
-        assert!((w - 0.25).abs() < 1e-12);
-        assert_eq!(grid.confidence(&[2.0, 20.0]), 1.0);
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Closed-loop trajectory: the full event-driven hierarchy against the
-//! drifting simulated plant, in two arms per drift scenario —
+//! drifting simulated plant, in three arms per drift scenario —
 //!
 //! * **offline-only** — `PolicyBuilder::outcome_tracking`: the policy
 //!   derives realized outcomes and tracks its prequential prediction
 //!   error but never learns from them (the train-once controller);
 //! * **closed-loop** — `PolicyBuilder::closed_loop` and *zero* harness
-//!   code: the hierarchy absorbs its own outcomes in-loop.
+//!   code: the hierarchy absorbs its own outcomes in-loop;
+//! * **drift** — the drift-aware L0 with outcome tracking and no
+//!   learning; the self-healing arm below is this arm plus the closed
+//!   loop.
+//!
+//! Every arm reports what the plant got beside its tracking MAE: mean
+//! response, the fraction of windows over the response target and
+//! energy per injected request. No gate reads them.
 //!
 //! Tracking error is the prequential mean `|predicted − realized|` cost
 //! over every derived per-member outcome, measured against the maps
@@ -20,7 +27,7 @@
 //! nominal while the load still fits the degraded plant), compares the
 //! plain closed loop against the **self-healing** arm: the same closed
 //! loop over a drift-aware L0 (`ServiceScaleEstimator` threaded through
-//! the queue model).
+//! the queue model). The drift arm runs there too.
 //!
 //! Emits machine-readable `BENCH_closed_loop.json` at the workspace
 //! root; `--quick` shortens the run (no JSON rewrite); `--check` gates:
@@ -65,6 +72,8 @@ enum Arm {
     /// Drift-aware L0 + closed loop: the self-healing stack, benched on
     /// the deep-degradation scenario against the plain closed loop.
     SelfHeal,
+    /// Drift-aware L0 with outcome tracking and no learning.
+    Drift,
 }
 
 impl Arm {
@@ -73,6 +82,7 @@ impl Arm {
             Arm::Offline => "offline",
             Arm::Closed => "closed",
             Arm::SelfHeal => "selfheal",
+            Arm::Drift => "drift",
         }
     }
 }
@@ -85,13 +95,22 @@ struct ArmResult {
     /// Frequency switches summed over computers — the deep-degradation
     /// limit-cycle metric (the φ decision variance of the gate).
     freq_switches: usize,
+    /// Mean response over all completions (s).
+    mean_response_s: f64,
+    /// Fraction of windows whose mean response exceeded the target.
+    violation_fraction: f64,
+    /// Energy per injected request (power·s).
+    energy_per_req: f64,
     run_ms: f64,
 }
 
 fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
     format!(
-        "    \"{scenario}:{arm}\": {{\n      \"tracking_mae\": {:.4},\n      \"samples\": {},\n      \"online_updates\": {},\n      \"drift_detections\": {},\n      \"freq_switches\": {},\n      \"run_ms\": {:.1}\n    }}",
+        "    \"{scenario}:{arm}\": {{\n      \"tracking_mae\": {:.4},\n      \"mean_response_s\": {:.4},\n      \"violation_fraction\": {:.4},\n      \"energy_per_req\": {:.6},\n      \"samples\": {},\n      \"online_updates\": {},\n      \"drift_detections\": {},\n      \"freq_switches\": {},\n      \"run_ms\": {:.1}\n    }}",
         r.tracking_mae,
+        r.mean_response_s,
+        r.violation_fraction,
+        r.energy_per_req,
         r.samples,
         r.online_updates,
         r.detections,
@@ -118,6 +137,7 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
         Arm::Offline => builder.outcome_tracking(),
         Arm::Closed => builder.closed_loop(cfg),
         Arm::SelfHeal => builder.drift_aware_l0().closed_loop(cfg),
+        Arm::Drift => builder.drift_aware_l0().outcome_tracking(),
     }
     .build();
     let ratio = scenario.trace.interval() / 30.0;
@@ -131,6 +151,7 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
         .run(sc.to_sim_config(), &mut policy, &scenario.trace, &store)
         .expect("well-formed scenario");
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
+    let summary = log.summary();
     ArmResult {
         tracking_mae: policy.tracking_error().expect("outcomes were derived"),
         samples: policy.tracking_samples(),
@@ -139,7 +160,46 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
             .map(|m| policy.l1(m).drift_detections())
             .sum(),
         freq_switches: log.frequency_switches(),
+        mean_response_s: summary.mean_response,
+        violation_fraction: summary.violation_fraction,
+        energy_per_req: summary.total_energy / summary.total_arrivals.max(1) as f64,
         run_ms,
+    }
+}
+
+/// One arm's result. Every column but `run_ms` is deterministic (seeded
+/// workload, seeded spread), so one run suffices in check/quick mode. The
+/// JSON-writing path runs the arm three times and takes the median so
+/// the reported wall-clock (`run_ms`) is de-noised per the
+/// gate-calibration policy.
+fn run_median(scenario: &DriftScenario, arm: Arm, once: bool) -> ArmResult {
+    if once {
+        return run_arm(scenario, arm, 0xBEEF);
+    }
+    let mut runs = vec![
+        run_arm(scenario, arm, 0xBEEF),
+        run_arm(scenario, arm, 0xBEEF),
+        run_arm(scenario, arm, 0xBEEF),
+    ];
+    runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
+    debug_assert!(
+        (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
+        "tracking error must be deterministic"
+    );
+    runs.swap_remove(1)
+}
+
+/// One line per arm: its tracking MAE beside what the plant got.
+fn print_outcomes(results: &[(Arm, ArmResult)]) {
+    for (arm, r) in results {
+        println!(
+            "    {:<9} MAE {:>8.3}  resp {:>7.3} s  viol {:>5.3}  energy/req {:.5}",
+            arm.name(),
+            r.tracking_mae,
+            r.mean_response_s,
+            r.violation_fraction,
+            r.energy_per_req,
+        );
     }
 }
 
@@ -162,31 +222,10 @@ fn main() {
     let mut lines = Vec::new();
     let mut offline_beaten = 0usize;
     for scenario in &scenarios {
-        let mut results: Vec<(Arm, ArmResult)> = Vec::new();
-        for arm in [Arm::Offline, Arm::Closed] {
-            // The gate consults only the tracking MAEs, which are fully
-            // deterministic (seeded workload, seeded spread) — one run
-            // suffices in check/quick mode. The JSON-writing path runs
-            // each arm three times and takes the median so the reported
-            // wall-clock (`run_ms`) is de-noised per the
-            // gate-calibration policy.
-            let result = if check || quick {
-                run_arm(scenario, arm, 0xBEEF)
-            } else {
-                let mut runs = vec![
-                    run_arm(scenario, arm, 0xBEEF),
-                    run_arm(scenario, arm, 0xBEEF),
-                    run_arm(scenario, arm, 0xBEEF),
-                ];
-                runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
-                debug_assert!(
-                    (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
-                    "tracking error must be deterministic"
-                );
-                runs.swap_remove(1)
-            };
-            results.push((arm, result));
-        }
+        let results: Vec<(Arm, ArmResult)> = [Arm::Offline, Arm::Closed, Arm::Drift]
+            .into_iter()
+            .map(|arm| (arm, run_median(scenario, arm, check || quick)))
+            .collect();
         let offline = &results[0].1;
         let closed = &results[1].1;
         println!(
@@ -199,6 +238,7 @@ fn main() {
             closed.online_updates,
             closed.detections,
         );
+        print_outcomes(&results);
         if closed.tracking_mae < offline.tracking_mae {
             offline_beaten += 1;
         }
@@ -212,25 +252,10 @@ fn main() {
     // closed loop limit-cycles here: its queue model believes in
     // capacity the plant stopped delivering. ---
     let deep = deep_degradation_scenario(0xC105ED, buckets, 120.0, capacity);
-    let mut deep_results: Vec<(Arm, ArmResult)> = Vec::new();
-    for arm in [Arm::Closed, Arm::SelfHeal] {
-        let result = if check || quick {
-            run_arm(&deep, arm, 0xBEEF)
-        } else {
-            let mut runs = vec![
-                run_arm(&deep, arm, 0xBEEF),
-                run_arm(&deep, arm, 0xBEEF),
-                run_arm(&deep, arm, 0xBEEF),
-            ];
-            runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
-            debug_assert!(
-                (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
-                "tracking error must be deterministic"
-            );
-            runs.swap_remove(1)
-        };
-        deep_results.push((arm, result));
-    }
+    let deep_results: Vec<(Arm, ArmResult)> = [Arm::Closed, Arm::SelfHeal, Arm::Drift]
+        .into_iter()
+        .map(|arm| (arm, run_median(&deep, arm, check || quick)))
+        .collect();
     let deep_closed = &deep_results[0].1;
     let deep_heal = &deep_results[1].1;
     println!(
@@ -243,6 +268,7 @@ fn main() {
         deep_heal.freq_switches,
         deep_closed.tracking_mae / deep_heal.tracking_mae.max(1e-12),
     );
+    print_outcomes(&deep_results);
     for (arm, r) in &deep_results {
         lines.push(json_entry(deep.name, arm.name(), r));
     }

@@ -16,7 +16,7 @@
 //!   clock, assembles per-tick [`Observations`] for any
 //!   [`ClusterPolicy`], and exposes a [`MetricsSnapshot`] combining its
 //!   own driver counters (ingest, reordering, decide latency) with the
-//!   policy's [`PolicyMetrics`] (drift detections per learner, member
+//!   policy's [`PolicyMetrics`] (drift detections per member map, member
 //!   deaths/recoveries, safe-mode periods, feed-forward events).
 //!
 //! [`Experiment`] is one client of this API (its sim adapter translates
@@ -431,16 +431,12 @@ pub(crate) fn mean_duration(total: Duration, count: u64) -> Duration {
 /// zeros/empties — the defaults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PolicyMetrics {
-    /// Observations blended into learned models so far (all levels).
+    /// Observations blended into the abstraction maps so far (every L1).
     pub online_updates: u64,
     /// Drift detections fired per L1 learner: one inner vector per
     /// module, one counter per member abstraction map. Empty while
     /// online learning is off.
     pub map_drift_detections: Vec<Vec<u64>>,
-    /// Drift detections fired per L2 learner (one counter per module
-    /// cost model). Empty without an L2 or while online learning is
-    /// off.
-    pub model_drift_detections: Vec<u64>,
     /// Mean prequential tracking error (`|predicted − realized|` cost),
     /// or `None` before any outcome was derived.
     pub tracking_error: Option<f64>,
@@ -474,10 +470,9 @@ pub struct PolicyMetrics {
 }
 
 impl PolicyMetrics {
-    /// Total drift detections across every learner at every level.
+    /// Total drift detections across every member map's detector.
     pub fn drift_detections(&self) -> u64 {
-        let maps: u64 = self.map_drift_detections.iter().flatten().sum();
-        maps + self.model_drift_detections.iter().sum::<u64>()
+        self.map_drift_detections.iter().flatten().sum()
     }
 }
 

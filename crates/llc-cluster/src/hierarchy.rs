@@ -63,15 +63,15 @@ pub enum ClosedLoopMode {
     /// measure-only arm an offline hierarchy is scored with.
     Observe,
     /// The full closed loop: each period's derived outcomes are absorbed
-    /// by the module's [`L1Controller`] and the [`L2Controller`] residual
-    /// layer where they are derived — the hierarchy self-corrects with no
-    /// harness code.
+    /// into the module's [`L1Controller`] maps where they are derived —
+    /// the hierarchy self-corrects with no harness code. The L2's module
+    /// models stay as learned offline.
     Learn,
 }
 
-/// Internal closed-loop state: telemetry accumulators between slow-level
-/// ticks plus the snapshots that anchor each realized outcome to the
-/// operating point its decision was taken at.
+/// Internal closed-loop state: telemetry accumulators between L1 ticks
+/// plus the snapshot that anchors each realized outcome to the operating
+/// point its decision was taken at.
 #[derive(Debug)]
 struct ClosedLoop {
     mode: ClosedLoopMode,
@@ -97,14 +97,6 @@ struct ClosedLoop {
     refused: Vec<u64>,
     /// Set after the first L1 tick (the first window has no snapshot).
     have_snapshot: bool,
-    /// Per-module sum of realized per-L0-window costs over the running
-    /// L2 window.
-    module_cost_acc: Vec<f64>,
-    /// Per-module arrivals over the running L2 window.
-    module_arrivals: Vec<u64>,
-    /// Module states at the previous L2 tick (the key the L2 outcome is
-    /// absorbed at).
-    l2_snapshot: Option<Vec<ModuleState>>,
     /// Prequential tracking error: `|predicted − realized|` cost summed
     /// over derived outcomes, measured against the maps *before* any
     /// update from the outcome.
@@ -114,13 +106,10 @@ struct ClosedLoop {
     /// `(member, λ, q₀, realized)` — refilled per module and handed to
     /// its [`L1Controller::absorb_outcomes`] (Learn mode only).
     l1_outcomes: Vec<(usize, f64, f64, GEntry)>,
-    /// The modules' outcomes of the L2 period that just ended, `(module,
-    /// λ, state, realized cost)`, for [`L2Controller::absorb_outcomes`].
-    l2_outcomes: Vec<(usize, f64, ModuleState, f64)>,
 }
 
 impl ClosedLoop {
-    fn new(mode: ClosedLoopMode, computers: usize, modules: usize) -> Self {
+    fn new(mode: ClosedLoopMode, computers: usize) -> Self {
         ClosedLoop {
             mode,
             cost_acc: vec![0.0; computers],
@@ -129,13 +118,9 @@ impl ClosedLoop {
             served: vec![false; computers],
             refused: vec![0; computers],
             have_snapshot: false,
-            module_cost_acc: vec![0.0; modules],
-            module_arrivals: vec![0; modules],
-            l2_snapshot: None,
             err_sum: 0.0,
             err_n: 0,
             l1_outcomes: Vec::new(),
-            l2_outcomes: Vec::new(),
         }
     }
 }
@@ -461,10 +446,9 @@ impl HierarchicalPolicy {
     /// Close the loop in-hierarchy: from now on the policy derives
     /// realized per-member outcomes from the plant telemetry it already
     /// receives (window response slack + energy + end queue) and, every
-    /// period, hands them to its own L1 controllers and the L2 residual
-    /// layer ([`L1Controller::absorb_outcomes`],
-    /// [`L2Controller::absorb_outcomes`]) before deciding on the updated
-    /// models.
+    /// L1 period, hands them to its own L1 controllers
+    /// ([`L1Controller::absorb_outcomes`]) before deciding on the updated
+    /// maps.
     ///
     /// # Panics
     ///
@@ -477,14 +461,7 @@ impl HierarchicalPolicy {
         for l1 in &mut self.l1s {
             l1.enable_online(cfg);
         }
-        if let Some(l2) = self.l2.as_mut() {
-            l2.enable_online(cfg);
-        }
-        self.closed_loop = Some(ClosedLoop::new(
-            ClosedLoopMode::Learn,
-            self.l0s.len(),
-            self.members.len(),
-        ));
+        self.closed_loop = Some(ClosedLoop::new(ClosedLoopMode::Learn, self.l0s.len()));
     }
 
     /// Derive realized outcomes without learning from them: the policy
@@ -493,11 +470,7 @@ impl HierarchicalPolicy {
     /// learned models — the offline-only control arm of the closed-loop
     /// benches.
     pub(crate) fn set_outcome_tracking(&mut self) {
-        self.closed_loop = Some(ClosedLoop::new(
-            ClosedLoopMode::Observe,
-            self.l0s.len(),
-            self.members.len(),
-        ));
+        self.closed_loop = Some(ClosedLoop::new(ClosedLoopMode::Observe, self.l0s.len()));
     }
 
     /// The closed-loop mode in force.
@@ -521,11 +494,10 @@ impl HierarchicalPolicy {
         self.closed_loop.as_ref().map_or(0, |cl| cl.err_n)
     }
 
-    /// Online observations blended into the learned models so far,
-    /// summed over every L1 and the L2.
+    /// Online observations blended into the abstraction maps so far,
+    /// summed over every L1.
     pub fn online_updates(&self) -> u64 {
-        let l1: u64 = self.l1s.iter().map(|l| l.online_updates()).sum();
-        l1 + self.l2.as_ref().map_or(0, |l2| l2.online_updates())
+        self.l1s.iter().map(|l| l.online_updates()).sum()
     }
 
     /// Number of computers managed.
@@ -696,7 +668,7 @@ impl ClusterPolicy for HierarchicalPolicy {
         }
 
         // Closed loop, step 1: fold the realized window into the running
-        // L1/L2 accumulators. The realized per-window cost is the L0 cost
+        // L1 accumulators. The realized per-window cost is the L0 cost
         // function (eq. 6–7) evaluated on measurements instead of model
         // predictions — and it must use the *same functional* the model
         // uses: the response implied by the end-of-window queue at the
@@ -734,7 +706,6 @@ impl ClusterPolicy for HierarchicalPolicy {
                             / cfg.period;
                     let charge = cfg.q_weight * drop_slack;
                     cl.cost_acc[comp.index] += charge;
-                    cl.module_cost_acc[comp.module] += charge;
                     cl.refused[comp.index] += comp.rejected;
                 }
                 if ft_on && !comp.telemetry_ok {
@@ -759,10 +730,6 @@ impl ClusterPolicy for HierarchicalPolicy {
                 let cost = cfg.q_weight * slack + cfg.r_weight * power;
                 cl.cost_acc[comp.index] += cost;
                 cl.window_acc[comp.index].absorb(&comp.window);
-                cl.module_cost_acc[comp.module] += cost;
-            }
-            for module in &obs.modules {
-                cl.module_arrivals[module.index] += module.arrivals;
             }
         }
 
@@ -772,29 +739,6 @@ impl ClusterPolicy for HierarchicalPolicy {
                 let started = Instant::now();
                 l2.observe(self.global_arrivals_acc);
                 self.global_arrivals_acc = 0;
-
-                // Closed loop, L2 leg: the realized per-L1-period cost of
-                // each module over the window that just ended, keyed at
-                // the state the previous decision split against, absorbed
-                // into the residual layer before this decision consults
-                // the models.
-                if let Some(cl) = self.closed_loop.as_mut() {
-                    if let (ClosedLoopMode::Learn, Some(snapshot)) =
-                        (cl.mode, cl.l2_snapshot.as_ref())
-                    {
-                        let period = self.cadence.l2_every as f64 * self.l0s[0].config().period;
-                        cl.l2_outcomes.clear();
-                        for (m, state) in snapshot.iter().enumerate() {
-                            let lambda = cl.module_arrivals[m] as f64 / period;
-                            let realized = cl.module_cost_acc[m] * self.cadence.l1_every as f64
-                                / self.cadence.l2_every as f64;
-                            cl.l2_outcomes.push((m, lambda, *state, realized));
-                        }
-                        l2.absorb_outcomes(&cl.l2_outcomes);
-                    }
-                    cl.module_cost_acc.iter_mut().for_each(|c| *c = 0.0);
-                    cl.module_arrivals.iter_mut().for_each(|a| *a = 0);
-                }
 
                 // Membership changed since the last L2 decision: the
                 // previous split is stale evidence, so enumerate the full
@@ -828,9 +772,6 @@ impl ClusterPolicy for HierarchicalPolicy {
                     })
                     .collect();
                 let decision = l2.decide(&states);
-                if let Some(cl) = self.closed_loop.as_mut() {
-                    cl.l2_snapshot = Some(states);
-                }
 
                 // Feed the decided split forward into each re-split
                 // module's λ forecast: the module's own trailing forecast
@@ -1181,10 +1122,6 @@ impl ClusterPolicy for HierarchicalPolicy {
                 .iter()
                 .map(|l| l.member_drift_detections())
                 .collect(),
-            model_drift_detections: self
-                .l2
-                .as_ref()
-                .map_or_else(Vec::new, |l2| l2.module_drift_detections()),
             tracking_error: self.tracking_error(),
             tracking_samples: self.tracking_samples(),
             rebuilds: 0,

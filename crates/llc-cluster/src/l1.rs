@@ -1,7 +1,9 @@
 use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
-use llc_approx::{train_dense, Blend, BlendConfig, DenseGrid, GridSampler, SimplexGrid};
-use llc_core::{LearnRate, OnlineConfig, UncertaintyBand};
+use llc_approx::{
+    train_dense, Blend, BlendConfig, BlendSchedule, DenseGrid, GridSampler, SimplexGrid,
+};
+use llc_core::{DriftDetector, LearnRate, OnlineConfig, UncertaintyBand};
 use llc_forecast::{Ewma, Forecaster};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -309,35 +311,33 @@ impl AbstractionMap {
     }
 }
 
-/// A member's map as the L1's split level sees it: keyed by `(ĉ, q₀)`,
-/// learning from [`GEntry`] outcomes. A map still shared with another
-/// owner is copied once, on its first write.
+/// A member's map as the L1's split level sees it: keyed by `(ĉ, q₀)`.
 impl SplitChild for Arc<AbstractionMap> {
     type Key = (f64, f64);
-    type Outcome = GEntry;
 
     fn cost(&self, lambda: f64, (c, q0): (f64, f64)) -> f64 {
         self.query(lambda, c, q0).cost
     }
+}
 
-    fn realized(outcome: &GEntry) -> f64 {
-        outcome.cost
-    }
-
-    fn blend(
-        &mut self,
-        lambda: f64,
-        (c, q0): (f64, f64),
-        outcome: GEntry,
-        blend: &BlendConfig,
-    ) -> f64 {
-        let key = [lambda.max(0.0), c, q0.max(0.0)];
-        Arc::make_mut(self).table.update(&key, &outcome, blend)
-    }
-
-    fn decay_confidence(&mut self, factor: f64) {
-        Arc::make_mut(self).decay_confidence(factor);
-    }
+/// The L1's online learning over its members' maps: knobs, blend
+/// schedules, one drift detector per member map and the lifetime
+/// counters.
+#[derive(Debug, Clone)]
+struct Learner {
+    cfg: OnlineConfig,
+    /// Steady-state and fast re-convergence schedules.
+    schedule: BlendSchedule,
+    /// One Page–Hinkley detector per member map over its normalized
+    /// residuals `(realized − predicted) / max(1, |predicted|)`, whose
+    /// detections set the map's learning rate.
+    detectors: Vec<DriftDetector>,
+    /// Learning passes run (the staleness sweep's cadence).
+    passes: u64,
+    /// Outcomes blended in (weight > 0).
+    applied: u64,
+    /// Outcomes blended at the fast rate.
+    fast_applied: u64,
 }
 
 /// Configuration of an L1 (module) controller.
@@ -499,12 +499,14 @@ fn effective_c(member: &MemberSpec, filter: &Ewma, scale: f64) -> f64 {
 pub struct L1Controller {
     config: L1Config,
     members: Vec<MemberSpec>,
-    /// The split over the members: their abstraction maps, the module's
-    /// λ forecast and the online learner. The maps are shared, not
-    /// cloned: members of one kind may hold the same map, and offline
-    /// module learning replays thousands of short-lived `L1Controller`s
-    /// over the same maps, so construction must not deep-copy the tables.
+    /// The split over the members: their abstraction maps and the
+    /// module's λ forecast. The maps are shared, not cloned: members of
+    /// one kind may hold the same map, and offline module learning
+    /// replays thousands of short-lived `L1Controller`s over the same
+    /// maps, so construction must not deep-copy the tables.
     level: SplitLevel<Arc<AbstractionMap>>,
+    /// Present once online learning is on.
+    online: Option<Learner>,
     band: UncertaintyBand,
     c_filters: Vec<Ewma>,
     /// Per-member delivered-capacity scales `ŝ` pushed up from the
@@ -570,6 +572,7 @@ impl L1Controller {
             config,
             members,
             level: SplitLevel::new(maps),
+            online: None,
             band: UncertaintyBand::new(0.25),
             c_filters,
             member_scales: vec![1.0; m],
@@ -591,12 +594,24 @@ impl L1Controller {
     ///
     /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
     pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        self.level.enable_online(cfg);
+        let cfg = cfg.validated();
+        self.online = Some(Learner {
+            cfg,
+            schedule: BlendSchedule::new(
+                cfg.learning_rate,
+                cfg.fast_learning_rate,
+                cfg.prior_weight,
+            ),
+            detectors: vec![DriftDetector::new(cfg.detector); self.members.len()],
+            passes: 0,
+            applied: 0,
+            fast_applied: 0,
+        });
     }
 
     /// Observations blended into the maps so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
-        self.level.online_updates()
+        self.online.as_ref().map_or(0, |o| o.applied)
     }
 
     /// Absorb one control period's realized outcomes, in slice order, as
@@ -617,29 +632,65 @@ impl L1Controller {
     /// Panics if online learning is not enabled or a member index is out
     /// of range.
     pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, f64, GEntry)]) -> usize {
-        let (members, filters, scales) = (&self.members, &self.c_filters, &self.member_scales);
-        self.level
-            .absorb(outcomes.iter().map(|&(member, lambda, q0, realized)| {
-                let c = effective_c(&members[member], &filters[member], scales[member]);
-                (member, lambda.max(0.0), (c, q0.max(0.0)), realized)
-            }))
+        let online = self
+            .online
+            .as_mut()
+            .expect("call enable_online before absorb_outcomes");
+        let maps = &mut self.level.children;
+        let mut applied = 0usize;
+        for &(member, lambda, q0, realized) in outcomes {
+            let c = effective_c(
+                &self.members[member],
+                &self.c_filters[member],
+                self.member_scales[member],
+            );
+            let (lambda, q0) = (lambda.max(0.0), q0.max(0.0));
+            let predicted = maps[member].query(lambda, c, q0).cost;
+            let detector = &mut online.detectors[member];
+            detector.observe((realized.cost - predicted) / predicted.abs().max(1.0));
+            let fast = detector.rate() == LearnRate::Fast;
+            let blend = online.schedule.select(fast);
+            // A map still shared with another owner is copied once, on
+            // its first write.
+            if Arc::make_mut(&mut maps[member])
+                .table
+                .update(&[lambda, c, q0], &realized, blend)
+                > 0.0
+            {
+                applied += 1;
+                online.applied += 1;
+                online.fast_applied += u64::from(fast);
+            }
+        }
+        online.passes += 1;
+        let cfg = online.cfg;
+        if cfg.decay_every > 0 && online.passes.is_multiple_of(cfg.decay_every) {
+            for map in maps.iter_mut() {
+                Arc::make_mut(map).decay_confidence(cfg.decay_factor);
+            }
+        }
+        applied
     }
 
     /// Drift detections fired across the members' residual streams.
     pub fn drift_detections(&self) -> u64 {
-        self.level.drift_detections()
+        self.online.as_ref().map_or(0, |o| {
+            o.detectors.iter().map(DriftDetector::detections).sum()
+        })
     }
 
     /// Drift detections fired per member (position order) — the
     /// per-learner resolution of the metrics surface. Empty while
     /// online learning is off.
     pub fn member_drift_detections(&self) -> Vec<u64> {
-        self.level.child_drift_detections()
+        self.online.as_ref().map_or_else(Vec::new, |o| {
+            o.detectors.iter().map(DriftDetector::detections).collect()
+        })
     }
 
     /// Observations blended at the fast re-convergence rate so far.
     pub fn fast_updates(&self) -> u64 {
-        self.level.online.as_ref().map_or(0, |o| o.fast_applied)
+        self.online.as_ref().map_or(0, |o| o.fast_applied)
     }
 
     /// The blend rate member `member`'s updates currently run at.
@@ -649,8 +700,7 @@ impl L1Controller {
     /// Panics if online learning is not enabled or `member` is out of
     /// range.
     pub fn member_learn_rate(&self, member: usize) -> LearnRate {
-        self.level
-            .online
+        self.online
             .as_ref()
             .expect("call enable_online before member_learn_rate")
             .detectors[member]
@@ -1415,7 +1465,7 @@ mod tests {
     fn controller_absorbs_a_period_of_outcomes() {
         let mut l1 = build_module(2);
         l1.enable_online(llc_core::OnlineConfig::default());
-        assert!(l1.level.online.is_some());
+        assert!(l1.online.is_some());
         for _ in 0..4 {
             l1.observe(30 * 120, &[Some(0.0175); 2]);
             let _ = l1.decide(&[0, 0], &[true, true]);

@@ -1,8 +1,6 @@
 use crate::l1::{AbstractionMap, L1Config, L1Controller, MemberSpec};
 use crate::split::{SplitChild, SplitLevel};
-use llc_approx::SimplexGrid;
-use llc_approx::{BlendConfig, DenseGrid, GridSampler, RegressionTree, TreeConfig};
-use llc_core::OnlineConfig;
+use llc_approx::{RegressionTree, SimplexGrid, TreeConfig};
 use std::sync::Arc;
 
 /// The per-module cost approximation `J̃_i` used by the L2 controller.
@@ -26,8 +24,7 @@ use std::sync::Arc;
 pub struct ModuleCostModel {
     /// The offline surface, immutable after [`ModuleCostModel::learn`] and
     /// therefore shared: cloning a model copies the handle, so every
-    /// module of one composition reads the same tree while owning its own
-    /// `residual`.
+    /// module of one composition reads the same tree.
     tree: Arc<RegressionTree>,
     /// Upper edge of the trained queue grid.
     q_hi: f64,
@@ -43,15 +40,6 @@ pub struct ModuleCostModel {
     /// routes load toward it (its cost looks sunk while the healthy
     /// module's cost rises with load).
     overload_arrival_cost: f64,
-    /// The training grid, kept so the online residual layer can be built
-    /// over exactly the domain the tree was fit on.
-    sampler: GridSampler,
-    /// Online residual correction: a dense grid over the training domain
-    /// learning `realized − tree` from observed module outcomes (a CART
-    /// tree cannot be re-split incrementally, so drift is absorbed by an
-    /// additively-corrected surface instead). `None` until
-    /// [`ModuleCostModel::enable_online`].
-    residual: Option<DenseGrid<f64>>,
 }
 
 /// Resolution of the module-learning grid.
@@ -256,64 +244,6 @@ impl ModuleCostModel {
             q_hi,
             overload_slope,
             overload_arrival_cost,
-            sampler,
-            residual: None,
-        }
-    }
-
-    /// Switch on the online residual layer: a zero-initialized dense grid
-    /// over the training domain that [`L2Controller::absorb_outcomes`]
-    /// blends realized-minus-predicted errors into.
-    pub fn enable_online(&mut self) {
-        if self.residual.is_none() {
-            self.residual = Some(DenseGrid::from_fn(&self.sampler, |_| 0.0));
-        }
-    }
-
-    /// `true` once the online residual layer exists.
-    pub fn online_enabled(&self) -> bool {
-        self.residual.is_some()
-    }
-
-    /// Blend one realized module outcome into the residual layer under
-    /// `blend`: the correction cell at `(λ_i, c_factor, q̄, active)` moves
-    /// toward `realized_cost − base prediction`, so repeated visits under
-    /// drift bend the cost surface toward what the module actually does
-    /// now. Returns the blend weight applied (0.0 when the key fell
-    /// outside the trained box, or online learning is disabled).
-    ///
-    /// Observations beyond the trained queue ceiling are dropped, not
-    /// clamped: `key_of` would fold them into the `q_hi` edge cells,
-    /// which also answer legitimate near-ceiling queries — the
-    /// edge-poisoning [`DenseGrid::update_in_box`] refuses on the other
-    /// axes. Nor does the layer grow cells out there as the L1 maps do:
-    /// it is a correction added to `base_predict`, whose linear extension
-    /// already handles overload states, and a grown cell would answer
-    /// for every clamped key nearer to it than to the trained edge.
-    pub(crate) fn observe_outcome_with(
-        &mut self,
-        lambda: f64,
-        c_factor: f64,
-        q_mean: f64,
-        active: usize,
-        realized_cost: f64,
-        blend: &BlendConfig,
-    ) -> f64 {
-        if q_mean.max(0.0) > self.q_hi {
-            return 0.0;
-        }
-        let key = self.key_of(lambda, c_factor, q_mean, active);
-        let target = realized_cost - self.base_predict(lambda, c_factor, q_mean, active);
-        match self.residual.as_mut() {
-            Some(grid) => grid.update_in_box(&key, &target, blend),
-            None => 0.0,
-        }
-    }
-
-    /// Staleness sweep over the residual layer's confidence counts.
-    pub fn decay_confidence(&mut self, factor: f64) {
-        if let Some(grid) = self.residual.as_mut() {
-            grid.decay_confidence(factor);
         }
     }
 
@@ -328,9 +258,15 @@ impl ModuleCostModel {
         ]
     }
 
-    /// Offline prediction: tree plus overload extension, without the
-    /// online residual.
-    fn base_predict(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> f64 {
+    /// Predicted per-period cost of the module at
+    /// `(λ_i, c_factor, q̄, active)`.
+    ///
+    /// Queues beyond the trained ceiling add a linear backlog penalty on
+    /// top of the tree's edge prediction, plus a per-arrival penalty that
+    /// restores the λ gradient a saturated module loses (see the field
+    /// docs on `overload_arrival_cost`) — so the split search sheds load
+    /// off a drowning module instead of treating its cost as sunk.
+    pub fn predict(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> f64 {
         let q = q_mean.max(0.0);
         let base = self.tree.predict(&self.key_of(lambda, c_factor, q, active));
         if q > self.q_hi {
@@ -340,51 +276,15 @@ impl ModuleCostModel {
             base
         }
     }
-
-    /// Predicted per-period cost of the module at
-    /// `(λ_i, c_factor, q̄, active)`.
-    ///
-    /// Queues beyond the trained ceiling add a linear backlog penalty on
-    /// top of the tree's edge prediction, plus a per-arrival penalty that
-    /// restores the λ gradient a saturated module loses (see the field
-    /// docs on `overload_arrival_cost`) — so the split search sheds load
-    /// off a drowning module instead of treating its cost as sunk. With
-    /// online learning enabled, the learned residual correction is added
-    /// on top.
-    pub fn predict(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> f64 {
-        let base = self.base_predict(lambda, c_factor, q_mean, active);
-        match &self.residual {
-            Some(grid) => base + grid.probe(&self.key_of(lambda, c_factor, q_mean, active)),
-            None => base,
-        }
-    }
 }
 
 /// A module's cost model as the L2's split level sees it: keyed by the
-/// module's state, learning from realized per-period costs.
+/// module's state.
 impl SplitChild for ModuleCostModel {
     type Key = ModuleState;
-    type Outcome = f64;
 
     fn cost(&self, lambda: f64, state: ModuleState) -> f64 {
         self.predict(lambda, state.c_factor, state.queue_mean, state.active)
-    }
-
-    fn realized(cost: &f64) -> f64 {
-        *cost
-    }
-
-    fn blend(&mut self, lambda: f64, state: ModuleState, cost: f64, blend: &BlendConfig) -> f64 {
-        let ModuleState {
-            c_factor,
-            queue_mean,
-            active,
-        } = state;
-        self.observe_outcome_with(lambda, c_factor, queue_mean, active, cost, blend)
-    }
-
-    fn decay_confidence(&mut self, factor: f64) {
-        ModuleCostModel::decay_confidence(self, factor);
     }
 }
 
@@ -468,8 +368,8 @@ fn snap_units(grid: &SimplexGrid, weights: &[f64]) -> Vec<i64> {
 #[derive(Debug, Clone)]
 pub struct L2Controller {
     config: L2Config,
-    /// The split over the modules: their cost models, the global λ
-    /// forecast and the online learner.
+    /// The split over the modules: their cost models and the global λ
+    /// forecast.
     level: SplitLevel<ModuleCostModel>,
     /// The standing split in quanta: each decision's answer is these
     /// times the grid's quantum.
@@ -505,56 +405,6 @@ impl L2Controller {
     /// split as usual; the margin is still skipped.
     pub(crate) fn relax_hysteresis_once(&mut self) {
         self.relax_once = true;
-    }
-
-    /// Switch on online incremental learning: enables the residual layer
-    /// on every module model; realized outcomes handed to
-    /// [`L2Controller::absorb_outcomes`] are blended in. Calling it again
-    /// restarts the learner (detectors, counters) under the new knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        self.level.enable_online(cfg);
-        for model in &mut self.level.children {
-            model.enable_online();
-        }
-    }
-
-    /// `true` once [`L2Controller::enable_online`] has been called.
-    pub fn online_enabled(&self) -> bool {
-        self.level.online.is_some()
-    }
-
-    /// Observations blended into the module models so far (weight > 0).
-    pub fn online_updates(&self) -> u64 {
-        self.level.online_updates()
-    }
-
-    /// Absorb one control period's realized module outcomes, in slice
-    /// order, as `(module, λ_i, state, realized cost)`: the arrival rate
-    /// actually routed to the module, the state it served under
-    /// (processing-time factor, mean queue, active machine count), and
-    /// the measured cost over the period. Each outcome feeds the module's
-    /// drift detector, then blends into its residual layer at the rate
-    /// the detector selects. One call is one learning pass: the staleness
-    /// sweep runs after it on the configured cadence. Returns the number
-    /// of outcomes blended in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if online learning is not enabled or a module index is out
-    /// of range.
-    pub fn absorb_outcomes(&mut self, outcomes: &[(usize, f64, ModuleState, f64)]) -> usize {
-        self.level.absorb(outcomes.iter().copied())
-    }
-
-    /// Drift detections fired per module cost model — the per-learner
-    /// resolution of the metrics surface. Empty while online learning
-    /// is off.
-    pub fn module_drift_detections(&self) -> Vec<u64> {
-        self.level.child_drift_detections()
     }
 
     /// Seed the controller with an initial split (e.g. proportional to
@@ -964,8 +814,8 @@ mod tests {
     }
 
     /// Drive `l2` and a clone through the same generated periods — load
-    /// swings, drifted and drowned modules, membership relaxations and,
-    /// when the residual layer is on, absorbed outcomes — one deciding
+    /// swings, drifted and drowned modules and membership relaxations —
+    /// one deciding
     /// through the memoised ring, the other through `decide_reference`.
     /// Returns the decisions, which must agree bit for bit.
     fn decide_against_reference(
@@ -994,22 +844,6 @@ mod tests {
                     active: rng.gen_range(1..=3usize),
                 })
                 .collect();
-            if l2.online_enabled() {
-                let outcomes: Vec<_> = (0..modules)
-                    .map(|i| {
-                        (
-                            i,
-                            rng.gen_range(0.0..300.0),
-                            states[i],
-                            rng.gen_range(0.0..400.0),
-                        )
-                    })
-                    .collect();
-                assert_eq!(
-                    l2.absorb_outcomes(&outcomes),
-                    reference.absorb_outcomes(&outcomes)
-                );
-            }
             if step % relax_every == relax_every - 1 {
                 l2.relax_hysteresis_once();
                 reference.relax_hysteresis_once();
@@ -1058,11 +892,9 @@ mod tests {
         assert_eq!(decisions[0].states_evaluated, 286);
         assert!(decisions[1].states_evaluated <= 13);
 
-        // Seven modules seeded with three of them at zero quanta, the
-        // residual layer learning every period.
+        // Seven modules seeded with three of them at zero quanta.
         let mut l2 = L2Controller::new(at_quantum(0.1), mixed_models(7));
         l2.set_initial_split(vec![4.0, 0.0, 1.0, 3.0, 2.0, 0.0, 0.0]);
-        l2.enable_online(OnlineConfig::default());
         decide_against_reference(l2, 2, 60, 11);
 
         // 32 modules as `scale128_*` runs them: too many to enumerate
@@ -1079,74 +911,6 @@ mod tests {
         let l2 = L2Controller::new(at_quantum(0.1), mixed_models(32));
         decide_against_reference(l2, 4, 50, 11);
     }
-
-    #[test]
-    fn residual_layer_corrects_drifted_module_cost() {
-        let mut model = module_model(2);
-        let cfg = OnlineConfig::default();
-        let blend = BlendConfig::new(cfg.learning_rate, cfg.prior_weight);
-        model.enable_online();
-        assert!(model.online_enabled());
-        let offline = model.predict(50.0, 1.0, 10.0, 2);
-        // The module drifted: it now costs 40 units more at this state.
-        let realized = offline + 40.0;
-        for _ in 0..40 {
-            let w = model.observe_outcome_with(50.0, 1.0, 10.0, 2, realized, &blend);
-            assert!(w > 0.0, "in-domain outcome must blend");
-        }
-        let adapted = model.predict(50.0, 1.0, 10.0, 2);
-        assert!(
-            (adapted - realized).abs() < 2.0,
-            "residual must close most of the 40-unit drift gap: \
-             offline {offline:.2}, adapted {adapted:.2}, realized {realized:.2}"
-        );
-        // Over-ceiling outcomes are dropped, not clamped into the q_hi
-        // edge cells that also answer legitimate near-ceiling queries.
-        assert_eq!(
-            model.observe_outcome_with(50.0, 1.0, 500.0, 2, 1e6, &blend),
-            0.0
-        );
-        // Disabled path unchanged.
-        let mut fresh = module_model(2);
-        assert!(!fresh.online_enabled());
-        assert_eq!(
-            fresh.observe_outcome_with(50.0, 1.0, 10.0, 2, realized, &blend),
-            0.0
-        );
-    }
-
-    #[test]
-    fn l2_absorbs_a_period_of_outcomes_into_models() {
-        let model = module_model(2);
-        let models = vec![model.clone(), model];
-        let mut l2 = L2Controller::new(L2Config::paper_default(), models);
-        l2.enable_online(OnlineConfig::default());
-        for _ in 0..3 {
-            l2.observe((60.0 * 120.0) as u64);
-        }
-        let state = ModuleState {
-            c_factor: 1.0,
-            queue_mean: 5.0,
-            active: 2,
-        };
-        let _ = l2.decide(&[state, state]);
-        let before = l2.level.children[0].predict(30.0, 1.0, 5.0, 2);
-        for _ in 0..20 {
-            let outcomes = [
-                (0, 30.0, state, before + 25.0),
-                (1, 30.0, state, before + 25.0),
-            ];
-            assert_eq!(l2.absorb_outcomes(&outcomes), 2);
-        }
-        assert_eq!(l2.online_updates(), 40);
-        let after = l2.level.children[0].predict(30.0, 1.0, 5.0, 2);
-        assert!(
-            after > before + 15.0,
-            "online outcomes must raise the prediction ({before:.2} -> {after:.2})"
-        );
-    }
-
-    use llc_core::OnlineConfig;
 
     /// The L2 of a ten-module `cluster_of` build (two modules of each of
     /// the five compositions), coarse learning.
@@ -1224,37 +988,59 @@ mod tests {
         assert_eq!(predictions(&l2.level.children[5]), predictions(&solo));
     }
 
+    /// A closed loop learns in the L1s' maps only: after a two-module
+    /// run under a degrading plant, every module model still predicts
+    /// what a fresh build's does, bit for bit, over a sweep fine enough
+    /// to see any cell a run could have written.
     #[test]
-    fn an_absorbed_outcome_stays_in_its_own_modules_residual() {
-        let (_, mut l2) = built_l2();
-        l2.enable_online(OnlineConfig::default());
-        let before_0 = predictions(&l2.level.children[0]);
-        let before_5 = predictions(&l2.level.children[5]);
-        assert_eq!(before_0, before_5);
-        let state = ModuleState {
-            c_factor: 1.0,
-            queue_mean: 5.0,
-            active: 3,
+    fn a_closed_loop_run_leaves_the_module_models_as_learned() {
+        use llc_workload::{CapacityProfile, Trace, VirtualStore};
+        let mut sc = crate::paper_cluster_16().with_coarse_learning();
+        sc.modules.truncate(2);
+        let capacity: f64 = sc
+            .member_specs()
+            .iter()
+            .flatten()
+            .map(|m| m.speed / m.c_prior)
+            .sum();
+        let trace = Trace::new(30.0, vec![0.5 * capacity * 30.0; 48]).expect("well-formed trace");
+        let mut policy = crate::PolicyBuilder::new(sc.clone())
+            .closed_loop(llc_core::OnlineConfig::default())
+            .build();
+        let exp = crate::Experiment {
+            drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
+            ..crate::Experiment::paper_default(31)
         };
-        let realized = l2.level.children[0].predict(120.0, 1.0, 5.0, 3) + 25.0;
-        for _ in 0..20 {
-            assert_eq!(l2.absorb_outcomes(&[(0, 120.0, state, realized)]), 1);
+        exp.run(
+            sc.to_sim_config(),
+            &mut policy,
+            &trace,
+            &VirtualStore::paper_default(31),
+        )
+        .expect("well-formed scenario");
+        assert!(policy.online_updates() > 0, "the L1s learned");
+
+        let fresh = crate::HierarchicalPolicy::build(&sc);
+        let (run, fresh) = (
+            &policy.l2().expect("two modules build an L2").level.children,
+            &fresh.l2().expect("two modules build an L2").level.children,
+        );
+        for (m, (learned, built)) in run.iter().zip(fresh).enumerate() {
+            for l in 0..=200 {
+                for c in [0.7, 0.85, 1.0, 1.2, 1.4] {
+                    for q in [0.0, 10.0, 25.0, 50.0, 75.0, 100.0, 150.0] {
+                        for active in 1..=4 {
+                            let lambda = l as f64;
+                            assert_eq!(
+                                learned.predict(lambda, c, q, active).to_bits(),
+                                built.predict(lambda, c, q, active).to_bits(),
+                                "module {m} at ({lambda}, {c}, {q}, {active})"
+                            );
+                        }
+                    }
+                }
+            }
         }
-        assert_ne!(
-            predictions(&l2.level.children[0]),
-            before_0,
-            "module 0 learned"
-        );
-        assert_eq!(
-            predictions(&l2.level.children[5]),
-            before_5,
-            "module 5 did not"
-        );
-        assert_eq!(
-            Arc::as_ptr(&l2.level.children[0].tree),
-            Arc::as_ptr(&l2.level.children[5].tree),
-            "the offline tree is never written, so it stays shared"
-        );
     }
 
     #[test]

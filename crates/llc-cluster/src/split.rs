@@ -3,7 +3,7 @@
 //! share. [`crate::L1Controller`] splits a module over its computers'
 //! abstraction maps, [`crate::L2Controller`] the cluster over its modules'
 //! cost models; a [`SplitLevel`] holds what they share: the children, the
-//! arrival-rate forecast, the online learner and one share search.
+//! arrival-rate forecast and one share search.
 //!
 //! A split gives child `idx[k]` `units[k]` quanta. [`SplitLevel::begin`]
 //! fixes a decision's quantum `q`, band samples `λ_s` and child keys; lane
@@ -25,8 +25,7 @@
 //! * [`SplitChild::cost`] is pure, so a lane priced once, lazily, is what
 //!   pricing it on every visit gives.
 
-use llc_approx::{BlendConfig, BlendSchedule, SimplexGrid};
-use llc_core::{DriftDetector, LearnRate, OnlineConfig};
+use llc_approx::SimplexGrid;
 use llc_forecast::{Forecaster, LocalLinearTrend};
 use std::fmt::Debug;
 
@@ -36,52 +35,15 @@ const BAND: usize = 3;
 /// A learned model of what one child does with a share of the load.
 ///
 /// Contract: [`cost`](SplitChild::cost) is a pure function of its
-/// arguments between two writes (`blend`, `decay_confidence`), and never
-/// returns `-0.0`, so a sum started at `0.0` has the bits of one started
-/// at its first term.
+/// arguments between two writes to the model, and never returns `-0.0`,
+/// so a sum started at `0.0` has the bits of one started at its first
+/// term.
 pub(crate) trait SplitChild {
     /// The child's state apart from its load, fixed within a decision.
     type Key: Copy + Debug;
-    /// One realized outcome.
-    type Outcome: Copy;
 
     /// Predicted cost of the child serving `lambda` req/s in state `key`.
     fn cost(&self, lambda: f64, key: Self::Key) -> f64;
-
-    /// The realized cost `outcome` carries, compared with `cost`.
-    fn realized(outcome: &Self::Outcome) -> f64;
-
-    /// Blend `outcome`, realized serving `lambda` in state `key`, into the
-    /// model under `blend`. Returns the weight applied (0.0 = dropped).
-    fn blend(
-        &mut self,
-        lambda: f64,
-        key: Self::Key,
-        outcome: Self::Outcome,
-        blend: &BlendConfig,
-    ) -> f64;
-
-    /// Staleness sweep: shrink every online confidence by `factor`.
-    fn decay_confidence(&mut self, factor: f64);
-}
-
-/// A level's online learning: knobs, blend schedules, one drift detector
-/// per child and the lifetime counters.
-#[derive(Debug, Clone)]
-pub(crate) struct Learner {
-    cfg: OnlineConfig,
-    /// Steady-state and fast re-convergence schedules.
-    schedule: BlendSchedule,
-    /// One Page–Hinkley detector per child over its normalized residuals
-    /// `(realized − predicted) / max(1, |predicted|)`, whose detections
-    /// set the child's learning rate.
-    pub(crate) detectors: Vec<DriftDetector>,
-    /// Learning passes run (the staleness sweep's cadence).
-    passes: u64,
-    /// Outcomes blended in (weight > 0).
-    pub(crate) applied: u64,
-    /// Outcomes blended at the fast rate.
-    pub(crate) fast_applied: u64,
 }
 
 /// One decision's priced shares, unit-major so that a split's children
@@ -155,8 +117,6 @@ pub(crate) struct SplitLevel<C: SplitChild> {
     /// States weighed over all decisions.
     total_states: u64,
     decisions: u64,
-    /// Present once online learning is on.
-    pub(crate) online: Option<Learner>,
     lanes: Lanes<C::Key>,
     /// The climb's current split in quanta; its best once it returns.
     units: Vec<i64>,
@@ -167,8 +127,7 @@ pub(crate) struct SplitLevel<C: SplitChild> {
 }
 
 impl<C: SplitChild> SplitLevel<C> {
-    /// A level over `children` with a cold forecast and no learner.
-    /// Allocates nothing.
+    /// A level over `children` with a cold forecast. Allocates nothing.
     pub(crate) fn new(children: Vec<C>) -> Self {
         SplitLevel {
             children,
@@ -177,7 +136,6 @@ impl<C: SplitChild> SplitLevel<C> {
             forecast_history: Vec::new(),
             total_states: 0,
             decisions: 0,
-            online: None,
             lanes: Lanes {
                 quantum: 0.0,
                 samples: Vec::new(),
@@ -227,86 +185,6 @@ impl<C: SplitChild> SplitLevel<C> {
         } else {
             self.total_states as f64 / self.decisions as f64
         }
-    }
-
-    /// Switch on online learning (restarting it if it was on) under
-    /// [`OnlineConfig::validated`] knobs.
-    pub(crate) fn enable_online(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
-        self.online = Some(Learner {
-            cfg,
-            schedule: BlendSchedule::new(
-                cfg.learning_rate,
-                cfg.fast_learning_rate,
-                cfg.prior_weight,
-            ),
-            detectors: vec![DriftDetector::new(cfg.detector); self.children.len()],
-            passes: 0,
-            applied: 0,
-            fast_applied: 0,
-        });
-    }
-
-    /// Outcomes blended in so far.
-    pub(crate) fn online_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| o.applied)
-    }
-
-    /// Drift detections fired over all children.
-    pub(crate) fn drift_detections(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| {
-            o.detectors.iter().map(DriftDetector::detections).sum()
-        })
-    }
-
-    /// Drift detections fired per child; empty while learning is off.
-    pub(crate) fn child_drift_detections(&self) -> Vec<u64> {
-        self.online.as_ref().map_or_else(Vec::new, |o| {
-            o.detectors.iter().map(DriftDetector::detections).collect()
-        })
-    }
-
-    /// Absorb one period's realized outcomes, in order, as
-    /// `(child, λ, key, outcome)`. Each feeds the child's detector its
-    /// residual against the current model, then blends in at the rate the
-    /// detector selects: fast while a drift fired within its hold-off
-    /// window, steady otherwise. One call is one learning pass; every
-    /// `decay_every` passes the staleness sweep follows. Returns the
-    /// number of outcomes blended in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if online learning is off or a child index is out of range.
-    pub(crate) fn absorb(
-        &mut self,
-        outcomes: impl IntoIterator<Item = (usize, f64, C::Key, C::Outcome)>,
-    ) -> usize {
-        let online = self
-            .online
-            .as_mut()
-            .expect("call enable_online before absorb_outcomes");
-        let mut applied = 0usize;
-        for (i, lambda, key, outcome) in outcomes {
-            let child = &mut self.children[i];
-            let lambda = lambda.max(0.0);
-            let (realized, predicted) = (C::realized(&outcome), child.cost(lambda, key));
-            let detector = &mut online.detectors[i];
-            detector.observe((realized - predicted) / predicted.abs().max(1.0));
-            let fast = detector.rate() == LearnRate::Fast;
-            if child.blend(lambda, key, outcome, online.schedule.select(fast)) > 0.0 {
-                applied += 1;
-                online.applied += 1;
-                online.fast_applied += u64::from(fast);
-            }
-        }
-        online.passes += 1;
-        let cfg = online.cfg;
-        if cfg.decay_every > 0 && online.passes.is_multiple_of(cfg.decay_every) {
-            for child in &mut self.children {
-                child.decay_confidence(cfg.decay_factor);
-            }
-        }
-        applied
     }
 
     /// Start a decision: shares are multiples of `quantum`, priced under
@@ -433,7 +311,6 @@ mod tests {
 
     impl SplitChild for Table {
         type Key = u64;
-        type Outcome = f64;
 
         fn cost(&self, lambda: f64, key: u64) -> f64 {
             let h = mix(self.seed ^ mix(lambda.to_bits() ^ key.rotate_left(17)));
@@ -445,16 +322,6 @@ mod tests {
                 (h >> 11) as f64 / (1u64 << 53) as f64 * 10.0
             }
         }
-
-        fn realized(outcome: &f64) -> f64 {
-            *outcome
-        }
-
-        fn blend(&mut self, _: f64, _: u64, _: f64, _: &BlendConfig) -> f64 {
-            0.0
-        }
-
-        fn decay_confidence(&mut self, _: f64) {}
     }
 
     /// A level of `n` table children and one decision begun on it, with

@@ -26,7 +26,7 @@ pub struct OnlineConfig {
     /// rate.
     pub fast_learning_rate: f64,
     /// Knobs of the per-stream Page–Hinkley drift detector that switches
-    /// between the two rates (and raises the re-train recommendation).
+    /// between the two rates.
     pub detector: crate::DetectorConfig,
     /// Pseudo-observations credited to the offline training pass: how
     /// much evidence a cell's trained value counts as before online

@@ -505,7 +505,6 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     for inner in &p.map_drift_detections {
         put_u64_vec(&mut out, inner);
     }
-    put_u64_vec(&mut out, &p.model_drift_detections);
     put_opt_f64(&mut out, p.tracking_error);
     put_u64(&mut out, p.tracking_samples);
     put_u64(&mut out, p.member_deaths);
@@ -565,7 +564,6 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     for _ in 0..outer {
         map_drift_detections.push(read_u64_vec(&mut r)?);
     }
-    let model_drift_detections = read_u64_vec(&mut r)?;
     let tracking_error = read_opt_f64(&mut r)?;
     let tracking_samples = r.u64()?;
     let member_deaths = r.u64()?;
@@ -608,7 +606,6 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
         policy: PolicyMetrics {
             online_updates,
             map_drift_detections,
-            model_drift_detections,
             tracking_error,
             tracking_samples,
             rebuilds: 0,
@@ -751,7 +748,6 @@ mod tests {
             policy: PolicyMetrics {
                 online_updates: 333,
                 map_drift_detections: vec![vec![1, 0, 2, 0], vec![0, 3]],
-                model_drift_detections: vec![1, 0],
                 tracking_error: Some(0.03125),
                 tracking_samples: 88,
                 rebuilds: 0,

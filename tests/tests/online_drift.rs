@@ -1,7 +1,6 @@
 //! Drift integration: when delivered capacity degrades mid-run, an
-//! online-updated model tracks the plant better than the offline-only
-//! one — through the full L1 record/learn wiring as well as the L2
-//! residual layer.
+//! online-updated abstraction map tracks the plant better than the
+//! offline-only one, through the full L1 record/learn wiring.
 
 use llc_cluster::{
     AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, L1Config, L1Controller,

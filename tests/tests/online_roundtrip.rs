@@ -79,8 +79,7 @@ proptest! {
         );
     }
 
-    /// The two writes part ways on a never-stored key: the in-box write
-    /// refuses (weight 0, nothing changes), the growing write inserts at
+    /// A write at a never-stored key past the trained box inserts at
     /// full weight and then answers with the measured value.
     #[test]
     fn out_of_region_policies_hold(
@@ -92,10 +91,6 @@ proptest! {
         let (_, d0_hi, _) = sampler.dim(0);
         let outside = [d0_hi + offset, 2.0];
         let cfg = BlendConfig::default();
-
-        let edge_before = *map.probe(&outside);
-        prop_assert_eq!(map.update_in_box(&outside, &target, &cfg), 0.0);
-        prop_assert_eq!(*map.probe(&outside), edge_before);
 
         prop_assert_eq!(map.update(&outside, &target, &cfg), 1.0);
         prop_assert_eq!(*map.probe(&outside), target);
