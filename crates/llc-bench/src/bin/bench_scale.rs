@@ -1,19 +1,18 @@
 //! Mega-cluster plant throughput: how fast the struct-of-arrays,
-//! batch-routed, shard-stepped `ClusterSim` chews through simulated time
-//! as the cluster grows to 1000+ machines.
+//! shard-stepped `ClusterSim` chews through simulated time as the cluster
+//! grows to 1000+ machines.
 //!
 //! For each cluster size the bench drives the same windowed workload
-//! through the plant in window batches twice — once pinned to one worker
-//! thread, once at the runner's full thread count — and reports
-//! simulated seconds per wall-clock second for both arms. On the
-//! smallest cluster the same traffic is also scheduled request by
-//! request, to check that the two arrival encodings are accounted alike.
-//! (What the decision plane costs at scale is the `l1.decide_us` line of
-//! `benchmark/`'s ledger, what a per-request arrival costs its
-//! `sim.ns_per_request`.) Traffic is a constant-rate synthetic stream by
-//! default; `--trace wc98` switches the size sweep to a WC'98-like
-//! match-evening crest replay, and the gated path always replays that
-//! crest on the small cluster so the trace loader stays exercised in CI.
+//! through the plant twice — once pinned to one worker thread, once at
+//! the runner's full thread count — scheduling every request with its
+//! own `schedule_arrival` call, as `Plant` does, and reports simulated
+//! seconds per wall-clock second for both arms. (What the decision plane
+//! costs at scale is the `l1.decide_us` line of `benchmark/`'s ledger,
+//! what a per-request arrival costs its `sim.ns_per_request`.) Traffic
+//! is a constant-rate synthetic stream by default; `--trace wc98`
+//! switches the size sweep to a WC'98-like match-evening crest replay,
+//! and the gated path always replays that crest on the small cluster so
+//! the trace loader stays exercised in CI.
 //!
 //! A `hierarchy_build` section puts the controller's set-up beside the
 //! plant: wall time of `HierarchicalPolicy::build` at each size, and how
@@ -32,12 +31,11 @@
 //!
 //! Emits `BENCH_scale.json` at the workspace root (full runs). Pass
 //! `--quick` for a fast smoke run, `--check` for the CI regression gate:
-//! bit-identical sharding determinism, batched-vs-per-request accounting
-//! equivalence, sim-rate floors against the committed baseline, the
-//! build-time ratio and map count of the hierarchy at 1000 machines, and
-//! of the closed loop the L2's cost per split at 128 machines against 16,
-//! an L0 decision at 1000 machines against 16, and the share of requests
-//! served at 16 and 128. The
+//! bit-identical sharding determinism, sim-rate floors against the
+//! committed baseline, the build-time ratio and map count of the
+//! hierarchy at 1000 machines, and of the closed loop the L2's cost per
+//! split at 128 machines against 16, an L0 decision at 1000 machines
+//! against 16, and the share of requests served at 16 and 128. The
 //! sharded-faster-than-serial comparison is only *gated* on a runner
 //! with at least four cores: with one core both arms run the same serial
 //! code path, and a two-core container shares its second core with
@@ -145,7 +143,7 @@ impl Size {
 }
 
 /// Everything one plant run produces, for timing and for bit-exact
-/// comparison across thread counts and drive modes.
+/// comparison across thread counts.
 struct RunOutcome {
     wall_s: f64,
     sim_s: f64,
@@ -172,19 +170,9 @@ fn fresh_sim(size: &Size) -> ClusterSim {
     sim
 }
 
-/// How a window's arrivals are handed to the plant.
-#[derive(Clone, Copy)]
-enum Encoding {
-    /// One `inject_batch` a window.
-    Batch,
-    /// One `schedule_arrival` a request, spaced evenly across the window
-    /// exactly like a batch spreads its runs.
-    PerRequest,
-}
-
-/// Drive `counts[w]` arrivals through window `w` of the plant at the
-/// given worker-thread count.
-fn run_plant(size: &Size, counts: &[u64], threads: usize, encoding: Encoding) -> RunOutcome {
+/// Drive `counts[w]` arrivals, spaced evenly across window `w`, through
+/// the plant at the given worker-thread count.
+fn run_plant(size: &Size, counts: &[u64], threads: usize) -> RunOutcome {
     llc_par::with_threads(threads, || {
         let mut sim = fresh_sim(size);
         let started = Instant::now();
@@ -193,17 +181,10 @@ fn run_plant(size: &Size, counts: &[u64], threads: usize, encoding: Encoding) ->
         let mut completions = 0u64;
         for (w, &count) in counts.iter().enumerate() {
             let t0 = w as f64 * WINDOW_S;
-            match encoding {
-                Encoding::Batch => sim
-                    .inject_batch(t0, WINDOW_S, count, DEMAND_S)
-                    .expect("monotone windows"),
-                Encoding::PerRequest => {
-                    let spacing = WINDOW_S / count as f64;
-                    for k in 0..count {
-                        sim.schedule_arrival(t0 + k as f64 * spacing, DEMAND_S)
-                            .expect("monotone windows");
-                    }
-                }
+            let spacing = WINDOW_S / count as f64;
+            for k in 0..count {
+                sim.schedule_arrival(t0 + k as f64 * spacing, DEMAND_S)
+                    .expect("monotone windows");
             }
             sim.run_until(t0 + WINDOW_S).expect("monotone windows");
             let stats = sim.drain_computer_stats();
@@ -224,11 +205,6 @@ fn run_plant(size: &Size, counts: &[u64], threads: usize, encoding: Encoding) ->
             module_arrivals,
         }
     })
-}
-
-/// [`run_plant`] with one batch a window.
-fn run_batched(size: &Size, counts: &[u64], threads: usize) -> RunOutcome {
-    run_plant(size, counts, threads, Encoding::Batch)
 }
 
 /// Synthetic constant-rate schedule: `windows` windows at `RHO`
@@ -258,7 +234,7 @@ fn wc98_counts(size: &Size, windows: usize) -> Vec<u64> {
 
 /// Median-of-three wall time (seconds) for one plant arm.
 fn time_arm(size: &Size, counts: &[u64], threads: usize) -> f64 {
-    median3(|| run_batched(size, counts, threads).wall_s)
+    median3(|| run_plant(size, counts, threads).wall_s)
 }
 
 /// Build the paper-default hierarchy over this size's machines: median of
@@ -373,7 +349,7 @@ fn main() {
         }
     );
 
-    // --- Size sweep: serial vs sharded batched plant. -----------------
+    // --- Size sweep: serial vs sharded plant. -------------------------
     let mut size_rows = Vec::new();
     let sharded_threads = threads.max(2);
     for size in &sizes {
@@ -384,7 +360,7 @@ fn main() {
         };
         let serial_s = time_arm(size, &counts, 1);
         let sharded_s = time_arm(size, &counts, sharded_threads);
-        let outcome = run_batched(size, &counts, 1);
+        let outcome = run_plant(size, &counts, 1);
         let sim_s = outcome.sim_s;
         let serial_rate = sim_s / serial_s;
         let sharded_rate = sim_s / sharded_s;
@@ -402,9 +378,9 @@ fn main() {
     // --- Sharding determinism: 1 vs 2 vs 8 workers, bit-identical. ----
     let det_size = &sizes[1];
     let det_counts = synthetic_counts(det_size, windows.min(6));
-    let det1 = run_batched(det_size, &det_counts, 1);
-    let det2 = run_batched(det_size, &det_counts, 2);
-    let det8 = run_batched(det_size, &det_counts, 8);
+    let det1 = run_plant(det_size, &det_counts, 1);
+    let det2 = run_plant(det_size, &det_counts, 2);
+    let det8 = run_plant(det_size, &det_counts, 8);
     let deterministic = identical(&det1, &det2) && identical(&det1, &det8);
     println!(
         "sharding determinism (128 machines, 1/2/8 workers): {}",
@@ -415,26 +391,10 @@ fn main() {
         }
     );
 
-    // --- Batches vs request-by-request arrivals, identical traffic. ---
-    let small = &sizes[0];
-    let small_counts = synthetic_counts(small, windows);
-    let per_req = run_plant(small, &small_counts, 1, Encoding::PerRequest);
-    let batched = run_batched(small, &small_counts, 1);
-    let accounting_ok = per_req.module_arrivals == batched.module_arrivals
-        && per_req.dropped == batched.dropped
-        && per_req.arrivals == batched.arrivals;
-    println!(
-        "batched vs per-request arrivals (16 machines): accounting {}",
-        if accounting_ok {
-            "equivalent"
-        } else {
-            "MISMATCH"
-        }
-    );
-
     // --- Gated WC'98 replay on the small cluster (trace loader path). -
+    let small = &sizes[0];
     let wc98_small_counts = wc98_counts(small, windows);
-    let wc98_small = run_batched(small, &wc98_small_counts, 1);
+    let wc98_small = run_plant(small, &wc98_small_counts, 1);
     let wc98_rate = wc98_small.sim_s / wc98_small.wall_s;
     println!(
         "wc98 crest replay (16 machines): {} arrivals, {} dropped, \
@@ -530,13 +490,6 @@ fn main() {
         if !deterministic {
             failures.push("REGRESSION sharding determinism: 1/2/8-worker runs differ".to_string());
         }
-        if !accounting_ok {
-            failures.push(
-                "REGRESSION batched accounting: module arrivals/drops diverge from \
-                 the per-request stream"
-                    .to_string(),
-            );
-        }
         if wc98_small.arrivals == 0 || wc98_small.completions == 0 {
             failures.push("REGRESSION wc98 replay: no traffic served".to_string());
         }
@@ -604,7 +557,7 @@ fn main() {
             );
         }
         if failures.is_empty() {
-            println!("bench gate passed: scale plant deterministic, equivalent and fast enough");
+            println!("bench gate passed: scale plant deterministic and fast enough");
             return;
         }
         for f in &failures {
@@ -680,9 +633,7 @@ fn main() {
          runner; below {MIN_CORES_FOR_SHARDED_GATE} cores the ratio is not gated — the \
          determinism gate (1/2/8 workers bit-identical) is what certifies the sharding \
          discipline there\",\n\
-         {sections}  \"arrival_encodings\": {{\n    \"machines\": {bm},\n    \
-         \"accounting_equivalent\": {acc}\n  }},\n  \
-         \"wc98_replay\": {{\n    \"machines\": {wm},\n    \"windows\": {ww},\n    \
+         {sections}  \"wc98_replay\": {{\n    \"machines\": {wm},\n    \"windows\": {ww},\n    \
          \"arrivals\": {wa},\n    \"dropped\": {wd},\n    \
          \"sim_s_per_wall_s\": {wr:.0}\n  }},\n  \
          \"hierarchy_build\": {{\n    \"scenario\": \"paper_cluster_16 knobs over cluster_of(p), \
@@ -701,8 +652,6 @@ fn main() {
         },
         mid = sizes[1].machines(),
         sm = small.machines(),
-        bm = small.machines(),
-        acc = accounting_ok,
         wm = small.machines(),
         ww = wc98_small_counts.len(),
         wa = wc98_small.arrivals,

@@ -315,7 +315,7 @@ impl HierarchicalPolicy {
         });
         // One learned model per ordered composition (the kinds of a
         // module's members, in member order); each module gets its own
-        // copy, which shares the tree and owns its online residual.
+        // copy, which shares the tree and never changes after learning.
         let mut composition_models: HashMap<&[usize], ModuleCostModel> = HashMap::new();
 
         for (module_specs, module_kinds) in specs.iter().zip(&kinds) {

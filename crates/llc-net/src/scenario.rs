@@ -202,10 +202,15 @@ impl RunSpec {
         ControldCore::new(policy, members, exp.t_l0, total_ticks)
     }
 
-    /// The controller-side policy stack for this family.
+    /// The controller-side policy stack for this family: the
+    /// drift-aware L0 under the closed loop. The closed-loop family
+    /// drifts the plant's delivered capacity, and a drift-blind L0 there
+    /// settles below the load it must serve and misses the response
+    /// target.
     pub fn policy(&self) -> HierarchicalPolicy {
-        let builder =
-            PolicyBuilder::new(self.scenario_config()).closed_loop(OnlineConfig::default());
+        let builder = PolicyBuilder::new(self.scenario_config())
+            .drift_aware_l0()
+            .closed_loop(OnlineConfig::default());
         match self.family {
             Family::ClosedLoop => builder.build(),
             Family::Faults => builder
@@ -336,6 +341,31 @@ mod tests {
             let hello = crate::codec::Hello::agent(&plant);
             assert_eq!(controller.check_agent_hello(&hello), Ok(()));
         }
+    }
+
+    #[test]
+    fn the_closed_loop_family_meets_the_response_target() {
+        // Halfway through, delivered capacity steps down to 65 %: the
+        // shipped policy must hold r* through the step.
+        let spec = RunSpec::defaults(Family::ClosedLoop);
+        let (exp, trace) = spec.experiment_and_trace();
+        let store = spec.store();
+        let mut policy = spec.policy();
+        let summary = exp
+            .run(
+                spec.scenario_config().to_sim_config(),
+                &mut policy,
+                &trace,
+                &store,
+            )
+            .expect("well-formed run")
+            .summary();
+        assert!(
+            summary.mean_response <= exp.response_target,
+            "mean response {} s over the {} s target",
+            summary.mean_response,
+            exp.response_target
+        );
     }
 
     #[test]

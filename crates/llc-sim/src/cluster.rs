@@ -1,4 +1,4 @@
-use crate::machines::{Admission, BatchRun, ComputerRef, MachineLane, MachineSlabs, Pending};
+use crate::machines::{Admission, ComputerRef, MachineLane, MachineSlabs, Pending};
 use crate::{PowerModel, Request, WeightedRouter, WindowStats};
 use std::fmt;
 
@@ -107,11 +107,12 @@ pub struct ClusterConfig {
 
 /// Arrivals in one sweep below which the lanes are stepped inline. A
 /// scoped-thread fan-out costs on the order of 100 µs and a lane spends
-/// some 15 ns per batched arrival, so `bench_scale`'s 16-machine row
-/// (15 496 arrivals, 0.2 ms a window) measured slower sharded than
-/// serial, while its 128-machine row (123 183 arrivals, 1.8 ms) and
-/// 1000-machine row gain. The closed loops, at a few thousand arrivals
-/// a window, never fan out.
+/// some 24 ns per arrival it offers (2-core Xeon at 2.1 GHz), so
+/// `bench_scale`'s 16-machine row (15 496 arrivals, 0.4 ms of sweep a
+/// window) is stepped inline, while its 128-machine row (123 183
+/// arrivals, 3 ms) and 1000-machine row fan out. Only the sweep fans
+/// out; routing the due arrivals stays serial. The closed loops, at a
+/// few thousand arrivals a window, never fan out.
 const FAN_OUT_MIN_ARRIVALS: u64 = 50_000;
 
 /// The cluster simulator (the plant of Fig. 1(a)).
@@ -120,19 +121,13 @@ const FAN_OUT_MIN_ARRIVALS: u64 = 50_000;
 /// indexed by global machine id — so sweeping a 1000-machine cluster walks
 /// flat vectors instead of chasing per-machine heap allocations.
 ///
-/// Arrivals enter in two encodings and meet in one stream:
-///
-/// * [`ClusterSim::schedule_arrival`] buffers one request. The next
-///   advance that reaches its arrival time sends it through the
-///   two-level dispatcher (global → module → computer) realizing the γ
-///   fractions set by the controllers, one draw per router.
-/// * [`ClusterSim::inject_batch`] routes a whole window's identical
-///   requests analytically at injection — one draw per router for the
-///   lot — and leaves each computer an evenly spaced run.
-///
-/// Request ids are assigned in submission order by either call, and each
-/// computer is offered its share in `(arrival time, id)` order, whichever
-/// encoding a request came in; the two may be mixed freely.
+/// Arrivals enter one request at a time through
+/// [`ClusterSim::schedule_arrival`]. The next advance that reaches a
+/// request's arrival time sends it through the two-level dispatcher
+/// (global → module → computer) realizing the γ fractions set by the
+/// controllers, one draw per router. Request ids are assigned in
+/// submission order, and each computer is offered its share in
+/// `(arrival time, id)` order.
 ///
 /// [`ClusterSim::run_until`] is the one way time moves. The routers never
 /// read machine state and weights only change between advances, so once
@@ -636,84 +631,6 @@ impl ClusterSim {
         }
         self.scheduled = scheduled;
     }
-
-    /// Route one window's worth of arrivals analytically: `count`
-    /// requests of `demand` reference-seconds each, spread evenly over
-    /// `[start, start + width)`. One deficit-round-robin batch draw per
-    /// router replaces `count` per-request draws; each machine receives
-    /// its allotment as an evenly spaced run that the following advances
-    /// merge with whatever else it is due. Routing happens now, at
-    /// injection, under the weights in force now.
-    ///
-    /// Arrivals that no router can place (all-zero weights) are counted
-    /// as drops immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TimeRanBackwards`] if `start < now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not finite, or `width` or `demand` is not
-    /// positive and finite.
-    pub fn inject_batch(
-        &mut self,
-        start: f64,
-        width: f64,
-        count: u64,
-        demand: f64,
-    ) -> Result<(), SimError> {
-        if start < self.now {
-            return Err(SimError::TimeRanBackwards {
-                now: self.now,
-                requested: start,
-            });
-        }
-        assert!(start.is_finite(), "window start must be finite");
-        assert!(
-            width > 0.0 && width.is_finite(),
-            "window width must be positive and finite"
-        );
-        assert!(
-            demand > 0.0 && demand.is_finite(),
-            "demand must be positive and finite"
-        );
-        let mut first_id = self.next_request_id;
-        self.next_request_id += count;
-        if count == 0 {
-            return Ok(());
-        }
-        let Some(per_module) = self.global_router.route_batch(count) else {
-            self.dropped_total += count;
-            return Ok(());
-        };
-        for (m, &n_m) in per_module.iter().enumerate() {
-            if n_m == 0 {
-                continue;
-            }
-            self.module_stats[m].arrivals += n_m;
-            let Some(per_member) = self.module_routers[m].route_batch(n_m) else {
-                self.module_stats[m].dropped += n_m;
-                self.dropped_total += n_m;
-                continue;
-            };
-            for (local, &n_j) in per_member.iter().enumerate() {
-                if n_j == 0 {
-                    continue;
-                }
-                self.pending[self.modules[m][local]].push_run(BatchRun {
-                    start,
-                    spacing: width / n_j as f64,
-                    count: n_j,
-                    demand,
-                    first_id,
-                    offered: 0,
-                });
-                first_id += n_j;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -939,10 +856,6 @@ mod tests {
             sim.schedule_arrival(5.0, 0.1),
             Err(SimError::TimeRanBackwards { .. })
         ));
-        assert!(matches!(
-            sim.inject_batch(5.0, 30.0, 10, 0.1),
-            Err(SimError::TimeRanBackwards { .. })
-        ));
     }
 
     #[test]
@@ -1073,109 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_window_serves_like_per_request() {
-        // Same scenario in both encodings: one machine, 4 requests of
-        // 0.5 s spread evenly over a 10 s window. The batch run must
-        // reproduce the per-request stats and energy exactly.
-        let run = |batched: bool| {
-            let cfg = ClusterConfig {
-                modules: vec![vec![ComputerConfig::new(
-                    vec![1.0e9],
-                    PowerModel::paper_default(),
-                    0.0,
-                )]],
-            };
-            let mut sim = ClusterSim::new(cfg);
-            sim.set_module_weights(&[1.0]).unwrap();
-            sim.set_computer_weights(0, &[1.0]).unwrap();
-            sim.force_on(0);
-            if batched {
-                sim.inject_batch(0.0, 10.0, 4, 0.5).unwrap();
-            } else {
-                for k in 0..4 {
-                    sim.schedule_arrival(k as f64 * 2.5, 0.5).unwrap();
-                }
-            }
-            sim.run_until(10.0).unwrap();
-            let energy = sim.total_energy();
-            (sim.drain_computer_stats(), sim.dropped(), energy)
-        };
-        let (per_req, d0, e0) = run(false);
-        let (batch, d1, e1) = run(true);
-        assert_eq!(per_req[0].arrivals, batch[0].arrivals);
-        assert_eq!(per_req[0].completions, batch[0].completions);
-        assert_eq!(per_req[0].response_sum, batch[0].response_sum);
-        assert_eq!(per_req[0].demand_sum, batch[0].demand_sum);
-        assert_eq!(d0, d1);
-        assert_eq!(e0, e1, "bit-identical energy");
-    }
-
-    #[test]
-    fn batched_arrivals_split_by_router_weights() {
-        let mut sim = two_module_cluster();
-        for i in 0..4 {
-            sim.force_on(i);
-        }
-        sim.set_module_weights(&[0.75, 0.25]).unwrap();
-        sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
-        sim.set_computer_weights(1, &[1.0, 0.0]).unwrap();
-        sim.inject_batch(0.0, 1.0, 100, 0.001).unwrap();
-        sim.run_until(10.0).unwrap();
-        let m = sim.drain_module_stats();
-        assert_eq!(m[0].arrivals, 75);
-        assert_eq!(m[1].arrivals, 25);
-        let c = sim.drain_computer_stats();
-        assert_eq!(c[0].arrivals + c[1].arrivals, 75);
-        assert_eq!(c[2].arrivals, 25);
-        assert_eq!(c[3].arrivals, 0);
-        assert_eq!(sim.dropped(), 0);
-    }
-
-    #[test]
-    fn batched_mode_handles_boot_locally() {
-        let mut sim = one_computer_cluster();
-        sim.power_on(0); // ready at 120
-        sim.inject_batch(0.0, 30.0, 1, 1.0).unwrap();
-        sim.run_until(30.0).unwrap();
-        assert!(matches!(
-            sim.computer(0).state(),
-            PowerState::Booting { .. }
-        ));
-        sim.run_until(125.0).unwrap();
-        assert_eq!(sim.computer(0).state(), PowerState::On);
-        let stats = sim.drain_computer_stats();
-        assert_eq!(stats[0].completions, 1, "queued arrival served at boot");
-    }
-
-    #[test]
-    fn batched_rejections_charged_like_per_request() {
-        // Module of two machines at 50/50 with one crashed: half the
-        // batch is refused and must show up as drops + dispatcher
-        // rejections attributed to the dead machine, exactly like the
-        // per-request stream in dispatch_rejections_attributed_to_crashed_target.
-        let comp = || ComputerConfig::new(vec![1.0e9], PowerModel::paper_default(), 0.0);
-        let cfg = ClusterConfig {
-            modules: vec![vec![comp(), comp()]],
-        };
-        let mut sim = ClusterSim::new(cfg);
-        sim.force_on(0);
-        sim.force_on(1);
-        sim.set_module_weights(&[1.0]).unwrap();
-        sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
-        sim.run_until(1.0).unwrap();
-        sim.crash(1, false);
-        sim.inject_batch(1.1, 0.5, 10, 0.001).unwrap();
-        sim.run_until(2.0).unwrap();
-        let rej = sim.drain_dispatch_rejections();
-        assert_eq!(rej[0], 0, "live machine refused nothing");
-        assert_eq!(rej[1], 5, "dead target's allotment counted at the router");
-        assert_eq!(sim.dropped(), 5);
-        let m = sim.drain_module_stats();
-        assert_eq!(m[0].arrivals, 10, "module arrivals include refused work");
-        assert_eq!(m[0].dropped, 5);
-    }
-
-    #[test]
     fn sweep_is_bit_identical_inline_and_fanned_out() {
         // One window just under the fan-out threshold and one at it, each
         // at one worker and at four: the inline loop, the serial fallback
@@ -1189,7 +999,10 @@ mod tests {
                 sim.set_module_weights(&[0.6, 0.4]).unwrap();
                 sim.set_computer_weights(0, &[0.5, 0.5]).unwrap();
                 sim.set_computer_weights(1, &[0.7, 0.3]).unwrap();
-                sim.inject_batch(0.0, 30.0, count, 0.001).unwrap();
+                for k in 0..count {
+                    sim.schedule_arrival(k as f64 * 30.0 / count as f64, 0.001)
+                        .unwrap();
+                }
                 sim.run_until(30.0).unwrap();
                 let energy = sim.total_energy().to_bits();
                 (sim.drain_computer_stats(), energy)
@@ -1200,15 +1013,5 @@ mod tests {
             assert_eq!(serial.0.iter().map(|w| w.arrivals).sum::<u64>(), count);
             assert_eq!(serial, run(4, count), "{count} arrivals");
         }
-    }
-
-    #[test]
-    fn batched_zero_weights_drop_at_injection() {
-        let mut sim = two_module_cluster();
-        sim.inject_batch(0.0, 1.0, 7, 0.01).unwrap();
-        assert_eq!(sim.dropped(), 7, "no enabled module: dropped at inject");
-        sim.run_until(1.0).unwrap();
-        let m = sim.drain_module_stats();
-        assert_eq!(m[0].arrivals + m[1].arrivals, 0);
     }
 }

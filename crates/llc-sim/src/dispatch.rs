@@ -96,82 +96,6 @@ impl WeightedRouter {
         self.credits[winner] -= 1.0;
         Some(winner)
     }
-
-    /// Route `n` requests in one analytic draw: returns the per-target
-    /// counts, or `None` if all weights are zero. `O(targets)` instead of
-    /// `O(n · targets)` — the batched-window fast path.
-    ///
-    /// Each target's ideal share is its carried credit plus `n·γ`; whole
-    /// units are granted first and the remaining requests go to the
-    /// largest fractional remainders (ties to the lowest index, matching
-    /// the sequential tie-break). Residual credit carries over, so
-    /// consecutive batches honor the `n·γ ± O(1)` proportion bound just
-    /// like sequential [`WeightedRouter::route`] calls. For exact splits
-    /// (e.g. `[0.75, 0.25]` over 100) the counts equal what `n`
-    /// sequential draws produce.
-    pub fn route_batch(&mut self, n: u64) -> Option<Vec<u64>> {
-        let total: f64 = self.weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let k = self.weights.len();
-        let mut counts = vec![0u64; k];
-        let mut ideal = vec![0.0f64; k];
-        let mut granted: u64 = 0;
-        for i in 0..k {
-            if self.weights[i] > 0.0 {
-                ideal[i] = self.credits[i] + n as f64 * self.weights[i];
-                // Whole units first; credits can be slightly negative, so
-                // clamp the floor at zero.
-                counts[i] = ideal[i].floor().max(0.0) as u64;
-                granted += counts[i];
-            }
-        }
-        // Over-grant is possible only through stale positive credits; pull
-        // back from the smallest remainders (reverse of the award order).
-        while granted > n {
-            let mut worst = None;
-            let mut worst_rem = f64::INFINITY;
-            for i in 0..k {
-                if counts[i] > 0 {
-                    let rem = ideal[i] - counts[i] as f64;
-                    if rem < worst_rem {
-                        worst = Some(i);
-                        worst_rem = rem;
-                    }
-                }
-            }
-            let i = worst.expect("granted > 0 implies a positive count");
-            counts[i] -= 1;
-            granted -= 1;
-        }
-        // Award the remaining requests to the largest fractional
-        // remainders, ties to the lowest index.
-        while granted < n {
-            let mut best = None;
-            let mut best_rem = f64::NEG_INFINITY;
-            for i in 0..k {
-                if self.weights[i] > 0.0 {
-                    let rem = ideal[i] - counts[i] as f64;
-                    if rem > best_rem {
-                        best = Some(i);
-                        best_rem = rem;
-                    }
-                }
-            }
-            let i = best.expect("total weight positive implies an enabled target");
-            counts[i] += 1;
-            granted += 1;
-        }
-        // Carry the residual credit so the next batch (or sequential
-        // draw) continues the same deficit sequence.
-        for i in 0..k {
-            if self.weights[i] > 0.0 {
-                self.credits[i] = ideal[i] - counts[i] as f64;
-            }
-        }
-        Some(counts)
-    }
 }
 
 #[cfg(test)]
@@ -270,94 +194,6 @@ mod tests {
     fn wrong_length_panics() {
         let mut r = WeightedRouter::new(2);
         r.set_weights(&[1.0]);
-    }
-
-    #[test]
-    fn batch_zero_weights_drop_everything() {
-        let mut r = WeightedRouter::new(3);
-        assert_eq!(r.route_batch(10), None);
-    }
-
-    #[test]
-    fn batch_uniform_weights_split_evenly() {
-        let mut r = WeightedRouter::new(4);
-        r.set_weights(&[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(r.route_batch(400), Some(vec![100, 100, 100, 100]));
-    }
-
-    #[test]
-    fn batch_disabled_target_receives_nothing() {
-        let mut r = WeightedRouter::new(3);
-        r.set_weights(&[0.6, 0.0, 0.4]);
-        let counts = r.route_batch(100).unwrap();
-        assert_eq!(counts[1], 0);
-        assert_eq!(counts.iter().sum::<u64>(), 100);
-        assert_eq!(counts, vec![60, 0, 40]);
-    }
-
-    #[test]
-    fn batch_of_zero_allocates_nothing() {
-        let mut r = WeightedRouter::new(2);
-        r.set_weights(&[0.5, 0.5]);
-        assert_eq!(r.route_batch(0), Some(vec![0, 0]));
-    }
-
-    #[test]
-    fn batch_credit_carries_across_batches() {
-        // 0.5/0.3/0.2 over three batches of 10: every batch allocates 10
-        // and the running totals stay within one of n·γ.
-        let mut r = WeightedRouter::new(3);
-        r.set_weights(&[0.5, 0.3, 0.2]);
-        let mut totals = [0u64; 3];
-        for _ in 0..3 {
-            let counts = r.route_batch(10).unwrap();
-            assert_eq!(counts.iter().sum::<u64>(), 10);
-            for (t, c) in totals.iter_mut().zip(&counts) {
-                *t += c;
-            }
-        }
-        assert_eq!(totals, [15, 9, 6]);
-    }
-
-    #[test]
-    fn batch_matches_sequential_for_exact_splits() {
-        // Where n·γ is integral the batch draw must equal n sequential
-        // draws, credits included — the equivalence the batched window
-        // path relies on.
-        let mut batch = WeightedRouter::new(2);
-        let mut seq = WeightedRouter::new(2);
-        for r in [&mut batch, &mut seq] {
-            r.set_weights(&[0.75, 0.25]);
-        }
-        let counts = batch.route_batch(100).unwrap();
-        let mut seq_counts = vec![0u64; 2];
-        for _ in 0..100 {
-            seq_counts[seq.route().unwrap()] += 1;
-        }
-        assert_eq!(counts, seq_counts);
-        assert_eq!(batch, seq, "credit state identical after the window");
-    }
-
-    proptest! {
-        #[test]
-        fn batch_allocates_exactly_n_with_bounded_error(
-            raw in proptest::collection::vec(0.0..1.0f64, 2..6),
-            n in 1u64..5000,
-        ) {
-            prop_assume!(raw.iter().sum::<f64>() > 0.1);
-            let mut r = WeightedRouter::new(raw.len());
-            r.set_weights(&raw);
-            let counts = r.route_batch(n).unwrap();
-            prop_assert_eq!(counts.iter().sum::<u64>(), n);
-            let total: f64 = raw.iter().sum();
-            for (i, c) in counts.iter().enumerate() {
-                let expected = n as f64 * raw[i] / total;
-                prop_assert!(
-                    (*c as f64 - expected).abs() <= raw.len() as f64 + 1.0,
-                    "target {}: got {}, expected {:.1}", i, c, expected
-                );
-            }
-        }
     }
 
     proptest! {

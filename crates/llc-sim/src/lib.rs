@@ -20,13 +20,13 @@
 //!   dispatcher hierarchy, and per-window metrics that the controllers
 //!   sample every 30 s.
 //!
-//! There is one engine. Arrivals are buffered — one by one
-//! ([`ClusterSim::schedule_arrival`]) or as analytically routed window
-//! batches ([`ClusterSim::inject_batch`]) — and [`ClusterSim::run_until`]
-//! routes what is due, then sweeps each computer's own timeline of
-//! boot-done, completion and arrival events to the target time. Routing
-//! never reads machine state, so once a request has a computer the
-//! computers are independent and the sweep can shard across threads.
+//! There is one engine and one arrival encoding. Arrivals are buffered
+//! one request at a time ([`ClusterSim::schedule_arrival`]), and
+//! [`ClusterSim::run_until`] routes what is due, then sweeps each
+//! computer's own timeline of boot-done, completion and arrival events to
+//! the target time. Routing never reads machine state, so once a request
+//! has a computer the computers are independent and the sweep can shard
+//! across threads.
 //!
 //! The simulator is fully deterministic: each computer is offered its
 //! arrivals in `(time, submission order)`, simultaneous events on one

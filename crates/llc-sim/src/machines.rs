@@ -54,108 +54,45 @@ pub enum Admission {
     Rejected,
 }
 
-/// One batched arrival run assigned to a single machine: `count` requests
-/// of identical `demand` (reference units), evenly spaced from `start`,
-/// with consecutive ids from `first_id`. Generated by
-/// `ClusterSim::inject_batch`, consumed by the window sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct BatchRun {
-    /// Arrival time of the run's first request.
-    pub start: f64,
-    /// Gap between consecutive synthetic arrivals.
-    pub spacing: f64,
-    /// Number of requests in the run.
-    pub count: u64,
-    /// Reference-unit demand of each request.
-    pub demand: f64,
-    /// Id of the run's first request.
-    pub first_id: u64,
-    /// Requests of the run already offered to the machine.
-    pub offered: u64,
-}
-
-impl BatchRun {
-    /// The run's next request, if any is left.
-    fn next(&self) -> Option<Request> {
-        // `inject_batch` validated `start` and `demand` once for the run.
-        (self.offered < self.count).then(|| Request {
-            id: self.first_id + self.offered,
-            arrival: self.start + self.offered as f64 * self.spacing,
-            demand: self.demand,
-        })
-    }
-}
-
-/// The arrivals routed to one machine and not yet offered to it:
-/// per-request arrivals and batch runs, handed out merged in
-/// `(arrival time, request id)` order. Ids are assigned in submission
-/// order, so equal-time arrivals are served in the order they were
-/// submitted whichever way they were encoded.
+/// The per-request arrivals routed to one machine and not yet offered
+/// to it, in `(arrival time, request id)` order. Ids are assigned in
+/// submission order, so equal-time arrivals are served in the order they
+/// were submitted.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pending {
-    /// Per-request arrivals due in the coming sweep, already in
-    /// `(arrival, id)` order; the sweep consumes all of them.
-    singles: Vec<Request>,
-    /// First entry of `singles` not yet offered.
+    /// Arrivals due in the coming sweep, already in `(arrival, id)`
+    /// order; the sweep consumes all of them.
+    arrivals: Vec<Request>,
+    /// First entry of `arrivals` not yet offered.
     cursor: usize,
-    /// Batch runs; one may outlast a sweep that ends inside it.
-    runs: Vec<BatchRun>,
-}
-
-/// Where [`Pending::peek`] found the earliest arrival.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Single,
-    Run(usize),
 }
 
 impl Pending {
     /// Append a per-request arrival. Callers push in `(arrival, id)`
     /// order and only arrivals due by the next sweep's end.
     pub fn push(&mut self, request: Request) {
-        self.singles.push(request);
-    }
-
-    /// Append a batch run.
-    pub fn push_run(&mut self, run: BatchRun) {
-        self.runs.push(run);
+        self.arrivals.push(request);
     }
 
     /// Arrivals still buffered.
     pub fn len(&self) -> u64 {
-        let singles = (self.singles.len() - self.cursor) as u64;
-        singles + self.runs.iter().map(|r| r.count - r.offered).sum::<u64>()
+        (self.arrivals.len() - self.cursor) as u64
     }
 
-    /// The earliest buffered arrival, ties to the lowest id.
-    fn peek(&self) -> Option<(Request, Source)> {
-        let mut best = self.singles.get(self.cursor).map(|&r| (r, Source::Single));
-        for (k, run) in self.runs.iter().enumerate() {
-            if let Some(next) = run.next() {
-                let earlier = best.is_none_or(|(b, _)| {
-                    next.arrival < b.arrival || (next.arrival == b.arrival && next.id < b.id)
-                });
-                if earlier {
-                    best = Some((next, Source::Run(k)));
-                }
-            }
-        }
-        best
+    /// The earliest buffered arrival.
+    fn peek(&self) -> Option<Request> {
+        self.arrivals.get(self.cursor).copied()
     }
 
-    /// Mark the arrival [`Pending::peek`] returned from `source` offered.
-    fn advance(&mut self, source: Source) {
-        match source {
-            Source::Single => self.cursor += 1,
-            Source::Run(k) => self.runs[k].offered += 1,
-        }
+    /// Mark the arrival [`Pending::peek`] returned offered.
+    fn advance(&mut self) {
+        self.cursor += 1;
     }
 
-    /// Forget what a finished sweep offered, keeping the buffers.
+    /// Forget what a finished sweep offered, keeping the buffer.
     fn compact(&mut self) {
-        self.singles.drain(..self.cursor);
+        self.arrivals.drain(..self.cursor);
         self.cursor = 0;
-        self.runs.retain(|r| r.offered < r.count);
     }
 }
 
@@ -813,7 +750,7 @@ impl<'a> MachineLane<'a> {
             for (t, kind) in [
                 (ready, Kind::Ready),
                 (completion, Kind::Completion),
-                (arrival.map(|(request, _)| request.arrival), Kind::Arrival),
+                (arrival.map(|request| request.arrival), Kind::Arrival),
             ] {
                 if let Some(t) = t {
                     if t <= to && best.is_none_or(|(bt, _)| t < bt) {
@@ -832,8 +769,8 @@ impl<'a> MachineLane<'a> {
                     self.machine.complete(t);
                 }
                 Kind::Arrival => {
-                    let (request, source) = arrival.expect("an arrival was the earliest event");
-                    self.pending.advance(source);
+                    let request = arrival.expect("an arrival was the earliest event");
+                    self.pending.advance();
                     if self.machine.offer(request, t) == Admission::Rejected {
                         self.rejected += 1;
                     }
@@ -1054,17 +991,6 @@ mod tests {
         assert!(ready.is_infinite(), "failed machine never boots");
     }
 
-    fn run(start: f64, spacing: f64, count: u64, demand: f64, first_id: u64) -> BatchRun {
-        BatchRun {
-            start,
-            spacing,
-            count,
-            demand,
-            first_id,
-            offered: 0,
-        }
-    }
-
     /// Sweep machine 0 to `to`; returns what it refused.
     fn sweep(s: &mut MachineSlabs, pending: &mut Pending, to: f64) -> u64 {
         let mut lane = MachineLane::new(s.machine(0), pending);
@@ -1081,7 +1007,9 @@ mod tests {
         s.push(&[1.0e9], 1.0, PowerModel::new(0.75, 8.0), 0.0);
         s.force_on(0, 0.0);
         let mut pending = Pending::default();
-        pending.push_run(run(0.0, 0.5, 3, 1.0, 0));
+        for k in 0..3 {
+            pending.push(Request::new(k, k as f64 * 0.5, 1.0));
+        }
         assert_eq!(sweep(&mut s, &mut pending, 10.0), 0);
         assert_eq!(pending.len(), 0);
         let w = s.drain_stats(0, 10.0);
@@ -1094,11 +1022,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_rejects_whole_batch_when_off() {
+    fn lane_rejects_every_arrival_when_off() {
         let mut s = MachineSlabs::new();
         s.push(&[1.0e9], 1.0, PowerModel::paper_default(), 0.0);
         let mut pending = Pending::default();
-        pending.push_run(run(0.0, 0.1, 7, 0.01, 0));
+        for k in 0..7 {
+            pending.push(Request::new(k, k as f64 * 0.1, 0.01));
+        }
         let rejected = sweep(&mut s, &mut pending, 1.0);
         assert_eq!(rejected, 7, "an off machine refuses its allotment");
         assert_eq!(s.stats(0).arrivals, 0);
@@ -1116,47 +1046,5 @@ mod tests {
         assert_eq!(w.completions, 1);
         // Arrived at 60, served 120..121 (φ = 1, speed 1): response 61.
         assert!((w.response_sum - 61.0).abs() < 1e-9, "{}", w.response_sum);
-    }
-
-    #[test]
-    fn lane_merges_runs_and_singles_by_time_then_id() {
-        // Two overlapping runs and a per-request arrival tied with both:
-        // the machine must see time order, ties in id order, and keep
-        // what falls beyond the sweep's end.
-        let mut s = MachineSlabs::new();
-        s.push(&[1.0e9], 1.0, PowerModel::paper_default(), 0.0);
-        s.force_on(0, 0.0);
-        let mut pending = Pending::default();
-        pending.push_run(run(0.0, 2.0, 3, 0.5, 10)); // 0, 2, 4
-        pending.push_run(run(1.0, 1.0, 4, 0.5, 20)); // 1, 2, 3, 4
-        pending.push(Request::new(15, 2.0, 0.5));
-        let mut order = Vec::new();
-        while let Some((request, source)) = pending.peek() {
-            order.push((request.arrival, request.id));
-            pending.advance(source);
-        }
-        assert_eq!(
-            order,
-            vec![
-                (0.0, 10),
-                (1.0, 20),
-                (2.0, 11),
-                (2.0, 15),
-                (2.0, 21),
-                (3.0, 22),
-                (4.0, 12),
-                (4.0, 23)
-            ]
-        );
-        // A sweep that ends inside the runs leaves the rest buffered.
-        let mut pending = Pending::default();
-        pending.push_run(run(0.0, 2.0, 3, 0.5, 10));
-        pending.push_run(run(1.0, 1.0, 4, 0.5, 20));
-        sweep(&mut s, &mut pending, 2.5);
-        assert_eq!(s.stats(0).arrivals, 4);
-        assert_eq!(pending.len(), 3);
-        sweep(&mut s, &mut pending, 10.0);
-        assert_eq!(s.stats(0).arrivals, 7);
-        assert_eq!(s.stats(0).completions, 7);
     }
 }

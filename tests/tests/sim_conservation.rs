@@ -37,8 +37,6 @@ const FREQUENCIES: usize = 2;
 enum Kind {
     /// A scheduled request, routed when it fires.
     Arrival(Request),
-    /// A batch request, routed to `comp` of module `m` at injection.
-    Placed(usize, usize, Request),
     Departure {
         comp: usize,
         epoch: u64,
@@ -154,29 +152,6 @@ impl HeapSim {
         self.push(time, Kind::Arrival(request));
     }
 
-    fn inject_batch(&mut self, start: f64, width: f64, count: u64, demand: f64) {
-        let Some(per_module) = self.global.route_batch(count) else {
-            self.dropped += count;
-            return;
-        };
-        for (m, n_m) in per_module.into_iter().enumerate().filter(|&(_, n)| n > 0) {
-            self.module_stats[m].arrivals += n_m;
-            let Some(per_member) = self.routers[m].route_batch(n_m) else {
-                self.module_stats[m].dropped += n_m;
-                self.dropped += n_m;
-                continue;
-            };
-            for (local, n_j) in per_member.into_iter().enumerate() {
-                let spacing = width / n_j as f64;
-                for k in 0..n_j {
-                    let time = start + k as f64 * spacing;
-                    let request = self.request(time, demand);
-                    self.push(time, Kind::Placed(m, self.modules[m][local], request));
-                }
-            }
-        }
-    }
-
     fn offer(&mut self, m: usize, comp: usize, request: Request) {
         match self.slabs.offer(comp, request, self.now) {
             Admission::Started => self.arm(comp),
@@ -259,7 +234,6 @@ impl HeapSim {
                     }
                     None => self.dropped += 1,
                 },
-                Kind::Placed(m, comp, request) => self.offer(m, comp, request),
                 Kind::Departure { comp, epoch } if epoch == self.epoch[comp] => {
                     self.slabs.complete(comp, self.now);
                     self.arm(comp);
@@ -290,8 +264,6 @@ enum Op {
     Arrivals(u8),
     /// `k` requests starting 7 s out — beyond a 5 s advance.
     Later(u8),
-    /// A batch of `k` over 5 s, or over 12 s so it outlasts an advance.
-    Batch(u8, bool),
     Crash(usize, bool),
     Restart(usize),
     SetServiceScale(usize, f64),
@@ -311,7 +283,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..40).prop_map(Op::Arrivals),
         (0u8..40).prop_map(Op::Arrivals),
         (0u8..20).prop_map(Op::Later),
-        (0u8..60, flag()).prop_map(|(k, wide)| Op::Batch(k, wide)),
         (computer(), flag()).prop_map(|(c, requeue)| Op::Crash(c, requeue)),
         computer().prop_map(Op::Restart),
         (computer(), 0.3..1.0f64).prop_map(|(c, s)| Op::SetServiceScale(c, s)),
@@ -334,12 +305,6 @@ fn apply(op: &Op, sim: &mut ClusterSim, oracle: &mut HeapSim) -> u64 {
     match op {
         Op::Arrivals(k) => return schedule(*k, &|j| now + f64::from(j / 2) * 0.1),
         Op::Later(k) => return schedule(*k, &|j| now + 7.0 + f64::from(j) * 0.5),
-        Op::Batch(k, wide) => {
-            let width = if *wide { 12.0 } else { 5.0 };
-            sim.inject_batch(now, width, u64::from(*k), 0.02).unwrap();
-            oracle.inject_batch(now, width, u64::from(*k), 0.02);
-            return u64::from(*k);
-        }
         Op::PowerOn(i) => {
             sim.power_on(*i);
             oracle.power_on(*i);
