@@ -13,25 +13,20 @@
 //! on coarse grids does not reproduce it (15 vs 14) and fails.
 
 use llc_bench::claims;
-use llc_bench::figures::FIGURE_SEED;
-use llc_bench::report::{quick_mode, write_csv};
-use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
-use llc_workload::{synthetic_paper_workload, VirtualStore};
+use llc_bench::figures::{figure_spec, FIGURE_SEED};
+use llc_bench::report::write_csv;
+use llc_cluster::{Family, HierarchicalPolicy};
 
 fn run_with_band(band: bool) -> (u64, f64, f64, f64) {
-    let mut scenario = single_module(4);
+    let spec = figure_spec(Family::Module, 250);
+    let mut scenario = spec.scenario_config();
     scenario.l1.use_uncertainty_band = band;
-    let mut trace = synthetic_paper_workload(FIGURE_SEED);
-    if quick_mode() {
-        scenario = scenario.with_coarse_learning();
-        trace = trace.slice(0, 250);
-    }
+    let (experiment, mut trace) = spec.experiment_and_trace();
     // Extra noise stresses the forecaster — chattering shows under noise.
     trace.add_gaussian_noise(0, trace.len(), 1200.0, FIGURE_SEED ^ 0xC4A7);
-    let store = VirtualStore::paper_default(FIGURE_SEED);
     let mut policy = HierarchicalPolicy::build(&scenario);
-    let log = Experiment::paper_default(FIGURE_SEED)
-        .run(scenario.to_sim_config(), &mut policy, &trace, &store)
+    let log = experiment
+        .run(scenario.to_sim_config(), &mut policy, &trace, &spec.store())
         .expect("well-formed scenario");
     let s = log.summary();
     (

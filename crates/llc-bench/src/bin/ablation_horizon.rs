@@ -8,10 +8,9 @@
 //! (7 / 15 / 26 / 55 at default scale).
 
 use llc_bench::claims;
-use llc_bench::figures::FIGURE_SEED;
-use llc_bench::report::{quick_mode, write_csv};
-use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
-use llc_workload::{synthetic_paper_workload, VirtualStore};
+use llc_bench::figures::figure_spec;
+use llc_bench::report::write_csv;
+use llc_cluster::{Family, HierarchicalPolicy};
 
 fn main() {
     println!("Ablation — L0 prediction horizon sweep (paper: N_L0 = 3)\n");
@@ -24,18 +23,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut search_cost = Vec::new();
     for horizon in [1usize, 2, 3, 4] {
-        let mut scenario = single_module(4);
+        let spec = figure_spec(Family::Module, 250);
+        let mut scenario = spec.scenario_config();
         scenario.l0.horizon = horizon;
-        let mut trace = synthetic_paper_workload(FIGURE_SEED);
-        if quick_mode() {
-            scenario = scenario.with_coarse_learning();
-            trace = trace.slice(0, 250);
-        }
-        let store = VirtualStore::paper_default(FIGURE_SEED);
         let mut policy = HierarchicalPolicy::build(&scenario);
-        let log = Experiment::paper_default(FIGURE_SEED)
-            .run(scenario.to_sim_config(), &mut policy, &trace, &store)
-            .expect("well-formed scenario");
+        let log = spec.run(&mut policy);
         let s = log.summary();
         // Mean over the four computers' lookahead stats.
         let states: f64 = (0..4)

@@ -10,24 +10,14 @@
 //! energy(always-max) with no request dropped.
 
 use llc_bench::claims::{self, BaselineRow};
-use llc_bench::figures::FIGURE_SEED;
-use llc_bench::report::{quick_mode, write_csv};
+use llc_bench::figures::figure_spec;
+use llc_bench::report::write_csv;
 use llc_cluster::{
-    single_module, AlwaysMaxPolicy, ClusterPolicy, Experiment, HierarchicalPolicy, ThresholdConfig,
-    ThresholdPolicy,
+    AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdConfig, ThresholdPolicy,
 };
-use llc_workload::{synthetic_paper_workload, Trace, VirtualStore};
 
-fn run(policy: &mut dyn ClusterPolicy, trace: &Trace) -> BaselineRow {
-    let scenario = if quick_mode() {
-        single_module(4).with_coarse_learning()
-    } else {
-        single_module(4)
-    };
-    let store = VirtualStore::paper_default(FIGURE_SEED);
-    let log = Experiment::paper_default(FIGURE_SEED)
-        .run(scenario.to_sim_config(), policy, trace, &store)
-        .expect("well-formed scenario");
+fn run(spec: &RunSpec, policy: &mut dyn ClusterPolicy) -> BaselineRow {
+    let log = spec.run(policy);
     let s = log.summary();
     BaselineRow {
         name: policy.name().to_string(),
@@ -40,15 +30,8 @@ fn run(policy: &mut dyn ClusterPolicy, trace: &Trace) -> BaselineRow {
 }
 
 fn main() {
-    let scenario = if quick_mode() {
-        single_module(4).with_coarse_learning()
-    } else {
-        single_module(4)
-    };
-    let mut trace = synthetic_paper_workload(FIGURE_SEED);
-    if quick_mode() {
-        trace = trace.slice(0, 250);
-    }
+    let spec = figure_spec(Family::Module, 250);
+    let scenario = spec.scenario_config();
 
     let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
         .member_specs()
@@ -61,12 +44,12 @@ fn main() {
         .collect();
 
     let rows = [
-        run(&mut HierarchicalPolicy::build(&scenario), &trace),
+        run(&spec, &mut spec.policy(Preset::Paper)),
         run(
+            &spec,
             &mut ThresholdPolicy::new(ThresholdConfig::default(), layout),
-            &trace,
         ),
-        run(&mut AlwaysMaxPolicy::new(layout_sizes), &trace),
+        run(&spec, &mut AlwaysMaxPolicy::new(layout_sizes)),
     ];
 
     println!("LLC vs baselines — synthetic module workload, r* = 4 s\n");

@@ -37,53 +37,18 @@
 //! frequencies more.
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
-use llc_cluster::{single_module, Experiment, PolicyBuilder, ScenarioConfig};
+use llc_cluster::{Family, Preset, RunSpec};
 use llc_core::OnlineConfig;
-use llc_workload::{
-    deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario, VirtualStore,
-};
 use std::time::Instant;
 
-/// The scenario capacity profiles are expressed over the drift trace's
-/// 120 s buckets; the experiment ticks every `T_L0 = 30 s`. Fractional
-/// profiles (ramp/step) are invariant under re-bucketing, but the
-/// diurnal dip's period is in buckets and must be stretched by the
-/// bucket/tick ratio or the capacity would cycle four times per arrival
-/// hump.
-fn profile_in_ticks(profile: CapacityProfile, ratio: f64) -> CapacityProfile {
-    match profile {
-        CapacityProfile::Diurnal {
-            base,
-            amplitude,
-            period,
-        } => CapacityProfile::Diurnal {
-            base,
-            amplitude,
-            period: period * ratio,
-        },
-        other => other,
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Arm {
-    Offline,
-    Closed,
-    /// Drift-aware L0 + closed loop: the self-healing stack, benched on
-    /// the deep-degradation scenario against the plain closed loop.
-    SelfHeal,
-    /// Drift-aware L0 with outcome tracking and no learning.
-    Drift,
-}
-
-impl Arm {
-    fn name(self) -> &'static str {
-        match self {
-            Arm::Offline => "offline",
-            Arm::Closed => "closed",
-            Arm::SelfHeal => "selfheal",
-            Arm::Drift => "drift",
-        }
+/// An arm's key in the JSON and the printed lines.
+fn arm_name(arm: Preset) -> &'static str {
+    match arm {
+        Preset::OutcomeTracking => "offline",
+        Preset::ClosedLoop => "closed",
+        Preset::SelfHealing => "selfheal",
+        Preset::DriftAware => "drift",
+        _ => unreachable!("{arm:?} is not an arm of this bench"),
     }
 }
 
@@ -119,37 +84,10 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
     )
 }
 
-fn scenario_config() -> ScenarioConfig {
-    // `min_active = 2` pins both machines on so the arms compare *map
-    // tracking* under identical plant dynamics rather than
-    // boot-dead-time noise (the feed-forward test owns the transition
-    // story).
-    let mut sc = single_module(2).with_coarse_learning();
-    sc.l1.min_active = 2;
-    sc
-}
-
-fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
-    let sc = scenario_config();
-    let cfg = OnlineConfig::default().validated();
-    let builder = PolicyBuilder::new(sc.clone());
-    let mut policy = match arm {
-        Arm::Offline => builder.outcome_tracking(),
-        Arm::Closed => builder.closed_loop(cfg),
-        Arm::SelfHeal => builder.drift_aware_l0().closed_loop(cfg),
-        Arm::Drift => builder.drift_aware_l0().outcome_tracking(),
-    }
-    .build();
-    let ratio = scenario.trace.interval() / 30.0;
-    let exp = Experiment {
-        drift: Some(profile_in_ticks(scenario.capacity, ratio)),
-        ..Experiment::paper_default(seed)
-    };
-    let store = VirtualStore::paper_default(seed);
+fn run_arm(spec: &RunSpec, arm: Preset) -> ArmResult {
+    let mut policy = spec.policy(arm);
     let started = Instant::now();
-    let log = exp
-        .run(sc.to_sim_config(), &mut policy, &scenario.trace, &store)
-        .expect("well-formed scenario");
+    let log = spec.run(&mut policy);
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     let summary = log.summary();
     ArmResult {
@@ -172,15 +110,11 @@ fn run_arm(scenario: &DriftScenario, arm: Arm, seed: u64) -> ArmResult {
 /// JSON-writing path runs the arm three times and takes the median so
 /// the reported wall-clock (`run_ms`) is de-noised per the
 /// gate-calibration policy.
-fn run_median(scenario: &DriftScenario, arm: Arm, once: bool) -> ArmResult {
+fn run_median(spec: &RunSpec, arm: Preset, once: bool) -> ArmResult {
     if once {
-        return run_arm(scenario, arm, 0xBEEF);
+        return run_arm(spec, arm);
     }
-    let mut runs = vec![
-        run_arm(scenario, arm, 0xBEEF),
-        run_arm(scenario, arm, 0xBEEF),
-        run_arm(scenario, arm, 0xBEEF),
-    ];
+    let mut runs = vec![run_arm(spec, arm), run_arm(spec, arm), run_arm(spec, arm)];
     runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
     debug_assert!(
         (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
@@ -190,11 +124,11 @@ fn run_median(scenario: &DriftScenario, arm: Arm, once: bool) -> ArmResult {
 }
 
 /// One line per arm: its tracking MAE beside what the plant got.
-fn print_outcomes(results: &[(Arm, ArmResult)]) {
+fn print_outcomes(results: &[(Preset, ArmResult)]) {
     for (arm, r) in results {
         println!(
             "    {:<9} MAE {:>8.3}  resp {:>7.3} s  viol {:>5.3}  energy/req {:.5}",
-            arm.name(),
+            arm_name(*arm),
             r.tracking_mae,
             r.mean_response_s,
             r.violation_fraction,
@@ -208,30 +142,33 @@ fn main() {
     let check = check_mode();
     let threads = llc_par::num_threads();
     let buckets = if quick { 60 } else { 150 };
-    // Peak near 55% of the two-machine module's nominal capacity: heavy
-    // enough that the 0.65–0.7× capacity drifts bite, light enough that
-    // the plant stays inside the trained envelope most of the run.
-    let sc = scenario_config();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let scenarios = drift_scenarios(0xC105ED, buckets, 120.0, 0.55 * capacity);
+    // The drift family peaks near 55% of the two-machine module's
+    // nominal capacity: heavy enough that the 0.65–0.7× capacity drifts
+    // bite, light enough that the plant stays inside the trained envelope
+    // most of the run.
+    let spec = |scenario| RunSpec {
+        buckets,
+        ..RunSpec::defaults(Family::ClosedLoop(scenario))
+    };
     println!("closed-loop benchmark (threads = {threads}, quick = {quick}, periods = {buckets})");
 
     let mut lines = Vec::new();
     let mut offline_beaten = 0usize;
-    for scenario in &scenarios {
-        let results: Vec<(Arm, ArmResult)> = [Arm::Offline, Arm::Closed, Arm::Drift]
-            .into_iter()
-            .map(|arm| (arm, run_median(scenario, arm, check || quick)))
-            .collect();
+    for scenario in (0..3).map(spec) {
+        let results: Vec<(Preset, ArmResult)> = [
+            Preset::OutcomeTracking,
+            Preset::ClosedLoop,
+            Preset::DriftAware,
+        ]
+        .into_iter()
+        .map(|arm| (arm, run_median(&scenario, arm, check || quick)))
+        .collect();
         let offline = &results[0].1;
         let closed = &results[1].1;
         println!(
             "{:<22} offline MAE {:>8.3}  closed MAE {:>8.3}  \
              ({:.1}x better than offline, {} updates, {} detections)",
-            scenario.name,
+            scenario.name(),
             offline.tracking_mae,
             closed.tracking_mae,
             offline.tracking_mae / closed.tracking_mae.max(1e-12),
@@ -243,7 +180,7 @@ fn main() {
             offline_beaten += 1;
         }
         for (arm, r) in &results {
-            lines.push(json_entry(scenario.name, arm.name(), r));
+            lines.push(json_entry(scenario.name(), arm_name(*arm), r));
         }
     }
 
@@ -251,17 +188,18 @@ fn main() {
     // closed loop) against the drift-blind closed loop. The drift-blind
     // closed loop limit-cycles here: its queue model believes in
     // capacity the plant stopped delivering. ---
-    let deep = deep_degradation_scenario(0xC105ED, buckets, 120.0, capacity);
-    let deep_results: Vec<(Arm, ArmResult)> = [Arm::Closed, Arm::SelfHeal, Arm::Drift]
-        .into_iter()
-        .map(|arm| (arm, run_median(&deep, arm, check || quick)))
-        .collect();
+    let deep = spec(3);
+    let deep_results: Vec<(Preset, ArmResult)> =
+        [Preset::ClosedLoop, Preset::SelfHealing, Preset::DriftAware]
+            .into_iter()
+            .map(|arm| (arm, run_median(&deep, arm, check || quick)))
+            .collect();
     let deep_closed = &deep_results[0].1;
     let deep_heal = &deep_results[1].1;
     println!(
         "{:<22} closed MAE {:>8.3} ({} switches)  selfheal MAE {:>8.3} ({} switches)  \
          ({:.1}x better)",
-        deep.name,
+        deep.name(),
         deep_closed.tracking_mae,
         deep_closed.freq_switches,
         deep_heal.tracking_mae,
@@ -270,7 +208,7 @@ fn main() {
     );
     print_outcomes(&deep_results);
     for (arm, r) in &deep_results {
-        lines.push(json_entry(deep.name, arm.name(), r));
+        lines.push(json_entry(deep.name(), arm_name(*arm), r));
     }
 
     if check {

@@ -41,11 +41,9 @@
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
 use llc_cluster::{
-    single_module, Action, Cadence, ClusterPolicy, Experiment, FaultToleranceConfig,
-    HierarchicalPolicy, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
+    Action, Cadence, ClusterPolicy, Family, FaultToleranceConfig, HierarchicalPolicy, Observations,
+    PolicyMetrics, Preset, RunSpec,
 };
-use llc_core::OnlineConfig;
-use llc_workload::{fault_scenarios, FaultScenario, VirtualStore};
 use std::time::Instant;
 
 /// L1 periods allowed between the last scheduled fault and the tracking
@@ -172,37 +170,20 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
     )
 }
 
-fn scenario_config() -> ScenarioConfig {
-    single_module(4).with_coarse_learning()
-}
-
-fn run_arm(fs: &FaultScenario, tolerant: bool, seed: u64) -> ArmResult {
-    let sc = scenario_config();
-    let mut builder =
-        PolicyBuilder::new(sc.clone()).closed_loop(OnlineConfig::default().validated());
-    if tolerant {
-        builder = builder.fault_tolerance(FaultToleranceConfig::default());
-    }
-    let policy = builder.build();
-    let exp = Experiment {
-        faults: Some(fs.plan.clone()),
-        ..Experiment::paper_default(seed)
-    };
-    let store = VirtualStore::paper_default(5);
-    let started = Instant::now();
+fn run_arm(spec: &RunSpec, arm: Preset) -> ArmResult {
     let mut probe = ErrProbe {
-        inner: policy,
+        inner: spec.policy(arm),
         history: Vec::new(),
     };
-    let log = exp
-        .run(sc.to_sim_config(), &mut probe, &fs.trace, &store)
-        .expect("well-formed scenario");
+    let started = Instant::now();
+    let log = spec.run(&mut probe);
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     let policy = probe.inner;
     let summary = log.summary();
     let periods = period_maes(&probe.history);
-    let first_fault = fs.plan.events().first().expect("plans are non-empty").tick / L1_EVERY;
-    let last_fault = fs.plan.last_fault_tick().expect("plans are non-empty") / L1_EVERY;
+    let plan = spec.experiment_and_trace().0.faults.expect("a fault run");
+    let first_fault = plan.events().first().expect("plans are non-empty").tick / L1_EVERY;
+    let last_fault = plan.last_fault_tick().expect("plans are non-empty") / L1_EVERY;
     ArmResult {
         tracking_mae: policy.tracking_error().expect("outcomes were derived"),
         samples: policy.tracking_samples(),
@@ -226,34 +207,33 @@ fn main() {
     // post-fault recovery window; 90 periods keeps every scenario's
     // margin comfortable and still runs in seconds, so quick mode keeps
     // the full horizon and only skips the median-of-3 timing runs.
+    // Every arm pairs experiment seed 0xBEEF with the fault family's
+    // store seed.
     let buckets = 90;
-    let sc = scenario_config();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let scenarios = fault_scenarios(0xFA11, buckets, 120.0, capacity, 4);
+    let scenarios: Vec<RunSpec> = (0..4)
+        .map(|i| RunSpec {
+            seed: 0xBEEF,
+            buckets,
+            ..RunSpec::defaults(Family::Faults(i))
+        })
+        .collect();
     println!("fault benchmark (threads = {threads}, quick = {quick}, periods = {buckets})");
 
     let mut lines = Vec::new();
     let mut blind_beaten = 0usize;
     let mut recovered = 0usize;
-    for fs in &scenarios {
+    for spec in &scenarios {
         let mut arms: Vec<ArmResult> = Vec::new();
-        for tolerant in [false, true] {
+        for arm in [Preset::ClosedLoop, Preset::FaultTolerant] {
             // The gate consults only tracking MAEs and recovery times,
             // which are fully deterministic (seeded workload, spread and
             // faults) — one run suffices in check/quick mode. The
             // JSON-writing path runs each arm three times and takes the
             // wall-clock median so `run_ms` is de-noised.
             let result = if check || quick {
-                run_arm(fs, tolerant, 0xBEEF)
+                run_arm(spec, arm)
             } else {
-                let mut runs = vec![
-                    run_arm(fs, tolerant, 0xBEEF),
-                    run_arm(fs, tolerant, 0xBEEF),
-                    run_arm(fs, tolerant, 0xBEEF),
-                ];
+                let mut runs = vec![run_arm(spec, arm), run_arm(spec, arm), run_arm(spec, arm)];
                 runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
                 debug_assert!(
                     (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
@@ -268,7 +248,7 @@ fn main() {
         println!(
             "{:<17} blind MAE {:>9.3} ({:>6} drops)  tolerant MAE {:>9.3} ({:>6} drops)  \
              {:.2}x better, {} deaths/{} rejoins, recovery {} periods",
-            fs.name,
+            spec.name(),
             blind.tracking_mae,
             blind.dropped,
             tol.tracking_mae,
@@ -285,8 +265,8 @@ fn main() {
         if tol.recovery_periods.is_some_and(|p| p <= RECOVERY_BOUND) {
             recovered += 1;
         }
-        lines.push(json_entry(fs.name, "blind", blind));
-        lines.push(json_entry(fs.name, "tolerant", tol));
+        lines.push(json_entry(spec.name(), "blind", blind));
+        lines.push(json_entry(spec.name(), "tolerant", tol));
     }
 
     let total = scenarios.len();

@@ -1,15 +1,18 @@
 //! Fig. 4: the synthetic workload with its Kalman predictions (top) and
 //! the number of computers operated by the L1 controller (bottom).
 
-use llc_bench::figures::{module_experiment, FIGURE_SEED};
+use llc_bench::figures::figure_spec;
 use llc_bench::report::{ascii_plot, ascii_plot_multi, write_csv};
+use llc_cluster::{Family, Preset};
 
 fn main() {
-    let run = module_experiment(FIGURE_SEED);
-    let t_l1 = run.scenario.l1.period;
+    let spec = figure_spec(Family::Module, 200);
+    let mut policy = spec.policy(Preset::Paper);
+    let log = spec.run(&mut policy);
+    let t_l1 = spec.scenario_config().l1.period;
 
     // Top panel: actual vs predicted arrivals per L1 period.
-    let history = run.policy.l1(0).forecast_history();
+    let history = policy.l1(0).forecast_history();
     let actual: Vec<(f64, f64)> = history
         .iter()
         .enumerate()
@@ -45,8 +48,7 @@ fn main() {
     );
 
     // Bottom panel: computers operated per L1 tick.
-    let active: Vec<(f64, f64)> = run
-        .policy
+    let active: Vec<(f64, f64)> = policy
         .active_history()
         .iter()
         .map(|&(tick, a)| (tick as f64 / 4.0, a as f64))
@@ -61,7 +63,7 @@ fn main() {
         )
     );
 
-    let s = run.log.summary();
+    let s = log.summary();
     println!("run summary: {s:?}\n");
     println!("paper: the L1 controller sets α in anticipation of workload fluctuations;");
     println!(
@@ -80,8 +82,7 @@ fn main() {
         "l1_tick,actual,predicted",
         &rows,
     );
-    let rows: Vec<String> = run
-        .policy
+    let rows: Vec<String> = policy
         .active_history()
         .iter()
         .map(|(tick, a)| format!("{tick},{a}"))

@@ -1,17 +1,19 @@
 //! Fig. 5: the operating frequencies selected by the L0 controller for
 //! computer C4 (top) and the achieved response times (bottom).
 
-use llc_bench::figures::{module_experiment, FIGURE_SEED};
+use llc_bench::figures::figure_spec;
 use llc_bench::report::{ascii_plot, write_csv};
 use llc_cluster::FrequencyProfile;
+use llc_cluster::{Family, Preset};
 
 fn main() {
-    let run = module_experiment(FIGURE_SEED);
+    let spec = figure_spec(Family::Module, 200);
+    let mut policy = spec.policy(Preset::Paper);
+    let log = spec.run(&mut policy);
     let c4 = 3; // TallEight — the 2 GHz machine, as in the paper's Fig. 5
     let table = FrequencyProfile::TallEight.frequencies();
 
-    let freq_hz: Vec<(f64, f64)> = run
-        .log
+    let freq_hz: Vec<(f64, f64)> = log
         .frequency_series(c4)
         .into_iter()
         .map(|(t, idx)| (t / 30.0, table[idx]))
@@ -26,8 +28,7 @@ fn main() {
         )
     );
 
-    let responses: Vec<(f64, f64)> = run
-        .log
+    let responses: Vec<(f64, f64)> = log
         .response_series(c4)
         .into_iter()
         .filter_map(|(t, r)| r.map(|r| (t / 30.0, r)))
@@ -42,7 +43,7 @@ fn main() {
         )
     );
 
-    let target = run.log.response_target;
+    let target = log.response_target;
     let within = responses.iter().filter(|(_, r)| *r <= target).count();
     println!(
         "response windows within r* = {target} s: {}/{} ({:.1}%)",
@@ -62,16 +63,15 @@ fn main() {
     );
     println!(
         "L0 lookahead: mean {:.0} states explored per decision (horizon {}, {} settings)",
-        run.policy.l0(c4).mean_states_explored(),
-        run.scenario.l0.horizon,
+        policy.l0(c4).mean_states_explored(),
+        spec.scenario_config().l0.horizon,
         table.len(),
     );
 
-    let rows: Vec<String> = run
-        .log
+    let rows: Vec<String> = log
         .frequency_series(c4)
         .iter()
-        .zip(run.log.response_series(c4))
+        .zip(log.response_series(c4))
         .map(|((t, idx), (_, r))| {
             format!(
                 "{t},{},{}",

@@ -1,13 +1,17 @@
 //! Fig. 6: the WC'98 workload trace and the number of computers operated
 //! by the control hierarchy (16 computers in 4 modules).
 
-use llc_bench::figures::{cluster_experiment, FIGURE_SEED};
+use llc_bench::figures::figure_spec;
 use llc_bench::report::{ascii_plot, write_csv};
+use llc_cluster::{Family, Preset};
 
 fn main() {
-    let run = cluster_experiment(FIGURE_SEED);
+    let spec = figure_spec(Family::Cluster, 120);
+    let mut policy = spec.policy(Preset::Paper);
+    let log = spec.run(&mut policy);
 
-    let workload: Vec<(f64, f64)> = run.trace.iter().map(|(t, c)| (t / 120.0, c)).collect();
+    let (_, trace) = spec.experiment_and_trace();
+    let workload: Vec<(f64, f64)> = trace.iter().map(|(t, c)| (t / 120.0, c)).collect();
     println!(
         "{}",
         ascii_plot(
@@ -18,8 +22,7 @@ fn main() {
         )
     );
 
-    let active: Vec<(f64, f64)> = run
-        .policy
+    let active: Vec<(f64, f64)> = policy
         .active_history()
         .iter()
         .map(|&(tick, a)| (tick as f64 / 4.0, a as f64))
@@ -34,7 +37,7 @@ fn main() {
         )
     );
 
-    let s = run.log.summary();
+    let s = log.summary();
     let min_on = active.iter().map(|(_, a)| *a as usize).min().unwrap_or(0);
     let max_on = active.iter().map(|(_, a)| *a as usize).max().unwrap_or(0);
     println!("run summary: {s:?}");
@@ -42,7 +45,7 @@ fn main() {
         "active range {min_on}..{max_on} of 16; mean response {:.2} s vs r* = {} s; \
          violation fraction {:.1}%",
         s.mean_response,
-        run.log.response_target,
+        log.response_target,
         s.violation_fraction * 100.0
     );
     println!(
@@ -50,18 +53,13 @@ fn main() {
          machine count tracking the workload."
     );
 
-    let rows: Vec<String> = run
-        .policy
+    let rows: Vec<String> = policy
         .active_history()
         .iter()
         .map(|(tick, a)| format!("{tick},{a}"))
         .collect();
     let p1 = write_csv("fig6_computers_operated.csv", "l0_tick,active", &rows);
-    let rows: Vec<String> = run
-        .trace
-        .iter()
-        .map(|(t, c)| format!("{t},{c:.0}"))
-        .collect();
+    let rows: Vec<String> = trace.iter().map(|(t, c)| format!("{t},{c:.0}")).collect();
     let p2 = write_csv("fig6_workload.csv", "time_secs,requests", &rows);
     println!("wrote {} and {}", p1.display(), p2.display());
 }

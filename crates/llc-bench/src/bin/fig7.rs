@@ -1,12 +1,15 @@
 //! Fig. 7: the load distribution factor γ_i decided by the L2 controller
 //! for each of the four modules.
 
-use llc_bench::figures::{cluster_experiment, FIGURE_SEED};
+use llc_bench::figures::figure_spec;
 use llc_bench::report::{ascii_plot, write_csv};
+use llc_cluster::{Family, Preset};
 
 fn main() {
-    let run = cluster_experiment(FIGURE_SEED);
-    let history = run.policy.gamma_module_history();
+    let spec = figure_spec(Family::Cluster, 120);
+    let mut policy = spec.policy(Preset::Paper);
+    spec.run(&mut policy);
+    let history = policy.gamma_module_history();
     assert!(!history.is_empty(), "L2 must have decided at least once");
     let p = history[0].1.len();
 
@@ -44,7 +47,7 @@ fn main() {
             "tick {tick}: split sums to {total}"
         );
     }
-    if let Some(l2) = run.policy.l2() {
+    if let Some(l2) = policy.l2() {
         println!(
             "L2 evaluated {:.0} candidate splits per decision (0.1 quantum over {p} modules)",
             l2.mean_states_evaluated()

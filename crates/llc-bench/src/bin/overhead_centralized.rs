@@ -17,10 +17,9 @@
 
 use llc_bench::centralized::{joint_candidate_count, CentralizedConfig, CentralizedPolicy};
 use llc_bench::claims::{self, ComplexityRow};
-use llc_bench::figures::FIGURE_SEED;
-use llc_bench::report::{ms, quick_mode, write_csv};
-use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
-use llc_workload::{synthetic_paper_workload, VirtualStore};
+use llc_bench::figures::figure_spec;
+use llc_bench::report::{ms, write_csv};
+use llc_cluster::{Family, Preset, RunSpec};
 use std::time::Duration;
 
 fn main() {
@@ -54,24 +53,18 @@ fn main() {
     let mut rows = Vec::new();
     let mut measured = Vec::new();
     for m in [4usize, 6] {
-        let scenario = if quick_mode() {
-            single_module(m).with_coarse_learning()
-        } else {
-            single_module(m)
+        // The workload scaled to m machines, cut to its first 600
+        // buckets (200 under --quick).
+        let spec = figure_spec(Family::Module, 200);
+        let spec = RunSpec {
+            members: m,
+            buckets: spec.buckets.min(600),
+            ..spec
         };
-        let mut trace = synthetic_paper_workload(FIGURE_SEED).scaled(m as f64 / 4.0);
-        if quick_mode() {
-            trace = trace.slice(0, 200);
-        } else {
-            trace = trace.slice(0, 600);
-        }
-        let store = VirtualStore::paper_default(FIGURE_SEED);
 
         // Hierarchical.
-        let mut h = HierarchicalPolicy::build(&scenario);
-        let log_h = Experiment::paper_default(FIGURE_SEED)
-            .run(scenario.to_sim_config(), &mut h, &trace, &store)
-            .expect("well-formed scenario");
+        let mut h = spec.policy(Preset::Paper);
+        let log_h = spec.run(&mut h);
         let sh = log_h.summary();
         let h_states = h.l1(0).mean_states_evaluated();
         let h_decide = h.overhead()[1].mean();
@@ -91,12 +84,10 @@ fn main() {
         ));
 
         // Centralized.
-        let members = scenario.member_specs().remove(0);
+        let members = spec.scenario_config().member_specs().remove(0);
         let config = CentralizedConfig::paper_default();
         let mut c = CentralizedPolicy::new(config, members);
-        let log_c = Experiment::paper_default(FIGURE_SEED)
-            .run(scenario.to_sim_config(), &mut c, &trace, &store)
-            .expect("well-formed scenario");
+        let log_c = spec.run(&mut c);
         let sc = log_c.summary();
         // Decide time of the joint decisions alone, as the hierarchy's
         // L1 overhead is: the ticks between them only refresh filters.

@@ -25,7 +25,9 @@
 //! the [`llc_sim`] plant fed by an [`llc_workload`] trace and records the
 //! series behind every figure of the evaluation. The plant half of that
 //! loop is one type, [`Plant`], which every driver steps one window at a
-//! time and which actuates only through its [`Reconciler`].
+//! time and which actuates only through its [`Reconciler`]. A
+//! [`RunSpec`] names each run of the evaluation (family, size, seeds)
+//! and a [`Preset`] each policy stack it is scored under.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +44,7 @@ mod l1;
 mod l2;
 mod policy;
 mod profiles;
+mod run;
 mod split;
 
 pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
@@ -65,3 +68,4 @@ pub use l1::{
 pub use l2::{L2Config, L2Controller, L2Decision, ModuleCostModel, ModuleLearnSpec, ModuleState};
 pub use policy::{Action, ClusterPolicy, ComputerObs, ModuleObs, Observations};
 pub use profiles::{ComputerProfile, FrequencyProfile};
+pub use run::{Family, Preset, RunSpec};

@@ -16,7 +16,7 @@
 //! rejects mismatches. In paced mode (`--pace-ms > 0`) a dropped
 //! connection is retried with backoff until the run completes.
 
-use llc_net::scenario::{flag_value, RunSpec};
+use llc_net::scenario::{flag_value, from_args};
 use llc_net::{run_agent, SessionError, TcpLink};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         eprintln!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let run = RunSpec::from_args(&args).and_then(|(spec, pace)| {
+    let run = from_args(&args).and_then(|(spec, pace)| {
         let connect = flag_value(&args, "--connect")?.unwrap_or("127.0.0.1:7700");
         Ok((spec, pace, connect))
     });

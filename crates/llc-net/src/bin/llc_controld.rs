@@ -15,7 +15,7 @@
 //! missed the deadline. Agents may drop and reconnect mid-run in paced
 //! mode; reconnects are counted in the metrics' transport section.
 
-use llc_net::scenario::{flag_value, RunSpec};
+use llc_net::scenario::{controller, flag_value, from_args};
 use llc_net::{serve_controller, FrameTransport, SessionError, TcpLink};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -28,7 +28,7 @@ fn main() -> ExitCode {
         eprintln!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let run = RunSpec::from_args(&args).and_then(|(spec, pace)| {
+    let run = from_args(&args).and_then(|(spec, pace)| {
         let listen = flag_value(&args, "--listen")?.unwrap_or("127.0.0.1:7700");
         Ok((spec, pace, listen))
     });
@@ -39,7 +39,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut core = spec.controller();
+    let mut core = controller(&spec);
     let total_ticks = core.hello().total_ticks;
     let pace_ms = pace.map_or(0, |p| p.as_millis());
 

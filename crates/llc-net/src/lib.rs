@@ -29,6 +29,8 @@
 //!   accounting (late and lost observations, decode errors,
 //!   reconnects), surfaced through the `transport` section of
 //!   [`MetricsSnapshot`](llc_cluster::MetricsSnapshot).
+//! * [`scenario`] — the daemons' flags parsed into an
+//!   [`llc_cluster::RunSpec`], and the controller core that spec builds.
 //! * [`session`] — the two session loops (lockstep and wall-clock
 //!   paced) and the window protocol tying it together.
 //!
@@ -57,7 +59,6 @@ pub use frame::{
     decode_frame, encode_frame, Frame, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 pub use link::{FrameTransport, Impairment, LinkCounters, LinkError, LossyLink, PipeLink, TcpLink};
-pub use scenario::{Family, RunSpec};
 pub use session::{run_agent, serve_controller, SessionError};
 
 // `benchmark/` is built from outside this workspace and still names

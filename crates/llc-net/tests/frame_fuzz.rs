@@ -6,11 +6,12 @@
 use llc_net::{
     decode_directive, decode_frame, decode_heartbeat, decode_hello, decode_metrics,
     decode_observation, encode_directive, encode_frame, encode_heartbeat, encode_hello,
-    encode_observation, Family, Frame, FrameKind, Heartbeat, Hello, Role, RunSpec, WireError,
-    HEADER_LEN, VERSION,
+    encode_observation, Frame, FrameKind, Heartbeat, Hello, Role, WireError, HEADER_LEN, VERSION,
 };
 
-use llc_cluster::{Directive, DirectiveKind, Level, MemberTelemetry, ModuleObservation};
+use llc_cluster::{
+    Directive, DirectiveKind, Family, Level, MemberTelemetry, ModuleObservation, RunSpec,
+};
 use llc_sim::{PowerState, WindowStats};
 use proptest::prelude::*;
 use proptest::{collection, strategy::Strategy};
@@ -391,7 +392,7 @@ proptest! {
     fn decoded_out_of_topology_directives_are_refused_not_actuated(
         stream in collection::vec((0u64..100_000, arb_wild_kind()), 1..24),
     ) {
-        let spec = RunSpec::defaults(Family::ClosedLoop);
+        let spec = RunSpec::defaults(Family::ClosedLoop(2));
         let store = spec.store();
         let mut agent = spec.plant(&store).expect("well-formed plant");
         let staged = stream.len() as u64;

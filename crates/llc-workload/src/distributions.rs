@@ -62,9 +62,14 @@ impl Gaussian {
 /// The two uniforms one Box–Muller sample takes, in draw order, the first
 /// guarded away from 0.
 pub(crate) fn box_muller_uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
-    let u1: f64 = rng.gen::<f64>().max(1e-300);
+    let u1: f64 = guard_u1(rng.gen());
     let u2: f64 = rng.gen();
     (u1, u2)
+}
+
+/// Box–Muller's first uniform kept away from 0, where `ln` diverges.
+pub(crate) fn guard_u1(u1: f64) -> f64 {
+    u1.max(1e-300)
 }
 
 /// Lognormal distribution: `exp(N(mu, sigma))`.
@@ -170,7 +175,11 @@ impl Zipf {
 
     /// Draw a 0-based rank (`0` = most popular).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+        self.at(rng.gen())
+    }
+
+    /// The rank index the inverse CDF puts at uniform `u`.
+    pub(crate) fn at(&self, u: f64) -> usize {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }

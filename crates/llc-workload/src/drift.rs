@@ -107,6 +107,24 @@ impl DriftScenario {
     pub fn scale_at(&self, k: usize) -> f64 {
         self.capacity.scale_at(k, self.trace.len())
     }
+
+    /// The drift for a plant ticking every `t_l0` seconds: the diurnal
+    /// dip's period, counted in buckets, stretched by the bucket/tick
+    /// ratio (ramps and steps are fractions of the run and carry over).
+    pub fn capacity_per_tick(&self, t_l0: f64) -> CapacityProfile {
+        match self.capacity {
+            CapacityProfile::Diurnal {
+                base,
+                amplitude,
+                period,
+            } => CapacityProfile::Diurnal {
+                base,
+                amplitude,
+                period: period * (self.trace.interval() / t_l0),
+            },
+            other => other,
+        }
+    }
 }
 
 /// The three canonical drift scenarios over `buckets` buckets of

@@ -1,6 +1,6 @@
-use crate::distributions::box_muller_uniforms;
+use crate::distributions::guard_u1;
 use crate::{derive_seed, LogNormal, VirtualStore};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// Lognormal temporal-locality model (§4.3: "in many web workloads,
 /// temporal locality follows a lognormal distribution", after Barford &
@@ -75,8 +75,10 @@ impl LocalityModel {
 
     /// Fill `depths` with the stack depths of the next [`CHUNK`] distance
     /// draws from `rng`, each `floor(exp(y))` capped at `max_depth`, with
-    /// `y = μ + σ·√(−2 ln u₁)·cos 2πu₂` Box–Muller's normal. A depth past
-    /// the cap re-references nothing, as the cap does (`stack.len() ≤
+    /// `y = μ + σ·√(−2 ln u₁)·cos 2πu₂` Box–Muller's normal, and `u1`,
+    /// `u2` with each draw's two uniforms as `rng` gave them (`u₁` before
+    /// Box–Muller's guard away from 0). A depth past the cap
+    /// re-references nothing, as the cap does (`stack.len() ≤
     /// max_depth`). Returns how many draws took the libm chain.
     ///
     /// The depths are [`LogNormal::sample`]'s, floored, without calling
@@ -99,17 +101,22 @@ impl LocalityModel {
     /// kernels' error scales with `σ`, the final roundings with `|μ|`.
     /// libm's `exp` then moves its value by at most 2⁻⁵² relative, far
     /// inside the factor the check leaves.
-    fn draw_depths<R: Rng>(&self, rng: &mut R, depths: &mut [usize; CHUNK]) -> usize {
+    fn draw_chunk<R: Rng>(
+        &self,
+        rng: &mut R,
+        u1: &mut [f64; CHUNK],
+        u2: &mut [f64; CHUNK],
+        depths: &mut [usize; CHUNK],
+    ) -> usize {
         let normal = self.distance.normal();
         let (mu, sigma) = (normal.mean(), normal.std_dev());
-        let mut u1 = [0.0; CHUNK];
-        let mut u2 = [0.0; CHUNK];
-        for (a, b) in u1.iter_mut().zip(&mut u2) {
-            (*a, *b) = box_muller_uniforms(rng);
+        for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+            *a = rng.gen();
+            *b = rng.gen();
         }
         let mut y = [0.0; CHUNK];
-        for ((y, &a), &b) in y.iter_mut().zip(&u1).zip(&u2) {
-            *y = mu + sigma * ((-2.0 * ln_fast(a)).sqrt() * cos_2pi_fast(b));
+        for ((y, &a), &b) in y.iter_mut().zip(u1.iter()).zip(u2.iter()) {
+            *y = mu + sigma * ((-2.0 * ln_fast(guard_u1(a))).sqrt() * cos_2pi_fast(b));
         }
         let margin = MARGIN * (1.0 + mu.abs() + sigma);
         let cap = self.max_depth as f64;
@@ -123,7 +130,7 @@ impl LocalityModel {
                 k
             } else {
                 fallbacks += 1;
-                let value = normal.transform(u1[i], u2[i]).exp();
+                let value = normal.transform(guard_u1(u1[i]), u2[i]).exp();
                 (value.floor() as usize).min(self.max_depth)
             };
         }
@@ -203,9 +210,10 @@ fn polynomial(w: f64, coefficients: &[f64]) -> f64 {
 
 /// Stack distances [`RequestSampler`] draws at a time. On the paper
 /// default (one pinned core of a Xeon) the draw phase costs 24–26 ns a
-/// request from 16 to 64, 28 at 128 and 32 at 256, as misses throw away
-/// more of a longer chunk; the walk phase costs 21–24 throughout. Drawn
-/// through libm, the draw phase was 44–48 ns from 16 to 128.
+/// request from 16 to 64, 28 at 128 and 32 at 256, measured when a miss
+/// still threw away the rest of its chunk; the walk phase costs 21–24
+/// throughout. Drawn through libm, the draw phase was 44–48 ns from 16
+/// to 128.
 const CHUNK: usize = 64;
 
 /// A deterministic stream of `(object, demand)` requests combining the
@@ -219,29 +227,26 @@ const CHUNK: usize = 64;
 /// for all of them in vector lanes with polynomial `ln` and `cos`, and
 /// certifies each depth against libm's, which it computes only for the
 /// rare draw it cannot certify. Interleaved one request at a time, the
-/// draw and the stack's `copy_within` would stall each other. A miss
-/// needs the generator as it stood right after that request's own
-/// distance draw, so it rewinds to there — the state at the chunk's
-/// start, stepped past the distances already served — takes the
-/// popularity draw, and drops the rest of the chunk: the stream of
-/// requests is the one a draw-by-draw sampler gives, bit for bit.
+/// draw and the stack's `copy_within` would stall each other. A miss's
+/// popularity draw takes two uniforms, as a distance does
+/// (`distributions::tests::a_gaussian_sample_takes_two_raw_draws`), so
+/// it takes the next slot's and serving goes on from the slot after: the
+/// stream of requests is the one a draw-by-draw sampler gives, bit for
+/// bit. A miss in the chunk's last slot draws fresh.
 #[derive(Debug, Clone)]
 pub struct RequestSampler<'a> {
     store: &'a VirtualStore,
     locality: LocalityModel,
     /// Where the next chunk starts drawing from.
     rng: rand::rngs::StdRng,
-    /// `rng` as it stood before the current chunk was drawn.
-    chunk_start: rand::rngs::StdRng,
+    /// The current chunk's first and second uniform of each slot.
+    u1: [f64; CHUNK],
+    u2: [f64; CHUNK],
     /// The current chunk's stack depths, in draw order.
     depths: [usize; CHUNK],
-    /// Entries of `depths` already served; `CHUNK` when none is left.
+    /// Slots of the chunk already used; `CHUNK` when none is left.
     served: usize,
 }
-
-/// Raw draws one stack distance takes: Box–Muller's two uniforms
-/// (`distributions::tests::a_gaussian_sample_takes_two_raw_draws`).
-const DRAWS_PER_DISTANCE: usize = 2;
 
 impl<'a> RequestSampler<'a> {
     /// A sampler over `store` with an explicit locality model and seed.
@@ -250,8 +255,9 @@ impl<'a> RequestSampler<'a> {
         RequestSampler {
             store,
             locality,
-            chunk_start: rng.clone(),
             rng,
+            u1: [0.0; CHUNK],
+            u2: [0.0; CHUNK],
             depths: [0; CHUNK],
             served: CHUNK,
         }
@@ -266,8 +272,8 @@ impl<'a> RequestSampler<'a> {
     /// seconds.
     pub fn next_request(&mut self) -> (usize, f64) {
         if self.served == CHUNK {
-            self.chunk_start = self.rng.clone();
-            self.locality.draw_depths(&mut self.rng, &mut self.depths);
+            self.locality
+                .draw_chunk(&mut self.rng, &mut self.u1, &mut self.u2, &mut self.depths);
             self.served = 0;
         }
         let depth = self.depths[self.served];
@@ -275,13 +281,15 @@ impl<'a> RequestSampler<'a> {
         let object = match self.locality.rereference(depth) {
             Some(object) => object,
             None => {
-                self.rng = self.chunk_start.clone();
-                for _ in 0..self.served * DRAWS_PER_DISTANCE {
-                    self.rng.next_u64();
-                }
-                self.served = CHUNK;
-                let object = u32::try_from(self.store.sample_object(&mut self.rng))
-                    .expect("VirtualStore::new bounds object ids to u32");
+                let object = if self.served < CHUNK {
+                    let slot = self.served;
+                    self.served += 1;
+                    self.store.object_at(self.u1[slot], self.u2[slot])
+                } else {
+                    self.store.sample_object(&mut self.rng)
+                };
+                let object =
+                    u32::try_from(object).expect("VirtualStore::new bounds object ids to u32");
                 self.locality.insert(object);
                 object
             }
@@ -293,6 +301,15 @@ impl<'a> RequestSampler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributions::box_muller_uniforms;
+    use rand::RngCore;
+
+    impl LocalityModel {
+        /// [`LocalityModel::draw_chunk`]'s depths alone.
+        fn draw_depths<R: Rng>(&self, rng: &mut R, depths: &mut [usize; CHUNK]) -> usize {
+            self.draw_chunk(rng, &mut [0.0; CHUNK], &mut [0.0; CHUNK], depths)
+        }
+    }
 
     /// The parameter sets of `contiguous_stack_matches_the_deque_reference`;
     /// the first is the paper default.
@@ -501,10 +518,11 @@ mod tests {
             let stack: Vec<usize> = sampler.locality.stack.iter().map(|&o| o as usize).collect();
             assert_eq!(stack, Vec::from(reference.stack), "depth {max_depth}");
             assert_eq!(stack.len() == max_depth, max_depth < 4_096);
-            // A stack that misses one request in five rarely gets far into
-            // a chunk; the paper's rewinds from every offset of one.
+            // A miss goes on serving from the chunk, so every stack misses
+            // at every offset of one: a miss in the last slot draws fresh,
+            // any other takes the next slot's uniforms.
             let offsets = missed_at.iter().filter(|&&m| m).count();
-            assert_eq!(offsets == CHUNK, max_depth == 4_096, "{offsets} offsets");
+            assert_eq!(offsets, CHUNK, "depth {max_depth}");
         }
     }
 

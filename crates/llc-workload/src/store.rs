@@ -106,10 +106,18 @@ impl VirtualStore {
     /// locality-aware stream). Popular objects occupy ids
     /// `0..popular_count`.
     pub fn sample_object<R: Rng>(&self, rng: &mut R) -> usize {
-        if rng.gen::<f64>() < self.popular_share {
-            self.popular_zipf.sample(rng)
+        let u_share = rng.gen();
+        let u_rank = rng.gen();
+        self.object_at(u_share, u_rank)
+    }
+
+    /// The object popularity puts at two uniforms: `u_share` picks the
+    /// popular or the rare partition, `u_rank` the Zipf rank within it.
+    pub(crate) fn object_at(&self, u_share: f64, u_rank: f64) -> usize {
+        if u_share < self.popular_share {
+            self.popular_zipf.at(u_rank)
         } else {
-            self.popular_count + self.rare_zipf.sample(rng)
+            self.popular_count + self.rare_zipf.at(u_rank)
         }
     }
 }

@@ -5,15 +5,16 @@
 //! Run with `cargo run --release -p llc-examples --bin baseline_comparison`.
 
 use llc_cluster::{
-    single_module, AlwaysMaxPolicy, ClusterPolicy, Experiment, HierarchicalPolicy, ThresholdConfig,
-    ThresholdPolicy,
+    AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdConfig, ThresholdPolicy,
 };
-use llc_workload::{synthetic_paper_workload, VirtualStore};
 
 fn main() {
-    let scenario = single_module(4).with_coarse_learning();
-    let trace = synthetic_paper_workload(99).slice(0, 400);
-    let store = VirtualStore::paper_default(99);
+    let spec = RunSpec {
+        buckets: 400,
+        coarse_learning: true,
+        ..RunSpec::new(Family::Module, 99)
+    };
+    let scenario = spec.scenario_config();
 
     let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
         .member_specs()
@@ -26,7 +27,7 @@ fn main() {
         .collect();
 
     let mut policies: Vec<Box<dyn ClusterPolicy>> = vec![
-        Box::new(HierarchicalPolicy::build(&scenario)),
+        Box::new(spec.policy(Preset::Paper)),
         Box::new(ThresholdPolicy::new(ThresholdConfig::default(), layout)),
         Box::new(AlwaysMaxPolicy::new(layout_sizes)),
     ];
@@ -38,9 +39,7 @@ fn main() {
     println!("{}", "-".repeat(80));
     let mut energies = Vec::new();
     for policy in policies.iter_mut() {
-        let log = Experiment::paper_default(99)
-            .run(scenario.to_sim_config(), policy.as_mut(), &trace, &store)
-            .expect("well-formed scenario");
+        let log = spec.run(policy.as_mut());
         let s = log.summary();
         println!(
             "{:<22} | {:>13.2} | {:>10.1}% | {:>12.0} | {:>11}",

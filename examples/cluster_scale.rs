@@ -4,27 +4,26 @@
 //!
 //! Run with `cargo run --release -p llc-examples --bin cluster_scale`.
 
-use llc_cluster::{paper_cluster_16, Experiment, HierarchicalPolicy};
-use llc_workload::{wc98_like_fig6, VirtualStore};
+use llc_cluster::{Family, Preset, RunSpec};
 
 fn main() {
     // Full-fidelity offline learning: the coarse test grids are too crude
     // for good L2 splits. One map per machine profile and one tree per
     // module composition: about half a second before the run.
-    let scenario = paper_cluster_16();
+    let spec = RunSpec {
+        buckets: 240, // 8 hours
+        ..RunSpec::new(Family::Cluster, 7)
+    };
+    let scenario = spec.scenario_config();
     println!(
         "building hierarchy for {} computers in {} modules (offline learning, under a second) ...",
         scenario.num_computers(),
         scenario.num_modules()
     );
-    let mut policy = HierarchicalPolicy::build(&scenario);
+    let mut policy = spec.policy(Preset::Paper);
 
-    let trace = wc98_like_fig6(7).slice(0, 240); // 8 hours
-    let store = VirtualStore::paper_default(7);
-    println!("running {} two-minute buckets ...", trace.len());
-    let log = Experiment::paper_default(7)
-        .run(scenario.to_sim_config(), &mut policy, &trace, &store)
-        .expect("well-formed scenario");
+    println!("running {} two-minute buckets ...", spec.buckets);
+    let log = spec.run(&mut policy);
 
     println!("\nhour | req/s | computers on (of 16) | module split γ");
     println!("{}", "-".repeat(72));

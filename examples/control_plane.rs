@@ -22,27 +22,23 @@
 
 use llc_cluster::DirectiveEmit;
 use llc_cluster::{
-    single_module, ControlPlane, DirectiveKind, Experiment, FaultToleranceConfig,
-    ObservationIngest, Plant, PolicyBuilder,
+    ControlPlane, DirectiveKind, Experiment, Family, ObservationIngest, Plant, RunSpec,
 };
-use llc_core::OnlineConfig;
-use llc_workload::{
-    fault_scenarios, CapacityProfile, FaultEvent, FaultKind, FaultPlan, VirtualStore,
-};
+use llc_workload::{CapacityProfile, FaultEvent, FaultKind, FaultPlan};
 use std::sync::mpsc;
 
 fn main() {
-    let sc = single_module(4).with_coarse_learning();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    // The bench's crash-restart fault schedule, plus a 3-of-4
-    // simultaneous blackout late in the run (drops the module below the
-    // telemetry quorum → safe mode) and a silent capacity step the
-    // fault plan knows nothing about.
-    let fs = fault_scenarios(0xFA11, 90, 120.0, capacity, 4).swap_remove(0);
-    let mut events = fs.plan.events().to_vec();
+    // The fault bench's crash-restart run (bodies from store seed 5),
+    // plus a 3-of-4 simultaneous blackout late in the run (drops the
+    // module below the telemetry quorum → safe mode) and a silent
+    // capacity step the fault plan knows nothing about.
+    let spec = RunSpec {
+        seed: 0xBEEF,
+        buckets: 90,
+        ..RunSpec::defaults(Family::Faults(0))
+    };
+    let (exp, trace) = spec.experiment_and_trace();
+    let mut events = exp.faults.as_ref().expect("a fault run").events().to_vec();
     for computer in 1..4 {
         events.push(FaultEvent {
             tick: 240,
@@ -62,25 +58,21 @@ fn main() {
             after: 0.55,
         }),
         faults: Some(FaultPlan::new(events)),
-        ..Experiment::paper_default(0xBEEF)
+        ..exp
     };
     let t_l0 = exp.t_l0;
 
     // The plant side: cluster, workload, injectors and the directive
     // reconciler behind one type, the one `Experiment::run` and the node
     // agent step.
-    let store = VirtualStore::paper_default(5);
-    let mut plant =
-        Plant::new(sc.to_sim_config(), &exp, &fs.trace, &store).expect("well-formed cluster");
+    let store = spec.store();
+    let mut plant = Plant::new(spec.scenario_config().to_sim_config(), &exp, &trace, &store)
+        .expect("well-formed cluster");
     let members = plant.members().to_vec();
 
     // The controller side: the full self-healing stack behind the
     // ingest/emit API.
-    let policy = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
-        .drift_aware_l0()
-        .build();
+    let policy = spec.policy(spec.family.preset());
     let num_modules = members.len();
     let mut plane = ControlPlane::new(policy, members, t_l0);
 

@@ -21,13 +21,14 @@
 //!
 //! Run with: `cargo run --release -p llc-examples --example distributed_control`
 
-use llc_net::scenario::{Family, RunSpec};
+use llc_cluster::{Family, RunSpec};
+use llc_net::scenario::controller;
 use llc_net::{run_agent, serve_controller, FrameTransport, TcpLink};
 use std::net::{TcpListener, TcpStream};
 
 fn main() {
-    let spec = RunSpec::defaults(Family::Faults);
-    let mut core = spec.controller();
+    let spec = RunSpec::defaults(Family::Faults(0));
+    let mut core = controller(&spec);
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound socket");

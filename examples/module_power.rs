@@ -4,27 +4,24 @@
 //!
 //! Run with `cargo run --release -p llc-examples --bin module_power`.
 
-use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
-use llc_workload::{synthetic_paper_workload, VirtualStore};
+use llc_cluster::{Family, Preset, RunSpec};
 
 fn main() {
     // Full-fidelity offline learning (a few seconds); the benchmarks use
     // the same spec.
-    let scenario = single_module(4);
+    let spec = RunSpec {
+        buckets: 400,
+        ..RunSpec::new(Family::Module, 42)
+    };
     println!(
         "building hierarchy: {} computers, learning abstraction maps ...",
-        scenario.num_computers()
+        spec.members
     );
-    let mut policy = HierarchicalPolicy::build(&scenario);
+    let mut policy = spec.policy(Preset::Paper);
 
     // One slice of the §4.3 synthetic workload (2-minute buckets).
-    let trace = synthetic_paper_workload(42).slice(0, 400);
-    let store = VirtualStore::paper_default(42);
-
-    println!("running {} buckets of workload ...", trace.len());
-    let log = Experiment::paper_default(42)
-        .run(scenario.to_sim_config(), &mut policy, &trace, &store)
-        .expect("well-formed scenario");
+    println!("running {} buckets of workload ...", spec.buckets);
+    let log = spec.run(&mut policy);
 
     println!("\nhour | req/s | computers on | mean response (s)");
     println!("{}", "-".repeat(56));

@@ -5,24 +5,16 @@
 //! detector switches the learning rate.
 
 use llc_cluster::{
-    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, FaultToleranceConfig,
-    FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller, L1Config, L1Controller,
-    LearnSpec, MemberSpec, PolicyBuilder, ScenarioConfig,
+    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, Family,
+    FaultToleranceConfig, FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller,
+    L1Config, L1Controller, LearnSpec, MemberSpec, PolicyBuilder, Preset, RunSpec, ScenarioConfig,
 };
 use llc_core::{LearnRate, OnlineConfig};
 use llc_tests::Fnv;
 use llc_workload::{
-    drift_scenarios, CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan,
-    SyntheticBuilder, Trace, VirtualStore,
+    CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan, SyntheticBuilder, Trace,
+    VirtualStore,
 };
-
-/// The bench's closed-loop scenario: two machines pinned on (so the
-/// tracking comparison is not dominated by boot dead-time transients).
-fn closed_loop_scenario() -> ScenarioConfig {
-    let mut sc = single_module(2).with_coarse_learning();
-    sc.l1.min_active = 2;
-    sc
-}
 
 /// Service capacity of the whole cluster, `Σ speed / c_prior` (req/s).
 fn cluster_capacity(sc: &ScenarioConfig) -> f64 {
@@ -33,27 +25,15 @@ fn cluster_capacity(sc: &ScenarioConfig) -> f64 {
         .sum()
 }
 
-fn run_tracking(sc: &ScenarioConfig, closed: bool) -> (f64, u64, HierarchicalPolicy) {
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let scenario = &drift_scenarios(0xC105ED, 50, 120.0, 0.55 * capacity)[2]; // capacity step
-    let builder = PolicyBuilder::new(sc.clone());
-    let mut policy = if closed {
-        builder.closed_loop(OnlineConfig::default())
-    } else {
-        builder.outcome_tracking()
-    }
-    .build();
-    let exp = Experiment {
-        drift: Some(scenario.capacity),
-        ..Experiment::paper_default(0xBEEF)
+/// The bench's capacity-step run (two machines pinned on, so the
+/// tracking comparison is not dominated by boot dead-time transients).
+fn run_tracking(preset: Preset) -> (f64, u64, HierarchicalPolicy) {
+    let spec = RunSpec {
+        buckets: 50,
+        ..RunSpec::defaults(Family::ClosedLoop(2))
     };
-    let store = VirtualStore::paper_default(0xBEEF);
-    let log = exp
-        .run(sc.to_sim_config(), &mut policy, &scenario.trace, &store)
-        .expect("well-formed scenario");
+    let mut policy = spec.policy(preset);
+    let log = spec.run(&mut policy);
     assert!(log.ticks.len() > 100);
     let mae = policy.tracking_error().expect("outcomes derived");
     let updates = policy.online_updates();
@@ -62,9 +42,8 @@ fn run_tracking(sc: &ScenarioConfig, closed: bool) -> (f64, u64, HierarchicalPol
 
 #[test]
 fn closed_loop_beats_offline_with_zero_harness_code() {
-    let sc = closed_loop_scenario();
-    let (offline_mae, offline_updates, offline_policy) = run_tracking(&sc, false);
-    let (closed_mae, closed_updates, closed_policy) = run_tracking(&sc, true);
+    let (offline_mae, offline_updates, offline_policy) = run_tracking(Preset::OutcomeTracking);
+    let (closed_mae, closed_updates, closed_policy) = run_tracking(Preset::ClosedLoop);
 
     // The offline-only arm derives outcomes but never learns.
     assert_eq!(offline_policy.closed_loop_mode(), ClosedLoopMode::Observe);

@@ -6,34 +6,28 @@
 //! faulted, drifting run.
 
 use llc_cluster::{
-    single_module, ClusterPolicy, ControlPlane, Directive, DirectiveEmit, DirectiveKind,
-    Experiment, ExperimentLog, FaultToleranceConfig, HierarchicalPolicy, Level, ObservationIngest,
-    PolicyBuilder, ScenarioConfig, SimAdapter,
+    ClusterPolicy, ControlPlane, Directive, DirectiveEmit, DirectiveKind, Experiment,
+    ExperimentLog, Family, HierarchicalPolicy, Level, ObservationIngest, Preset, RunSpec,
+    SimAdapter,
 };
-use llc_core::OnlineConfig;
 use llc_workload::{
-    derive_seed, drift_scenarios, fault_scenarios, spread_arrivals, CapacityProfile, FaultEvent,
-    FaultKind, FaultPlan, RequestSampler, Trace, VirtualStore,
+    derive_seed, spread_arrivals, CapacityProfile, FaultEvent, FaultKind, FaultPlan, RequestSampler,
 };
 use rand::SeedableRng;
 
 /// Drive `policy` over the ingest/emit API by hand — no `Experiment` —
 /// against the same plant, workload and injectors `Experiment::run`
-/// uses, returning every directive drained.
-fn run_by_hand(
-    exp: &Experiment,
-    sc: &ScenarioConfig,
-    policy: &mut HierarchicalPolicy,
-    trace: &Trace,
-    store: &VirtualStore,
-) -> Vec<Directive> {
+/// uses for `spec`, returning every directive drained.
+fn run_by_hand(spec: &RunSpec, policy: &mut HierarchicalPolicy) -> Vec<Directive> {
+    let (exp, trace) = spec.experiment_and_trace();
+    let store = spec.store();
     let ticks_trace = trace.rebucket(exp.t_l0).expect("well-formed trace");
     let total_ticks = ticks_trace.len();
-    let mut adapter = SimAdapter::new(sc.to_sim_config(), exp, total_ticks);
+    let mut adapter = SimAdapter::new(spec.scenario_config().to_sim_config(), &exp, total_ticks);
     if exp.prewarmed {
         adapter.prewarm().expect("well-formed cluster");
     }
-    let mut sampler = RequestSampler::paper_default(store, exp.seed);
+    let mut sampler = RequestSampler::paper_default(&store, exp.seed);
     let mut spread_rng = rand::rngs::StdRng::seed_from_u64(derive_seed(exp.seed, 0xA121));
     let mut plane = ControlPlane::new(&mut *policy, adapter.members().to_vec(), exp.t_l0);
     let mut all = Vec::new();
@@ -86,30 +80,11 @@ fn assert_equivalent(
 /// drift scenario under the in-hierarchy closed loop.
 #[test]
 fn experiment_and_hand_rolled_loop_agree_closed_loop() {
-    let mut sc = single_module(2).with_coarse_learning();
-    sc.l1.min_active = 2;
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let scenario = &drift_scenarios(0xC105ED, 40, 120.0, 0.55 * capacity)[2];
-    let exp = Experiment {
-        drift: Some(scenario.capacity),
-        ..Experiment::paper_default(0xBEEF)
-    };
-    let store = VirtualStore::paper_default(0xBEEF);
-
-    let mut via_exp = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .build();
-    let log = exp
-        .run(sc.to_sim_config(), &mut via_exp, &scenario.trace, &store)
-        .expect("well-formed scenario");
-
-    let mut by_hand = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .build();
-    let hand = run_by_hand(&exp, &sc, &mut by_hand, &scenario.trace, &store);
+    let spec = RunSpec::defaults(Family::ClosedLoop(2));
+    let mut via_exp = spec.policy(Preset::ClosedLoop);
+    let log = spec.run(&mut via_exp);
+    let mut by_hand = spec.policy(Preset::ClosedLoop);
+    let hand = run_by_hand(&spec, &mut by_hand);
 
     assert_equivalent(&log, &hand, &via_exp, &by_hand);
     assert!(!log.directives.is_empty());
@@ -119,31 +94,11 @@ fn experiment_and_hand_rolled_loop_agree_closed_loop() {
 /// under the watchdog'd closed loop.
 #[test]
 fn experiment_and_hand_rolled_loop_agree_faults() {
-    let sc = single_module(4).with_coarse_learning();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let fs = fault_scenarios(0xFA11, 60, 120.0, capacity, 4).swap_remove(0);
-    let exp = Experiment {
-        faults: Some(fs.plan.clone()),
-        ..Experiment::paper_default(5)
-    };
-    let store = VirtualStore::paper_default(5);
-
-    let mut via_exp = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
-        .build();
-    let log = exp
-        .run(sc.to_sim_config(), &mut via_exp, &fs.trace, &store)
-        .expect("well-formed scenario");
-
-    let mut by_hand = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
-        .build();
-    let hand = run_by_hand(&exp, &sc, &mut by_hand, &fs.trace, &store);
+    let spec = RunSpec::defaults(Family::Faults(0));
+    let mut via_exp = spec.policy(Preset::FaultTolerant);
+    let log = spec.run(&mut via_exp);
+    let mut by_hand = spec.policy(Preset::FaultTolerant);
+    let hand = run_by_hand(&spec, &mut by_hand);
 
     assert_equivalent(&log, &hand, &via_exp, &by_hand);
     assert_eq!(via_exp.member_deaths(), by_hand.member_deaths());
@@ -156,16 +111,16 @@ fn experiment_and_hand_rolled_loop_agree_faults() {
 /// reaching into any subsystem struct.
 #[test]
 fn metrics_snapshot_reports_every_subsystem() {
-    let sc = single_module(4).with_coarse_learning();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
     // The control_plane example's schedule: crash-restart plus a 3-of-4
     // blackout (quorum loss → safe mode) plus a silent capacity step
     // (drift detections).
-    let fs = fault_scenarios(0xFA11, 90, 120.0, capacity, 4).swap_remove(0);
-    let mut events = fs.plan.events().to_vec();
+    let spec = RunSpec {
+        seed: 0xBEEF,
+        buckets: 90,
+        ..RunSpec::defaults(Family::Faults(0))
+    };
+    let (exp, trace) = spec.experiment_and_trace();
+    let mut events = exp.faults.as_ref().expect("a fault run").events().to_vec();
     for computer in 1..4 {
         events.push(FaultEvent {
             tick: 240,
@@ -185,16 +140,16 @@ fn metrics_snapshot_reports_every_subsystem() {
             after: 0.55,
         }),
         faults: Some(FaultPlan::new(events)),
-        ..Experiment::paper_default(0xBEEF)
+        ..exp
     };
-    let store = VirtualStore::paper_default(5);
-    let mut policy = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
-        .drift_aware_l0()
-        .build();
+    let mut policy = spec.policy(Preset::SelfHealingFaultTolerant);
     let log = exp
-        .run(sc.to_sim_config(), &mut policy, &fs.trace, &store)
+        .run(
+            spec.scenario_config().to_sim_config(),
+            &mut policy,
+            &trace,
+            &spec.store(),
+        )
         .expect("well-formed scenario");
 
     let m = &log.metrics;

@@ -29,12 +29,10 @@
 
 use llc_approx::SimplexGrid;
 use llc_cluster::{
-    cluster_of, single_module, AbstractionMap, Action, Cadence, ClusterPolicy, Experiment,
-    FaultToleranceConfig, HierarchicalPolicy, L0Config, L1Config, L1Controller, LearnSpec,
-    MemberSpec, Observations, PolicyBuilder, PolicyMetrics, ScenarioConfig,
+    cluster_of, AbstractionMap, Action, Cadence, ClusterPolicy, Family, HierarchicalPolicy,
+    L0Config, L1Config, L1Controller, LearnSpec, MemberSpec, Observations, PolicyMetrics, Preset,
+    RunSpec, ScenarioConfig,
 };
-use llc_core::OnlineConfig;
-use llc_workload::{drift_scenarios, fault_scenarios, CapacityProfile, VirtualStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -66,24 +64,6 @@ impl ClusterPolicy for Recorder {
     }
 }
 
-/// `bench_closed_loop`'s diurnal-profile re-bucketing (the capacity
-/// profiles are expressed over 120 s buckets, the experiment ticks every
-/// 30 s).
-fn profile_in_ticks(profile: CapacityProfile, ratio: f64) -> CapacityProfile {
-    match profile {
-        CapacityProfile::Diurnal {
-            base,
-            amplitude,
-            period,
-        } => CapacityProfile::Diurnal {
-            base,
-            amplitude,
-            period: period * ratio,
-        },
-        other => other,
-    }
-}
-
 /// Assert two directive logs agree on every tick. `f64`-carrying actions
 /// (`SetModuleWeights`, `SetComputerWeights`) compare by value, which for
 /// the quantized γ grid means exact-grid-point equality.
@@ -101,44 +81,34 @@ fn assert_directives_equal(pruned: &[Vec<Action>], exhaustive: &[Vec<Action>], l
     }
 }
 
+/// Run `spec` under `preset` twice, pruned and exhaustive, and assert
+/// the two runs decide alike.
+fn assert_pruning_is_exact(spec: &RunSpec, preset: Preset) {
+    let mut logs = Vec::new();
+    for pruned in [true, false] {
+        let mut sc = spec.scenario_config();
+        sc.l1.pruned_search = pruned;
+        let mut recorder = Recorder {
+            inner: preset.builder(sc).build(),
+            log: Vec::new(),
+        };
+        spec.run(&mut recorder);
+        logs.push(recorder.log);
+    }
+    assert_directives_equal(&logs[0], &logs[1], spec.name());
+}
+
 /// The closed-loop bench family (`bench_closed_loop --quick`):
 /// single_module(2) with both machines pinned on, over the three seeded
 /// drift scenarios.
 #[test]
 fn pruned_search_matches_exhaustive_on_closed_loop_scenarios() {
-    let buckets = 60; // the bench's --quick horizon
-    let base_sc = {
-        let mut sc = single_module(2).with_coarse_learning();
-        sc.l1.min_active = 2;
-        sc
-    };
-    let capacity: f64 = base_sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    for scenario in &drift_scenarios(0xC105ED, buckets, 120.0, 0.55 * capacity) {
-        let mut logs = Vec::new();
-        for pruned in [true, false] {
-            let mut sc = base_sc.clone();
-            sc.l1.pruned_search = pruned;
-            let policy = PolicyBuilder::new(sc.clone())
-                .closed_loop(OnlineConfig::default().validated())
-                .build();
-            let ratio = scenario.trace.interval() / 30.0;
-            let exp = Experiment {
-                drift: Some(profile_in_ticks(scenario.capacity, ratio)),
-                ..Experiment::paper_default(0xBEEF)
-            };
-            let store = VirtualStore::paper_default(0xBEEF);
-            let mut recorder = Recorder {
-                inner: policy,
-                log: Vec::new(),
-            };
-            exp.run(sc.to_sim_config(), &mut recorder, &scenario.trace, &store)
-                .expect("well-formed scenario");
-            logs.push(recorder.log);
-        }
-        assert_directives_equal(&logs[0], &logs[1], scenario.name);
+    for scenario in 0..3 {
+        let spec = RunSpec {
+            buckets: 60, // the bench's --quick horizon
+            ..RunSpec::defaults(Family::ClosedLoop(scenario))
+        };
+        assert_pruning_is_exact(&spec, Preset::ClosedLoop);
     }
 }
 
@@ -148,35 +118,13 @@ fn pruned_search_matches_exhaustive_on_closed_loop_scenarios() {
 /// the safe-mode fallback and post-rejoin recruiting.
 #[test]
 fn pruned_search_matches_exhaustive_on_fault_scenarios() {
-    let buckets = 90; // the bench horizon (quick keeps it too)
-    let base_sc = single_module(4).with_coarse_learning();
-    let capacity: f64 = base_sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    for fs in &fault_scenarios(0xFA11, buckets, 120.0, capacity, 4) {
-        let mut logs = Vec::new();
-        for pruned in [true, false] {
-            let mut sc = base_sc.clone();
-            sc.l1.pruned_search = pruned;
-            let policy = PolicyBuilder::new(sc.clone())
-                .closed_loop(OnlineConfig::default().validated())
-                .fault_tolerance(FaultToleranceConfig::default())
-                .build();
-            let exp = Experiment {
-                faults: Some(fs.plan.clone()),
-                ..Experiment::paper_default(0xBEEF)
-            };
-            let store = VirtualStore::paper_default(5);
-            let mut recorder = Recorder {
-                inner: policy,
-                log: Vec::new(),
-            };
-            exp.run(sc.to_sim_config(), &mut recorder, &fs.trace, &store)
-                .expect("well-formed scenario");
-            logs.push(recorder.log);
-        }
-        assert_directives_equal(&logs[0], &logs[1], fs.name);
+    for scenario in 0..4 {
+        let spec = RunSpec {
+            seed: 0xBEEF,
+            buckets: 90, // the bench horizon (quick keeps it too)
+            ..RunSpec::defaults(Family::Faults(scenario))
+        };
+        assert_pruning_is_exact(&spec, Preset::FaultTolerant);
     }
 }
 

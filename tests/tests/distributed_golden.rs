@@ -8,8 +8,8 @@
 //! the lockstep session replays the exact observe → ingest → step →
 //! actuate → advance ordering of the in-process loop.
 
-use llc_cluster::{Directive, HierarchicalPolicy};
-use llc_net::scenario::{Family, RunSpec};
+use llc_cluster::{Directive, Family, HierarchicalPolicy, RunSpec};
+use llc_net::scenario::controller;
 use llc_net::{run_agent, serve_controller, FrameTransport, LinkCounters, TcpLink};
 use std::net::TcpListener;
 
@@ -45,7 +45,7 @@ fn run_distributed(
         )
     });
 
-    let mut core = spec.controller();
+    let mut core = controller(spec);
     let (stream, _) = listener.accept().expect("agent connects");
     let mut link = TcpLink::new(stream).expect("link");
     serve_controller(&mut core, &mut link, None).expect("lossless lockstep session");
@@ -65,18 +65,8 @@ fn run_distributed(
 
 /// In-process reference: the canonical `Experiment::run`.
 fn run_in_process(spec: &RunSpec) -> (Vec<Directive>, HierarchicalPolicy) {
-    let (exp, trace) = spec.experiment_and_trace();
-    let store = spec.store();
-    let mut policy = spec.policy();
-    let log = exp
-        .run(
-            spec.scenario_config().to_sim_config(),
-            &mut policy,
-            &trace,
-            &store,
-        )
-        .expect("well-formed scenario");
-    (log.directives, policy)
+    let mut policy = spec.policy(spec.family.preset());
+    (spec.run(&mut policy).directives, policy)
 }
 
 fn assert_golden(family: Family) {
@@ -143,10 +133,10 @@ fn assert_golden(family: Family) {
 
 #[test]
 fn networked_loop_is_bit_identical_closed_loop_family() {
-    assert_golden(Family::ClosedLoop);
+    assert_golden(Family::ClosedLoop(2));
 }
 
 #[test]
 fn networked_loop_is_bit_identical_faults_family() {
-    assert_golden(Family::Faults);
+    assert_golden(Family::Faults(0));
 }

@@ -12,16 +12,12 @@
 //! applies late ones in epoch order, supersedes stale ones, and never
 //! actuates a duplicate.
 
-use llc_cluster::{
-    single_module, Experiment, FaultToleranceConfig, HierarchicalPolicy, Plant, PolicyBuilder,
-    ScenarioConfig,
-};
-use llc_core::OnlineConfig;
+use llc_cluster::{Experiment, Family, HierarchicalPolicy, Plant, Preset, RunSpec, ScenarioConfig};
 use llc_net::{
     decode_directive, encode_directive, encode_heartbeat, encode_observation, ControldCore,
     FrameKind, FrameTransport, Heartbeat, Impairment, LossyLink, PipeLink,
 };
-use llc_workload::{fault_scenarios, FaultEvent, FaultKind, FaultPlan, Trace, VirtualStore};
+use llc_workload::{FaultEvent, FaultKind, FaultPlan, Trace};
 
 const MEMBERS: usize = 4;
 const BUCKETS: usize = 40; // × 120 s / 30 s = 160 ticks
@@ -42,8 +38,17 @@ const DROP_DIR: (u64, u64) = (120, 124);
 const DELAY_DIR: (u64, u64) = (132, 133);
 const DELAY_DIR_TICKS: u64 = 5;
 
+/// Fault scenario `i` of the fault family at this file's length.
+fn spec(i: usize) -> RunSpec {
+    RunSpec {
+        members: MEMBERS,
+        buckets: BUCKETS,
+        ..RunSpec::defaults(Family::Faults(i))
+    }
+}
+
 fn scenario() -> ScenarioConfig {
-    let mut sc = single_module(MEMBERS).with_coarse_learning();
+    let mut sc = spec(0).scenario_config();
     // Keep every machine powered: the equivalence argument wants the
     // watchdog driven purely by telemetry streaks, not by activation
     // decisions diverging between the two runs.
@@ -52,20 +57,20 @@ fn scenario() -> ScenarioConfig {
 }
 
 fn policy(sc: &ScenarioConfig) -> HierarchicalPolicy {
-    PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
-        .build()
+    Preset::FaultTolerant.builder(sc.clone()).build()
 }
 
-fn workload(sc: &ScenarioConfig) -> Trace {
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    fault_scenarios(0xFA11, BUCKETS, 120.0, capacity, MEMBERS)
-        .swap_remove(0)
-        .trace
+/// The crash-restart run's workload and store, with no plant faults:
+/// the *link* is the fault.
+fn fault_free() -> (Experiment, Trace) {
+    let (exp, trace) = spec(0).experiment_and_trace();
+    (
+        Experiment {
+            faults: None,
+            ..exp
+        },
+        trace,
+    )
 }
 
 /// Drive agent and controller cores to completion over lossy pipes,
@@ -84,9 +89,8 @@ fn run_lossy(
     u32,
 ) {
     let sc = scenario();
-    let trace = workload(&sc);
-    let exp = Experiment::paper_default(5); // no plant faults: the *link* is the fault
-    let store = VirtualStore::paper_default(5);
+    let (exp, trace) = fault_free();
+    let store = spec(0).store();
     let mut agent =
         Plant::new(sc.to_sim_config(), &exp, &trace, &store).expect("well-formed plant");
     let total_ticks = agent.total_ticks();
@@ -162,7 +166,7 @@ fn run_lossy(
 /// member over the same tick ranges.
 fn run_blackout_reference() -> HierarchicalPolicy {
     let sc = scenario();
-    let trace = workload(&sc);
+    let (exp, trace) = fault_free();
     let mut events = Vec::new();
     for &(from, to) in &[DROP_OBS, DELAY_OBS] {
         for computer in 0..MEMBERS {
@@ -180,11 +184,10 @@ fn run_blackout_reference() -> HierarchicalPolicy {
     }
     let exp = Experiment {
         faults: Some(FaultPlan::new(events)),
-        ..Experiment::paper_default(5)
+        ..exp
     };
-    let store = VirtualStore::paper_default(5);
     let mut policy = policy(&sc);
-    exp.run(sc.to_sim_config(), &mut policy, &trace, &store)
+    exp.run(sc.to_sim_config(), &mut policy, &trace, &spec(0).store())
         .expect("well-formed scenario");
     policy
 }
@@ -262,24 +265,18 @@ fn lossy_link_matches_equivalent_blackout_and_recovers() {
 /// and reach the controller in the heartbeat's wedged count.
 #[test]
 fn wedged_actuator_is_detected_and_reported() {
-    let sc = scenario();
-    let capacity: f64 = sc.member_specs()[0]
-        .iter()
-        .map(|m| m.speed / m.c_prior)
-        .sum();
-    let stuck = fault_scenarios(0xFA11, BUCKETS, 120.0, capacity, MEMBERS)
-        .into_iter()
-        .find(|s| s.name == "stuck-actuator")
-        .expect("scenario exists");
-    let exp = Experiment {
-        faults: Some(stuck.plan),
-        ..Experiment::paper_default(5)
-    };
-    let store = VirtualStore::paper_default(5);
-    let mut agent =
-        Plant::new(sc.to_sim_config(), &exp, &stuck.trace, &store).expect("well-formed plant");
+    let stuck = spec(3);
+    assert_eq!(stuck.name(), "stuck-actuator");
+    let store = stuck.store();
+    let mut agent = stuck.plant(&store).expect("well-formed plant");
     let total_ticks = agent.total_ticks();
-    let mut ctrl = ControldCore::new(policy(&sc), agent.members().to_vec(), exp.t_l0, total_ticks);
+    let t_l0 = stuck.experiment_and_trace().0.t_l0;
+    let mut ctrl = ControldCore::new(
+        policy(&scenario()),
+        agent.members().to_vec(),
+        t_l0,
+        total_ticks,
+    );
 
     let (mut ctrl_link, mut agent_link) = PipeLink::pair();
     let mut saw_wedged_member = false;

@@ -4,30 +4,29 @@
 //! the target, and no requests are lost.
 
 use llc_cluster::{
-    single_module, AlwaysMaxPolicy, ClusterPolicy, Experiment, ExperimentSummary,
-    HierarchicalPolicy, ThresholdConfig, ThresholdPolicy,
+    AlwaysMaxPolicy, ClusterPolicy, ExperimentSummary, Family, Preset, RunSpec, ThresholdConfig,
+    ThresholdPolicy,
 };
-use llc_workload::{synthetic_paper_workload, Trace, VirtualStore};
 
-fn run(policy: &mut dyn ClusterPolicy, trace: &Trace, seed: u64) -> ExperimentSummary {
-    let scenario = single_module(4).with_coarse_learning();
-    let store = VirtualStore::paper_default(seed);
-    Experiment::paper_default(seed)
-        .run(scenario.to_sim_config(), policy, trace, &store)
-        .unwrap()
-        .summary()
+/// A light-to-moderate stretch of the diurnal day where machines can
+/// actually be switched off.
+fn spec(seed: u64) -> RunSpec {
+    RunSpec {
+        buckets: 120,
+        coarse_learning: true,
+        ..RunSpec::new(Family::Module, seed)
+    }
+}
+
+fn run(spec: &RunSpec, policy: &mut dyn ClusterPolicy) -> ExperimentSummary {
+    spec.run(policy).summary()
 }
 
 #[test]
 fn llc_beats_always_max_on_energy_while_holding_qos() {
-    let seed = 77;
-    let scenario = single_module(4).with_coarse_learning();
-    // A light-to-moderate stretch of the diurnal day where machines can
-    // actually be switched off.
-    let trace = synthetic_paper_workload(seed).slice(0, 120);
-
-    let mut llc = HierarchicalPolicy::build(&scenario);
-    let llc_summary = run(&mut llc, &trace, seed);
+    let spec = spec(77);
+    let scenario = spec.scenario_config();
+    let llc_summary = run(&spec, &mut spec.policy(Preset::Paper));
 
     let layout_sizes: Vec<Vec<(f64, usize)>> = scenario
         .member_specs()
@@ -35,7 +34,7 @@ fn llc_beats_always_max_on_energy_while_holding_qos() {
         .map(|module| module.iter().map(|m| (m.speed, m.phis.len())).collect())
         .collect();
     let mut always = AlwaysMaxPolicy::new(layout_sizes);
-    let always_summary = run(&mut always, &trace, seed);
+    let always_summary = run(&spec, &mut always);
 
     assert_eq!(llc_summary.total_dropped, 0, "LLC must not drop requests");
     assert!(
@@ -53,12 +52,9 @@ fn llc_beats_always_max_on_energy_while_holding_qos() {
 
 #[test]
 fn llc_energy_does_not_exceed_threshold_heuristic() {
-    let seed = 78;
-    let scenario = single_module(4).with_coarse_learning();
-    let trace = synthetic_paper_workload(seed).slice(0, 120);
-
-    let mut llc = HierarchicalPolicy::build(&scenario);
-    let llc_summary = run(&mut llc, &trace, seed);
+    let spec = spec(78);
+    let scenario = spec.scenario_config();
+    let llc_summary = run(&spec, &mut spec.policy(Preset::Paper));
 
     let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
         .member_specs()
@@ -66,7 +62,7 @@ fn llc_energy_does_not_exceed_threshold_heuristic() {
         .map(|module| module.iter().map(|m| (m.speed, m.phis.clone())).collect())
         .collect();
     let mut threshold = ThresholdPolicy::new(ThresholdConfig::default(), layout);
-    let threshold_summary = run(&mut threshold, &trace, seed);
+    let threshold_summary = run(&spec, &mut threshold);
 
     // The proactive controller should do at least as well as the reactive
     // heuristic on energy (modest slack for run-to-run texture).

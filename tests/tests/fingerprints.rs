@@ -37,8 +37,8 @@ use llc_net::{
 };
 use llc_tests::Fnv;
 use llc_workload::{
-    derive_seed, drift_scenarios, wc98_like_fig6, CapacityProfile, FaultEvent, FaultKind,
-    FaultPlan, Trace, VirtualStore,
+    derive_seed, drift_scenarios, wc98_like_fig6, FaultEvent, FaultKind, FaultPlan, Trace,
+    VirtualStore,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,24 +362,11 @@ fn adverse4() -> Vec<Run> {
         .map(|&seed| {
             let drift =
                 drift_scenarios(seed, 52, 120.0, 0.55 * capacity_rate(&scenario)).swap_remove(1);
-            // The dip's period is in 120 s buckets; the plant evaluates
-            // it per 30 s tick.
-            let capacity = match drift.capacity {
-                CapacityProfile::Diurnal {
-                    base,
-                    amplitude,
-                    period,
-                } => CapacityProfile::Diurnal {
-                    base,
-                    amplitude,
-                    period: period * 4.0,
-                },
-                other => other,
-            };
+            let exp = Experiment::paper_default(seed);
             let exp = Experiment {
-                drift: Some(capacity),
+                drift: Some(drift.capacity_per_tick(exp.t_l0)),
                 faults: Some(adverse_fault_plan(seed)),
-                ..Experiment::paper_default(seed)
+                ..exp
             };
             let policy = PolicyBuilder::new(scenario.clone())
                 .drift_aware_l0()
