@@ -12,9 +12,7 @@
 use llc_bench::claims::{self, BaselineRow};
 use llc_bench::figures::figure_spec;
 use llc_bench::report::write_csv;
-use llc_cluster::{
-    AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdConfig, ThresholdPolicy,
-};
+use llc_cluster::{AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdPolicy};
 
 fn run(spec: &RunSpec, policy: &mut dyn ClusterPolicy) -> BaselineRow {
     let log = spec.run(policy);
@@ -33,23 +31,10 @@ fn main() {
     let spec = figure_spec(Family::Module, 250);
     let scenario = spec.scenario_config();
 
-    let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
-        .member_specs()
-        .iter()
-        .map(|module| module.iter().map(|m| (m.speed, m.phis.clone())).collect())
-        .collect();
-    let layout_sizes: Vec<Vec<(f64, usize)>> = layout
-        .iter()
-        .map(|module| module.iter().map(|(s, p)| (*s, p.len())).collect())
-        .collect();
-
     let rows = [
         run(&spec, &mut spec.policy(Preset::Paper)),
-        run(
-            &spec,
-            &mut ThresholdPolicy::new(ThresholdConfig::default(), layout),
-        ),
-        run(&spec, &mut AlwaysMaxPolicy::new(layout_sizes)),
+        run(&spec, &mut ThresholdPolicy::for_scenario(&scenario)),
+        run(&spec, &mut AlwaysMaxPolicy::for_scenario(&scenario)),
     ];
 
     println!("LLC vs baselines — synthetic module workload, r* = 4 s\n");

@@ -263,12 +263,11 @@ fn main() {
         return;
     }
 
-    let cfg = OnlineConfig::default();
     let json = format!(
         "{{\n  {runner},\n  \"config\": {{\n    \"cluster\": \"single_module(2), coarse learning\",\n    \"periods\": {buckets},\n    \"period_seconds\": 120,\n    \"learning_rate\": {lr},\n    \"fast_learning_rate\": {flr},\n    \"timing\": \"median of 3 runs per arm\"\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
         runner = runner_json(threads),
-        lr = cfg.learning_rate,
-        flr = cfg.fast_learning_rate,
+        lr = OnlineConfig::LEARNING_RATE,
+        flr = OnlineConfig::FAST_LEARNING_RATE,
         body = lines.join(",\n"),
     );
     std::fs::write("BENCH_closed_loop.json", json).expect("cannot write BENCH_closed_loop.json");

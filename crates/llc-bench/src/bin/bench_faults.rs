@@ -170,7 +170,15 @@ fn json_entry(scenario: &str, arm: &str, r: &ArmResult) -> String {
     )
 }
 
-fn run_arm(spec: &RunSpec, arm: Preset) -> ArmResult {
+/// A fault run's first and last fault, in L1 periods.
+fn fault_periods(spec: &RunSpec) -> (u64, u64) {
+    let plan = spec.experiment_and_trace().0.faults.expect("a fault run");
+    let first = plan.events().first().expect("plans are non-empty").tick;
+    let last = plan.last_fault_tick().expect("plans are non-empty");
+    (first / L1_EVERY, last / L1_EVERY)
+}
+
+fn run_arm(spec: &RunSpec, arm: Preset, (first_fault, last_fault): (u64, u64)) -> ArmResult {
     let mut probe = ErrProbe {
         inner: spec.policy(arm),
         history: Vec::new(),
@@ -181,9 +189,6 @@ fn run_arm(spec: &RunSpec, arm: Preset) -> ArmResult {
     let policy = probe.inner;
     let summary = log.summary();
     let periods = period_maes(&probe.history);
-    let plan = spec.experiment_and_trace().0.faults.expect("a fault run");
-    let first_fault = plan.events().first().expect("plans are non-empty").tick / L1_EVERY;
-    let last_fault = plan.last_fault_tick().expect("plans are non-empty") / L1_EVERY;
     ArmResult {
         tracking_mae: policy.tracking_error().expect("outcomes were derived"),
         samples: policy.tracking_samples(),
@@ -223,6 +228,7 @@ fn main() {
     let mut blind_beaten = 0usize;
     let mut recovered = 0usize;
     for spec in &scenarios {
+        let faults = fault_periods(spec);
         let mut arms: Vec<ArmResult> = Vec::new();
         for arm in [Preset::ClosedLoop, Preset::FaultTolerant] {
             // The gate consults only tracking MAEs and recovery times,
@@ -231,9 +237,13 @@ fn main() {
             // JSON-writing path runs each arm three times and takes the
             // wall-clock median so `run_ms` is de-noised.
             let result = if check || quick {
-                run_arm(spec, arm)
+                run_arm(spec, arm, faults)
             } else {
-                let mut runs = vec![run_arm(spec, arm), run_arm(spec, arm), run_arm(spec, arm)];
+                let mut runs = vec![
+                    run_arm(spec, arm, faults),
+                    run_arm(spec, arm, faults),
+                    run_arm(spec, arm, faults),
+                ];
                 runs.sort_by(|a, b| a.run_ms.total_cmp(&b.run_ms));
                 debug_assert!(
                     (runs[0].tracking_mae - runs[2].tracking_mae).abs() < 1e-12,
@@ -303,12 +313,11 @@ fn main() {
         return;
     }
 
-    let ft = FaultToleranceConfig::default();
     let json = format!(
         "{{\n  {runner},\n  \"config\": {{\n    \"cluster\": \"single_module(4), coarse learning\",\n    \"periods\": {buckets},\n    \"period_seconds\": 120,\n    \"suspect_after\": {sa},\n    \"telemetry_quorum\": {tq},\n    \"recovery_bound_l1_periods\": {RECOVERY_BOUND},\n    \"recovery_factor\": {RECOVERY_FACTOR},\n    \"timing\": \"median of 3 runs per arm\"\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
         runner = runner_json(threads),
-        sa = ft.suspect_after,
-        tq = ft.telemetry_quorum,
+        sa = FaultToleranceConfig::SUSPECT_AFTER,
+        tq = FaultToleranceConfig::TELEMETRY_QUORUM,
         body = lines.join(",\n"),
     );
     std::fs::write("BENCH_faults.json", json).expect("cannot write BENCH_faults.json");

@@ -41,12 +41,7 @@ impl RunResult {
 /// realized outcome comes from the analytic L0 model at the *drifted*
 /// effective service time `ĉ / scale` (a machine at 70% capacity takes
 /// 1/0.7 longer per request); both maps are queried at the nominal key.
-fn run_scenario(
-    scenario: &DriftScenario,
-    spec: &MemberSpec,
-    learn: LearnSpec,
-    cfg: &OnlineConfig,
-) -> RunResult {
+fn run_scenario(scenario: &DriftScenario, spec: &MemberSpec, learn: LearnSpec) -> RunResult {
     let l0 = L0Config::paper_default();
     let (c_range, lambda_max, q_max) = spec.learn_envelope();
     let offline = AbstractionMap::learn(&l0, &spec.phis, c_range, lambda_max, q_max, learn);
@@ -77,13 +72,13 @@ fn run_scenario(
         off_err += (offline.query(lambda, c_nom, q).cost - truth.cost).abs();
         on_err += (online.query(lambda, c_nom, q).cost - truth.cost).abs();
         let started = Instant::now();
-        let w = online.update_online(lambda, c_nom, q, truth, cfg);
+        let w = online.update_online(lambda, c_nom, q, truth, &OnlineConfig);
         update_time += started.elapsed();
         if w > 0.0 {
             applied += 1;
         }
-        if cfg.decay_every > 0 && (k as u64 + 1).is_multiple_of(cfg.decay_every) {
-            online.decay_confidence(cfg.decay_factor);
+        if (k as u64 + 1).is_multiple_of(OnlineConfig::DECAY_EVERY) {
+            online.decay_confidence(OnlineConfig::DECAY_FACTOR);
         }
         q = truth.final_q;
     }
@@ -107,7 +102,6 @@ fn main() {
         LearnSpec::default()
     };
     let buckets = if quick { 150 } else { 600 };
-    let cfg = OnlineConfig::default().validated();
     // Peak near 45% of the machine's nominal capacity: stable throughout
     // the drift range, so queries stay inside the trained grid.
     let peak_rate = 0.45 / spec.c_prior;
@@ -119,7 +113,7 @@ fn main() {
     let mut lines = Vec::new();
     let mut wins = 0usize;
     for scenario in &scenarios {
-        let r = run_scenario(scenario, &spec, learn, &cfg);
+        let r = run_scenario(scenario, &spec, learn);
         println!(
             "{:<22}  offline MAE {:>8.3}  online MAE {:>8.3}  ({:.1}x better, \
              {:.0} ns/update, {}/{} applied)",
@@ -164,10 +158,10 @@ fn main() {
     let json = format!(
         "{{\n  {runner},\n  \"config\": {{\n    \"learning_rate\": {lr},\n    \"prior_weight\": {pw},\n    \"decay_factor\": {df},\n    \"decay_every\": {de},\n    \"periods\": {buckets},\n    \"period_seconds\": 120\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
         runner = runner_json(threads),
-        lr = cfg.learning_rate,
-        pw = cfg.prior_weight,
-        df = cfg.decay_factor,
-        de = cfg.decay_every,
+        lr = OnlineConfig::LEARNING_RATE,
+        pw = OnlineConfig::PRIOR_WEIGHT,
+        df = OnlineConfig::DECAY_FACTOR,
+        de = OnlineConfig::DECAY_EVERY,
         body = lines.join(",\n"),
     );
     std::fs::write("BENCH_online.json", json).expect("cannot write BENCH_online.json");

@@ -15,7 +15,7 @@
 //! `--quick` truncation to 200 buckets barely leaves the m = 4 start-up
 //! (4 → 46 hierarchical states) and fails the growth leg.
 
-use llc_bench::centralized::{joint_candidate_count, CentralizedConfig, CentralizedPolicy};
+use llc_bench::centralized::{joint_candidate_count, CentralizedPolicy};
 use llc_bench::claims::{self, ComplexityRow};
 use llc_bench::figures::figure_spec;
 use llc_bench::report::{ms, write_csv};
@@ -84,17 +84,17 @@ fn main() {
         ));
 
         // Centralized.
-        let members = spec.scenario_config().member_specs().remove(0);
-        let config = CentralizedConfig::paper_default();
-        let mut c = CentralizedPolicy::new(config, members);
+        let scenario = spec.scenario_config();
+        let mut c = CentralizedPolicy::new(&scenario);
         let log_c = spec.run(&mut c);
         let sc = log_c.summary();
         // Decide time of the joint decisions alone, as the hierarchy's
         // L1 overhead is: the ticks between them only refresh filters.
+        let joint_every = scenario.l0.ticks_per(scenario.l1.period);
         let joint: Vec<Duration> = log_c
             .ticks
             .iter()
-            .filter(|t| t.tick.is_multiple_of(config.period_ticks))
+            .filter(|t| t.tick.is_multiple_of(joint_every))
             .map(|t| t.decision_time)
             .collect();
         let total_ns: u128 = joint.iter().map(Duration::as_nanos).sum();

@@ -2,57 +2,16 @@
 //! one caller (`overhead_centralized`).
 
 use llc_approx::SimplexGrid;
-use llc_cluster::{Action, ClusterPolicy, MemberSpec, Observations, QueueModel};
-use llc_core::{Penalty, ScaleEstimatorConfig, ServiceScaleEstimator, SetPoint};
+use llc_cluster::{
+    Action, ClusterPolicy, L0Config, MemberSpec, Observations, QueueModel, ScenarioConfig,
+};
+use llc_core::{Penalty, ServiceScaleEstimator, SetPoint};
 use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
 use llc_sim::PowerState;
 
-/// Configuration of the centralized (non-hierarchical) controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CentralizedConfig {
-    /// Decide every this many base ticks (match `T_L1` for fairness).
-    pub period_ticks: u64,
-    /// Load-fraction quantum for the joint γ enumeration.
-    pub gamma_quantum: f64,
-    /// Fluid-model steps evaluated per candidate (l = T_L1/T_L0).
-    pub horizon_steps: usize,
-    /// Base sampling period `T_L0` in seconds.
-    pub step_period: f64,
-    /// Switch-on penalty `W`.
-    pub switch_on_penalty: f64,
-    /// Response-time target `r*`.
-    pub response_target: f64,
-    /// Response-violation weight `Q`.
-    pub q_weight: f64,
-    /// Power weight `R`.
-    pub r_weight: f64,
-    /// Base operating cost `a`.
-    pub base_cost: f64,
-    /// Drift-aware service-rate scale estimation (see
-    /// [`llc_core::ServiceScaleEstimator`]); disabled in the paper
-    /// defaults so the baseline comparison stays capacity-blind on both
-    /// sides unless a scenario opts in.
-    pub scale: ScaleEstimatorConfig,
-}
-
-impl CentralizedConfig {
-    /// Paper-aligned parameters (same weights as the hierarchy, γ
-    /// quantized at 0.1 to keep the joint enumeration finite).
-    pub fn paper_default() -> Self {
-        CentralizedConfig {
-            period_ticks: 4,
-            gamma_quantum: 0.1,
-            horizon_steps: 4,
-            step_period: 30.0,
-            switch_on_penalty: 8.0,
-            response_target: 4.0,
-            q_weight: 100.0,
-            r_weight: 1.0,
-            base_cost: 0.75,
-            scale: ScaleEstimatorConfig::default(),
-        }
-    }
-}
+/// Load-fraction quantum of the joint γ enumeration, coarse enough to
+/// keep the enumeration finite.
+const GAMMA_QUANTUM: f64 = 0.1;
 
 /// The flat controller the paper argues *against* (§3): one optimizer
 /// jointly deciding `{α, γ, u}` for every computer in the module by
@@ -68,12 +27,18 @@ impl CentralizedConfig {
 /// the search.
 #[derive(Debug, Clone)]
 pub struct CentralizedPolicy {
-    config: CentralizedConfig,
+    /// `T_L0`, the weights `Q`, `R`, `a`, `r*` and the drift-aware switch.
+    l0: L0Config,
+    /// Switch-on penalty `W`.
+    switch_on_penalty: f64,
+    /// Base ticks per joint decision, and fluid-model steps evaluated per
+    /// candidate: `T_L1 / T_L0`.
+    period_ticks: u64,
     members: Vec<MemberSpec>,
     lambda_forecast: LocalLinearTrend,
     c_filters: Vec<Ewma>,
-    /// Per-computer delivered-capacity estimators (inert unless
-    /// `config.scale.enabled`) — the same drift correction the
+    /// Per-computer delivered-capacity estimators (inert unless the
+    /// scenario's `l0.scale.enabled`) — the same drift correction the
     /// hierarchy's L0s run, so the dimensionality comparison is not
     /// confounded by one side seeing the plant and the other not.
     scales: Vec<ServiceScaleEstimator>,
@@ -84,20 +49,24 @@ pub struct CentralizedPolicy {
 }
 
 impl CentralizedPolicy {
-    /// Build for a single module of `members`.
+    /// Build for `scenario`'s one module, with its L0 weights, its
+    /// switch-on penalty, its L1 cadence and its drift-aware switch.
     ///
     /// # Panics
     ///
-    /// Panics if `members` is empty.
-    pub fn new(config: CentralizedConfig, members: Vec<MemberSpec>) -> Self {
-        assert!(!members.is_empty(), "need at least one computer");
+    /// Panics unless `scenario` has exactly one module.
+    pub fn new(scenario: &ScenarioConfig) -> Self {
+        assert_eq!(scenario.num_modules(), 1, "single-module policy");
+        let members = scenario.member_specs().remove(0);
         let m = members.len();
         CentralizedPolicy {
+            l0: scenario.l0,
+            switch_on_penalty: scenario.l1.switch_on_penalty,
+            period_ticks: scenario.l0.ticks_per(scenario.l1.period),
             members,
             lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
             c_filters: vec![Ewma::paper_default(); m],
-            scales: vec![ServiceScaleEstimator::new(config.scale); m],
-            config,
+            scales: vec![ServiceScaleEstimator::new(scenario.l0.scale); m],
             arrivals_acc: 0,
             states_total: 0,
             decisions: 0,
@@ -127,19 +96,19 @@ impl CentralizedPolicy {
     /// under `(λ_j, ĉ_j, q_j)` over the horizon, at the computer's
     /// estimated delivered-capacity scale.
     fn best_frequency(&self, j: usize, lambda: f64, q0: f64) -> (usize, f64) {
-        let model = QueueModel::with_scale(self.config.step_period, self.scales[j].estimate());
-        let response = SetPoint::new(self.config.response_target);
-        let q_pen = Penalty::abs(self.config.q_weight);
-        let r_pen = Penalty::abs(self.config.r_weight);
+        let model = QueueModel::with_scale(self.l0.period, self.scales[j].estimate());
+        let response = SetPoint::new(self.l0.response_target);
+        let q_pen = Penalty::abs(self.l0.q_weight);
+        let r_pen = Penalty::abs(self.l0.r_weight);
         let c = self.c_estimate(j);
         let mut best = (0usize, f64::INFINITY);
         for (idx, &phi) in self.members[j].phis.iter().enumerate() {
             let mut q = q0;
             let mut cost = 0.0;
-            for _ in 0..self.config.horizon_steps {
+            for _ in 0..self.period_ticks {
                 let (qn, rn) = model.step(q, lambda, c, phi);
                 cost += q_pen.eval(response.slack_above(rn))
-                    + r_pen.eval(self.config.base_cost + phi * phi);
+                    + r_pen.eval(self.l0.base_cost + phi * phi);
                 q = qn;
             }
             if cost < best.1 {
@@ -184,7 +153,7 @@ impl ClusterPolicy for CentralizedPolicy {
             let c = self.c_estimate(comp.index);
             self.scales[comp.index].observe_window(
                 comp.window.completions,
-                self.config.step_period,
+                self.l0.period,
                 phi,
                 c,
                 busy,
@@ -197,14 +166,14 @@ impl ClusterPolicy for CentralizedPolicy {
             actions.push(Action::SetModuleWeights(vec![1.0]));
         }
 
-        if !obs.tick.is_multiple_of(self.config.period_ticks) {
+        if !obs.tick.is_multiple_of(self.period_ticks) {
             // Frequency refresh between joint decisions (same cadence as
             // the hierarchy's L0 layer).
             for comp in &obs.computers {
                 if matches!(comp.state, PowerState::Off) {
                     continue;
                 }
-                let lambda_j = comp.arrivals() as f64 / self.config.step_period;
+                let lambda_j = comp.arrivals() as f64 / self.l0.period;
                 let (idx, _) = self.best_frequency(comp.index, lambda_j, comp.queue as f64);
                 if idx != comp.frequency_index {
                     actions.push(Action::SetFrequency(comp.index, idx));
@@ -213,7 +182,7 @@ impl ClusterPolicy for CentralizedPolicy {
             return actions;
         }
 
-        let window = self.config.period_ticks as f64 * self.config.step_period;
+        let window = self.period_ticks as f64 * self.l0.period;
         self.lambda_forecast
             .observe(self.arrivals_acc as f64 / window);
         self.arrivals_acc = 0;
@@ -236,22 +205,22 @@ impl ClusterPolicy for CentralizedPolicy {
         for mask in 1u32..(1u32 << m) {
             let alpha: Vec<bool> = (0..m).map(|j| mask & (1 << j) != 0).collect();
             let active_idx: Vec<usize> = (0..m).filter(|&j| alpha[j]).collect();
-            let switch_cost = self.config.switch_on_penalty
-                * active_idx.iter().filter(|&&j| !active[j]).count() as f64;
-            let grid = SimplexGrid::with_quantum(active_idx.len(), self.config.gamma_quantum);
+            let switch_cost =
+                self.switch_on_penalty * active_idx.iter().filter(|&&j| !active[j]).count() as f64;
+            let grid = SimplexGrid::with_quantum(active_idx.len(), GAMMA_QUANTUM);
             for gamma_active in grid.enumerate() {
                 states += 1;
                 let mut cost = switch_cost;
                 let mut freqs = self.last_freq.clone();
                 for (pos, &j) in active_idx.iter().enumerate() {
                     let (idx, c_j) = self.best_frequency(j, gamma_active[pos] * lambda, queues[j]);
-                    cost += c_j / self.config.horizon_steps as f64;
+                    cost += c_j / self.period_ticks as f64;
                     freqs[j] = idx;
                 }
                 // Off computers with backlog still pay to drain.
                 for j in (0..m).filter(|&j| !alpha[j] && queues[j] > 0.0) {
                     let (_, drain) = self.best_frequency(j, 0.0, queues[j]);
-                    cost += drain / self.config.horizon_steps as f64;
+                    cost += drain / self.period_ticks as f64;
                 }
                 if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
                     let mut gamma_full = vec![0.0; m];
@@ -309,7 +278,8 @@ impl ClusterPolicy for CentralizedPolicy {
 mod tests {
     use super::*;
     use llc_cluster::{single_module, Experiment};
-    use llc_workload::{Trace, VirtualStore};
+    use llc_core::ScaleEstimatorConfig;
+    use llc_workload::{CapacityProfile, Trace, VirtualStore};
 
     #[test]
     fn joint_count_matches_hand_computation() {
@@ -323,8 +293,7 @@ mod tests {
     #[test]
     fn centralized_controller_manages_a_small_module() {
         let scenario = single_module(3).with_coarse_learning();
-        let members: Vec<MemberSpec> = scenario.member_specs().remove(0);
-        let mut policy = CentralizedPolicy::new(CentralizedConfig::paper_default(), members);
+        let mut policy = CentralizedPolicy::new(&scenario);
         let trace = Trace::new(30.0, vec![40.0 * 30.0; 40]).unwrap();
         let store = VirtualStore::paper_default(9);
         let log = Experiment::paper_default(9)
@@ -343,8 +312,7 @@ mod tests {
     #[test]
     fn centralized_sheds_machines_under_light_load() {
         let scenario = single_module(3).with_coarse_learning();
-        let members: Vec<MemberSpec> = scenario.member_specs().remove(0);
-        let mut policy = CentralizedPolicy::new(CentralizedConfig::paper_default(), members);
+        let mut policy = CentralizedPolicy::new(&scenario);
         let trace = Trace::new(30.0, vec![5.0 * 30.0; 40]).unwrap();
         let store = VirtualStore::paper_default(10);
         let log = Experiment::paper_default(10)
@@ -361,6 +329,51 @@ mod tests {
         assert!(
             active_late <= 2,
             "light load should shed machines, kept {active_late}"
+        );
+    }
+
+    /// The scenario's drift-aware switch reaches the joint controller's
+    /// estimators: on a plant whose capacity halves, ŝ tracks the half
+    /// when the scenario asks for it and stays at 1.0 when it does not.
+    #[test]
+    fn a_drift_aware_scenario_moves_the_scale_estimate() {
+        let run = |drift_aware: bool| {
+            let mut scenario = single_module(3).with_coarse_learning();
+            if drift_aware {
+                scenario.l0.scale = ScaleEstimatorConfig::enabled();
+            }
+            let mut policy = CentralizedPolicy::new(&scenario);
+            let trace = Trace::new(30.0, vec![60.0 * 30.0; 40]).unwrap();
+            let exp = Experiment {
+                drift: Some(CapacityProfile::Step {
+                    at: 0.25,
+                    before: 1.0,
+                    after: 0.5,
+                }),
+                ..Experiment::paper_default(11)
+            };
+            exp.run(
+                scenario.to_sim_config(),
+                &mut policy,
+                &trace,
+                &VirtualStore::paper_default(11),
+            )
+            .unwrap();
+            policy
+                .scales
+                .iter()
+                .map(ServiceScaleEstimator::estimate)
+                .collect::<Vec<f64>>()
+        };
+        let aware = run(true);
+        assert!(
+            aware.iter().all(|s| (0.3..=0.7).contains(s)),
+            "a drift-aware scenario must track the halved plant: ŝ = {aware:?}"
+        );
+        assert_eq!(
+            run(false),
+            vec![1.0; 3],
+            "a drift-blind scenario stays nominal"
         );
     }
 }

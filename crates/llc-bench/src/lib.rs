@@ -1,5 +1,6 @@
 //! Benchmark harness regenerating every figure and table of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index).
+//! evaluation (README's "Performance and what CI gates" says what each
+//! one asserts).
 //!
 //! Each `src/bin/*` binary reproduces one artifact:
 //!
@@ -19,9 +20,9 @@
 //! Binaries write CSV series under `results/` and print ASCII renderings
 //! plus paper-vs-measured notes; run them in release mode. Pass `--quick`
 //! for a shortened run (coarse learning grids, truncated traces).
-//! `baseline_table`, `ablation_chatter` and `overhead_centralized` end by
-//! asserting their claim ([`claims`]) and exit non-zero when it fails;
-//! CI runs all ten at default scale.
+//! `baseline_table`, `ablation_chatter`, `ablation_horizon` and
+//! `overhead_centralized` end by asserting their claim ([`claims`]) and
+//! exit non-zero when it fails; CI runs all ten at default scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,47 +1,36 @@
 use crate::policy::{Action, ClusterPolicy, Observations};
+use crate::ScenarioConfig;
 use llc_forecast::{Ewma, Forecaster};
 use llc_sim::PowerState;
 
-/// Parameters of the threshold heuristic baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdConfig {
-    /// Utilization above which another computer is switched on.
-    pub rho_hi: f64,
-    /// Utilization below which a computer is switched off.
-    pub rho_lo: f64,
-    /// Headroom factor when picking a DVFS setting (φ chosen so that
-    /// capacity ≥ margin · offered load).
-    pub margin: f64,
-    /// Act every this many base ticks (matching the L1 period keeps the
-    /// comparison fair).
-    pub period_ticks: u64,
-}
+/// Utilization above which another computer is switched on.
+const RHO_HI: f64 = 0.75;
+/// Utilization below which a computer is switched off.
+const RHO_LO: f64 = 0.35;
+/// Headroom factor when picking a DVFS setting (φ chosen so that
+/// capacity ≥ `MARGIN` · offered load).
+const MARGIN: f64 = 1.2;
 
-impl Default for ThresholdConfig {
-    fn default() -> Self {
-        ThresholdConfig {
-            rho_hi: 0.75,
-            rho_lo: 0.35,
-            margin: 1.2,
-            period_ticks: 4,
-        }
-    }
-}
+const _: () = assert!(0.0 < RHO_LO && RHO_LO < RHO_HI && MARGIN >= 1.0);
 
 /// The reactive threshold heuristic the paper argues against (§1 cites
 /// Pinheiro et al. and Elnozahy et al.): "the number of computers and
 /// their speeds are increased (decreased) if processor utilization
 /// exceeds (falls below) specified threshold values."
 ///
-/// Per module, every `period_ticks`: estimate the offered load from the
-/// last window, compute utilization against active capacity, switch one
-/// computer on/off across the thresholds, split load proportional to
-/// capacity, and set each active computer's frequency to the smallest
-/// setting with `margin` headroom. Purely reactive — no forecasting, no
-/// lookahead, no switching cost.
+/// Per module, once per L1 period (matching the hierarchy's L1 keeps the
+/// comparison fair): estimate the offered load from the last window,
+/// compute utilization against active capacity, switch one computer
+/// on/off across the thresholds, split load proportional to capacity,
+/// and set each active computer's frequency to the smallest setting with
+/// `MARGIN` headroom. Purely reactive — no forecasting, no lookahead, no
+/// switching cost.
 #[derive(Debug, Clone)]
 pub struct ThresholdPolicy {
-    config: ThresholdConfig,
+    /// Base ticks between actions.
+    period_ticks: u64,
+    /// Seconds those ticks span.
+    window: f64,
     /// (speed, phis) per computer, grouped by module.
     members: Vec<Vec<(f64, Vec<f64>)>>,
     /// Global index of each module's first computer.
@@ -54,13 +43,29 @@ pub struct ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
-    /// Build for a cluster layout: per module, per computer
-    /// `(speed, φ-table)`.
+    /// Build for `scenario`'s layout, acting once per its L1 period.
+    pub fn for_scenario(scenario: &ScenarioConfig) -> Self {
+        let members = scenario
+            .member_specs()
+            .into_iter()
+            .map(|module| module.into_iter().map(|m| (m.speed, m.phis)).collect())
+            .collect();
+        let period_ticks = scenario.l0.ticks_per(scenario.l1.period);
+        Self::new(
+            members,
+            period_ticks,
+            period_ticks as f64 * scenario.l0.period,
+        )
+    }
+
+    /// Build for a cluster layout (per module, per computer
+    /// `(speed, φ-table)`), acting every `period_ticks` base ticks that
+    /// together span `window` seconds.
     ///
     /// # Panics
     ///
     /// Panics on an empty layout.
-    pub fn new(config: ThresholdConfig, members: Vec<Vec<(f64, Vec<f64>)>>) -> Self {
+    fn new(members: Vec<Vec<(f64, Vec<f64>)>>, period_ticks: u64, window: f64) -> Self {
         assert!(
             !members.is_empty() && members.iter().all(|m| !m.is_empty()),
             "layout must be non-empty"
@@ -78,7 +83,8 @@ impl ThresholdPolicy {
                 .collect()
         };
         ThresholdPolicy {
-            config,
+            period_ticks,
+            window,
             members,
             module_base,
             c_filter: Ewma::paper_default(),
@@ -118,13 +124,13 @@ impl ClusterPolicy for ThresholdPolicy {
             self.module_arrivals[module.index] += module.arrivals;
             self.global_arrivals += module.arrivals;
         }
-        if !obs.tick.is_multiple_of(self.config.period_ticks) {
+        if !obs.tick.is_multiple_of(self.period_ticks) {
             return Vec::new();
         }
 
         let mut actions = Vec::new();
         let c_ref = self.c_estimate();
-        let window = self.config.period_ticks as f64 * 30.0;
+        let window = self.window;
         let mut total_active = 0usize;
 
         // Global split proportional to module capacity (the heuristic has
@@ -160,7 +166,7 @@ impl ClusterPolicy for ThresholdPolicy {
                 f64::INFINITY
             };
 
-            if rho > self.config.rho_hi {
+            if rho > RHO_HI {
                 // Switch on the fastest inactive computer.
                 if let Some(j) = (0..module_members.len())
                     .filter(|&j| !active[j])
@@ -169,7 +175,7 @@ impl ClusterPolicy for ThresholdPolicy {
                     active[j] = true;
                     actions.push(Action::PowerOn(base + j));
                 }
-            } else if rho < self.config.rho_lo && active.iter().filter(|&&a| a).count() > 1 {
+            } else if rho < RHO_LO && active.iter().filter(|&&a| a).count() > 1 {
                 // Switch off the slowest active computer.
                 if let Some(j) = (0..module_members.len())
                     .filter(|&j| active[j])
@@ -202,7 +208,7 @@ impl ClusterPolicy for ThresholdPolicy {
                 let lambda_j = lambda * share;
                 // Local demand on this machine.
                 let c_local = c_ref / speed;
-                let needed_phi = (lambda_j * c_local * self.config.margin).min(1.0);
+                let needed_phi = (lambda_j * c_local * MARGIN).min(1.0);
                 let index = phis
                     .iter()
                     .position(|&p| p >= needed_phi)
@@ -229,6 +235,17 @@ pub struct AlwaysMaxPolicy {
 }
 
 impl AlwaysMaxPolicy {
+    /// Build for `scenario`'s layout.
+    pub fn for_scenario(scenario: &ScenarioConfig) -> Self {
+        Self::new(
+            scenario
+                .member_specs()
+                .iter()
+                .map(|module| module.iter().map(|m| (m.speed, m.phis.len())).collect())
+                .collect(),
+        )
+    }
+
     /// Build for a cluster layout: per module, per computer
     /// `(speed, number_of_frequency_settings)`.
     ///
@@ -332,7 +349,7 @@ mod tests {
 
     #[test]
     fn threshold_scales_up_under_load() {
-        let mut p = ThresholdPolicy::new(ThresholdConfig::default(), layout());
+        let mut p = ThresholdPolicy::new(layout(), 4, 120.0);
         // Huge arrival window -> utilization far above rho_hi.
         let o = obs(0, 120 * 120, vec![PowerState::On, PowerState::Off]);
         let actions = p.decide(&o);
@@ -344,7 +361,7 @@ mod tests {
 
     #[test]
     fn threshold_scales_down_when_idle() {
-        let mut p = ThresholdPolicy::new(ThresholdConfig::default(), layout());
+        let mut p = ThresholdPolicy::new(layout(), 4, 120.0);
         let o = obs(0, 10, vec![PowerState::On, PowerState::On]);
         let actions = p.decide(&o);
         assert!(
@@ -355,7 +372,7 @@ mod tests {
 
     #[test]
     fn threshold_acts_only_on_period() {
-        let mut p = ThresholdPolicy::new(ThresholdConfig::default(), layout());
+        let mut p = ThresholdPolicy::new(layout(), 4, 120.0);
         let o = obs(1, 1000, vec![PowerState::On, PowerState::On]);
         assert!(
             p.decide(&o).is_empty(),

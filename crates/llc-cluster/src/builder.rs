@@ -23,17 +23,17 @@ pub struct RetrainConfig;
 /// use llc_cluster::{single_module, PolicyBuilder};
 ///
 /// let policy = PolicyBuilder::new(single_module(4).with_coarse_learning())
-///     .closed_loop(llc_core::OnlineConfig::default())
-///     .fault_tolerance(llc_cluster::FaultToleranceConfig::default())
+///     .closed_loop(llc_core::OnlineConfig)
+///     .fault_tolerance(llc_cluster::FaultToleranceConfig)
 ///     .drift_aware_l0()
 ///     .build();
 /// ```
 #[derive(Debug, Clone)]
 pub struct PolicyBuilder {
     scenario: ScenarioConfig,
-    closed_loop: Option<OnlineConfig>,
+    closed_loop: bool,
     outcome_tracking: bool,
-    fault_tolerance: Option<FaultToleranceConfig>,
+    fault_tolerance: bool,
     drift_aware_l0: bool,
 }
 
@@ -43,20 +43,22 @@ impl PolicyBuilder {
     pub fn new(scenario: ScenarioConfig) -> Self {
         PolicyBuilder {
             scenario,
-            closed_loop: None,
+            closed_loop: false,
             outcome_tracking: false,
-            fault_tolerance: None,
+            fault_tolerance: false,
             drift_aware_l0: false,
         }
     }
 
     /// Close the loop in-hierarchy: derive realized outcomes from plant
-    /// telemetry and absorb them into the learned models every period.
-    /// Mutually exclusive with [`PolicyBuilder::outcome_tracking`]
-    /// (last call wins).
+    /// telemetry and absorb them into the learned models every period,
+    /// at [`OnlineConfig`]'s rates (the field-less argument is kept for
+    /// `benchmark/src/workloads.rs` until ROADMAP item 15). Mutually
+    /// exclusive with [`PolicyBuilder::outcome_tracking`] (last call
+    /// wins).
     #[must_use]
-    pub fn closed_loop(mut self, cfg: OnlineConfig) -> Self {
-        self.closed_loop = Some(cfg);
+    pub fn closed_loop(mut self, _: OnlineConfig) -> Self {
+        self.closed_loop = true;
         self.outcome_tracking = false;
         self
     }
@@ -68,15 +70,17 @@ impl PolicyBuilder {
     #[must_use]
     pub fn outcome_tracking(mut self) -> Self {
         self.outcome_tracking = true;
-        self.closed_loop = None;
+        self.closed_loop = false;
         self
     }
 
     /// Switch on the churn watchdog: death/rejoin tracking, safe-mode
-    /// fallback under quorum loss, dead-member exclusion from planning.
+    /// fallback under quorum loss, dead-member exclusion from planning,
+    /// at [`FaultToleranceConfig`]'s thresholds (the field-less argument
+    /// is kept for `benchmark/src/workloads.rs`).
     #[must_use]
-    pub fn fault_tolerance(mut self, cfg: FaultToleranceConfig) -> Self {
-        self.fault_tolerance = Some(cfg);
+    pub fn fault_tolerance(mut self, _: FaultToleranceConfig) -> Self {
+        self.fault_tolerance = true;
         self
     }
 
@@ -104,25 +108,20 @@ impl PolicyBuilder {
 
     /// Run the offline learning passes and wire up every configured
     /// subsystem.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs in any configured subsystem (see
-    /// [`OnlineConfig::validated`], [`FaultToleranceConfig::validated`]).
     pub fn build(self) -> HierarchicalPolicy {
         let mut scenario = self.scenario;
         if self.drift_aware_l0 {
             scenario.l0.scale = llc_core::ScaleEstimatorConfig::enabled();
         }
         let mut policy = HierarchicalPolicy::build(&scenario);
-        if let Some(cfg) = self.closed_loop {
-            policy.set_closed_loop(cfg);
+        if self.closed_loop {
+            policy.set_closed_loop();
         }
         if self.outcome_tracking {
             policy.set_outcome_tracking();
         }
-        if let Some(cfg) = self.fault_tolerance {
-            policy.set_fault_tolerance(cfg);
+        if self.fault_tolerance {
+            policy.set_fault_tolerance();
         }
         policy
     }
@@ -137,8 +136,8 @@ mod tests {
     #[test]
     fn builder_wires_every_subsystem() {
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
-            .closed_loop(OnlineConfig::default())
-            .fault_tolerance(FaultToleranceConfig::default())
+            .closed_loop(OnlineConfig)
+            .fault_tolerance(FaultToleranceConfig)
             .drift_aware_l0()
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);
@@ -149,13 +148,13 @@ mod tests {
     #[test]
     fn closed_loop_and_tracking_are_exclusive() {
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
-            .closed_loop(OnlineConfig::default())
+            .closed_loop(OnlineConfig)
             .outcome_tracking()
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Observe);
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
             .outcome_tracking()
-            .closed_loop(OnlineConfig::default())
+            .closed_loop(OnlineConfig)
             .build();
         assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);
     }

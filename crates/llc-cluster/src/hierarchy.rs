@@ -3,7 +3,6 @@ use crate::l1::{AbstractionMap, GEntry, L1Controller, L1Decision, MemberSpec};
 use crate::l2::{L2Controller, ModuleCostModel, ModuleState};
 use crate::policy::{Action, ClusterPolicy, Observations};
 use crate::{L0Controller, ScenarioConfig};
-use llc_core::OnlineConfig;
 use llc_sim::{PowerState, WindowStats};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -125,52 +124,33 @@ impl ClosedLoop {
     }
 }
 
-/// Knobs of the churn watchdog (see
-/// [`crate::PolicyBuilder::fault_tolerance`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultToleranceConfig {
+/// The churn watchdog (see [`crate::PolicyBuilder::fault_tolerance`]).
+/// Its thresholds are associated constants: every fault-tolerant run
+/// uses the same ones, so there is nothing to set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultToleranceConfig;
+
+impl FaultToleranceConfig {
     /// Consecutive suspect observation windows (telemetry lost, or found
     /// `Off` while ordered on) before a member is declared dead and
-    /// excluded from planning. The paper's base window is 30 s, so the
-    /// default of 3 declares death after ~90 s of silence.
-    pub suspect_after: u64,
+    /// excluded from planning. The paper's base window is 30 s, so 3
+    /// declares death after ~90 s of silence.
+    pub const SUSPECT_AFTER: u64 = 3;
     /// Minimum fraction of a module's *live* members that must deliver
     /// healthy telemetry for the L1 to trust its models; below it the
     /// module falls back to safe mode (everything live on, uniform split,
     /// analytic L0 queue model still running frequencies).
-    pub telemetry_quorum: f64,
+    pub const TELEMETRY_QUORUM: f64 = 0.5;
 }
 
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        FaultToleranceConfig {
-            suspect_after: 3,
-            telemetry_quorum: 0.5,
-        }
-    }
-}
-
-impl FaultToleranceConfig {
-    /// Validate the knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `suspect_after` is zero or `telemetry_quorum` is outside
-    /// `[0, 1]`.
-    pub fn validated(self) -> Self {
-        assert!(self.suspect_after >= 1, "suspect_after must be >= 1");
-        assert!(
-            (0.0..=1.0).contains(&self.telemetry_quorum),
-            "telemetry_quorum must be in [0, 1]"
-        );
-        self
-    }
-}
+const _: () = assert!(FaultToleranceConfig::SUSPECT_AFTER >= 1);
+const _: () = assert!(
+    0.0 <= FaultToleranceConfig::TELEMETRY_QUORUM && FaultToleranceConfig::TELEMETRY_QUORUM <= 1.0
+);
 
 /// Watchdog state tracking cluster membership through churn.
 #[derive(Debug)]
 struct FaultTolerance {
-    cfg: FaultToleranceConfig,
     /// Consecutive suspect windows per computer.
     missed: Vec<u64>,
     /// Consecutive healthy-telemetry windows per computer (gates the
@@ -192,9 +172,8 @@ struct FaultTolerance {
 }
 
 impl FaultTolerance {
-    fn new(cfg: FaultToleranceConfig, computers: usize, modules: usize) -> Self {
+    fn new(computers: usize, modules: usize) -> Self {
         FaultTolerance {
-            cfg,
             missed: vec![0; computers],
             healthy: vec![0; computers],
             dead: vec![false; computers],
@@ -400,7 +379,7 @@ impl HierarchicalPolicy {
     }
 
     /// Switch on churn tolerance: a per-computer watchdog declares a
-    /// member dead after [`FaultToleranceConfig::suspect_after`]
+    /// member dead after [`FaultToleranceConfig::SUSPECT_AFTER`]
     /// consecutive suspect windows (telemetry lost, or found `Off` while
     /// ordered on). Dead members are excluded from the L1's α/γ search
     /// and receive no directives; estimators and drift detectors hold
@@ -410,14 +389,8 @@ impl HierarchicalPolicy {
     /// one decision on every membership change. Without this call the
     /// policy is fault-blind: blank blackout windows and crashed machines
     /// are taken at face value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see
-    /// [`FaultToleranceConfig::validated`]).
-    pub(crate) fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
-        let cfg = cfg.validated();
-        self.fault_tolerance = Some(FaultTolerance::new(cfg, self.l0s.len(), self.l1s.len()));
+    pub(crate) fn set_fault_tolerance(&mut self) {
+        self.fault_tolerance = Some(FaultTolerance::new(self.l0s.len(), self.l1s.len()));
     }
 
     /// `true` once the churn watchdog is configured.
@@ -449,17 +422,12 @@ impl HierarchicalPolicy {
     /// L1 period, hands them to its own L1 controllers
     /// ([`L1Controller::absorb_outcomes`]) before deciding on the updated
     /// maps.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    pub(crate) fn set_closed_loop(&mut self, cfg: OnlineConfig) {
-        // Unconditional: `cfg` defines the whole loop's knobs. Re-enabling
-        // an already-online controller restarts its detectors under the
-        // new configuration rather than silently mixing an older one into
-        // the closed loop.
+    pub(crate) fn set_closed_loop(&mut self) {
+        // Unconditional: re-enabling an already-online controller
+        // restarts its detectors rather than carrying their state into
+        // the new closed loop.
         for l1 in &mut self.l1s {
-            l1.enable_online(cfg);
+            l1.enable_online();
         }
         self.closed_loop = Some(ClosedLoop::new(ClosedLoopMode::Learn, self.l0s.len()));
     }
@@ -569,12 +537,12 @@ impl ClusterPolicy for HierarchicalPolicy {
         // --- Watchdog: track membership through churn (fault tolerance
         // only). A window is suspect when its telemetry was lost or the
         // machine is found `Off` while the last decision wanted it on (a
-        // crash, not a shed). `suspect_after` consecutive suspect windows
+        // crash, not a shed). `SUSPECT_AFTER` consecutive suspect windows
         // declare the member dead; a dead member rejoins when it is seen
         // powered with healthy telemetry again, and a dead-and-silent
         // `Off` machine is optimistically re-probed after a long healthy
         // streak (a truly crashed machine refuses the power-on and is
-        // re-declared dead one `suspect_after` later, at no request loss
+        // re-declared dead one `SUSPECT_AFTER` later, at no request loss
         // because boot rerouting never assigns weight to an `Off`
         // machine).
         if let Some(ft) = self.fault_tolerance.as_mut() {
@@ -590,7 +558,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                         || (ft.wanted_on[i] && matches!(comp.state, PowerState::Off));
                     if suspect {
                         ft.missed[i] += 1;
-                        if ft.missed[i] >= ft.cfg.suspect_after {
+                        if ft.missed[i] >= FaultToleranceConfig::SUSPECT_AFTER {
                             ft.dead[i] = true;
                             ft.wanted_on[i] = false;
                             ft.membership_changed = true;
@@ -603,7 +571,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                     let rejoined = comp.telemetry_ok && !matches!(comp.state, PowerState::Off);
                     let probe = comp.telemetry_ok
                         && matches!(comp.state, PowerState::Off)
-                        && ft.healthy[i] >= 2 * ft.cfg.suspect_after;
+                        && ft.healthy[i] >= 2 * FaultToleranceConfig::SUSPECT_AFTER;
                     if rejoined {
                         ft.dead[i] = false;
                         ft.missed[i] = 0;
@@ -913,13 +881,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                         .enumerate()
                         .filter(|&(pos, &i)| !dead_pos[pos] && obs.computers[i].telemetry_ok)
                         .count();
-                    let quorum = self
-                        .fault_tolerance
-                        .as_ref()
-                        .expect("ft_on")
-                        .cfg
-                        .telemetry_quorum;
-                    (healthy as f64) < quorum * live_count as f64
+                    (healthy as f64) < FaultToleranceConfig::TELEMETRY_QUORUM * live_count as f64
                 };
                 if let Some(ft) = self.fault_tolerance.as_mut() {
                     ft.safe_now[m] = safe_mode;
@@ -1251,7 +1213,7 @@ mod tests {
     fn watchdog_declares_blacked_out_member_dead_then_recovers_it() {
         let scenario = single_module(2).with_coarse_learning();
         let mut policy = HierarchicalPolicy::build(&scenario);
-        policy.set_fault_tolerance(FaultToleranceConfig::default());
+        policy.set_fault_tolerance();
         let _ = policy.decide(&obs_for(&policy, 0, 3000));
         // Three consecutive dark windows: declared dead at the third.
         for t in 1..4 {
@@ -1297,7 +1259,7 @@ mod tests {
     fn watchdog_declares_crashed_member_dead() {
         let scenario = single_module(2).with_coarse_learning();
         let mut policy = HierarchicalPolicy::build(&scenario);
-        policy.set_fault_tolerance(FaultToleranceConfig::default());
+        policy.set_fault_tolerance();
         // Heavy load so the L1 wants both machines on.
         for t in 0..9 {
             let _ = policy.decide(&obs_for(&policy, t, 3000));
@@ -1329,16 +1291,18 @@ mod tests {
     fn telemetry_quorum_loss_falls_back_to_safe_mode() {
         let scenario = single_module(4).with_coarse_learning();
         let mut policy = HierarchicalPolicy::build(&scenario);
-        policy.set_fault_tolerance(FaultToleranceConfig {
-            suspect_after: 10, // stay in the suspect (pre-death) regime
-            ..FaultToleranceConfig::default()
-        });
+        policy.set_fault_tolerance();
         let _ = policy.decide(&obs_for(&policy, 0, 3000));
         // 3 of 4 members dark: 1/4 healthy < 0.5 quorum at the L1 tick.
+        // The blackout starts late enough that the dark members are
+        // still suspects, one window short of death, at that tick.
+        let dark_from = 4 + 2 - FaultToleranceConfig::SUSPECT_AFTER;
         for t in 1..5 {
             let mut o = obs_for(&policy, t, 3000);
-            for i in 1..4 {
-                blackout(&mut o, i);
+            if t >= dark_from {
+                for i in 1..4 {
+                    blackout(&mut o, i);
+                }
             }
             let actions = policy.decide(&o);
             if t == 4 {

@@ -133,8 +133,8 @@ pub struct L0Config {
     pub response_target: f64,
     /// Base operating cost `a` (paper: 0.75).
     pub base_cost: f64,
-    /// Drift-aware L0: knobs of the online service-rate scale estimator
-    /// threaded through [`QueueModel::step`]. Disabled in the paper
+    /// Drift-aware L0: the switch of the online service-rate scale
+    /// estimator threaded through [`QueueModel::step`]. Disabled in the paper
     /// defaults (the paper's model is capacity-blind); enable via
     /// [`crate::PolicyBuilder::drift_aware_l0`] or by setting
     /// `scale.enabled` directly.

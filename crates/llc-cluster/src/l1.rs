@@ -253,7 +253,9 @@ impl AbstractionMap {
     /// [`AbstractionMap::query`] over the analytic replay — but only that
     /// exact cell, so one far-out observation never becomes the
     /// nearest-cell authority for the whole region between it and the
-    /// trained box. Returns the blend weight applied (0.0 = observation
+    /// trained box. Blends at [`OnlineConfig`]'s steady rate; the field-less
+    /// config argument is kept for `benchmark/src/replay.rs` until ROADMAP
+    /// item 15. Returns the blend weight applied (0.0 = observation
     /// dropped: the map holds its bound of grown cells).
     pub fn update_online(
         &mut self,
@@ -261,9 +263,9 @@ impl AbstractionMap {
         c: f64,
         q0: f64,
         outcome: GEntry,
-        cfg: &OnlineConfig,
+        _: &OnlineConfig,
     ) -> f64 {
-        let blend = BlendConfig::new(cfg.learning_rate, cfg.prior_weight);
+        let blend = BlendConfig::new(OnlineConfig::LEARNING_RATE, OnlineConfig::PRIOR_WEIGHT);
         self.table
             .update(&[lambda.max(0.0), c, q0.max(0.0)], &outcome, &blend)
     }
@@ -320,12 +322,10 @@ impl SplitChild for Arc<AbstractionMap> {
     }
 }
 
-/// The L1's online learning over its members' maps: knobs, blend
-/// schedules, one drift detector per member map and the lifetime
-/// counters.
+/// The L1's online learning over its members' maps: blend schedules,
+/// one drift detector per member map and the lifetime counters.
 #[derive(Debug, Clone)]
 struct Learner {
-    cfg: OnlineConfig,
     /// Steady-state and fast re-convergence schedules.
     schedule: BlendSchedule,
     /// One Page–Hinkley detector per member map over its normalized
@@ -587,22 +587,16 @@ impl L1Controller {
 
     /// Switch on online incremental learning: realized per-member
     /// outcomes handed to [`L1Controller::absorb_outcomes`] are blended
-    /// into the abstraction maps. Calling it again restarts the learner
-    /// (detectors, counters) under the new knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`OnlineConfig::validated`]).
-    pub fn enable_online(&mut self, cfg: OnlineConfig) {
-        let cfg = cfg.validated();
+    /// into the abstraction maps at [`OnlineConfig`]'s rates. Calling it
+    /// again restarts the learner (detectors, counters).
+    pub fn enable_online(&mut self) {
         self.online = Some(Learner {
-            cfg,
             schedule: BlendSchedule::new(
-                cfg.learning_rate,
-                cfg.fast_learning_rate,
-                cfg.prior_weight,
+                OnlineConfig::LEARNING_RATE,
+                OnlineConfig::FAST_LEARNING_RATE,
+                OnlineConfig::PRIOR_WEIGHT,
             ),
-            detectors: vec![DriftDetector::new(cfg.detector); self.members.len()],
+            detectors: vec![DriftDetector::new(); self.members.len()],
             passes: 0,
             applied: 0,
             fast_applied: 0,
@@ -663,10 +657,9 @@ impl L1Controller {
             }
         }
         online.passes += 1;
-        let cfg = online.cfg;
-        if cfg.decay_every > 0 && online.passes.is_multiple_of(cfg.decay_every) {
+        if online.passes.is_multiple_of(OnlineConfig::DECAY_EVERY) {
             for map in maps.iter_mut() {
-                Arc::make_mut(map).decay_confidence(cfg.decay_factor);
+                Arc::make_mut(map).decay_confidence(OnlineConfig::DECAY_FACTOR);
             }
         }
         applied
@@ -1351,7 +1344,6 @@ mod tests {
             150.0,
             LearnSpec::coarse(),
         );
-        let cfg = OnlineConfig::default();
         let offline = map.query(40.0, 0.0175, 10.0);
         // The plant drifted: the same operating point now costs 3x.
         let drifted = GEntry {
@@ -1360,7 +1352,7 @@ mod tests {
             final_q: offline.final_q + 5.0,
         };
         for _ in 0..40 {
-            let w = map.update_online(40.0, 0.0175, 10.0, drifted, &cfg);
+            let w = map.update_online(40.0, 0.0175, 10.0, drifted, &OnlineConfig);
             assert!(w > 0.0, "in-grid update must apply");
         }
         let adapted = map.query(40.0, 0.0175, 10.0);
@@ -1381,7 +1373,6 @@ mod tests {
     fn far_out_outcome_grows_its_own_cell_and_others_still_replay() {
         use llc_core::OnlineConfig;
         let m = member(FrequencyProfile::TallEight);
-        let cfg = OnlineConfig::default();
         let outcome = GEntry {
             cost: 123.0,
             power: 4.0,
@@ -1401,7 +1392,10 @@ mod tests {
         // answers the next query with the measured value…
         let mut map = learn();
         let trained = map.len();
-        assert_eq!(map.update_online(500.0, 0.0175, 10.0, outcome, &cfg), 1.0);
+        assert_eq!(
+            map.update_online(500.0, 0.0175, 10.0, outcome, &OnlineConfig),
+            1.0
+        );
         assert_eq!(map.len(), trained + 1);
         let read = map.query(500.0, 0.0175, 10.0);
         assert_eq!(read.cost, 123.0);
@@ -1464,7 +1458,7 @@ mod tests {
     #[test]
     fn controller_absorbs_a_period_of_outcomes() {
         let mut l1 = build_module(2);
-        l1.enable_online(llc_core::OnlineConfig::default());
+        l1.enable_online();
         assert!(l1.online.is_some());
         for _ in 0..4 {
             l1.observe(30 * 120, &[Some(0.0175); 2]);

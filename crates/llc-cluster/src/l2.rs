@@ -1005,7 +1005,7 @@ mod tests {
             .sum();
         let trace = Trace::new(30.0, vec![0.5 * capacity * 30.0; 48]).expect("well-formed trace");
         let mut policy = crate::PolicyBuilder::new(sc.clone())
-            .closed_loop(llc_core::OnlineConfig::default())
+            .closed_loop(llc_core::OnlineConfig)
             .build();
         let exp = crate::Experiment {
             drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),

@@ -48,7 +48,7 @@ mod run;
 mod split;
 
 pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
-pub use baselines::{AlwaysMaxPolicy, ThresholdConfig, ThresholdPolicy};
+pub use baselines::{AlwaysMaxPolicy, ThresholdPolicy};
 pub use builder::{PolicyBuilder, RetrainConfig};
 pub use config::{
     cluster_of, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,

@@ -11,7 +11,7 @@ use llc_core::OnlineConfig;
 use llc_sim::SimError;
 use llc_workload::{
     deep_degradation_scenario, drift_scenarios, fault_scenarios, synthetic_paper_workload,
-    wc98_like_fig6, Trace, VirtualStore,
+    wc98_like_fig6, Trace, VirtualStore, DRIFT_SCENARIO_NAMES, FAULT_SCENARIO_NAMES,
 };
 
 /// Seconds per trace bucket (`T_L1`) in every family.
@@ -71,8 +71,8 @@ impl Preset {
     /// The builder for this stack over `scenario`.
     pub fn builder(self, scenario: ScenarioConfig) -> PolicyBuilder {
         let builder = PolicyBuilder::new(scenario);
-        let closed = |b: PolicyBuilder| b.closed_loop(OnlineConfig::default());
-        let tolerant = |b: PolicyBuilder| b.fault_tolerance(FaultToleranceConfig::default());
+        let closed = |b: PolicyBuilder| b.closed_loop(OnlineConfig);
+        let tolerant = |b: PolicyBuilder| b.fault_tolerance(FaultToleranceConfig);
         match self {
             Preset::Paper => builder,
             Preset::OutcomeTracking => builder.outcome_tracking(),
@@ -161,28 +161,25 @@ impl RunSpec {
 
     /// The drift or fault scenario's name; `module` or `cluster`.
     pub fn name(&self) -> &'static str {
-        self.scenario().0
+        match self.family {
+            Family::Module => "module",
+            Family::Cluster => "cluster",
+            Family::ClosedLoop(i) => DRIFT_SCENARIO_NAMES[i],
+            Family::Faults(i) => FAULT_SCENARIO_NAMES[i],
+        }
     }
 
     /// The experiment (drift/fault schedule) and its workload trace.
     pub fn experiment_and_trace(&self) -> (Experiment, Trace) {
-        let (_, exp, trace) = self.scenario();
-        (exp, trace)
-    }
-
-    fn scenario(&self) -> (&'static str, Experiment, Trace) {
         let exp = Experiment::paper_default(self.seed);
         match self.family {
             Family::Module => {
                 let trace = synthetic_paper_workload(self.seed)
                     .slice(0, self.buckets)
                     .scaled(self.members as f64 / 4.0);
-                ("module", exp, trace)
+                (exp, trace)
             }
-            Family::Cluster => {
-                let trace = wc98_like_fig6(self.seed).slice(0, self.buckets);
-                ("cluster", exp, trace)
-            }
+            Family::Cluster => (exp, wc98_like_fig6(self.seed).slice(0, self.buckets)),
             Family::ClosedLoop(i) => {
                 let capacity = self.capacity();
                 let drift = if i == 3 {
@@ -195,7 +192,7 @@ impl RunSpec {
                     drift: Some(drift.capacity_per_tick(exp.t_l0)),
                     ..exp
                 };
-                (drift.name, exp, drift.trace)
+                (exp, drift.trace)
             }
             Family::Faults(i) => {
                 let fs = fault_scenarios(
@@ -210,7 +207,7 @@ impl RunSpec {
                     faults: Some(fs.plan),
                     ..exp
                 };
-                (fs.name, exp, fs.trace)
+                (exp, fs.trace)
             }
         }
     }
@@ -295,11 +292,35 @@ mod tests {
     }
 
     #[test]
+    fn every_name_is_its_generators() {
+        for i in 0..4 {
+            let spec = RunSpec::defaults(Family::ClosedLoop(i));
+            let drift = if i == 3 {
+                deep_degradation_scenario(0xC105ED, spec.buckets, BUCKET_S, spec.capacity())
+            } else {
+                drift_scenarios(0xC105ED, spec.buckets, BUCKET_S, 0.55 * spec.capacity())
+                    .swap_remove(i)
+            };
+            assert_eq!(spec.name(), drift.name, "drift {i}");
+            let spec = RunSpec::defaults(Family::Faults(i));
+            let faults = fault_scenarios(
+                0xFA11,
+                spec.buckets,
+                BUCKET_S,
+                spec.capacity(),
+                spec.members,
+            );
+            assert_eq!(spec.name(), faults[i].name, "faults {i}");
+        }
+        assert_eq!(RunSpec::defaults(Family::Module).name(), "module");
+        assert_eq!(RunSpec::defaults(Family::Cluster).name(), "cluster");
+    }
+
+    #[test]
     fn the_diurnal_dip_is_stretched_to_ticks() {
         let spec = RunSpec::defaults(Family::ClosedLoop(1));
         let drift = drift_scenarios(0xC105ED, spec.buckets, BUCKET_S, 0.55 * spec.capacity())
             .swap_remove(1);
-        assert_eq!(spec.name(), drift.name);
         let exp = spec.experiment_and_trace().0;
         let plant = exp.drift.expect("a drift run drifts");
         for k in 0..spec.buckets {

@@ -12,64 +12,31 @@
 //!
 //! The test is the classic two-sided Page–Hinkley/CUSUM form: cumulative
 //! deviation of the residual from its running mean, less an
-//! insensitivity margin `delta`, floored at zero; a drift is declared
-//! when either side's accumulator exceeds `threshold`. Detection resets
+//! insensitivity margin `DELTA`, floored at zero; a drift is declared
+//! when either side's accumulator exceeds `THRESHOLD`. Detection resets
 //! the statistics so the test re-arms against the post-drift regime.
 
-/// Knobs of a [`DriftDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Page–Hinkley insensitivity margin: mean shifts smaller than this
-    /// (in residual units) are treated as noise and never accumulate.
-    pub delta: f64,
-    /// Decision threshold `λ` on the cumulative deviation: larger values
-    /// trade detection delay for a lower false-positive rate.
-    pub threshold: f64,
-    /// Samples to observe before the test is allowed to fire (the running
-    /// mean needs a warm-up before deviations from it are meaningful).
-    pub min_samples: u64,
-    /// Samples the learner stays at the fast re-convergence rate after a
-    /// detection before falling back to the steady-state rate.
-    pub fast_hold: u64,
-}
+// The constants are tuned for *normalized* residual streams
+// (`(realized − predicted)/max(1, |predicted|)`, the form every learner
+// in this workspace feeds): stationary noise keeps the statistic near
+// zero, while a sustained shift of ~0.15 — small enough that the
+// steady-rate learner would quietly absorb it — still crosses the
+// threshold within a few samples, before the blending masks it.
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        // Tuned for *normalized* residual streams
-        // (`(realized − predicted)/max(1, |predicted|)`, the form every
-        // learner in this workspace feeds): stationary noise keeps the
-        // statistic near zero, while a sustained shift of ~0.15 — small
-        // enough that the steady-rate learner would quietly absorb it —
-        // still crosses the threshold within a few samples, before the
-        // blending masks it.
-        DetectorConfig {
-            delta: 0.02,
-            threshold: 0.3,
-            min_samples: 8,
-            fast_hold: 24,
-        }
-    }
-}
+/// Page–Hinkley insensitivity margin: mean shifts smaller than this (in
+/// residual units) are treated as noise and never accumulate.
+const DELTA: f64 = 0.02;
+/// Decision threshold `λ` on the cumulative deviation: larger values
+/// trade detection delay for a lower false-positive rate.
+const THRESHOLD: f64 = 0.3;
+/// Samples to observe before the test is allowed to fire (the running
+/// mean needs a warm-up before deviations from it are meaningful).
+const MIN_SAMPLES: u64 = 8;
+/// Samples the learner stays at the fast re-convergence rate after a
+/// detection before falling back to the steady-state rate.
+const FAST_HOLD: u64 = 24;
 
-impl DetectorConfig {
-    /// Validate the knob ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (negative or non-finite `delta`,
-    /// non-positive `threshold`).
-    pub fn validated(self) -> Self {
-        assert!(
-            self.delta >= 0.0 && self.delta.is_finite(),
-            "delta must be finite and non-negative"
-        );
-        assert!(
-            self.threshold > 0.0 && self.threshold.is_finite(),
-            "threshold must be positive and finite"
-        );
-        self
-    }
-}
+const _: () = assert!(DELTA >= 0.0 && THRESHOLD > 0.0 && MIN_SAMPLES >= 1);
 
 /// Which blend schedule the learner should run at (see
 /// `llc_approx::BlendSchedule`).
@@ -85,9 +52,8 @@ pub enum LearnRate {
 ///
 /// Feed one residual per learning update via [`DriftDetector::observe`];
 /// consult [`DriftDetector::rate`] for the blend schedule to use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
-    cfg: DetectorConfig,
     /// Samples absorbed since the last reset.
     n: u64,
     /// Running mean of the residual since the last reset.
@@ -105,28 +71,9 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// A detector with the given knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see [`DetectorConfig::validated`]).
-    pub fn new(cfg: DetectorConfig) -> Self {
-        let cfg = cfg.validated();
-        DriftDetector {
-            cfg,
-            n: 0,
-            mean: 0.0,
-            up: 0.0,
-            down: 0.0,
-            fast_left: 0,
-            total: 0,
-            detections: 0,
-        }
-    }
-
-    /// The knobs in force.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
+    /// A detector with no samples seen.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Absorb one residual. Returns `true` when this sample fired a
@@ -141,14 +88,14 @@ impl DriftDetector {
         }
         self.n += 1;
         self.mean += (residual - self.mean) / self.n as f64;
-        self.up = (self.up + residual - self.mean - self.cfg.delta).max(0.0);
-        self.down = (self.down + self.mean - residual - self.cfg.delta).max(0.0);
+        self.up = (self.up + residual - self.mean - DELTA).max(0.0);
+        self.down = (self.down + self.mean - residual - DELTA).max(0.0);
 
-        let armed = self.n >= self.cfg.min_samples.max(1);
-        let fired = armed && (self.up > self.cfg.threshold || self.down > self.cfg.threshold);
+        let armed = self.n >= MIN_SAMPLES;
+        let fired = armed && (self.up > THRESHOLD || self.down > THRESHOLD);
         if fired {
             self.detections += 1;
-            self.fast_left = self.cfg.fast_hold;
+            self.fast_left = FAST_HOLD;
             // Re-arm against the post-drift regime: the old mean is
             // exactly what stopped being true.
             self.n = 0;
@@ -195,7 +142,7 @@ mod tests {
 
     #[test]
     fn stationary_noise_does_not_fire() {
-        let mut d = DriftDetector::new(DetectorConfig::default());
+        let mut d = DriftDetector::new();
         for x in noise(7, 2000, 0.05) {
             d.observe(x);
         }
@@ -205,7 +152,7 @@ mod tests {
 
     #[test]
     fn step_is_detected_and_switches_rate() {
-        let mut d = DriftDetector::new(DetectorConfig::default());
+        let mut d = DriftDetector::new();
         for x in noise(11, 100, 0.05) {
             assert!(!d.observe(x));
         }
@@ -225,7 +172,7 @@ mod tests {
 
     #[test]
     fn downward_shift_detected_too() {
-        let mut d = DriftDetector::new(DetectorConfig::default());
+        let mut d = DriftDetector::new();
         for x in noise(17, 100, 0.05) {
             d.observe(x);
         }
@@ -235,11 +182,7 @@ mod tests {
 
     #[test]
     fn fast_hold_expires_back_to_steady() {
-        let cfg = DetectorConfig {
-            fast_hold: 5,
-            ..DetectorConfig::default()
-        };
-        let mut d = DriftDetector::new(cfg);
+        let mut d = DriftDetector::new();
         for x in noise(23, 60, 0.02) {
             d.observe(x);
         }
@@ -251,7 +194,7 @@ mod tests {
         assert_eq!(d.rate(), LearnRate::Fast);
         // Post-drift the stream is stationary again (around the new
         // level, but the detector re-armed on it): the hold expires.
-        for x in noise(31, 5, 0.02) {
+        for x in noise(31, FAST_HOLD as usize, 0.02) {
             d.observe(x + 1.0);
         }
         assert_eq!(d.rate(), LearnRate::Steady);
@@ -259,22 +202,13 @@ mod tests {
 
     #[test]
     fn non_finite_residuals_ignored() {
-        let mut d = DriftDetector::new(DetectorConfig::default());
+        let mut d = DriftDetector::new();
         for _ in 0..50 {
             assert!(!d.observe(f64::NAN));
             assert!(!d.observe(f64::INFINITY));
         }
         assert_eq!(d.samples(), 0);
         assert_eq!(d.detections(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn zero_threshold_rejected() {
-        let _ = DriftDetector::new(DetectorConfig {
-            threshold: 0.0,
-            ..DetectorConfig::default()
-        });
     }
 
     proptest! {
@@ -287,7 +221,7 @@ mod tests {
             seed in 0u64..1000,
             amplitude in 0.005f64..0.05,
         ) {
-            let mut d = DriftDetector::new(DetectorConfig::default());
+            let mut d = DriftDetector::new();
             let mut fired = 0u32;
             for x in noise(seed, 512, amplitude) {
                 if d.observe(x) {
@@ -308,7 +242,7 @@ mod tests {
             amplitude in 0.01f64..0.05,
             step in 0.3f64..1.5,
         ) {
-            let mut d = DriftDetector::new(DetectorConfig::default());
+            let mut d = DriftDetector::new();
             for x in noise(seed, 64, amplitude) {
                 d.observe(x);
             }
@@ -338,7 +272,7 @@ mod tests {
             step in 0.3f64..1.5,
             gap_len in 1usize..64,
         ) {
-            let mut d = DriftDetector::new(DetectorConfig::default());
+            let mut d = DriftDetector::new();
             for x in noise(seed, 64, amplitude) {
                 d.observe(x);
             }

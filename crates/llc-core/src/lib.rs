@@ -60,7 +60,7 @@ mod scale;
 mod uncertainty;
 
 pub use cost::{Norm, Penalty, SetPoint};
-pub use detect::{DetectorConfig, DriftDetector, LearnRate};
+pub use detect::{DriftDetector, LearnRate};
 pub use error::Error;
 pub use llc::{Decision, LookaheadController, SearchScratch, SearchStats};
 pub use model::Plant;

@@ -30,69 +30,37 @@
 //! not capacity, and would drag the estimate toward whatever the load
 //! happens to be.
 
-/// Knobs of a [`ServiceScaleEstimator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Switch of a [`ServiceScaleEstimator`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleEstimatorConfig {
     /// Master switch. Disabled (the default) the estimator is inert and
     /// [`ServiceScaleEstimator::estimate`] pins 1.0, reproducing the
     /// drift-blind controllers bit for bit.
     pub enabled: bool,
-    /// EWMA smoothing weight per accepted observation (`0 < α ≤ 1`).
-    pub alpha: f64,
-    /// Lower clamp on the estimate (`> 0`): a window of pathological
-    /// telemetry must not collapse the modelled capacity to zero.
-    pub min_scale: f64,
-    /// Upper clamp on the estimate: delivered capacity above nominal is
-    /// possible (conservative ĉ priors) but bounded.
-    pub max_scale: f64,
-    /// Completions a window must contain before it counts as evidence —
-    /// a two-completion window's rate estimate is mostly noise.
-    pub min_completions: u64,
-}
-
-impl Default for ScaleEstimatorConfig {
-    fn default() -> Self {
-        ScaleEstimatorConfig {
-            enabled: false,
-            alpha: 0.2,
-            min_scale: 0.1,
-            max_scale: 1.5,
-            min_completions: 5,
-        }
-    }
 }
 
 impl ScaleEstimatorConfig {
-    /// The default knobs with the estimator switched on.
+    /// The estimator switched on.
     pub fn enabled() -> Self {
-        ScaleEstimatorConfig {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Validate the knob ranges.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (`alpha` outside `(0, 1]`, scale
-    /// clamps non-positive or inverted).
-    pub fn validated(self) -> Self {
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "alpha must lie in (0, 1]"
-        );
-        assert!(
-            self.min_scale > 0.0 && self.min_scale.is_finite(),
-            "min_scale must be positive and finite"
-        );
-        assert!(
-            self.max_scale >= self.min_scale && self.max_scale.is_finite(),
-            "max_scale must be finite and >= min_scale"
-        );
-        self
+        ScaleEstimatorConfig { enabled: true }
     }
 }
+
+/// EWMA smoothing weight per accepted observation (`0 < α ≤ 1`).
+const ALPHA: f64 = 0.2;
+/// Lower clamp on the estimate (`> 0`): a window of pathological
+/// telemetry must not collapse the modelled capacity to zero.
+const MIN_SCALE: f64 = 0.1;
+/// Upper clamp on the estimate: delivered capacity above nominal is
+/// possible (conservative ĉ priors) but bounded.
+const MAX_SCALE: f64 = 1.5;
+/// Completions a window must contain before it counts as evidence — a
+/// two-completion window's rate estimate is mostly noise.
+const MIN_COMPLETIONS: u64 = 5;
+
+const _: () = assert!(0.0 < ALPHA && ALPHA <= 1.0);
+const _: () = assert!(0.0 < MIN_SCALE && MIN_SCALE <= MAX_SCALE);
+const _: () = assert!(MIN_COMPLETIONS >= 1);
 
 /// EWMA estimator of the delivered service-rate scale `ŝ` (1.0 =
 /// nominal), fed one realized window at a time.
@@ -101,7 +69,7 @@ impl ScaleEstimatorConfig {
 /// read [`ServiceScaleEstimator::estimate`] when building the predictive
 /// model. The estimator is deliberately one-sided about evidence: only
 /// windows that end backlogged (the server provably stayed busy to the
-/// sampling instant) and completed at least `min_completions` requests
+/// sampling instant) and completed at least `MIN_COMPLETIONS` requests
 /// move the estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceScaleEstimator {
@@ -113,24 +81,14 @@ pub struct ServiceScaleEstimator {
 }
 
 impl ServiceScaleEstimator {
-    /// An estimator with the given knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range knobs (see
-    /// [`ScaleEstimatorConfig::validated`]).
+    /// An estimator, switched on or off by `cfg`.
     pub fn new(cfg: ScaleEstimatorConfig) -> Self {
         ServiceScaleEstimator {
-            cfg: cfg.validated(),
+            cfg,
             scale: None,
             accepted: 0,
             rejected: 0,
         }
-    }
-
-    /// The knobs in force.
-    pub fn config(&self) -> &ScaleEstimatorConfig {
-        &self.cfg
     }
 
     /// Absorb one realized window: `completions` finished over
@@ -154,12 +112,12 @@ impl ServiceScaleEstimator {
         // NaN inputs fail these comparisons too, landing in the reject
         // branch rather than poisoning the estimate.
         let inputs_ok = window_secs > 0.0 && phi > 0.0 && c_est > 0.0;
-        if !busy || completions < self.cfg.min_completions.max(1) || !inputs_ok {
+        if !busy || completions < MIN_COMPLETIONS || !inputs_ok {
             self.rejected += 1;
             return None;
         }
-        let observed = (completions as f64 * c_est / (window_secs * phi))
-            .clamp(self.cfg.min_scale, self.cfg.max_scale);
+        let observed =
+            (completions as f64 * c_est / (window_secs * phi)).clamp(MIN_SCALE, MAX_SCALE);
         if !observed.is_finite() {
             self.rejected += 1;
             return None;
@@ -168,9 +126,9 @@ impl ServiceScaleEstimator {
             // First accepted observation seeds the estimate outright: the
             // prior (1.0) is exactly the assumption being corrected.
             None => observed,
-            Some(s) => s + self.cfg.alpha * (observed - s),
+            Some(s) => s + ALPHA * (observed - s),
         };
-        self.scale = Some(next.clamp(self.cfg.min_scale, self.cfg.max_scale));
+        self.scale = Some(next.clamp(MIN_SCALE, MAX_SCALE));
         self.accepted += 1;
         Some(observed)
     }
@@ -246,21 +204,12 @@ mod tests {
     fn estimate_respects_clamps() {
         let mut e = ServiceScaleEstimator::new(ScaleEstimatorConfig::enabled());
         // An absurd telemetry glitch (10x nominal capacity) clamps at
-        // max_scale instead of poisoning the model.
+        // MAX_SCALE instead of poisoning the model.
         e.observe_window(15_000, 30.0, 1.0, 0.02, true);
-        assert!(e.estimate() <= e.config().max_scale + 1e-12);
+        assert!(e.estimate() <= MAX_SCALE + 1e-12);
         let mut e = ServiceScaleEstimator::new(ScaleEstimatorConfig::enabled());
         e.observe_window(6, 30.0, 1.0, 0.02, true);
-        assert!(e.estimate() >= e.config().min_scale - 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn zero_alpha_rejected() {
-        let _ = ServiceScaleEstimator::new(ScaleEstimatorConfig {
-            alpha: 0.0,
-            ..ScaleEstimatorConfig::enabled()
-        });
+        assert!(e.estimate() >= MIN_SCALE - 1e-12);
     }
 
     proptest! {
@@ -359,7 +308,7 @@ mod tests {
                 let est = e.estimate();
                 prop_assert!(est.is_finite(), "gap poisoned ŝ to {}", est);
                 prop_assert!(
-                    (e.config().min_scale..=e.config().max_scale).contains(&est),
+                    (MIN_SCALE..=MAX_SCALE).contains(&est),
                     "gap pushed ŝ out of clamp: {}", est
                 );
             }

@@ -127,6 +127,15 @@ impl DriftScenario {
     }
 }
 
+/// Names of the drift scenarios: [`drift_scenarios`]' three in order,
+/// then [`deep_degradation_scenario`].
+pub const DRIFT_SCENARIO_NAMES: [&str; 4] = [
+    "gradual-degradation",
+    "diurnal-shift",
+    "post-failure-capacity",
+    "deep-degradation",
+];
+
 /// The three canonical drift scenarios over `buckets` buckets of
 /// `interval` seconds, with arrival rates peaking near `peak_rate`
 /// requests/second. Deterministic in `seed`.
@@ -174,12 +183,12 @@ pub fn drift_scenarios(
     .build(seed ^ 0x5eed);
     vec![
         DriftScenario {
-            name: "gradual-degradation",
+            name: DRIFT_SCENARIO_NAMES[0],
             trace: steady.clone(),
             capacity: CapacityProfile::Ramp { from: 1.0, to: 0.7 },
         },
         DriftScenario {
-            name: "diurnal-shift",
+            name: DRIFT_SCENARIO_NAMES[1],
             trace: diurnal,
             capacity: CapacityProfile::Diurnal {
                 base: 1.0,
@@ -188,7 +197,7 @@ pub fn drift_scenarios(
             },
         },
         DriftScenario {
-            name: "post-failure-capacity",
+            name: DRIFT_SCENARIO_NAMES[2],
             trace: steady,
             capacity: CapacityProfile::Step {
                 at: 0.5,
@@ -232,7 +241,7 @@ pub fn deep_degradation_scenario(
     })
     .build(seed ^ 0xdeeb);
     DriftScenario {
-        name: "deep-degradation",
+        name: DRIFT_SCENARIO_NAMES[3],
         trace: steady,
         capacity: CapacityProfile::Step {
             at: 0.3,

@@ -160,6 +160,14 @@ pub const MIN_FAULT_MACHINES: usize = 2;
 /// Fewest 30 s ticks a [`fault_scenarios`] run spans.
 pub const MIN_FAULT_TICKS: u64 = 40;
 
+/// Names of [`fault_scenarios`]' four scenarios, in order.
+pub const FAULT_SCENARIO_NAMES: [&str; 4] = [
+    "crash-restart",
+    "rolling-blackout",
+    "flapping-member",
+    "stuck-actuator",
+];
+
 /// The four canonical fault scenarios over `buckets` buckets of
 /// `interval` seconds, with arrival rates near 55–70 % of `peak_rate`
 /// requests/second (the load must still fit the survivors of a crash),
@@ -267,22 +275,22 @@ pub fn fault_scenarios(
 
     vec![
         FaultScenario {
-            name: "crash-restart",
+            name: FAULT_SCENARIO_NAMES[0],
             trace: trace(0xC4A5, 0.7),
             plan: crash_restart,
         },
         FaultScenario {
-            name: "rolling-blackout",
+            name: FAULT_SCENARIO_NAMES[1],
             trace: trace(0xB1AC, 0.7),
             plan: rolling_blackout,
         },
         FaultScenario {
-            name: "flapping-member",
+            name: FAULT_SCENARIO_NAMES[2],
             trace: trace(0xF1A9, 0.7),
             plan: flapping_member,
         },
         FaultScenario {
-            name: "stuck-actuator",
+            name: FAULT_SCENARIO_NAMES[3],
             trace: trace(0x57CC, 0.7),
             plan: stuck_actuator,
         },

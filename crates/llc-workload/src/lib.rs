@@ -10,7 +10,8 @@
 //!    The original HP Labs trace is not distributable, so
 //!    [`wc98_like_day`] and [`wc98_like_fig6`] synthesize traces with the
 //!    same qualitative features (strong diurnal swing, sharp match-time
-//!    peak, 2-minute buckets); DESIGN.md documents the substitution.
+//!    peak, 2-minute buckets); README's workspace layout notes the
+//!    substitution.
 //!
 //! Request bodies are drawn from a **virtual store** of 10,000 objects
 //! whose per-object processing times are uniform on (10, 25) ms, with a
@@ -64,10 +65,13 @@ mod trace;
 mod wc98;
 
 pub use distributions::{derive_seed, Gaussian, LogNormal, Zipf};
-pub use drift::{deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario};
+pub use drift::{
+    deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario,
+    DRIFT_SCENARIO_NAMES,
+};
 pub use faults::{
-    fault_scenarios, FaultEvent, FaultKind, FaultPlan, FaultScenario, MIN_FAULT_MACHINES,
-    MIN_FAULT_TICKS,
+    fault_scenarios, FaultEvent, FaultKind, FaultPlan, FaultScenario, FAULT_SCENARIO_NAMES,
+    MIN_FAULT_MACHINES, MIN_FAULT_TICKS,
 };
 pub use flash::FlashCrowd;
 pub use locality::{LocalityModel, RequestSampler};

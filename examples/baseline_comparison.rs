@@ -4,9 +4,7 @@
 //!
 //! Run with `cargo run --release -p llc-examples --bin baseline_comparison`.
 
-use llc_cluster::{
-    AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdConfig, ThresholdPolicy,
-};
+use llc_cluster::{AlwaysMaxPolicy, ClusterPolicy, Family, Preset, RunSpec, ThresholdPolicy};
 
 fn main() {
     let spec = RunSpec {
@@ -16,20 +14,10 @@ fn main() {
     };
     let scenario = spec.scenario_config();
 
-    let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
-        .member_specs()
-        .iter()
-        .map(|module| module.iter().map(|m| (m.speed, m.phis.clone())).collect())
-        .collect();
-    let layout_sizes: Vec<Vec<(f64, usize)>> = layout
-        .iter()
-        .map(|module| module.iter().map(|(s, p)| (*s, p.len())).collect())
-        .collect();
-
     let mut policies: Vec<Box<dyn ClusterPolicy>> = vec![
         Box::new(spec.policy(Preset::Paper)),
-        Box::new(ThresholdPolicy::new(ThresholdConfig::default(), layout)),
-        Box::new(AlwaysMaxPolicy::new(layout_sizes)),
+        Box::new(ThresholdPolicy::for_scenario(&scenario)),
+        Box::new(AlwaysMaxPolicy::for_scenario(&scenario)),
     ];
 
     println!(

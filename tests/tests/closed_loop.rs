@@ -123,7 +123,7 @@ fn run_two_module_closed_loop() -> (Vec<Directive>, HierarchicalPolicy) {
     let trace = Trace::new(30.0, vec![0.5 * capacity * 30.0; 48]).expect("well-formed trace");
     let store = VirtualStore::paper_default(31);
     let mut policy = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig::default())
+        .closed_loop(OnlineConfig)
         .build();
     let exp = Experiment {
         drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
@@ -190,8 +190,8 @@ fn two_module_fault_run_is_pinned_bit_for_bit() {
         let trace = Trace::new(30.0, vec![0.45 * capacity * 30.0; 160]).expect("well-formed trace");
         let store = VirtualStore::paper_default(41);
         let mut policy = PolicyBuilder::new(sc.clone())
-            .closed_loop(OnlineConfig::default())
-            .fault_tolerance(FaultToleranceConfig::default())
+            .closed_loop(OnlineConfig)
+            .fault_tolerance(FaultToleranceConfig)
             .drift_aware_l0()
             .build();
         let event = |tick, computer, kind| FaultEvent {
@@ -267,7 +267,7 @@ fn detector_switches_rate_on_a_capacity_step() {
         LearnSpec::coarse(),
     );
     let mut l1 = L1Controller::new(L1Config::paper_default(), vec![spec.clone()], vec![map]);
-    l1.enable_online(OnlineConfig::default());
+    l1.enable_online();
     assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
 
     let c = spec.c_prior;

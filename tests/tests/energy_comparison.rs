@@ -4,8 +4,7 @@
 //! the target, and no requests are lost.
 
 use llc_cluster::{
-    AlwaysMaxPolicy, ClusterPolicy, ExperimentSummary, Family, Preset, RunSpec, ThresholdConfig,
-    ThresholdPolicy,
+    AlwaysMaxPolicy, ClusterPolicy, ExperimentSummary, Family, Preset, RunSpec, ThresholdPolicy,
 };
 
 /// A light-to-moderate stretch of the diurnal day where machines can
@@ -28,12 +27,7 @@ fn llc_beats_always_max_on_energy_while_holding_qos() {
     let scenario = spec.scenario_config();
     let llc_summary = run(&spec, &mut spec.policy(Preset::Paper));
 
-    let layout_sizes: Vec<Vec<(f64, usize)>> = scenario
-        .member_specs()
-        .iter()
-        .map(|module| module.iter().map(|m| (m.speed, m.phis.len())).collect())
-        .collect();
-    let mut always = AlwaysMaxPolicy::new(layout_sizes);
+    let mut always = AlwaysMaxPolicy::for_scenario(&scenario);
     let always_summary = run(&spec, &mut always);
 
     assert_eq!(llc_summary.total_dropped, 0, "LLC must not drop requests");
@@ -56,12 +50,7 @@ fn llc_energy_does_not_exceed_threshold_heuristic() {
     let scenario = spec.scenario_config();
     let llc_summary = run(&spec, &mut spec.policy(Preset::Paper));
 
-    let layout: Vec<Vec<(f64, Vec<f64>)>> = scenario
-        .member_specs()
-        .iter()
-        .map(|module| module.iter().map(|m| (m.speed, m.phis.clone())).collect())
-        .collect();
-    let mut threshold = ThresholdPolicy::new(ThresholdConfig::default(), layout);
+    let mut threshold = ThresholdPolicy::for_scenario(&scenario);
     let threshold_summary = run(&spec, &mut threshold);
 
     // The proactive controller should do at least as well as the reactive
@@ -72,4 +61,34 @@ fn llc_energy_does_not_exceed_threshold_heuristic() {
         llc_summary.total_energy,
         threshold_summary.total_energy
     );
+}
+
+/// The scenario-built baselines drive the 16-machine cluster run: every
+/// request is accounted for, and `RunSpec::run` fails the run if the
+/// plant supersedes, skips or refuses any directive they emit.
+#[test]
+fn baselines_built_for_the_cluster_run_it_cleanly() {
+    let spec = RunSpec {
+        buckets: 12,
+        ..RunSpec::new(Family::Cluster, 2006)
+    };
+    let scenario = spec.scenario_config();
+    let policies: [Box<dyn ClusterPolicy>; 2] = [
+        Box::new(ThresholdPolicy::for_scenario(&scenario)),
+        Box::new(AlwaysMaxPolicy::for_scenario(&scenario)),
+    ];
+    for mut policy in policies {
+        let log = spec.run(policy.as_mut());
+        let s = log.summary();
+        let final_queue = log.ticks.last().expect("ticks ran").queue_total as u64;
+        assert_eq!(
+            s.total_arrivals,
+            s.total_completions + final_queue + s.total_dropped,
+            "{}: requests must be conserved",
+            s.policy
+        );
+        assert!(s.total_arrivals > 0, "{}: the run carried load", s.policy);
+        assert!(!log.directives.is_empty(), "{}: it acted", s.policy);
+        assert_eq!(log.metrics.dropped_directives, 0, "{}", s.policy);
+    }
 }

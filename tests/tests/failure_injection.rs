@@ -99,8 +99,8 @@ fn restart_under_overload_has_no_arrival_hoarding_window() {
         .map(|m| m.speed / m.c_prior)
         .sum();
     let mut policy = PolicyBuilder::new(scenario.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
+        .closed_loop(OnlineConfig)
+        .fault_tolerance(FaultToleranceConfig)
         .build();
 
     // ~95% of full-cluster capacity: the three survivors run overloaded
@@ -182,7 +182,7 @@ fn sim_reports_infinite_boot_as_booting_forever() {
 fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
     let scenario = single_module(4).with_coarse_learning();
     let mut policy = PolicyBuilder::new(scenario.clone())
-        .closed_loop(OnlineConfig::default())
+        .closed_loop(OnlineConfig)
         .build();
     let experiment = Experiment::paper_default(8);
     let l1_every = (scenario.l1.period / experiment.t_l0).round() as u64;

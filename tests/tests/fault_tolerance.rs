@@ -21,8 +21,8 @@ fn capacity(scenario: &llc_cluster::ScenarioConfig) -> f64 {
 
 fn tolerant_policy(scenario: &llc_cluster::ScenarioConfig) -> HierarchicalPolicy {
     PolicyBuilder::new(scenario.clone())
-        .closed_loop(OnlineConfig::default())
-        .fault_tolerance(FaultToleranceConfig::default())
+        .closed_loop(OnlineConfig)
+        .fault_tolerance(FaultToleranceConfig)
         .build()
 }
 
@@ -187,9 +187,9 @@ fn tolerant_tracks_better_than_blind_through_a_crash() {
     ]);
     let mut maes = Vec::new();
     for tolerant in [false, true] {
-        let mut builder = PolicyBuilder::new(scenario.clone()).closed_loop(OnlineConfig::default());
+        let mut builder = PolicyBuilder::new(scenario.clone()).closed_loop(OnlineConfig);
         if tolerant {
-            builder = builder.fault_tolerance(FaultToleranceConfig::default());
+            builder = builder.fault_tolerance(FaultToleranceConfig);
         }
         let mut policy = builder.build();
         let experiment = Experiment {

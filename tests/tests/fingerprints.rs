@@ -370,8 +370,8 @@ fn adverse4() -> Vec<Run> {
             };
             let policy = PolicyBuilder::new(scenario.clone())
                 .drift_aware_l0()
-                .closed_loop(OnlineConfig::default())
-                .fault_tolerance(FaultToleranceConfig::default())
+                .closed_loop(OnlineConfig)
+                .fault_tolerance(FaultToleranceConfig)
                 .build();
             let ticks = run_in_process(policy, &scenario, &exp, &drift.trace);
             (format!("adverse4/{seed}"), ticks)

@@ -32,7 +32,6 @@ fn tracking_errors(scenario: &DriftScenario, spec: &MemberSpec) -> (f64, f64) {
     let l0 = L0Config::paper_default();
     let offline = learn_map(spec);
     let mut online = offline.clone();
-    let cfg = OnlineConfig::default();
     let c = spec.c_prior;
     let mut q = 0.0f64;
     let (mut off_err, mut on_err) = (0.0, 0.0);
@@ -48,7 +47,7 @@ fn tracking_errors(scenario: &DriftScenario, spec: &MemberSpec) -> (f64, f64) {
         };
         off_err += (offline.query(lambda, c, q).cost - truth.cost).abs();
         on_err += (online.query(lambda, c, q).cost - truth.cost).abs();
-        online.update_online(lambda, c, q, truth, &cfg);
+        online.update_online(lambda, c, q, truth, &OnlineConfig);
         q = truth.final_q;
     }
     let n = scenario.trace.len() as f64;
@@ -86,7 +85,7 @@ fn l1_controller_wiring_adapts_its_maps_under_drift() {
         vec![spec.clone()],
         vec![offline.clone()],
     );
-    l1.enable_online(OnlineConfig::default());
+    l1.enable_online();
     let c = spec.c_prior;
     let lambda = 0.3 / c; // steady 30% of nominal capacity
     let scale = 0.65; // machine degraded post-failure

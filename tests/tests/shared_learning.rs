@@ -10,7 +10,6 @@ use llc_cluster::{
     cluster_of, paper_cluster_16, single_module, AbstractionMap, GEntry, HierarchicalPolicy,
     L0Config, L0Controller, L1Controller, LearnSpec, MemberSpec,
 };
-use llc_core::OnlineConfig;
 use std::sync::Arc;
 
 /// Every point of `spec`'s learning grid, plus a handful of queries past
@@ -170,8 +169,8 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
     drop(kinds);
     let mut shared = L1Controller::new_shared(scenario.l1, specs.clone(), shared_maps);
     let mut separate = L1Controller::new_shared(scenario.l1, specs.clone(), separate_maps);
-    shared.enable_online(OnlineConfig::default());
-    separate.enable_online(OnlineConfig::default());
+    shared.enable_online();
+    separate.enable_online();
     assert!(std::ptr::eq(shared.map(3), shared.map(4)));
     assert!(std::ptr::eq(shared.map(1), shared.map(5)));
 
