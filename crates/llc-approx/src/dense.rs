@@ -1,4 +1,4 @@
-use crate::{Blend, BlendConfig, GridSampler, Quantizer};
+use crate::{Blend, GridSampler, Quantizer};
 use std::collections::BTreeMap;
 
 /// Most key dimensions a [`DenseGrid`] takes: a cell key is an array of
@@ -65,21 +65,22 @@ impl DenseDim {
 ///
 /// A *grown* cell is one first written online by [`DenseGrid::update`]:
 /// a hole inside the trained box, or a cell beyond it. It is inserted at
-/// the observed value and from then on blends, decays and reseeds like a
-/// trained cell. A probe that hits neither kind answers with the nearest
-/// stored cell, trained or grown, by L1 distance in cell units after
-/// clamping the key into the bounding box of everything stored, ties to
-/// the lexicographically smallest key. With nothing grown that is the
-/// O(1) clamp-and-stride probe.
+/// the observed value, measured from the start, and from then on blends
+/// like a trained cell. A probe that hits neither kind answers with the
+/// nearest stored cell, trained or grown, by L1 distance in cell units
+/// after clamping the key into the bounding box of everything stored,
+/// ties to the lexicographically smallest key. With nothing grown that
+/// is the O(1) clamp-and-stride probe.
 #[derive(Debug, Clone)]
 pub struct DenseGrid<V> {
     dims: Vec<DenseDim>,
     values: Vec<V>,
-    /// Online observations absorbed per value slot (0.0 = offline prior
-    /// only). Shrunk by the staleness sweep so idle cells re-adapt fast.
-    confidence: Vec<f64>,
-    /// Grown cells: value and confidence by cell key, in key order.
-    grown: BTreeMap<CellKey, (V, f64)>,
+    /// Per value slot: has an online observation been blended in
+    /// (`false` = the offline value still stands untouched)?
+    measured: Vec<bool>,
+    /// Grown cells by cell key, in key order. Each was written online, so
+    /// each is measured.
+    grown: BTreeMap<CellKey, V>,
 }
 
 impl<V: Send> DenseGrid<V> {
@@ -167,7 +168,7 @@ impl<V: Send> DenseGrid<V> {
                 .into_iter()
                 .map(|slot| slot.expect("full grid fills every slot"))
                 .collect(),
-            confidence: vec![0.0; volume],
+            measured: vec![false; volume],
             grown: BTreeMap::new(),
         }
     }
@@ -218,11 +219,12 @@ impl<V> DenseGrid<V> {
         (idx, dist)
     }
 
-    /// Value and confidence of the cell `key` itself, if it is stored.
-    fn cell(&self, key: &CellKey) -> Option<(&V, f64)> {
+    /// Value of the cell `key` itself, if it is stored, and whether it
+    /// is measured.
+    fn cell(&self, key: &CellKey) -> Option<(&V, bool)> {
         match self.nearest_trained(key) {
-            (idx, 0) => Some((&self.values[idx], self.confidence[idx])),
-            _ => self.grown.get(key).map(|(v, conf)| (v, *conf)),
+            (idx, 0) => Some((&self.values[idx], self.measured[idx])),
+            _ => self.grown.get(key).map(|v| (v, true)),
         }
     }
 
@@ -282,7 +284,7 @@ impl<V> DenseGrid<V> {
         let nearest_grown = self
             .grown
             .iter()
-            .map(|(cell, (v, _))| {
+            .map(|(cell, v)| {
                 let dist: u64 = cell.iter().zip(&key).map(|(a, b)| a.abs_diff(*b)).sum();
                 ((dist, *cell), v)
             })
@@ -299,35 +301,38 @@ impl<V> DenseGrid<V> {
         self.cell(&self.key_of(point)).map(|(v, _)| v)
     }
 
-    /// Online observations currently credited to the cell containing
-    /// `point` (0.0 for a never-updated or never-stored cell).
-    pub fn confidence(&self, point: &[f64]) -> f64 {
-        self.cell(&self.key_of(point)).map_or(0.0, |(_, conf)| conf)
+    /// `true` if the cell containing `point` has absorbed an online
+    /// observation: a trained cell written since training, or any grown
+    /// cell. Nothing unmeasures a cell.
+    pub fn measured(&self, point: &[f64]) -> bool {
+        self.cell(&self.key_of(point)).is_some_and(|(_, m)| m)
     }
 
     /// Insert-or-blend — the §6 write path. A stored cell blends toward
-    /// the observed `target` with the weight `cfg` gives its accumulated
-    /// confidence, so the map self-corrects under drift without an
-    /// offline learning pass; a cell never stored (a hole, or beyond
-    /// the trained box) is *grown*: inserted at the target, weight 1.0.
-    /// Returns the weight applied — 0.0 when a new cell was refused
-    /// because the grid already holds its bound of grown cells.
-    pub fn update(&mut self, point: &[f64], target: &V, cfg: &BlendConfig) -> f64
+    /// the observed `target` at `rate` and is measured from then on, so
+    /// the map self-corrects under drift without an offline learning
+    /// pass; a cell never stored (a hole, or beyond the trained box) is
+    /// *grown*: inserted at the target, weight 1.0. Returns the weight
+    /// applied — 0.0 when a new cell was refused because the grid
+    /// already holds its bound of grown cells.
+    pub fn update(&mut self, point: &[f64], target: &V, rate: f64) -> f64
     where
         V: Blend + Clone,
     {
+        debug_assert!(
+            rate > 0.0 && rate <= 1.0,
+            "blend rate must lie in (0, 1], got {rate}"
+        );
         let key = self.key_of(point);
         let (idx, dist) = self.nearest_trained(&key);
         if dist == 0 {
-            return blend_cell(
-                &mut self.values[idx],
-                &mut self.confidence[idx],
-                target,
-                cfg,
-            );
+            self.values[idx].blend(target, rate);
+            self.measured[idx] = true;
+            return rate;
         }
-        if let Some((v, conf)) = self.grown.get_mut(&key) {
-            return blend_cell(v, conf, target, cfg);
+        if let Some(v) = self.grown.get_mut(&key) {
+            v.blend(target, rate);
+            return rate;
         }
         if self.grown.len() >= GROWN_PER_TRAINED * self.values.len() {
             return 0.0;
@@ -335,29 +340,9 @@ impl<V> DenseGrid<V> {
         for (&k, dim) in key.iter().zip(&mut self.dims) {
             dim.span = (dim.span.0.min(k), dim.span.1.max(k));
         }
-        self.grown.insert(key, (target.clone(), 1.0));
+        self.grown.insert(key, target.clone());
         1.0
     }
-
-    /// Staleness sweep: multiply every cell's online confidence count by
-    /// `factor ∈ [0, 1]`, so cells that stop being visited become quick
-    /// to re-adapt when traffic returns to them.
-    pub fn decay_confidence(&mut self, factor: f64) {
-        let factor = factor.clamp(0.0, 1.0);
-        let grown = self.grown.values_mut().map(|(_, conf)| conf);
-        for count in self.confidence.iter_mut().chain(grown) {
-            *count *= factor;
-        }
-    }
-}
-
-/// One online observation into a stored cell: blend at the weight its
-/// confidence earns, then credit the observation.
-fn blend_cell<V: Blend>(value: &mut V, confidence: &mut f64, target: &V, cfg: &BlendConfig) -> f64 {
-    let w = cfg.weight(*confidence);
-    value.blend(target, w);
-    *confidence += 1.0;
-    w
 }
 
 #[cfg(test)]
@@ -453,7 +438,7 @@ mod tests {
     }
 
     /// The differential that lets the hash table leave product code:
-    /// interleaved online writes, staleness sweeps and reads answer
+    /// interleaved online writes and reads answer
     /// bit-for-bit as [`LookupTable`] does, on grids whose λ axis
     /// collides (24 steps land in 20–21 cells), through growth of holes
     /// and of cells beyond the box.
@@ -468,7 +453,7 @@ mod tests {
             let mut hash: LookupTable<f64> =
                 train_table(sampler, &sampler.cell_steps(), weighted_sum);
             let mut dense = DenseGrid::from_fn(sampler, weighted_sum);
-            // Most writes revisit a pool of points, so cells season.
+            // Most writes revisit a pool of points, so cells blend.
             let pool: Vec<Vec<f64>> = (0..200)
                 .map(|_| fuzz_point(&mut rng, sampler, 0.4))
                 .collect();
@@ -482,17 +467,12 @@ mod tests {
                             pool[rng.gen_range(0..pool.len())].clone()
                         };
                         let target = rng.gen_range(-500.0..500.0);
-                        let cfg = BlendConfig::new(rng.gen_range(0.05..1.0), 4.0);
+                        let rate = rng.gen_range(0.05..1.0);
                         let (h, d) = (
-                            hash.update(&p, &target, &cfg),
-                            dense.update(&p, &target, &cfg),
+                            hash.update(&p, &target, rate),
+                            dense.update(&p, &target, rate),
                         );
                         assert_eq!(h.to_bits(), d.to_bits(), "{ctx}: weight at {p:?}");
-                    }
-                    7 => {
-                        let factor = rng.gen_range(0.0..1.2);
-                        hash.decay_confidence(factor);
-                        dense.decay_confidence(factor);
                     }
                     _ => {
                         let q = fuzz_point(&mut rng, sampler, 0.8);
@@ -500,9 +480,9 @@ mod tests {
                         assert_eq!(h.to_bits(), dense.probe(&q).to_bits(), "{ctx}: {q:?}");
                         assert_eq!(hash.get_exact(&q), dense.get_exact(&q), "{ctx}: {q:?}");
                         assert_eq!(
-                            hash.confidence(&q).to_bits(),
-                            dense.confidence(&q).to_bits(),
-                            "{ctx}: confidence at {q:?}"
+                            hash.measured(&q),
+                            dense.measured(&q),
+                            "{ctx}: measured at {q:?}"
                         );
                     }
                 }
@@ -543,18 +523,18 @@ mod tests {
     #[test]
     fn update_blends_toward_target_with_confidence() {
         let (_, mut grid) = grid_2d();
-        let cfg = BlendConfig::new(0.25, 3.0);
         let p = [2.0, 20.0];
         let before = *grid.probe(&p);
-        // Fresh cell: w = 1 / (3 + 0 + 1) = 0.25.
-        let w = grid.update(&p, &1000.0, &cfg);
-        assert!((w - 0.25).abs() < 1e-12);
+        assert!(!grid.measured(&p), "a trained cell starts unmeasured");
+        let w = grid.update(&p, &1000.0, 0.25);
+        assert_eq!(w, 0.25);
         let after = *grid.probe(&p);
         assert!((after - (before + 0.25 * (1000.0 - before))).abs() < 1e-9);
-        assert_eq!(grid.confidence(&p), 1.0);
+        assert!(grid.measured(&p));
+        assert!(!grid.measured(&[0.0, 10.0]), "only the written cell");
         // Repeated updates converge onto the target.
         for _ in 0..60 {
-            grid.update(&p, &1000.0, &cfg);
+            grid.update(&p, &1000.0, 0.25);
         }
         assert!((grid.probe(&p) - 1000.0).abs() < 1e-3);
         // Other cells untouched, and a stored cell grows nothing.
@@ -569,10 +549,11 @@ mod tests {
         let far = [9.5, 35.0];
         let edge = *grid.probe(&far);
         assert_eq!(grid.get_exact(&far), None);
-        assert_eq!(grid.update(&far, &-7.0, &BlendConfig::default()), 1.0);
+        assert!(!grid.measured(&far));
+        assert_eq!(grid.update(&far, &-7.0, 0.25), 1.0);
         assert_eq!(grid.len(), 16);
         assert_eq!(grid.get_exact(&far), Some(&-7.0), "the exact cell answers");
-        assert_eq!(grid.confidence(&far), 1.0);
+        assert!(grid.measured(&far));
         // A miss nearer the trained edge cell (4, 3) than the grown cell
         // (9, 3) still reads the edge; past half-way the grown cell is
         // the nearer one.
@@ -584,7 +565,7 @@ mod tests {
             "clamped to what is stored"
         );
         // It blends from here on, like any stored cell.
-        let w = grid.update(&far, &1.0, &BlendConfig::new(0.5, 0.0));
+        let w = grid.update(&far, &1.0, 0.5);
         assert_eq!(w, 0.5);
         assert_eq!(grid.get_exact(&far), Some(&-3.0));
         assert_eq!(grid.len(), 16);
@@ -593,10 +574,9 @@ mod tests {
     #[test]
     fn grown_cells_stop_at_the_bound() {
         let (_, mut grid) = grid_2d();
-        let cfg = BlendConfig::default();
         let bound = GROWN_PER_TRAINED * 15;
         for i in 0..bound + 40 {
-            let w = grid.update(&[1000.0 + i as f64, 20.0], &1.0, &cfg);
+            let w = grid.update(&[1000.0 + i as f64, 20.0], &1.0, 0.25);
             assert_eq!(
                 w,
                 if i < bound { 1.0 } else { 0.0 },
@@ -606,23 +586,17 @@ mod tests {
         assert_eq!(grid.len(), 15 + bound);
         assert_eq!(grid.get_exact(&[1000.0 + bound as f64, 20.0]), None);
         // Trained and already-grown cells still blend.
-        assert!(grid.update(&[2.0, 20.0], &1.0, &cfg) > 0.0);
-        assert!(grid.update(&[1000.0, 20.0], &5.0, &cfg) > 0.0);
-        assert_eq!(grid.confidence(&[1000.0, 20.0]), 2.0);
+        assert_eq!(grid.update(&[2.0, 20.0], &1.0, 0.25), 0.25);
+        assert_eq!(grid.update(&[1000.0, 20.0], &5.0, 0.25), 0.25);
+        assert_eq!(grid.get_exact(&[1000.0, 20.0]), Some(&2.0));
+        assert!(!grid.measured(&[1000.0 + bound as f64, 20.0]));
     }
 
     #[test]
-    fn decay_shrinks_confidence() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "blend rate")]
+    fn zero_learning_rate_rejected() {
         let (_, mut grid) = grid_2d();
-        let cfg = BlendConfig::default();
-        let p = [1.0, 10.0];
-        for _ in 0..4 {
-            grid.update(&p, &5.0, &cfg);
-        }
-        assert_eq!(grid.confidence(&p), 4.0);
-        grid.decay_confidence(0.5);
-        assert!((grid.confidence(&p) - 2.0).abs() < 1e-12);
-        grid.decay_confidence(0.0);
-        assert_eq!(grid.confidence(&p), 0.0);
+        grid.update(&[2.0, 20.0], &1.0, 0.0);
     }
 }

@@ -20,8 +20,8 @@
 //!   moves at quantum 0.05 / 0.1 as in the experiments);
 //! * the map takes **online (incremental) updates** —
 //!   [`DenseGrid::update`] blends realized outcomes into the stored cells
-//!   under a confidence-weighted learning rate ([`BlendConfig`]) and
-//!   grows a cell for an outcome no stored cell holds, the paper's §6
+//!   at the caller's rate, marks each written cell measured, and grows a
+//!   cell for an outcome no stored cell holds, the paper's §6
 //!   drift-handling outlook.
 //!
 //! # Example
@@ -54,7 +54,7 @@ mod table;
 
 pub use dense::DenseGrid;
 pub use learn::{train_dense, GridSampler};
-pub use online::{Blend, BlendConfig, BlendSchedule};
+pub use online::Blend;
 pub use quantize::Quantizer;
 pub use regtree::{RegressionTree, TreeConfig, TreeError};
 pub use simplex::SimplexGrid;

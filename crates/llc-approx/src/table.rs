@@ -1,5 +1,5 @@
-use crate::{Blend, BlendConfig, GridSampler, Quantizer};
-use std::collections::HashMap;
+use crate::{Blend, GridSampler, Quantizer};
+use std::collections::{HashMap, HashSet};
 
 /// The abstraction map `g` as a quantized-key hash table — the paper's
 /// literal substrate, kept as the test oracle [`DenseGrid`](crate::DenseGrid)
@@ -22,9 +22,8 @@ pub(crate) struct LookupTable<V> {
     map: HashMap<Vec<i64>, V>,
     /// Per-dimension [min, max] observed cell ranges.
     ranges: Vec<Option<(i64, i64)>>,
-    /// Online observations absorbed per stored cell (absent = offline
-    /// prior only). Shrunk by the staleness sweep.
-    confidence: HashMap<Vec<i64>, f64>,
+    /// Stored cells that have absorbed an online observation.
+    measured: HashSet<Vec<i64>>,
 }
 
 impl<V: Clone> LookupTable<V> {
@@ -40,7 +39,7 @@ impl<V: Clone> LookupTable<V> {
             dims,
             map: HashMap::new(),
             ranges: vec![None; n],
-            confidence: HashMap::new(),
+            measured: HashSet::new(),
         }
     }
 
@@ -70,8 +69,8 @@ impl<V: Clone> LookupTable<V> {
 
     /// Insert (or overwrite) the value for the cell containing `point`.
     ///
-    /// This is the *offline* write path: it also resets the cell's online
-    /// confidence, so a re-learned cell behaves like a fresh prior.
+    /// This is the *offline* write path: it also unmeasures the cell, so
+    /// a re-learned cell behaves like a fresh prior.
     pub(crate) fn insert(&mut self, point: &[f64], value: V) {
         let cells = self.cells_of(point);
         for (i, &c) in cells.iter().enumerate() {
@@ -80,49 +79,36 @@ impl<V: Clone> LookupTable<V> {
                 Some((lo, hi)) => (lo.min(c), hi.max(c)),
             });
         }
-        self.confidence.remove(&cells);
+        self.measured.remove(&cells);
         self.map.insert(cells, value);
     }
 
     /// Online insert-or-blend for the cell containing `point`: an
-    /// existing cell blends toward `target` under `cfg`'s
-    /// confidence-weighted schedule; a never-trained cell (inside a hole
-    /// or beyond the trained ranges) is inserted at full weight, growing
-    /// the table's coverage from observed traffic. Returns the weight
+    /// existing cell blends toward `target` at `rate`; a never-trained
+    /// cell (inside a hole or beyond the trained ranges) is inserted at
+    /// full weight, growing the table's coverage from observed traffic.
+    /// Either way the cell is measured from then on. Returns the weight
     /// applied (`1.0` for an insert).
-    pub(crate) fn update(&mut self, point: &[f64], target: &V, cfg: &BlendConfig) -> f64
+    pub(crate) fn update(&mut self, point: &[f64], target: &V, rate: f64) -> f64
     where
         V: Blend,
     {
         let cells = self.cells_of(point);
-        if let Some(cell) = self.map.get_mut(&cells) {
-            let count = self.confidence.entry(cells).or_insert(0.0);
-            let w = cfg.weight(*count);
-            cell.blend(target, w);
-            *count += 1.0;
-            w
+        let w = if let Some(cell) = self.map.get_mut(&cells) {
+            cell.blend(target, rate);
+            rate
         } else {
             self.insert(point, target.clone());
-            self.confidence.insert(cells, 1.0);
             1.0
-        }
+        };
+        self.measured.insert(cells);
+        w
     }
 
-    /// Staleness sweep: multiply every cell's online confidence by
-    /// `factor ∈ [0, 1]`.
-    pub(crate) fn decay_confidence(&mut self, factor: f64) {
-        let factor = factor.clamp(0.0, 1.0);
-        for count in self.confidence.values_mut() {
-            *count *= factor;
-        }
-    }
-
-    /// Online observations credited to the cell containing `point`.
-    pub(crate) fn confidence(&self, point: &[f64]) -> f64 {
-        self.confidence
-            .get(&self.cells_of(point))
-            .copied()
-            .unwrap_or(0.0)
+    /// `true` if the cell containing `point` has absorbed an online
+    /// observation.
+    pub(crate) fn measured(&self, point: &[f64]) -> bool {
+        self.measured.contains(&self.cells_of(point))
     }
 
     /// Exact lookup of the cell containing `point`.
@@ -260,14 +246,14 @@ mod tests {
     #[test]
     fn update_blends_existing_cell() {
         let mut t = table_2d();
-        let cfg = BlendConfig::new(0.25, 3.0);
         let p = [2.5, 4.5];
         let before = *t.get_exact(&p).unwrap();
-        let w = t.update(&p, &100.0, &cfg);
-        assert!((w - 0.25).abs() < 1e-12, "fresh cell: 1/(3+0+1)");
+        assert!(!t.measured(&p));
+        let w = t.update(&p, &100.0, 0.25);
+        assert_eq!(w, 0.25);
         let after = *t.get_exact(&p).unwrap();
         assert!((after - (before + 0.25 * (100.0 - before))).abs() < 1e-9);
-        assert_eq!(t.confidence(&p), 1.0);
+        assert!(t.measured(&p));
         assert_eq!(t.len(), 25, "blend must not add cells");
     }
 
@@ -275,10 +261,10 @@ mod tests {
     fn update_inserts_unseen_cell_at_full_weight() {
         let mut t = table_2d();
         let outside = [40.0, 40.0];
-        let w = t.update(&outside, &77.0, &BlendConfig::default());
+        let w = t.update(&outside, &77.0, 0.25);
         assert_eq!(w, 1.0);
         assert_eq!(t.get_exact(&outside), Some(&77.0));
-        assert_eq!(t.confidence(&outside), 1.0);
+        assert!(t.measured(&outside));
         assert_eq!(t.len(), 26, "insert-or-blend grows coverage");
         // The grown range now clamps far queries to the new cell.
         assert_eq!(t.get(&[500.0, 500.0]), Some(&77.0));
@@ -288,11 +274,9 @@ mod tests {
     fn offline_insert_resets_confidence() {
         let mut t = table_2d();
         let p = [1.5, 1.5];
-        t.update(&p, &50.0, &BlendConfig::default());
-        assert_eq!(t.confidence(&p), 1.0);
+        t.update(&p, &50.0, 0.25);
+        assert!(t.measured(&p));
         t.insert(&p, 3.0);
-        assert_eq!(t.confidence(&p), 0.0, "re-learned cell is a fresh prior");
-        t.decay_confidence(0.5);
-        assert_eq!(t.confidence(&p), 0.0);
+        assert!(!t.measured(&p), "re-learned cell is a fresh prior");
     }
 }

@@ -54,8 +54,6 @@ const RECOVERY_BOUND: u64 = 20;
 /// Multiple of the pre-fault steady-state MAE the trailing error must
 /// return under to count as recovered.
 const RECOVERY_FACTOR: f64 = 1.5;
-/// Base ticks per L1 period (T_L1 / T_L0 at paper defaults).
-const L1_EVERY: u64 = 4;
 
 /// Records the cumulative prequential error after every tick, so the
 /// per-L1-period error trajectory (and hence recovery time) can be
@@ -88,17 +86,24 @@ impl ClusterPolicy for ErrProbe {
     }
 }
 
-/// Per-L1-period mean prediction error, from the cumulative history.
-fn period_maes(history: &[(u64, f64, u64)]) -> Vec<(u64, f64, u64)> {
+/// Base ticks per L1 period (`T_L1 / T_L0`) of `spec`'s run.
+fn l1_every(spec: &RunSpec) -> u64 {
+    let sc = spec.scenario_config();
+    sc.l0.ticks_per(sc.l1.period)
+}
+
+/// Per-L1-period mean prediction error, from the cumulative history of
+/// a run whose L1 decides every `l1_every` ticks.
+fn period_maes(history: &[(u64, f64, u64)], l1_every: u64) -> Vec<(u64, f64, u64)> {
     let mut out = Vec::new();
     let (mut prev_sum, mut prev_n) = (0.0, 0u64);
     for &(tick, sum, n) in history {
-        if tick % L1_EVERY != 0 {
+        if tick % l1_every != 0 {
             continue;
         }
         let dn = n - prev_n;
         if dn > 0 {
-            out.push((tick / L1_EVERY, (sum - prev_sum) / dn as f64, dn));
+            out.push((tick / l1_every, (sum - prev_sum) / dn as f64, dn));
         }
         prev_sum = sum;
         prev_n = n;
@@ -175,7 +180,8 @@ fn fault_periods(spec: &RunSpec) -> (u64, u64) {
     let plan = spec.experiment_and_trace().0.faults.expect("a fault run");
     let first = plan.events().first().expect("plans are non-empty").tick;
     let last = plan.last_fault_tick().expect("plans are non-empty");
-    (first / L1_EVERY, last / L1_EVERY)
+    let l1_every = l1_every(spec);
+    (first / l1_every, last / l1_every)
 }
 
 fn run_arm(spec: &RunSpec, arm: Preset, (first_fault, last_fault): (u64, u64)) -> ArmResult {
@@ -188,7 +194,7 @@ fn run_arm(spec: &RunSpec, arm: Preset, (first_fault, last_fault): (u64, u64)) -
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     let policy = probe.inner;
     let summary = log.summary();
-    let periods = period_maes(&probe.history);
+    let periods = period_maes(&probe.history, l1_every(spec));
     ArmResult {
         tracking_mae: policy.tracking_error().expect("outcomes were derived"),
         samples: policy.tracking_samples(),

@@ -47,7 +47,7 @@ fn run_scenario(scenario: &DriftScenario, spec: &MemberSpec, learn: LearnSpec) -
     let offline = AbstractionMap::learn(&l0, &spec.phis, c_range, lambda_max, q_max, learn);
     let mut online = offline.clone();
     let c_nom = spec.c_prior;
-    let steps_per_period = 4;
+    let steps_per_period = offline.steps_per_period();
     let mut q = 0.0f64;
     let (mut off_err, mut on_err) = (0.0, 0.0);
     let mut update_time = std::time::Duration::ZERO;
@@ -76,9 +76,6 @@ fn run_scenario(scenario: &DriftScenario, spec: &MemberSpec, learn: LearnSpec) -
         update_time += started.elapsed();
         if w > 0.0 {
             applied += 1;
-        }
-        if (k as u64 + 1).is_multiple_of(OnlineConfig::DECAY_EVERY) {
-            online.decay_confidence(OnlineConfig::DECAY_FACTOR);
         }
         q = truth.final_q;
     }
@@ -156,12 +153,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  {runner},\n  \"config\": {{\n    \"learning_rate\": {lr},\n    \"prior_weight\": {pw},\n    \"decay_factor\": {df},\n    \"decay_every\": {de},\n    \"periods\": {buckets},\n    \"period_seconds\": 120\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
+        "{{\n  {runner},\n  \"config\": {{\n    \"learning_rate\": {lr},\n    \"periods\": {buckets},\n    \"period_seconds\": 120\n  }},\n  \"results\": {{\n{body}\n  }}\n}}\n",
         runner = runner_json(threads),
         lr = OnlineConfig::LEARNING_RATE,
-        pw = OnlineConfig::PRIOR_WEIGHT,
-        df = OnlineConfig::DECAY_FACTOR,
-        de = OnlineConfig::DECAY_EVERY,
         body = lines.join(",\n"),
     );
     std::fs::write("BENCH_online.json", json).expect("cannot write BENCH_online.json");

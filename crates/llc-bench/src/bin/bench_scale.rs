@@ -96,7 +96,7 @@ const TICK_RHO: f64 = 0.3;
 const MAX_SPLIT_COST_RATIO: f64 = 1.0;
 /// An L0 decision at 1000 machines may cost at most this multiple of one
 /// at 16 — the per-machine half of "decide µs per machine does not grow
-/// with the cluster" (ROADMAP item 1(c)), both measured in this process.
+/// with the cluster" (ROADMAP item 7(d)), both measured in this process.
 /// Every machine runs the same horizon-3 search over its own queue, so
 /// what can move the ratio is memory the search touches, not its work.
 const MAX_L0_DECIDE_RATIO: f64 = 2.0;

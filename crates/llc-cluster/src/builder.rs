@@ -8,7 +8,7 @@ use crate::hierarchy::{FaultToleranceConfig, HierarchicalPolicy};
 use crate::ScenarioConfig;
 use llc_core::OnlineConfig;
 
-/// No-op until ROADMAP item 13: `benchmark/src/workloads.rs` passes it
+/// No-op until ROADMAP item 15: `benchmark/src/workloads.rs` passes it
 /// to [`PolicyBuilder::retrain`]. Drift is healed by the drift-aware L0
 /// and the online learner; nothing rebuilds maps in the background.
 #[doc(hidden)]
@@ -84,7 +84,7 @@ impl PolicyBuilder {
         self
     }
 
-    /// No-op until ROADMAP item 13: `benchmark/src/workloads.rs` calls
+    /// No-op until ROADMAP item 15: `benchmark/src/workloads.rs` calls
     /// it.
     #[doc(hidden)]
     #[must_use]

@@ -20,7 +20,7 @@ pub struct ScenarioConfig {
     pub learn: LearnSpec,
     /// Module-tree grid resolution.
     pub module_learn: ModuleLearnSpec,
-    /// No-op until ROADMAP item 10: `benchmark/src/replay.rs` reads it.
+    /// No-op until ROADMAP item 15: `benchmark/src/replay.rs` reads it.
     #[doc(hidden)]
     pub map_backend: MapBackend,
 }
@@ -45,7 +45,7 @@ impl ScenarioConfig {
         self
     }
 
-    /// No-op until ROADMAP item 10: `benchmark/src/workloads.rs` calls
+    /// No-op until ROADMAP item 15: `benchmark/src/workloads.rs` calls
     /// it. Every map grows coverage from online outcomes.
     #[doc(hidden)]
     #[must_use]

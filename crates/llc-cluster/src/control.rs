@@ -443,7 +443,7 @@ pub struct PolicyMetrics {
     /// Realized outcomes derived so far.
     pub tracking_samples: u64,
     /// Always 0: nothing rebuilds maps in the background. Kept until
-    /// ROADMAP item 13 because `benchmark/src/report.rs` reads it.
+    /// ROADMAP item 15 because `benchmark/src/report.rs` reads it.
     #[doc(hidden)]
     pub rebuilds: u64,
     /// Members declared dead so far (cumulative).

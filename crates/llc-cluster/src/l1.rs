@@ -1,8 +1,6 @@
 use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
-use llc_approx::{
-    train_dense, Blend, BlendConfig, BlendSchedule, DenseGrid, GridSampler, SimplexGrid,
-};
+use llc_approx::{train_dense, Blend, DenseGrid, GridSampler, SimplexGrid};
 use llc_core::{DriftDetector, LearnRate, OnlineConfig, UncertaintyBand};
 use llc_forecast::{Ewma, Forecaster};
 use std::collections::HashMap;
@@ -30,7 +28,7 @@ impl Blend for GEntry {
     }
 }
 
-/// No-op until ROADMAP item 10: `benchmark/src/replay.rs` passes one to
+/// No-op until ROADMAP item 15: `benchmark/src/replay.rs` passes one to
 /// [`AbstractionMap::learn_for_member`]. Every map is a [`DenseGrid`].
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +168,7 @@ impl AbstractionMap {
 
     /// [`AbstractionMap::learn`] over `spec`'s standard envelope
     /// ([`MemberSpec::learn_envelope`]). The fourth parameter is a no-op
-    /// until ROADMAP item 10: `benchmark/src/replay.rs` passes it.
+    /// until ROADMAP item 15: `benchmark/src/replay.rs` passes it.
     #[doc(hidden)]
     pub fn learn_for_member(
         l0: &L0Config,
@@ -216,11 +214,10 @@ impl AbstractionMap {
         // Two guards keep this from changing anything else: exact-cell
         // hits only (the robust probe's nearest-cell rule would let one
         // far-out cell flatten the whole overload tail between it and the
-        // trained box), and only cells that have absorbed an observation
-        // (confidence > 0) — a *trained* edge cell that happens to share a
-        // quantizer cell with a just-out-of-envelope query keeps
-        // replaying.
-        if self.table.confidence(&key) > 0.0 {
+        // trained box), and only measured cells — a *trained* edge cell
+        // never written that happens to share a quantizer cell with a
+        // just-out-of-envelope query keeps replaying.
+        if self.table.measured(&key) {
             if let Some(entry) = self.table.get_exact(&key) {
                 return *entry;
             }
@@ -253,10 +250,11 @@ impl AbstractionMap {
     /// [`AbstractionMap::query`] over the analytic replay — but only that
     /// exact cell, so one far-out observation never becomes the
     /// nearest-cell authority for the whole region between it and the
-    /// trained box. Blends at [`OnlineConfig`]'s steady rate; the field-less
-    /// config argument is kept for `benchmark/src/replay.rs` until ROADMAP
-    /// item 15. Returns the blend weight applied (0.0 = observation
-    /// dropped: the map holds its bound of grown cells).
+    /// trained box. Blends at [`OnlineConfig::LEARNING_RATE`], and the
+    /// written cell is measured from then on; the field-less config
+    /// argument is kept for `benchmark/src/replay.rs` until ROADMAP item
+    /// 15. Returns the blend weight applied (0.0 = observation dropped:
+    /// the map holds its bound of grown cells).
     pub fn update_online(
         &mut self,
         lambda: f64,
@@ -265,21 +263,22 @@ impl AbstractionMap {
         outcome: GEntry,
         _: &OnlineConfig,
     ) -> f64 {
-        let blend = BlendConfig::new(OnlineConfig::LEARNING_RATE, OnlineConfig::PRIOR_WEIGHT);
-        self.table
-            .update(&[lambda.max(0.0), c, q0.max(0.0)], &outcome, &blend)
+        self.table.update(
+            &[lambda.max(0.0), c, q0.max(0.0)],
+            &outcome,
+            OnlineConfig::LEARNING_RATE,
+        )
     }
 
-    /// Staleness sweep: shrink every cell's online confidence by
-    /// `factor`, so cells the traffic left behind re-adapt quickly when
-    /// it returns. Confidence is metadata — cell *values* are untouched.
-    pub fn decay_confidence(&mut self, factor: f64) {
-        self.table.decay_confidence(factor);
+    /// `true` if the cell containing `(λ, ĉ, q₀)` has absorbed an online
+    /// outcome.
+    pub fn measured_at(&self, lambda: f64, c: f64, q0: f64) -> bool {
+        self.table.measured(&[lambda.max(0.0), c, q0.max(0.0)])
     }
 
-    /// Online observations credited to the cell containing `(λ, ĉ, q₀)`.
-    pub fn confidence_at(&self, lambda: f64, c: f64, q0: f64) -> f64 {
-        self.table.confidence(&[lambda.max(0.0), c, q0.max(0.0)])
+    /// L0 steps the map replays per L1 period (`l = T_L1 / T_L0`).
+    pub fn steps_per_period(&self) -> usize {
+        self.steps_per_period
     }
 
     /// The exact out-of-grid answer: replay the analytic L0 model.
@@ -322,18 +321,14 @@ impl SplitChild for Arc<AbstractionMap> {
     }
 }
 
-/// The L1's online learning over its members' maps: blend schedules,
-/// one drift detector per member map and the lifetime counters.
+/// The L1's online learning over its members' maps: one drift detector
+/// per member map and the lifetime counters.
 #[derive(Debug, Clone)]
 struct Learner {
-    /// Steady-state and fast re-convergence schedules.
-    schedule: BlendSchedule,
     /// One Page–Hinkley detector per member map over its normalized
     /// residuals `(realized − predicted) / max(1, |predicted|)`, whose
     /// detections set the map's learning rate.
     detectors: Vec<DriftDetector>,
-    /// Learning passes run (the staleness sweep's cadence).
-    passes: u64,
     /// Outcomes blended in (weight > 0).
     applied: u64,
     /// Outcomes blended at the fast rate.
@@ -591,13 +586,7 @@ impl L1Controller {
     /// again restarts the learner (detectors, counters).
     pub fn enable_online(&mut self) {
         self.online = Some(Learner {
-            schedule: BlendSchedule::new(
-                OnlineConfig::LEARNING_RATE,
-                OnlineConfig::FAST_LEARNING_RATE,
-                OnlineConfig::PRIOR_WEIGHT,
-            ),
             detectors: vec![DriftDetector::new(); self.members.len()],
-            passes: 0,
             applied: 0,
             fast_applied: 0,
         });
@@ -615,11 +604,9 @@ impl L1Controller {
     /// one the decision queried. Each outcome feeds the member's drift
     /// detector its residual against the current map, then blends in at
     /// the rate the detector selects ([`LearnRate::Fast`] while a drift
-    /// fired within its hold-off window). One call is one learning pass,
-    /// followed by the staleness sweep on its cadence. A map still shared
-    /// with another member is copied on its first update; members that
-    /// never learn keep sharing. Returns the number of outcomes blended
-    /// in.
+    /// fired within its hold-off window). A map still shared with another
+    /// member is copied on its first update; members that never learn
+    /// keep sharing. Returns the number of outcomes blended in.
     ///
     /// # Panics
     ///
@@ -643,23 +630,21 @@ impl L1Controller {
             let detector = &mut online.detectors[member];
             detector.observe((realized.cost - predicted) / predicted.abs().max(1.0));
             let fast = detector.rate() == LearnRate::Fast;
-            let blend = online.schedule.select(fast);
+            let rate = if fast {
+                OnlineConfig::FAST_LEARNING_RATE
+            } else {
+                OnlineConfig::LEARNING_RATE
+            };
             // A map still shared with another owner is copied once, on
             // its first write.
             if Arc::make_mut(&mut maps[member])
                 .table
-                .update(&[lambda, c, q0], &realized, blend)
+                .update(&[lambda, c, q0], &realized, rate)
                 > 0.0
             {
                 applied += 1;
                 online.applied += 1;
                 online.fast_applied += u64::from(fast);
-            }
-        }
-        online.passes += 1;
-        if online.passes.is_multiple_of(OnlineConfig::DECAY_EVERY) {
-            for map in maps.iter_mut() {
-                Arc::make_mut(map).decay_confidence(OnlineConfig::DECAY_FACTOR);
             }
         }
         applied
@@ -1364,9 +1349,8 @@ mod tests {
             adapted.cost,
             drifted.cost
         );
-        assert!(map.confidence_at(40.0, 0.0175, 10.0) > 0.0);
-        map.decay_confidence(0.0);
-        assert_eq!(map.confidence_at(40.0, 0.0175, 10.0), 0.0);
+        assert!(map.measured_at(40.0, 0.0175, 10.0));
+        assert!(!map.measured_at(10.0, 0.0175, 10.0), "an untouched cell");
     }
 
     #[test]

@@ -14,9 +14,6 @@ use llc_workload::{
     wc98_like_fig6, Trace, VirtualStore, DRIFT_SCENARIO_NAMES, FAULT_SCENARIO_NAMES,
 };
 
-/// Seconds per trace bucket (`T_L1`) in every family.
-const BUCKET_S: f64 = 120.0;
-
 /// Which run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
@@ -152,6 +149,11 @@ impl RunSpec {
         sc
     }
 
+    /// Seconds per trace bucket: the scenario's `T_L1`.
+    fn bucket_s(&self) -> f64 {
+        self.scenario_config().l1.period
+    }
+
     fn capacity(&self) -> f64 {
         self.scenario_config().member_specs()[0]
             .iter()
@@ -181,11 +183,11 @@ impl RunSpec {
             }
             Family::Cluster => (exp, wc98_like_fig6(self.seed).slice(0, self.buckets)),
             Family::ClosedLoop(i) => {
-                let capacity = self.capacity();
+                let (capacity, bucket_s) = (self.capacity(), self.bucket_s());
                 let drift = if i == 3 {
-                    deep_degradation_scenario(0xC105ED, self.buckets, BUCKET_S, capacity)
+                    deep_degradation_scenario(0xC105ED, self.buckets, bucket_s, capacity)
                 } else {
-                    drift_scenarios(0xC105ED, self.buckets, BUCKET_S, 0.55 * capacity)
+                    drift_scenarios(0xC105ED, self.buckets, bucket_s, 0.55 * capacity)
                         .swap_remove(i)
                 };
                 let exp = Experiment {
@@ -198,7 +200,7 @@ impl RunSpec {
                 let fs = fault_scenarios(
                     0xFA11,
                     self.buckets,
-                    BUCKET_S,
+                    self.bucket_s(),
                     self.capacity(),
                     self.members,
                 )
@@ -295,18 +297,18 @@ mod tests {
     fn every_name_is_its_generators() {
         for i in 0..4 {
             let spec = RunSpec::defaults(Family::ClosedLoop(i));
+            let (bucket_s, capacity) = (spec.bucket_s(), spec.capacity());
             let drift = if i == 3 {
-                deep_degradation_scenario(0xC105ED, spec.buckets, BUCKET_S, spec.capacity())
+                deep_degradation_scenario(0xC105ED, spec.buckets, bucket_s, capacity)
             } else {
-                drift_scenarios(0xC105ED, spec.buckets, BUCKET_S, 0.55 * spec.capacity())
-                    .swap_remove(i)
+                drift_scenarios(0xC105ED, spec.buckets, bucket_s, 0.55 * capacity).swap_remove(i)
             };
             assert_eq!(spec.name(), drift.name, "drift {i}");
             let spec = RunSpec::defaults(Family::Faults(i));
             let faults = fault_scenarios(
                 0xFA11,
                 spec.buckets,
-                BUCKET_S,
+                spec.bucket_s(),
                 spec.capacity(),
                 spec.members,
             );
@@ -319,8 +321,9 @@ mod tests {
     #[test]
     fn the_diurnal_dip_is_stretched_to_ticks() {
         let spec = RunSpec::defaults(Family::ClosedLoop(1));
-        let drift = drift_scenarios(0xC105ED, spec.buckets, BUCKET_S, 0.55 * spec.capacity())
-            .swap_remove(1);
+        let (bucket_s, capacity) = (spec.bucket_s(), spec.capacity());
+        let drift =
+            drift_scenarios(0xC105ED, spec.buckets, bucket_s, 0.55 * capacity).swap_remove(1);
         let exp = spec.experiment_and_trace().0;
         let plant = exp.drift.expect("a drift run drifts");
         for k in 0..spec.buckets {

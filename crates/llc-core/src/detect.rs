@@ -38,8 +38,9 @@ const FAST_HOLD: u64 = 24;
 
 const _: () = assert!(DELTA >= 0.0 && THRESHOLD > 0.0 && MIN_SAMPLES >= 1);
 
-/// Which blend schedule the learner should run at (see
-/// `llc_approx::BlendSchedule`).
+/// Which blend rate the learner should run at:
+/// [`OnlineConfig::LEARNING_RATE`](crate::OnlineConfig::LEARNING_RATE) or
+/// [`OnlineConfig::FAST_LEARNING_RATE`](crate::OnlineConfig::FAST_LEARNING_RATE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LearnRate {
     /// Steady state: slow exponential forgetting, robust to noise.
@@ -51,7 +52,7 @@ pub enum LearnRate {
 /// Two-sided Page–Hinkley drift detector over a residual stream.
 ///
 /// Feed one residual per learning update via [`DriftDetector::observe`];
-/// consult [`DriftDetector::rate`] for the blend schedule to use.
+/// consult [`DriftDetector::rate`] for the blend rate to use.
 #[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
     /// Samples absorbed since the last reset.
@@ -106,7 +107,7 @@ impl DriftDetector {
         fired
     }
 
-    /// The blend schedule the learner should currently run at.
+    /// The blend rate the learner should currently run at.
     pub fn rate(&self) -> LearnRate {
         if self.fast_left > 0 {
             LearnRate::Fast

@@ -15,9 +15,6 @@ use llc_workload::{MIN_FAULT_MACHINES, MIN_FAULT_TICKS};
 use std::str::FromStr;
 use std::time::Duration;
 
-/// Base ticks (`T_L0 = 30 s`) per trace bucket (`T_L1 = 120 s`).
-const TICKS_PER_BUCKET: u64 = 4;
-
 /// The family a `--scenario` value names.
 fn family(name: &str) -> Result<Family, String> {
     match name {
@@ -50,13 +47,17 @@ pub fn from_args(args: &[String]) -> Result<(RunSpec, Option<Duration>), String>
     };
     let seed = parsed(args, "--seed")?.unwrap_or(RunSpec::defaults(family).seed);
     let mut spec = RunSpec::new(family, seed);
+    // Base ticks (`T_L0`) per trace bucket (`T_L1`), read off the
+    // scenario before `--members` can make it unbuildable.
+    let sc = spec.scenario_config();
+    let ticks_per_bucket = sc.l0.ticks_per(sc.l1.period);
     spec.members = parsed(args, "--members")?.unwrap_or(spec.members);
     spec.buckets = parsed(args, "--buckets")?.unwrap_or(spec.buckets);
     let (min_members, min_ticks) = match family {
         Family::Faults(_) => (MIN_FAULT_MACHINES, MIN_FAULT_TICKS),
         _ => (1, 1),
     };
-    let min_buckets = min_ticks.div_ceil(TICKS_PER_BUCKET) as usize;
+    let min_buckets = min_ticks.div_ceil(ticks_per_bucket) as usize;
     let members_fit = (min_members..=MAX_SINGLE_MODULE).contains(&spec.members);
     if !members_fit || spec.buckets < min_buckets {
         return Err(format!(

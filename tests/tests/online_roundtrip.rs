@@ -1,8 +1,8 @@
 //! Property tests for the online update path: `update` then `probe`
-//! round-trips within the blend tolerance, and repeated updates converge
-//! geometrically onto the observed target.
+//! round-trips within the blend tolerance and measures the cell, and
+//! repeated updates converge geometrically onto the observed target.
 
-use llc_approx::{train_dense, BlendConfig, DenseGrid, GridSampler};
+use llc_approx::{train_dense, DenseGrid, GridSampler};
 use proptest::prelude::*;
 
 /// A 2D grid trained from a fixed seed function.
@@ -17,7 +17,8 @@ proptest! {
 
     /// One update moves the probed value to exactly
     /// `old + w · (target − old)`, where `w` is the weight the update
-    /// reports, for any in-grid point.
+    /// reports — the rate it was given — for any in-grid point, and
+    /// marks the cell measured.
     #[test]
     fn update_then_probe_roundtrips_within_blend_tolerance(
         lo in -50.0..50.0f64,
@@ -27,7 +28,6 @@ proptest! {
         fy in 0.0..1.0f64,
         target in -1000.0..1000.0f64,
         rate in 0.05..1.0f64,
-        prior in 0.0..8.0f64,
     ) {
         let (sampler, mut map) = trained(lo, width, steps);
         // An exact grid point: a trained cell.
@@ -36,19 +36,18 @@ proptest! {
         let x = d0_lo + (d0_hi - d0_lo) * i / (d0_steps - 1) as f64;
         let y = (fy * 2.0).round() * 2.0;
         let point = [x, y];
-        let cfg = BlendConfig::new(rate, prior);
 
         let before = *map.probe(&point);
-        let w = map.update(&point, &target, &cfg);
-        prop_assert!(w > 0.0, "in-grid update must apply");
-        prop_assert!((w - cfg.weight(0.0)).abs() < 1e-12, "fresh-cell weight");
+        prop_assert!(!map.measured(&point), "a trained cell starts unmeasured");
+        let w = map.update(&point, &target, rate);
+        prop_assert_eq!(w, rate, "a trained cell blends at the rate given");
         let after = *map.probe(&point);
         let expect = before + w * (target - before);
         prop_assert!(
             (after - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
             "blend tolerance: after {after}, expect {expect} (w {w})"
         );
-        prop_assert!((map.confidence(&point) - 1.0).abs() < 1e-12);
+        prop_assert!(map.measured(&point));
     }
 
     /// `k` repeated updates with a constant target shrink the gap by at
@@ -63,14 +62,13 @@ proptest! {
     ) {
         let (_, mut map) = trained(lo, 8.0, 5);
         let point = [lo + 4.0, 2.0];
-        let cfg = BlendConfig::new(rate, 2.0);
         let before = *map.probe(&point);
         for _ in 0..reps {
-            map.update(&point, &target, &cfg);
+            map.update(&point, &target, rate);
         }
         let after = *map.probe(&point);
-        // Every step blends at least `rate`, so the remaining gap is at
-        // most (1 − rate)^reps of the original (plus float slack).
+        // Every step blends at `rate`, so the remaining gap is at most
+        // (1 − rate)^reps of the original (plus float slack).
         let bound = (1.0 - rate).powi(reps as i32) * (before - target).abs() + 1e-9;
         prop_assert!(
             (after - target).abs() <= bound * (1.0 + 1e-9),
@@ -90,10 +88,10 @@ proptest! {
         let (sampler, mut map) = trained(lo, 4.0, 4);
         let (_, d0_hi, _) = sampler.dim(0);
         let outside = [d0_hi + offset, 2.0];
-        let cfg = BlendConfig::default();
 
-        prop_assert_eq!(map.update(&outside, &target, &cfg), 1.0);
+        prop_assert_eq!(map.update(&outside, &target, 0.25), 1.0);
         prop_assert_eq!(*map.probe(&outside), target);
         prop_assert_eq!(map.get_exact(&outside), Some(&target));
+        prop_assert!(map.measured(&outside), "a grown cell is measured");
     }
 }

@@ -3,7 +3,8 @@
 //! directive: the shared map is bit-for-bit the map a member would have
 //! learned alone, shared with exactly the members of its kind; and a
 //! member that learns online writes to its own copy, leaving the members
-//! it shared with where they were.
+//! it shared with where they were — and members that never write still
+//! share.
 
 use llc_approx::GridSampler;
 use llc_cluster::{
@@ -189,9 +190,8 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
     let demands: Vec<Option<f64>> = specs.iter().map(|s| Some(s.c_prior)).collect();
     let active = [true; 6];
     let mut queues = [0usize; 6];
-    // 20 periods cross the learner's 16-pass staleness sweep, which
-    // touches every map. Member 3 runs at 60 % capacity throughout;
-    // from period 4 on its kin and the WideEight pair report too.
+    // Member 3 runs at 60 % capacity throughout; from period 4 on its
+    // kin and the WideEight pair report too.
     for period in 0..20 {
         let arrivals = 120 * (40 + 5 * (period % 4) as u64);
         let lambda_3 = 0.55 / specs[3].c_prior;
@@ -245,8 +245,8 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
             assert!(!std::ptr::eq(shared.map(3), shared.map(4)));
             let q0 = queues[3] as f64;
             let c = specs[3].c_prior;
-            assert!(shared.map(3).confidence_at(lambda_3, c, q0) > 0.0);
-            assert_eq!(shared.map(4).confidence_at(lambda_3, c, q0), 0.0);
+            assert!(shared.map(3).measured_at(lambda_3, c, q0));
+            assert!(!shared.map(4).measured_at(lambda_3, c, q0));
             assert_ne!(
                 bits(shared.map(3).query(lambda_3, c, q0)),
                 bits(shared.map(4).query(lambda_3, c, q0)),
@@ -272,4 +272,43 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
     assert!(shared.online_updates() > 20);
     assert_eq!(shared.online_updates(), separate.online_updates());
     assert!(!std::ptr::eq(shared.map(1), shared.map(5)));
+}
+
+#[test]
+fn kin_that_never_write_keep_sharing_while_another_member_learns() {
+    // Members 1 and 5 are both WideEight and never report; member 3
+    // reports every period, so every pass writes.
+    let scenario = single_module(6).with_coarse_learning();
+    let specs = scenario.member_specs().remove(0);
+    assert_eq!(spec_bits(&specs[1]), spec_bits(&specs[5]));
+    let kinds: Vec<_> = (0..4)
+        .map(|j| Arc::new(learn_solo(&scenario.l0, &specs[j], scenario.learn)))
+        .collect();
+    let maps = [0, 1, 2, 3, 3, 1]
+        .iter()
+        .map(|&k| Arc::clone(&kinds[k]))
+        .collect();
+    drop(kinds);
+    let mut l1 = L1Controller::new_shared(scenario.l1, specs.clone(), maps);
+    l1.enable_online();
+    let lambda = 0.55 / specs[3].c_prior;
+    // A pass must touch no map but the ones it writes, however many
+    // passes run.
+    for period in 0..40 {
+        let q0 = (period % 5) as f64;
+        let outcome = degraded_outcome(&scenario, &specs[3], lambda, q0, 0.6);
+        assert_eq!(
+            l1.absorb_outcomes(&[(3, lambda, q0, outcome)]),
+            1,
+            "period {period}: member 3's outcome blended"
+        );
+        assert!(
+            std::ptr::eq(l1.map(1), l1.map(5)),
+            "period {period}: the silent WideEight pair still shares"
+        );
+    }
+    assert!(
+        !std::ptr::eq(l1.map(3), l1.map(4)),
+        "the writer owns its copy"
+    );
 }
