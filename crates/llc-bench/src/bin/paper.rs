@@ -1,0 +1,781 @@
+//! The paper's evaluation as one table of rows, run in the order of
+//! [`ROWS`] (the crate docs say which artifact each reproduces). Every
+//! row prints its rendering and notes and writes its CSVs under
+//! `results/`; the last four also judge a claim ([`llc_bench::claims`]).
+//! The bin prints each verdict, runs every row, and exits 1 after the
+//! last one if any claim failed. Positional arguments name the rows to
+//! run (all by default); `--quick` shortens the runs (coarse learning
+//! grids, truncated traces).
+//!
+//! A hierarchy run executes once per spec and scenario, and every row
+//! that asks for it reads the same policy and log: at default scale one
+//! module run serves `fig4`, `fig5`, `ablation_horizon`'s N = 3 arm and
+//! `baseline_table`'s LLC arm, and one cluster run serves `fig6` and
+//! `fig7`.
+
+use llc_bench::centralized::{joint_candidate_count, CentralizedPolicy};
+use llc_bench::claims::{self, BaselineRow, ComplexityRow};
+use llc_bench::report::{ascii_plot, ascii_plot_multi, ms, quick_mode, write_csv};
+use llc_cluster::{
+    AlwaysMaxPolicy, ClusterPolicy, ComputerProfile, ExperimentLog, ExperimentSummary, Family,
+    FrequencyProfile, HierarchicalPolicy, RunSpec, ScenarioConfig, ThresholdPolicy,
+};
+use llc_workload::wc98_like_day;
+use std::time::Duration;
+
+/// Master seed of every row's workload and experiment.
+const FIGURE_SEED: u64 = 2006;
+
+/// `family` (the §4.3 module run behind Figs. 4 and 5, or the §5.2
+/// cluster run behind Figs. 6 and 7) at [`FIGURE_SEED`]; in `--quick`
+/// mode on the coarse learning grids and cut to `quick_buckets`.
+fn figure_spec(family: Family, quick_buckets: usize) -> RunSpec {
+    let spec = RunSpec::new(family, FIGURE_SEED);
+    if !quick_mode() {
+        return spec;
+    }
+    RunSpec {
+        buckets: quick_buckets,
+        coarse_learning: true,
+        ..spec
+    }
+}
+
+/// A finished hierarchy run: the policy (its statistics) and the log.
+struct Run {
+    policy: HierarchicalPolicy,
+    log: ExperimentLog,
+}
+
+/// The hierarchy runs the rows asked for, each executed once.
+#[derive(Default)]
+struct Runs(Vec<(RunSpec, ScenarioConfig, Run)>);
+
+impl Runs {
+    /// The hierarchy built for `scenario`, run over `spec`'s plant.
+    fn hierarchy(&mut self, spec: RunSpec, scenario: ScenarioConfig) -> &Run {
+        let seen = self
+            .0
+            .iter()
+            .position(|(s, sc, _)| (s, sc) == (&spec, &scenario));
+        let i = seen.unwrap_or_else(|| {
+            let mut policy = HierarchicalPolicy::build(&scenario);
+            let log = spec.run(&mut policy);
+            self.0.push((spec, scenario, Run { policy, log }));
+            self.0.len() - 1
+        });
+        &self.0[i].2
+    }
+
+    /// The paper's stack (`Preset::Paper`) over `spec`.
+    fn paper(&mut self, spec: RunSpec) -> &Run {
+        self.hierarchy(spec, spec.scenario_config())
+    }
+}
+
+/// A claim row's claim and its verdict; `None` from a figure row.
+type Verdict = Option<(&'static str, Result<(), String>)>;
+
+/// A row: renders its artifact, reading the runs it needs.
+type Row = fn(&mut Runs) -> Verdict;
+
+/// The rows, in the order they run.
+const ROWS: [(&str, Row); 10] = [
+    ("fig1b", fig1b),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("ablation_horizon", ablation_horizon),
+    ("ablation_chatter", ablation_chatter),
+    ("baseline_table", baseline_table),
+    ("overhead_centralized", overhead_centralized),
+];
+
+fn main() {
+    let wanted: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    if let Some(unknown) = wanted.iter().find(|w| ROWS.iter().all(|(n, _)| n != w)) {
+        let names = ROWS.map(|(n, _)| n).join(" ");
+        eprintln!("unknown row `{unknown}`; rows: {names} [--quick]");
+        std::process::exit(2);
+    }
+    let mut runs = Runs::default();
+    let mut violated = false;
+    for (_, row) in ROWS
+        .iter()
+        .filter(|(n, _)| wanted.is_empty() || wanted.contains(&n.to_string()))
+    {
+        match row(&mut runs) {
+            Some((claim, Ok(()))) => println!("claim holds: {claim}"),
+            Some((claim, Err(why))) => {
+                eprintln!("CLAIM VIOLATED: {claim} — {why}");
+                violated = true;
+            }
+            None => {}
+        }
+    }
+    if violated {
+        std::process::exit(1);
+    }
+}
+
+/// Fig. 1(b): a sample WC'98 day — HTTP requests at 2-minute buckets.
+fn fig1b(_: &mut Runs) -> Verdict {
+    let trace = wc98_like_day(FIGURE_SEED);
+    let series: Vec<(f64, f64)> = trace.iter().map(|(t, c)| (t / 3600.0, c)).collect();
+
+    plot(
+        "Fig. 1(b) — WC'98-like day (requests per 2-minute bucket vs hour of day)",
+        &series,
+        20,
+    );
+    println!("buckets:         {}", trace.len());
+    println!("bucket width:    {} s", trace.interval());
+    println!("total requests:  {:.0}", trace.total());
+    println!("peak bucket:     {:.0} requests", trace.peak());
+    println!("mean bucket:     {:.0} requests", trace.mean());
+    println!(
+        "peak / trough:   {:.1}x",
+        trace.peak()
+            / trace
+                .counts()
+                .iter()
+                .fold(f64::INFINITY, |a, &c| a.min(c))
+                .max(1.0)
+    );
+    println!("\npaper: strong time-of-day variation, 2-minute granularity, one day.");
+
+    let rows: Vec<String> = trace.iter().map(|(t, c)| format!("{t},{c:.0}")).collect();
+    let path = write_csv("fig1b_wc98_day.csv", "time_secs,requests", &rows);
+    println!("wrote {}", path.display());
+    None
+}
+
+/// Fig. 3: the discrete operating frequencies of each computer in the
+/// four-computer module.
+fn fig3(_: &mut Runs) -> Verdict {
+    println!("Fig. 3 — operating frequencies available within each computer\n");
+    println!("(the printed table in the paper is an image; we model the cited");
+    println!(" parts — AMD K6-2+: 8 settings, Pentium M: 6-10 settings — with");
+    println!(" heterogeneous round-valued sets; C4 reaches 2.0 GHz as Fig. 5 shows)\n");
+
+    let mut rows = Vec::new();
+    for (i, profile) in FrequencyProfile::module_set().into_iter().enumerate() {
+        let cp = ComputerProfile::paper_default(profile);
+        let mhz: Vec<String> = profile
+            .frequencies()
+            .iter()
+            .map(|f| format!("{:.0}", f / 1e6))
+            .collect();
+        println!(
+            "C{} ({:?}, speed {:.2}): {} MHz",
+            i + 1,
+            profile,
+            cp.speed,
+            mhz.join(", ")
+        );
+        for f in profile.frequencies() {
+            rows.push(format!("C{},{}", i + 1, f));
+        }
+    }
+    let path = write_csv("fig3_frequencies.csv", "computer,frequency_hz", &rows);
+    println!("\nwrote {}", path.display());
+    None
+}
+
+/// Plot points `(x, y)`.
+type Points = Vec<(f64, f64)>;
+
+/// Print `series` as a 100-column ASCII plot `height` rows tall.
+fn plot(title: &str, series: &[(f64, f64)], height: usize) {
+    println!("{}", ascii_plot(title, series, 100, height));
+}
+
+/// Machines on at each L1 tick of `run`: with the tick, and as plot
+/// points against the L1 tick count.
+fn machines_on(run: &Run, sc: &ScenarioConfig) -> (Vec<(u64, usize)>, Points) {
+    let per_l1 = sc.l0.ticks_per(sc.l1.period);
+    let on = run.log.machines_on(per_l1);
+    let points = on
+        .iter()
+        .map(|&(tick, a)| (tick as f64 / per_l1 as f64, a as f64))
+        .collect();
+    (on, points)
+}
+
+/// Fig. 4: the synthetic workload with its Kalman predictions (top) and
+/// the number of computers operated by the L1 controller (bottom).
+fn fig4(runs: &mut Runs) -> Verdict {
+    let spec = figure_spec(Family::Module, 200);
+    let sc = spec.scenario_config();
+    let run = runs.paper(spec);
+    let t_l1 = sc.l1.period;
+
+    // Top panel: actual vs predicted arrivals per L1 period.
+    let history = run.policy.l1(0).forecast_history();
+    let (actual, predicted): (Vec<_>, Vec<_>) = history
+        .iter()
+        .enumerate()
+        .map(|(k, (a, p))| ((k as f64, a * t_l1), (k as f64, p * t_l1)))
+        .unzip();
+    println!(
+        "{}",
+        ascii_plot_multi(
+            "Fig. 4 (top) — synthetic workload: actual (a) vs Kalman-predicted (p) \
+             requests per 2-minute period",
+            &[("a", &actual), ("p", &predicted)],
+            100,
+            18,
+        )
+    );
+
+    // Forecast accuracy summary.
+    let mut stats = llc_forecast::AccuracyStats::new();
+    for &(a, p) in history {
+        stats.record(a, p);
+    }
+    println!(
+        "forecast: n={} MAE={:.1} req/s RMSE={:.1} req/s MAPE={:.1}%\n",
+        stats.count(),
+        stats.mae(),
+        stats.rmse(),
+        stats.mape() * 100.0
+    );
+
+    // Bottom panel: computers operated per L1 tick.
+    let (on, active) = machines_on(run, &sc);
+    plot(
+        "Fig. 4 (bottom) — computers operated by the L1 controller (per 2-minute tick)",
+        &active,
+        8,
+    );
+
+    let s = run.log.summary();
+    println!("run summary: {s:?}\n");
+    println!("paper: the L1 controller sets α in anticipation of workload fluctuations;");
+    println!(
+        "measured: active count spans {}..{} computers over the day",
+        active.iter().map(|(_, a)| *a as usize).min().unwrap_or(0),
+        active.iter().map(|(_, a)| *a as usize).max().unwrap_or(0)
+    );
+
+    let rows: Vec<String> = history
+        .iter()
+        .enumerate()
+        .map(|(k, (a, p))| format!("{k},{:.1},{:.1}", a * t_l1, p * t_l1))
+        .collect();
+    let p1 = write_csv(
+        "fig4_workload_forecast.csv",
+        "l1_tick,actual,predicted",
+        &rows,
+    );
+    let rows: Vec<String> = on.iter().map(|(tick, a)| format!("{tick},{a}")).collect();
+    let p2 = write_csv("fig4_computers_operated.csv", "l0_tick,active", &rows);
+    println!("wrote {} and {}", p1.display(), p2.display());
+    None
+}
+
+/// Fig. 5: the operating frequencies selected by the L0 controller for
+/// computer C4 (top) and the achieved response times (bottom).
+fn fig5(runs: &mut Runs) -> Verdict {
+    let spec = figure_spec(Family::Module, 200);
+    let sc = spec.scenario_config();
+    let Run { policy, log } = runs.paper(spec);
+    let t_l0 = sc.l0.period;
+    let c4 = 3; // TallEight — the 2 GHz machine, as in the paper's Fig. 5
+    let table = FrequencyProfile::TallEight.frequencies();
+
+    let freq_hz: Vec<(f64, f64)> = log
+        .frequency_series(c4)
+        .into_iter()
+        .map(|(t, idx)| (t / t_l0, table[idx]))
+        .collect();
+    plot(
+        "Fig. 5 (top) — C4 operating frequency (Hz) per 30-second tick",
+        &freq_hz,
+        14,
+    );
+
+    let responses: Vec<(f64, f64)> = log
+        .response_series(c4)
+        .into_iter()
+        .filter_map(|(t, r)| r.map(|r| (t / t_l0, r)))
+        .collect();
+    plot(
+        "Fig. 5 (bottom) — C4 achieved response time (s) per 30-second tick",
+        &responses,
+        14,
+    );
+
+    let target = log.response_target;
+    let within = responses.iter().filter(|(_, r)| *r <= target).count();
+    println!(
+        "response windows within r* = {target} s: {}/{} ({:.1}%)",
+        within,
+        responses.len(),
+        100.0 * within as f64 / responses.len().max(1) as f64
+    );
+    println!(
+        "frequency range exercised: {:.2e}..{:.2e} Hz (table spans {:.2e}..{:.2e})",
+        freq_hz.iter().fold(f64::INFINITY, |lo, &(_, f)| lo.min(f)),
+        freq_hz.iter().fold(0.0_f64, |hi, &(_, f)| hi.max(f)),
+        table[0],
+        table[table.len() - 1],
+    );
+    println!(
+        "L0 lookahead: mean {:.0} states explored per decision (horizon {}, {} settings)",
+        policy.l0(c4).mean_states_explored(),
+        sc.l0.horizon,
+        table.len(),
+    );
+
+    let rows: Vec<String> = log
+        .frequency_series(c4)
+        .iter()
+        .zip(log.response_series(c4))
+        .map(|((t, idx), (_, r))| {
+            format!(
+                "{t},{},{}",
+                table[*idx],
+                r.map(|r| format!("{r:.4}")).unwrap_or_default()
+            )
+        })
+        .collect();
+    let path = write_csv(
+        "fig5_c4_frequency_response.csv",
+        "time_secs,frequency_hz,response_s",
+        &rows,
+    );
+    println!("wrote {}", path.display());
+    None
+}
+
+/// Fig. 6: the WC'98 workload trace and the number of computers operated
+/// by the control hierarchy (16 computers in 4 modules).
+fn fig6(runs: &mut Runs) -> Verdict {
+    let spec = figure_spec(Family::Cluster, 120);
+    let sc = spec.scenario_config();
+    let run = runs.paper(spec);
+
+    let (_, trace) = spec.experiment_and_trace();
+    let workload: Vec<(f64, f64)> = trace.iter().map(|(t, c)| (t / sc.l1.period, c)).collect();
+    plot(
+        "Fig. 6 (top) — WC'98-like request arrivals per 2-minute bucket",
+        &workload,
+        16,
+    );
+
+    let (on, active) = machines_on(run, &sc);
+    plot(
+        "Fig. 6 (bottom) — computers operated (of 16) per 2-minute tick",
+        &active,
+        10,
+    );
+
+    let log = &run.log;
+    let s = log.summary();
+    let min_on = active.iter().map(|(_, a)| *a as usize).min().unwrap_or(0);
+    let max_on = active.iter().map(|(_, a)| *a as usize).max().unwrap_or(0);
+    println!("run summary: {s:?}");
+    println!(
+        "active range {min_on}..{max_on} of 16; mean response {:.2} s vs r* = {} s; \
+         violation fraction {:.1}%",
+        s.mean_response,
+        log.response_target,
+        s.violation_fraction * 100.0
+    );
+    println!(
+        "paper: 'the desired response time r* = 4 was achieved throughout' with the \
+         machine count tracking the workload."
+    );
+
+    let rows: Vec<String> = on.iter().map(|(tick, a)| format!("{tick},{a}")).collect();
+    let p1 = write_csv("fig6_computers_operated.csv", "l0_tick,active", &rows);
+    let rows: Vec<String> = trace.iter().map(|(t, c)| format!("{t},{c:.0}")).collect();
+    let p2 = write_csv("fig6_workload.csv", "time_secs,requests", &rows);
+    println!("wrote {} and {}", p1.display(), p2.display());
+    None
+}
+
+/// Fig. 7: the load distribution factor γ_i decided by the L2 controller
+/// for each of the four modules.
+fn fig7(runs: &mut Runs) -> Verdict {
+    let spec = figure_spec(Family::Cluster, 120);
+    let sc = spec.scenario_config();
+    let run = runs.paper(spec);
+    let history = run.log.module_splits();
+    assert!(!history.is_empty(), "L2 must have decided at least once");
+    let p = history[0].1.len();
+    let per_l1 = sc.l0.ticks_per(sc.l1.period) as f64;
+
+    for module in 0..p {
+        let series: Vec<(f64, f64)> = history
+            .iter()
+            .map(|(tick, gamma)| (*tick as f64 / per_l1, gamma[module]))
+            .collect();
+        plot(
+            &format!(
+                "Fig. 7 — module {} load fraction γ (per 2-minute L2 tick)",
+                module + 1
+            ),
+            &series,
+            8,
+        );
+        let mean: f64 = series.iter().map(|(_, g)| g).sum::<f64>() / series.len() as f64;
+        let lo = series.iter().fold(f64::INFINITY, |lo, &(_, g)| lo.min(g));
+        let hi = series.iter().fold(0.0_f64, |hi, &(_, g)| hi.max(g));
+        println!(
+            "  γ_{}: mean {mean:.2}, range {lo:.1}..{hi:.1}\n",
+            module + 1
+        );
+    }
+
+    // Sanity: every decided split sums to 1.
+    for (tick, gamma) in &history {
+        let total: f64 = gamma.iter().sum();
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "tick {tick}: split sums to {total}"
+        );
+    }
+    if let Some(l2) = run.policy.l2() {
+        println!(
+            "L2 evaluated {:.0} candidate splits per decision ({} quantum over {p} modules)",
+            l2.mean_states_evaluated(),
+            sc.l2.gamma_quantum
+        );
+    }
+    println!("paper: fractions quantized at 0.1, adapting with module states while Σγ_i = 1.");
+
+    let rows: Vec<String> = history
+        .iter()
+        .map(|(tick, gamma)| {
+            let cells: Vec<String> = gamma.iter().map(|g| format!("{g:.2}")).collect();
+            format!("{tick},{}", cells.join(","))
+        })
+        .collect();
+    let cols: Vec<String> = (1..=p).map(|i| format!("gamma_{i}")).collect();
+    let header = format!("l0_tick,{}", cols.join(","));
+    let path = write_csv("fig7_module_gammas.csv", &header, &rows);
+    println!("wrote {}", path.display());
+    None
+}
+
+/// Ablation of the L0 prediction horizon: sweep `N_L0 ∈ {1, 2, 3, 4}`
+/// (the paper uses 3) on the single-module experiment and report QoS,
+/// energy and search cost. The expected trade-off: longer horizons
+/// explore exponentially more states for marginal QoS gains.
+/// Claim: the L0 states explored per decision grow at least 1.5× with
+/// each step of `N` (7 / 15 / 26 / 55 at default scale).
+fn ablation_horizon(runs: &mut Runs) -> Verdict {
+    println!("Ablation — L0 prediction horizon sweep (paper: N_L0 = 3)\n");
+    println!(
+        "{:>3} | {:>14} | {:>12} | {:>12} | {:>14}",
+        "N", "mean resp (s)", "violations", "energy", "L0 states/dec"
+    );
+    println!("{}", "-".repeat(70));
+
+    let mut rows = Vec::new();
+    let mut search_cost = Vec::new();
+    for horizon in [1usize, 2, 3, 4] {
+        let spec = figure_spec(Family::Module, 250);
+        let mut scenario = spec.scenario_config();
+        scenario.l0.horizon = horizon;
+        let run = runs.hierarchy(spec, scenario);
+        let s = run.log.summary();
+        // Mean over the members' lookahead stats.
+        let states: f64 = (0..spec.members)
+            .map(|i| run.policy.l0(i).mean_states_explored())
+            .sum::<f64>()
+            / spec.members as f64;
+        println!(
+            "{horizon:>3} | {:>14.2} | {:>11.1}% | {:>12.0} | {states:>14.0}",
+            s.mean_response,
+            s.violation_fraction * 100.0,
+            s.total_energy,
+        );
+        rows.push(format!(
+            "{horizon},{:.3},{:.4},{:.0},{states:.0}",
+            s.mean_response, s.violation_fraction, s.total_energy
+        ));
+        search_cost.push((horizon, states));
+    }
+
+    println!("\nexpected shape: states/decision grows ~|U|^N; QoS plateaus by N = 3.");
+    let path = write_csv(
+        "ablation_horizon.csv",
+        "horizon,mean_response_s,violation_fraction,energy,l0_states_per_decision",
+        &rows,
+    );
+    println!("wrote {}", path.display());
+    Some((
+        "L0 states per decision grow at least 1.5× with each step of the horizon",
+        claims::lookahead_cost_grows_with_horizon(&search_cost),
+    ))
+}
+
+/// One noisy module run with the uncertainty band on or off: its
+/// switch-ons and summary.
+fn run_with_band(band: bool) -> (u64, ExperimentSummary) {
+    let spec = figure_spec(Family::Module, 250);
+    let mut scenario = spec.scenario_config();
+    scenario.l1.use_uncertainty_band = band;
+    let (experiment, mut trace) = spec.experiment_and_trace();
+    // Extra noise stresses the forecaster — chattering shows under noise.
+    trace.add_gaussian_noise(0, trace.len(), 1200.0, FIGURE_SEED ^ 0xC4A7);
+    let mut policy = HierarchicalPolicy::build(&scenario);
+    let log = experiment
+        .run(scenario.to_sim_config(), &mut policy, &trace, &spec.store())
+        .expect("well-formed scenario");
+    (log.total_switch_ons(), log.summary())
+}
+
+/// Ablation of the §4.2 chattering mitigation: run the module experiment
+/// with the `{λ̂−δ, λ̂, λ̂+δ}` uncertainty band enabled vs disabled and
+/// compare switching activity.
+///
+/// "Such estimation errors may cause the L1 controller to chatter, i.e.,
+/// switch computers on and off excessively within short time spans …
+/// Clearly, excessive switching is undesirable since it reduces the
+/// reliability of a computer."
+///
+/// Claim: the banded controller switches machines on at most as often as
+/// the ablated one. That holds at default scale (82 vs 97 switch-ons);
+/// the `--quick` truncation to 250 buckets on coarse grids does not
+/// reproduce it (15 vs 14) and fails.
+fn ablation_chatter(_: &mut Runs) -> Verdict {
+    println!("Ablation — §4.2 chattering mitigation (uncertainty band) on a noisy workload\n");
+    let (sw_on, on) = run_with_band(true);
+    let (sw_off, off) = run_with_band(false);
+
+    println!(
+        "{:<22} | {:>12} | {:>14} | {:>12} | {:>12}",
+        "variant", "switch-ons", "mean resp (s)", "violations", "energy"
+    );
+    println!("{}", "-".repeat(84));
+    let mut rows = Vec::new();
+    for (variant, name, switch_ons, s) in [
+        ("band (paper)", "band", sw_on, on),
+        ("no band (ablated)", "no_band", sw_off, off),
+    ] {
+        let (resp, viol, energy) = (s.mean_response, s.violation_fraction, s.total_energy);
+        println!(
+            "{variant:<22} | {switch_ons:>12} | {resp:>14.2} | {:>11.1}% | {energy:>12.0}",
+            viol * 100.0
+        );
+        rows.push(format!(
+            "{name},{switch_ons},{resp:.3},{viol:.4},{energy:.0}"
+        ));
+    }
+    println!();
+    println!(
+        "expected shape: the banded controller switches at most as often as the \
+         ablated one\nunder forecast noise, at comparable QoS."
+    );
+
+    let path = write_csv(
+        "ablation_chatter.csv",
+        "variant,switch_ons,mean_response_s,violation_fraction,energy",
+        &rows,
+    );
+    println!("wrote {}", path.display());
+    Some((
+        "switch-ons with the uncertainty band <= without it",
+        claims::band_switches_no_more(sw_on, sw_off),
+    ))
+}
+
+/// The row `baseline_table` prints for one policy's run.
+fn baseline_row(log: &ExperimentLog) -> BaselineRow {
+    let s = log.summary();
+    BaselineRow {
+        name: log.policy.clone(),
+        mean_response: s.mean_response,
+        violations: s.violation_fraction,
+        energy: s.total_energy,
+        switch_ons: log.total_switch_ons(),
+        dropped: s.total_dropped,
+    }
+}
+
+/// The headline comparison: hierarchical LLC vs the reactive threshold
+/// heuristic (Pinheiro'01/Elnozahy'02 style) vs always-on/max-frequency,
+/// on the synthetic module workload.
+///
+/// The paper's claim to reproduce in shape: the LLC controller meets the
+/// response-time goal while consuming substantially less energy than an
+/// uncontrolled cluster, and manages switching more deliberately than a
+/// threshold heuristic. The energy half of that is the claim:
+/// energy(LLC) < energy(threshold) ≤ energy(always-max) with no request
+/// dropped.
+fn baseline_table(runs: &mut Runs) -> Verdict {
+    let spec = figure_spec(Family::Module, 250);
+    let scenario = spec.scenario_config();
+    let baseline = |policy: &mut dyn ClusterPolicy| baseline_row(&spec.run(policy));
+
+    let rows = [
+        baseline_row(&runs.paper(spec).log),
+        baseline(&mut ThresholdPolicy::for_scenario(&scenario)),
+        baseline(&mut AlwaysMaxPolicy::for_scenario(&scenario)),
+    ];
+
+    println!("LLC vs baselines — synthetic module workload, r* = 4 s\n");
+    println!(
+        "{:<22} | {:>14} | {:>11} | {:>12} | {:>11} | {:>8}",
+        "policy", "mean resp (s)", "violations", "energy", "switch-ons", "dropped"
+    );
+    println!("{}", "-".repeat(92));
+    let mut csv = Vec::new();
+    for r in &rows {
+        println!(
+            "{:<22} | {:>14.2} | {:>10.1}% | {:>12.0} | {:>11} | {:>8}",
+            r.name,
+            r.mean_response,
+            r.violations * 100.0,
+            r.energy,
+            r.switch_ons,
+            r.dropped
+        );
+        csv.push(format!(
+            "{},{:.3},{:.4},{:.0},{},{}",
+            r.name, r.mean_response, r.violations, r.energy, r.switch_ons, r.dropped
+        ));
+    }
+
+    println!(
+        "\nenergy: LLC uses {:.0}% of always-max; shape check: LLC < threshold <= always-max \
+         while holding r*.",
+        100.0 * rows[0].energy / rows[2].energy
+    );
+
+    let path = write_csv(
+        "baseline_table.csv",
+        "policy,mean_response_s,violation_fraction,energy,switch_ons,dropped",
+        &csv,
+    );
+    println!("wrote {}", path.display());
+    Some((
+        "energy(LLC) < energy(threshold) <= energy(always-max), nothing dropped",
+        claims::llc_saves_energy(&rows),
+    ))
+}
+
+/// The paper's §3 dimensionality argument, measured: a centralized
+/// controller jointly deciding `{α, γ, u}` for every computer vs the
+/// hierarchical decomposition, on the same module scenario.
+///
+/// "Where a centralized controller must decide the variables {γ, α, u}
+/// for each of the n computers in the cluster, in our method, the L2
+/// controller only decides a single-dimensional variable {γ} for k
+/// modules … Similarly, the L1 controller decides control variables only
+/// for those computers within its module."
+///
+/// Claim: as the row's claim text says (620 → 14 790 centralized vs
+/// 59 → 139 hierarchical states at default scale). The `--quick`
+/// truncation to 200 buckets barely leaves the m = 4 start-up (4 → 46
+/// hierarchical states) and fails the growth leg.
+fn overhead_centralized(runs: &mut Runs) -> Verdict {
+    println!("§3 — centralized vs hierarchical decision complexity\n");
+
+    // Analytic joint-candidate counts (γ quantum 0.1): the curse of
+    // dimensionality in one column.
+    println!(
+        "{:>3} | {:>26} | {:>16}",
+        "m", "centralized candidates", "hierarchy (≈)"
+    );
+    println!("{}", "-".repeat(56));
+    for m in [2usize, 4, 6, 8, 10, 16] {
+        // The hierarchy's L1 evaluates candidate-α (≈ m + pairs) × γ
+        // neighborhood rounds — hundreds, independent of 2^m.
+        println!(
+            "{m:>3} | {:>26} | {:>16}",
+            joint_candidate_count(m, 10),
+            "~10^2 - 10^3"
+        );
+    }
+
+    // Measured head-to-head on m = 4 and m = 6.
+    println!("\nmeasured (same workload, same plant):\n");
+    println!(
+        "{:<18} | {:>3} | {:>14} | {:>13} | {:>12} | {:>12}",
+        "policy", "m", "states/dec", "decision", "mean resp", "energy"
+    );
+    println!("{}", "-".repeat(90));
+
+    let mut rows = Vec::new();
+    let mut measured = Vec::new();
+    for m in [4usize, 6] {
+        // The workload scaled to m machines, cut to its first 600
+        // buckets (200 under --quick).
+        let spec = figure_spec(Family::Module, 200);
+        let spec = RunSpec {
+            members: m,
+            buckets: spec.buckets.min(600),
+            ..spec
+        };
+
+        let mut report = |policy: &str, states: f64, decide: Duration, s: ExperimentSummary| {
+            println!(
+                "{policy:<18} | {m:>3} | {states:>14.0} | {:>13} | {:>12.2} | {:>12.0}",
+                ms(decide),
+                s.mean_response,
+                s.total_energy
+            );
+            rows.push(format!(
+                "{policy},{m},{states:.0},{:.6},{:.3},{:.0}",
+                decide.as_secs_f64(),
+                s.mean_response,
+                s.total_energy
+            ));
+        };
+
+        // Hierarchical.
+        let h = runs.paper(spec);
+        let h_states = h.policy.l1(0).mean_states_evaluated();
+        let h_decide = h.policy.overhead()[1].mean();
+        report("hierarchical", h_states, h_decide, h.log.summary());
+
+        // Centralized.
+        let scenario = spec.scenario_config();
+        let mut c = CentralizedPolicy::new(&scenario);
+        let log_c = spec.run(&mut c);
+        // Decide time of the joint decisions alone, as the hierarchy's
+        // L1 overhead is: the ticks between them only refresh filters.
+        let joint_every = scenario.l0.ticks_per(scenario.l1.period);
+        let joint: Vec<Duration> = log_c
+            .ticks
+            .iter()
+            .filter(|t| t.tick.is_multiple_of(joint_every))
+            .map(|t| t.decision_time)
+            .collect();
+        let c_decide = joint.iter().sum::<Duration>() / joint.len().max(1) as u32;
+        let c_states = c.mean_states_evaluated();
+        report("centralized", c_states, c_decide, log_c.summary());
+        measured.push(ComplexityRow {
+            m,
+            hier_states: h_states,
+            hier_decide_s: h_decide.as_secs_f64(),
+            cent_states: c_states,
+            cent_decide_s: c_decide.as_secs_f64(),
+        });
+    }
+
+    println!("\nshape to observe: centralized candidates grow exponentially in m while");
+    println!("the hierarchy stays near-constant; both meet QoS at small m, only the");
+    println!("hierarchy remains viable at cluster scale.");
+    let path = write_csv(
+        "overhead_centralized.csv",
+        "policy,m,states_per_decision,decision_s,mean_response_s,energy",
+        &rows,
+    );
+    println!("wrote {}", path.display());
+    Some((
+        "centralized states/decision grow >= 10x from m = 4 to 6, the hierarchy's < 4x, \
+         and the hierarchy decides faster at both",
+        claims::hierarchy_scales_better(&measured),
+    ))
+}

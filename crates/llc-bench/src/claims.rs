@@ -1,7 +1,8 @@
-//! The paper claims four figure binaries end on, as functions over
-//! their result rows: `baseline_table`, `ablation_chatter`,
-//! `ablation_horizon` and `overhead_centralized` call [`enforce`] on one
-//! of these after printing their table, so a refactor that silently
+//! The paper claims four rows of the `paper` binary end on, as
+//! functions over their result rows: `ablation_horizon`,
+//! `ablation_chatter`, `baseline_table` and `overhead_centralized`
+//! return one of these verdicts after printing their table, and the
+//! binary exits non-zero if any failed, so a refactor that silently
 //! breaks a claim turns CI red instead of changing a number nobody reads.
 
 /// One `baseline_table` policy run.
@@ -117,17 +118,6 @@ pub fn hierarchy_scales_better(rows: &[ComplexityRow]) -> Result<(), String> {
             r.cent_decide_s * 1e3
         )),
         None => Ok(()),
-    }
-}
-
-/// Print the verdict on `claim` and exit non-zero if it was violated.
-pub fn enforce(claim: &str, verdict: Result<(), String>) {
-    match verdict {
-        Ok(()) => println!("claim holds: {claim}"),
-        Err(why) => {
-            eprintln!("CLAIM VIOLATED: {claim} — {why}");
-            std::process::exit(1);
-        }
     }
 }
 

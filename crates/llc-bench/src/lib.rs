@@ -2,9 +2,10 @@
 //! evaluation (README's "Performance and what CI gates" says what each
 //! one asserts).
 //!
-//! Each `src/bin/*` binary reproduces one artifact:
+//! The `paper` binary holds the evaluation as one table of rows, each
+//! reproducing one artifact:
 //!
-//! | binary | paper artifact |
+//! | row | paper artifact |
 //! |---|---|
 //! | `fig1b` | Fig. 1(b) — sample WC'98 day at 2-minute buckets |
 //! | `fig3` | Fig. 3 — per-computer frequency sets |
@@ -12,22 +13,22 @@
 //! | `fig5` | Fig. 5 — C4 frequency choices and achieved response times |
 //! | `fig6` | Fig. 6 — WC'98 trace and computers operated (16 machines) |
 //! | `fig7` | Fig. 7 — per-module load fractions γ decided by L2 |
-//! | `overhead_centralized` | §3 — centralized vs hierarchical decision complexity |
-//! | `ablation_chatter` | §4.2 design choice — uncertainty band on/off |
 //! | `ablation_horizon` | L0 horizon sweep (N = 1..4) |
+//! | `ablation_chatter` | §4.2 design choice — uncertainty band on/off |
 //! | `baseline_table` | LLC vs threshold heuristic vs always-max |
+//! | `overhead_centralized` | §3 — centralized vs hierarchical decision complexity |
 //!
-//! Binaries write CSV series under `results/` and print ASCII renderings
-//! plus paper-vs-measured notes; run them in release mode. Pass `--quick`
-//! for a shortened run (coarse learning grids, truncated traces).
-//! `baseline_table`, `ablation_chatter`, `ablation_horizon` and
-//! `overhead_centralized` end by asserting their claim ([`claims`]) and
-//! exit non-zero when it fails; CI runs all ten at default scale.
+//! Rows write CSV series under `results/` and print ASCII renderings
+//! plus paper-vs-measured notes; run the binary in release mode, with
+//! row names as arguments to run only those. Pass `--quick` for a
+//! shortened run (coarse learning grids, truncated traces). The last
+//! four rows end on their claim ([`claims`]); the binary runs every
+//! row and exits non-zero if any claim failed. CI runs it at default
+//! scale. The four `bench_*` binaries are the behavioural gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod centralized;
 pub mod claims;
-pub mod figures;
 pub mod report;

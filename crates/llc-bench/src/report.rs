@@ -1,4 +1,4 @@
-//! Plot/CSV/reporting helpers shared by the figure binaries.
+//! Plot/CSV/reporting helpers shared by the `paper` binary and the benches.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -38,8 +38,6 @@ pub struct ThresholdPolicy {
     c_filter: Ewma,
     module_arrivals: Vec<u64>,
     global_arrivals: u64,
-    /// Number of operating computers decided at each acting tick.
-    active_history: Vec<(u64, usize)>,
 }
 
 impl ThresholdPolicy {
@@ -90,13 +88,7 @@ impl ThresholdPolicy {
             c_filter: Ewma::paper_default(),
             module_arrivals: vec![0; num_modules],
             global_arrivals: 0,
-            active_history: Vec::new(),
         }
-    }
-
-    /// Active-count decisions over time (comparison series for Fig. 4/6).
-    pub fn active_history(&self) -> &[(u64, usize)] {
-        &self.active_history
     }
 
     fn c_estimate(&self) -> f64 {
@@ -131,7 +123,6 @@ impl ClusterPolicy for ThresholdPolicy {
         let mut actions = Vec::new();
         let c_ref = self.c_estimate();
         let window = self.window;
-        let mut total_active = 0usize;
 
         // Global split proportional to module capacity (the heuristic has
         // no cost model to do better).
@@ -186,7 +177,6 @@ impl ClusterPolicy for ThresholdPolicy {
                 }
             }
             cap = capacity(&active);
-            total_active += active.iter().filter(|&&a| a).count();
 
             // Split proportional to capacity; DVFS with margin headroom.
             let weights: Vec<f64> = active
@@ -216,7 +206,6 @@ impl ClusterPolicy for ThresholdPolicy {
                 actions.push(Action::SetFrequency(base + j, index));
             }
         }
-        self.active_history.push((obs.tick, total_active));
         actions
     }
 

@@ -178,6 +178,52 @@ impl ExperimentLog {
             })
             .sum()
     }
+
+    /// The cluster-wide module split `{γ_i}` of every L2 decision
+    /// (Fig. 7), with its tick: each [`DirectiveKind::Split`] over
+    /// modules in the log. A single-module hierarchy logs one, the
+    /// `[1.0]` it installs at tick 0.
+    pub fn module_splits(&self) -> Vec<(u64, &[f64])> {
+        self.directives
+            .iter()
+            .filter_map(|d| match &d.kind {
+                DirectiveKind::Split {
+                    module: None,
+                    weights,
+                } => Some((d.tick, weights.as_slice())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Machines commanded on at every tick that is a multiple of `every`
+    /// (the L1 period in ticks for Figs. 4 and 6): a computer counts if
+    /// its last [`DirectiveKind::Activation`] at or before the tick
+    /// switched it on; one not commanded by then keeps its state in the
+    /// first tick's [`TickRecord::active_flags`]. Unlike
+    /// [`TickRecord::active`], a machine ordered off counts as off while
+    /// it drains. Under a fault plan the count can differ from the α the
+    /// policy decided: a dead member gets no directive, so it counts in
+    /// the state it was last commanded to.
+    pub fn machines_on(&self, every: u64) -> Vec<(u64, usize)> {
+        let Some(first) = self.ticks.first() else {
+            return Vec::new();
+        };
+        let mut on = first.active_flags.clone();
+        let mut directives = self.directives.iter().peekable();
+        self.ticks
+            .iter()
+            .filter(|t| t.tick.is_multiple_of(every))
+            .map(|t| {
+                while let Some(d) = directives.next_if(|d| d.tick <= t.tick) {
+                    if let DirectiveKind::Activation { computer, on: o } = d.kind {
+                        on[computer] = o;
+                    }
+                }
+                (t.tick, on.iter().filter(|&&o| o).count())
+            })
+            .collect()
+    }
 }
 
 /// Driver: runs a [`ClusterPolicy`] against the simulated cluster fed by
@@ -745,6 +791,80 @@ mod tests {
             assert_eq!(a.energy, b.energy);
         }
         assert_eq!(l1.directives, l2.directives);
+    }
+
+    /// The two derivations over a hand-built log of four machines and
+    /// nine ticks, the L1 deciding every fourth.
+    #[test]
+    fn the_log_derives_the_splits_and_the_machines_on() {
+        use crate::control::Level;
+        let record = |tick: u64, active_flags: Vec<bool>| TickRecord {
+            tick,
+            time: tick as f64 * 30.0,
+            arrivals: 0,
+            completions: 0,
+            mean_response: None,
+            active: active_flags.iter().filter(|&&a| a).count(),
+            frequency_indices: vec![0; 4],
+            computer_responses: vec![None; 4],
+            queue_total: 0,
+            queues: vec![0; 4],
+            active_flags,
+            energy: 0.0,
+            dropped: 0,
+            decision_time: Duration::ZERO,
+        };
+        let directive = |tick: u64, kind| Directive {
+            tick,
+            time: tick as f64 * 30.0,
+            level: Level::L1,
+            epoch: tick / 4,
+            kind,
+        };
+        let switch =
+            |tick, computer, on| directive(tick, DirectiveKind::Activation { computer, on });
+        // Tick 0 leaves machine 0 draining (still active) and machine 3
+        // off; no later tick's flags are read.
+        let mut ticks = vec![record(0, vec![true, true, true, false])];
+        ticks.extend((1..9).map(|t| record(t, vec![true; 4])));
+        let log = ExperimentLog {
+            policy: "hand-built".to_string(),
+            response_target: 4.0,
+            ticks,
+            directives: vec![
+                directive(
+                    0,
+                    DirectiveKind::Split {
+                        module: None,
+                        weights: vec![1.0],
+                    },
+                ),
+                directive(
+                    0,
+                    DirectiveKind::Split {
+                        module: Some(0),
+                        weights: vec![0.5, 0.5, 0.0, 0.0],
+                    },
+                ),
+                // Machine 0 switched off at tick 0.
+                switch(0, 0, false),
+                directive(
+                    0,
+                    DirectiveKind::Frequency {
+                        computer: 1,
+                        index: 1,
+                    },
+                ),
+                // Machine 1 ordered off, then back on while it drains.
+                switch(4, 1, false),
+                switch(8, 1, true),
+                // Machines 2 and 3 are never commanded.
+            ],
+            metrics: MetricsSnapshot::default(),
+            total_switch_ons: 1,
+        };
+        assert_eq!(log.module_splits(), vec![(0, &[1.0][..])]);
+        assert_eq!(log.machines_on(4), vec![(0, 2), (4, 1), (8, 2)]);
     }
 
     #[test]

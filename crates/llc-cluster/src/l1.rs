@@ -331,8 +331,6 @@ struct Learner {
     detectors: Vec<DriftDetector>,
     /// Outcomes blended in (weight > 0).
     applied: u64,
-    /// Outcomes blended at the fast rate.
-    fast_applied: u64,
 }
 
 /// Configuration of an L1 (module) controller.
@@ -588,7 +586,6 @@ impl L1Controller {
         self.online = Some(Learner {
             detectors: vec![DriftDetector::new(); self.members.len()],
             applied: 0,
-            fast_applied: 0,
         });
     }
 
@@ -629,8 +626,7 @@ impl L1Controller {
             let predicted = maps[member].query(lambda, c, q0).cost;
             let detector = &mut online.detectors[member];
             detector.observe((realized.cost - predicted) / predicted.abs().max(1.0));
-            let fast = detector.rate() == LearnRate::Fast;
-            let rate = if fast {
+            let rate = if detector.rate() == LearnRate::Fast {
                 OnlineConfig::FAST_LEARNING_RATE
             } else {
                 OnlineConfig::LEARNING_RATE
@@ -644,7 +640,6 @@ impl L1Controller {
             {
                 applied += 1;
                 online.applied += 1;
-                online.fast_applied += u64::from(fast);
             }
         }
         applied
@@ -664,25 +659,6 @@ impl L1Controller {
         self.online.as_ref().map_or_else(Vec::new, |o| {
             o.detectors.iter().map(DriftDetector::detections).collect()
         })
-    }
-
-    /// Observations blended at the fast re-convergence rate so far.
-    pub fn fast_updates(&self) -> u64 {
-        self.online.as_ref().map_or(0, |o| o.fast_applied)
-    }
-
-    /// The blend rate member `member`'s updates currently run at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if online learning is not enabled or `member` is out of
-    /// range.
-    pub fn member_learn_rate(&self, member: usize) -> LearnRate {
-        self.online
-            .as_ref()
-            .expect("call enable_online before member_learn_rate")
-            .detectors[member]
-            .rate()
     }
 
     /// Number of computers managed.
@@ -1415,8 +1391,14 @@ mod tests {
                 "λ={lambda} c={c} q={q}"
             );
             if lambda > lambda_max || q > q_max {
-                let (cost, power, final_q) =
-                    L0Controller::simulate_model(&l0, &phis, q, lambda, c.max(1e-6), 4);
+                let (cost, power, final_q) = L0Controller::simulate_model(
+                    &l0,
+                    &phis,
+                    q,
+                    lambda,
+                    c.max(1e-6),
+                    map.steps_per_period(),
+                );
                 assert_eq!(
                     bits(first),
                     (cost.to_bits(), power.to_bits(), final_q.to_bits()),

@@ -326,8 +326,10 @@ mod tests {
             drift_scenarios(0xC105ED, spec.buckets, bucket_s, 0.55 * capacity).swap_remove(1);
         let exp = spec.experiment_and_trace().0;
         let plant = exp.drift.expect("a drift run drifts");
+        let sc = spec.scenario_config();
+        let ticks = sc.l0.ticks_per(sc.l1.period) as usize;
         for k in 0..spec.buckets {
-            assert_eq!(plant.scale_at(4 * k, 0), drift.capacity.scale_at(k, 0));
+            assert_eq!(plant.scale_at(ticks * k, 0), drift.capacity.scale_at(k, 0));
         }
     }
 }

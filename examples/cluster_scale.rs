@@ -27,7 +27,7 @@ fn main() {
 
     println!("\nhour | req/s | computers on (of 16) | module split γ");
     println!("{}", "-".repeat(72));
-    let gammas = policy.gamma_module_history();
+    let gammas = log.module_splits();
     for chunk in log.ticks.chunks(120) {
         let tick0 = chunk[0].tick;
         let time_h = chunk[0].time / 3600.0;

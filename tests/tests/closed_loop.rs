@@ -9,7 +9,7 @@ use llc_cluster::{
     FaultToleranceConfig, FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller,
     L1Config, L1Controller, LearnSpec, MemberSpec, PolicyBuilder, Preset, RunSpec, ScenarioConfig,
 };
-use llc_core::{LearnRate, OnlineConfig};
+use llc_core::OnlineConfig;
 use llc_tests::Fnv;
 use llc_workload::{
     CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan, SyntheticBuilder, Trace,
@@ -88,11 +88,7 @@ fn feed_forward_damps_l2_resplit_oscillation() {
         let log = exp
             .run(sc.to_sim_config(), &mut policy, &trace, &store)
             .expect("well-formed scenario");
-        let gammas: Vec<f64> = policy
-            .gamma_module_history()
-            .iter()
-            .map(|(_, g)| g[0])
-            .collect();
+        let gammas: Vec<f64> = log.module_splits().iter().map(|(_, g)| g[0]).collect();
         assert!(gammas.len() > 8, "need L2 decisions, got {}", gammas.len());
         let mean = gammas.iter().sum::<f64>() / gammas.len() as f64;
         let var = gammas.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gammas.len() as f64;
@@ -252,7 +248,9 @@ fn two_module_fault_run_is_pinned_bit_for_bit() {
 }
 
 /// The drift detector switches the online learner from the steady to the
-/// fast rate when a capacity step makes the residuals jump.
+/// fast rate when a capacity step makes the residuals jump: a write moves
+/// the map at its point by `LEARNING_RATE` of the residual until the
+/// detector fires, and by `FAST_LEARNING_RATE` after.
 #[test]
 fn detector_switches_rate_on_a_capacity_step() {
     let spec = MemberSpec::paper_default(FrequencyProfile::TallEight);
@@ -266,48 +264,57 @@ fn detector_switches_rate_on_a_capacity_step() {
         q_max,
         LearnSpec::coarse(),
     );
+    let steps = map.steps_per_period();
     let mut l1 = L1Controller::new(L1Config::paper_default(), vec![spec.clone()], vec![map]);
     l1.enable_online();
-    assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
 
     let c = spec.c_prior;
     let lambda = 0.5 / c;
-    let mut q = 0.0f64;
-    // Nominal phase: outcomes match the map, detector stays steady.
-    for _ in 0..12 {
-        let (cost, power, final_q) = L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c, 4);
+    // One period on a machine whose true processing time is `c_true`,
+    // written at the map's key `(λ, c, q)`: the queue it ends on and the
+    // share of the residual the written point moved by.
+    let write = |l1: &mut L1Controller, q: f64, c_true: f64| {
+        let (cost, power, final_q) =
+            L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c_true, steps);
+        let before = l1.map(0).query(lambda, c, q).cost;
         let realized = GEntry {
             cost,
             power,
             final_q,
         };
         l1.absorb_outcomes(&[(0, lambda, q, realized)]);
+        let after = l1.map(0).query(lambda, c, q).cost;
+        (final_q, (after - before) / (cost - before))
+    };
+    let moved_by = |rate: f64, expected: f64| (rate - expected).abs() < 1e-9;
+    let mut q = 0.0f64;
+    // Nominal phase: outcomes match the map, detector stays steady.
+    for k in 0..12 {
+        let (final_q, rate) = write(&mut l1, q, c);
+        assert!(
+            moved_by(rate, OnlineConfig::LEARNING_RATE),
+            "steady write {k} moved {rate}"
+        );
         q = final_q;
     }
     assert_eq!(l1.drift_detections(), 0, "matching outcomes must not fire");
-    assert_eq!(l1.member_learn_rate(0), LearnRate::Steady);
 
     // The machine fails to half capacity: the standing load no
     // longer fits, residuals jump, the detector fires and the
     // learner goes fast.
-    for _ in 0..12 {
-        let (cost, power, final_q) =
-            L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / 0.5, 4);
-        let realized = GEntry {
-            cost,
-            power,
-            final_q,
+    for k in 0..12 {
+        let (final_q, rate) = write(&mut l1, q, c / 0.5);
+        let expected = if l1.drift_detections() > 0 {
+            OnlineConfig::FAST_LEARNING_RATE
+        } else {
+            OnlineConfig::LEARNING_RATE
         };
-        l1.absorb_outcomes(&[(0, lambda, q, realized)]);
+        assert!(moved_by(rate, expected), "drifted write {k} moved {rate}");
         q = final_q;
     }
     assert!(
         l1.drift_detections() > 0,
         "the capacity step must fire the detector"
-    );
-    assert!(
-        l1.fast_updates() > 0,
-        "post-detection updates must run at the fast rate"
     );
 }
 

@@ -2,11 +2,11 @@
 //! learning, controllers, event simulation — must be bit-reproducible for
 //! a fixed seed.
 
-use llc_cluster::{single_module, Experiment, HierarchicalPolicy};
+use llc_cluster::{single_module, Directive, Experiment, HierarchicalPolicy};
 use llc_workload::{synthetic_paper_workload, Trace, VirtualStore};
 
-#[allow(clippy::type_complexity)] // (completions, responses, energy, active history)
-fn run_once(seed: u64) -> (Vec<u64>, Vec<Option<f64>>, f64, Vec<(u64, usize)>) {
+#[allow(clippy::type_complexity)] // (completions, responses, energy, directives)
+fn run_once(seed: u64) -> (Vec<u64>, Vec<Option<f64>>, f64, Vec<Directive>) {
     let scenario = single_module(4).with_coarse_learning();
     let mut policy = HierarchicalPolicy::build(&scenario);
     let trace = synthetic_paper_workload(seed).slice(100, 160);
@@ -18,7 +18,7 @@ fn run_once(seed: u64) -> (Vec<u64>, Vec<Option<f64>>, f64, Vec<(u64, usize)>) {
         log.ticks.iter().map(|t| t.completions).collect(),
         log.ticks.iter().map(|t| t.mean_response).collect(),
         log.ticks.last().unwrap().energy,
-        policy.active_history().to_vec(),
+        log.directives,
     )
 }
 

@@ -36,7 +36,7 @@ fn flash_crowd_is_absorbed_without_drops() {
     );
 
     // The controller must have recruited during the spike...
-    let active = policy.active_history();
+    let active = log.machines_on(scenario.l0.ticks_per(scenario.l1.period));
     let before = active
         .iter()
         .filter(|(t, _)| (60..120).contains(t)) // pre-spike steady state

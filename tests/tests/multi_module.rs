@@ -34,7 +34,8 @@ fn two_module_cluster_meets_target_under_moderate_load() {
         s.mean_response
     );
     // Both modules receive load.
-    let last_gamma = &policy.gamma_module_history().last().unwrap().1;
+    let splits = log.module_splits();
+    let last_gamma = splits.last().unwrap().1;
     assert!(
         last_gamma.iter().all(|&g| g > 0.0),
         "steady state should use both modules: {last_gamma:?}"
@@ -51,11 +52,12 @@ fn l2_splits_always_sum_to_one() {
         .unwrap()
         .scaled(0.4);
     let store = VirtualStore::paper_default(22);
-    let _ = Experiment::paper_default(22)
+    let log = Experiment::paper_default(22)
         .run(scenario.to_sim_config(), &mut policy, &trace, &store)
         .unwrap();
-    assert!(!policy.gamma_module_history().is_empty());
-    for (tick, gamma) in policy.gamma_module_history() {
+    let splits = log.module_splits();
+    assert!(!splits.is_empty());
+    for (tick, gamma) in splits {
         let total: f64 = gamma.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "tick {tick}: γ sums to {total}");
         assert!(gamma.iter().all(|&g| g >= -1e-12));

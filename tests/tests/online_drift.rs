@@ -32,6 +32,7 @@ fn tracking_errors(scenario: &DriftScenario, spec: &MemberSpec) -> (f64, f64) {
     let l0 = L0Config::paper_default();
     let offline = learn_map(spec);
     let mut online = offline.clone();
+    let steps = offline.steps_per_period();
     let c = spec.c_prior;
     let mut q = 0.0f64;
     let (mut off_err, mut on_err) = (0.0, 0.0);
@@ -39,7 +40,7 @@ fn tracking_errors(scenario: &DriftScenario, spec: &MemberSpec) -> (f64, f64) {
         let lambda = scenario.trace.rate(k);
         let scale = scenario.scale_at(k);
         let (cost, power, final_q) =
-            L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / scale, 4);
+            L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / scale, steps);
         let truth = GEntry {
             cost,
             power,
@@ -86,6 +87,7 @@ fn l1_controller_wiring_adapts_its_maps_under_drift() {
         vec![offline.clone()],
     );
     l1.enable_online();
+    let steps = offline.steps_per_period();
     let c = spec.c_prior;
     let lambda = 0.3 / c; // steady 30% of nominal capacity
     let scale = 0.65; // machine degraded post-failure
@@ -95,7 +97,7 @@ fn l1_controller_wiring_adapts_its_maps_under_drift() {
         let d = l1.decide(&[q.round() as usize], &[true]);
         let routed = d.gamma[0] * lambda;
         let (cost, power, final_q) =
-            L0Controller::simulate_model(&l0, &spec.phis, q, routed, c / scale, 4);
+            L0Controller::simulate_model(&l0, &spec.phis, q, routed, c / scale, steps);
         let realized = GEntry {
             cost,
             power,
@@ -108,7 +110,8 @@ fn l1_controller_wiring_adapts_its_maps_under_drift() {
     // After the adaptation loop, the *controller's own map* must predict
     // the degraded plant better than the untouched offline map does, at
     // the standing operating point the loop kept visiting.
-    let (true_cost, _, _) = L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / scale, 4);
+    let (true_cost, _, _) =
+        L0Controller::simulate_model(&l0, &spec.phis, q, lambda, c / scale, steps);
     let offline_err = (offline.query(lambda, c, q).cost - true_cost).abs();
     let adapted_err = (l1.map(0).query(lambda, c, q).cost - true_cost).abs();
     assert!(

@@ -130,9 +130,10 @@ fn built_maps_equal_a_solo_learn_and_are_shared_exactly_within_a_kind() {
 }
 
 /// The realized outcome the analytic model gives a machine that delivers
-/// only `capacity` of its nominal speed.
+/// only `capacity` of its nominal speed, over the period `map` replays.
 fn degraded_outcome(
     scenario: &llc_cluster::ScenarioConfig,
+    map: &AbstractionMap,
     spec: &MemberSpec,
     lambda: f64,
     q0: f64,
@@ -144,7 +145,7 @@ fn degraded_outcome(
         q0,
         lambda,
         spec.c_prior / capacity,
-        4,
+        map.steps_per_period(),
     );
     GEntry {
         cost,
@@ -199,7 +200,14 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
             3,
             lambda_3,
             queues[3] as f64,
-            degraded_outcome(&scenario, &specs[3], lambda_3, queues[3] as f64, 0.6),
+            degraded_outcome(
+                &scenario,
+                shared.map(3),
+                &specs[3],
+                lambda_3,
+                queues[3] as f64,
+                0.6,
+            ),
         )];
         if period >= 4 {
             for (j, capacity) in [(1, 0.8), (4, 1.0), (5, 0.5)] {
@@ -209,7 +217,7 @@ fn an_online_write_copies_the_shared_map_and_leaves_its_kin_untouched() {
                     j,
                     lambda,
                     q0,
-                    degraded_outcome(&scenario, &specs[j], lambda, q0, capacity),
+                    degraded_outcome(&scenario, shared.map(j), &specs[j], lambda, q0, capacity),
                 ));
             }
         }
@@ -296,7 +304,7 @@ fn kin_that_never_write_keep_sharing_while_another_member_learns() {
     // passes run.
     for period in 0..40 {
         let q0 = (period % 5) as f64;
-        let outcome = degraded_outcome(&scenario, &specs[3], lambda, q0, 0.6);
+        let outcome = degraded_outcome(&scenario, l1.map(3), &specs[3], lambda, q0, 0.6);
         assert_eq!(
             l1.absorb_outcomes(&[(3, lambda, q0, outcome)]),
             1,

@@ -40,7 +40,7 @@ fn hierarchy_single_module_smoke() {
 
     // The controller must react to the step: more machines during the
     // surge than in the light-load phase.
-    let active = policy.active_history();
+    let active = log.machines_on(scenario.l0.ticks_per(scenario.l1.period));
     let light: usize = active
         .iter()
         .filter(|(t, _)| (4..10).contains(t))
