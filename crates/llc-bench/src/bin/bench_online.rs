@@ -12,7 +12,8 @@
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
 use llc_cluster::{
-    AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, LearnSpec, MemberSpec,
+    AbstractionMap, FrequencyProfile, GEntry, L0Config, L0Controller, L1Config, LearnSpec,
+    MemberSpec,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, DriftScenario};
@@ -44,10 +45,18 @@ impl RunResult {
 fn run_scenario(scenario: &DriftScenario, spec: &MemberSpec, learn: LearnSpec) -> RunResult {
     let l0 = L0Config::paper_default();
     let (c_range, lambda_max, q_max) = spec.learn_envelope();
-    let offline = AbstractionMap::learn(&l0, &spec.phis, c_range, lambda_max, q_max, learn);
+    let steps_per_period = l0.ticks_per(L1Config::paper_default().period) as usize;
+    let offline = AbstractionMap::learn(
+        &l0,
+        steps_per_period,
+        &spec.phis,
+        c_range,
+        lambda_max,
+        q_max,
+        learn,
+    );
     let mut online = offline.clone();
     let c_nom = spec.c_prior;
-    let steps_per_period = offline.steps_per_period();
     let mut q = 0.0f64;
     let (mut off_err, mut on_err) = (0.0, 0.0);
     let mut update_time = std::time::Duration::ZERO;

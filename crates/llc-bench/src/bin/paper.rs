@@ -20,6 +20,7 @@ use llc_cluster::{
     AlwaysMaxPolicy, ClusterPolicy, ComputerProfile, ExperimentLog, ExperimentSummary, Family,
     FrequencyProfile, HierarchicalPolicy, RunSpec, ScenarioConfig, ThresholdPolicy,
 };
+use llc_forecast::{AccuracyStats, LocalLinearTrend};
 use llc_workload::wc98_like_day;
 use std::time::Duration;
 
@@ -207,6 +208,36 @@ fn machines_on(run: &Run, sc: &ScenarioConfig) -> (Vec<(u64, usize)>, Points) {
     (on, points)
 }
 
+/// The L1's arrival-rate forecast replayed from `log`: the (actual,
+/// predicted) rate of every L1 period the run observed, and the filter as
+/// the L1 left it. The L1 observes an empty window at tick 0 and then,
+/// each `T_L1`, the arrivals of the period just ended; its last period is
+/// never observed. Equal to the L1's own forecast only for a single-module
+/// run with no faults: there an L2 would feed its split forward in place
+/// of the forecast.
+fn replay_l1_forecast(
+    log: &ExperimentLog,
+    sc: &ScenarioConfig,
+) -> (Vec<(f64, f64)>, LocalLinearTrend) {
+    let per_l1 = sc.l0.ticks_per(sc.l1.period) as usize;
+    let mut forecast = LocalLinearTrend::with_default_noise();
+    forecast.observe(0.0);
+    let observed = log.ticks.len().saturating_sub(1) / per_l1;
+    let pairs = log
+        .ticks
+        .chunks_exact(per_l1)
+        .take(observed)
+        .map(|period| {
+            let arrivals: u64 = period.iter().map(|t| t.arrivals).sum();
+            let rate = arrivals as f64 / sc.l1.period;
+            let predicted = forecast.predict_one();
+            forecast.observe(rate);
+            (rate, predicted)
+        })
+        .collect();
+    (pairs, forecast)
+}
+
 /// Fig. 4: the synthetic workload with its Kalman predictions (top) and
 /// the number of computers operated by the L1 controller (bottom).
 fn fig4(runs: &mut Runs) -> Verdict {
@@ -216,7 +247,7 @@ fn fig4(runs: &mut Runs) -> Verdict {
     let t_l1 = sc.l1.period;
 
     // Top panel: actual vs predicted arrivals per L1 period.
-    let history = run.policy.l1(0).forecast_history();
+    let (history, _) = replay_l1_forecast(&run.log, &sc);
     let (actual, predicted): (Vec<_>, Vec<_>) = history
         .iter()
         .enumerate()
@@ -234,8 +265,8 @@ fn fig4(runs: &mut Runs) -> Verdict {
     );
 
     // Forecast accuracy summary.
-    let mut stats = llc_forecast::AccuracyStats::new();
-    for &(a, p) in history {
+    let mut stats = AccuracyStats::new();
+    for &(a, p) in &history {
         stats.record(a, p);
     }
     println!(
@@ -778,4 +809,28 @@ fn overhead_centralized(runs: &mut Runs) -> Verdict {
          and the hierarchy decides faster at both",
         claims::hierarchy_scales_better(&measured),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_replayed_forecast_ends_where_the_l1s_does() {
+        // 50 buckets: an error in the replay's start has not washed out.
+        let spec = RunSpec {
+            buckets: 50,
+            coarse_learning: true,
+            ..RunSpec::new(Family::Module, FIGURE_SEED)
+        };
+        let sc = spec.scenario_config();
+        let mut policy = HierarchicalPolicy::build(&sc);
+        let log = spec.run(&mut policy);
+        let (pairs, forecast) = replay_l1_forecast(&log, &sc);
+        assert_eq!(pairs.len(), 49);
+        assert_eq!(
+            forecast.predict_one().to_bits(),
+            policy.l1(0).lambda_estimate().to_bits()
+        );
+    }
 }

@@ -6,7 +6,7 @@ use llc_cluster::{
     Action, ClusterPolicy, L0Config, MemberSpec, Observations, QueueModel, ScenarioConfig,
 };
 use llc_core::{Penalty, ServiceScaleEstimator, SetPoint};
-use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
+use llc_forecast::{Ewma, LocalLinearTrend};
 use llc_sim::PowerState;
 
 /// Load-fraction quantum of the joint γ enumeration, coarse enough to
@@ -64,7 +64,7 @@ impl CentralizedPolicy {
             switch_on_penalty: scenario.l1.switch_on_penalty,
             period_ticks: scenario.l0.ticks_per(scenario.l1.period),
             members,
-            lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
+            lambda_forecast: LocalLinearTrend::with_default_noise(),
             c_filters: vec![Ewma::paper_default(); m],
             scales: vec![ServiceScaleEstimator::new(scenario.l0.scale); m],
             arrivals_acc: 0,
@@ -186,7 +186,7 @@ impl ClusterPolicy for CentralizedPolicy {
         self.lambda_forecast
             .observe(self.arrivals_acc as f64 / window);
         self.arrivals_acc = 0;
-        let lambda = self.lambda_forecast.predict_one().max(0.0);
+        let lambda = self.lambda_forecast.predict_one();
 
         let active: Vec<bool> = obs
             .computers

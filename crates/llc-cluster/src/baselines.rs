@@ -1,6 +1,6 @@
 use crate::policy::{Action, ClusterPolicy, Observations};
 use crate::ScenarioConfig;
-use llc_forecast::{Ewma, Forecaster};
+use llc_forecast::Ewma;
 use llc_sim::PowerState;
 
 /// Utilization above which another computer is switched on.

@@ -282,6 +282,7 @@ impl HierarchicalPolicy {
             let (c_range, lambda_max, q_max) = m.learn_envelope();
             Arc::new(AbstractionMap::learn(
                 &scenario.l0,
+                scenario.l0.ticks_per(scenario.l1.period) as usize,
                 &m.phis,
                 c_range,
                 lambda_max,
@@ -1131,6 +1132,17 @@ mod tests {
         assert_eq!(policy.num_modules(), 1);
         assert!(policy.l2().is_none(), "single module has no L2");
         assert_eq!(policy.overhead()[0].decisions, 0);
+    }
+
+    #[test]
+    fn maps_replay_the_scenarios_steps_per_period() {
+        // T_L1 = 240 s over T_L0 = 30 s: each map point replays 8 L0 steps.
+        let mut scenario = single_module(2).with_coarse_learning();
+        scenario.l1.period = 240.0;
+        let policy = HierarchicalPolicy::build(&scenario);
+        for member in 0..2 {
+            assert_eq!(policy.l1(0).map(member).steps_per_period(), 8);
+        }
     }
 
     #[test]

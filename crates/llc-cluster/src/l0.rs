@@ -2,7 +2,7 @@ use llc_core::{
     Error as LlcError, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
-use llc_forecast::{Ewma, Forecaster, LocalLinearTrend};
+use llc_forecast::{Ewma, LocalLinearTrend};
 
 /// The analytic single-computer queue model of eqns. (5)–(6), extended
 /// with the delivered-capacity scale `ŝ` of the drift-aware L0:
@@ -395,7 +395,7 @@ impl L0Controller {
             LookaheadController::new(config.horizon).expect("config.horizon must be >= 1");
         L0Controller {
             controller,
-            lambda_forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
+            lambda_forecast: LocalLinearTrend::with_default_noise(),
             c_filter: Ewma::paper_default(),
             forecast: vec![0.0; config.horizon],
             settings: Vec::with_capacity(phis.len()),
@@ -438,7 +438,7 @@ impl L0Controller {
 
     /// Current one-step arrival-rate forecast `λ̂` (requests/second).
     pub fn lambda_estimate(&self) -> f64 {
-        self.lambda_forecast.predict_one().max(0.0)
+        self.lambda_forecast.predict_one()
     }
 
     /// Feed the delivery-side half of the last window to the drift-aware
@@ -472,7 +472,7 @@ impl L0Controller {
             .iter_mut()
             .zip(self.lambda_forecast.predictions())
         {
-            *env = lambda.max(0.0);
+            *env = lambda;
         }
         let plant = L0Plant::new(
             &self.config,

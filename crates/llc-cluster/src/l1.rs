@@ -1,8 +1,8 @@
 use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
 use llc_approx::{train_dense, Blend, DenseGrid, GridSampler, SimplexGrid};
-use llc_core::{DriftDetector, LearnRate, OnlineConfig, UncertaintyBand};
-use llc_forecast::{Ewma, Forecaster};
+use llc_core::{DriftDetector, LearnRate, OnlineConfig};
+use llc_forecast::Ewma;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -124,13 +124,15 @@ impl LearnSpec {
 impl AbstractionMap {
     /// Learn the map for a computer with scaling factors `phis` whose
     /// local processing times range over `c_range` seconds, for arrival
-    /// rates up to `lambda_max` req/s and queues up to `q_max`.
+    /// rates up to `lambda_max` req/s and queues up to `q_max`, each point
+    /// replaying `steps_per_period` L0 steps (`l = T_L1 / T_L0`).
     ///
     /// # Panics
     ///
     /// Panics on degenerate ranges.
     pub fn learn(
         l0: &L0Config,
+        steps_per_period: usize,
         phis: &[f64],
         c_range: (f64, f64),
         lambda_max: f64,
@@ -140,7 +142,6 @@ impl AbstractionMap {
         assert!(c_range.0 > 0.0 && c_range.1 >= c_range.0, "invalid c range");
         assert!(lambda_max > 0.0, "lambda_max must be positive");
         assert!(q_max >= 0.0, "q_max must be non-negative");
-        let steps_per_period = 4; // T_L1 / T_L0 = l = 4 in the paper
         let sampler = GridSampler::new(vec![
             (0.0, lambda_max, spec.lambda_steps),
             (c_range.0, c_range.1, spec.c_steps),
@@ -167,8 +168,10 @@ impl AbstractionMap {
     }
 
     /// [`AbstractionMap::learn`] over `spec`'s standard envelope
-    /// ([`MemberSpec::learn_envelope`]). The fourth parameter is a no-op
-    /// until ROADMAP item 15: `benchmark/src/replay.rs` passes it.
+    /// ([`MemberSpec::learn_envelope`]), at the steps per period of
+    /// [`L1Config::paper_default`]'s `T_L1` over `l0`'s period. Kept, with
+    /// its no-op fourth parameter, only because `benchmark/src/replay.rs`
+    /// calls it; ROADMAP item 15 removes it.
     #[doc(hidden)]
     pub fn learn_for_member(
         l0: &L0Config,
@@ -177,7 +180,16 @@ impl AbstractionMap {
         _: MapBackend,
     ) -> Self {
         let (c_range, lambda_max, q_max) = spec.learn_envelope();
-        Self::learn(l0, &spec.phis, c_range, lambda_max, q_max, learn)
+        let steps_per_period = l0.ticks_per(L1Config::paper_default().period) as usize;
+        Self::learn(
+            l0,
+            steps_per_period,
+            &spec.phis,
+            c_range,
+            lambda_max,
+            q_max,
+            learn,
+        )
     }
 
     /// Number of stored cells, trained and grown.
@@ -500,7 +512,12 @@ pub struct L1Controller {
     level: SplitLevel<Arc<AbstractionMap>>,
     /// Present once online learning is on.
     online: Option<Learner>,
-    band: UncertaintyBand,
+    /// The band half-width `δ` of §4.2: the running mean of
+    /// `|actual − planned|` over the module's arrival rates. Both terms
+    /// are finite on every path — the actual is arrivals over `T_L1`, the
+    /// planned the floored forecast or a feed-forward share clamped at 0 —
+    /// so the filter never skips a sample.
+    band: Ewma,
     c_filters: Vec<Ewma>,
     /// Per-member delivered-capacity scales `ŝ` pushed up from the
     /// drift-aware L0s (1.0 = nominal). [`L1Controller::c_estimates`]
@@ -566,7 +583,7 @@ impl L1Controller {
             members,
             level: SplitLevel::new(maps),
             online: None,
-            band: UncertaintyBand::new(0.25),
+            band: Ewma::new(0.25),
             c_filters,
             member_scales: vec![1.0; m],
             prev_alpha: vec![false; m],
@@ -691,7 +708,7 @@ impl L1Controller {
         );
         let actual_rate = module_arrivals as f64 / self.config.period;
         if let Some(pred) = self.level.observe(actual_rate) {
-            self.band.observe(actual_rate, pred);
+            self.band.observe((actual_rate - pred).abs());
         }
         for (filter, demand) in self.c_filters.iter_mut().zip(member_demands) {
             if let Some(c) = demand {
@@ -761,12 +778,7 @@ impl L1Controller {
 
     /// The current uncertainty half-width `δ`.
     pub fn delta(&self) -> f64 {
-        self.band.delta()
-    }
-
-    /// The recorded (actual, predicted) arrival-rate pairs.
-    pub fn forecast_history(&self) -> &[(f64, f64)] {
-        &self.level.forecast_history
+        self.band.estimate()
     }
 
     /// Average candidate states evaluated per decision.
@@ -831,7 +843,7 @@ impl L1Controller {
         // dead time from now.
         let lambda_hat = self.level.plan(self.pending_feed_forward.take());
         let delta = if self.config.use_uncertainty_band {
-            self.band.delta()
+            self.band.estimate()
         } else {
             0.0
         };
@@ -1111,6 +1123,7 @@ mod tests {
                 let c_mid = m.c_prior;
                 AbstractionMap::learn(
                     &l0,
+                    4,
                     &m.phis,
                     (c_mid * 0.6, c_mid * 1.5),
                     2.0 / (c_mid * 0.6),
@@ -1127,6 +1140,7 @@ mod tests {
         let m = member(FrequencyProfile::TallEight);
         let map = AbstractionMap::learn(
             &L0Config::paper_default(),
+            4,
             &m.phis,
             (0.012, 0.03),
             80.0,
@@ -1246,6 +1260,7 @@ mod tests {
                 let c_mid = m.c_prior;
                 AbstractionMap::learn(
                     &l0,
+                    4,
                     &m.phis,
                     (c_mid * 0.6, c_mid * 1.5),
                     2.0 / (c_mid * 0.6),
@@ -1281,7 +1296,6 @@ mod tests {
             "δ = {} should reflect the noise",
             l1.delta()
         );
-        assert!(!l1.forecast_history().is_empty());
     }
 
     #[test]
@@ -1299,6 +1313,7 @@ mod tests {
         let m = member(FrequencyProfile::TallEight);
         let mut map = AbstractionMap::learn(
             &L0Config::paper_default(),
+            4,
             &m.phis,
             (0.012, 0.03),
             80.0,
@@ -1341,6 +1356,7 @@ mod tests {
         let learn = || {
             AbstractionMap::learn(
                 &L0Config::paper_default(),
+                4,
                 &m.phis,
                 (0.012, 0.03),
                 80.0,
@@ -1374,8 +1390,15 @@ mod tests {
         let phis = [0.25, 0.5, 0.75, 1.0];
         let c_range = (0.0105, 0.028);
         let (lambda_max, q_max) = (110.0, 150.0);
-        let map =
-            AbstractionMap::learn(&l0, &phis, c_range, lambda_max, q_max, LearnSpec::coarse());
+        let map = AbstractionMap::learn(
+            &l0,
+            4,
+            &phis,
+            c_range,
+            lambda_max,
+            q_max,
+            LearnSpec::coarse(),
+        );
         let bits = |e: GEntry| (e.cost.to_bits(), e.power.to_bits(), e.final_q.to_bits());
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         for _ in 0..3000 {
@@ -1451,6 +1474,7 @@ mod tests {
             .map(|m| {
                 AbstractionMap::learn(
                     &l0,
+                    4,
                     &m.phis,
                     (m.c_prior * 0.6, m.c_prior * 1.5),
                     2.0 / (m.c_prior * 0.6),

@@ -519,6 +519,7 @@ mod tests {
             .map(|m| {
                 Arc::new(AbstractionMap::learn(
                     &l0,
+                    4,
                     &m.phis,
                     (m.c_prior * 0.6, m.c_prior * 1.5),
                     2.0 / (m.c_prior * 0.6),
@@ -583,6 +584,7 @@ mod tests {
             assert!((0.1..=0.5).contains(&g), "unbalanced split {:?}", d.gamma);
         }
         assert_eq!(d.states_evaluated, 286, "full 0.1-quantum enumeration");
+        assert_eq!(l2.mean_states_evaluated(), 286.0);
     }
 
     #[test]
@@ -969,6 +971,7 @@ mod tests {
                 let (c_range, lambda_max, q_max) = m.learn_envelope();
                 Arc::new(AbstractionMap::learn(
                     &scenario.l0,
+                    scenario.l0.ticks_per(scenario.l1.period) as usize,
                     &m.phis,
                     c_range,
                     lambda_max,
@@ -1041,20 +1044,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forecast_history_tracks_pairs() {
-        let model = module_model(2);
-        let mut l2 = L2Controller::new(L2Config::paper_default(), vec![model]);
-        l2.observe(1200);
-        let _ = l2.decide(&[ModuleState {
-            c_factor: 1.0,
-            queue_mean: 0.0,
-            active: 2,
-        }]);
-        l2.observe(1300);
-        assert_eq!(l2.level.forecast_history.len(), 1);
-        assert!(l2.mean_states_evaluated() > 0.0);
     }
 }

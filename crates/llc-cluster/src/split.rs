@@ -26,7 +26,7 @@
 //!   pricing it on every visit gives.
 
 use llc_approx::SimplexGrid;
-use llc_forecast::{Forecaster, LocalLinearTrend};
+use llc_forecast::LocalLinearTrend;
 use std::fmt::Debug;
 
 /// The samples of the L1's band `{λ̂−δ, λ̂, λ̂+δ}`; the L2 prices one.
@@ -112,8 +112,6 @@ pub(crate) struct SplitLevel<C: SplitChild> {
     forecast: LocalLinearTrend,
     /// The rate the last decision planned for.
     last_prediction: Option<f64>,
-    /// (actual, predicted) arrival rate per period.
-    pub(crate) forecast_history: Vec<(f64, f64)>,
     /// States weighed over all decisions.
     total_states: u64,
     decisions: u64,
@@ -131,9 +129,8 @@ impl<C: SplitChild> SplitLevel<C> {
     pub(crate) fn new(children: Vec<C>) -> Self {
         SplitLevel {
             children,
-            forecast: LocalLinearTrend::with_default_noise().with_floor(0.0),
+            forecast: LocalLinearTrend::with_default_noise(),
             last_prediction: None,
-            forecast_history: Vec::new(),
             total_states: 0,
             decisions: 0,
             lanes: Lanes {
@@ -151,16 +148,13 @@ impl<C: SplitChild> SplitLevel<C> {
     /// Fold one period's arrival rate into the forecast. Returns the rate
     /// the last decision planned for, if one did.
     pub(crate) fn observe(&mut self, rate: f64) -> Option<f64> {
-        if let Some(pred) = self.last_prediction {
-            self.forecast_history.push((rate, pred));
-        }
         self.forecast.observe(rate);
         self.last_prediction
     }
 
     /// Arrival-rate forecast one period ahead (req/s).
     pub(crate) fn lambda_estimate(&self) -> f64 {
-        self.forecast.predict_one().max(0.0)
+        self.forecast.predict_one()
     }
 
     /// The rate a decision plans for: `planned` if given, the forecast

@@ -1,23 +1,9 @@
-/// How a scalar deviation is folded into the cost.
-///
-/// The paper writes all costs as weighted norms `‖v‖_Q`; for the scalar
-/// quantities of the case study either the absolute value or the square is
-/// meant depending on context. Both are provided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Norm {
-    /// `w · |v|` — linear penalty (default; matches the paper's weight
-    /// scales Q=100, R=1, W=8 on same-order quantities).
-    #[default]
-    Abs,
-    /// `w · v²` — quadratic penalty.
-    Square,
-}
-
-/// A weighted norm term of a cost function, e.g. `‖ε‖_Q` or `‖Δu‖_W`.
+/// A weighted norm term of a cost function, e.g. `‖ε‖_Q` or `‖Δu‖_W`:
+/// the paper's weights (Q = 100, R = 1, W = 8) scale same-order
+/// quantities, so the norm is the absolute value, `w·|v|`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Penalty {
     weight: f64,
-    norm: Norm,
 }
 
 impl Penalty {
@@ -32,44 +18,12 @@ impl Penalty {
             weight.is_finite() && weight >= 0.0,
             "penalty weight must be finite and non-negative, got {weight}"
         );
-        Penalty {
-            weight,
-            norm: Norm::Abs,
-        }
-    }
-
-    /// A quadratic penalty `w·v²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or non-finite.
-    pub fn square(weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "penalty weight must be finite and non-negative, got {weight}"
-        );
-        Penalty {
-            weight,
-            norm: Norm::Square,
-        }
+        Penalty { weight }
     }
 
     /// Evaluate the penalty for deviation `v`.
     pub fn eval(&self, v: f64) -> f64 {
-        match self.norm {
-            Norm::Abs => self.weight * v.abs(),
-            Norm::Square => self.weight * v * v,
-        }
-    }
-
-    /// The weight `w`.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// The norm flavor.
-    pub fn norm(&self) -> Norm {
-        self.norm
+        self.weight * v.abs()
     }
 }
 
@@ -101,31 +55,10 @@ impl SetPoint {
         SetPoint { target }
     }
 
-    /// The target value `x*`.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
     /// One-sided slack `ε = max(0, value − target)`: positive only when the
     /// observed value *exceeds* the target (e.g. response time too high).
     pub fn slack_above(&self, value: f64) -> f64 {
         (value - self.target).max(0.0)
-    }
-
-    /// One-sided slack `max(0, target − value)` for lower-bound goals
-    /// (e.g. throughput too low).
-    pub fn slack_below(&self, value: f64) -> f64 {
-        (self.target - value).max(0.0)
-    }
-
-    /// Symmetric deviation `|value − target|` for regulation problems.
-    pub fn deviation(&self, value: f64) -> f64 {
-        (value - self.target).abs()
-    }
-
-    /// Whether `value` satisfies the upper-bound goal `value ≤ target`.
-    pub fn satisfied_above(&self, value: f64) -> bool {
-        value <= self.target
     }
 }
 
@@ -140,16 +73,6 @@ mod tests {
         assert_eq!(p.eval(0.0), 0.0);
         assert_eq!(p.eval(1.5), 150.0);
         assert_eq!(p.eval(-1.5), 150.0);
-        assert_eq!(p.weight(), 100.0);
-        assert_eq!(p.norm(), Norm::Abs);
-    }
-
-    #[test]
-    fn square_penalty() {
-        let p = Penalty::square(2.0);
-        assert_eq!(p.eval(3.0), 18.0);
-        assert_eq!(p.eval(-3.0), 18.0);
-        assert_eq!(p.norm(), Norm::Square);
     }
 
     #[test]
@@ -161,39 +84,20 @@ mod tests {
     #[test]
     fn setpoint_slacks() {
         let sp = SetPoint::new(4.0);
-        assert_eq!(sp.target(), 4.0);
         assert_eq!(sp.slack_above(3.0), 0.0);
         assert_eq!(sp.slack_above(4.0), 0.0);
         assert_eq!(sp.slack_above(5.5), 1.5);
-        assert_eq!(sp.slack_below(3.0), 1.0);
-        assert_eq!(sp.slack_below(5.0), 0.0);
-        assert_eq!(sp.deviation(2.0), 2.0);
-        assert!(sp.satisfied_above(4.0));
-        assert!(!sp.satisfied_above(4.001));
     }
 
     proptest! {
         #[test]
         fn penalty_is_nonnegative(w in 0.0..1e6f64, v in -1e6..1e6f64) {
             prop_assert!(Penalty::abs(w).eval(v) >= 0.0);
-            prop_assert!(Penalty::square(w).eval(v) >= 0.0);
         }
 
         #[test]
         fn penalty_is_even(w in 0.0..1e3f64, v in -1e3..1e3f64) {
             prop_assert_eq!(Penalty::abs(w).eval(v), Penalty::abs(w).eval(-v));
-            prop_assert_eq!(Penalty::square(w).eval(v), Penalty::square(w).eval(-v));
-        }
-
-        #[test]
-        fn slack_is_complementary(t in -1e3..1e3f64, v in -1e3..1e3f64) {
-            let sp = SetPoint::new(t);
-            // At most one of the two one-sided slacks is non-zero, and they
-            // reconstruct the absolute deviation.
-            let above = sp.slack_above(v);
-            let below = sp.slack_below(v);
-            prop_assert!(above == 0.0 || below == 0.0);
-            prop_assert!((above + below - sp.deviation(v)).abs() < 1e-9);
         }
     }
 }

@@ -16,9 +16,7 @@
 //! described by the [`Plant`] trait (dynamics, admissible inputs, cost),
 //! the environment forecast by a slice with one `Plant::Env` per future
 //! step, and the search by [`LookaheadController`] (exhaustive, with
-//! branch-and-bound pruning). [`UncertaintyBand`] tracks the
-//! forecast-error half-width `δ`; the module controller that does the
-//! paper's `λ̂ ± δ` chattering mitigation builds its three samples from it.
+//! branch-and-bound pruning).
 //!
 //! # Example
 //!
@@ -57,13 +55,11 @@ mod llc;
 mod model;
 mod online;
 mod scale;
-mod uncertainty;
 
-pub use cost::{Norm, Penalty, SetPoint};
+pub use cost::{Penalty, SetPoint};
 pub use detect::{DriftDetector, LearnRate};
 pub use error::Error;
 pub use llc::{Decision, LookaheadController, SearchScratch, SearchStats};
 pub use model::Plant;
 pub use online::OnlineConfig;
 pub use scale::{ScaleEstimatorConfig, ServiceScaleEstimator};
-pub use uncertainty::UncertaintyBand;

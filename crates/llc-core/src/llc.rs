@@ -119,8 +119,7 @@ struct Frame {
 /// non-negative, a partial path whose cost, plus what the steps below it
 /// must still cost at least, already reaches the incumbent best is
 /// pruned. (The paper's three-sample `λ̂ ± δ` chattering mitigation belongs
-/// to the module controller, which averages its own samples; see
-/// [`UncertaintyBand`](crate::UncertaintyBand).)
+/// to the module controller, which averages its own samples.)
 ///
 /// What the steps below must cost at least is the plant's word: before it
 /// expands anything a search asks [`Plant::cost_floors`] for a floor

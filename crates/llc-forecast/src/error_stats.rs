@@ -1,8 +1,7 @@
-/// Online forecast-accuracy accumulator.
+/// Online forecast-accuracy accumulator: fig. 4's summary line.
 ///
-/// Tracks mean absolute error (the paper's `δ` band source), RMSE and mean
-/// absolute percentage error over (actual, forecast) pairs, without storing
-/// the series.
+/// Tracks mean absolute error, RMSE and mean absolute percentage error
+/// over (actual, forecast) pairs, without storing the series.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccuracyStats {
     n: u64,
@@ -65,15 +64,6 @@ impl AccuracyStats {
             self.pct_sum / self.pct_n as f64
         }
     }
-
-    /// Merge another accumulator into this one.
-    pub fn absorb(&mut self, other: &AccuracyStats) {
-        self.n += other.n;
-        self.abs_sum += other.abs_sum;
-        self.sq_sum += other.sq_sum;
-        self.pct_sum += other.pct_sum;
-        self.pct_n += other.pct_n;
-    }
 }
 
 #[cfg(test)]
@@ -116,22 +106,6 @@ mod tests {
         s.record(f64::NAN, 1.0);
         s.record(1.0, f64::INFINITY);
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn absorb_equals_sequential() {
-        let mut a = AccuracyStats::new();
-        let mut b = AccuracyStats::new();
-        let mut whole = AccuracyStats::new();
-        for (act, fc) in [(10.0, 9.0), (20.0, 25.0), (30.0, 28.0), (40.0, 44.0)] {
-            whole.record(act, fc);
-        }
-        a.record(10.0, 9.0);
-        a.record(20.0, 25.0);
-        b.record(30.0, 28.0);
-        b.record(40.0, 44.0);
-        a.absorb(&b);
-        assert_eq!(a, whole);
     }
 
     proptest! {

@@ -1,11 +1,9 @@
-use crate::Forecaster;
-
 /// Exponentially-weighted moving-average filter.
 ///
 /// The paper estimates per-request processing time with
 /// `ĉ(k+1) = π·c(k) + (1−π)·ĉ(k)` using smoothing constant `π = 0.1`
-/// (§4.3). Predictions at any horizon equal the current smoothed value —
-/// the EWMA is a level-only model.
+/// (§4.3). The L1 smooths its mean absolute forecast error, the band
+/// half-width `δ` of §4.2, with one at `π = 0.25`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     pi: f64,
@@ -37,19 +35,14 @@ impl Ewma {
         Ewma::new(0.1)
     }
 
-    /// The smoothing constant π.
-    pub fn smoothing(&self) -> f64 {
-        self.pi
-    }
-
     /// Current smoothed estimate (0.0 before any observation).
     pub fn estimate(&self) -> f64 {
         self.estimate
     }
-}
 
-impl Forecaster for Ewma {
-    fn observe(&mut self, value: f64) {
+    /// Absorb the newest sample: the first seeds the estimate, each later
+    /// one blends in at `π`. A non-finite sample is skipped.
+    pub fn observe(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -59,18 +52,6 @@ impl Forecaster for Ewma {
             self.estimate = self.pi * value + (1.0 - self.pi) * self.estimate;
         }
         self.observations += 1;
-    }
-
-    fn predict(&self, horizon: usize) -> Vec<f64> {
-        vec![self.estimate; horizon]
-    }
-
-    fn predict_one(&self) -> f64 {
-        self.estimate
-    }
-
-    fn observations(&self) -> u64 {
-        self.observations
     }
 }
 
@@ -105,22 +86,12 @@ mod tests {
     }
 
     #[test]
-    fn predict_is_flat_at_estimate() {
-        let mut e = Ewma::new(0.5);
-        e.observe(4.0);
-        e.observe(8.0);
-        let p = e.predict(3);
-        assert_eq!(p, vec![6.0, 6.0, 6.0]);
-        assert_eq!(e.predict_one(), 6.0);
-    }
-
-    #[test]
     fn nonfinite_ignored() {
         let mut e = Ewma::new(0.2);
         e.observe(10.0);
         e.observe(f64::NAN);
         assert_eq!(e.estimate(), 10.0);
-        assert_eq!(e.observations(), 1);
+        assert_eq!(e.observations, 1);
     }
 
     #[test]
@@ -134,16 +105,19 @@ mod tests {
         fn estimate_bounded_by_input_range(
             values in proptest::collection::vec(5.0..25.0f64, 1..100)
         ) {
-            // Processing times drawn from U(10,25) ms keep the EWMA inside
-            // the sample range — a convexity invariant.
-            let mut e = Ewma::paper_default();
-            for v in &values {
-                e.observe(*v);
-            }
+            // Processing times drawn from U(10,25) ms, and the L1's
+            // forecast errors, keep the EWMA inside the sample range at
+            // either smoothing constant — a convexity invariant.
             let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(e.estimate() >= lo - 1e-9);
-            prop_assert!(e.estimate() <= hi + 1e-9);
+            for pi in [0.1, 0.25] {
+                let mut e = Ewma::new(pi);
+                for v in &values {
+                    e.observe(*v);
+                }
+                prop_assert!(e.estimate() >= lo - 1e-9);
+                prop_assert!(e.estimate() <= hi + 1e-9);
+            }
         }
     }
 }

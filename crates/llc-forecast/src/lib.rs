@@ -11,25 +11,23 @@
 //! algebra or statistics dependency:
 //!
 //! * [`LocalLinearTrend`]: a level+slope structural model (the state-space
-//!   equivalent of ARIMA(0,2,2)) stepped by a fixed-size, heap-free Kalman
-//!   kernel (Joseph-form covariance update), with data-driven noise tuning
-//!   mirroring the paper's "parameters of the Kalman filter were first
-//!   tuned using an initial portion of the workload";
-//! * [`Ewma`]: the processing-time filter;
-//! * [`Forecaster`]: the common observe/predict interface consumed by the
-//!   controllers, plus [`AccuracyStats`] for tracking forecast error (the
-//!   source of the chattering-mitigation band `δ`).
+//!   equivalent of ARIMA(0,2,2)) at fixed noise. Its covariance recursion
+//!   reads no data, so it is run once per process into a gain table, and
+//!   a filter holds only its state and its count of observations;
+//! * [`Ewma`]: the processing-time filter, and the L1's running mean
+//!   forecast error (the §4.2 band half-width `δ`);
+//! * [`AccuracyStats`]: the MAE, RMSE and MAPE of fig. 4's forecast.
 //!
 //! # Example
 //!
 //! ```
-//! use llc_forecast::{Forecaster, LocalLinearTrend};
+//! use llc_forecast::LocalLinearTrend;
 //!
 //! let mut f = LocalLinearTrend::with_default_noise();
 //! for k in 0..50 {
 //!     f.observe(10.0 + 2.0 * k as f64); // a clean linear ramp
 //! }
-//! let ahead = f.predict(3);
+//! let ahead: Vec<f64> = f.predictions().take(3).collect();
 //! assert!((ahead[0] - 110.0).abs() < 1.0);
 //! assert!((ahead[2] - 114.0).abs() < 1.5);
 //! ```
@@ -48,10 +46,8 @@ mod ewma;
 mod kalman;
 #[cfg(test)]
 mod matrix;
-mod traits;
 mod trend;
 
 pub use error_stats::AccuracyStats;
 pub use ewma::Ewma;
-pub use traits::Forecaster;
 pub use trend::LocalLinearTrend;

@@ -258,6 +258,7 @@ fn detector_switches_rate_on_a_capacity_step() {
     let (c_range, lambda_max, q_max) = spec.learn_envelope();
     let map = llc_cluster::AbstractionMap::learn(
         &l0,
+        4,
         &spec.phis,
         c_range,
         lambda_max,

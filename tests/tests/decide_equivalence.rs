@@ -144,6 +144,7 @@ fn learned_module() -> &'static (Vec<MemberSpec>, Vec<Arc<AbstractionMap>>) {
                 let (c_range, lambda_max, q_max) = s.learn_envelope();
                 Arc::new(AbstractionMap::learn(
                     &L0Config::paper_default(),
+                    scenario.l0.ticks_per(scenario.l1.period) as usize,
                     &s.phis,
                     c_range,
                     lambda_max,

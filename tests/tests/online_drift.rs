@@ -17,6 +17,7 @@ fn learn_map(spec: &MemberSpec) -> AbstractionMap {
     let (c_range, lambda_max, q_max) = spec.learn_envelope();
     AbstractionMap::learn(
         &L0Config::paper_default(),
+        4,
         &spec.phis,
         c_range,
         lambda_max,

@@ -37,7 +37,7 @@ fn probes(spec: &MemberSpec, learn: LearnSpec) -> Vec<Vec<f64>> {
 /// The map `spec` learns alone, over its standard envelope.
 fn learn_solo(l0: &L0Config, spec: &MemberSpec, learn: LearnSpec) -> AbstractionMap {
     let (c_range, lambda_max, q_max) = spec.learn_envelope();
-    AbstractionMap::learn(l0, &spec.phis, c_range, lambda_max, q_max, learn)
+    AbstractionMap::learn(l0, 4, &spec.phis, c_range, lambda_max, q_max, learn)
 }
 
 fn bits(e: GEntry) -> [u64; 3] {
