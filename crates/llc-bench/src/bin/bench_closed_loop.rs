@@ -1,14 +1,13 @@
 //! Closed-loop trajectory: the full event-driven hierarchy against the
 //! drifting simulated plant, in three arms per drift scenario —
 //!
-//! * **offline-only** — `PolicyBuilder::outcome_tracking`: the policy
-//!   derives realized outcomes and tracks its prequential prediction
-//!   error but never learns from them (the train-once controller);
+//! * **offline-only** — `Preset::Paper`, the train-once controller: like
+//!   every hierarchy it derives realized outcomes and tracks its
+//!   prequential prediction error, but it never learns from them;
 //! * **closed-loop** — `PolicyBuilder::closed_loop` and *zero* harness
 //!   code: the hierarchy absorbs its own outcomes in-loop;
-//! * **drift** — the drift-aware L0 with outcome tracking and no
-//!   learning; the self-healing arm below is this arm plus the closed
-//!   loop.
+//! * **drift** — the drift-aware L0 with no learning; the self-healing
+//!   arm below is this arm plus the closed loop.
 //!
 //! Every arm reports what the plant got beside its tracking MAE: mean
 //! response, the fraction of windows over the response target and
@@ -37,14 +36,14 @@
 //! frequencies more.
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
-use llc_cluster::{Family, Preset, RunSpec};
+use llc_cluster::{ClusterPolicy, Family, Preset, RunSpec};
 use llc_core::OnlineConfig;
 use std::time::Instant;
 
 /// An arm's key in the JSON and the printed lines.
 fn arm_name(arm: Preset) -> &'static str {
     match arm {
-        Preset::OutcomeTracking => "offline",
+        Preset::Paper => "offline",
         Preset::ClosedLoop => "closed",
         Preset::SelfHealing => "selfheal",
         Preset::DriftAware => "drift",
@@ -90,13 +89,12 @@ fn run_arm(spec: &RunSpec, arm: Preset) -> ArmResult {
     let log = spec.run(&mut policy);
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     let summary = log.summary();
+    let metrics = policy.metrics();
     ArmResult {
-        tracking_mae: policy.tracking_error().expect("outcomes were derived"),
-        samples: policy.tracking_samples(),
-        online_updates: policy.online_updates(),
-        detections: (0..policy.num_modules())
-            .map(|m| policy.l1(m).drift_detections())
-            .sum(),
+        tracking_mae: metrics.tracking_error.expect("outcomes were derived"),
+        samples: metrics.tracking_samples,
+        online_updates: metrics.online_updates,
+        detections: metrics.drift_detections(),
         freq_switches: log.frequency_switches(),
         mean_response_s: summary.mean_response,
         violation_fraction: summary.violation_fraction,
@@ -155,14 +153,11 @@ fn main() {
     let mut lines = Vec::new();
     let mut offline_beaten = 0usize;
     for scenario in (0..3).map(spec) {
-        let results: Vec<(Preset, ArmResult)> = [
-            Preset::OutcomeTracking,
-            Preset::ClosedLoop,
-            Preset::DriftAware,
-        ]
-        .into_iter()
-        .map(|arm| (arm, run_median(&scenario, arm, check || quick)))
-        .collect();
+        let results: Vec<(Preset, ArmResult)> =
+            [Preset::Paper, Preset::ClosedLoop, Preset::DriftAware]
+                .into_iter()
+                .map(|arm| (arm, run_median(&scenario, arm, check || quick)))
+                .collect();
         let offline = &results[0].1;
         let closed = &results[1].1;
         println!(

@@ -67,8 +67,9 @@ struct ErrProbe {
 impl ClusterPolicy for ErrProbe {
     fn decide(&mut self, obs: &Observations) -> Vec<Action> {
         let actions = self.inner.decide(obs);
-        let n = self.inner.tracking_samples();
-        let sum = self.inner.tracking_error().unwrap_or(0.0) * n as f64;
+        let metrics = self.inner.metrics();
+        let n = metrics.tracking_samples;
+        let sum = metrics.tracking_error.unwrap_or(0.0) * n as f64;
         self.history.push((obs.tick, sum, n));
         actions
     }
@@ -192,18 +193,18 @@ fn run_arm(spec: &RunSpec, arm: Preset, (first_fault, last_fault): (u64, u64)) -
     let started = Instant::now();
     let log = spec.run(&mut probe);
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
-    let policy = probe.inner;
+    let metrics = probe.inner.metrics();
     let summary = log.summary();
     let periods = period_maes(&probe.history, l1_every(spec));
     ArmResult {
-        tracking_mae: policy.tracking_error().expect("outcomes were derived"),
-        samples: policy.tracking_samples(),
+        tracking_mae: metrics.tracking_error.expect("outcomes were derived"),
+        samples: metrics.tracking_samples,
         dropped: summary.total_dropped,
         mean_response: summary.mean_response,
         violation_fraction: summary.violation_fraction,
-        deaths: policy.member_deaths(),
-        recoveries: policy.member_recoveries(),
-        safe_mode_periods: policy.safe_mode_periods(),
+        deaths: metrics.member_deaths,
+        recoveries: metrics.member_recoveries,
+        safe_mode_periods: metrics.safe_mode_periods,
         recovery_periods: recovery_periods(&periods, first_fault, last_fault),
         run_ms,
     }

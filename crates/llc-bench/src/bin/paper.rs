@@ -767,7 +767,7 @@ fn overhead_centralized(runs: &mut Runs) -> Verdict {
         // Hierarchical.
         let h = runs.paper(spec);
         let h_states = h.policy.l1(0).mean_states_evaluated();
-        let h_decide = h.policy.overhead()[1].mean();
+        let h_decide = h.policy.metrics().level_overhead[1].mean();
         report("hierarchical", h_states, h_decide, h.log.summary());
 
         // Centralized.

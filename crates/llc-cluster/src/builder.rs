@@ -16,8 +16,10 @@ use llc_core::OnlineConfig;
 pub struct RetrainConfig;
 
 /// Fluent builder for a [`HierarchicalPolicy`] with any combination of
-/// the optional subsystems: closed-loop learning (or its measure-only
-/// outcome-tracking variant), the churn watchdog and the drift-aware L0.
+/// the optional subsystems: closed-loop learning, the churn watchdog and
+/// the drift-aware L0. Every build derives its realized outcomes and
+/// tracks its maps' prediction error; only closed-loop learning writes
+/// them into the maps.
 ///
 /// ```no_run
 /// use llc_cluster::{single_module, PolicyBuilder};
@@ -32,7 +34,6 @@ pub struct RetrainConfig;
 pub struct PolicyBuilder {
     scenario: ScenarioConfig,
     closed_loop: bool,
-    outcome_tracking: bool,
     fault_tolerance: bool,
     drift_aware_l0: bool,
 }
@@ -44,33 +45,18 @@ impl PolicyBuilder {
         PolicyBuilder {
             scenario,
             closed_loop: false,
-            outcome_tracking: false,
             fault_tolerance: false,
             drift_aware_l0: false,
         }
     }
 
-    /// Close the loop in-hierarchy: derive realized outcomes from plant
-    /// telemetry and absorb them into the learned models every period,
-    /// at [`OnlineConfig`]'s rates (the field-less argument is kept for
-    /// `benchmark/src/workloads.rs` until ROADMAP item 15). Mutually
-    /// exclusive with [`PolicyBuilder::outcome_tracking`] (last call
-    /// wins).
+    /// Close the loop in-hierarchy: absorb the realized outcomes the
+    /// hierarchy derives from plant telemetry into the L1s' maps every
+    /// period, at [`OnlineConfig`]'s rates (the field-less argument is
+    /// kept for `benchmark/src/workloads.rs` until ROADMAP item 15).
     #[must_use]
     pub fn closed_loop(mut self, _: OnlineConfig) -> Self {
         self.closed_loop = true;
-        self.outcome_tracking = false;
-        self
-    }
-
-    /// Derive realized outcomes and score the models against them
-    /// without learning from them (the measure-only offline arm).
-    /// Mutually exclusive with [`PolicyBuilder::closed_loop`] (last call
-    /// wins).
-    #[must_use]
-    pub fn outcome_tracking(mut self) -> Self {
-        self.outcome_tracking = true;
-        self.closed_loop = false;
         self
     }
 
@@ -117,9 +103,6 @@ impl PolicyBuilder {
         if self.closed_loop {
             policy.set_closed_loop();
         }
-        if self.outcome_tracking {
-            policy.set_outcome_tracking();
-        }
         if self.fault_tolerance {
             policy.set_fault_tolerance();
         }
@@ -130,8 +113,12 @@ impl PolicyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_module;
-    use crate::ClosedLoopMode;
+    use crate::{single_module, ClusterPolicy};
+
+    /// The L1s' drift detectors exist exactly while they learn.
+    fn learns(policy: &HierarchicalPolicy) -> bool {
+        !policy.metrics().map_drift_detections.concat().is_empty()
+    }
 
     #[test]
     fn builder_wires_every_subsystem() {
@@ -140,29 +127,15 @@ mod tests {
             .fault_tolerance(FaultToleranceConfig)
             .drift_aware_l0()
             .build();
-        assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);
+        assert!(learns(&policy), "closed loop on");
         assert!(policy.fault_tolerance_enabled());
         assert!(policy.l0(0).config().scale.enabled, "drift-aware L0 on");
     }
 
     #[test]
-    fn closed_loop_and_tracking_are_exclusive() {
-        let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
-            .closed_loop(OnlineConfig)
-            .outcome_tracking()
-            .build();
-        assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Observe);
-        let policy = PolicyBuilder::new(single_module(2).with_coarse_learning())
-            .outcome_tracking()
-            .closed_loop(OnlineConfig)
-            .build();
-        assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Learn);
-    }
-
-    #[test]
     fn plain_build_matches_legacy() {
         let policy = PolicyBuilder::new(single_module(2).with_coarse_learning()).build();
-        assert_eq!(policy.closed_loop_mode(), ClosedLoopMode::Off);
+        assert!(!learns(&policy), "a plain build learns nothing online");
         assert!(!policy.fault_tolerance_enabled());
     }
 }

@@ -24,15 +24,13 @@
 //! `examples/control_plane.rs` is another, running the hierarchy as a
 //! long-lived loop fed by a channel with no `Experiment` at all.
 //!
-//! ## Observe vs Learn at the API boundary
+//! ## Learning behind the API boundary
 //!
-//! The closed-loop mode of the policy behind the plane decides what an
-//! ingested observation *does*: in `Learn` mode the hierarchy derives
-//! realized outcomes from the stream and absorbs them into its own
-//! models (the plane's client supplies telemetry and nothing else); in
-//! `Observe` mode outcomes are derived and scored against the models
-//! but never learned from. The ingest surface is identical in both —
-//! the mode is a property of the policy, not of the transport.
+//! A hierarchy behind the plane derives realized outcomes from the
+//! ingested stream and scores its models against them; if it was built
+//! with the closed loop it also absorbs them into those models. The
+//! plane's client supplies telemetry and nothing else either way —
+//! learning is a property of the policy, not of the transport.
 //!
 //! [`Experiment`]: crate::Experiment
 
@@ -422,13 +420,11 @@ pub(crate) fn mean_duration(total: Duration, count: u64) -> Duration {
     )
 }
 
-/// The operational counters a [`ClusterPolicy`] exposes through the
-/// metrics surface. Everything here used to be buried in private
-/// counters across structs with their own access idioms
-/// (`HierarchicalPolicy`, its watchdog, its learners); the
-/// control plane surfaces them all in one place via
-/// [`MetricsSnapshot`]. A policy without a given subsystem reports
-/// zeros/empties — the defaults.
+/// The operational counters a [`ClusterPolicy`] exposes through
+/// [`ClusterPolicy::metrics`], the one place they are read (a
+/// [`ControlPlane`] serves them as [`MetricsSnapshot::policy`]). A
+/// policy without a given subsystem reports zeros/empties — the
+/// defaults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PolicyMetrics {
     /// Observations blended into the abstraction maps so far (every L1).
@@ -513,16 +509,13 @@ pub struct TransportMetrics {
 
 /// Everything observable about a control plane at one instant: the
 /// driver's own ingest/emit/latency counters plus the policy's
-/// [`PolicyMetrics`]. This is the one metrics surface — the counters
-/// that used to require knowing which struct owned them
-/// (`member_deaths` on the policy, per-learner detections on each
-/// controller) are all reachable from here.
+/// [`PolicyMetrics`]. This is the one metrics surface: the policy's
+/// counters are read from its `policy` section, and nowhere else.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// The next undecided tick of the virtual clock.
+    /// The next undecided tick of the virtual clock, which is also the
+    /// number of ticks decided so far (the clock starts at tick 0).
     pub next_tick: u64,
-    /// Ticks decided so far.
-    pub ticks_decided: u64,
     /// Observations accepted at the ingest surface.
     pub observations_ingested: u64,
     /// Accepted observations that arrived after an observation for a
@@ -548,28 +541,6 @@ pub struct MetricsSnapshot {
     /// Wire-transport counters, all zero for an in-process plane (see
     /// [`TransportMetrics`]).
     pub transport: TransportMetrics,
-}
-
-impl MetricsSnapshot {
-    /// Members declared dead so far (cumulative).
-    pub fn member_deaths(&self) -> u64 {
-        self.policy.member_deaths
-    }
-
-    /// Dead members that rejoined so far.
-    pub fn member_recoveries(&self) -> u64 {
-        self.policy.member_recoveries
-    }
-
-    /// Module-periods spent in safe mode so far.
-    pub fn safe_mode_periods(&self) -> u64 {
-        self.policy.safe_mode_periods
-    }
-
-    /// Total drift detections across every learner at every level.
-    pub fn drift_detections(&self) -> u64 {
-        self.policy.drift_detections()
-    }
 }
 
 /// What one [`ControlPlane::step`] did.
@@ -894,18 +865,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         self.out.push_back(directive);
     }
 
-    /// Step every tick whose window has fully elapsed by virtual time
-    /// `now` (seconds), returning one report per decision. The idle
-    /// form of the drive loop: feed observations as they arrive, then
-    /// let the clock catch up.
-    pub fn advance_to(&mut self, now: f64) -> Vec<StepReport> {
-        let mut reports = Vec::new();
-        while self.next_tick as f64 * self.t_l0 <= now + 1e-9 {
-            reports.push(self.step());
-        }
-        reports
-    }
-
     /// Snapshot every operational counter: the driver's and the
     /// policy's.
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -918,7 +877,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         decide.candidates_pruned = policy.l1_candidates_pruned;
         MetricsSnapshot {
             next_tick: self.next_tick,
-            ticks_decided: self.next_tick,
             observations_ingested: self.ingested,
             out_of_order_observations: self.out_of_order,
             stale_observations: self.stale,
@@ -1123,7 +1081,7 @@ mod tests {
         let m = plane.metrics();
         assert_eq!(m.out_of_order_observations, 1);
         assert_eq!(m.stale_observations, 1);
-        assert_eq!(m.ticks_decided, 2);
+        assert_eq!(m.next_tick, 2);
         assert_eq!(m.observations_ingested, 2);
     }
 
@@ -1317,17 +1275,6 @@ mod tests {
         assert_eq!(LatencyStats::default().mean(), Duration::ZERO);
         // One decision may take longer than `u64::MAX` nanoseconds.
         assert_eq!(mean_duration(Duration::MAX, 1), Duration::MAX);
-    }
-
-    #[test]
-    fn advance_to_steps_the_virtual_clock() {
-        let mut plane = plane();
-        let reports = plane.advance_to(90.0);
-        assert_eq!(reports.len(), 4, "ticks 0,1,2,3 elapsed by t=90s");
-        assert_eq!(plane.next_tick(), 4);
-        // No telemetry at all: everything dark-filled, decisions still
-        // taken (absence of telemetry must not stall the controller).
-        assert_eq!(plane.metrics().dark_filled_members, 8);
     }
 
     #[test]

@@ -742,7 +742,7 @@ mod tests {
         assert!(s.total_energy > 0.0);
         // The run went through the control plane: the log carries its
         // metrics and the emitted directives.
-        assert_eq!(log.metrics.ticks_decided, 20);
+        assert_eq!(log.metrics.next_tick, 20);
         assert_eq!(log.metrics.observations_ingested, 20);
         assert_eq!(log.metrics.dark_filled_members, 0);
         assert_eq!(

@@ -47,33 +47,15 @@ impl LevelOverhead {
     }
 }
 
-/// How the hierarchy closes its own feedback loop (the paper's Fig. 2 is
-/// a *closed-loop* controller): whether realized outcomes are derived
-/// from plant telemetry at all, and whether the learned models absorb
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosedLoopMode {
-    /// No realized-outcome derivation at all (zero overhead) — the
-    /// default, matching the pre-closed-loop behaviour.
-    #[default]
-    Off,
-    /// Derive realized per-member outcomes and track the prequential
-    /// prediction error, but never touch the learned models: the
-    /// measure-only arm an offline hierarchy is scored with.
-    Observe,
-    /// The full closed loop: each period's derived outcomes are absorbed
-    /// into the module's [`L1Controller`] maps where they are derived —
-    /// the hierarchy self-corrects with no harness code. The L2's module
-    /// models stay as learned offline.
-    Learn,
-}
-
-/// Internal closed-loop state: telemetry accumulators between L1 ticks
+/// The hierarchy's own feedback loop (the paper's Fig. 2 is a
+/// *closed-loop* controller): telemetry accumulators between L1 ticks
 /// plus the snapshot that anchors each realized outcome to the operating
-/// point its decision was taken at.
+/// point its decision was taken at. Every hierarchy derives its realized
+/// outcomes and scores its maps against them; whether an L1 also learns
+/// from them is its own learner's business
+/// ([`L1Controller::enable_online`]).
 #[derive(Debug)]
 struct ClosedLoop {
-    mode: ClosedLoopMode,
     /// Per-computer sum of realized per-L0-window costs over the running
     /// L1 window (`Q·slack + R·power` per window, the L0 cost function
     /// evaluated on measurements).
@@ -103,14 +85,13 @@ struct ClosedLoop {
     err_n: u64,
     /// One module's learnable outcomes of the L1 period that just ended,
     /// `(member, λ, q₀, realized)` — refilled per module and handed to
-    /// its [`L1Controller::absorb_outcomes`] (Learn mode only).
+    /// its [`L1Controller::absorb_outcomes`] when that L1 learns.
     l1_outcomes: Vec<(usize, f64, f64, GEntry)>,
 }
 
 impl ClosedLoop {
-    fn new(mode: ClosedLoopMode, computers: usize) -> Self {
+    fn new(computers: usize) -> Self {
         ClosedLoop {
-            mode,
             cost_acc: vec![0.0; computers],
             window_acc: vec![WindowStats::default(); computers],
             q0: vec![0.0; computers],
@@ -232,9 +213,9 @@ pub struct HierarchicalPolicy {
     feed_forward_events: u64,
     /// The split in force (tracks re-splits for the feed-forward).
     last_gamma: Option<Vec<f64>>,
-    /// In-hierarchy feedback state, present once a closed-loop mode is
-    /// enabled.
-    closed_loop: Option<ClosedLoop>,
+    /// In-hierarchy feedback state: realized outcomes and the
+    /// prequential tracking error.
+    closed_loop: ClosedLoop,
     /// Churn watchdog, present once fault tolerance is configured
     /// (see [`crate::PolicyBuilder::fault_tolerance`]).
     fault_tolerance: Option<FaultTolerance>,
@@ -369,7 +350,7 @@ impl HierarchicalPolicy {
             feed_forward: scenario.l2.feed_forward,
             feed_forward_events: 0,
             last_gamma: None,
-            closed_loop: None,
+            closed_loop: ClosedLoop::new(num_computers),
             fault_tolerance: None,
         }
     }
@@ -394,74 +375,15 @@ impl HierarchicalPolicy {
         self.fault_tolerance.is_some()
     }
 
-    /// Members declared dead so far (cumulative, not current).
-    pub fn member_deaths(&self) -> u64 {
-        self.fault_tolerance.as_ref().map_or(0, |ft| ft.deaths)
-    }
-
-    /// Dead members that rejoined so far.
-    pub fn member_recoveries(&self) -> u64 {
-        self.fault_tolerance.as_ref().map_or(0, |ft| ft.recoveries)
-    }
-
-    /// Module-periods spent in safe mode (uniform split over live
-    /// members) because telemetry fell below quorum.
-    pub fn safe_mode_periods(&self) -> u64 {
-        self.fault_tolerance
-            .as_ref()
-            .map_or(0, |ft| ft.safe_mode_periods)
-    }
-
-    /// Close the loop in-hierarchy: from now on the policy derives
-    /// realized per-member outcomes from the plant telemetry it already
-    /// receives (window response slack + energy + end queue) and, every
-    /// L1 period, hands them to its own L1 controllers
-    /// ([`L1Controller::absorb_outcomes`]) before deciding on the updated
-    /// maps.
+    /// Close the loop in-hierarchy: from now on every L1 controller
+    /// learns online ([`L1Controller::enable_online`]), so the realized
+    /// outcomes the hierarchy derives each L1 period are absorbed into
+    /// its maps before it decides on them. The L2's module models stay
+    /// as learned offline.
     pub(crate) fn set_closed_loop(&mut self) {
-        // Unconditional: re-enabling an already-online controller
-        // restarts its detectors rather than carrying their state into
-        // the new closed loop.
         for l1 in &mut self.l1s {
             l1.enable_online();
         }
-        self.closed_loop = Some(ClosedLoop::new(ClosedLoopMode::Learn, self.l0s.len()));
-    }
-
-    /// Derive realized outcomes without learning from them: the policy
-    /// tracks its prequential prediction error
-    /// ([`HierarchicalPolicy::tracking_error`]) but never touches its
-    /// learned models — the offline-only control arm of the closed-loop
-    /// benches.
-    pub(crate) fn set_outcome_tracking(&mut self) {
-        self.closed_loop = Some(ClosedLoop::new(ClosedLoopMode::Observe, self.l0s.len()));
-    }
-
-    /// The closed-loop mode in force.
-    pub fn closed_loop_mode(&self) -> ClosedLoopMode {
-        self.closed_loop
-            .as_ref()
-            .map_or(ClosedLoopMode::Off, |cl| cl.mode)
-    }
-
-    /// Mean prequential tracking error of the abstraction maps against
-    /// realized per-member outcomes (`|predicted − realized|` cost,
-    /// measured before each outcome is absorbed), or `None` before any
-    /// outcome was derived.
-    pub fn tracking_error(&self) -> Option<f64> {
-        let cl = self.closed_loop.as_ref()?;
-        (cl.err_n > 0).then(|| cl.err_sum / cl.err_n as f64)
-    }
-
-    /// Realized outcomes derived so far.
-    pub fn tracking_samples(&self) -> u64 {
-        self.closed_loop.as_ref().map_or(0, |cl| cl.err_n)
-    }
-
-    /// Online observations blended into the abstraction maps so far,
-    /// summed over every L1.
-    pub fn online_updates(&self) -> u64 {
-        self.l1s.iter().map(|l| l.online_updates()).sum()
     }
 
     /// Number of computers managed.
@@ -501,11 +423,6 @@ impl HierarchicalPolicy {
     /// Panics if `i` is out of range.
     pub fn l0(&self, i: usize) -> &L0Controller {
         &self.l0s[i]
-    }
-
-    /// Per-level wall-clock overhead, indexed `[L0, L1, L2]`.
-    pub fn overhead(&self) -> &[LevelOverhead; 3] {
-        &self.overhead
     }
 
     /// The §5.2 overhead metric: mean execution time along one hierarchy
@@ -637,53 +554,51 @@ impl ClusterPolicy for HierarchicalPolicy {
         // slack evidence is only taken from windows that end backlogged —
         // exactly the windows where the model's own slack is non-trivial
         // (at q_end = 0 the model's response is ĉ/φ, far under r*).
-        if let Some(cl) = self.closed_loop.as_mut() {
-            for comp in &obs.computers {
-                let cfg = self.l0s[comp.index].config();
-                // Router-side drop charge, folded *before* the telemetry
-                // gate: the dispatcher's failed sends are valid telemetry
-                // even when the target machine is dark. A refused request
-                // never completes — charge each one a timeout's worth of
-                // slack, normalized per window second like the power
-                // term. Without this charge, routing traffic into a dead
-                // machine *improves* the realized books (the drops
-                // vanish from the accounting and the relieved survivors
-                // look beautifully modeled) — exactly the failure mode a
-                // fault-blind controller must not get credit for. Both
-                // arms pay it: the watchdog'd hierarchy for its honest
-                // detection latency, the blind one for as long as it
-                // keeps shoveling work into the void.
-                if comp.rejected > 0 {
-                    let drop_slack =
-                        comp.rejected as f64 * DROP_TIMEOUT_FACTOR * cfg.response_target
-                            / cfg.period;
-                    let charge = cfg.q_weight * drop_slack;
-                    cl.cost_acc[comp.index] += charge;
-                    cl.refused[comp.index] += comp.rejected;
-                }
-                if ft_on && !comp.telemetry_ok {
-                    // A window with a telemetry gap cannot anchor a valid
-                    // realized outcome: poison this member's running L1
-                    // window rather than folding blanks into it.
-                    cl.served[comp.index] = false;
-                    continue;
-                }
-                let slack = if comp.queue > 0 && comp.window.completions > 0 {
-                    let r_implied =
-                        (1.0 + comp.queue as f64) * cfg.period / comp.window.completions as f64;
-                    (r_implied - cfg.response_target).max(0.0)
-                } else {
-                    // Drained or silent window: the divisor would
-                    // measure throughput rather than service rate, and
-                    // the model's own slack at an empty queue is ~0 —
-                    // charge none.
-                    0.0
-                };
-                let power = comp.window.mean_power(cfg.period);
-                let cost = cfg.q_weight * slack + cfg.r_weight * power;
-                cl.cost_acc[comp.index] += cost;
-                cl.window_acc[comp.index].absorb(&comp.window);
+        let cl = &mut self.closed_loop;
+        for comp in &obs.computers {
+            let cfg = self.l0s[comp.index].config();
+            // Router-side drop charge, folded *before* the telemetry
+            // gate: the dispatcher's failed sends are valid telemetry
+            // even when the target machine is dark. A refused request
+            // never completes — charge each one a timeout's worth of
+            // slack, normalized per window second like the power
+            // term. Without this charge, routing traffic into a dead
+            // machine *improves* the realized books (the drops
+            // vanish from the accounting and the relieved survivors
+            // look beautifully modeled) — exactly the failure mode a
+            // fault-blind controller must not get credit for. Both
+            // arms pay it: the watchdog'd hierarchy for its honest
+            // detection latency, the blind one for as long as it
+            // keeps shoveling work into the void.
+            if comp.rejected > 0 {
+                let drop_slack =
+                    comp.rejected as f64 * DROP_TIMEOUT_FACTOR * cfg.response_target / cfg.period;
+                let charge = cfg.q_weight * drop_slack;
+                cl.cost_acc[comp.index] += charge;
+                cl.refused[comp.index] += comp.rejected;
             }
+            if ft_on && !comp.telemetry_ok {
+                // A window with a telemetry gap cannot anchor a valid
+                // realized outcome: poison this member's running L1
+                // window rather than folding blanks into it.
+                cl.served[comp.index] = false;
+                continue;
+            }
+            let slack = if comp.queue > 0 && comp.window.completions > 0 {
+                let r_implied =
+                    (1.0 + comp.queue as f64) * cfg.period / comp.window.completions as f64;
+                (r_implied - cfg.response_target).max(0.0)
+            } else {
+                // Drained or silent window: the divisor would
+                // measure throughput rather than service rate, and
+                // the model's own slack at an empty queue is ~0 —
+                // charge none.
+                0.0
+            };
+            let power = comp.window.mean_power(cfg.period);
+            let cost = cfg.q_weight * slack + cfg.r_weight * power;
+            cl.cost_acc[comp.index] += cost;
+            cl.window_acc[comp.index].absorb(&comp.window);
         }
 
         // --- L2: split global load over modules (top-down first). ---
@@ -794,46 +709,44 @@ impl ClusterPolicy for HierarchicalPolicy {
                 // into one realized GEntry per serving member — the rate
                 // actually routed, the measured cost/power, the queue
                 // left behind — measure the prequential prediction error,
-                // and (in Learn mode) absorb the outcomes into this
-                // module's abstraction maps before deciding on them.
-                if let Some(cl) = self.closed_loop.as_mut() {
-                    if cl.have_snapshot {
-                        let period = self.cadence.l1_every as f64 * self.l0s[0].config().period;
-                        let cs = self.l1s[m].c_estimates();
-                        let learn = cl.mode == ClosedLoopMode::Learn;
-                        cl.l1_outcomes.clear();
-                        for (pos, &i) in self.members[m].iter().enumerate() {
-                            // A period in which the dispatcher's sends to
-                            // this member failed is always measured (the
-                            // charged cost of the thrown-away work,
-                            // against whatever the maps predicted), even
-                            // when the member itself never validly
-                            // served — but it is never *learned from*:
-                            // failed sends are not service observations,
-                            // and absorbing the charge into the maps
-                            // would let a controller predict its own
-                            // dropped traffic and call that tracking.
-                            let refused = cl.refused[i] > 0;
-                            if !cl.served[i] && !refused {
-                                continue;
-                            }
-                            let lambda = cl.window_acc[i].arrivals as f64 / period;
-                            let entry = GEntry {
-                                cost: cl.cost_acc[i] / self.cadence.l1_every as f64,
-                                power: cl.window_acc[i].energy / period,
-                                final_q: obs.computers[i].queue as f64,
-                            };
-                            let predicted =
-                                self.l1s[m].map(pos).query(lambda, cs[pos], cl.q0[i]).cost;
-                            cl.err_sum += (predicted - entry.cost).abs();
-                            cl.err_n += 1;
-                            if learn && !refused {
-                                cl.l1_outcomes.push((pos, lambda, cl.q0[i], entry));
-                            }
+                // and, when this module's L1 learns, absorb the outcomes
+                // into its abstraction maps before deciding on them.
+                let cl = &mut self.closed_loop;
+                if cl.have_snapshot {
+                    let period = self.cadence.l1_every as f64 * self.l0s[0].config().period;
+                    let learn = self.l1s[m].learns_online();
+                    cl.l1_outcomes.clear();
+                    let members = self.members[m].iter().enumerate();
+                    for ((pos, &i), c) in members.zip(self.l1s[m].c_iter()) {
+                        // A period in which the dispatcher's sends to
+                        // this member failed is always measured (the
+                        // charged cost of the thrown-away work,
+                        // against whatever the maps predicted), even
+                        // when the member itself never validly
+                        // served — but it is never *learned from*:
+                        // failed sends are not service observations,
+                        // and absorbing the charge into the maps
+                        // would let a controller predict its own
+                        // dropped traffic and call that tracking.
+                        let refused = cl.refused[i] > 0;
+                        if !cl.served[i] && !refused {
+                            continue;
                         }
-                        if learn {
-                            self.l1s[m].absorb_outcomes(&cl.l1_outcomes);
+                        let lambda = cl.window_acc[i].arrivals as f64 / period;
+                        let entry = GEntry {
+                            cost: cl.cost_acc[i] / self.cadence.l1_every as f64,
+                            power: cl.window_acc[i].energy / period,
+                            final_q: obs.computers[i].queue as f64,
+                        };
+                        let predicted = self.l1s[m].map(pos).query(lambda, c, cl.q0[i]).cost;
+                        cl.err_sum += (predicted - entry.cost).abs();
+                        cl.err_n += 1;
+                        if learn && !refused {
+                            cl.l1_outcomes.push((pos, lambda, cl.q0[i], entry));
                         }
+                    }
+                    if learn {
+                        self.l1s[m].absorb_outcomes(&cl.l1_outcomes);
                     }
                 }
 
@@ -932,18 +845,17 @@ impl ClusterPolicy for HierarchicalPolicy {
                 // actually serve the period (α = 1 and powered, not mid
                 // boot) produce a valid map outcome — boot dead time and
                 // off periods would poison the cells.
-                if let Some(cl) = self.closed_loop.as_mut() {
-                    for (pos, &i) in self.members[m].iter().enumerate() {
-                        cl.q0[i] = obs.computers[i].queue as f64;
-                        cl.cost_acc[i] = 0.0;
-                        cl.window_acc[i] = WindowStats::default();
-                        cl.refused[i] = 0;
-                        cl.served[i] = decision.alpha[pos]
-                            && matches!(
-                                obs.computers[i].state,
-                                PowerState::On | PowerState::Draining
-                            );
-                    }
+                let cl = &mut self.closed_loop;
+                for (pos, &i) in self.members[m].iter().enumerate() {
+                    cl.q0[i] = obs.computers[i].queue as f64;
+                    cl.cost_acc[i] = 0.0;
+                    cl.window_acc[i] = WindowStats::default();
+                    cl.refused[i] = 0;
+                    cl.served[i] = decision.alpha[pos]
+                        && matches!(
+                            obs.computers[i].state,
+                            PowerState::On | PowerState::Draining
+                        );
                 }
 
                 for (pos, &i) in self.members[m].iter().enumerate() {
@@ -1012,9 +924,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                 actions.push(Action::SetComputerWeights(m, routed));
                 self.overhead[1].record(started.elapsed(), 1);
             }
-            if let Some(cl) = self.closed_loop.as_mut() {
-                cl.have_snapshot = true;
-            }
+            self.closed_loop.have_snapshot = true;
         }
 
         // --- L0: per-computer frequency, every tick, active machines,
@@ -1056,27 +966,23 @@ impl ClusterPolicy for HierarchicalPolicy {
     }
 
     fn metrics(&self) -> PolicyMetrics {
+        let cl = &self.closed_loop;
+        let ft = self.fault_tolerance.as_ref();
         PolicyMetrics {
-            online_updates: self.online_updates(),
+            online_updates: self.l1s.iter().map(|l| l.online_updates()).sum(),
             map_drift_detections: self
                 .l1s
                 .iter()
                 .map(|l| l.member_drift_detections())
                 .collect(),
-            tracking_error: self.tracking_error(),
-            tracking_samples: self.tracking_samples(),
+            tracking_error: (cl.err_n > 0).then(|| cl.err_sum / cl.err_n as f64),
+            tracking_samples: cl.err_n,
             rebuilds: 0,
-            member_deaths: self.member_deaths(),
-            member_recoveries: self.member_recoveries(),
-            members_dead: self
-                .fault_tolerance
-                .as_ref()
-                .map_or_else(Vec::new, |ft| ft.dead.clone()),
-            safe_mode_periods: self.safe_mode_periods(),
-            safe_mode_active: self
-                .fault_tolerance
-                .as_ref()
-                .map_or_else(Vec::new, |ft| ft.safe_now.clone()),
+            member_deaths: ft.map_or(0, |ft| ft.deaths),
+            member_recoveries: ft.map_or(0, |ft| ft.recoveries),
+            members_dead: ft.map_or_else(Vec::new, |ft| ft.dead.clone()),
+            safe_mode_periods: ft.map_or(0, |ft| ft.safe_mode_periods),
+            safe_mode_active: ft.map_or_else(Vec::new, |ft| ft.safe_now.clone()),
             feed_forward_events: self.feed_forward_events,
             level_overhead: self.overhead,
             l1_candidates_evaluated: self.l1s.iter().map(|l| l.candidates_evaluated()).sum(),
@@ -1131,7 +1037,7 @@ mod tests {
         assert_eq!(policy.num_computers(), 4);
         assert_eq!(policy.num_modules(), 1);
         assert!(policy.l2().is_none(), "single module has no L2");
-        assert_eq!(policy.overhead()[0].decisions, 0);
+        assert_eq!(policy.metrics().level_overhead[0].decisions, 0);
     }
 
     #[test]
@@ -1191,11 +1097,56 @@ mod tests {
         for t in 0..8 {
             let _ = policy.decide(&obs_for(&policy, t, 200));
         }
-        let overhead = policy.overhead();
+        let overhead = policy.metrics().level_overhead;
         assert_eq!(overhead[1].decisions, 2, "two L1 periods in 8 ticks");
         assert_eq!(overhead[0].decisions, 16, "2 computers x 8 ticks of L0");
         assert!(policy.path_overhead() > Duration::ZERO);
         assert_eq!(policy.name(), "hierarchical-llc");
+    }
+
+    #[test]
+    fn a_plain_build_derives_outcomes_without_learning_from_them() {
+        let scenario = single_module(2).with_coarse_learning();
+        let mut policy = HierarchicalPolicy::build(&scenario);
+        // Three L1 periods: the first anchors the snapshot, the next two
+        // derive outcomes from backlogged windows.
+        for t in 0..12 {
+            let mut obs = obs_for(&policy, t, 3000);
+            for comp in &mut obs.computers {
+                comp.queue = 5;
+            }
+            let _ = policy.decide(&obs);
+        }
+        let metrics = policy.metrics();
+        assert!(metrics.tracking_samples > 0, "outcomes derived");
+        assert!(metrics.tracking_error.is_some_and(f64::is_finite));
+        assert_eq!(metrics.online_updates, 0, "nothing learned");
+
+        let fresh = HierarchicalPolicy::build(&scenario);
+        let specs = fresh.l1(0).member_specs();
+        for (member, spec) in specs.iter().enumerate() {
+            let (run, built) = (policy.l1(0).map(member), fresh.l1(0).map(member));
+            assert_eq!(run.len(), built.len(), "member {member}: stored cells");
+            // The trained envelope and a margin past it (answered by the
+            // analytic replay).
+            let (lambda_top, q_top) = (
+                1.2 * built.trained_lambda_max(),
+                1.2 * built.trained_q_max(),
+            );
+            for l in 0..=20 {
+                for c in [0.5, 1.0, 1.5].map(|f| f * spec.c_prior) {
+                    for q in 0..=10 {
+                        let (lambda, q0) = (lambda_top * l as f64 / 20.0, q_top * q as f64 / 10.0);
+                        let (a, b) = (run.query(lambda, c, q0), built.query(lambda, c, q0));
+                        assert_eq!(
+                            [a.cost, a.power, a.final_q].map(f64::to_bits),
+                            [b.cost, b.power, b.final_q].map(f64::to_bits),
+                            "member {member} at ({lambda}, {c}, {q0})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn blackout(obs: &mut Observations, i: usize) {
@@ -1220,7 +1171,7 @@ mod tests {
             policy.metrics().members_dead[1],
             "3 dark windows must declare death"
         );
-        assert_eq!(policy.member_deaths(), 1);
+        assert_eq!(policy.metrics().member_deaths, 1);
 
         // L1 tick while dead: no load and no directives for member 1 —
         // a blackout-dead machine is still serving and must not be
@@ -1247,7 +1198,7 @@ mod tests {
             !policy.metrics().members_dead[1],
             "healthy powered member rejoins"
         );
-        assert_eq!(policy.member_recoveries(), 1);
+        assert_eq!(policy.metrics().member_recoveries, 1);
     }
 
     #[test]
@@ -1279,7 +1230,7 @@ mod tests {
             !policy.metrics().members_dead[1],
             "restarted member rejoins"
         );
-        assert_eq!(policy.member_recoveries(), 1);
+        assert_eq!(policy.metrics().member_recoveries, 1);
     }
 
     #[test]
@@ -1301,7 +1252,10 @@ mod tests {
             }
             let actions = policy.decide(&o);
             if t == 4 {
-                assert!(policy.safe_mode_periods() >= 1, "quorum loss → safe mode");
+                assert!(
+                    policy.metrics().safe_mode_periods >= 1,
+                    "quorum loss → safe mode"
+                );
                 let weights = actions.iter().find_map(|a| match a {
                     Action::SetComputerWeights(_, w) => Some(w.clone()),
                     _ => None,
@@ -1315,6 +1269,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(policy.member_deaths(), 0, "nobody declared dead yet");
+        assert_eq!(
+            policy.metrics().member_deaths,
+            0,
+            "nobody declared dead yet"
+        );
     }
 }

@@ -606,6 +606,12 @@ impl L1Controller {
         });
     }
 
+    /// `true` once [`L1Controller::enable_online`] was called: the one
+    /// place that decides whether realized outcomes are learned.
+    pub(crate) fn learns_online(&self) -> bool {
+        self.online.is_some()
+    }
+
     /// Observations blended into the maps so far (weight > 0).
     pub fn online_updates(&self) -> u64 {
         self.online.as_ref().map_or(0, |o| o.applied)
@@ -746,7 +752,7 @@ impl L1Controller {
 
     /// [`c_estimates`](Self::c_estimates) without the `Vec`, in member
     /// order.
-    fn c_iter(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn c_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.members
             .iter()
             .zip(&self.c_filters)

@@ -997,6 +997,7 @@ mod tests {
     /// to see any cell a run could have written.
     #[test]
     fn a_closed_loop_run_leaves_the_module_models_as_learned() {
+        use crate::ClusterPolicy;
         use llc_workload::{CapacityProfile, Trace, VirtualStore};
         let mut sc = crate::paper_cluster_16().with_coarse_learning();
         sc.modules.truncate(2);
@@ -1021,7 +1022,7 @@ mod tests {
             &VirtualStore::paper_default(31),
         )
         .expect("well-formed scenario");
-        assert!(policy.online_updates() > 0, "the L1s learned");
+        assert!(policy.metrics().online_updates > 0, "the L1s learned");
 
         let fresh = crate::HierarchicalPolicy::build(&sc);
         let (run, fresh) = (

@@ -60,7 +60,7 @@ pub use control::{
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS, OUTBOX_CAPACITY,
 };
 pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, SimAdapter, TickRecord};
-pub use hierarchy::{ClosedLoopMode, FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
+pub use hierarchy::{FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
 pub use l0::{L0Config, L0Controller, L0Decision, QueueModel};
 pub use l1::{
     AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MapBackend, MemberSpec,

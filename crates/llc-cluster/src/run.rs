@@ -49,12 +49,9 @@ impl Family {
 pub enum Preset {
     /// Offline-learned maps over a drift-blind L0, nothing online.
     Paper,
-    /// The paper's stack scoring its models against realized outcomes
-    /// without learning from them.
-    OutcomeTracking,
     /// The closed loop over the drift-blind L0.
     ClosedLoop,
-    /// The drift-aware L0 with outcome tracking and no learning.
+    /// The drift-aware L0 with nothing online.
     DriftAware,
     /// The drift-aware L0 under the closed loop.
     SelfHealing,
@@ -72,9 +69,8 @@ impl Preset {
         let tolerant = |b: PolicyBuilder| b.fault_tolerance(FaultToleranceConfig);
         match self {
             Preset::Paper => builder,
-            Preset::OutcomeTracking => builder.outcome_tracking(),
             Preset::ClosedLoop => closed(builder),
-            Preset::DriftAware => builder.drift_aware_l0().outcome_tracking(),
+            Preset::DriftAware => builder.drift_aware_l0(),
             Preset::SelfHealing => closed(builder.drift_aware_l0()),
             Preset::FaultTolerant => tolerant(closed(builder)),
             Preset::SelfHealingFaultTolerant => tolerant(closed(builder.drift_aware_l0())),

@@ -95,7 +95,7 @@ fn main() -> ExitCode {
                     eprintln!(
                         "llc-agent: controller metrics — {} ticks decided, {} directives; \
                          transport: {} late obs, {} lost module-windows, {} reconnects",
-                        m.ticks_decided,
+                        m.next_tick,
                         m.directives_emitted,
                         t.late_observations,
                         t.lost_observation_windows,

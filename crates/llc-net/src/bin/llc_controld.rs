@@ -81,7 +81,7 @@ fn main() -> ExitCode {
                     "llc-controld: run complete — {} ticks, {} directives; transport: \
                      {} frames in / {} out, {} decode errors, {} late obs, \
                      {} lost module-windows, {} reconnects, {} wedged reports",
-                    m.ticks_decided,
+                    m.next_tick,
                     m.directives_emitted,
                     t.frames_in,
                     t.frames_out,

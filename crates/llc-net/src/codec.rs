@@ -484,7 +484,6 @@ fn read_bool_vec(r: &mut Reader<'_>) -> Result<Vec<bool>, WireError> {
 pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_u64(&mut out, m.next_tick);
-    put_u64(&mut out, m.ticks_decided);
     put_u64(&mut out, m.observations_ingested);
     put_u64(&mut out, m.out_of_order_observations);
     put_u64(&mut out, m.stale_observations);
@@ -541,7 +540,6 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
 pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     let mut r = Reader::new(payload);
     let next_tick = r.u64()?;
-    let ticks_decided = r.u64()?;
     let observations_ingested = r.u64()?;
     let out_of_order_observations = r.u64()?;
     let stale_observations = r.u64()?;
@@ -594,7 +592,6 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
     r.finish()?;
     Ok(MetricsSnapshot {
         next_tick,
-        ticks_decided,
         observations_ingested,
         out_of_order_observations,
         stale_observations,
@@ -730,7 +727,6 @@ mod tests {
     pub(crate) fn sample_metrics() -> MetricsSnapshot {
         MetricsSnapshot {
             next_tick: 90,
-            ticks_decided: 90,
             observations_ingested: 180,
             out_of_order_observations: 2,
             stale_observations: 5,

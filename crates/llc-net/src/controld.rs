@@ -257,9 +257,9 @@ impl<P: ClusterPolicy> ControldCore<P> {
         (report, directives)
     }
 
-    /// Catch the plane up to wall-derived virtual time `now` (seconds),
-    /// with the same `next_tick · T_L0 ≤ now` predicate as
-    /// [`ControlPlane::advance_to`], counting the module-windows each
+    /// Catch the plane up to wall-derived virtual time `now` (seconds):
+    /// decide every tick whose window has fully elapsed
+    /// (`next_tick · T_L0 ≤ now`), counting the module-windows each
     /// forced step dark-fills. Never decides past the run length.
     pub fn advance_wall(&mut self, now: f64) -> Vec<(StepReport, Vec<Directive>)> {
         let mut out = Vec::new();
@@ -334,5 +334,24 @@ mod tests {
         assert_eq!(m.future_observations, 1);
         assert_eq!(m.observations_ingested, 1);
         assert_eq!(m.transport.decode_errors, 0);
+    }
+
+    #[test]
+    fn advance_wall_steps_the_virtual_clock_up_to_the_run_length() {
+        let policy = AlwaysMaxPolicy::new(vec![vec![(1.0, 2), (1.0, 2)]]);
+        let mut core = ControldCore::new(policy, vec![vec![0, 1]], 30.0, 6);
+        let steps = core.advance_wall(90.0);
+        let ticks: Vec<u64> = steps.iter().map(|(report, _)| report.tick).collect();
+        assert_eq!(ticks, [0, 1, 2, 3], "ticks 0-3 elapsed by t = 90 s");
+        assert_eq!(core.next_tick(), 4);
+        // No telemetry at all: everything dark-filled, decisions still
+        // taken (absence of telemetry must not stall the controller).
+        let m = core.metrics(&LinkCounters::default());
+        assert_eq!(m.dark_filled_members, 8);
+        assert_eq!(m.transport.lost_observation_windows, 4);
+        // Far past the end: the run length caps the catch-up.
+        assert_eq!(core.advance_wall(1e6).len(), 2);
+        assert!(core.finished());
+        assert!(core.advance_wall(1e6).is_empty());
     }
 }

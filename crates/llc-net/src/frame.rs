@@ -30,8 +30,8 @@ pub const MAGIC: [u8; 2] = *b"LN";
 /// The protocol version this build speaks (2: the Metrics payload
 /// gained `future_observations`; 3: `dropped_directives`; 4: it lost
 /// the background-rebuild counters; 5: it lost the per-module-model
-/// drift counters).
-pub const VERSION: u8 = 5;
+/// drift counters; 6: it lost its second copy of `next_tick`).
+pub const VERSION: u8 = 6;
 
 /// Bytes of header before the payload.
 pub const HEADER_LEN: usize = 12;

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p llc-examples --bin cluster_scale`.
 
-use llc_cluster::{Family, Preset, RunSpec};
+use llc_cluster::{ClusterPolicy, Family, Preset, RunSpec};
 
 fn main() {
     // Full-fidelity offline learning: the coarse test grids are too crude
@@ -49,7 +49,7 @@ fn main() {
     }
 
     let s = log.summary();
-    let overhead = policy.overhead();
+    let overhead = policy.metrics().level_overhead;
     println!("\nsummary:");
     println!(
         "  mean response:      {:.2} s (target 4 s)",

@@ -120,7 +120,7 @@ fn main() {
     let m = plane.metrics();
     println!(
         "\n--- MetricsSnapshot after {} decided ticks ---",
-        m.ticks_decided
+        m.next_tick
     );
     println!(
         "ingest: {} observations, {} out-of-order, {} stale, {} dark-filled member-windows",
@@ -138,13 +138,13 @@ fn main() {
     println!(
         "learn:  {} online updates, {} drift detections",
         m.policy.online_updates,
-        m.drift_detections(),
+        m.policy.drift_detections(),
     );
     println!(
         "churn:  {} member deaths, {} recoveries, {} safe-mode periods, {} feed-forward events",
-        m.member_deaths(),
-        m.member_recoveries(),
-        m.safe_mode_periods(),
+        m.policy.member_deaths,
+        m.policy.member_recoveries,
+        m.policy.safe_mode_periods,
         m.policy.feed_forward_events,
     );
 }

@@ -58,7 +58,7 @@ fn main() {
 
     println!(
         "\n--- MetricsSnapshot after {} decided ticks ---",
-        m.ticks_decided
+        m.next_tick
     );
     println!(
         "control:   {} directives emitted, {} observations ingested, {} dark-filled member-windows",
@@ -66,9 +66,7 @@ fn main() {
     );
     println!(
         "churn:     {} member deaths, {} recoveries, {} safe-mode periods",
-        m.member_deaths(),
-        m.member_recoveries(),
-        m.safe_mode_periods(),
+        m.policy.member_deaths, m.policy.member_recoveries, m.policy.safe_mode_periods,
     );
     let t = &m.transport;
     println!(

@@ -5,7 +5,7 @@
 //! detector switches the learning rate.
 
 use llc_cluster::{
-    single_module, ClosedLoopMode, Directive, DirectiveKind, Experiment, Family,
+    single_module, ClusterPolicy, Directive, DirectiveKind, Experiment, Family,
     FaultToleranceConfig, FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller,
     L1Config, L1Controller, LearnSpec, MemberSpec, PolicyBuilder, Preset, RunSpec, ScenarioConfig,
 };
@@ -35,21 +35,22 @@ fn run_tracking(preset: Preset) -> (f64, u64, HierarchicalPolicy) {
     let mut policy = spec.policy(preset);
     let log = spec.run(&mut policy);
     assert!(log.ticks.len() > 100);
-    let mae = policy.tracking_error().expect("outcomes derived");
-    let updates = policy.online_updates();
+    let mae = policy.metrics().tracking_error.expect("outcomes derived");
+    let updates = policy.metrics().online_updates;
     (mae, updates, policy)
 }
 
 #[test]
 fn closed_loop_beats_offline_with_zero_harness_code() {
-    let (offline_mae, offline_updates, offline_policy) = run_tracking(Preset::OutcomeTracking);
+    let (offline_mae, offline_updates, _) = run_tracking(Preset::Paper);
     let (closed_mae, closed_updates, closed_policy) = run_tracking(Preset::ClosedLoop);
 
     // The offline-only arm derives outcomes but never learns.
-    assert_eq!(offline_policy.closed_loop_mode(), ClosedLoopMode::Observe);
-    assert_eq!(offline_updates, 0, "Observe mode must not touch the maps");
+    assert_eq!(
+        offline_updates, 0,
+        "the paper's stack must not touch the maps"
+    );
     // The closed loop learns without a single learner call in this test.
-    assert_eq!(closed_policy.closed_loop_mode(), ClosedLoopMode::Learn);
     assert!(closed_updates > 20, "only {closed_updates} updates applied");
     assert!(
         closed_mae < offline_mae,
@@ -147,12 +148,12 @@ fn two_module_closed_loop_is_pinned_bit_for_bit() {
     let pinned = (
         directives.len(),
         directive_hash(&directives),
-        policy.online_updates(),
+        policy.metrics().online_updates,
         (0..2)
             .map(|m| policy.l1(m).member_drift_detections())
             .collect::<Vec<_>>(),
-        policy.tracking_samples(),
-        policy.tracking_error().map(f64::to_bits),
+        policy.metrics().tracking_samples,
+        policy.metrics().tracking_error.map(f64::to_bits),
     );
     assert_eq!(
         pinned,
@@ -223,10 +224,10 @@ fn two_module_fault_run_is_pinned_bit_for_bit() {
             log.directives.len(),
             directive_hash(&log.directives),
             safe_mode_directives,
-            policy.member_deaths(),
-            policy.member_recoveries(),
-            policy.safe_mode_periods(),
-            policy.tracking_error().map(f64::to_bits),
+            policy.metrics().member_deaths,
+            policy.metrics().member_recoveries,
+            policy.metrics().safe_mode_periods,
+            policy.metrics().tracking_error.map(f64::to_bits),
         )
     }
     for threads in [1, 4] {

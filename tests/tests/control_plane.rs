@@ -68,12 +68,12 @@ fn assert_equivalent(
         "directive sequences must be bit-identical"
     );
     assert_eq!(
-        a.tracking_error(),
-        b.tracking_error(),
+        a.metrics().tracking_error,
+        b.metrics().tracking_error,
         "tracking MAEs must be bit-identical"
     );
-    assert_eq!(a.tracking_samples(), b.tracking_samples());
-    assert_eq!(a.online_updates(), b.online_updates());
+    assert_eq!(a.metrics().tracking_samples, b.metrics().tracking_samples);
+    assert_eq!(a.metrics().online_updates, b.metrics().online_updates);
 }
 
 /// Golden equivalence, closed-loop bench family: the capacity-step
@@ -101,8 +101,14 @@ fn experiment_and_hand_rolled_loop_agree_faults() {
     let hand = run_by_hand(&spec, &mut by_hand);
 
     assert_equivalent(&log, &hand, &via_exp, &by_hand);
-    assert_eq!(via_exp.member_deaths(), by_hand.member_deaths());
-    assert_eq!(via_exp.safe_mode_periods(), by_hand.safe_mode_periods());
+    assert_eq!(
+        via_exp.metrics().member_deaths,
+        by_hand.metrics().member_deaths
+    );
+    assert_eq!(
+        via_exp.metrics().safe_mode_periods,
+        by_hand.metrics().safe_mode_periods
+    );
 }
 
 /// The one metrics surface: during a faulted, drifting run of the full
@@ -153,9 +159,9 @@ fn metrics_snapshot_reports_every_subsystem() {
         .expect("well-formed scenario");
 
     let m = &log.metrics;
-    assert_eq!(m.ticks_decided, log.ticks.len() as u64);
+    assert_eq!(m.next_tick, log.ticks.len() as u64);
     assert_eq!(
-        m.observations_ingested, m.ticks_decided,
+        m.observations_ingested, m.next_tick,
         "one module, one obs per tick"
     );
     assert_eq!(m.stale_observations, 0);
@@ -164,21 +170,24 @@ fn metrics_snapshot_reports_every_subsystem() {
         "the adapter reports dark members in-stream"
     );
     assert_eq!(m.directives_emitted as usize, log.directives.len());
-    assert_eq!(m.decide.decisions, m.ticks_decided);
+    assert_eq!(m.decide.decisions, m.next_tick);
     assert!(m.decide.max >= m.decide.mean());
 
     // Every self-healing subsystem shows up through the one surface.
     assert!(
-        m.drift_detections() > 0,
+        m.policy.drift_detections() > 0,
         "capacity step must fire detectors"
     );
-    assert!(m.member_deaths() > 0, "crash + blackout must kill members");
     assert!(
-        m.member_recoveries() > 0,
+        m.policy.member_deaths > 0,
+        "crash + blackout must kill members"
+    );
+    assert!(
+        m.policy.member_recoveries > 0,
         "restart + blackout end must rejoin"
     );
     assert!(
-        m.safe_mode_periods() > 0,
+        m.policy.safe_mode_periods > 0,
         "3-of-4 blackout must break quorum"
     );
     assert!(m.policy.online_updates > 0);

@@ -8,7 +8,7 @@
 //! the lockstep session replays the exact observe → ingest → step →
 //! actuate → advance ordering of the in-process loop.
 
-use llc_cluster::{Directive, Family, HierarchicalPolicy, RunSpec};
+use llc_cluster::{ClusterPolicy, Directive, Family, HierarchicalPolicy, RunSpec};
 use llc_net::scenario::controller;
 use llc_net::{run_agent, serve_controller, FrameTransport, LinkCounters, TcpLink};
 use std::net::TcpListener;
@@ -90,12 +90,18 @@ fn assert_golden(family: Family) {
         "the agent's reconciler must apply the exact emission sequence"
     );
     assert_eq!(
-        ref_policy.tracking_error(),
-        net_policy.tracking_error(),
+        ref_policy.metrics().tracking_error,
+        net_policy.metrics().tracking_error,
         "tracking MAEs must be bit-identical"
     );
-    assert_eq!(ref_policy.tracking_samples(), net_policy.tracking_samples());
-    assert_eq!(ref_policy.online_updates(), net_policy.online_updates());
+    assert_eq!(
+        ref_policy.metrics().tracking_samples,
+        net_policy.metrics().tracking_samples
+    );
+    assert_eq!(
+        ref_policy.metrics().online_updates,
+        net_policy.metrics().online_updates
+    );
 
     // A lossless lockstep run has a clean transport section: every
     // frame decoded, nothing late, nothing dark-filled at a deadline.
@@ -112,7 +118,7 @@ fn assert_golden(family: Family) {
     // The link moves a window in one write: per side, one per tick plus
     // the handshake (and the controller's closing metrics) — while every
     // frame is still sent and counted one by one.
-    let ticks = metrics.ticks_decided;
+    let ticks = metrics.next_tick;
     let modules = spec.scenario_config().member_specs().len() as u64;
     assert_eq!(agent_link.frames_out, 1 + ticks * (modules + 1));
     assert_eq!(

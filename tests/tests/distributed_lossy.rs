@@ -12,7 +12,9 @@
 //! applies late ones in epoch order, supersedes stale ones, and never
 //! actuates a duplicate.
 
-use llc_cluster::{Experiment, Family, HierarchicalPolicy, Plant, Preset, RunSpec, ScenarioConfig};
+use llc_cluster::{
+    ClusterPolicy, Experiment, Family, HierarchicalPolicy, Plant, Preset, RunSpec, ScenarioConfig,
+};
 use llc_net::{
     decode_directive, encode_directive, encode_heartbeat, encode_observation, ControldCore,
     FrameKind, FrameTransport, Heartbeat, Impairment, LossyLink, PipeLink,
@@ -212,24 +214,27 @@ fn lossy_link_matches_equivalent_blackout_and_recovers() {
 
     // Observational equivalence: frame loss at the transport seam and a
     // plant-side telemetry blackout drive the watchdog identically.
-    assert!(net_policy.member_deaths() > 0, "outage must kill members");
+    assert!(
+        net_policy.metrics().member_deaths > 0,
+        "outage must kill members"
+    );
     assert_eq!(
-        net_policy.member_deaths(),
-        ref_policy.member_deaths(),
+        net_policy.metrics().member_deaths,
+        ref_policy.metrics().member_deaths,
         "deaths must match the equivalent blackout"
     );
     assert_eq!(
-        net_policy.member_recoveries(),
-        ref_policy.member_recoveries(),
+        net_policy.metrics().member_recoveries,
+        ref_policy.metrics().member_recoveries,
         "recoveries must match the equivalent blackout"
     );
     assert_eq!(
-        net_policy.safe_mode_periods(),
-        ref_policy.safe_mode_periods(),
+        net_policy.metrics().safe_mode_periods,
+        ref_policy.metrics().safe_mode_periods,
         "safe-mode periods must match the equivalent blackout"
     );
     assert!(
-        net_policy.safe_mode_periods() > 0,
+        net_policy.metrics().safe_mode_periods > 0,
         "whole-module outage must break quorum"
     );
 

@@ -4,7 +4,7 @@
 //! that reports NaN must not reach the learned maps.
 
 use llc_cluster::{
-    single_module, ControlPlane, DirectiveEmit, Experiment, FaultToleranceConfig,
+    single_module, ClusterPolicy, ControlPlane, DirectiveEmit, Experiment, FaultToleranceConfig,
     HierarchicalPolicy, IngestError, ObservationIngest, Plant, PolicyBuilder,
 };
 use llc_core::OnlineConfig;
@@ -142,8 +142,12 @@ fn restart_under_overload_has_no_arrival_hoarding_window() {
             );
         }
     }
-    assert_eq!(policy.member_deaths(), 1, "watchdog saw the crash");
-    assert_eq!(policy.member_recoveries(), 1, "member rejoined after boot");
+    assert_eq!(policy.metrics().member_deaths, 1, "watchdog saw the crash");
+    assert_eq!(
+        policy.metrics().member_recoveries,
+        1,
+        "member rejoined after boot"
+    );
     let s = log.summary();
     // Drops are bounded by the watchdog's detection latency (the blind
     // window where γ still points at the dead machine), not the whole
@@ -222,10 +226,10 @@ fn nan_telemetry_is_refused_before_it_reaches_the_maps() {
     drop(plane);
 
     assert!(
-        policy.online_updates() > 0,
+        policy.metrics().online_updates > 0,
         "the closed loop wrote the maps"
     );
-    assert!(policy.tracking_error().is_some_and(f64::is_finite));
+    assert!(policy.metrics().tracking_error.is_some_and(f64::is_finite));
     let l1 = policy.l1(0);
     for (j, &c) in l1.c_estimates().iter().enumerate() {
         let map = l1.map(j);

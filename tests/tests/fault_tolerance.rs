@@ -54,13 +54,16 @@ fn crash_and_restart_death_and_rejoin() {
     let log = experiment
         .run(scenario.to_sim_config(), &mut policy, &trace, &store)
         .unwrap();
-    assert_eq!(policy.member_deaths(), 1);
-    assert_eq!(policy.member_recoveries(), 1);
+    assert_eq!(policy.metrics().member_deaths, 1);
+    assert_eq!(policy.metrics().member_recoveries, 1);
     assert!(
         !policy.metrics().members_dead[2],
         "rejoined by the end of the run"
     );
-    let mae = policy.tracking_error().expect("outcomes were derived");
+    let mae = policy
+        .metrics()
+        .tracking_error
+        .expect("outcomes were derived");
     assert!(mae.is_finite(), "tracking error poisoned: {mae}");
     // The rejoined member serves again: it completes work after boot.
     let served_late = log
@@ -105,11 +108,14 @@ fn quorum_loss_triggers_safe_mode_and_clears() {
         .run(scenario.to_sim_config(), &mut policy, &trace, &store)
         .unwrap();
     assert!(
-        policy.safe_mode_periods() >= 1,
+        policy.metrics().safe_mode_periods >= 1,
         "quorum loss never tripped safe mode"
     );
     // Everything recovers: members rejoin and the module keeps serving.
-    assert_eq!(policy.member_deaths(), policy.member_recoveries());
+    assert_eq!(
+        policy.metrics().member_deaths,
+        policy.metrics().member_recoveries
+    );
     let s = log.summary();
     assert!(
         s.total_completions as f64 > 0.9 * s.total_arrivals as f64,
@@ -144,11 +150,11 @@ fn canonical_scenarios_survive_with_invariants_armed() {
                 &store_for(fs.name),
             )
             .unwrap();
-        let mae = policy.tracking_error().unwrap_or(0.0);
+        let mae = policy.metrics().tracking_error.unwrap_or(0.0);
         assert!(mae.is_finite(), "{}: tracking poisoned ({mae})", fs.name);
         assert_eq!(
-            policy.member_deaths(),
-            policy.member_recoveries(),
+            policy.metrics().member_deaths,
+            policy.metrics().member_recoveries,
             "{}: a member was never re-admitted",
             fs.name
         );
@@ -200,7 +206,12 @@ fn tolerant_tracks_better_than_blind_through_a_crash() {
         experiment
             .run(scenario.to_sim_config(), &mut policy, &trace, &store)
             .unwrap();
-        maes.push(policy.tracking_error().expect("outcomes were derived"));
+        maes.push(
+            policy
+                .metrics()
+                .tracking_error
+                .expect("outcomes were derived"),
+        );
     }
     assert!(
         maes[1] < maes[0],

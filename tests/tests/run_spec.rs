@@ -54,7 +54,6 @@ fn the_module_run_matches_its_hand_built_setup_under_every_preset() {
     let drift = (29, 11_993_163_477_626_926_823, 18_278_977_661_406_934_386);
     for (preset, want) in [
         (Preset::Paper, quiet),
-        (Preset::OutcomeTracking, quiet),
         (Preset::ClosedLoop, closed),
         (Preset::DriftAware, drift),
         (Preset::SelfHealing, drift),

@@ -3,8 +3,8 @@
 //! learner absorbs what is left of the drift into the maps.
 
 use llc_cluster::{
-    single_module, Experiment, ExperimentLog, Family, HierarchicalPolicy, PolicyBuilder, Preset,
-    RunSpec, ScenarioConfig,
+    single_module, ClusterPolicy, Experiment, ExperimentLog, Family, HierarchicalPolicy,
+    PolicyBuilder, Preset, RunSpec, ScenarioConfig,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{deep_degradation_scenario, VirtualStore};
@@ -75,8 +75,14 @@ fn self_healing_beats_the_drift_blind_closed_loop_on_deep_degradation() {
         let (blind_policy, blind_log) = run(false, k);
         let (heal_policy, heal_log) = run(true, k);
 
-        let blind_mae = blind_policy.tracking_error().expect("outcomes derived");
-        let heal_mae = heal_policy.tracking_error().expect("outcomes derived");
+        let blind_mae = blind_policy
+            .metrics()
+            .tracking_error
+            .expect("outcomes derived");
+        let heal_mae = heal_policy
+            .metrics()
+            .tracking_error
+            .expect("outcomes derived");
         assert!(
             heal_mae < blind_mae,
             "{seeds}: self-healing MAE {heal_mae:.3} must beat drift-blind {blind_mae:.3}"
