@@ -41,8 +41,8 @@
 
 use llc_bench::report::{check_mode, quick_mode, runner_json};
 use llc_cluster::{
-    Action, Cadence, ClusterPolicy, Family, FaultToleranceConfig, HierarchicalPolicy, Observations,
-    PolicyMetrics, Preset, RunSpec,
+    Cadence, ClusterPolicy, DirectiveKind, Family, FaultToleranceConfig, HierarchicalPolicy,
+    Observations, PolicyMetrics, Preset, RunSpec,
 };
 use std::time::Instant;
 
@@ -55,23 +55,26 @@ const RECOVERY_BOUND: u64 = 20;
 /// return under to count as recovered.
 const RECOVERY_FACTOR: f64 = 1.5;
 
-/// Records the cumulative prequential error after every tick, so the
-/// per-L1-period error trajectory (and hence recovery time) can be
-/// reconstructed without touching the hierarchy's internals.
+/// Records the cumulative prequential error after every L1 tick — the
+/// only ticks that derive outcomes — so the per-L1-period error
+/// trajectory (and hence recovery time) can be reconstructed without
+/// touching the hierarchy's internals.
 struct ErrProbe {
     inner: HierarchicalPolicy,
-    /// `(tick, err_sum, err_n)` after each decide.
+    /// `(tick, err_sum, err_n)` after each L1 decide.
     history: Vec<(u64, f64, u64)>,
 }
 
 impl ClusterPolicy for ErrProbe {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
-        let actions = self.inner.decide(obs);
-        let metrics = self.inner.metrics();
-        let n = metrics.tracking_samples;
-        let sum = metrics.tracking_error.unwrap_or(0.0) * n as f64;
-        self.history.push((obs.tick, sum, n));
-        actions
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
+        let kinds = self.inner.decide(obs);
+        if self.inner.cadence().is_l1_tick(obs.tick) {
+            let metrics = self.inner.metrics();
+            let n = metrics.tracking_samples;
+            let sum = metrics.tracking_error.unwrap_or(0.0) * n as f64;
+            self.history.push((obs.tick, sum, n));
+        }
+        kinds
     }
 
     fn name(&self) -> &str {
@@ -93,15 +96,13 @@ fn l1_every(spec: &RunSpec) -> u64 {
     sc.l0.ticks_per(sc.l1.period)
 }
 
-/// Per-L1-period mean prediction error, from the cumulative history of
-/// a run whose L1 decides every `l1_every` ticks.
+/// Per-L1-period mean prediction error, from the cumulative history a
+/// run whose L1 decides every `l1_every` ticks recorded at its L1 ticks.
 fn period_maes(history: &[(u64, f64, u64)], l1_every: u64) -> Vec<(u64, f64, u64)> {
     let mut out = Vec::new();
     let (mut prev_sum, mut prev_n) = (0.0, 0u64);
     for &(tick, sum, n) in history {
-        if tick % l1_every != 0 {
-            continue;
-        }
+        assert_eq!(tick % l1_every, 0, "history of an L1 tick only");
         let dn = n - prev_n;
         if dn > 0 {
             out.push((tick / l1_every, (sum - prev_sum) / dn as f64, dn));

@@ -3,7 +3,7 @@
 
 use llc_approx::SimplexGrid;
 use llc_cluster::{
-    Action, ClusterPolicy, L0Config, MemberSpec, Observations, QueueModel, ScenarioConfig,
+    ClusterPolicy, DirectiveKind, L0Config, MemberSpec, Observations, QueueModel, ScenarioConfig,
 };
 use llc_core::{Penalty, ServiceScaleEstimator, SetPoint};
 use llc_forecast::{Ewma, LocalLinearTrend};
@@ -138,45 +138,41 @@ pub fn joint_candidate_count(m: usize, levels: usize) -> u128 {
 }
 
 impl ClusterPolicy for CentralizedPolicy {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
         let m = self.members.len();
         debug_assert_eq!(obs.computers.len(), m, "single-module policy");
-        for comp in &obs.computers {
-            if let Some(c) = comp.mean_demand() {
-                self.c_filters[comp.index].observe(c);
+        for (j, comp) in obs.computers.iter().enumerate() {
+            if let Some(c) = comp.window.mean_demand() {
+                self.c_filters[j].observe(c);
             }
             let busy =
                 comp.queue > 0 && matches!(comp.state, PowerState::On | PowerState::Draining);
-            let phi = self.members[comp.index].phis[comp
-                .frequency_index
-                .min(self.members[comp.index].phis.len() - 1)];
-            let c = self.c_estimate(comp.index);
-            self.scales[comp.index].observe_window(
-                comp.window.completions,
-                self.l0.period,
-                phi,
-                c,
-                busy,
-            );
+            let phis = &self.members[j].phis;
+            let phi = phis[comp.frequency_index.min(phis.len() - 1)];
+            let c = self.c_estimate(j);
+            self.scales[j].observe_window(comp.window.completions, self.l0.period, phi, c, busy);
         }
-        self.arrivals_acc += obs.modules.iter().map(|mo| mo.arrivals).sum::<u64>();
+        self.arrivals_acc += obs.module_arrivals.iter().sum::<u64>();
 
         let mut actions = Vec::new();
         if obs.tick == 0 {
-            actions.push(Action::SetModuleWeights(vec![1.0]));
+            actions.push(DirectiveKind::Split {
+                module: None,
+                weights: vec![1.0],
+            });
         }
 
         if !obs.tick.is_multiple_of(self.period_ticks) {
             // Frequency refresh between joint decisions (same cadence as
             // the hierarchy's L0 layer).
-            for comp in &obs.computers {
+            for (j, comp) in obs.computers.iter().enumerate() {
                 if matches!(comp.state, PowerState::Off) {
                     continue;
                 }
-                let lambda_j = comp.arrivals() as f64 / self.l0.period;
-                let (idx, _) = self.best_frequency(comp.index, lambda_j, comp.queue as f64);
-                if idx != comp.frequency_index {
-                    actions.push(Action::SetFrequency(comp.index, idx));
+                let lambda_j = comp.window.arrivals as f64 / self.l0.period;
+                let (index, _) = self.best_frequency(j, lambda_j, comp.queue as f64);
+                if index != comp.frequency_index {
+                    actions.push(DirectiveKind::Frequency { computer: j, index });
                 }
             }
             return actions;
@@ -238,12 +234,21 @@ impl ClusterPolicy for CentralizedPolicy {
         for j in 0..m {
             let draining = matches!(obs.computers[j].state, PowerState::Draining);
             if alpha[j] && (!active[j] || draining) {
-                actions.push(Action::PowerOn(j));
+                actions.push(DirectiveKind::Activation {
+                    computer: j,
+                    on: true,
+                });
             } else if !alpha[j] && active[j] && !draining {
-                actions.push(Action::PowerOff(j));
+                actions.push(DirectiveKind::Activation {
+                    computer: j,
+                    on: false,
+                });
             }
             if alpha[j] && freqs[j] != obs.computers[j].frequency_index {
-                actions.push(Action::SetFrequency(j, freqs[j]));
+                actions.push(DirectiveKind::Frequency {
+                    computer: j,
+                    index: freqs[j],
+                });
             }
         }
         // Boot-aware routing, as in the hierarchy.
@@ -264,7 +269,10 @@ impl ClusterPolicy for CentralizedPolicy {
         if !any {
             routed = gamma;
         }
-        actions.push(Action::SetComputerWeights(0, routed));
+        actions.push(DirectiveKind::Split {
+            module: Some(0),
+            weights: routed,
+        });
         self.last_freq = freqs;
         actions
     }

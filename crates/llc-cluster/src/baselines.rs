@@ -1,4 +1,5 @@
-use crate::policy::{Action, ClusterPolicy, Observations};
+use crate::control::DirectiveKind;
+use crate::policy::{ClusterPolicy, Observations};
 use crate::ScenarioConfig;
 use llc_forecast::Ewma;
 use llc_sim::PowerState;
@@ -102,19 +103,21 @@ impl ThresholdPolicy {
 }
 
 impl ClusterPolicy for ThresholdPolicy {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
-        // Track service times (reference demand) and arrivals.
-        for comp in &obs.computers {
-            if let Some(c) = comp.mean_demand() {
-                // mean_demand is machine-local; re-reference by speed.
-                let j = comp.index - self.module_base[comp.module];
-                let speed = self.members[comp.module][j].0;
-                self.c_filter.observe(c * speed);
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
+        // Track service times (reference demand) and arrivals. Modules
+        // are contiguous global ranges, so this walks the computers in
+        // global index order.
+        for (module, &base) in self.members.iter().zip(&self.module_base) {
+            for ((speed, _), comp) in module.iter().zip(&obs.computers[base..]) {
+                if let Some(c) = comp.window.mean_demand() {
+                    // mean_demand is machine-local; re-reference by speed.
+                    self.c_filter.observe(c * speed);
+                }
             }
         }
-        for module in &obs.modules {
-            self.module_arrivals[module.index] += module.arrivals;
-            self.global_arrivals += module.arrivals;
+        for (acc, &arrivals) in self.module_arrivals.iter_mut().zip(&obs.module_arrivals) {
+            *acc += arrivals;
+            self.global_arrivals += arrivals;
         }
         if !obs.tick.is_multiple_of(self.period_ticks) {
             return Vec::new();
@@ -131,7 +134,10 @@ impl ClusterPolicy for ThresholdPolicy {
             .iter()
             .map(|m| m.iter().map(|(s, _)| s / c_ref).sum())
             .collect();
-        actions.push(Action::SetModuleWeights(module_capacity.clone()));
+        actions.push(DirectiveKind::Split {
+            module: None,
+            weights: module_capacity.clone(),
+        });
 
         let module_arrivals = std::mem::take(&mut self.module_arrivals);
         self.module_arrivals = vec![0; module_arrivals.len()];
@@ -164,7 +170,10 @@ impl ClusterPolicy for ThresholdPolicy {
                     .max_by(|&a, &b| module_members[a].0.total_cmp(&module_members[b].0))
                 {
                     active[j] = true;
-                    actions.push(Action::PowerOn(base + j));
+                    actions.push(DirectiveKind::Activation {
+                        computer: base + j,
+                        on: true,
+                    });
                 }
             } else if rho < RHO_LO && active.iter().filter(|&&a| a).count() > 1 {
                 // Switch off the slowest active computer.
@@ -173,7 +182,10 @@ impl ClusterPolicy for ThresholdPolicy {
                     .min_by(|&a, &b| module_members[a].0.total_cmp(&module_members[b].0))
                 {
                     active[j] = false;
-                    actions.push(Action::PowerOff(base + j));
+                    actions.push(DirectiveKind::Activation {
+                        computer: base + j,
+                        on: false,
+                    });
                 }
             }
             cap = capacity(&active);
@@ -184,7 +196,10 @@ impl ClusterPolicy for ThresholdPolicy {
                 .zip(module_members)
                 .map(|(&a, (s, _))| if a { s / c_ref } else { 0.0 })
                 .collect();
-            actions.push(Action::SetComputerWeights(m, weights.clone()));
+            actions.push(DirectiveKind::Split {
+                module: Some(m),
+                weights: weights.clone(),
+            });
 
             for (j, (speed, phis)) in module_members.iter().enumerate() {
                 if !active[j] {
@@ -203,7 +218,10 @@ impl ClusterPolicy for ThresholdPolicy {
                     .iter()
                     .position(|&p| p >= needed_phi)
                     .unwrap_or(phis.len() - 1);
-                actions.push(Action::SetFrequency(base + j, index));
+                actions.push(DirectiveKind::Frequency {
+                    computer: base + j,
+                    index,
+                });
             }
         }
         actions
@@ -254,14 +272,15 @@ impl AlwaysMaxPolicy {
 }
 
 impl ClusterPolicy for AlwaysMaxPolicy {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
         if self.initialized {
             // Re-assert power-on for anything found off (e.g. drained).
             return obs
                 .computers
                 .iter()
-                .filter(|c| matches!(c.state, PowerState::Off))
-                .map(|c| Action::PowerOn(c.index))
+                .enumerate()
+                .filter(|(_, c)| matches!(c.state, PowerState::Off))
+                .map(|(computer, _)| DirectiveKind::Activation { computer, on: true })
                 .collect();
         }
         self.initialized = true;
@@ -271,15 +290,24 @@ impl ClusterPolicy for AlwaysMaxPolicy {
             .iter()
             .map(|m| m.iter().map(|(s, _)| *s).sum())
             .collect();
-        actions.push(Action::SetModuleWeights(module_caps));
-        let mut index = 0usize;
+        actions.push(DirectiveKind::Split {
+            module: None,
+            weights: module_caps,
+        });
+        let mut computer = 0usize;
         for (m, module) in self.members.iter().enumerate() {
             let weights: Vec<f64> = module.iter().map(|(s, _)| *s).collect();
-            actions.push(Action::SetComputerWeights(m, weights));
+            actions.push(DirectiveKind::Split {
+                module: Some(m),
+                weights,
+            });
             for (_, table_len) in module {
-                actions.push(Action::PowerOn(index));
-                actions.push(Action::SetFrequency(index, table_len - 1));
-                index += 1;
+                actions.push(DirectiveKind::Activation { computer, on: true });
+                actions.push(DirectiveKind::Frequency {
+                    computer,
+                    index: table_len - 1,
+                });
+                computer += 1;
             }
         }
         actions
@@ -293,7 +321,7 @@ impl ClusterPolicy for AlwaysMaxPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ComputerObs, ModuleObs};
+    use crate::control::MemberTelemetry;
 
     fn layout() -> Vec<Vec<(f64, Vec<f64>)>> {
         vec![vec![
@@ -306,9 +334,8 @@ mod tests {
         let computers = states
             .into_iter()
             .enumerate()
-            .map(|(i, state)| ComputerObs {
-                index: i,
-                module: 0,
+            .map(|(member, state)| MemberTelemetry {
+                member,
                 queue: 0,
                 window: llc_sim::WindowStats {
                     arrivals: arrivals / 2,
@@ -326,13 +353,8 @@ mod tests {
             .collect();
         Observations {
             tick,
-            time: tick as f64 * 30.0,
             computers,
-            modules: vec![ModuleObs {
-                index: 0,
-                arrivals,
-                dropped: 0,
-            }],
+            module_arrivals: vec![arrivals],
         }
     }
 
@@ -343,7 +365,10 @@ mod tests {
         let o = obs(0, 120 * 120, vec![PowerState::On, PowerState::Off]);
         let actions = p.decide(&o);
         assert!(
-            actions.contains(&Action::PowerOn(1)),
+            actions.contains(&DirectiveKind::Activation {
+                computer: 1,
+                on: true
+            }),
             "must recruit the off computer: {actions:?}"
         );
     }
@@ -354,7 +379,9 @@ mod tests {
         let o = obs(0, 10, vec![PowerState::On, PowerState::On]);
         let actions = p.decide(&o);
         assert!(
-            actions.iter().any(|a| matches!(a, Action::PowerOff(_))),
+            actions
+                .iter()
+                .any(|a| matches!(a, DirectiveKind::Activation { on: false, .. })),
             "must shed a computer: {actions:?}"
         );
     }
@@ -374,10 +401,10 @@ mod tests {
         let mut p = AlwaysMaxPolicy::new(vec![vec![(1.0, 2), (0.8, 4)]]);
         let o = obs(0, 100, vec![PowerState::Off, PowerState::Off]);
         let actions = p.decide(&o);
-        assert!(actions.contains(&Action::PowerOn(0)));
-        assert!(actions.contains(&Action::PowerOn(1)));
-        assert!(actions.contains(&Action::SetFrequency(0, 1)));
-        assert!(actions.contains(&Action::SetFrequency(1, 3)));
+        for (computer, index) in [(0, 1), (1, 3)] {
+            assert!(actions.contains(&DirectiveKind::Activation { computer, on: true }));
+            assert!(actions.contains(&DirectiveKind::Frequency { computer, index }));
+        }
         // Second call with everything on: nothing to do.
         let o2 = obs(1, 100, vec![PowerState::On, PowerState::On]);
         assert!(p.decide(&o2).is_empty());

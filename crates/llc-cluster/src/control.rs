@@ -13,14 +13,21 @@
 //!   [`DirectiveEmit`] trait, each stamped with the level, tick and
 //!   epoch that produced it;
 //! * [`ControlPlane`] owns the L2/L1/L0 tick cadence on a virtual
-//!   clock, assembles per-tick [`Observations`] for any
-//!   [`ClusterPolicy`], and exposes a [`MetricsSnapshot`] combining its
-//!   own driver counters (ingest, reordering, decide latency) with the
-//!   policy's [`PolicyMetrics`] (drift detections per member map, member
-//!   deaths/recoveries, safe-mode periods, feed-forward events).
+//!   clock, moves each tick's ingested telemetry into the
+//!   [`Observations`] any [`ClusterPolicy`] reads, stamps the
+//!   [`DirectiveKind`]s the policy returns into directives, and exposes
+//!   a [`MetricsSnapshot`] combining its own driver counters (ingest,
+//!   reordering, decide latency) with the policy's [`PolicyMetrics`]
+//!   (drift detections per member map, member deaths/recoveries,
+//!   safe-mode periods, feed-forward events).
 //!
-//! [`Experiment`] is one client of this API (its sim adapter translates
-//! plant state into observations and directives into actuation);
+//! The plane and its policies speak one vocabulary: a policy reads the
+//! [`MemberTelemetry`] the plane ingested and returns the
+//! [`DirectiveKind`]s the plane emits, so nothing is translated between
+//! the two.
+//!
+//! [`Experiment`] is one client of this API (its sim adapter renders
+//! plant state as observations and applies directives);
 //! `examples/control_plane.rs` is another, running the hierarchy as a
 //! long-lived loop fed by a channel with no `Experiment` at all.
 //!
@@ -37,7 +44,7 @@
 #![deny(missing_docs)]
 
 use crate::hierarchy::LevelOverhead;
-use crate::policy::{Action, ClusterPolicy, ComputerObs, ModuleObs, Observations};
+use crate::policy::{ClusterPolicy, Observations};
 use crate::{L0Config, L1Config, L2Config};
 use llc_sim::{PowerState, WindowStats};
 use std::collections::{BTreeMap, VecDeque};
@@ -109,25 +116,19 @@ impl Cadence {
     }
 }
 
-/// One member's telemetry for one base tick, as reported over the
-/// ingest surface. `member` is the position within the module (not the
-/// global computer index — the plane owns the topology and does the
-/// translation).
-///
-/// When `telemetry_ok` is `false` the reporter lost this window
-/// (blackout, crash-stop silence): `window` and `queue` arrive blank
-/// and `state`/`frequency_index` should be *frozen at the last healthy
-/// values the reporter saw* — crash-stop is indistinguishable from a
-/// partition, so ground truth is unavailable. `rejected` is measured at
-/// the module dispatcher, not the machine, and therefore stays valid
-/// through darkness.
+/// One member's telemetry for one base tick: what a reporter sends over
+/// the ingest surface and what a policy reads in [`Observations`].
+/// `member` is the position within the module (not the global computer
+/// index — the plane owns the topology, and a policy takes the global
+/// index from the entry's place in [`Observations::computers`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberTelemetry {
     /// Position of the member within its module.
     pub member: usize,
     /// Queue length at the sampling instant (queued + in service).
     pub queue: usize,
-    /// Realized stats of the window that just ended.
+    /// The realized stats of the window that just ended (arrivals,
+    /// completions, response/demand sums, energy drawn).
     pub window: WindowStats,
     /// Power state at the sampling instant (last healthy value when
     /// `telemetry_ok` is `false`).
@@ -135,9 +136,23 @@ pub struct MemberTelemetry {
     /// Frequency-table index (last healthy value when `telemetry_ok` is
     /// `false`).
     pub frequency_index: usize,
-    /// `false` when this window's telemetry was lost.
+    /// `false` when this window's telemetry was lost (blackout, or a
+    /// crashed machine gone silent): the window stats and queue reading
+    /// arrive blank and must not be treated as evidence, and `state` /
+    /// `frequency_index` are frozen at the last values the management
+    /// plane saw before the lights went out — crash-stop is
+    /// indistinguishable from a partition, so ground truth is not
+    /// available either.
     pub telemetry_ok: bool,
-    /// Dispatcher-side refused sends to this member during the window.
+    /// Requests the module dispatcher offered to this member during the
+    /// window that the member refused (crashed, or no admissible
+    /// operating state). Measured at the *dispatcher*, not the machine,
+    /// so it remains valid through telemetry blackouts — a router always
+    /// knows its own failed sends. A refused request never completes:
+    /// the closed loop charges it the worst-case slack in the realized
+    /// cost, which is what stops a controller that routes traffic into a
+    /// dead machine from looking *better* (relieved survivors, clean
+    /// models) than one that re-plans around it.
     pub rejected: u64,
 }
 
@@ -158,8 +173,6 @@ pub struct ModuleObservation {
     pub members: Vec<MemberTelemetry>,
     /// Requests dispatched to the module during the window.
     pub arrivals: u64,
-    /// Requests dropped at/inside the module during the window.
-    pub dropped: u64,
 }
 
 /// A typed decision leaving the control plane.
@@ -214,16 +227,34 @@ pub enum DirectiveKind {
         weights: Vec<f64>,
     },
     /// A module entered or left safe mode (uniform split over live
-    /// members, models distrusted). Informational: it accompanies the
-    /// `Split`/`Activation` directives that enact the posture, so it
-    /// maps to no plant action — consumers use it to raise or clear an
-    /// operator-facing alarm.
+    /// members, models distrusted). The hierarchy emits it on the L1
+    /// tick the posture changes, after every other directive of the
+    /// tick. Informational: it accompanies the `Split`/`Activation`
+    /// directives that enact the posture, so it maps to no plant action
+    /// — consumers use it to raise or clear an operator-facing alarm.
     SafeMode {
         /// Module index.
         module: usize,
         /// `true` on entry, `false` on exit.
         active: bool,
     },
+}
+
+impl DirectiveKind {
+    /// The level that decides this kind: a `Frequency` is L0's; an
+    /// `Activation`, a member `Split` and a `SafeMode` are L1's; the
+    /// cluster-wide `Split` is L2's.
+    pub fn level(&self) -> Level {
+        match self {
+            DirectiveKind::Frequency { .. } => Level::L0,
+            DirectiveKind::Split { module: None, .. } => Level::L2,
+            DirectiveKind::Activation { .. }
+            | DirectiveKind::Split {
+                module: Some(_), ..
+            }
+            | DirectiveKind::SafeMode { .. } => Level::L1,
+        }
+    }
 }
 
 /// Why an observation was refused at the ingest surface.
@@ -372,7 +403,9 @@ pub trait DirectiveEmit {
 }
 
 /// Decide-latency accounting: wall-clock time spent inside the policy's
-/// `decide`, excluding observation assembly and directive translation.
+/// `decide`, excluding observation assembly and directive stamping. The
+/// search effort behind it is in [`PolicyMetrics::l1_candidates_evaluated`]
+/// and [`PolicyMetrics::l1_candidates_pruned`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyStats {
     /// Decisions timed.
@@ -381,13 +414,6 @@ pub struct LatencyStats {
     pub total: Duration,
     /// The slowest single decision.
     pub max: Duration,
-    /// Search effort behind the latencies: candidate α configurations
-    /// whose γ search actually ran across the policy's L1 decisions.
-    pub candidates_evaluated: u64,
-    /// Candidate α configurations skipped by the branch-and-bound
-    /// admissible lower bound — work the decide path *didn't* do. The
-    /// pruned fraction explains a latency shift without a profiler.
-    pub candidates_pruned: u64,
 }
 
 impl LatencyStats {
@@ -461,7 +487,9 @@ pub struct PolicyMetrics {
     pub level_overhead: [LevelOverhead; 3],
     /// Candidate α configurations γ-searched across all L1 decisions.
     pub l1_candidates_evaluated: u64,
-    /// Candidate α configurations pruned by the L1 branch-and-bound.
+    /// Candidate α configurations skipped by the L1 branch-and-bound's
+    /// admissible lower bound — work the decide path *didn't* do. The
+    /// pruned fraction explains a latency shift without a profiler.
     pub l1_candidates_pruned: u64,
 }
 
@@ -558,9 +586,10 @@ pub struct StepReport {
 
 /// The driver that runs a [`ClusterPolicy`] as a control plane: it owns
 /// the virtual clock and the level cadence, buffers ingested
-/// observations by tick, assembles each tick's [`Observations`] (dark-
-/// filling missing members), times the decision, and translates actions
-/// into stamped [`Directive`]s.
+/// observations by tick, moves each tick's telemetry into the policy's
+/// [`Observations`] (dark-filling missing members), times the decision,
+/// and stamps each returned [`DirectiveKind`] with tick, time, level and
+/// epoch.
 ///
 /// The plane is transport-agnostic: [`Experiment`] drives it in
 /// lockstep against the simulator, `examples/control_plane.rs` drives
@@ -575,8 +604,9 @@ pub struct ControlPlane<P: ClusterPolicy> {
     policy: P,
     /// Global computer indices per module (the topology).
     members: Vec<Vec<usize>>,
-    /// Reverse topology: module of each global computer index.
-    computer_module: Vec<usize>,
+    /// Reverse topology: position within its module of each global
+    /// computer index.
+    computer_position: Vec<usize>,
     t_l0: f64,
     cadence: Cadence,
     next_tick: u64,
@@ -592,9 +622,6 @@ pub struct ControlPlane<P: ClusterPolicy> {
     frame: Observations,
     /// Per computer: named by an observation of the tick being assembled.
     heard: Vec<bool>,
-    /// Safe-mode posture per module at the previous L1 tick (diffed to
-    /// emit `SafeMode` directives on transitions).
-    safe_mode_prev: Vec<bool>,
     ingested: u64,
     out_of_order: u64,
     stale: u64,
@@ -622,14 +649,14 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             "topology must have at least one module"
         );
         let num_computers: usize = members.iter().map(|m| m.len()).sum();
-        let mut computer_module = vec![usize::MAX; num_computers];
-        for (m, module) in members.iter().enumerate() {
-            for &i in module {
+        let mut computer_position = vec![usize::MAX; num_computers];
+        for module in &members {
+            for (position, &i) in module.iter().enumerate() {
                 assert!(
-                    i < num_computers && computer_module[i] == usize::MAX,
+                    i < num_computers && computer_position[i] == usize::MAX,
                     "member indices must form a dense 0..{num_computers} cover"
                 );
-                computer_module[i] = m;
+                computer_position[i] = position;
             }
         }
         let cadence = policy.cadence();
@@ -637,7 +664,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         ControlPlane {
             policy,
             members,
-            computer_module,
+            computer_position,
             t_l0,
             cadence,
             next_tick: 0,
@@ -647,12 +674,10 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             last_frequency: vec![0; num_computers],
             frame: Observations {
                 tick: 0,
-                time: 0.0,
                 computers: Vec::with_capacity(num_computers),
-                modules: Vec::with_capacity(num_modules),
+                module_arrivals: Vec::with_capacity(num_modules),
             },
             heard: vec![false; num_computers],
-            safe_mode_prev: vec![false; num_modules],
             ingested: 0,
             out_of_order: 0,
             stale: 0,
@@ -717,40 +742,34 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         let time = tick as f64 * self.t_l0;
         let frame = &mut self.frame;
         frame.tick = tick;
-        frame.time = time;
         // Dark-fill every member first: blank window, and the state and
         // frequency last reported for it.
         frame.computers.clear();
-        frame
-            .computers
-            .extend((0..self.computer_module.len()).map(|i| ComputerObs {
-                index: i,
-                module: self.computer_module[i],
-                queue: 0,
-                window: WindowStats::default(),
-                state: self.last_state[i],
-                frequency_index: self.last_frequency[i],
-                telemetry_ok: false,
-                rejected: 0,
-            }));
-        frame.modules.clear();
-        frame
-            .modules
-            .extend((0..self.members.len()).map(|index| ModuleObs {
-                index,
-                arrivals: 0,
-                dropped: 0,
-            }));
+        frame.computers.extend(
+            self.computer_position
+                .iter()
+                .enumerate()
+                .map(|(i, &member)| MemberTelemetry {
+                    member,
+                    queue: 0,
+                    window: WindowStats::default(),
+                    state: self.last_state[i],
+                    frequency_index: self.last_frequency[i],
+                    telemetry_ok: false,
+                    rejected: 0,
+                }),
+        );
+        frame.module_arrivals.clear();
+        frame.module_arrivals.resize(self.members.len(), 0);
         self.heard.fill(false);
 
-        // Then overwrite the members reported, the last report of a
-        // member winning.
+        // Then move the reported members into their slots, the last
+        // report of a member winning.
         let mut dark_filled = self.heard.len() as u64;
         let slot = self.pending.remove(&tick).unwrap_or_default();
         for (m, entry) in slot.into_iter().enumerate() {
             let Some(observation) = entry else { continue };
-            frame.modules[m].arrivals = observation.arrivals;
-            frame.modules[m].dropped = observation.dropped;
+            frame.module_arrivals[m] = observation.arrivals;
             for t in observation.members {
                 let i = self.members[m][t.member];
                 // The reporter freezes state/frequency at its last
@@ -759,16 +778,7 @@ impl<P: ClusterPolicy> ControlPlane<P> {
                 // dark-filling members that stop reporting entirely.
                 self.last_state[i] = t.state;
                 self.last_frequency[i] = t.frequency_index;
-                frame.computers[i] = ComputerObs {
-                    index: i,
-                    module: m,
-                    queue: t.queue,
-                    window: t.window,
-                    state: t.state,
-                    frequency_index: t.frequency_index,
-                    telemetry_ok: t.telemetry_ok,
-                    rejected: t.rejected,
-                };
+                frame.computers[i] = t;
                 if !std::mem::replace(&mut self.heard[i], true) {
                     dark_filled -= 1;
                 }
@@ -777,41 +787,13 @@ impl<P: ClusterPolicy> ControlPlane<P> {
         self.dark_filled += dark_filled;
 
         let started = Instant::now();
-        let actions = self.policy.decide(&self.frame);
+        let kinds = self.policy.decide(&self.frame);
         let decide_time = started.elapsed();
         self.decide.record(decide_time);
 
-        let mut emitted = 0usize;
-        for action in actions {
-            let (level, kind) = match action {
-                Action::SetFrequency(computer, index) => {
-                    (Level::L0, DirectiveKind::Frequency { computer, index })
-                }
-                Action::PowerOn(computer) => {
-                    (Level::L1, DirectiveKind::Activation { computer, on: true })
-                }
-                Action::PowerOff(computer) => (
-                    Level::L1,
-                    DirectiveKind::Activation {
-                        computer,
-                        on: false,
-                    },
-                ),
-                Action::SetComputerWeights(m, weights) => (
-                    Level::L1,
-                    DirectiveKind::Split {
-                        module: Some(m),
-                        weights,
-                    },
-                ),
-                Action::SetModuleWeights(weights) => (
-                    Level::L2,
-                    DirectiveKind::Split {
-                        module: None,
-                        weights,
-                    },
-                ),
-            };
+        let emitted = kinds.len();
+        for kind in kinds {
+            let level = kind.level();
             self.queue(Directive {
                 tick,
                 time,
@@ -819,31 +801,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
                 epoch: self.cadence.epoch(level, tick),
                 kind,
             });
-            emitted += 1;
-        }
-
-        // Safe mode is an L1-period posture: diff it at L1 ticks and
-        // emit transitions as informational directives.
-        if self.cadence.is_l1_tick(tick) {
-            let safe_now = self.policy.metrics().safe_mode_active;
-            if safe_now.len() == self.safe_mode_prev.len() {
-                for (m, &is) in safe_now.iter().enumerate() {
-                    if self.safe_mode_prev[m] != is {
-                        self.queue(Directive {
-                            tick,
-                            time,
-                            level: Level::L1,
-                            epoch: self.cadence.epoch(Level::L1, tick),
-                            kind: DirectiveKind::SafeMode {
-                                module: m,
-                                active: is,
-                            },
-                        });
-                        emitted += 1;
-                    }
-                }
-                self.safe_mode_prev = safe_now;
-            }
         }
         self.emitted += emitted as u64;
         self.next_tick += 1;
@@ -868,13 +825,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
     /// Snapshot every operational counter: the driver's and the
     /// policy's.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let policy = self.policy.metrics();
-        // The decide-latency stats carry the policy's search-effort
-        // counters alongside the wall-clock numbers, so one read
-        // explains the other.
-        let mut decide = self.decide;
-        decide.candidates_evaluated = policy.l1_candidates_evaluated;
-        decide.candidates_pruned = policy.l1_candidates_pruned;
         MetricsSnapshot {
             next_tick: self.next_tick,
             observations_ingested: self.ingested,
@@ -884,8 +834,8 @@ impl<P: ClusterPolicy> ControlPlane<P> {
             dark_filled_members: self.dark_filled,
             directives_emitted: self.emitted,
             dropped_directives: self.dropped_directives,
-            decide,
-            policy,
+            decide: self.decide,
+            policy: self.policy.metrics(),
             transport: TransportMetrics::default(),
         }
     }
@@ -972,18 +922,27 @@ mod tests {
     }
 
     impl ClusterPolicy for Probe {
-        fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+        fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
             self.seen.push(obs.tick);
             self.dark_seen += obs.computers.iter().filter(|c| !c.telemetry_ok).count();
-            let mut actions = Vec::new();
+            let mut kinds = Vec::new();
             if obs.tick == 0 {
-                actions.push(Action::PowerOn(0));
-                actions.push(Action::SetFrequency(1, 2));
+                kinds.push(DirectiveKind::Activation {
+                    computer: 0,
+                    on: true,
+                });
+                kinds.push(DirectiveKind::Frequency {
+                    computer: 1,
+                    index: 2,
+                });
             }
             if self.cadence.is_l1_tick(obs.tick) {
-                actions.push(Action::SetComputerWeights(0, vec![0.5, 0.5]));
+                kinds.push(DirectiveKind::Split {
+                    module: Some(0),
+                    weights: vec![0.5, 0.5],
+                });
             }
-            actions
+            kinds
         }
         fn name(&self) -> &str {
             "probe"
@@ -1026,7 +985,6 @@ mod tests {
             tick,
             members,
             arrivals: 10,
-            dropped: 0,
         }
     }
 
@@ -1059,6 +1017,40 @@ mod tests {
                 weights: vec![0.5, 0.5]
             }
         );
+        assert_eq!(split.epoch, 0);
+
+        // The level of every kind shape, which `step` stamps unchanged.
+        let split = |module| DirectiveKind::Split {
+            module,
+            weights: vec![1.0],
+        };
+        for (kind, level) in [
+            (
+                DirectiveKind::Frequency {
+                    computer: 1,
+                    index: 2,
+                },
+                Level::L0,
+            ),
+            (
+                DirectiveKind::Activation {
+                    computer: 0,
+                    on: false,
+                },
+                Level::L1,
+            ),
+            (split(Some(3)), Level::L1),
+            (
+                DirectiveKind::SafeMode {
+                    module: 3,
+                    active: true,
+                },
+                Level::L1,
+            ),
+            (split(None), Level::L2),
+        ] {
+            assert_eq!(kind.level(), level, "{kind:?}");
+        }
     }
 
     #[test]
@@ -1116,9 +1108,12 @@ mod tests {
         /// Eight frequency directives a tick.
         struct Chatty;
         impl ClusterPolicy for Chatty {
-            fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+            fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
                 (0..8)
-                    .map(|i| Action::SetFrequency(i % 2, obs.tick as usize % 3))
+                    .map(|i| DirectiveKind::Frequency {
+                        computer: i % 2,
+                        index: obs.tick as usize % 3,
+                    })
                     .collect()
             }
             fn name(&self) -> &str {
@@ -1168,7 +1163,7 @@ mod tests {
     struct Recorder(Vec<Observations>);
 
     impl ClusterPolicy for Recorder {
-        fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+        fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
             self.0.push(obs.clone());
             Vec::new()
         }
@@ -1206,9 +1201,8 @@ mod tests {
 
         let frames = &plane.policy().0;
         assert_eq!(frames[0].computers[0].window, loud.window);
-        let dark = ComputerObs {
-            index: 0,
-            module: 0,
+        let dark = MemberTelemetry {
+            member: 0,
             queue: 0,
             window: WindowStats::default(),
             state: PowerState::Draining,
@@ -1218,19 +1212,14 @@ mod tests {
         };
         assert_eq!(frames[1].computers[0], dark);
         assert!(frames[1].computers[1].telemetry_ok);
+        assert_eq!(frames[1].module_arrivals, vec![10]);
         // A tick nobody reported for: every member dark, the module blank.
-        assert_eq!((frames[2].tick, frames[2].time), (2, 60.0));
+        assert_eq!(frames[2].tick, 2);
         assert_eq!(frames[2].computers[0], dark);
         assert!(!frames[2].computers[1].telemetry_ok);
+        assert_eq!(frames[2].computers[1].member, 1);
         assert_eq!(frames[2].computers[1].queue, 0);
-        assert_eq!(
-            frames[2].modules,
-            vec![ModuleObs {
-                index: 0,
-                arrivals: 0,
-                dropped: 0
-            }]
-        );
+        assert_eq!(frames[2].module_arrivals, vec![0]);
         assert_eq!(plane.metrics().dark_filled_members, 1 + 2);
     }
 
@@ -1286,7 +1275,6 @@ mod tests {
                 tick: 0,
                 members: vec![],
                 arrivals: 0,
-                dropped: 0,
             })
             .unwrap_err();
         assert!(matches!(err, IngestError::UnknownModule { module: 3, .. }));

@@ -11,7 +11,8 @@ use llc_workload::{
 use rand::SeedableRng;
 use std::time::Duration;
 
-/// One base-tick record of an experiment run.
+/// One base-tick record of an experiment run: the window the tick's
+/// directives were applied to, and the plant's state at its end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TickRecord {
     /// Base tick index.
@@ -24,17 +25,15 @@ pub struct TickRecord {
     pub completions: u64,
     /// Mean response time of the window's completions, if any.
     pub mean_response: Option<f64>,
-    /// Computers active (on/booting/draining) after this tick's actions.
-    pub active: usize,
-    /// Frequency index per computer after this tick's actions.
+    /// Frequency index per computer at the end of the window.
     pub frequency_indices: Vec<usize>,
     /// Mean response per computer for this window.
     pub computer_responses: Vec<Option<f64>>,
-    /// Total queued requests at the sampling instant.
-    pub queue_total: usize,
-    /// Per-computer queue lengths at the end of the window.
+    /// Per-computer queue lengths (queued + in service) at the end of
+    /// the window.
     pub queues: Vec<usize>,
-    /// Per-computer activity (on/booting/draining) at the end of the window.
+    /// Per-computer activity (on/booting/draining) at the end of the
+    /// window.
     pub active_flags: Vec<bool>,
     /// Cumulative energy at the end of the window.
     pub energy: f64,
@@ -200,11 +199,11 @@ impl ExperimentLog {
     /// (the L1 period in ticks for Figs. 4 and 6): a computer counts if
     /// its last [`DirectiveKind::Activation`] at or before the tick
     /// switched it on; one not commanded by then keeps its state in the
-    /// first tick's [`TickRecord::active_flags`]. Unlike
-    /// [`TickRecord::active`], a machine ordered off counts as off while
-    /// it drains. Under a fault plan the count can differ from the α the
-    /// policy decided: a dead member gets no directive, so it counts in
-    /// the state it was last commanded to.
+    /// first tick's [`TickRecord::active_flags`]. Unlike those flags, a
+    /// machine ordered off counts as off while it drains. Under a fault
+    /// plan the count can differ from the α the policy decided: a dead
+    /// member gets no directive, so it counts in the state it was last
+    /// commanded to.
     pub fn machines_on(&self, every: u64) -> Vec<(u64, usize)> {
         let Some(first) = self.ticks.first() else {
             return Vec::new();
@@ -333,6 +332,10 @@ impl SimAdapter {
         let members: Vec<Vec<usize>> = (0..num_modules)
             .map(|m| sim.module_members(m).to_vec())
             .collect();
+        debug_assert!(
+            members.iter().flatten().copied().eq(0..num_computers),
+            "modules must number their members as consecutive global indices"
+        );
         let last_state = (0..num_computers)
             .map(|i| sim.computer(i).state())
             .collect();
@@ -452,11 +455,14 @@ impl SimAdapter {
             }
         }
 
-        // Per-computer telemetry in *global index order* — the noise
-        // stream draws in that order, so module grouping must not
-        // reorder it.
-        let telemetry: Vec<MemberTelemetry> = (0..num_computers)
-            .map(|i| {
+        // One report per module, members in module order. Module m's
+        // members are consecutive global indices (checked in `new`), so
+        // this walks the computers — and draws the noise stream — in
+        // global index order.
+        let mut observations = Vec::with_capacity(self.members.len());
+        for (m, module) in self.members.iter().enumerate() {
+            let mut members = Vec::with_capacity(module.len());
+            for (member, &i) in module.iter().enumerate() {
                 let c = self.sim.computer(i);
                 let dark = self.blacked_out[i] || self.crashed_dark[i];
                 if !dark {
@@ -482,8 +488,8 @@ impl SimAdapter {
                         self.unit_gaussian.sample(&mut self.noise_rng),
                     );
                 }
-                MemberTelemetry {
-                    member: usize::MAX, // patched to the module position below
+                members.push(MemberTelemetry {
+                    member,
                     queue: if dark { 0 } else { c.queue_length() },
                     window,
                     state: self.last_state[i],
@@ -493,30 +499,16 @@ impl SimAdapter {
                     // dark: the dispatcher knows its failed sends even
                     // when the target is silent.
                     rejected: self.prev_rejections[i],
-                }
-            })
-            .collect();
-        let mut telemetry: Vec<Option<MemberTelemetry>> = telemetry.into_iter().map(Some).collect();
-
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(m, module)| ModuleObservation {
+                });
+            }
+            observations.push(ModuleObservation {
                 module: m,
                 tick,
-                members: module
-                    .iter()
-                    .enumerate()
-                    .map(|(position, &i)| {
-                        let mut t = telemetry[i].take().expect("each computer in one module");
-                        t.member = position;
-                        t
-                    })
-                    .collect(),
+                members,
                 arrivals: self.prev_mod_stats[m].arrivals,
-                dropped: self.prev_mod_stats[m].dropped,
-            })
-            .collect()
+            });
+        }
+        observations
     }
 
     /// Apply drained directives to the plant in emission order
@@ -672,14 +664,10 @@ impl Experiment {
                 } else {
                     None
                 },
-                active: sim.active_count(),
                 frequency_indices: (0..num_computers)
                     .map(|i| sim.computer(i).frequency_index())
                     .collect(),
                 computer_responses: stats.iter().map(|w| w.mean_response()).collect(),
-                queue_total: (0..num_computers)
-                    .map(|i| sim.computer(i).queue_length())
-                    .sum(),
                 queues: (0..num_computers)
                     .map(|i| sim.computer(i).queue_length())
                     .collect(),
@@ -706,7 +694,7 @@ mod tests {
     use super::*;
     use crate::agent::MAX_WINDOW_ARRIVALS;
     use crate::baselines::AlwaysMaxPolicy;
-    use crate::policy::{Action, Observations};
+    use crate::policy::Observations;
     use llc_workload::Trace;
 
     fn tiny_cluster() -> ClusterConfig {
@@ -804,10 +792,8 @@ mod tests {
             arrivals: 0,
             completions: 0,
             mean_response: None,
-            active: active_flags.iter().filter(|&&a| a).count(),
             frequency_indices: vec![0; 4],
             computer_responses: vec![None; 4],
-            queue_total: 0,
             queues: vec![0; 4],
             active_flags,
             energy: 0.0,
@@ -909,8 +895,11 @@ mod tests {
     fn a_directive_the_plant_refuses_fails_the_run() {
         struct OffTheEnd;
         impl ClusterPolicy for OffTheEnd {
-            fn decide(&mut self, _o: &Observations) -> Vec<Action> {
-                vec![Action::SetFrequency(99, 0)]
+            fn decide(&mut self, _o: &Observations) -> Vec<DirectiveKind> {
+                vec![DirectiveKind::Frequency {
+                    computer: 99,
+                    index: 0,
+                }]
             }
             fn name(&self) -> &str {
                 "off-the-end"
@@ -926,7 +915,7 @@ mod tests {
         let store = VirtualStore::paper_default(4);
         struct DoNothing;
         impl ClusterPolicy for DoNothing {
-            fn decide(&mut self, _o: &Observations) -> Vec<Action> {
+            fn decide(&mut self, _o: &Observations) -> Vec<DirectiveKind> {
                 Vec::new()
             }
             fn name(&self) -> &str {

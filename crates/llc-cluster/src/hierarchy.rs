@@ -1,7 +1,7 @@
-use crate::control::{mean_duration, Cadence, PolicyMetrics};
+use crate::control::{mean_duration, Cadence, DirectiveKind, PolicyMetrics};
 use crate::l1::{AbstractionMap, GEntry, L1Controller, L1Decision, MemberSpec};
 use crate::l2::{L2Controller, ModuleCostModel, ModuleState};
-use crate::policy::{Action, ClusterPolicy, Observations};
+use crate::policy::{ClusterPolicy, Observations};
 use crate::{L0Controller, ScenarioConfig};
 use llc_sim::{PowerState, WindowStats};
 use std::collections::HashMap;
@@ -148,7 +148,8 @@ struct FaultTolerance {
     recoveries: u64,
     safe_mode_periods: u64,
     /// Safe-mode posture per module as of the last L1 tick (the
-    /// current-state view behind `PolicyMetrics::safe_mode_active`).
+    /// current-state view behind `PolicyMetrics::safe_mode_active`); an
+    /// L1 tick that changes a module's posture emits `SafeMode`.
     safe_now: Vec<bool>,
 }
 
@@ -433,8 +434,11 @@ impl HierarchicalPolicy {
 }
 
 impl ClusterPolicy for HierarchicalPolicy {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
         let mut actions = Vec::new();
+        // `SafeMode` transitions of this tick, emitted after every other
+        // directive of it.
+        let mut postures = Vec::new();
 
         // --- Watchdog: track membership through churn (fault tolerance
         // only). A window is suspect when its telemetry was lost or the
@@ -448,8 +452,7 @@ impl ClusterPolicy for HierarchicalPolicy {
         // because boot rerouting never assigns weight to an `Off`
         // machine).
         if let Some(ft) = self.fault_tolerance.as_mut() {
-            for comp in &obs.computers {
-                let i = comp.index;
+            for (i, comp) in obs.computers.iter().enumerate() {
                 if comp.telemetry_ok {
                     ft.healthy[i] += 1;
                 } else {
@@ -498,7 +501,7 @@ impl ClusterPolicy for HierarchicalPolicy {
         // and still backlogged at the sampling instant, the condition
         // under which completions/T measures service rate rather than
         // throughput.
-        for comp in &obs.computers {
+        for (i, comp) in obs.computers.iter().enumerate() {
             if ft_on && !comp.telemetry_ok {
                 // Blackout window: the blanks are absence of evidence,
                 // not evidence of silence. Estimators and drift detectors
@@ -513,28 +516,28 @@ impl ClusterPolicy for HierarchicalPolicy {
                 // is a corrupted reading, not evidence — drop the sample
                 // and let the estimator coast. (Genuine drift moves ĉ by
                 // percent per window, never by 2.5x in one.)
-                if let (Some(c), reference) = (demand, self.l0s[comp.index].c_estimate()) {
+                if let (Some(c), reference) = (demand, self.l0s[i].c_estimate()) {
                     if reference > 0.0 && !(0.4..=2.5).contains(&(c / reference)) {
                         demand = None;
                     }
                 }
             }
-            self.l0s[comp.index].observe(comp.window.arrivals, demand);
+            self.l0s[i].observe(comp.window.arrivals, demand);
             let busy =
                 comp.queue > 0 && matches!(comp.state, PowerState::On | PowerState::Draining);
-            self.l0s[comp.index].observe_service(
-                comp.window.completions,
-                busy,
-                comp.frequency_index,
-            );
+            self.l0s[i].observe_service(comp.window.completions, busy, comp.frequency_index);
             if let Some(c) = demand {
-                self.member_demand_sum[comp.index] += c;
-                self.member_demand_n[comp.index] += 1;
+                self.member_demand_sum[i] += c;
+                self.member_demand_n[i] += 1;
             }
         }
-        for module in &obs.modules {
-            self.module_arrivals_acc[module.index] += module.arrivals;
-            self.global_arrivals_acc += module.arrivals;
+        for (acc, &arrivals) in self
+            .module_arrivals_acc
+            .iter_mut()
+            .zip(&obs.module_arrivals)
+        {
+            *acc += arrivals;
+            self.global_arrivals_acc += arrivals;
         }
 
         // Closed loop, step 1: fold the realized window into the running
@@ -555,8 +558,8 @@ impl ClusterPolicy for HierarchicalPolicy {
         // exactly the windows where the model's own slack is non-trivial
         // (at q_end = 0 the model's response is ĉ/φ, far under r*).
         let cl = &mut self.closed_loop;
-        for comp in &obs.computers {
-            let cfg = self.l0s[comp.index].config();
+        for (i, comp) in obs.computers.iter().enumerate() {
+            let cfg = self.l0s[i].config();
             // Router-side drop charge, folded *before* the telemetry
             // gate: the dispatcher's failed sends are valid telemetry
             // even when the target machine is dark. A refused request
@@ -574,14 +577,14 @@ impl ClusterPolicy for HierarchicalPolicy {
                 let drop_slack =
                     comp.rejected as f64 * DROP_TIMEOUT_FACTOR * cfg.response_target / cfg.period;
                 let charge = cfg.q_weight * drop_slack;
-                cl.cost_acc[comp.index] += charge;
-                cl.refused[comp.index] += comp.rejected;
+                cl.cost_acc[i] += charge;
+                cl.refused[i] += comp.rejected;
             }
             if ft_on && !comp.telemetry_ok {
                 // A window with a telemetry gap cannot anchor a valid
                 // realized outcome: poison this member's running L1
                 // window rather than folding blanks into it.
-                cl.served[comp.index] = false;
+                cl.served[i] = false;
                 continue;
             }
             let slack = if comp.queue > 0 && comp.window.completions > 0 {
@@ -597,8 +600,8 @@ impl ClusterPolicy for HierarchicalPolicy {
             };
             let power = comp.window.mean_power(cfg.period);
             let cost = cfg.q_weight * slack + cfg.r_weight * power;
-            cl.cost_acc[comp.index] += cost;
-            cl.window_acc[comp.index].absorb(&comp.window);
+            cl.cost_acc[i] += cost;
+            cl.window_acc[i].absorb(&comp.window);
         }
 
         // --- L2: split global load over modules (top-down first). ---
@@ -659,7 +662,10 @@ impl ClusterPolicy for HierarchicalPolicy {
                     }
                 }
                 self.last_gamma = Some(decision.gamma.clone());
-                actions.push(Action::SetModuleWeights(decision.gamma));
+                actions.push(DirectiveKind::Split {
+                    module: None,
+                    weights: decision.gamma,
+                });
                 self.overhead[2].record(started.elapsed(), 1);
             } else {
                 self.global_arrivals_acc = 0;
@@ -667,7 +673,10 @@ impl ClusterPolicy for HierarchicalPolicy {
                 // still needs weights once, or a cold-started cluster
                 // drops everything at the top-level router.
                 if obs.tick == 0 {
-                    actions.push(Action::SetModuleWeights(vec![1.0]));
+                    actions.push(DirectiveKind::Split {
+                        module: None,
+                        weights: vec![1.0],
+                    });
                 }
             }
         }
@@ -778,6 +787,12 @@ impl ClusterPolicy for HierarchicalPolicy {
                     (healthy as f64) < FaultToleranceConfig::TELEMETRY_QUORUM * live_count as f64
                 };
                 if let Some(ft) = self.fault_tolerance.as_mut() {
+                    if ft.safe_now[m] != safe_mode {
+                        postures.push(DirectiveKind::SafeMode {
+                            module: m,
+                            active: safe_mode,
+                        });
+                    }
                     ft.safe_now[m] = safe_mode;
                     ft.safe_mode_periods += u64::from(safe_mode);
                 }
@@ -871,9 +886,15 @@ impl ClusterPolicy for HierarchicalPolicy {
                         // PowerOn also recovers a draining machine to On —
                         // without it the machine would keep rejecting the
                         // load share assigned to it.
-                        actions.push(Action::PowerOn(i));
+                        actions.push(DirectiveKind::Activation {
+                            computer: i,
+                            on: true,
+                        });
                     } else if !decision.alpha[pos] && active[pos] && !draining {
-                        actions.push(Action::PowerOff(i));
+                        actions.push(DirectiveKind::Activation {
+                            computer: i,
+                            on: false,
+                        });
                     }
                 }
 
@@ -921,7 +942,10 @@ impl ClusterPolicy for HierarchicalPolicy {
                     routed.iter().zip(&dead_pos).all(|(&g, &d)| !d || g == 0.0),
                     "routed weight on a dead member"
                 );
-                actions.push(Action::SetComputerWeights(m, routed));
+                actions.push(DirectiveKind::Split {
+                    module: Some(m),
+                    weights: routed,
+                });
                 self.overhead[1].record(started.elapsed(), 1);
             }
             self.closed_loop.have_snapshot = true;
@@ -931,29 +955,33 @@ impl ClusterPolicy for HierarchicalPolicy {
         // timed as one round (see `LevelOverhead`). ---
         let started = Instant::now();
         let mut decided = 0u64;
-        for comp in &obs.computers {
+        for (i, comp) in obs.computers.iter().enumerate() {
             if matches!(comp.state, PowerState::Off) {
                 continue;
             }
             if let Some(ft) = self.fault_tolerance.as_ref() {
                 // A dead member takes no directives; a blacked-out one
                 // reported a blank queue that must not drive its DVFS.
-                if ft.dead[comp.index] || !comp.telemetry_ok {
+                if ft.dead[i] || !comp.telemetry_ok {
                     continue;
                 }
             }
-            let decision = self.l0s[comp.index]
+            let decision = self.l0s[i]
                 .decide(comp.queue)
                 .expect("frequency table is non-empty");
             decided += 1;
             if decision.frequency_index != comp.frequency_index {
-                actions.push(Action::SetFrequency(comp.index, decision.frequency_index));
+                actions.push(DirectiveKind::Frequency {
+                    computer: i,
+                    index: decision.frequency_index,
+                });
             }
         }
         if decided > 0 {
             self.overhead[0].record(started.elapsed(), decided);
         }
 
+        actions.append(&mut postures);
         actions
     }
 
@@ -994,15 +1022,14 @@ impl ClusterPolicy for HierarchicalPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ComputerObs, ModuleObs};
+    use crate::control::MemberTelemetry;
     use crate::single_module;
 
     fn obs_for(policy: &HierarchicalPolicy, tick: u64, arrivals_per_comp: u64) -> Observations {
         let n = policy.num_computers();
         let computers = (0..n)
-            .map(|i| ComputerObs {
-                index: i,
-                module: 0,
+            .map(|member| MemberTelemetry {
+                member,
                 queue: 0,
                 window: WindowStats {
                     arrivals: arrivals_per_comp,
@@ -1020,13 +1047,18 @@ mod tests {
             .collect();
         Observations {
             tick,
-            time: tick as f64 * 30.0,
             computers,
-            modules: vec![ModuleObs {
-                index: 0,
-                arrivals: arrivals_per_comp * n as u64,
-                dropped: 0,
-            }],
+            module_arrivals: vec![arrivals_per_comp * n as u64],
+        }
+    }
+
+    fn member_split(kind: &DirectiveKind) -> Option<&[f64]> {
+        match kind {
+            DirectiveKind::Split {
+                module: Some(0),
+                weights,
+            } => Some(weights),
+            _ => None,
         }
     }
 
@@ -1055,17 +1087,16 @@ mod tests {
     fn first_tick_sets_global_weights_for_single_module() {
         let scenario = single_module(2).with_coarse_learning();
         let mut policy = HierarchicalPolicy::build(&scenario);
-        let actions = policy.decide(&obs_for(&policy, 0, 100));
+        let kinds = policy.decide(&obs_for(&policy, 0, 100));
         assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, Action::SetModuleWeights(w) if w == &vec![1.0])),
-            "tick 0 must set the global dispatch weights: {actions:?}"
+            kinds.contains(&DirectiveKind::Split {
+                module: None,
+                weights: vec![1.0]
+            }),
+            "tick 0 must set the global dispatch weights: {kinds:?}"
         );
         assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, Action::SetComputerWeights(0, _))),
+            kinds.iter().any(|k| member_split(k).is_some()),
             "tick 0 must set the module's computer weights"
         );
     }
@@ -1080,7 +1111,7 @@ mod tests {
             policy
                 .decide(&obs)
                 .iter()
-                .any(|a| matches!(a, Action::SetComputerWeights(0, _)))
+                .any(|k| member_split(k).is_some())
         };
         assert!(l1_round(0));
         // Ticks 1-3: no L1 decision.
@@ -1178,17 +1209,20 @@ mod tests {
         // drained just because its telemetry went dark.
         let mut o = obs_for(&policy, 4, 3000);
         blackout(&mut o, 1);
-        let actions = policy.decide(&o);
-        for a in &actions {
-            match a {
-                Action::PowerOn(i) | Action::PowerOff(i) | Action::SetFrequency(i, _) => {
-                    assert_ne!(*i, 1, "directive {a:?} to a dead member");
+        for kind in policy.decide(&o) {
+            match kind {
+                DirectiveKind::Activation { computer, .. }
+                | DirectiveKind::Frequency { computer, .. } => {
+                    assert_ne!(computer, 1, "directive {kind:?} to a dead member");
                 }
-                Action::SetComputerWeights(_, w) => {
+                DirectiveKind::Split {
+                    module: Some(_),
+                    weights: w,
+                } => {
                     assert_eq!(w[1], 0.0, "load routed to a dead member");
                     assert!((w[0] - 1.0).abs() < 1e-9, "survivor carries the module");
                 }
-                Action::SetModuleWeights(_) => {}
+                DirectiveKind::Split { module: None, .. } | DirectiveKind::SafeMode { .. } => {}
             }
         }
 
@@ -1250,18 +1284,14 @@ mod tests {
                     blackout(&mut o, i);
                 }
             }
-            let actions = policy.decide(&o);
+            let kinds = policy.decide(&o);
             if t == 4 {
                 assert!(
                     policy.metrics().safe_mode_periods >= 1,
                     "quorum loss → safe mode"
                 );
-                let weights = actions.iter().find_map(|a| match a {
-                    Action::SetComputerWeights(_, w) => Some(w.clone()),
-                    _ => None,
-                });
-                let w = weights.expect("L1 tick routes");
-                for &g in &w {
+                let w = kinds.iter().find_map(member_split).expect("L1 tick routes");
+                for &g in w {
                     assert!(
                         (g - 0.25).abs() < 1e-9,
                         "safe mode splits uniformly over live serving members: {w:?}"
@@ -1274,5 +1304,42 @@ mod tests {
             0,
             "nobody declared dead yet"
         );
+    }
+
+    /// A fault-tolerant module pushed below its telemetry quorum and back
+    /// says so itself: one `SafeMode { active: true }` on the L1 tick it
+    /// enters, one `{ active: false }` on the L1 tick it leaves, each
+    /// last in its tick's directives, and none on any other tick.
+    #[test]
+    fn safe_mode_transitions_are_emitted_once_each_last_on_their_l1_tick() {
+        let scenario = single_module(4).with_coarse_learning();
+        let mut policy = HierarchicalPolicy::build(&scenario);
+        policy.set_fault_tolerance();
+        let l1_every = policy.cadence().l1_every;
+        // Three of four members dark on ticks 3 and 4 only: below quorum
+        // at the L1 tick 4, one window short of any death, healthy again
+        // by the L1 tick 8.
+        let mut emitted = Vec::new();
+        for t in 0..3 * l1_every {
+            let mut o = obs_for(&policy, t, 3000);
+            if (3..5).contains(&t) {
+                for i in 1..4 {
+                    blackout(&mut o, i);
+                }
+            }
+            let kinds = policy.decide(&o);
+            for (k, kind) in kinds.iter().enumerate() {
+                if let DirectiveKind::SafeMode { module, active } = *kind {
+                    assert_eq!(module, 0);
+                    assert_eq!(k, kinds.len() - 1, "tick {t}: {kinds:?}");
+                    emitted.push((t, active));
+                }
+            }
+        }
+        assert_eq!(emitted, vec![(l1_every, true), (2 * l1_every, false)]);
+        let metrics = policy.metrics();
+        assert_eq!(metrics.safe_mode_periods, 1);
+        assert_eq!(metrics.safe_mode_active, vec![false]);
+        assert_eq!(metrics.member_deaths, 0);
     }
 }

@@ -66,6 +66,6 @@ pub use l1::{
     AbstractionMap, GEntry, L1Config, L1Controller, L1Decision, LearnSpec, MapBackend, MemberSpec,
 };
 pub use l2::{L2Config, L2Controller, L2Decision, ModuleCostModel, ModuleLearnSpec, ModuleState};
-pub use policy::{Action, ClusterPolicy, ComputerObs, ModuleObs, Observations};
+pub use policy::{Action, ClusterPolicy, Observations};
 pub use profiles::{ComputerProfile, FrequencyProfile};
 pub use run::{Family, Preset, RunSpec};

@@ -252,7 +252,6 @@ pub fn encode_observation(o: &ModuleObservation) -> Vec<u8> {
     put_usize(&mut out, o.module);
     put_u64(&mut out, o.tick);
     put_u64(&mut out, o.arrivals);
-    put_u64(&mut out, o.dropped);
     put_usize(&mut out, o.members.len());
     for t in &o.members {
         put_usize(&mut out, t.member);
@@ -276,7 +275,6 @@ pub fn decode_observation(payload: &[u8]) -> Result<ModuleObservation, WireError
     let module = r.usize()?;
     let tick = r.u64()?;
     let arrivals = r.u64()?;
-    let dropped = r.u64()?;
     let n = r.count(MEMBER_MIN_BYTES)?;
     let mut members = Vec::with_capacity(n);
     for _ in 0..n {
@@ -296,7 +294,6 @@ pub fn decode_observation(payload: &[u8]) -> Result<ModuleObservation, WireError
         tick,
         members,
         arrivals,
-        dropped,
     })
 }
 
@@ -495,8 +492,6 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     put_u64(&mut out, m.decide.decisions);
     put_duration(&mut out, m.decide.total);
     put_duration(&mut out, m.decide.max);
-    put_u64(&mut out, m.decide.candidates_evaluated);
-    put_u64(&mut out, m.decide.candidates_pruned);
 
     let p = &m.policy;
     put_u64(&mut out, p.online_updates);
@@ -552,8 +547,6 @@ pub fn decode_metrics(payload: &[u8]) -> Result<MetricsSnapshot, WireError> {
         decisions: r.u64()?,
         total: read_duration(&mut r)?,
         max: read_duration(&mut r)?,
-        candidates_evaluated: r.u64()?,
-        candidates_pruned: r.u64()?,
     };
 
     let online_updates = r.u64()?;
@@ -629,7 +622,6 @@ mod tests {
             module: 2,
             tick: 41,
             arrivals: 355,
-            dropped: 3,
             members: vec![
                 MemberTelemetry {
                     member: 0,
@@ -738,8 +730,6 @@ mod tests {
                 decisions: 90,
                 total: Duration::from_micros(720),
                 max: Duration::from_micros(31),
-                candidates_evaluated: 900,
-                candidates_pruned: 2048,
             },
             policy: PolicyMetrics {
                 online_updates: 333,

@@ -317,7 +317,6 @@ mod tests {
                 tick,
                 members: Vec::new(),
                 arrivals: 0,
-                dropped: 0,
             };
             Frame::new(FrameKind::Observation, 0, encode_observation(&observation))
         };

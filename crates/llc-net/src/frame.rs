@@ -30,8 +30,11 @@ pub const MAGIC: [u8; 2] = *b"LN";
 /// The protocol version this build speaks (2: the Metrics payload
 /// gained `future_observations`; 3: `dropped_directives`; 4: it lost
 /// the background-rebuild counters; 5: it lost the per-module-model
-/// drift counters; 6: it lost its second copy of `next_tick`).
-pub const VERSION: u8 = 6;
+/// drift counters; 6: it lost its second copy of `next_tick`; 7: the
+/// Observation payload lost the module's `dropped` count and the
+/// Metrics payload the decide-latency copies of the L1 candidate
+/// counters).
+pub const VERSION: u8 = 7;
 
 /// Bytes of header before the payload.
 pub const HEADER_LEN: usize = 12;

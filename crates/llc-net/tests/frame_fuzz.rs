@@ -94,21 +94,14 @@ fn arb_telemetry() -> impl Strategy<Value = MemberTelemetry> {
 fn arb_observation() -> impl Strategy<Value = ModuleObservation> {
     (
         (0usize..32, 0u64..100_000),
-        (
-            collection::vec(arb_telemetry(), 1..8),
-            0u64..1_000_000,
-            0u64..1_000_000,
-        ),
+        (collection::vec(arb_telemetry(), 1..8), 0u64..1_000_000),
     )
-        .prop_map(
-            |((module, tick), (members, arrivals, dropped))| ModuleObservation {
-                module,
-                tick,
-                members,
-                arrivals,
-                dropped,
-            },
-        )
+        .prop_map(|((module, tick), (members, arrivals))| ModuleObservation {
+            module,
+            tick,
+            members,
+            arrivals,
+        })
 }
 
 fn arb_level() -> impl Strategy<Value = Level> {
@@ -201,7 +194,6 @@ fn observations_bits_eq(a: &ModuleObservation, b: &ModuleObservation) -> bool {
     a.module == b.module
         && a.tick == b.tick
         && a.arrivals == b.arrivals
-        && a.dropped == b.dropped
         && a.members.len() == b.members.len()
         && a.members.iter().zip(&b.members).all(|(x, y)| {
             x.member == y.member

@@ -266,13 +266,6 @@ impl ClusterSim {
             .sum()
     }
 
-    /// Number of computers currently active (on, booting or draining).
-    pub fn active_count(&self) -> usize {
-        (0..self.machines.len())
-            .filter(|&i| self.machines.is_active(i))
-            .count()
-    }
-
     /// Schedule a request arrival at absolute time `time` with full-speed
     /// demand `demand` seconds. It stays buffered, unrouted, until an
     /// advance reaches `time`.

@@ -33,7 +33,11 @@ fn main() {
         let time_h = chunk[0].time / 3600.0;
         let rate: f64 =
             chunk.iter().map(|t| t.arrivals as f64).sum::<f64>() / (chunk.len() as f64 * 30.0);
-        let active: f64 = chunk.iter().map(|t| t.active as f64).sum::<f64>() / chunk.len() as f64;
+        let active: f64 = chunk
+            .iter()
+            .map(|t| t.active_flags.iter().filter(|&&a| a).count() as f64)
+            .sum::<f64>()
+            / chunk.len() as f64;
         let gamma = gammas
             .iter()
             .rev()

@@ -29,7 +29,11 @@ fn main() {
         let time_h = chunk[0].time / 3600.0;
         let rate: f64 =
             chunk.iter().map(|t| t.arrivals as f64).sum::<f64>() / (chunk.len() as f64 * 30.0);
-        let active: f64 = chunk.iter().map(|t| t.active as f64).sum::<f64>() / chunk.len() as f64;
+        let active: f64 = chunk
+            .iter()
+            .map(|t| t.active_flags.iter().filter(|&&a| a).count() as f64)
+            .sum::<f64>()
+            / chunk.len() as f64;
         let resp: Vec<f64> = chunk.iter().filter_map(|t| t.mean_response).collect();
         let mean_resp = resp.iter().sum::<f64>() / resp.len().max(1) as f64;
         println!("{time_h:4.1} | {rate:5.0} | {active:12.1} | {mean_resp:.2}");

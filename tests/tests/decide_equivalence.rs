@@ -6,9 +6,9 @@
 //! `bench_closed_loop`'s drift scenarios and `bench_faults`'s fault
 //! schedules — once with the shipping pruned search and once with
 //! `pruned_search = false` (every candidate γ-searched). The two runs
-//! must emit *identical* action sequences, tick for tick: every power
-//! order, every frequency index, every γ split, over the whole
-//! trajectory. Because each decision feeds the next period's plant
+//! must emit *identical* directive logs, tick for tick: every power
+//! order, every frequency index, every γ split, every safe-mode
+//! transition, over the whole trajectory. Because each decision feeds the next period's plant
 //! state, a single pruned-away optimum anywhere in the run would
 //! diverge the remaining trajectory and fail the comparison.
 //!
@@ -29,56 +29,35 @@
 
 use llc_approx::SimplexGrid;
 use llc_cluster::{
-    cluster_of, AbstractionMap, Action, Cadence, ClusterPolicy, Family, HierarchicalPolicy,
-    L0Config, L1Config, L1Controller, LearnSpec, MemberSpec, Observations, PolicyMetrics, Preset,
-    RunSpec, ScenarioConfig,
+    cluster_of, AbstractionMap, Directive, Family, L0Config, L1Config, L1Controller, LearnSpec,
+    MemberSpec, Preset, RunSpec, ScenarioConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Records every tick's full action vector so two runs can be compared
-/// directive for directive.
-struct Recorder {
-    inner: HierarchicalPolicy,
-    log: Vec<Vec<Action>>,
-}
-
-impl ClusterPolicy for Recorder {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
-        let actions = self.inner.decide(obs);
-        self.log.push(actions.clone());
-        actions
+/// Assert two runs' directive logs agree, naming the first directive
+/// they differ at. `f64`-carrying splits compare by value, which for the
+/// quantized γ grid means exact-grid-point equality.
+fn assert_directives_equal(pruned: &[Directive], exhaustive: &[Directive], label: &str) {
+    if let Some((k, (p, e))) = pruned
+        .iter()
+        .zip(exhaustive)
+        .enumerate()
+        .find(|(_, (p, e))| p != e)
+    {
+        panic!(
+            "{label}: directive {k} diverged at tick {} — pruning changed a decision:\n  \
+             pruned     {p:?}\n  exhaustive {e:?}",
+            p.tick.min(e.tick)
+        );
     }
-
-    fn name(&self) -> &str {
-        "hierarchical-llc-recorder"
-    }
-
-    fn cadence(&self) -> Cadence {
-        self.inner.cadence()
-    }
-
-    fn metrics(&self) -> PolicyMetrics {
-        self.inner.metrics()
-    }
-}
-
-/// Assert two directive logs agree on every tick. `f64`-carrying actions
-/// (`SetModuleWeights`, `SetComputerWeights`) compare by value, which for
-/// the quantized γ grid means exact-grid-point equality.
-fn assert_directives_equal(pruned: &[Vec<Action>], exhaustive: &[Vec<Action>], label: &str) {
     assert_eq!(
         pruned.len(),
         exhaustive.len(),
-        "{label}: tick counts diverged"
+        "{label}: one run emitted more directives (the other stopped at tick {:?})",
+        pruned.last().or(exhaustive.last()).map(|d| d.tick)
     );
-    for (tick, (p, e)) in pruned.iter().zip(exhaustive).enumerate() {
-        assert_eq!(
-            p, e,
-            "{label}: directives diverged at tick {tick} — pruning changed a decision"
-        );
-    }
 }
 
 /// Run `spec` under `preset` twice, pruned and exhaustive, and assert
@@ -88,14 +67,11 @@ fn assert_pruning_is_exact(spec: &RunSpec, preset: Preset) {
     for pruned in [true, false] {
         let mut sc = spec.scenario_config();
         sc.l1.pruned_search = pruned;
-        let mut recorder = Recorder {
-            inner: preset.builder(sc).build(),
-            log: Vec::new(),
-        };
-        spec.run(&mut recorder);
-        logs.push(recorder.log);
+        let mut policy = preset.builder(sc).build();
+        logs.push(spec.run(&mut policy));
     }
-    assert_directives_equal(&logs[0], &logs[1], spec.name());
+    assert_eq!(logs[0].ticks.len(), logs[1].ticks.len(), "{}", spec.name());
+    assert_directives_equal(&logs[0].directives, &logs[1].directives, spec.name());
 }
 
 /// The closed-loop bench family (`bench_closed_loop --quick`):

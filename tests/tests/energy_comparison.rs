@@ -80,7 +80,8 @@ fn baselines_built_for_the_cluster_run_it_cleanly() {
     for mut policy in policies {
         let log = spec.run(policy.as_mut());
         let s = log.summary();
-        let final_queue = log.ticks.last().expect("ticks ran").queue_total as u64;
+        let last = log.ticks.last().expect("ticks ran");
+        let final_queue = last.queues.iter().sum::<usize>() as u64;
         assert_eq!(
             s.total_arrivals,
             s.total_completions + final_queue + s.total_dropped,

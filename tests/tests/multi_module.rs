@@ -74,7 +74,7 @@ fn conservation_arrivals_equal_completions_plus_queue() {
         .run(scenario.to_sim_config(), &mut policy, &trace, &store)
         .unwrap();
     let s = log.summary();
-    let final_queue: u64 = log.ticks.last().unwrap().queue_total as u64;
+    let final_queue = log.ticks.last().unwrap().queues.iter().sum::<usize>() as u64;
     assert_eq!(
         s.total_arrivals,
         s.total_completions + final_queue + s.total_dropped,

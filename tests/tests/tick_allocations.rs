@@ -6,8 +6,9 @@
 //! buffers have held the run's largest.
 
 use llc_cluster::{
-    cluster_of, paper_cluster_16, Action, ClusterPolicy, ControlPlane, DirectiveEmit, Experiment,
-    HierarchicalPolicy, ModuleState, ObservationIngest, Observations, Plant, ScenarioConfig,
+    cluster_of, paper_cluster_16, ClusterPolicy, ControlPlane, DirectiveEmit, DirectiveKind,
+    Experiment, HierarchicalPolicy, ModuleState, ObservationIngest, Observations, Plant,
+    ScenarioConfig,
 };
 use llc_workload::{Trace, VirtualStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -112,15 +113,15 @@ fn a_steady_l2_decide_allocates_a_constant() {
 /// Counts what each `decide` of the policy it wraps allocates.
 struct Counted {
     inner: HierarchicalPolicy,
-    /// `(tick, allocations, actions returned)`.
+    /// `(tick, allocations, directive kinds returned)`.
     ticks: Vec<(u64, u64, usize)>,
 }
 
 impl ClusterPolicy for Counted {
-    fn decide(&mut self, obs: &Observations) -> Vec<Action> {
-        let (actions, allocations) = counted(|| self.inner.decide(obs));
-        self.ticks.push((obs.tick, allocations, actions.len()));
-        actions
+    fn decide(&mut self, obs: &Observations) -> Vec<DirectiveKind> {
+        let (kinds, allocations) = counted(|| self.inner.decide(obs));
+        self.ticks.push((obs.tick, allocations, kinds.len()));
+        kinds
     }
 
     fn name(&self) -> &str {
@@ -134,11 +135,11 @@ impl ClusterPolicy for Counted {
 
 /// Upper bound on the allocations of an L1/L2 tick of the 32-module
 /// hierarchy under the load below: the most such a tick makes, 32 L1
-/// decisions and the actions returned. It was 1318 while the L2 ring
-/// search materialised its candidates, and 314 while the L2 read each
-/// module's processing time through a fresh `Vec`; whatever lowers it
-/// should lower this.
-const SLOW_TICK_ALLOCATIONS: u64 = 282;
+/// decisions and the directive kinds returned. It was 1318 while the L2
+/// ring search materialised its candidates, and 314 while the L2 read
+/// each module's processing time through a fresh `Vec`; whatever lowers
+/// it should lower this.
+const SLOW_TICK_ALLOCATIONS: u64 = 281;
 
 #[test]
 fn an_l0_only_tick_of_the_32_module_hierarchy_allocates_nothing() {
@@ -158,10 +159,10 @@ fn an_l0_only_tick_of_the_32_module_hierarchy_allocates_nothing() {
     let cadence = policy.cadence();
     let (mut quiet, mut slow_most) = (0, 0);
     // Past the first L1 periods, which size the controllers' scratch.
-    for &(tick, allocations, actions) in &policy.ticks[8..] {
+    for &(tick, allocations, kinds) in &policy.ticks[8..] {
         if tick % cadence.l1_every == 0 || tick % cadence.l2_every == 0 {
             slow_most = slow_most.max(allocations);
-        } else if actions == 0 {
+        } else if kinds == 0 {
             assert_eq!(allocations, 0, "L0-only tick {tick}");
             quiet += 1;
         } else {
