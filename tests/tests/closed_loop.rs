@@ -5,16 +5,12 @@
 //! detector switches the learning rate.
 
 use llc_cluster::{
-    single_module, ClusterPolicy, Directive, DirectiveKind, Experiment, Family,
-    FaultToleranceConfig, FrequencyProfile, GEntry, HierarchicalPolicy, L0Config, L0Controller,
-    L1Config, L1Controller, LearnSpec, MemberSpec, PolicyBuilder, Preset, RunSpec, ScenarioConfig,
+    single_module, ClusterPolicy, Experiment, Family, FrequencyProfile, GEntry, HierarchicalPolicy,
+    L0Config, L0Controller, L1Config, L1Controller, LearnSpec, MemberSpec, Preset, RunSpec,
+    ScenarioConfig,
 };
 use llc_core::OnlineConfig;
-use llc_tests::Fnv;
-use llc_workload::{
-    CapacityProfile, DiurnalShape, FaultEvent, FaultKind, FaultPlan, SyntheticBuilder, Trace,
-    VirtualStore,
-};
+use llc_workload::{CapacityProfile, DiurnalShape, SyntheticBuilder, Trace, VirtualStore};
 
 /// Service capacity of the whole cluster, `Σ speed / c_prior` (req/s).
 fn cluster_capacity(sc: &ScenarioConfig) -> f64 {
@@ -109,143 +105,6 @@ fn feed_forward_damps_l2_resplit_oscillation() {
          moves {moves_ff} vs {moves_base}, \
          mean response {resp_ff:.2} vs {resp_base:.2}"
     );
-}
-
-/// The two-module capacity-ramp run behind the pin below: the directive
-/// log and the policy that produced it.
-fn run_two_module_closed_loop() -> (Vec<Directive>, HierarchicalPolicy) {
-    let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
-    sc.modules.truncate(2);
-    let capacity = cluster_capacity(&sc);
-    let trace = Trace::new(30.0, vec![0.5 * capacity * 30.0; 48]).expect("well-formed trace");
-    let store = VirtualStore::paper_default(31);
-    let mut policy = PolicyBuilder::new(sc.clone())
-        .closed_loop(OnlineConfig)
-        .build();
-    let exp = Experiment {
-        drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
-        ..Experiment::paper_default(31)
-    };
-    let log = exp
-        .run(sc.to_sim_config(), &mut policy, &trace, &store)
-        .expect("well-formed scenario");
-    (log.directives, policy)
-}
-
-/// FNV-1a over every field of every directive, floats by bit pattern.
-fn directive_hash(directives: &[Directive]) -> u64 {
-    let mut h = Fnv::default();
-    directives.iter().for_each(|d| h.directive(d));
-    h.0
-}
-
-/// The same run pinned bit for bit — every directive, every L1 learner
-/// counter and the prequential tracking error. The single-module goldens
-/// never run an L2 beside learning L1s; this one does.
-#[test]
-fn two_module_closed_loop_is_pinned_bit_for_bit() {
-    let (directives, policy) = run_two_module_closed_loop();
-    let pinned = (
-        directives.len(),
-        directive_hash(&directives),
-        policy.metrics().online_updates,
-        (0..2)
-            .map(|m| policy.l1(m).member_drift_detections())
-            .collect::<Vec<_>>(),
-        policy.metrics().tracking_samples,
-        policy.metrics().tracking_error.map(f64::to_bits),
-    );
-    assert_eq!(
-        pinned,
-        (
-            208,
-            6_361_314_828_141_802_730,
-            80,
-            vec![vec![1; 4]; 2],
-            80,
-            Some(4_647_281_458_251_518_725)
-        ),
-        "recorded when the L2's online residual layer was deleted: the \
-         commit before it, with only the L2 absorb skipped, prints the same"
-    );
-}
-
-/// The L1 phase under everything the fault-tolerant stack can throw at
-/// it, pinned bit for bit: two modules under closed loop + watchdog +
-/// drift-aware L0 on a degrading plant, with a fault plan that
-/// kills all of module 1 (`live_count == 0`), blacks out three of module
-/// 0's four members (quorum-loss safe mode) and crashes one member alone
-/// (a decide over three survivors). Every other fault-tolerance suite is
-/// single-module. The worker count governs offline learning and the
-/// plant sweep; neither may move a directive.
-#[test]
-fn two_module_fault_run_is_pinned_bit_for_bit() {
-    fn run() -> (usize, u64, usize, u64, u64, u64, Option<u64>) {
-        let mut sc = llc_cluster::paper_cluster_16().with_coarse_learning();
-        sc.modules.truncate(2);
-        let capacity = cluster_capacity(&sc);
-        let trace = Trace::new(30.0, vec![0.45 * capacity * 30.0; 160]).expect("well-formed trace");
-        let store = VirtualStore::paper_default(41);
-        let mut policy = PolicyBuilder::new(sc.clone())
-            .closed_loop(OnlineConfig)
-            .fault_tolerance(FaultToleranceConfig)
-            .drift_aware_l0()
-            .build();
-        let event = |tick, computer, kind| FaultEvent {
-            tick,
-            computer,
-            kind,
-        };
-        let mut events = Vec::new();
-        for c in 4..8 {
-            events.push(event(24, c, FaultKind::Crash { requeue: false }));
-            events.push(event(48, c, FaultKind::Restart));
-        }
-        for c in 1..4 {
-            events.push(event(80, c, FaultKind::BlackoutStart));
-            events.push(event(96, c, FaultKind::BlackoutEnd));
-        }
-        events.push(event(120, 2, FaultKind::Crash { requeue: true }));
-        events.push(event(140, 2, FaultKind::Restart));
-        let exp = Experiment {
-            drift: Some(CapacityProfile::Ramp { from: 1.0, to: 0.7 }),
-            faults: Some(FaultPlan::new(events)),
-            ..Experiment::paper_default(41)
-        };
-        let log = exp
-            .run(sc.to_sim_config(), &mut policy, &trace, &store)
-            .expect("well-formed scenario");
-        let safe_mode_directives = log
-            .directives
-            .iter()
-            .filter(|d| matches!(d.kind, DirectiveKind::SafeMode { .. }))
-            .count();
-        (
-            log.directives.len(),
-            directive_hash(&log.directives),
-            safe_mode_directives,
-            policy.metrics().member_deaths,
-            policy.metrics().member_recoveries,
-            policy.metrics().safe_mode_periods,
-            policy.metrics().tracking_error.map(f64::to_bits),
-        )
-    }
-    for threads in [1, 4] {
-        assert_eq!(
-            llc_par::with_threads(threads, run),
-            (
-                390,
-                11_942_429_240_168_189_915,
-                4,
-                8,
-                8,
-                2,
-                Some(4_655_260_134_125_598_457)
-            ),
-            "{threads} worker(s): recorded when the L2's online residual layer \
-             was deleted"
-        );
-    }
 }
 
 /// The drift detector switches the online learner from the steady to the

@@ -70,7 +70,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEEDS: [u64; 3] = [2006, 3101, 3102];
@@ -202,9 +201,7 @@ impl Row {
     }
 }
 
-fn matrix_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fingerprints.txt")
-}
+const MATRIX: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fingerprints.txt");
 
 const HEADER: &str = "\
 # The behaviour matrix of tests/tests/fingerprints.rs: one row per run,
@@ -221,10 +218,10 @@ fn check_rows(runs: &BTreeMap<String, Run>) -> Vec<String> {
         for (name, row) in &rows {
             writeln!(text, "{}", row.render(name)).unwrap();
         }
-        std::fs::write(matrix_path(), text).expect("write tests/fingerprints.txt");
+        std::fs::write(MATRIX, text).expect("write tests/fingerprints.txt");
         return Vec::new();
     }
-    let text = std::fs::read_to_string(matrix_path()).unwrap_or_default();
+    let text = std::fs::read_to_string(MATRIX).unwrap_or_default();
     let want: BTreeMap<String, Row> = text
         .lines()
         .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
@@ -368,7 +365,6 @@ fn over_tcp(s: &Shape) -> Run {
     let store = s.store();
     let mut plant = s.plant(&store);
     let (members, ticks) = (plant.members().to_vec(), plant.total_ticks());
-    let modules = members.len() as u64;
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let addr = listener.local_addr().expect("bound");
     let (emitted, metrics, controller_link, agent_link) = std::thread::scope(|scope| {
@@ -401,6 +397,7 @@ fn over_tcp(s: &Shape) -> Run {
     );
     assert_eq!((t.lost_observation_windows, plant.wedged_events()), (0, 0));
     assert!(t.bytes_in > 0 && t.bytes_out > 0);
+    let modules = plant.members().len() as u64;
     assert_eq!(agent_link.frames_out, 1 + ticks * (modules + 1));
     let directives = emitted.len() as u64;
     assert_eq!(controller_link.frames_out, 1 + directives + ticks + 1);
