@@ -83,11 +83,12 @@ fn main() -> ExitCode {
                 let r = core.reconcile_report();
                 eprintln!(
                     "llc-agent: run complete at tick {} — reconciler applied {}, \
-                     superseded {}, duplicates {}; wedged events {}",
+                     superseded {}, duplicates {}, rejected {}; wedged events {}",
                     core.tick(),
                     r.applied,
                     r.superseded,
                     r.duplicates,
+                    r.rejected,
                     core.wedged_events(),
                 );
                 if let Some(m) = metrics {

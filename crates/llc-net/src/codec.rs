@@ -96,13 +96,16 @@ impl Hello {
             epoch: plant.last_epoch(),
             t_l0: plant.t_l0(),
             total_ticks: plant.total_ticks(),
-            members_per_module: plant
-                .members()
-                .iter()
-                .map(|m| u32::try_from(m.len()).expect("module size fits u32"))
-                .collect(),
+            members_per_module: module_sizes(plant.members()),
         }
     }
+}
+
+/// [`Hello::members_per_module`] for a topology given as global member
+/// indices per module.
+pub(crate) fn module_sizes(members: &[Vec<usize>]) -> Vec<u32> {
+    let size = |m: &Vec<usize>| u32::try_from(m.len()).expect("module size fits u32");
+    members.iter().map(size).collect()
 }
 
 impl Heartbeat {

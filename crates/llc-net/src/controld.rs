@@ -7,7 +7,9 @@
 //! The core is transport-free: the session loops in [`crate::session`]
 //! (or a test playing scheduler) move frames; `ControldCore` decides.
 
-use crate::codec::{decode_heartbeat, decode_hello, decode_observation, Heartbeat, Hello, Role};
+use crate::codec::{
+    decode_heartbeat, decode_hello, decode_observation, module_sizes, Heartbeat, Hello, Role,
+};
 use crate::frame::{Frame, FrameKind, WireError};
 use crate::link::LinkCounters;
 use llc_cluster::{
@@ -49,7 +51,6 @@ pub enum CtrlEvent {
 #[derive(Debug)]
 pub struct ControldCore<P: ClusterPolicy> {
     plane: ControlPlane<P>,
-    num_modules: usize,
     t_l0: f64,
     total_ticks: u64,
     directives_log: Vec<Directive>,
@@ -69,10 +70,8 @@ impl<P: ClusterPolicy> ControldCore<P> {
         t_l0: f64,
         total_ticks: u64,
     ) -> ControldCore<P> {
-        let num_modules = members.len();
         ControldCore {
             plane: ControlPlane::new(policy, members, t_l0),
-            num_modules,
             t_l0,
             total_ticks,
             directives_log: Vec::new(),
@@ -98,7 +97,7 @@ impl<P: ClusterPolicy> ControldCore<P> {
             epoch: self.cadence().epoch(Level::L1, tick),
             t_l0: self.t_l0,
             total_ticks: self.total_ticks,
-            members_per_module: Vec::new(), // filled by check against the agent's
+            members_per_module: module_sizes(self.plane.members()),
         }
     }
 
@@ -127,11 +126,11 @@ impl<P: ClusterPolicy> ControldCore<P> {
                 hello.total_ticks, self.total_ticks
             ));
         }
-        if hello.members_per_module.len() != self.num_modules {
+        let ours = module_sizes(self.plane.members());
+        if hello.members_per_module != ours {
             return Err(format!(
-                "topology mismatch: agent has {} modules, controller {}",
-                hello.members_per_module.len(),
-                self.num_modules
+                "topology mismatch: agent has members per module {:?}, controller {ours:?}",
+                hello.members_per_module
             ));
         }
         Ok(())
@@ -249,7 +248,7 @@ impl<P: ClusterPolicy> ControldCore<P> {
     /// the rest, and return the step report with the directives to ship
     /// (also appended to the log).
     pub fn decide_next(&mut self) -> (StepReport, Vec<Directive>) {
-        let missing = self.num_modules - self.plane.reported_modules();
+        let missing = self.plane.members().len() - self.plane.reported_modules();
         self.lost_observation_windows += missing as u64;
         let report = self.plane.step();
         let directives = self.plane.drain_directives();
@@ -333,6 +332,26 @@ mod tests {
         assert_eq!(m.future_observations, 1);
         assert_eq!(m.observations_ingested, 1);
         assert_eq!(m.transport.decode_errors, 0);
+    }
+
+    #[test]
+    fn an_agent_hello_of_another_topology_is_refused() {
+        let policy = AlwaysMaxPolicy::new(vec![vec![(1.0, 2); 4]]);
+        let core = ControldCore::new(policy, vec![vec![0, 1, 2, 3]], 30.0, 10);
+        let agent = |members_per_module| Hello {
+            role: Role::Agent,
+            tick: 0,
+            epoch: 0,
+            t_l0: 30.0,
+            total_ticks: 10,
+            members_per_module,
+        };
+        assert_eq!(core.hello().members_per_module, [4]);
+        assert_eq!(core.check_agent_hello(&agent(vec![4])), Ok(()));
+        for wrong in [vec![3], vec![4, 4]] {
+            let refused = core.check_agent_hello(&agent(wrong.clone()));
+            assert!(refused.is_err_and(|e| e.contains("topology")), "{wrong:?}");
+        }
     }
 
     #[test]

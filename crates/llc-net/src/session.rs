@@ -224,12 +224,19 @@ pub fn run_agent<T: FrameTransport>(
     link: &mut T,
     pace: Option<Duration>,
 ) -> Result<Option<MetricsSnapshot>, SessionError> {
-    link.send(FrameKind::Hello, encode_hello(&Hello::agent(core)))?;
+    let ours = Hello::agent(core);
+    link.send(FrameKind::Hello, encode_hello(&ours))?;
     let hello = wait_for_hello(link)?;
     if hello.role != Role::Controller {
         return Err(SessionError::Protocol(format!(
             "peer announced role {:?}, expected Controller",
             hello.role
+        )));
+    }
+    if hello.members_per_module != ours.members_per_module {
+        return Err(SessionError::Protocol(format!(
+            "topology mismatch: controller has members per module {:?}, agent {:?}",
+            hello.members_per_module, ours.members_per_module
         )));
     }
     if hello.t_l0.to_bits() != core.t_l0().to_bits() || hello.total_ticks != core.total_ticks() {
@@ -317,5 +324,45 @@ pub fn run_agent<T: FrameTransport>(
             Err(LinkError::Closed) => return Ok(None),
             Err(e) => return Err(e.into()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::PipeLink;
+    use llc_cluster::{AlwaysMaxPolicy, Family, RunSpec};
+
+    #[test]
+    fn a_mis_deployed_pair_fails_on_both_sides_before_any_observation() {
+        // The agent runs three machines; the controller manages four.
+        let spec = RunSpec {
+            members: 3,
+            ..RunSpec::defaults(Family::ClosedLoop(2))
+        };
+        let store = spec.store();
+        let mut plant = spec.plant(&store).unwrap();
+        let policy = AlwaysMaxPolicy::new(vec![vec![(1.0, 2); 4]]);
+        let members = vec![vec![0, 1, 2, 3]];
+        let mut core = ControldCore::new(policy, members, plant.t_l0(), plant.total_ticks());
+        let (mut ctrl_link, mut agent_link) = PipeLink::pair();
+        // Both ends speak first: the controller's Hello is in flight when
+        // the agent reads (the session below sends it once more, unread).
+        ctrl_link
+            .send(FrameKind::Hello, encode_hello(&core.hello()))
+            .unwrap();
+        let agent = run_agent(&mut plant, &mut agent_link, None).map(|_| ());
+        let controller = serve_controller(&mut core, &mut ctrl_link, None);
+        for (side, ended) in [("agent", agent), ("controller", controller)] {
+            let refused =
+                matches!(&ended, Err(SessionError::Protocol(m)) if m.contains("topology"));
+            assert!(refused, "{side}: {ended:?}");
+        }
+        assert_eq!(
+            agent_link.counters().frames_out,
+            1,
+            "the agent's Hello alone"
+        );
+        assert_eq!(plant.tick(), 0);
     }
 }
