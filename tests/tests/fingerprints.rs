@@ -70,7 +70,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEEDS: [u64; 3] = [2006, 3101, 3102];
 
@@ -645,30 +644,10 @@ fn families() -> Vec<Shape> {
     shapes
 }
 
-/// `f` over `jobs` on one thread per core, each claiming the next job as
-/// it finishes one; the results in job order.
-fn pool<T: Sync, U: Send>(jobs: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < jobs.len());
-        std::iter::from_fn(claim)
-            .map(|i| (i, f(&jobs[i])))
-            .collect::<Vec<_>>()
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut done: Vec<(usize, U)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-        let done = workers.into_iter().map(|w| w.join().expect("a worker"));
-        done.flatten().collect()
-    });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, u)| u).collect()
-}
-
 /// Every shape's reference run against its committed row, and every arm
-/// against its shape's reference run. The runs share the cores, a job
-/// per core with one learning worker apiece; then the arms that want
-/// more workers run with them.
+/// against its shape's reference run. The runs share the cores through
+/// `par_map`, each learning on one worker (a `par_map` inside a worker
+/// runs inline); then the `Workers4` arm runs with four.
 #[test]
 fn every_run_matches_the_matrix() {
     let mut shapes: Vec<Shape> = SEEDS.map(scale128).into();
@@ -682,27 +661,25 @@ fn every_run_matches_the_matrix() {
         jobs.extend(s.arms.iter().map(|&d| (s, d)));
     }
     let (wide, narrow): (Vec<_>, Vec<_>) = jobs.iter().partition(|(_, d)| *d == Drive::Workers4);
+    let run = |job: &&(&Shape, Drive)| catch_unwind(AssertUnwindSafe(|| job.1.run(job.0)));
+    let mut runs = llc_par::par_map(&narrow, run);
+    runs.extend(llc_par::with_threads(4, || {
+        wide.iter().map(run).collect::<Vec<_>>()
+    }));
 
     let (mut references, mut arms, mut failures) = (BTreeMap::new(), Vec::new(), Vec::new());
-    for (workers, batch) in [(1, narrow), (4, wide)] {
-        let runs = llc_par::with_threads(workers, || {
-            pool(&batch, |&&(shape, drive)| {
-                catch_unwind(AssertUnwindSafe(|| drive.run(shape)))
-            })
-        });
-        for (&&(shape, drive), run) in batch.iter().zip(runs) {
-            match run {
-                Err(panic) => {
-                    let why = panic
-                        .downcast::<String>()
-                        .map_or("see above".into(), |s| *s);
-                    failures.push(format!("{drive:?} on {} panicked: {why}", shape.name));
-                }
-                Ok(run) if drive == Drive::Reference => {
-                    references.insert(shape.name.clone(), run);
-                }
-                Ok(run) => arms.push((shape, drive, run)),
+    for (&&(shape, drive), run) in narrow.iter().chain(&wide).zip(runs) {
+        match run {
+            Err(panic) => {
+                let why = panic
+                    .downcast::<String>()
+                    .map_or("see above".into(), |s| *s);
+                failures.push(format!("{drive:?} on {} panicked: {why}", shape.name));
             }
+            Ok(run) if drive == Drive::Reference => {
+                references.insert(shape.name.clone(), run);
+            }
+            Ok(run) => arms.push((shape, drive, run)),
         }
     }
     for (shape, drive, mut run) in arms {
