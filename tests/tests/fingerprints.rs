@@ -377,7 +377,6 @@ fn over_tcp(s: &Shape) -> Run {
         let mut link = TcpLink::new(TcpStream::connect(addr).expect("listening")).unwrap();
         run_agent(&mut plant, &mut link, None).expect("agent: lockstep session");
         let agent_link = link.counters();
-        drop(link);
         let (emitted, metrics, controller_link) = controller.join().expect("controller");
         (emitted, metrics, controller_link, agent_link)
     });
