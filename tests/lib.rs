@@ -3,6 +3,8 @@
 
 use llc_cluster::{Directive, DirectiveKind};
 
+pub mod matrix;
+
 /// A 64-bit FNV-1a hash, fed whole words, least significant byte first.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(pub u64);

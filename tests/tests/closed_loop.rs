@@ -10,6 +10,7 @@ use llc_cluster::{
     ScenarioConfig,
 };
 use llc_core::OnlineConfig;
+use llc_tests::matrix::{self, Drive};
 use llc_workload::{CapacityProfile, DiurnalShape, SyntheticBuilder, Trace, VirtualStore};
 
 /// Service capacity of the whole cluster, `Σ speed / c_prior` (req/s).
@@ -209,4 +210,28 @@ fn experiment_drift_hook_degrades_the_plant() {
         summaries[1].mean_response,
         summaries[0].mean_response
     );
+}
+
+/// Two of the paper's modules on a 1.0 → 0.7 capacity ramp under the
+/// closed loop, pinned bit for bit as the matrix's row `closed2mod/31`:
+/// every directive, every L1 learner counter and the prequential
+/// tracking error. The single-module goldens never run an L2 beside
+/// learning L1s; this one does.
+#[test]
+fn two_module_closed_loop_is_pinned_bit_for_bit() {
+    matrix::assert_matches(&[("closed2mod/31", &[])]);
+}
+
+/// The L1 phase under everything the fault-tolerant stack can throw at
+/// it, pinned bit for bit as the matrix's row `faults2mod/41`: two
+/// modules under closed loop + watchdog + drift-aware L0 on a degrading
+/// plant, with a fault plan that kills all of module 1 (`live_count ==
+/// 0`), blacks out three of module 0's four members (quorum-loss safe
+/// mode) and crashes one member alone (a decide over three survivors).
+/// Every other fault-tolerance suite is single-module. The worker count
+/// governs offline learning and the plant sweep; neither may move a
+/// directive, which the `Workers4` arm holds.
+#[test]
+fn two_module_fault_run_is_pinned_bit_for_bit() {
+    matrix::assert_matches(&[("faults2mod/41", &[Drive::Workers4])]);
 }

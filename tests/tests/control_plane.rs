@@ -1,13 +1,32 @@
-//! The control-plane API end to end: the one metrics surface must
+//! The control-plane API end to end: a hand-rolled ingest/emit loop over
+//! a bare `SimAdapter` (the behaviour matrix's `Adapter` arm) must
+//! reproduce the `Experiment`-driven loop bit for bit (the golden
+//! equivalence of the API split), and the one metrics surface must
 //! report every self-healing subsystem's counters during a faulted,
-//! drifting run. That the hand-rolled ingest/emit loop over a bare
-//! `SimAdapter` reproduces `Experiment::run` is the fingerprint
-//! matrix's `Adapter` arm.
+//! drifting run.
 
 use llc_cluster::{
     ClusterPolicy, Directive, DirectiveKind, Experiment, Family, Level, Preset, RunSpec,
 };
+use llc_tests::matrix::{self, Drive};
 use llc_workload::{CapacityProfile, FaultEvent, FaultKind, FaultPlan};
+
+/// Golden equivalence, closed-loop bench family: the hand loop's
+/// directives, windows and policy counters against the row
+/// `closedloop2@ClosedLoop/48879`.
+#[test]
+fn experiment_and_hand_rolled_loop_agree_closed_loop() {
+    matrix::assert_matches(&[("closedloop2@ClosedLoop/48879", &[Drive::Adapter])]);
+}
+
+/// Golden equivalence, faults bench family: the crash-restart scenario
+/// under the fault-tolerant stack, whose counters include the member
+/// deaths, recoveries and safe-mode periods, against the row
+/// `faults0@FaultTolerant/5`.
+#[test]
+fn experiment_and_hand_rolled_loop_agree_faults() {
+    matrix::assert_matches(&[("faults0@FaultTolerant/5", &[Drive::Adapter])]);
+}
 
 /// The one metrics surface: during a faulted, drifting run of the full
 /// self-healing stack, `MetricsSnapshot` must report drift detections,
