@@ -17,14 +17,18 @@
 //! | `ablation_chatter` | §4.2 design choice — uncertainty band on/off |
 //! | `baseline_table` | LLC vs threshold heuristic vs always-max |
 //! | `overhead_centralized` | §3 — centralized vs hierarchical decision complexity |
+//! | `online_maps` | online vs offline-only abstraction maps under drift |
+//! | `closed_loop` | in-hierarchy learning and self-healing under drift |
+//! | `fault_tolerance` | the watchdog stack vs the fault-blind loop under faults |
 //!
 //! Rows write CSV series under `results/` and print ASCII renderings
 //! plus paper-vs-measured notes; run the binary in release mode, with
 //! row names as arguments to run only those. Pass `--quick` for a
 //! shortened run (coarse learning grids, truncated traces). The last
-//! four rows end on their claim ([`claims`]); the binary runs every
+//! seven rows end on their claim ([`claims`]); the binary runs every
 //! row and exits non-zero if any claim failed. CI runs it at default
-//! scale. The four `bench_*` binaries are the behavioural gates.
+//! scale, and the last three rows again under `--quick`. `bench_scale`
+//! gates the plant's speed and determinism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,11 @@
-//! Plot/CSV/reporting helpers shared by the `paper` binary and the benches.
+//! Plot/CSV/reporting helpers shared by the `paper` and `bench_scale` binaries.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The output directory for regenerated figures (`results/`, created on
 /// demand next to the workspace root or the current directory).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("cannot create results directory");
     dir.to_path_buf()
@@ -130,7 +130,7 @@ pub fn check_mode() -> bool {
 ///
 /// This is *not* a JSON parser — it is the minimal extractor the
 /// registry-less build can afford (no serde), sufficient for the flat
-/// two-level objects the `bench_*` bins emit: find the
+/// two-level objects `bench_scale` emits: find the
 /// section name, then the first occurrence of the key after it, then
 /// parse the literal that follows the colon.
 pub fn json_number(text: &str, section: &str, key: &str) -> Option<f64> {
@@ -157,9 +157,9 @@ pub fn median3<F: FnMut() -> f64>(mut measure: F) -> f64 {
 }
 
 /// The CPU model string of this machine (from `/proc/cpuinfo` on Linux),
-/// or `"unknown"` — recorded in the benchmark JSONs so baselines can be
+/// or `"unknown"` — recorded in `BENCH_scale.json` so baselines can be
 /// keyed per runner class instead of assuming one hardware profile.
-pub fn cpu_model() -> String {
+fn cpu_model() -> String {
     if let Ok(text) = fs::read_to_string("/proc/cpuinfo") {
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("model name") {
@@ -172,7 +172,7 @@ pub fn cpu_model() -> String {
     "unknown".to_string()
 }
 
-/// The `"runner"` JSON object shared by every benchmark report:
+/// The `"runner"` JSON object of `BENCH_scale.json` and its baselines:
 /// `threads`, `os` and the CPU model — the key material of the
 /// per-runner-class baseline store.
 pub fn runner_json(threads: usize) -> String {
@@ -207,7 +207,7 @@ pub fn runner_class(threads: usize) -> String {
 
 /// Path of `bench`'s committed baseline for this machine's runner class:
 /// `bench_baselines/<bench>/<runner-class>.json` at the workspace root.
-pub fn class_baseline_path(bench: &str, threads: usize) -> PathBuf {
+fn class_baseline_path(bench: &str, threads: usize) -> PathBuf {
     Path::new("bench_baselines")
         .join(bench)
         .join(format!("{}.json", runner_class(threads)))
@@ -215,7 +215,7 @@ pub fn class_baseline_path(bench: &str, threads: usize) -> PathBuf {
 
 /// The committed per-class baseline for `bench` on this runner class, if
 /// one exists. Gates prefer it over the single workspace-root
-/// `BENCH_*.json` — like runners compare absolute numbers directly, so
+/// `BENCH_scale.json` — like runners compare absolute numbers directly, so
 /// the tolerance can tighten.
 pub fn load_class_baseline(bench: &str, threads: usize) -> Option<String> {
     fs::read_to_string(class_baseline_path(bench, threads)).ok()
@@ -226,7 +226,7 @@ pub fn load_class_baseline(bench: &str, threads: usize) -> Option<String> {
 /// written when the class has none yet — otherwise a regressed run
 /// could silently replace the snapshot its own gate compares against,
 /// ratcheting the regression in.
-pub fn rebaseline_mode() -> bool {
+fn rebaseline_mode() -> bool {
     std::env::args().any(|a| a == "--rebaseline")
 }
 

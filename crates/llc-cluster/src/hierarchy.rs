@@ -1192,16 +1192,18 @@ mod tests {
         let mut policy = HierarchicalPolicy::build(&scenario);
         policy.set_fault_tolerance();
         let _ = policy.decide(&obs_for(&policy, 0, 3000));
-        // Three consecutive dark windows: declared dead at the third.
+        // Three consecutive dark windows: declared dead at the third and
+        // not before.
         for t in 1..4 {
             let mut o = obs_for(&policy, t, 3000);
             blackout(&mut o, 1);
             let _ = policy.decide(&o);
+            assert_eq!(
+                policy.metrics().members_dead[1],
+                t == 3,
+                "after {t} dark windows"
+            );
         }
-        assert!(
-            policy.metrics().members_dead[1],
-            "3 dark windows must declare death"
-        );
         assert_eq!(policy.metrics().member_deaths, 1);
 
         // L1 tick while dead: no load and no directives for member 1 —
@@ -1304,6 +1306,34 @@ mod tests {
             0,
             "nobody declared dead yet"
         );
+    }
+
+    #[test]
+    fn half_the_members_reporting_hold_the_quorum() {
+        let scenario = single_module(4).with_coarse_learning();
+        let mut policy = HierarchicalPolicy::build(&scenario);
+        policy.set_fault_tolerance();
+        // 2 of 4 members dark at the L1 tick, one window short of death:
+        // 2/4 healthy is not below the 0.5 quorum.
+        let dark_from = 4 + 2 - FaultToleranceConfig::SUSPECT_AFTER;
+        for t in 0..5 {
+            let mut o = obs_for(&policy, t, 3000);
+            if t >= dark_from {
+                for i in 2..4 {
+                    blackout(&mut o, i);
+                }
+            }
+            let kinds = policy.decide(&o);
+            assert!(
+                !kinds
+                    .iter()
+                    .any(|k| matches!(k, DirectiveKind::SafeMode { .. })),
+                "tick {t}: no safe-mode transition: {kinds:?}"
+            );
+        }
+        let metrics = policy.metrics();
+        assert_eq!(metrics.safe_mode_periods, 0, "quorum held");
+        assert_eq!(metrics.member_deaths, 0, "nobody declared dead yet");
     }
 
     /// A fault-tolerant module pushed below its telemetry quorum and back

@@ -180,8 +180,12 @@ mod tests {
         assert_eq!(e.observe_window(1000, 30.0, 1.0, 0.02, false), None);
         // Busy but almost nothing completed: noise — rejected too.
         assert_eq!(e.observe_window(2, 30.0, 1.0, 0.02, true), None);
+        // Four completions are still too few; five count.
+        assert_eq!(e.observe_window(4, 30.0, 1.0, 0.02, true), None);
         assert_eq!(e.estimate(), 1.0);
-        assert_eq!(e.rejected(), 2);
+        assert_eq!(e.rejected(), 3);
+        assert!(e.observe_window(5, 30.0, 1.0, 0.02, true).is_some());
+        assert_eq!(e.accepted(), 1);
     }
 
     #[test]

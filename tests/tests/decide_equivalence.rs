@@ -2,9 +2,9 @@
 //! pure optimization, never a decision change.
 //!
 //! The closed-loop hierarchy is run twice over the exact scenario
-//! configurations of the two committed bench families —
-//! `bench_closed_loop`'s drift scenarios and `bench_faults`'s fault
-//! schedules — once with the shipping pruned search and once with
+//! configurations of the `paper` bin's two tracking families — the
+//! `closed_loop` row's drift scenarios and the `fault_tolerance` row's
+//! fault schedules — once with the shipping pruned search and once with
 //! `pruned_search = false` (every candidate γ-searched). The two runs
 //! must emit *identical* directive logs, tick for tick: every power
 //! order, every frequency index, every γ split, every safe-mode
@@ -74,21 +74,21 @@ fn assert_pruning_is_exact(spec: &RunSpec, preset: Preset) {
     assert_directives_equal(&logs[0].directives, &logs[1].directives, spec.name());
 }
 
-/// The closed-loop bench family (`bench_closed_loop --quick`):
+/// The `closed_loop` row's family (its `--quick` length):
 /// single_module(2) with both machines pinned on, over the three seeded
 /// drift scenarios.
 #[test]
 fn pruned_search_matches_exhaustive_on_closed_loop_scenarios() {
     for scenario in 0..3 {
         let spec = RunSpec {
-            buckets: 60, // the bench's --quick horizon
+            buckets: 60, // the row's --quick horizon
             ..RunSpec::defaults(Family::ClosedLoop(scenario))
         };
         assert_pruning_is_exact(&spec, Preset::ClosedLoop);
     }
 }
 
-/// The fault bench family (`bench_faults`): single_module(4)
+/// The `fault_tolerance` row's family: single_module(4)
 /// under the four seeded fault schedules, with the watchdog stack on —
 /// so the comparison also covers `decide_excluding` with dead members,
 /// the safe-mode fallback and post-rejoin recruiting.
@@ -97,7 +97,7 @@ fn pruned_search_matches_exhaustive_on_fault_scenarios() {
     for scenario in 0..4 {
         let spec = RunSpec {
             seed: 0xBEEF,
-            buckets: 90, // the bench horizon (quick keeps it too)
+            buckets: 90, // the row's horizon (quick keeps it too)
             ..RunSpec::defaults(Family::Faults(scenario))
         };
         assert_pruning_is_exact(&spec, Preset::FaultTolerant);

@@ -9,7 +9,8 @@ use llc_cluster::{
 use llc_core::OnlineConfig;
 use llc_workload::{deep_degradation_scenario, VirtualStore};
 
-/// `bench_closed_loop`'s full-run length, in L1 periods.
+/// The `paper` bin's `closed_loop` row length at default scale, in L1
+/// periods.
 const BENCH_BUCKETS: usize = 150;
 
 fn base_scenario() -> ScenarioConfig {
@@ -19,8 +20,8 @@ fn base_scenario() -> ScenarioConfig {
 }
 
 /// One closed-loop run of deep degradation for seed pair `pair`. Pair 0
-/// is `bench_closed_loop`'s own run, `RunSpec::defaults(ClosedLoop(3))`
-/// at the bench's full length; pair `k > 0` draws the scenario from seed
+/// is the `closed_loop` row's own run, `RunSpec::defaults(ClosedLoop(3))`
+/// at the row's default length; pair `k > 0` draws the scenario from seed
 /// `0xC105ED + 17k` and seeds the plant with `0xBEEF + 17k`, over 90
 /// buckets with request bodies from store seed 5.
 fn run(drift_aware: bool, pair: u64) -> (HierarchicalPolicy, ExperimentLog) {
@@ -66,7 +67,7 @@ fn run(drift_aware: bool, pair: u64) -> (HierarchicalPolicy, ExperimentLog) {
 /// tracking MAE over the drift-blind closed loop, and the frequency
 /// decisions stop limit-cycling (strictly fewer switches, not just "no
 /// regression"). Judged on four scenario × plant seed pairs — the first
-/// is `bench_closed_loop`'s run — so one lucky draw cannot carry the
+/// is the `closed_loop` row's run — so one lucky draw cannot carry the
 /// claim.
 #[test]
 fn self_healing_beats_the_drift_blind_closed_loop_on_deep_degradation() {
