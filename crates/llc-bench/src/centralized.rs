@@ -3,10 +3,10 @@
 
 use llc_approx::SimplexGrid;
 use llc_cluster::{
-    ClusterPolicy, DirectiveKind, L0Config, MemberSpec, Observations, QueueModel, ScenarioConfig,
+    ClusterPolicy, DirectiveKind, Ewma, L0Config, LocalLinearTrend, MemberSpec, Observations,
+    QueueModel, ScenarioConfig,
 };
 use llc_core::{Penalty, ServiceScaleEstimator, SetPoint};
-use llc_forecast::{Ewma, LocalLinearTrend};
 use llc_sim::PowerState;
 
 /// Load-fraction quantum of the joint γ enumeration, coarse enough to

@@ -3,6 +3,7 @@ use crate::control::{
     mean_duration, ControlPlane, Directive, DirectiveEmit, DirectiveKind, MemberTelemetry,
     MetricsSnapshot, ModuleObservation, ObservationIngest,
 };
+use crate::l0::L0Config;
 use crate::policy::ClusterPolicy;
 use llc_sim::{ClusterConfig, ClusterSim, PowerState, SimError, WindowStats};
 use llc_workload::{
@@ -567,13 +568,15 @@ impl SimAdapter {
 }
 
 impl Experiment {
-    /// Paper-default driver: 30 s ticks, pre-warmed cluster, `r* = 4 s`.
+    /// Paper-default driver: pre-warmed cluster, ticks of the paper L0's
+    /// period `T_L0` (30 s) and its target `r*` (4 s).
     pub fn paper_default(seed: u64) -> Self {
+        let l0 = L0Config::paper_default();
         Experiment {
-            t_l0: 30.0,
+            t_l0: l0.period,
             seed,
             prewarmed: true,
-            response_target: 4.0,
+            response_target: l0.response_target,
             drift: None,
             faults: None,
         }

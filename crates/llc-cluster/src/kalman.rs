@@ -14,7 +14,7 @@ use crate::matrix::{Matrix, MatrixError};
 /// semi-definiteness over long runs — the filter tracks an entire day of
 /// 30-second workload samples in the experiments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KalmanFilter {
+pub(crate) struct KalmanFilter {
     f: Matrix,
     h: Matrix,
     q: Matrix,
@@ -32,7 +32,7 @@ impl KalmanFilter {
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] if any shape disagrees.
-    pub fn new(
+    pub(crate) fn new(
         f: Matrix,
         h: Matrix,
         q: Matrix,
@@ -66,22 +66,22 @@ impl KalmanFilter {
     }
 
     /// State dimension `n`.
-    pub fn state_dim(&self) -> usize {
+    pub(crate) fn state_dim(&self) -> usize {
         self.f.rows()
     }
 
     /// Current state estimate `x̂`.
-    pub fn state(&self) -> &Matrix {
+    pub(crate) fn state(&self) -> &Matrix {
         &self.x
     }
 
     /// Current estimate covariance `P`.
-    pub fn covariance(&self) -> &Matrix {
+    pub(crate) fn covariance(&self) -> &Matrix {
         &self.p
     }
 
     /// Time update: propagate the estimate one step without a measurement.
-    pub fn predict(&mut self) {
+    pub(crate) fn predict(&mut self) {
         self.x = &self.f * &self.x;
         self.p = (&(&self.f * &self.p) * &self.f.transpose())
             .plus(&self.q)
@@ -96,7 +96,7 @@ impl KalmanFilter {
     /// * [`MatrixError::DimensionMismatch`] if `z` is not m×1;
     /// * [`MatrixError::Singular`] if the innovation covariance cannot be
     ///   inverted.
-    pub fn update(&mut self, z: &Matrix) -> Result<(), MatrixError> {
+    pub(crate) fn update(&mut self, z: &Matrix) -> Result<(), MatrixError> {
         if z.rows() != self.h.rows() || z.cols() != 1 {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -118,7 +118,7 @@ impl KalmanFilter {
     ///
     /// Same as [`KalmanFilter::update`]; additionally requires a scalar
     /// observation model (`m == 1`).
-    pub fn step_scalar(&mut self, z: f64) -> Result<(), MatrixError> {
+    pub(crate) fn step_scalar(&mut self, z: f64) -> Result<(), MatrixError> {
         if self.h.rows() != 1 {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -127,13 +127,13 @@ impl KalmanFilter {
     }
 
     /// Expected observation `H x̂` for the current state.
-    pub fn observation(&self) -> Matrix {
+    pub(crate) fn observation(&self) -> Matrix {
         &self.h * &self.x
     }
 
     /// Forecast the next `horizon` observations by iterating the time
     /// update on a copy of the filter (the filter itself is unchanged).
-    pub fn forecast_observations(&self, horizon: usize) -> Vec<Matrix> {
+    pub(crate) fn forecast_observations(&self, horizon: usize) -> Vec<Matrix> {
         let mut scratch = self.clone();
         let mut out = Vec::with_capacity(horizon);
         for _ in 0..horizon {

@@ -2,7 +2,8 @@ use llc_core::{
     Error as LlcError, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
-use llc_forecast::{Ewma, LocalLinearTrend};
+use crate::ewma::Ewma;
+use crate::trend::LocalLinearTrend;
 
 /// The analytic single-computer queue model of eqns. (5)–(6), extended
 /// with the delivered-capacity scale `ŝ` of the drift-aware L0:

@@ -2,7 +2,7 @@ use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
 use llc_approx::{train_dense, Blend, DenseGrid, GridSampler, SimplexGrid};
 use llc_core::{DriftDetector, LearnRate, OnlineConfig};
-use llc_forecast::Ewma;
+use crate::ewma::Ewma;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 

@@ -28,24 +28,42 @@
 //! time and which actuates only through its [`Reconciler`]. A
 //! [`RunSpec`] names each run of the evaluation (family, size, seeds)
 //! and a [`Preset`] each policy stack it is scored under.
+//!
+//! The forecasts every level steps on are in-crate: the arrival-rate
+//! [`LocalLinearTrend`] (the paper's "ARIMA model implemented by a Kalman
+//! filter", a level+slope model whose covariance recursion reads no data,
+//! so it runs once per process into a gain table), the processing-time
+//! [`Ewma`] (`π = 0.1`, also the L1's band half-width `δ`) and fig. 4's
+//! [`AccuracyStats`]. The general linear-Gaussian filter over heap
+//! matrices the trend model first ran on compiles under `cfg(test)` only
+//! (`kalman.rs`, `matrix.rs`), as the oracle the kernel is held
+//! bit-identical to (`trend::tests`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod agent;
 mod baselines;
 mod builder;
 mod config;
 mod control;
+mod error_stats;
+mod ewma;
 mod experiment;
 mod hierarchy;
+#[cfg(test)]
+mod kalman;
 mod l0;
 mod l1;
 mod l2;
+#[cfg(test)]
+mod matrix;
 mod policy;
 mod profiles;
 mod run;
 mod split;
+mod trend;
 
 pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
 pub use baselines::{AlwaysMaxPolicy, ThresholdPolicy};
@@ -59,6 +77,8 @@ pub use control::{
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
     StepReport, TransportMetrics, INGEST_HORIZON_TICKS, OUTBOX_CAPACITY,
 };
+pub use error_stats::AccuracyStats;
+pub use ewma::Ewma;
 pub use experiment::{Experiment, ExperimentLog, ExperimentSummary, SimAdapter, TickRecord};
 pub use hierarchy::{FaultToleranceConfig, HierarchicalPolicy, LevelOverhead};
 pub use l0::{L0Config, L0Controller, L0Decision, QueueModel};
@@ -69,3 +89,4 @@ pub use l2::{L2Config, L2Controller, L2Decision, ModuleCostModel, ModuleLearnSpe
 pub use policy::{Action, ClusterPolicy, Observations};
 pub use profiles::{ComputerProfile, FrequencyProfile};
 pub use run::{Family, Preset, RunSpec};
+pub use trend::LocalLinearTrend;

@@ -3,7 +3,7 @@ use std::ops::{Add, Mul, Sub};
 
 /// Errors from matrix operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatrixError {
+pub(crate) enum MatrixError {
     /// Operand shapes are incompatible for the requested operation.
     DimensionMismatch,
     /// The matrix is singular (or numerically too close to singular).
@@ -30,7 +30,7 @@ impl std::error::Error for MatrixError {}
 /// `O(n³)` or better and allocate freshly, which is irrelevant at this
 /// scale and keeps the API simple.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -42,7 +42,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Matrix {
             rows,
@@ -52,7 +52,7 @@ impl Matrix {
     }
 
     /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1.0);
@@ -65,7 +65,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `diag` is empty.
-    pub fn diagonal(diag: &[f64]) -> Self {
+    pub(crate) fn diagonal(diag: &[f64]) -> Self {
         let mut m = Matrix::zeros(diag.len(), diag.len());
         for (i, &d) in diag.iter().enumerate() {
             m.set(i, i, d);
@@ -78,7 +78,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if rows are empty or ragged.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "matrix must have at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "matrix must have at least one column");
@@ -94,7 +94,7 @@ impl Matrix {
     }
 
     /// A column vector.
-    pub fn column(values: &[f64]) -> Self {
+    pub(crate) fn column(values: &[f64]) -> Self {
         Matrix {
             rows: values.len(),
             cols: 1,
@@ -103,12 +103,12 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -117,7 +117,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on out-of-bounds indices.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c]
     }
@@ -127,13 +127,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on out-of-bounds indices.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c] = v;
     }
 
     /// The transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -148,7 +148,7 @@ impl Matrix {
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
         if self.cols != rhs.rows {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -173,7 +173,7 @@ impl Matrix {
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] on shape mismatch.
-    pub fn plus(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
+    pub(crate) fn plus(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
         if self.rows != rhs.rows || self.cols != rhs.cols {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -195,7 +195,7 @@ impl Matrix {
     /// # Errors
     ///
     /// [`MatrixError::DimensionMismatch`] on shape mismatch.
-    pub fn minus(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
+    pub(crate) fn minus(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
         if self.rows != rhs.rows || self.cols != rhs.cols {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -213,7 +213,7 @@ impl Matrix {
     }
 
     /// Scalar multiple.
-    pub fn scale(&self, s: f64) -> Matrix {
+    pub(crate) fn scale(&self, s: f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -228,7 +228,7 @@ impl Matrix {
     /// * [`MatrixError::NotSquare`] if the matrix is not square;
     /// * [`MatrixError::Singular`] if a pivot collapses below `1e-12` of
     ///   the largest row element.
-    pub fn inverse(&self) -> Result<Matrix, MatrixError> {
+    pub(crate) fn inverse(&self) -> Result<Matrix, MatrixError> {
         if self.rows != self.cols {
             return Err(MatrixError::NotSquare);
         }
@@ -278,7 +278,7 @@ impl Matrix {
 
     /// Force exact symmetry by averaging with the transpose (used to stop
     /// covariance drift in long Kalman runs).
-    pub fn symmetrize(&self) -> Matrix {
+    pub(crate) fn symmetrize(&self) -> Matrix {
         self.plus(&self.transpose())
             .expect("transpose has same shape")
             .scale(0.5)

@@ -26,7 +26,7 @@
 //!   pricing it on every visit gives.
 
 use llc_approx::SimplexGrid;
-use llc_forecast::LocalLinearTrend;
+use crate::trend::LocalLinearTrend;
 use std::fmt::Debug;
 
 /// The samples of the L1's band `{λ̂−δ, λ̂, λ̂+δ}`; the L2 prices one.

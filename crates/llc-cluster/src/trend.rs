@@ -146,6 +146,18 @@ static GAINS: LazyLock<Vec<Mat<2, 1>>> = LazyLock::new(|| {
 /// Every computer's L0 controller steps one of these each sampling
 /// period, so a filter holds only its state and its count of finite
 /// observations: the count indexes the shared gain table.
+///
+/// ```
+/// use llc_cluster::LocalLinearTrend;
+///
+/// let mut f = LocalLinearTrend::with_default_noise();
+/// for k in 0..50 {
+///     f.observe(10.0 + 2.0 * k as f64); // a clean linear ramp
+/// }
+/// let ahead: Vec<f64> = f.predictions().take(3).collect();
+/// assert!((ahead[0] - 110.0).abs() < 1.0);
+/// assert!((ahead[2] - 114.0).abs() < 1.5);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalLinearTrend {
     /// State estimate `[level, slope]ᵀ`.

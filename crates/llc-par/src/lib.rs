@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -70,12 +70,12 @@ pub(crate) struct Pending {
 impl Pending {
     /// Append a per-request arrival. Callers push in `(arrival, id)`
     /// order and only arrivals due by the next sweep's end.
-    pub fn push(&mut self, request: Request) {
+    pub(crate) fn push(&mut self, request: Request) {
         self.arrivals.push(request);
     }
 
     /// Arrivals still buffered.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         (self.arrivals.len() - self.cursor) as u64
     }
 
@@ -718,7 +718,7 @@ pub(crate) struct MachineLane<'a> {
 }
 
 impl<'a> MachineLane<'a> {
-    pub fn new(machine: Machine<'a>, pending: &'a mut Pending) -> Self {
+    pub(crate) fn new(machine: Machine<'a>, pending: &'a mut Pending) -> Self {
         MachineLane {
             machine,
             pending,
@@ -731,7 +731,7 @@ impl<'a> MachineLane<'a> {
     /// first, then completions, then arrivals; any other tie order
     /// differs only by zero-duration intervals, so stats and energy come
     /// out the same.
-    pub fn step(&mut self, to: f64) {
+    pub(crate) fn step(&mut self, to: f64) {
         #[derive(Clone, Copy)]
         enum Kind {
             Ready,

@@ -94,7 +94,8 @@ impl CapacityProfile {
 /// An arrival trace plus the plant drift it runs against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftScenario {
-    /// Stable scenario identifier (used in benchmark JSON keys).
+    /// Stable scenario identifier: the first column of the `paper` bin's
+    /// `online_maps` row, in its printed lines and in `online_maps.csv`.
     pub name: &'static str,
     /// Arrival counts per bucket.
     pub trace: Trace,

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// How a generated case ended, other than by passing.
 #[derive(Debug, Clone, PartialEq, Eq)]

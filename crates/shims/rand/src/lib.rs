@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// A source of random `u64`s.
 pub trait RngCore {
