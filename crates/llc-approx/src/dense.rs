@@ -1,4 +1,5 @@
-use crate::{Blend, GridSampler, Quantizer};
+use crate::quantize::Quantizer;
+use crate::{Blend, GridSampler};
 use std::collections::BTreeMap;
 
 /// Most key dimensions a [`DenseGrid`] takes: a cell key is an array of
@@ -92,7 +93,7 @@ impl<V: Send> DenseGrid<V> {
     /// # Panics
     ///
     /// Panics if the sampler has more than eight dimensions.
-    pub fn from_fn(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Sync) -> Self {
+    pub(crate) fn from_fn(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Sync) -> Self {
         let nd = sampler.num_dims();
         assert!(
             nd <= MAX_DIMS,
@@ -176,7 +177,8 @@ impl<V: Send> DenseGrid<V> {
 
 impl<V> DenseGrid<V> {
     /// Number of key dimensions.
-    pub fn num_dims(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_dims(&self) -> usize {
         self.dims.len()
     }
 

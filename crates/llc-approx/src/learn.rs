@@ -25,7 +25,7 @@ impl GridSampler {
     }
 
     /// Number of dimensions.
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.dims.len()
     }
 
@@ -73,7 +73,8 @@ impl GridSampler {
     }
 
     /// Per-dimension quantization cell widths matching the grid pitch.
-    pub fn cell_steps(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn cell_steps(&self) -> Vec<f64> {
         (0..self.dims.len()).map(|d| self.spacing(d)).collect()
     }
 
@@ -83,7 +84,7 @@ impl GridSampler {
     /// # Panics
     ///
     /// Panics if `idx >= self.count()`.
-    pub fn point_at(&self, mut idx: usize) -> Vec<f64> {
+    pub(crate) fn point_at(&self, mut idx: usize) -> Vec<f64> {
         assert!(idx < self.count(), "grid index out of range");
         (0..self.dims.len())
             .map(|d| {

@@ -56,6 +56,6 @@ mod table;
 pub use dense::DenseGrid;
 pub use learn::{train_dense, GridSampler};
 pub use online::Blend;
-pub use quantize::Quantizer;
+
 pub use regtree::{RegressionTree, TreeConfig, TreeError};
 pub use simplex::SimplexGrid;

@@ -4,7 +4,7 @@
 /// fractions γ at 0.05/0.1, arrival rates and queue lengths into table
 /// cells — so that finite search and hash-table lookup become possible.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Quantizer {
+pub(crate) struct Quantizer {
     step: f64,
 }
 
@@ -14,7 +14,7 @@ impl Quantizer {
     /// # Panics
     ///
     /// Panics if `step` is not strictly positive and finite.
-    pub fn new(step: f64) -> Self {
+    pub(crate) fn new(step: f64) -> Self {
         assert!(
             step.is_finite() && step > 0.0,
             "quantizer step must be positive and finite, got {step}"
@@ -22,30 +22,27 @@ impl Quantizer {
         Quantizer { step }
     }
 
-    /// The quantization step.
-    pub fn step(&self) -> f64 {
-        self.step
-    }
-
     /// Index of the cell containing `v` (floor semantics; negative values
     /// land in negative cells).
-    pub fn cell(&self, v: f64) -> i64 {
+    pub(crate) fn cell(&self, v: f64) -> i64 {
         (v / self.step).floor() as i64
     }
 
     /// Center value of cell `c`.
-    pub fn center(&self, c: i64) -> f64 {
+    pub(crate) fn center(&self, c: i64) -> f64 {
         (c as f64 + 0.5) * self.step
     }
 
     /// Snap `v` to the nearest multiple of the step.
-    pub fn snap(&self, v: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn snap(&self, v: f64) -> f64 {
         (v / self.step).round() * self.step
     }
 
     /// All multiples of the step within `[lo, hi]`, inclusive on both ends
     /// (after snapping the bounds outward by half a step of tolerance).
-    pub fn grid(&self, lo: f64, hi: f64) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn grid(&self, lo: f64, hi: f64) -> Vec<f64> {
         assert!(lo <= hi, "grid bounds inverted");
         let start = (lo / self.step).ceil() as i64;
         let end = (hi / self.step + 1e-9).floor() as i64;

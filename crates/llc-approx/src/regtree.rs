@@ -94,18 +94,14 @@ impl RegressionTree {
         Ok(tree)
     }
 
-    /// Number of input features expected by [`RegressionTree::predict`].
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
     /// Total node count (splits + leaves).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn leaf_count(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
@@ -161,7 +157,8 @@ impl RegressionTree {
     /// # Panics
     ///
     /// Panics if the sets are empty or mismatched.
-    pub fn mse(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mse(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
         assert!(
             !xs.is_empty() && xs.len() == ys.len(),
             "invalid evaluation set"

@@ -36,11 +36,6 @@ impl SimplexGrid {
         SimplexGrid::new(dims, levels as usize)
     }
 
-    /// Number of components.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// The quantum `1/levels`.
     pub fn quantum(&self) -> f64 {
         1.0 / self.levels as f64

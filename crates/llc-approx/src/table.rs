@@ -1,4 +1,5 @@
-use crate::{Blend, GridSampler, Quantizer};
+use crate::quantize::Quantizer;
+use crate::{Blend, GridSampler};
 use std::collections::{HashMap, HashSet};
 
 /// The abstraction map `g` as a quantized-key hash table — the paper's

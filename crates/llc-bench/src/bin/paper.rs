@@ -21,8 +21,8 @@ use llc_bench::report::{ascii_plot, ascii_plot_multi, ms, quick_mode, write_csv}
 use llc_cluster::{
     AbstractionMap, AccuracyStats, AlwaysMaxPolicy, Cadence, ClusterPolicy, ComputerProfile,
     DirectiveKind, ExperimentLog, ExperimentSummary, Family, FrequencyProfile, GEntry,
-    HierarchicalPolicy, L0Config, L0Controller, L1Config, LearnSpec, LocalLinearTrend,
-    MemberSpec, Observations, PolicyMetrics, Preset, RunSpec, ScenarioConfig, ThresholdPolicy,
+    HierarchicalPolicy, L0Config, L0Controller, L1Config, LearnSpec, LocalLinearTrend, MemberSpec,
+    Observations, PolicyMetrics, Preset, RunSpec, ScenarioConfig, ThresholdPolicy,
 };
 use llc_core::OnlineConfig;
 use llc_workload::{drift_scenarios, wc98_like_day, DriftScenario};

@@ -98,8 +98,8 @@ impl CentralizedPolicy {
     fn best_frequency(&self, j: usize, lambda: f64, q0: f64) -> (usize, f64) {
         let model = QueueModel::with_scale(self.l0.period, self.scales[j].estimate());
         let response = SetPoint::new(self.l0.response_target);
-        let q_pen = Penalty::abs(self.l0.q_weight);
-        let r_pen = Penalty::abs(self.l0.r_weight);
+        let q_pen = Penalty::abs(L0Config::Q_WEIGHT);
+        let r_pen = Penalty::abs(L0Config::R_WEIGHT);
         let c = self.c_estimate(j);
         let mut best = (0usize, f64::INFINITY);
         for (idx, &phi) in self.members[j].phis.iter().enumerate() {
@@ -108,7 +108,7 @@ impl CentralizedPolicy {
             for _ in 0..self.period_ticks {
                 let (qn, rn) = model.step(q, lambda, c, phi);
                 cost += q_pen.eval(response.slack_above(rn))
-                    + r_pen.eval(self.l0.base_cost + phi * phi);
+                    + r_pen.eval(L0Config::BASE_COST + phi * phi);
                 q = qn;
             }
             if cost < best.1 {

@@ -196,7 +196,7 @@ pub struct Plant<'a> {
 /// absurd bucket would otherwise abort the run when it got there. Eight
 /// times the ~1 M a window of the 1000-machine scale arm carries, and
 /// far inside the `u32` bucket ids of [`spread_arrivals_into`].
-pub const MAX_WINDOW_ARRIVALS: usize = 1 << 23;
+pub(crate) const MAX_WINDOW_ARRIVALS: usize = 1 << 23;
 
 impl<'a> Plant<'a> {
     /// A cluster built from `sim_config` under `experiment`'s drift and

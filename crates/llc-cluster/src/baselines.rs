@@ -1,7 +1,7 @@
 use crate::control::DirectiveKind;
+use crate::ewma::Ewma;
 use crate::policy::{ClusterPolicy, Observations};
 use crate::ScenarioConfig;
-use crate::ewma::Ewma;
 use llc_sim::PowerState;
 
 /// Utilization above which another computer is switched on.

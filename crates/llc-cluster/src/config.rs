@@ -122,7 +122,8 @@ pub fn paper_cluster_16() -> ScenarioConfig {
 }
 
 /// The §5.2 variant: twenty computers in five modules.
-pub fn paper_cluster_20() -> ScenarioConfig {
+#[cfg(test)]
+pub(crate) fn paper_cluster_20() -> ScenarioConfig {
     paper_scenario(5)
 }
 

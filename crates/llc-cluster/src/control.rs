@@ -44,8 +44,9 @@
 #![deny(missing_docs)]
 
 use crate::hierarchy::LevelOverhead;
+use crate::l2::L2Config;
 use crate::policy::{ClusterPolicy, Observations};
-use crate::{L0Config, L1Config, L2Config};
+use crate::{L0Config, L1Config};
 use llc_sim::{PowerState, WindowStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -87,7 +88,7 @@ impl Cadence {
 
     /// Derive the cadence from the three level configurations (periods
     /// rounded to whole base ticks, floored at one).
-    pub fn from_configs(l0: &L0Config, l1: &L1Config, l2: &L2Config) -> Self {
+    pub(crate) fn from_configs(l0: &L0Config, l1: &L1Config, l2: &L2Config) -> Self {
         Cadence {
             l1_every: l0.ticks_per(l1.period),
             l2_every: l0.ticks_per(l2.period),
@@ -324,7 +325,7 @@ pub const INGEST_HORIZON_TICKS: u64 = 512;
 /// draining. Past it the oldest directive goes, counted in
 /// [`MetricsSnapshot::dropped_directives`]: actuators apply the latest
 /// epoch, so a newer directive to the same actuator supersedes it anyway.
-pub const OUTBOX_CAPACITY: usize = 1 << 16;
+pub(crate) const OUTBOX_CAPACITY: usize = 1 << 16;
 
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -579,7 +580,7 @@ pub struct StepReport {
     /// Virtual time of the decision (seconds).
     pub time: f64,
     /// Wall-clock time spent inside the policy's `decide`.
-    pub decide_time: Duration,
+    pub(crate) decide_time: Duration,
     /// Directives emitted by this step.
     pub directives: usize,
 }

@@ -27,9 +27,9 @@ pub struct TickRecord {
     /// Mean response time of the window's completions, if any.
     pub mean_response: Option<f64>,
     /// Frequency index per computer at the end of the window.
-    pub frequency_indices: Vec<usize>,
+    pub(crate) frequency_indices: Vec<usize>,
     /// Mean response per computer for this window.
-    pub computer_responses: Vec<Option<f64>>,
+    pub(crate) computer_responses: Vec<Option<f64>>,
     /// Per-computer queue lengths (queued + in service) at the end of
     /// the window.
     pub queues: Vec<usize>,
@@ -64,7 +64,7 @@ pub struct ExperimentSummary {
     /// Total switch-on transitions across computers.
     pub total_switch_ons: u64,
     /// Mean policy decision time per tick.
-    pub mean_decision_time: Duration,
+    pub(crate) mean_decision_time: Duration,
 }
 
 /// The full log of a run.

@@ -2,7 +2,7 @@ use crate::control::{mean_duration, Cadence, DirectiveKind, PolicyMetrics};
 use crate::l1::{AbstractionMap, GEntry, L1Controller, L1Decision, MemberSpec};
 use crate::l2::{L2Controller, ModuleCostModel, ModuleState};
 use crate::policy::{ClusterPolicy, Observations};
-use crate::{L0Controller, ScenarioConfig};
+use crate::{L0Config, L0Controller, ScenarioConfig};
 use llc_sim::{PowerState, WindowStats};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,12 +116,12 @@ impl FaultToleranceConfig {
     /// `Off` while ordered on) before a member is declared dead and
     /// excluded from planning. The paper's base window is 30 s, so 3
     /// declares death after ~90 s of silence.
-    pub const SUSPECT_AFTER: u64 = 3;
+    pub(crate) const SUSPECT_AFTER: u64 = 3;
     /// Minimum fraction of a module's *live* members that must deliver
     /// healthy telemetry for the L1 to trust its models; below it the
     /// module falls back to safe mode (everything live on, uniform split,
     /// analytic L0 queue model still running frequencies).
-    pub const TELEMETRY_QUORUM: f64 = 0.5;
+    pub(crate) const TELEMETRY_QUORUM: f64 = 0.5;
 }
 
 const _: () = assert!(FaultToleranceConfig::SUSPECT_AFTER >= 1);
@@ -372,7 +372,8 @@ impl HierarchicalPolicy {
     }
 
     /// `true` once the churn watchdog is configured.
-    pub fn fault_tolerance_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn fault_tolerance_enabled(&self) -> bool {
         self.fault_tolerance.is_some()
     }
 
@@ -576,7 +577,7 @@ impl ClusterPolicy for HierarchicalPolicy {
             if comp.rejected > 0 {
                 let drop_slack =
                     comp.rejected as f64 * DROP_TIMEOUT_FACTOR * cfg.response_target / cfg.period;
-                let charge = cfg.q_weight * drop_slack;
+                let charge = L0Config::Q_WEIGHT * drop_slack;
                 cl.cost_acc[i] += charge;
                 cl.refused[i] += comp.rejected;
             }
@@ -599,7 +600,7 @@ impl ClusterPolicy for HierarchicalPolicy {
                 0.0
             };
             let power = comp.window.mean_power(cfg.period);
-            let cost = cfg.q_weight * slack + cfg.r_weight * power;
+            let cost = L0Config::Q_WEIGHT * slack + L0Config::R_WEIGHT * power;
             cl.cost_acc[i] += cost;
             cl.window_acc[i].absorb(&comp.window);
         }

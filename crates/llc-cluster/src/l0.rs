@@ -1,9 +1,9 @@
+use crate::ewma::Ewma;
+use crate::trend::LocalLinearTrend;
 use llc_core::{
     Error as LlcError, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
-use crate::ewma::Ewma;
-use crate::trend::LocalLinearTrend;
 
 /// The analytic single-computer queue model of eqns. (5)–(6), extended
 /// with the delivered-capacity scale `ŝ` of the drift-aware L0:
@@ -126,14 +126,8 @@ pub struct L0Config {
     pub horizon: usize,
     /// Sampling period `T_L0` in seconds (paper: 30).
     pub period: f64,
-    /// Response-time violation weight `Q` (paper: 100).
-    pub q_weight: f64,
-    /// Power weight `R` (paper: 1).
-    pub r_weight: f64,
     /// Desired average response time `r*` in seconds (paper: 4).
     pub response_target: f64,
-    /// Base operating cost `a` (paper: 0.75).
-    pub base_cost: f64,
     /// Drift-aware L0: the switch of the online service-rate scale
     /// estimator threaded through [`QueueModel::step`]. Disabled in the paper
     /// defaults (the paper's model is capacity-blind); enable via
@@ -143,15 +137,19 @@ pub struct L0Config {
 }
 
 impl L0Config {
+    /// Response-time violation weight `Q` (paper: 100).
+    pub const Q_WEIGHT: f64 = 100.0;
+    /// Power weight `R` (paper: 1).
+    pub const R_WEIGHT: f64 = 1.0;
+    /// Base operating cost `a` (paper: 0.75).
+    pub const BASE_COST: f64 = 0.75;
+
     /// The paper's §4.3 parameters (drift-blind: scale estimation off).
     pub fn paper_default() -> Self {
         L0Config {
             horizon: 3,
             period: 30.0,
-            q_weight: 100.0,
-            r_weight: 1.0,
             response_target: 4.0,
-            base_cost: 0.75,
             scale: llc_core::ScaleEstimatorConfig::default(),
         }
     }
@@ -229,7 +227,7 @@ impl<'a> L0Plant<'a> {
             phis.iter().all(|&phi| phi > 0.0 && phi <= 1.0),
             "φ out of range: {phis:?}"
         );
-        let r_penalty = Penalty::abs(config.r_weight);
+        let r_penalty = Penalty::abs(L0Config::R_WEIGHT);
         settings.clear();
         settings.extend(phis.iter().map(|&phi| {
             let delivered = model.delivered(phi);
@@ -237,7 +235,7 @@ impl<'a> L0Plant<'a> {
                 delivered,
                 rate: QueueModel::service_rate(delivered, c),
                 work_within: QueueModel::work_within(config.response_target, delivered),
-                power: r_penalty.eval(config.base_cost + phi * phi),
+                power: r_penalty.eval(L0Config::BASE_COST + phi * phi),
             }
         }));
         L0Plant {
@@ -245,7 +243,7 @@ impl<'a> L0Plant<'a> {
             model,
             c,
             response: SetPoint::new(config.response_target),
-            q_penalty: Penalty::abs(config.q_weight),
+            q_penalty: Penalty::abs(L0Config::Q_WEIGHT),
         }
     }
 }
@@ -340,7 +338,7 @@ pub struct L0Decision {
     /// Chosen frequency index into the computer's table.
     pub frequency_index: usize,
     /// Predicted cumulative cost over the horizon.
-    pub predicted_cost: f64,
+    pub(crate) predicted_cost: f64,
     /// Search statistics (states explored — the overhead metric).
     pub stats: SearchStats,
 }
@@ -447,7 +445,7 @@ impl L0Controller {
     /// held a backlog at the sampling instant (the busy-window evidence
     /// guard), and the frequency index in force over the window. A no-op
     /// while `config.scale.enabled` is false.
-    pub fn observe_service(&mut self, completions: u64, busy: bool, frequency_index: usize) {
+    pub(crate) fn observe_service(&mut self, completions: u64, busy: bool, frequency_index: usize) {
         let phi = self.phis[frequency_index.min(self.phis.len() - 1)];
         let c = self.c_estimate();
         self.scale
@@ -553,7 +551,7 @@ impl L0Controller {
             let next = plant.step(&x, &u, &lambda);
             total += plant.cost(&next, &u, None);
             let phi = phis[u];
-            power += config.base_cost + phi * phi;
+            power += L0Config::BASE_COST + phi * phi;
             q = next.q;
         }
         (total / steps as f64, power / steps as f64, q)
@@ -596,8 +594,8 @@ mod tests {
         fn cost(&self, x_next: &(f64, f64), u: &usize, _prev: Option<&usize>) -> f64 {
             let slack = SetPoint::new(self.config.response_target).slack_above(x_next.1);
             let phi = self.phis[*u];
-            Penalty::abs(self.config.q_weight).eval(slack)
-                + Penalty::abs(self.config.r_weight).eval(self.config.base_cost + phi * phi)
+            Penalty::abs(L0Config::Q_WEIGHT).eval(slack)
+                + Penalty::abs(L0Config::R_WEIGHT).eval(L0Config::BASE_COST + phi * phi)
         }
     }
 

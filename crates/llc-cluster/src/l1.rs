@@ -1,8 +1,8 @@
+use crate::ewma::Ewma;
 use crate::split::{SplitChild, SplitLevel};
 use crate::{L0Config, L0Controller};
 use llc_approx::{train_dense, Blend, DenseGrid, GridSampler, SimplexGrid};
 use llc_core::{DriftDetector, LearnRate, OnlineConfig};
-use crate::ewma::Ewma;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -356,10 +356,6 @@ pub struct L1Config {
     pub switch_on_penalty: f64,
     /// Minimum number of active computers kept in the module.
     pub min_active: usize,
-    /// Bounded-search improvement rounds for the γ search.
-    pub search_rounds: usize,
-    /// Bounded-search evaluation budget per candidate α.
-    pub search_evals: usize,
     /// Chattering mitigation: average candidate costs over the
     /// `{λ̂−δ, λ̂, λ̂+δ}` band (§4.2). Disable for ablation only.
     pub use_uncertainty_band: bool,
@@ -379,6 +375,11 @@ pub struct L1Config {
 }
 
 impl L1Config {
+    /// Bounded-search improvement rounds of the γ search.
+    pub const SEARCH_ROUNDS: usize = 24;
+    /// Bounded-search evaluation budget of the γ search per candidate α.
+    pub const SEARCH_EVALS: usize = 4_000;
+
     /// The paper's §4.3 parameters for a four-computer module.
     pub fn paper_default() -> Self {
         L1Config {
@@ -386,8 +387,6 @@ impl L1Config {
             gamma_quantum: 0.05,
             switch_on_penalty: 8.0,
             min_active: 1,
-            search_rounds: 24,
-            search_evals: 4_000,
             use_uncertainty_band: true,
             power_budget: None,
             pruned_search: true,
@@ -543,6 +542,10 @@ pub struct L1Controller {
     /// Per-decision buffers, reused so the steady decide path performs
     /// no heap allocation (see [`DecideScratch`]).
     scratch: DecideScratch,
+    /// Round and evaluation budgets of each γ search:
+    /// [`L1Config::SEARCH_ROUNDS`] and [`L1Config::SEARCH_EVALS`], cut for
+    /// the offline module learning's replays.
+    pub(crate) search_budget: (usize, usize),
 }
 
 impl L1Controller {
@@ -592,6 +595,7 @@ impl L1Controller {
             total_candidates_evaluated: 0,
             total_candidates_pruned: 0,
             scratch: DecideScratch::default(),
+            search_budget: (L1Config::SEARCH_ROUNDS, L1Config::SEARCH_EVALS),
         }
     }
 
@@ -678,7 +682,7 @@ impl L1Controller {
     /// Drift detections fired per member (position order) — the
     /// per-learner resolution of the metrics surface. Empty while
     /// online learning is off.
-    pub fn member_drift_detections(&self) -> Vec<u64> {
+    pub(crate) fn member_drift_detections(&self) -> Vec<u64> {
         self.online.as_ref().map_or_else(Vec::new, |o| {
             o.detectors.iter().map(DriftDetector::detections).collect()
         })
@@ -1026,7 +1030,7 @@ impl L1Controller {
             // The γ search: the best-improvement climb over single-quantum
             // transfers between the active members, within the round and
             // evaluation budgets, each split priced over the whole band.
-            let (rounds, evals) = (self.config.search_rounds, self.config.search_evals);
+            let (rounds, evals) = self.search_budget;
             let (climb_cost, _, evaluations) =
                 self.level
                     .climb(&grid, &ds.active_idx, &ds.start, rounds, evals);

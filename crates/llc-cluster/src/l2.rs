@@ -52,7 +52,7 @@ pub struct ModuleLearnSpec {
     /// Steps along the initial-queue axis.
     pub q_steps: usize,
     /// Steps along the initially-active-machines axis.
-    pub active_steps: usize,
+    pub(crate) active_steps: usize,
     /// L1 periods simulated per grid point.
     pub periods: usize,
 }
@@ -92,6 +92,12 @@ impl ModuleLearnSpec {
     }
 }
 
+/// γ-search rounds and evaluations of the L1s the module learning replays:
+/// thousands of inner decisions learn the coarse cost surface, which the
+/// full budgets ([`L1Config::SEARCH_ROUNDS`], [`L1Config::SEARCH_EVALS`])
+/// do not refine.
+const TRAINING_SEARCH_BUDGET: (usize, usize) = (8, 600);
+
 /// Analytic module simulator: replays the L1 controller over its
 /// abstraction maps for a constant offered load — the inner loop of the
 /// L2 learning pipeline ("the behavior of module M_i is learned by
@@ -110,11 +116,8 @@ fn simulate_module(
     // `new_shared` clones Arcs, not tables: the learning grid builds one
     // controller per grid point, so a deep copy here would dominate the
     // whole offline pass.
-    let mut l1 = L1Controller::new_shared(
-        l1_config.clone_for_training(),
-        members.to_vec(),
-        maps.to_vec(),
-    );
+    let mut l1 = L1Controller::new_shared(*l1_config, members.to_vec(), maps.to_vec());
+    l1.search_budget = TRAINING_SEARCH_BUDGET;
     let m = members.len();
     let mut queues: Vec<f64> = vec![q0; m];
     // Start with the `active_init` highest-capacity machines on — the
@@ -155,19 +158,6 @@ fn simulate_module(
         total += period_cost;
     }
     total / periods as f64
-}
-
-impl L1Config {
-    /// Clone with reduced search budgets for the offline training loop
-    /// (thousands of inner decisions; full budgets are unnecessary for
-    /// learning the coarse cost surface).
-    fn clone_for_training(&self) -> L1Config {
-        L1Config {
-            search_rounds: self.search_rounds.min(8),
-            search_evals: self.search_evals.min(600),
-            ..*self
-        }
-    }
 }
 
 impl ModuleCostModel {

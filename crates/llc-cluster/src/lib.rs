@@ -65,17 +65,14 @@ mod run;
 mod split;
 mod trend;
 
-pub use agent::{Plant, ReconcileReport, Reconciler, MAX_WINDOW_ARRIVALS};
+pub use agent::{Plant, ReconcileReport, Reconciler};
 pub use baselines::{AlwaysMaxPolicy, ThresholdPolicy};
 pub use builder::{PolicyBuilder, RetrainConfig};
-pub use config::{
-    cluster_of, paper_cluster_16, paper_cluster_20, single_module, ScenarioConfig,
-    MAX_SINGLE_MODULE,
-};
+pub use config::{cluster_of, paper_cluster_16, single_module, ScenarioConfig, MAX_SINGLE_MODULE};
 pub use control::{
     Cadence, ControlPlane, Directive, DirectiveEmit, DirectiveKind, IngestError, LatencyStats,
     Level, MemberTelemetry, MetricsSnapshot, ModuleObservation, ObservationIngest, PolicyMetrics,
-    StepReport, TransportMetrics, INGEST_HORIZON_TICKS, OUTBOX_CAPACITY,
+    StepReport, TransportMetrics, INGEST_HORIZON_TICKS,
 };
 pub use error_stats::AccuracyStats;
 pub use ewma::Ewma;

@@ -48,7 +48,7 @@ impl FrequencyProfile {
     }
 
     /// Maximum frequency in Hz.
-    pub fn max_frequency(self) -> f64 {
+    pub(crate) fn max_frequency(self) -> f64 {
         *self
             .frequencies()
             .last()
@@ -127,7 +127,8 @@ impl ComputerProfile {
 
     /// Peak service rate in requests/second for mean demand `c` (at the
     /// reference machine): `speed · 1/c`. Bounds the sensible γ range.
-    pub fn peak_service_rate(&self, c: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_service_rate(&self, c: f64) -> f64 {
         self.speed / c
     }
 }

@@ -25,8 +25,8 @@
 //! * [`SplitChild::cost`] is pure, so a lane priced once, lazily, is what
 //!   pricing it on every visit gives.
 
-use llc_approx::SimplexGrid;
 use crate::trend::LocalLinearTrend;
+use llc_approx::SimplexGrid;
 use std::fmt::Debug;
 
 /// The samples of the L1's band `{λ̂−δ, λ̂, λ̂+δ}`; the L2 prices one.

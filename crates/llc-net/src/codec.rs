@@ -481,7 +481,7 @@ fn read_bool_vec(r: &mut Reader<'_>) -> Result<Vec<bool>, WireError> {
 /// Encode a [`MetricsSnapshot`] payload — the full surface, transport
 /// section included, so a remote operator tool sees exactly what an
 /// in-process caller of `ControlPlane::metrics` sees.
-pub fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
+pub(crate) fn encode_metrics(m: &MetricsSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_u64(&mut out, m.next_tick);
     put_u64(&mut out, m.observations_ingested);

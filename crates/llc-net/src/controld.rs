@@ -107,7 +107,7 @@ impl<P: ClusterPolicy> ControldCore<P> {
     /// # Errors
     ///
     /// A human-readable mismatch description.
-    pub fn check_agent_hello(&self, hello: &Hello) -> Result<(), String> {
+    pub(crate) fn check_agent_hello(&self, hello: &Hello) -> Result<(), String> {
         if hello.role != Role::Agent {
             return Err(format!(
                 "peer announced role {:?}, expected Agent",
@@ -260,7 +260,7 @@ impl<P: ClusterPolicy> ControldCore<P> {
     /// decide every tick whose window has fully elapsed
     /// (`next_tick · T_L0 ≤ now`), counting the module-windows each
     /// forced step dark-fills. Never decides past the run length.
-    pub fn advance_wall(&mut self, now: f64) -> Vec<(StepReport, Vec<Directive>)> {
+    pub(crate) fn advance_wall(&mut self, now: f64) -> Vec<(StepReport, Vec<Directive>)> {
         let mut out = Vec::new();
         while self.plane.next_tick() < self.total_ticks
             && self.plane.next_tick() as f64 * self.t_l0 <= now + 1e-9

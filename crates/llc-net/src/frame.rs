@@ -25,7 +25,7 @@
 use std::fmt;
 
 /// The two magic bytes opening every frame.
-pub const MAGIC: [u8; 2] = *b"LN";
+pub(crate) const MAGIC: [u8; 2] = *b"LN";
 
 /// The protocol version this build speaks (2: the Metrics payload
 /// gained `future_observations`; 3: `dropped_directives`; 4: it lost
@@ -41,7 +41,7 @@ pub const HEADER_LEN: usize = 12;
 
 /// Hard ceiling on payload size: a length field beyond this is treated
 /// as corruption, not as a request to allocate 4 GiB.
-pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// What a frame carries (the `kind` byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +63,7 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// The wire discriminant.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             FrameKind::Hello => 1,
             FrameKind::Heartbeat => 2,
@@ -272,34 +272,34 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
 // ---------------------------------------------------------------------
 
 /// Append a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
 /// Append a `u32`, little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `u64`, little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `usize` as a `u64`, little-endian.
-pub fn put_usize(out: &mut Vec<u8>, v: usize) {
+pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u64(out, v as u64);
 }
 
 /// Append an `f64` as its IEEE-754 bit pattern, little-endian. The
 /// round trip is bit-exact (NaN payloads included), which is what lets
 /// the networked loop reproduce the in-process loop to the bit.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 /// Append a `bool` as one byte (0 or 1).
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
@@ -309,19 +309,19 @@ pub fn put_bool(out: &mut Vec<u8>, v: bool) {
 /// panicking when the slice runs short; [`Reader::finish`] rejects
 /// trailing garbage so a decoded message accounts for every byte.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -335,18 +335,18 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -355,17 +355,17 @@ impl<'a> Reader<'a> {
 
     /// Read a `usize` (encoded as `u64`), rejecting values that do not
     /// fit the platform's pointer width.
-    pub fn usize(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, WireError> {
         usize::try_from(self.u64()?).map_err(|_| WireError::BadPayload("usize overflow"))
     }
 
     /// Read an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a `bool`, rejecting any byte other than 0 or 1.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -376,7 +376,7 @@ impl<'a> Reader<'a> {
     /// Read an element count that must leave at least `min_elem_bytes`
     /// of payload per element — a corrupted count can therefore never
     /// trigger a huge allocation.
-    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+    pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.usize()?;
         if min_elem_bytes > 0 && n > self.remaining() / min_elem_bytes {
             return Err(WireError::BadPayload("count exceeds payload"));
@@ -385,7 +385,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Assert every byte was consumed.
-    pub fn finish(self) -> Result<(), WireError> {
+    pub(crate) fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
         } else {

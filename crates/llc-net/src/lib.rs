@@ -52,13 +52,10 @@ pub mod session;
 
 pub use codec::{
     decode_directive, decode_heartbeat, decode_hello, decode_metrics, decode_observation,
-    encode_directive, encode_heartbeat, encode_hello, encode_metrics, encode_observation,
-    Heartbeat, Hello, Role,
+    encode_directive, encode_heartbeat, encode_hello, encode_observation, Heartbeat, Hello, Role,
 };
 pub use controld::{ControldCore, CtrlEvent};
-pub use frame::{
-    decode_frame, encode_frame, Frame, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD, VERSION,
-};
+pub use frame::{decode_frame, encode_frame, Frame, FrameKind, WireError, HEADER_LEN, VERSION};
 pub use link::{FrameTransport, Impairment, LinkCounters, LinkError, LossyLink, PipeLink, TcpLink};
 pub use session::{run_agent, serve_controller, SessionError};
 

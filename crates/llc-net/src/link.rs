@@ -404,13 +404,13 @@ pub struct Impairment {
     /// Which frame kind the rule hits (`None` = every kind).
     pub kind: Option<FrameKind>,
     /// First tick the rule is active (inclusive).
-    pub from_tick: u64,
+    pub(crate) from_tick: u64,
     /// First tick the rule is no longer active (exclusive).
-    pub to_tick: u64,
+    pub(crate) to_tick: u64,
     /// `0` = drop the frame; `n > 0` = hold it and deliver when the
     /// link's tick reaches `current + n` (reordering included free of
     /// charge: later frames overtake held ones).
-    pub delay_ticks: u64,
+    pub(crate) delay_ticks: u64,
 }
 
 impl Impairment {

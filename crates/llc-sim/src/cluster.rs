@@ -494,7 +494,8 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn actuator_stuck(&self, i: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn actuator_stuck(&self, i: usize) -> bool {
         self.stuck_actuators[i]
     }
 

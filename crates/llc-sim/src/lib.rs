@@ -71,7 +71,6 @@ mod server;
 pub use cluster::{ClusterConfig, ClusterSim, ComputerConfig, SimError};
 pub use dispatch::WeightedRouter;
 pub use machines::{Admission, ComputerRef, MachineSlabs, PowerState};
-pub use metrics::{EnergyMeter, WindowStats};
+pub use metrics::WindowStats;
 pub use power::PowerModel;
 pub use request::Request;
-pub use server::Server;

@@ -18,7 +18,9 @@
 //! `ClusterSim::computer`, preserving the old `sim.computer(i).state()`
 //! call shape for every observer in the workspace.
 
-use crate::{EnergyMeter, PowerModel, Request, Server, WindowStats};
+use crate::metrics::EnergyMeter;
+use crate::server::Server;
+use crate::{PowerModel, Request, WindowStats};
 
 /// Operating state of a simulated computer.
 ///
@@ -273,7 +275,8 @@ impl MachineSlabs {
     }
 
     /// Switch-off orders so far.
-    pub fn switch_offs(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn switch_offs(&self, i: usize) -> u64 {
         self.switch_offs[i]
     }
 
@@ -290,7 +293,8 @@ impl MachineSlabs {
     }
 
     /// `true` while machine `i` is crashed and unbootable.
-    pub fn is_failed(&self, i: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_failed(&self, i: usize) -> bool {
         self.failed[i]
     }
 
@@ -580,11 +584,6 @@ impl<'a> ComputerRef<'a> {
         self.slabs.switch_ons(self.i)
     }
 
-    /// Number of switch-off orders so far.
-    pub fn switch_offs(&self) -> u64 {
-        self.slabs.switch_offs(self.i)
-    }
-
     /// Energy consumed up to `now` (power·seconds).
     pub fn energy_at(&self, now: f64) -> f64 {
         self.slabs.energy_at(self.i, now)
@@ -596,7 +595,8 @@ impl<'a> ComputerRef<'a> {
     }
 
     /// `true` while the machine is crashed and unbootable.
-    pub fn is_failed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_failed(&self) -> bool {
         self.slabs.is_failed(self.i)
     }
 

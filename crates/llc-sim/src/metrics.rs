@@ -50,7 +50,8 @@ impl WindowStats {
     /// # Panics
     ///
     /// Panics (debug) if `window_secs` is not positive.
-    pub fn arrival_rate(&self, window_secs: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn arrival_rate(&self, window_secs: f64) -> f64 {
         debug_assert!(window_secs > 0.0);
         self.arrivals as f64 / window_secs
     }
@@ -87,7 +88,7 @@ impl WindowStats {
 /// Tracks a power level and integrates energy as time advances; every
 /// power change must be preceded by advancing to the change instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyMeter {
+pub(crate) struct EnergyMeter {
     energy: f64,
     power: f64,
     last_update: f64,
@@ -95,7 +96,7 @@ pub struct EnergyMeter {
 
 impl EnergyMeter {
     /// A meter starting at time `now` drawing `power`.
-    pub fn new(now: f64, power: f64) -> Self {
+    pub(crate) fn new(now: f64, power: f64) -> Self {
         EnergyMeter {
             energy: 0.0,
             power,
@@ -108,7 +109,7 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics (debug) if time runs backwards.
-    pub fn advance(&mut self, now: f64) {
+    pub(crate) fn advance(&mut self, now: f64) {
         debug_assert!(
             now >= self.last_update - 1e-9,
             "time ran backwards: {now} < {}",
@@ -119,18 +120,19 @@ impl EnergyMeter {
     }
 
     /// Advance to `now`, then switch to a new power level.
-    pub fn set_power(&mut self, power: f64, now: f64) {
+    pub(crate) fn set_power(&mut self, power: f64, now: f64) {
         self.advance(now);
         self.power = power;
     }
 
     /// Total energy accumulated so far (power·seconds).
-    pub fn energy(&self) -> f64 {
+    pub(crate) fn energy(&self) -> f64 {
         self.energy
     }
 
     /// Current power draw.
-    pub fn power(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn power(&self) -> f64 {
         self.power
     }
 }

@@ -36,7 +36,7 @@ impl Request {
     /// # Panics
     ///
     /// Panics (debug) if `completion` precedes the arrival.
-    pub fn response_time(&self, completion: f64) -> f64 {
+    pub(crate) fn response_time(&self, completion: f64) -> f64 {
         debug_assert!(
             completion >= self.arrival,
             "completion {completion} before arrival {}",

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 /// The server itself is passive — it answers "when does the current job
 /// finish?" and the owning timeline sweep asks again after every change.
 #[derive(Debug, Clone)]
-pub struct Server {
+pub(crate) struct Server {
     queue: VecDeque<Request>,
     /// The job currently in service, with its remaining demand.
     in_service: Option<InService>,
@@ -35,7 +35,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `phi` is outside `(0, 1]`.
-    pub fn new(phi: f64) -> Self {
+    pub(crate) fn new(phi: f64) -> Self {
         assert!(phi > 0.0 && phi <= 1.0, "φ must lie in (0, 1], got {phi}");
         Server {
             queue: VecDeque::new(),
@@ -45,24 +45,25 @@ impl Server {
     }
 
     /// Current frequency scaling factor `φ`.
-    pub fn phi(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn phi(&self) -> f64 {
         self.phi
     }
 
     /// Number of requests in the system (queued + in service) — the
     /// paper's observed queue length `q(k)`.
-    pub fn queue_length(&self) -> usize {
+    pub(crate) fn queue_length(&self) -> usize {
         self.queue.len() + usize::from(self.in_service.is_some())
     }
 
     /// `true` if a request is being served.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.in_service.is_some()
     }
 
     /// Enqueue an arrival at time `now`. Returns `true` if the request went
     /// straight into service.
-    pub fn enqueue(&mut self, request: Request, now: f64) -> bool {
+    pub(crate) fn enqueue(&mut self, request: Request, now: f64) -> bool {
         if self.in_service.is_none() {
             self.in_service = Some(InService {
                 request,
@@ -78,7 +79,7 @@ impl Server {
 
     /// Completion time of the in-service request under the current `φ`,
     /// or `None` when idle.
-    pub fn completion_time(&self) -> Option<f64> {
+    pub(crate) fn completion_time(&self) -> Option<f64> {
         self.in_service
             .as_ref()
             .map(|s| s.synced_at + s.remaining / self.phi)
@@ -87,7 +88,7 @@ impl Server {
     /// Change the frequency at time `now`, crediting work done so far at
     /// the old frequency. Returns the new completion time if a job is in
     /// service.
-    pub fn set_phi(&mut self, phi: f64, now: f64) -> Option<f64> {
+    pub(crate) fn set_phi(&mut self, phi: f64, now: f64) -> Option<f64> {
         assert!(phi > 0.0 && phi <= 1.0, "φ must lie in (0, 1], got {phi}");
         if let Some(s) = self.in_service.as_mut() {
             let done = (now - s.synced_at) * self.phi;
@@ -100,13 +101,13 @@ impl Server {
 
     /// Enqueue without starting service even when idle — used while the
     /// owning computer is still booting: requests wait for the machine.
-    pub fn enqueue_waiting(&mut self, request: Request) {
+    pub(crate) fn enqueue_waiting(&mut self, request: Request) {
         self.queue.push_back(request);
     }
 
     /// Promote the queue head into service if the server is idle. Returns
     /// `true` when a job entered service.
-    pub fn start_next(&mut self, now: f64) -> bool {
+    pub(crate) fn start_next(&mut self, now: f64) -> bool {
         if self.in_service.is_some() {
             return false;
         }
@@ -130,7 +131,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the server is idle.
-    pub fn complete(&mut self, now: f64) -> Request {
+    pub(crate) fn complete(&mut self, now: f64) -> Request {
         let finished = self
             .in_service
             .take()
@@ -149,7 +150,7 @@ impl Server {
     /// Drain every request out of the system (used when a computer is
     /// force-killed in failure-injection tests). Returns them in FCFS
     /// order, in-service first.
-    pub fn drain(&mut self) -> Vec<Request> {
+    pub(crate) fn drain(&mut self) -> Vec<Request> {
         let mut out = Vec::with_capacity(self.queue_length());
         if let Some(s) = self.in_service.take() {
             out.push(s.request);

@@ -42,7 +42,7 @@ impl Gaussian {
     }
 
     /// The standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.std_dev
     }
 
@@ -77,7 +77,7 @@ pub(crate) fn guard_u1(u1: f64) -> f64 {
 /// The paper's temporal-locality model: "in many web workloads, temporal
 /// locality follows a lognormal distribution" (Barford & Crovella).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     normal: Gaussian,
 }
 
@@ -87,19 +87,21 @@ impl LogNormal {
     /// # Panics
     ///
     /// Panics if `mu` is non-finite, or `sigma` is negative or non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         LogNormal {
             normal: Gaussian::new(mu, sigma),
         }
     }
 
     /// The median of the distribution, `exp(mu)`.
-    pub fn median(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn median(&self) -> f64 {
         self.normal.mean().exp()
     }
 
     /// Draw one sample (always positive).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         self.normal.sample(rng).exp()
     }
 
@@ -114,9 +116,8 @@ impl LogNormal {
 /// Sampling is by inverse CDF over a precomputed table (O(log n) per
 /// draw), sized for the virtual store's 10,000 objects.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -125,7 +126,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(
             s.is_finite() && s >= 0.0,
@@ -141,22 +142,13 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf, exponent: s }
+        Zipf { cdf }
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cdf.len()
-    }
-
-    /// `true` if there are no ranks (never: the constructor forbids it).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Probability of rank `k` (1-based).
@@ -164,7 +156,8 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `k` is 0 or exceeds `len()`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         assert!(k >= 1 && k <= self.cdf.len(), "rank out of range");
         if k == 1 {
             self.cdf[0]
@@ -174,7 +167,8 @@ impl Zipf {
     }
 
     /// Draw a 0-based rank (`0` = most popular).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    #[cfg(test)]
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         self.at(rng.gen())
     }
 

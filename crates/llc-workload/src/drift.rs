@@ -160,7 +160,7 @@ pub fn drift_scenarios(
         buckets,
         interval,
     )
-    .with_noise(crate::NoiseSegment {
+    .with_noise(crate::synthetic::NoiseSegment {
         start: 0,
         end: buckets,
         var_per_30s: (0.02 * peak_rate * interval).powi(2) / (interval / 30.0),
@@ -176,7 +176,7 @@ pub fn drift_scenarios(
         buckets,
         interval,
     )
-    .with_noise(crate::NoiseSegment {
+    .with_noise(crate::synthetic::NoiseSegment {
         start: 0,
         end: buckets,
         var_per_30s: (0.02 * peak_rate * interval).powi(2) / (interval / 30.0),
@@ -235,7 +235,7 @@ pub fn deep_degradation_scenario(
         buckets,
         interval,
     )
-    .with_noise(crate::NoiseSegment {
+    .with_noise(crate::synthetic::NoiseSegment {
         start: 0,
         end: buckets,
         var_per_30s: (0.02 * peak_rate * interval).powi(2) / (interval / 30.0),

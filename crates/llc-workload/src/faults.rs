@@ -147,7 +147,7 @@ fn steady_trace(seed: u64, buckets: usize, interval: f64, peak_rate: f64, load_f
         buckets,
         interval,
     )
-    .with_noise(crate::NoiseSegment {
+    .with_noise(crate::synthetic::NoiseSegment {
         start: 0,
         end: buckets,
         var_per_30s: (0.02 * peak_rate * interval).powi(2) / (interval / 30.0),

@@ -20,7 +20,7 @@ pub struct FlashCrowd {
 
 impl FlashCrowd {
     /// The multiplier applied to bucket `k`.
-    pub fn multiplier(&self, k: usize) -> f64 {
+    pub(crate) fn multiplier(&self, k: usize) -> f64 {
         if k < self.start {
             return 1.0;
         }

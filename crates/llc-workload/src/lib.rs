@@ -65,7 +65,7 @@ mod synthetic;
 mod trace;
 mod wc98;
 
-pub use distributions::{derive_seed, Gaussian, LogNormal, Zipf};
+pub use distributions::{derive_seed, Gaussian};
 pub use drift::{
     deep_degradation_scenario, drift_scenarios, CapacityProfile, DriftScenario,
     DRIFT_SCENARIO_NAMES,
@@ -75,9 +75,9 @@ pub use faults::{
     MIN_FAULT_MACHINES, MIN_FAULT_TICKS,
 };
 pub use flash::FlashCrowd;
-pub use locality::{LocalityModel, RequestSampler};
+pub use locality::RequestSampler;
 pub use store::VirtualStore;
-pub use synthetic::{synthetic_paper_workload, DiurnalShape, NoiseSegment, SyntheticBuilder};
+pub use synthetic::{synthetic_paper_workload, DiurnalShape, SyntheticBuilder};
 pub use trace::{Trace, TraceError};
 pub use wc98::{wc98_like_day, wc98_like_fig6};
 

@@ -1,5 +1,6 @@
 use crate::distributions::guard_u1;
-use crate::{derive_seed, LogNormal, VirtualStore};
+use crate::distributions::LogNormal;
+use crate::{derive_seed, VirtualStore};
 use rand::{Rng, SeedableRng};
 
 /// Lognormal temporal-locality model (§4.3: "in many web workloads,
@@ -15,7 +16,7 @@ use rand::{Rng, SeedableRng};
 /// popularity. [`RequestSampler`] draws the distances and the fresh
 /// objects; the model is the distance law and the stack.
 #[derive(Debug, Clone)]
-pub struct LocalityModel {
+pub(crate) struct LocalityModel {
     distance: LogNormal,
     /// The LRU stack, most recent reference at index 0. Contiguous, so a
     /// move-to-front is one `copy_within`; ids fit `u32` because
@@ -33,7 +34,7 @@ impl LocalityModel {
     ///
     /// Panics if `max_depth == 0`, or on parameters [`LogNormal::new`]
     /// refuses.
-    pub fn new(mu: f64, sigma: f64, max_depth: usize) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64, max_depth: usize) -> Self {
         assert!(max_depth > 0, "stack depth must be positive");
         LocalityModel {
             distance: LogNormal::new(mu, sigma),
@@ -44,12 +45,13 @@ impl LocalityModel {
 
     /// Defaults calibrated for the 10,000-object store: median
     /// re-reference distance 50, heavy tail reaching past the stack.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         LocalityModel::new(50.0_f64.ln(), 1.5, 4_096)
     }
 
     /// Current stack occupancy.
-    pub fn stack_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stack_len(&self) -> usize {
         self.stack.len()
     }
 
@@ -250,7 +252,7 @@ pub struct RequestSampler<'a> {
 
 impl<'a> RequestSampler<'a> {
     /// A sampler over `store` with an explicit locality model and seed.
-    pub fn new(store: &'a VirtualStore, locality: LocalityModel, seed: u64) -> Self {
+    pub(crate) fn new(store: &'a VirtualStore, locality: LocalityModel, seed: u64) -> Self {
         let rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, 0x10CA1));
         RequestSampler {
             store,

@@ -1,4 +1,5 @@
-use crate::{derive_seed, Zipf};
+use crate::derive_seed;
+use crate::distributions::Zipf;
 use rand::{Rng, SeedableRng};
 
 /// The paper's virtual store of web objects (§4.3):
@@ -83,7 +84,8 @@ impl VirtualStore {
     }
 
     /// Size of the popular partition.
-    pub fn popular_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn popular_count(&self) -> usize {
         self.popular_count
     }
 
@@ -105,7 +107,7 @@ impl VirtualStore {
     /// locality — see [`RequestSampler`](crate::RequestSampler) for the
     /// locality-aware stream). Popular objects occupy ids
     /// `0..popular_count`.
-    pub fn sample_object<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_object<R: Rng>(&self, rng: &mut R) -> usize {
         let u_share = rng.gen();
         let u_rank = rng.gen();
         self.object_at(u_share, u_rank)

@@ -34,7 +34,7 @@ impl DiurnalShape {
     ///
     /// Panics if `amplitude < 0` or `width <= 0`.
     #[must_use]
-    pub fn with_hump(mut self, amplitude: f64, center: f64, width: f64) -> Self {
+    pub(crate) fn with_hump(mut self, amplitude: f64, center: f64, width: f64) -> Self {
         assert!(amplitude >= 0.0, "hump amplitude must be >= 0");
         assert!(width > 0.0, "hump width must be positive");
         self.humps.push((amplitude, center, width));
@@ -56,13 +56,13 @@ impl DiurnalShape {
 /// noise of variance `var_per_30s` *per 30-second interval* (the paper's
 /// unit). The builder converts to the trace's bucket width.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseSegment {
+pub(crate) struct NoiseSegment {
     /// First bucket of the segment.
     pub start: usize,
     /// One past the last bucket.
     pub end: usize,
     /// Noise variance per 30-second interval (arrivals²).
-    pub var_per_30s: f64,
+    pub(crate) var_per_30s: f64,
 }
 
 /// Builder for §4.3-style synthetic workloads: a smooth diurnal base
@@ -106,7 +106,7 @@ impl SyntheticBuilder {
 
     /// Add a noise segment.
     #[must_use]
-    pub fn with_noise(mut self, segment: NoiseSegment) -> Self {
+    pub(crate) fn with_noise(mut self, segment: NoiseSegment) -> Self {
         assert!(segment.start <= segment.end, "segment range inverted");
         assert!(segment.end <= self.buckets, "segment out of range");
         assert!(segment.var_per_30s >= 0.0, "variance must be >= 0");

@@ -246,11 +246,11 @@ fn reference_decide(
         // budget is checked before every evaluation.
         let mut cost = evaluate(&split);
         let (mut evaluations, mut rounds) = (1, 0);
-        while rounds < config.search_rounds && evaluations < config.search_evals {
+        while rounds < L1Config::SEARCH_ROUNDS && evaluations < L1Config::SEARCH_EVALS {
             rounds += 1;
             let mut round_best: Option<(Vec<f64>, f64)> = None;
             for next in grid.neighbors(&split) {
-                if evaluations >= config.search_evals {
+                if evaluations >= L1Config::SEARCH_EVALS {
                     break;
                 }
                 let next_cost = evaluate(&next);
