@@ -58,7 +58,7 @@ impl DenseDim {
 /// plus a sorted side-map of *grown* cells.
 ///
 /// A grid trained from a rectangular [`GridSampler`] domain with the cell
-/// width equal to the grid pitch (see [`GridSampler::cell_steps`]) is a
+/// width equal to the grid pitch is a
 /// box in cell space: flat `Vec<V>` storage, and a probe is per-axis
 /// clamp + slot arithmetic. Cell collisions and holes from floating-point
 /// boundary rounding are folded into per-axis slot tables at training
@@ -188,7 +188,7 @@ impl<V> DenseGrid<V> {
     }
 
     /// `true` if the grid holds no cells (cannot happen via
-    /// [`DenseGrid::from_fn`]).
+    /// `DenseGrid::from_fn`).
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }

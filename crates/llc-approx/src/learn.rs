@@ -125,9 +125,8 @@ impl GridSampler {
 }
 
 /// Train a [`DenseGrid`] by evaluating `f` at every grid point, in
-/// parallel. The cell widths are derived from the sampler itself
-/// ([`GridSampler::cell_steps`]), so grid pitch and quantization cannot
-/// desynchronize.
+/// parallel. The cell widths are derived from the sampler itself, so
+/// grid pitch and quantization cannot desynchronize.
 pub fn train_dense<V: Send>(sampler: &GridSampler, f: impl Fn(&[f64]) -> V + Sync) -> DenseGrid<V> {
     DenseGrid::from_fn(sampler, f)
 }

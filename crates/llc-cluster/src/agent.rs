@@ -207,7 +207,7 @@ impl<'a> Plant<'a> {
     /// # Errors
     ///
     /// [`SimError::WindowTooLarge`] if a tick of the rebucketed trace
-    /// carries more than [`MAX_WINDOW_ARRIVALS`]; propagates [`SimError`]
+    /// carries more than `MAX_WINDOW_ARRIVALS`; propagates [`SimError`]
     /// from prewarming (cannot occur for a well-formed cluster).
     ///
     /// # Panics

@@ -392,7 +392,7 @@ pub trait ObservationIngest {
 }
 
 /// The directive-emit surface of a control plane: decisions accumulate
-/// in an internal queue, bounded at [`OUTBOX_CAPACITY`] for
+/// in an internal queue, bounded at `OUTBOX_CAPACITY` for
 /// [`ControlPlane`], and are drained by the transport that delivers them
 /// to the plant.
 pub trait DirectiveEmit {
@@ -561,7 +561,7 @@ pub struct MetricsSnapshot {
     /// Directives emitted so far.
     pub directives_emitted: u64,
     /// Emitted directives dropped undrained, oldest first, to keep the
-    /// outbox at [`OUTBOX_CAPACITY`].
+    /// outbox at `OUTBOX_CAPACITY`.
     pub dropped_directives: u64,
     /// Decide-latency accounting.
     pub decide: LatencyStats,

@@ -157,7 +157,7 @@ impl L0Config {
     /// Base ticks per a slower level's period of `period` seconds,
     /// rounded to the nearest whole tick and floored at one — the
     /// cadence arithmetic the control-plane driver schedules L1/L2
-    /// decision rounds by (see [`crate::Cadence::from_configs`]).
+    /// decision rounds by (see `Cadence::from_configs`).
     pub fn ticks_per(&self, period: f64) -> u64 {
         ((period / self.period).round() as u64).max(1)
     }

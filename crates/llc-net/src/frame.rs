@@ -135,7 +135,7 @@ pub enum WireError {
         /// or just the header when `have < HEADER_LEN`).
         need: usize,
     },
-    /// The first two bytes are not [`MAGIC`]: stream desync or garbage.
+    /// The first two bytes are not `MAGIC`: stream desync or garbage.
     BadMagic([u8; 2]),
     /// The sender speaks a protocol version this build does not.
     VersionSkew {
@@ -146,7 +146,7 @@ pub enum WireError {
     },
     /// The kind byte names no known frame kind.
     UnknownKind(u8),
-    /// The declared payload length exceeds [`MAX_PAYLOAD`].
+    /// The declared payload length exceeds `MAX_PAYLOAD`.
     Oversized {
         /// Declared length.
         len: u32,

@@ -10,7 +10,7 @@
 //!   `Experiment::run` loop bit for bit (the golden equivalence test).
 //! * **Paced** (`pace = Some(wall-clock per tick)`) — the controller
 //!   holds each tick open until its wall deadline, then catches the
-//!   plane up with [`ControldCore::advance_wall`], dark-filling members
+//!   plane up with `ControldCore::advance_wall`, dark-filling members
 //!   whose observations missed the window; the agent likewise commits
 //!   at its deadline with whatever directives arrived. Losing frames
 //!   degrades the loop, it does not stop it.

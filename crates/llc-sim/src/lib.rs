@@ -6,7 +6,7 @@
 //! them in first-come first-served order at a processor frequency chosen
 //! from a finite set. We implement that cluster with:
 //!
-//! * [`Server`]: a FCFS single-server queue whose service rate scales with
+//! * `Server`: a FCFS single-server queue whose service rate scales with
 //!   the frequency factor `φ = u/u_max` (a request with demand `c` seconds
 //!   at full speed takes `c/φ` at frequency `u`);
 //! * [`MachineSlabs`]: every computer's server, power-state machine

@@ -28,7 +28,7 @@ impl VirtualStore {
     ///
     /// Panics if `popular_count` is 0 or ≥ `n_objects`, if `n_objects`
     /// exceeds `u32::MAX` (object ids are stored as `u32` by
-    /// [`LocalityModel`](crate::LocalityModel)), if the share is outside
+    /// `LocalityModel`), if the share is outside
     /// `[0, 1]`, or if the demand range is invalid.
     pub fn new(
         n_objects: usize,

@@ -3,6 +3,7 @@
 
 use llc_cluster::{Directive, DirectiveKind};
 
+pub mod invariants;
 pub mod matrix;
 
 /// A 64-bit FNV-1a hash, fed whole words, least significant byte first.

@@ -324,6 +324,7 @@ fn reference(s: &Shape) -> Run {
     let config = s.scenario.to_sim_config();
     let log = s.exp.run(config, &mut s.policy(), &s.trace, &s.store());
     let log = log.expect("well-formed run");
+    crate::invariants::check(&s.name, &log, &s.scenario);
     Run {
         windows: (log.ticks.iter())
             .map(|t| window(t.completions, t.mean_response, t.energy, t.dropped))
