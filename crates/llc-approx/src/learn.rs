@@ -45,7 +45,7 @@ impl GridSampler {
 
     /// Value of dimension `d` at step `i` (inclusive endpoints; a single
     /// step yields the midpoint).
-    pub fn value(&self, d: usize, i: usize) -> f64 {
+    pub(crate) fn value(&self, d: usize, i: usize) -> f64 {
         let (lo, hi, steps) = self.dims[d];
         if steps == 1 {
             0.5 * (lo + hi)
@@ -63,7 +63,7 @@ impl GridSampler {
     /// keeps the two from ever desynchronizing. Degenerate dimensions
     /// (one step, or zero width) get a unit-width cell around their single
     /// value.
-    pub fn spacing(&self, d: usize) -> f64 {
+    pub(crate) fn spacing(&self, d: usize) -> f64 {
         let (lo, hi, steps) = self.dims[d];
         if steps <= 1 || hi <= lo {
             (hi - lo).max(1.0)

@@ -109,7 +109,8 @@ impl RegressionTree {
     }
 
     /// Depth of the tree (0 for a single leaf).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], i: usize) -> usize {
             match &nodes[i] {
                 Node::Leaf { .. } => 0,

@@ -86,12 +86,6 @@ impl PolicyBuilder {
         self
     }
 
-    /// The scenario the policy will be built for (before the
-    /// drift-aware L0 tweak, which does not affect the plant layout).
-    pub fn scenario(&self) -> &ScenarioConfig {
-        &self.scenario
-    }
-
     /// Run the offline learning passes and wire up every configured
     /// subsystem.
     pub fn build(self) -> HierarchicalPolicy {

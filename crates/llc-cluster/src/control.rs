@@ -79,7 +79,7 @@ pub struct Cadence {
 impl Cadence {
     /// The flat cadence: every level fires every base tick (what a
     /// non-hierarchical policy reports).
-    pub fn base() -> Self {
+    pub(crate) fn base() -> Self {
         Cadence {
             l1_every: 1,
             l2_every: 1,
@@ -693,11 +693,6 @@ impl<P: ClusterPolicy> ControlPlane<P> {
     /// The topology: global computer indices per module.
     pub fn members(&self) -> &[Vec<usize>] {
         &self.members
-    }
-
-    /// The level cadence in force.
-    pub fn cadence(&self) -> Cadence {
-        self.cadence
     }
 
     /// The next undecided tick of the virtual clock.

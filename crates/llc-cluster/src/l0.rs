@@ -35,7 +35,7 @@ pub struct QueueModel {
     /// Sampling period `T` in seconds.
     pub period: f64,
     /// Delivered-capacity scale `ŝ` (1.0 = nominal).
-    pub service_scale: f64,
+    pub(crate) service_scale: f64,
 }
 
 impl QueueModel {
@@ -408,7 +408,7 @@ impl L0Controller {
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &L0Config {
+    pub(crate) fn config(&self) -> &L0Config {
         &self.config
     }
 
@@ -426,7 +426,7 @@ impl L0Controller {
 
     /// Current processing-time estimate `ĉ` (with a conservative floor
     /// before any completion has been observed).
-    pub fn c_estimate(&self) -> f64 {
+    pub(crate) fn c_estimate(&self) -> f64 {
         let c = self.c_filter.estimate();
         if c > 0.0 {
             c

@@ -409,7 +409,7 @@ pub struct L1Decision {
     /// drops as pruning bites.
     pub states_evaluated: usize,
     /// Candidate α vectors whose γ search actually ran.
-    pub candidates_evaluated: usize,
+    pub(crate) candidates_evaluated: usize,
     /// Candidate α vectors skipped because their admissible lower bound
     /// already exceeded the incumbent's total cost.
     pub candidates_pruned: usize,

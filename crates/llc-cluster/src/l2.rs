@@ -54,7 +54,7 @@ pub struct ModuleLearnSpec {
     /// Steps along the initially-active-machines axis.
     pub(crate) active_steps: usize,
     /// L1 periods simulated per grid point.
-    pub periods: usize,
+    pub(crate) periods: usize,
 }
 
 impl Default for ModuleLearnSpec {

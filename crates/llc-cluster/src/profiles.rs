@@ -77,9 +77,9 @@ pub struct ComputerProfile {
     /// serves a demand of `c` seconds in `c` seconds at max frequency.
     pub speed: f64,
     /// Base operating cost `a`.
-    pub base_cost: f64,
+    pub(crate) base_cost: f64,
     /// Switch-on transient cost / boot draw `W`.
-    pub boot_cost: f64,
+    pub(crate) boot_cost: f64,
     /// Boot dead time in seconds.
     pub boot_delay: f64,
 }
@@ -106,16 +106,6 @@ impl ComputerProfile {
             self.boot_delay,
         )
         .with_speed(self.speed)
-    }
-
-    /// The φ value (fraction of max frequency) of setting `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn phi(&self, index: usize) -> f64 {
-        let freqs = self.profile.frequencies();
-        freqs[index] / freqs[freqs.len() - 1]
     }
 
     /// All φ values, ascending; the L0 controller's input set.

@@ -122,7 +122,8 @@ impl DriftDetector {
     }
 
     /// Lifetime residuals observed.
-    pub fn samples(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> u64 {
         self.total
     }
 }

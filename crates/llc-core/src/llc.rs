@@ -9,7 +9,7 @@ pub struct SearchStats {
     /// Number of predicted states expanded (nodes of the search tree).
     pub states_explored: usize,
     /// Number of subtrees cut by branch-and-bound pruning.
-    pub pruned: usize,
+    pub(crate) pruned: usize,
 }
 
 impl SearchStats {
@@ -158,7 +158,7 @@ struct Frame {
 /// every admissible input stepped and costed, and counted in
 /// [`SearchStats::states_explored`] as it is evaluated — and then visits
 /// the row in input order: a child whose bound is at least the
-/// incumbent's cost is counted in [`SearchStats::pruned`] and skipped, any
+/// incumbent's cost is counted in `SearchStats::pruned` and skipped, any
 /// other is expanded in turn. The last depth's row holds leaves: it is
 /// scanned as it is evaluated, without a branch per leaf — one costing at
 /// least the incumbent is counted as pruned, one costing strictly less

@@ -143,7 +143,8 @@ impl ServiceScaleEstimator {
     }
 
     /// Windows accepted as capacity evidence so far.
-    pub fn accepted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn accepted(&self) -> u64 {
         self.accepted
     }
 

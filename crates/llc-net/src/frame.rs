@@ -86,7 +86,8 @@ impl FrameKind {
     }
 
     /// Every kind, for exhaustive tests.
-    pub fn all() -> [FrameKind; 5] {
+    #[cfg(test)]
+    pub(crate) fn all() -> [FrameKind; 5] {
         [
             FrameKind::Hello,
             FrameKind::Heartbeat,

@@ -500,7 +500,8 @@ impl<T: FrameTransport> LossyLink<T> {
     }
 
     /// Frames delayed so far.
-    pub fn delayed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delayed(&self) -> u64 {
         self.delayed
     }
 

@@ -388,18 +388,6 @@ impl ClusterSim {
         self.machines.set_service_scale(i, scale, self.now);
     }
 
-    /// The capacity-drift factor currently injected into computer `i` —
-    /// the *ground truth* behind the controllers' online scale
-    /// estimates, exposed so tests and benches can compare `ŝ` against
-    /// what the plant actually delivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn service_scale(&self, i: usize) -> f64 {
-        self.machines.service_scale(i)
-    }
-
     /// Crash computer `i` at the current time: all queued and in-service
     /// work is ripped out instantly, the machine drops straight to `Off`
     /// and becomes unbootable until [`ClusterSim::restart`]. With

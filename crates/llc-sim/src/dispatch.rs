@@ -70,7 +70,8 @@ impl WeightedRouter {
     }
 
     /// Current (normalized) weights.
-    pub fn weights(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 

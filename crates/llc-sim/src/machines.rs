@@ -224,12 +224,13 @@ impl MachineSlabs {
     }
 
     /// Machine `i`'s current absolute frequency in Hz.
-    pub fn frequency(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn frequency(&self, i: usize) -> f64 {
         self.freq_flat[self.freq_start[i] + self.freq_index[i]]
     }
 
     /// Machine `i`'s scaling factor `φ = u / u_max ∈ (0, 1]`.
-    pub fn phi(&self, i: usize) -> f64 {
+    pub(crate) fn phi(&self, i: usize) -> f64 {
         phi_at(
             &self.freq_flat,
             self.freq_start[i],
@@ -288,7 +289,8 @@ impl MachineSlabs {
     }
 
     /// Machine `i`'s current drift-injection factor on delivered capacity.
-    pub fn service_scale(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn service_scale(&self, i: usize) -> f64 {
         self.service_scale[i]
     }
 
@@ -539,16 +541,6 @@ impl<'a> ComputerRef<'a> {
         self.slabs.frequency_index(self.i)
     }
 
-    /// Current absolute frequency in Hz.
-    pub fn frequency(&self) -> f64 {
-        self.slabs.frequency(self.i)
-    }
-
-    /// Current scaling factor `φ = u / u_max ∈ (0, 1]`.
-    pub fn phi(&self) -> f64 {
-        self.slabs.phi(self.i)
-    }
-
     /// Relative full-speed capacity of this computer.
     pub fn speed(&self) -> f64 {
         self.slabs.speed(self.i)
@@ -590,7 +582,8 @@ impl<'a> ComputerRef<'a> {
     }
 
     /// Current drift-injection factor on delivered capacity.
-    pub fn service_scale(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn service_scale(&self) -> f64 {
         self.slabs.service_scale(self.i)
     }
 

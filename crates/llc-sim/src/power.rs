@@ -41,12 +41,12 @@ impl PowerModel {
     }
 
     /// Base operating cost `a`.
-    pub fn base_cost(&self) -> f64 {
+    pub(crate) fn base_cost(&self) -> f64 {
         self.base_cost
     }
 
     /// Power drawn while booting.
-    pub fn boot_cost(&self) -> f64 {
+    pub(crate) fn boot_cost(&self) -> f64 {
         self.boot_cost
     }
 
@@ -55,7 +55,7 @@ impl PowerModel {
     /// # Panics
     ///
     /// Panics (debug) if `phi` is outside `(0, 1]`.
-    pub fn operating(&self, phi: f64) -> f64 {
+    pub(crate) fn operating(&self, phi: f64) -> f64 {
         debug_assert!(phi > 0.0 && phi <= 1.0, "φ must lie in (0, 1], got {phi}");
         self.base_cost + phi * phi
     }

@@ -2,13 +2,13 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Unique id (assigned in arrival order).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Simulation time at which the request arrived at the cluster.
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Service demand in seconds *at full processor speed* — the paper's
     /// `c`, "the time required to process a request while operating at the
     /// maximum frequency".
-    pub demand: f64,
+    pub(crate) demand: f64,
 }
 
 impl Request {

@@ -96,7 +96,8 @@ impl FaultPlan {
     }
 
     /// An empty plan (no faults — the control arm).
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         FaultPlan::default()
     }
 

@@ -94,7 +94,7 @@ impl VirtualStore {
     /// # Panics
     ///
     /// Panics if `object` is out of range.
-    pub fn demand(&self, object: usize) -> f64 {
+    pub(crate) fn demand(&self, object: usize) -> f64 {
         self.demands[object]
     }
 

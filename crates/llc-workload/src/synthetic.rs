@@ -60,7 +60,7 @@ pub(crate) struct NoiseSegment {
     /// First bucket of the segment.
     pub start: usize,
     /// One past the last bucket.
-    pub end: usize,
+    pub(crate) end: usize,
     /// Noise variance per 30-second interval (arrivals²).
     pub(crate) var_per_30s: f64,
 }

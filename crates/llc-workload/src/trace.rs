@@ -145,7 +145,8 @@ impl Trace {
     }
 
     /// Total duration covered, in seconds.
-    pub fn duration(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn duration(&self) -> f64 {
         self.interval * self.counts.len() as f64
     }
 
