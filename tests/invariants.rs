@@ -32,7 +32,8 @@ const OFF_SIMPLEX_ROWS: [&str; 8] = [
 /// How far a split's weights may sum from 1.
 const SIMPLEX_TOLERANCE: f64 = 1e-9;
 
-/// The actuator a directive writes: the reconciler keeps one book each.
+/// The actuator a directive writes: the reconciler keeps one book each,
+/// and each is written by one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Actuator {
     Frequency(usize),
@@ -95,7 +96,7 @@ pub fn check(row: &str, log: &ExperimentLog, scenario: &ScenarioConfig) {
             }
             DirectiveKind::SafeMode { module, .. } => Actuator::SafeMode(*module),
         };
-        if let Some(last) = epochs.insert((d.level as u8, actuator), d.epoch) {
+        if let Some(last) = epochs.insert(actuator, d.epoch) {
             if d.epoch <= last {
                 failures.push(format!(
                     "tick {}: epoch {} after {last} on {actuator:?}",
