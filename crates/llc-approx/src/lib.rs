@@ -56,6 +56,5 @@ mod table;
 pub use dense::DenseGrid;
 pub use learn::{train_dense, GridSampler};
 pub use online::Blend;
-
 pub use regtree::{RegressionTree, TreeConfig, TreeError};
 pub use simplex::SimplexGrid;
