@@ -3,6 +3,7 @@
 //! drive of the control loop, each of which must reproduce its shape's
 //! run exactly. This is the one place a run is pinned; the tests that
 //! check it each name the rows they own and the arms that run on them.
+//! Every reference run's log is first held to `crate::invariants`.
 //!
 //! **One row format**, read off the product's own loop,
 //! `Experiment::run`. A row is FNV-1a chained tick by tick over the
