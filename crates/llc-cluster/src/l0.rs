@@ -4,6 +4,7 @@ use llc_core::{
     Error as LlcError, LookaheadController, Penalty, Plant, SearchScratch, SearchStats,
     ServiceScaleEstimator, SetPoint,
 };
+use std::cell::RefCell;
 
 /// The analytic single-computer queue model of eqns. (5)–(6), extended
 /// with the delivered-capacity scale `ŝ` of the drift-aware L0:
@@ -332,6 +333,24 @@ impl Plant for L0Plant<'_> {
     }
 }
 
+/// The buffers of [`L0Controller::simulate_model`]: the per-frequency
+/// constants, the constant forecast and the search's rows. Nothing carries
+/// over from one replay to the next but capacity.
+#[derive(Debug, Default)]
+struct ReplayScratch {
+    settings: Vec<Setting>,
+    forecast: Vec<f64>,
+    search: SearchScratch<usize, L0State>,
+}
+
+thread_local! {
+    /// One replay scratch per thread. A build replays the L0 thousands of
+    /// times on whichever `llc_par` worker holds the grid point, and the
+    /// out-of-grid map queries replay it from inside the L1's share
+    /// search, where no caller-owned buffer reaches.
+    static REPLAY_SCRATCH: RefCell<ReplayScratch> = RefCell::default();
+}
+
 /// One L0 decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct L0Decision {
@@ -517,7 +536,8 @@ impl L0Controller {
     /// the offline learning of the L1 abstraction map `g`.
     ///
     /// Returns `(average cost per period, average power draw, final
-    /// queue length)`.
+    /// queue length)`. Allocates nothing once the calling thread has
+    /// replayed a φ table and horizon as large.
     pub fn simulate_model(
         config: &L0Config,
         phis: &[f64],
@@ -527,6 +547,75 @@ impl L0Controller {
         steps: usize,
     ) -> (f64, f64, f64) {
         assert!(steps > 0, "need at least one step");
+        #[cfg(test)]
+        if reference::FRESH_REPLAYS.get() {
+            return reference::simulate_model(config, phis, q0, lambda, c, steps);
+        }
+        REPLAY_SCRATCH.with_borrow_mut(|scratch| {
+            let ReplayScratch {
+                settings,
+                forecast,
+                search,
+            } = scratch;
+            let plant = L0Plant::new(config, phis, QueueModel::new(config.period), c, settings);
+            let controller =
+                LookaheadController::new(config.horizon).expect("horizon >= 1 by construction");
+            forecast.clear();
+            forecast.resize(config.horizon, lambda);
+            let mut q = q0;
+            let mut total = 0.0;
+            let mut power = 0.0;
+            for _ in 0..steps {
+                let x = L0State { q, work: 0.0 };
+                controller
+                    .decide_with(&plant, &x, None, forecast, search)
+                    .expect("non-empty input set");
+                let u = search.sequence()[0];
+                let next = plant.step(&x, &u, &lambda);
+                total += plant.cost(&next, &u, None);
+                let phi = phis[u];
+                power += L0Config::BASE_COST + phi * phi;
+                q = next.q;
+            }
+            (total / steps as f64, power / steps as f64, q)
+        })
+    }
+}
+
+/// [`L0Controller::simulate_model`] as it stood before it kept its
+/// buffers: every replay builds its own, so no replay can see another's.
+/// The learning oracles in `l1` and `l2` replay through it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, this thread's [`L0Controller::simulate_model`] calls
+        /// replay through [`simulate_model`] here instead.
+        pub(crate) static FRESH_REPLAYS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `f` with this thread's replays made through fresh buffers.
+    pub(crate) fn with_fresh_replays<T>(f: impl FnOnce() -> T) -> T {
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                FRESH_REPLAYS.set(self.0);
+            }
+        }
+        let _restore = Restore(FRESH_REPLAYS.replace(true));
+        f()
+    }
+
+    pub(crate) fn simulate_model(
+        config: &L0Config,
+        phis: &[f64],
+        q0: f64,
+        lambda: f64,
+        c: f64,
+        steps: usize,
+    ) -> (f64, f64, f64) {
         let mut settings = Vec::new();
         let plant = L0Plant::new(
             config,
@@ -1002,6 +1091,36 @@ mod tests {
         let cfg = L0Config::paper_default();
         let (_, _, q_final) = L0Controller::simulate_model(&cfg, &phis(), 50.0, 5.0, 0.0175, 4);
         assert_eq!(q_final, 0.0, "light load drains the backlog");
+    }
+
+    /// Replays through this thread's kept buffers answer as replays
+    /// through fresh ones, bit for bit, as φ tables, horizons, loads and
+    /// queues change from one replay to the next.
+    #[test]
+    fn simulate_model_through_kept_buffers_matches_fresh_ones() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7C4);
+        for _ in 0..2_000 {
+            let mut config = L0Config::paper_default();
+            config.horizon = rng.gen_range(1..=4);
+            config.response_target = rng.gen_range(0.5..8.0);
+            let mut phis: Vec<f64> = (0..rng.gen_range(1..8))
+                .map(|_| rng.gen_range(0.05..1.0))
+                .chain([1.0])
+                .collect();
+            phis.sort_by(f64::total_cmp);
+            phis.dedup();
+            let (q0, lambda) = (rng.gen_range(0.0..400.0), rng.gen_range(0.0..150.0));
+            let (c, steps) = (rng.gen_range(0.005..0.04), rng.gen_range(1..6));
+            let got = L0Controller::simulate_model(&config, &phis, q0, lambda, c, steps);
+            let want = reference::simulate_model(&config, &phis, q0, lambda, c, steps);
+            let bits = |(a, b, c): (f64, f64, f64)| (a.to_bits(), b.to_bits(), c.to_bits());
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{config:?} φ {phis:?} q0 {q0} λ {lambda} ĉ {c}"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::{L0Config, L0Controller};
 use llc_approx::{train_dense, Blend, DenseGrid, GridSampler, SimplexGrid};
 use llc_core::{DriftDetector, LearnRate, OnlineConfig};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A cell of the abstraction map `g`: the average per-`T_L0` cost the L0
@@ -63,7 +64,75 @@ pub struct AbstractionMap {
     /// the map caches answers across *all* consumers sharing it (the
     /// maps are `Arc`-shared). Keyed by exact bit patterns: cached
     /// answers are bit-identical to fresh replays.
-    replay_cache: Mutex<HashMap<(u64, u64, u64), GEntry>>,
+    replay_cache: Mutex<ReplayMemo>,
+}
+
+/// The out-of-grid replay memo, keyed by the bits of `(λ, ĉ, q₀)`.
+type ReplayMemo = HashMap<(u64, u64, u64), GEntry, MemoHashing>;
+
+/// The replay memo's hash: vector multiply-shift, the high 64 bits of
+/// `Σ aᵢ·xᵢ + b` over the key's words `xᵢ` in 128-bit arithmetic, with `aᵢ`
+/// and `b` drawn at random per memo. That family is strongly universal
+/// (Dietzfelbinger 1996; Thorup 2015), so keys that reach the memo from
+/// telemetry cannot be steered into one bucket without the draw, and it
+/// costs a few multiplies where SipHash costs tens of nanoseconds: a
+/// learning pass asks the memo thousands of times.
+#[derive(Debug, Clone)]
+struct MemoHashing {
+    /// `a₀, a₁, a₂` and `b`.
+    keys: [u128; 4],
+}
+
+impl Default for MemoHashing {
+    fn default() -> Self {
+        // The standard library's per-process random keys, drawn out.
+        let random = std::hash::RandomState::new();
+        let draw = |i: u8| {
+            let (hi, lo) = (random.hash_one((i, 0u8)), random.hash_one((i, 1u8)));
+            (u128::from(hi) << 64) | u128::from(lo)
+        };
+        MemoHashing {
+            keys: [draw(0), draw(1), draw(2), draw(3)],
+        }
+    }
+}
+
+impl BuildHasher for MemoHashing {
+    type Hasher = MemoHasher;
+
+    fn build_hasher(&self) -> MemoHasher {
+        MemoHasher {
+            keys: self.keys,
+            sum: self.keys[3],
+            words: 0,
+        }
+    }
+}
+
+/// One key's [`MemoHashing`] sum.
+#[derive(Debug, Clone, Copy)]
+struct MemoHasher {
+    keys: [u128; 4],
+    sum: u128,
+    /// Words added so far.
+    words: usize,
+}
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a memo key hashes as three u64 words");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        debug_assert!(self.words < 3, "a memo key hashes as three u64 words");
+        let a = self.keys[self.words];
+        self.sum = self.sum.wrapping_add(a.wrapping_mul(u128::from(word)));
+        self.words += 1;
+    }
+
+    fn finish(&self) -> u64 {
+        (self.sum >> 64) as u64
+    }
 }
 
 impl Clone for AbstractionMap {
@@ -77,7 +146,7 @@ impl Clone for AbstractionMap {
             phis: self.phis.clone(),
             // A fresh cache: cheaper to refill than to deep-copy, and
             // semantically invisible (a pure function of the key).
-            replay_cache: Mutex::new(HashMap::new()),
+            replay_cache: Mutex::default(),
         }
     }
 }
@@ -142,11 +211,7 @@ impl AbstractionMap {
         assert!(c_range.0 > 0.0 && c_range.1 >= c_range.0, "invalid c range");
         assert!(lambda_max > 0.0, "lambda_max must be positive");
         assert!(q_max >= 0.0, "q_max must be non-negative");
-        let sampler = GridSampler::new(vec![
-            (0.0, lambda_max, spec.lambda_steps),
-            (c_range.0, c_range.1, spec.c_steps),
-            (0.0, q_max, spec.q_steps),
-        ]);
+        let sampler = Self::grid(c_range, lambda_max, q_max, spec);
         let g = |p: &[f64]| {
             let (cost, power, final_q) =
                 L0Controller::simulate_model(l0, phis, p[2], p[0], p[1], steps_per_period);
@@ -163,8 +228,17 @@ impl AbstractionMap {
             steps_per_period,
             l0: *l0,
             phis: phis.to_vec(),
-            replay_cache: Mutex::new(HashMap::new()),
+            replay_cache: Mutex::default(),
         }
+    }
+
+    /// The learning grid over `(λ, ĉ, q₀)`.
+    fn grid(c_range: (f64, f64), lambda_max: f64, q_max: f64, spec: LearnSpec) -> GridSampler {
+        GridSampler::new(vec![
+            (0.0, lambda_max, spec.lambda_steps),
+            (c_range.0, c_range.1, spec.c_steps),
+            (0.0, q_max, spec.q_steps),
+        ])
     }
 
     /// [`AbstractionMap::learn`] over `spec`'s standard envelope
@@ -485,7 +559,13 @@ struct DecideScratch {
     cs: Vec<f64>,
     /// Cached all-false liveness vector for the plain `decide` wrapper.
     no_dead: Vec<bool>,
+    /// The incumbent's shares in quanta, over its active members in
+    /// index order.
+    best_units: Vec<i64>,
 }
+
+/// The smoothing constant of the band half-width `δ`'s filter.
+const BAND_SMOOTHING: f64 = 0.25;
 
 /// One member's effective processing time: the EWMA-filtered demand
 /// telemetry (the prior before any completion) over its
@@ -505,9 +585,8 @@ pub struct L1Controller {
     members: Vec<MemberSpec>,
     /// The split over the members: their abstraction maps and the
     /// module's λ forecast. The maps are shared, not cloned: members of
-    /// one kind may hold the same map, and offline module learning
-    /// replays thousands of short-lived `L1Controller`s over the same
-    /// maps, so construction must not deep-copy the tables.
+    /// one kind may hold the same map, and every module of a composition
+    /// and the offline module learning read the same tables.
     level: SplitLevel<Arc<AbstractionMap>>,
     /// Present once online learning is on.
     online: Option<Learner>,
@@ -524,7 +603,6 @@ pub struct L1Controller {
     /// share runs at the *effective* processing time `ĉ/ŝ` — the
     /// algebraic twin of scaling the queue model's service rate.
     member_scales: Vec<f64>,
-    prev_alpha: Vec<bool>,
     /// The previous decision's load split — the warm start of the next γ
     /// search. Quantized cost surfaces plateau (one γ quantum often moves
     /// a query within the same table cell), so a search restarted from
@@ -560,9 +638,8 @@ impl L1Controller {
         Self::new_shared(config, members, maps.into_iter().map(Arc::new).collect())
     }
 
-    /// [`L1Controller::new`] over maps that are already shared. Cloning an
-    /// `Arc` is O(1), so building many controllers over the same maps
-    /// (the offline L2 learning loop) costs nothing per build.
+    /// [`L1Controller::new`] over maps that are already shared: the
+    /// controller holds the `Arc`s, not copies of the tables.
     ///
     /// # Panics
     ///
@@ -586,10 +663,9 @@ impl L1Controller {
             members,
             level: SplitLevel::new(maps),
             online: None,
-            band: Ewma::new(0.25),
+            band: Ewma::new(BAND_SMOOTHING),
             c_filters,
             member_scales: vec![1.0; m],
-            prev_alpha: vec![false; m],
             prev_gamma: vec![0.0; m],
             pending_feed_forward: None,
             total_candidates_evaluated: 0,
@@ -597,6 +673,40 @@ impl L1Controller {
             scratch: DecideScratch::default(),
             search_budget: (L1Config::SEARCH_ROUNDS, L1Config::SEARCH_EVALS),
         }
+    }
+
+    /// Put the controller back into the state
+    /// [`new_shared`](Self::new_shared) builds over the maps it holds now:
+    /// cold forecast and filters, nominal scales, no standing split or
+    /// feed-forward, zero counters and online learning off. It keeps its
+    /// configuration, members, maps, search budget and the capacity of its
+    /// buffers, so one controller replays a whole learning grid.
+    pub(crate) fn reset(&mut self) {
+        // Named field by field, so that a new field must say how it resets.
+        let L1Controller {
+            config: _,
+            members: _,
+            level,
+            online,
+            band,
+            c_filters,
+            member_scales,
+            prev_gamma,
+            pending_feed_forward,
+            total_candidates_evaluated,
+            total_candidates_pruned,
+            scratch: _,
+            search_budget: _,
+        } = self;
+        level.reset();
+        *online = None;
+        *band = Ewma::new(BAND_SMOOTHING);
+        c_filters.fill(Ewma::paper_default());
+        member_scales.fill(1.0);
+        prev_gamma.fill(0.0);
+        *pending_feed_forward = None;
+        *total_candidates_evaluated = 0;
+        *total_candidates_pruned = 0;
     }
 
     /// Switch on online incremental learning: realized per-member
@@ -978,7 +1088,9 @@ impl L1Controller {
             cs.iter().zip(queues).map(|(&c, &q)| (c, q as f64)),
         );
 
-        let mut best: Option<(f64, usize, Vec<bool>, Vec<f64>)> = None;
+        // The incumbent's total cost and candidate; its split is in
+        // `ds.best_units`.
+        let mut best: Option<(f64, usize)> = None;
         let mut candidates_evaluated = 0usize;
         let mut candidates_pruned = 0usize;
         for oi in 0..ncand {
@@ -990,7 +1102,7 @@ impl L1Controller {
                 continue;
             }
             if self.config.pruned_search {
-                if let Some((best_cost, _, _, _)) = &best {
+                if let Some((best_cost, _)) = &best {
                     if ds.bounds[ci] > *best_cost {
                         candidates_pruned += 1;
                         continue;
@@ -1061,22 +1173,28 @@ impl L1Controller {
                 // original order this is exactly "strictly cheaper wins"
                 // (positions only increase); under the bound-sorted order
                 // it restores first-minimal-wins tie-breaking.
-                Some((best_cost, best_ci, _, _)) => {
+                Some((best_cost, best_ci)) => {
                     total_cost < *best_cost || (total_cost == *best_cost && ci < *best_ci)
                 }
             };
             if accept {
-                let mut gamma_full = vec![0.0; m];
-                for (&j, &u) in ds.active_idx.iter().zip(units) {
-                    gamma_full[j] = u as f64 * quantum;
-                }
-                best = Some((total_cost, ci, alpha.to_vec(), gamma_full));
+                ds.best_units.clear();
+                ds.best_units.extend_from_slice(units);
+                best = Some((total_cost, ci));
             }
         }
         // With a tight power budget every candidate may be infeasible; fall
         // back to the lowest-power single machine rather than panicking.
         let (expected_cost, alpha, gamma) = match best {
-            Some((cost, _, alpha, gamma)) => (cost, alpha, gamma),
+            Some((cost, ci)) => {
+                let alpha = ds.candidates[ci * m..(ci + 1) * m].to_vec();
+                let mut gamma = vec![0.0; m];
+                let active = (0..m).filter(|&j| alpha[j]);
+                for (j, &u) in active.zip(&ds.best_units) {
+                    gamma[j] = u as f64 * quantum;
+                }
+                (cost, alpha, gamma)
+            }
             None => {
                 let cheapest = (0..m)
                     .filter(|&j| !dead[j])
@@ -1093,7 +1211,6 @@ impl L1Controller {
         };
         // Hand the scratch back for the next decision's reuse.
         self.scratch = ds;
-        self.prev_alpha.copy_from_slice(&alpha);
         self.prev_gamma.copy_from_slice(&gamma);
         self.level.record(states);
         self.total_candidates_evaluated += candidates_evaluated as u64;
@@ -1424,7 +1541,7 @@ mod tests {
                 "λ={lambda} c={c} q={q}"
             );
             if lambda > lambda_max || q > q_max {
-                let (cost, power, final_q) = L0Controller::simulate_model(
+                let (cost, power, final_q) = crate::l0::reference::simulate_model(
                     &l0,
                     &phis,
                     q,
@@ -1437,6 +1554,144 @@ mod tests {
                     (cost.to_bits(), power.to_bits(), final_q.to_bits()),
                     "fresh replay at λ={lambda} c={c} q={q}"
                 );
+            }
+        }
+    }
+
+    /// The trained cells of `map`, as bits.
+    fn cell_bits(map: &AbstractionMap) -> Vec<(u64, u64, u64)> {
+        map.table
+            .iter()
+            .map(|(_, e)| (e.cost.to_bits(), e.power.to_bits(), e.final_q.to_bits()))
+            .collect()
+    }
+
+    /// Every map of the learning pass at full resolution is its grid
+    /// replayed through fresh buffers, bit for bit: the replays that reuse
+    /// one scratch per thread carry nothing from one point to the next.
+    #[test]
+    fn a_learned_map_is_its_grid_replayed_through_fresh_buffers() {
+        let l0 = L0Config::paper_default();
+        let steps = l0.ticks_per(L1Config::paper_default().period) as usize;
+        let spec = LearnSpec::default();
+        for profile in FrequencyProfile::module_set() {
+            let m = MemberSpec::paper_default(profile);
+            let (c_range, lambda_max, q_max) = m.learn_envelope();
+            let map = AbstractionMap::learn(&l0, steps, &m.phis, c_range, lambda_max, q_max, spec);
+            let fresh = train_dense(
+                &AbstractionMap::grid(c_range, lambda_max, q_max, spec),
+                |p| {
+                    let (cost, power, final_q) =
+                        crate::l0::reference::simulate_model(&l0, &m.phis, p[2], p[0], p[1], steps);
+                    GEntry {
+                        cost,
+                        power,
+                        final_q,
+                    }
+                },
+            );
+            let fresh = AbstractionMap {
+                table: fresh,
+                ..map.clone()
+            };
+            assert_eq!(cell_bits(&map), cell_bits(&fresh), "{profile:?}");
+        }
+    }
+
+    /// One random step of an L1's life, applied alike to every controller
+    /// in `l1s`; panics unless they all answer with the same bits.
+    fn random_step(rng: &mut rand::rngs::StdRng, l1s: &mut [&mut L1Controller], scales: bool) {
+        use rand::Rng;
+        let m = l1s[0].num_members();
+        let bits = |d: &L1Decision| {
+            let gamma: Vec<u64> = d.gamma.iter().map(|g| g.to_bits()).collect();
+            let counts = (
+                d.states_evaluated,
+                d.candidates_evaluated,
+                d.candidates_pruned,
+            );
+            (d.alpha.clone(), gamma, d.expected_cost.to_bits(), counts)
+        };
+        let arrivals = rng.gen_range(0..40_000u64);
+        let demands: Vec<Option<f64>> = (0..m)
+            .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0.008..0.04)))
+            .collect();
+        let queues: Vec<usize> = (0..m)
+            .map(|_| match rng.gen_range(0..3u32) {
+                0 => 0,
+                1 => rng.gen_range(150..400), // past the trained queues
+                _ => rng.gen_range(0..150),
+            })
+            .collect();
+        let active: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.6)).collect();
+        let mut dead = vec![false; m];
+        if rng.gen_bool(0.2) {
+            dead[rng.gen_range(0..m)] = true;
+        }
+        let member_scales: Vec<f64> = (0..m).map(|_| rng.gen_range(0.5..1.2)).collect();
+        let feed_forward = rng.gen_bool(0.2).then(|| rng.gen_range(0.0..300.0));
+        let mut answers = Vec::new();
+        for l1 in l1s.iter_mut() {
+            l1.observe(arrivals, &demands);
+            if scales {
+                l1.set_member_scales(&member_scales);
+            }
+            if let Some(lambda) = feed_forward {
+                l1.feed_forward_lambda(lambda);
+            }
+            let decision = l1.decide_excluding(&queues, &active, &dead);
+            let lambda = l1.lambda_estimate().to_bits();
+            let filters: Vec<u64> = l1.c_iter().map(f64::to_bits).collect();
+            let counters = (
+                l1.mean_states_evaluated().to_bits(),
+                l1.candidates_evaluated(),
+                l1.candidates_pruned(),
+                l1.learns_online(),
+            );
+            answers.push((
+                bits(&decision),
+                lambda,
+                l1.delta().to_bits(),
+                filters,
+                counters,
+            ));
+        }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
+    }
+
+    /// A controller [reset](L1Controller::reset) after a random life decides
+    /// as one just built over the same maps, bit for bit, over random
+    /// arrivals, demands, queues, active and dead sets, scales and
+    /// feed-forwards.
+    #[test]
+    fn a_reset_controller_decides_as_a_fresh_one() {
+        use rand::{Rng, SeedableRng};
+        let reference = build_module(4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E5E7);
+        for trial in 0..12 {
+            let fresh = || {
+                L1Controller::new_shared(
+                    reference.config,
+                    reference.members.clone(),
+                    reference.level.children.clone(),
+                )
+            };
+            let mut used = fresh();
+            if trial % 2 == 0 {
+                used.enable_online();
+            }
+            for _ in 0..rng.gen_range(1..6) {
+                random_step(&mut rng, &mut [&mut used], true);
+            }
+            // A feed-forward left pending, and scales off nominal.
+            used.feed_forward_lambda(rng.gen_range(0.0..300.0));
+            used.set_member_scales(&[0.6, 0.9, 1.1, 0.7]);
+            used.reset();
+            let mut built = fresh();
+            for step in 0..6 {
+                // Scales from the second step on: the first decides on
+                // whatever the reset left.
+                random_step(&mut rng, &mut [&mut used, &mut built], step > 0);
             }
         }
     }

@@ -26,9 +26,7 @@ pub struct ModuleCostModel {
     /// therefore shared: cloning a model copies the handle, so every
     /// module of one composition reads the same tree.
     tree: Arc<RegressionTree>,
-    /// Upper edge of the trained queue grid.
-    q_hi: f64,
-    /// Marginal cost per queued request past `q_hi`, measured from the
+    /// Marginal cost per queued request past [`Q_HI`], measured from the
     /// training set (mean cost at the queue ceiling vs at zero queue).
     overload_slope: f64,
     /// Marginal cost of one request *arriving* at a saturated module:
@@ -102,63 +100,142 @@ const TRAINING_SEARCH_BUDGET: (usize, usize) = (8, 600);
 /// abstraction maps for a constant offered load — the inner loop of the
 /// L2 learning pipeline ("the behavior of module M_i is learned by
 /// simulating the control structure in Fig. 2(b)").
-#[allow(clippy::too_many_arguments)] // mirrors the learning grid's axes
-fn simulate_module(
+///
+/// One replay serves a worker's whole share of the learning grid: its
+/// controller is built once and [reset](L1Controller::reset) before each
+/// point, and its buffers keep their capacity.
+struct ModuleReplay<'a> {
+    l1_config: &'a L1Config,
+    members: &'a [MemberSpec],
+    l1: L1Controller,
+    /// The members from the highest capacity `speed / c_prior` down.
+    order: Vec<usize>,
+    queues: Vec<f64>,
+    q_obs: Vec<usize>,
+    active: Vec<bool>,
+    demands: Vec<Option<f64>>,
+}
+
+impl<'a> ModuleReplay<'a> {
+    fn new(
+        l1_config: &'a L1Config,
+        members: &'a [MemberSpec],
+        maps: &[Arc<AbstractionMap>],
+    ) -> Self {
+        let mut l1 = L1Controller::new_shared(*l1_config, members.to_vec(), maps.to_vec());
+        l1.search_budget = TRAINING_SEARCH_BUDGET;
+        let mut order: Vec<usize> = (0..members.len()).collect();
+        order.sort_by(|&a, &b| {
+            (members[b].speed / members[b].c_prior)
+                .total_cmp(&(members[a].speed / members[a].c_prior))
+        });
+        ModuleReplay {
+            l1_config,
+            members,
+            l1,
+            order,
+            queues: Vec::new(),
+            q_obs: Vec::new(),
+            active: Vec::new(),
+            demands: Vec::new(),
+        }
+    }
+
+    /// The mean per-period cost of `periods` L1 periods at offered load
+    /// `lambda`, member demands `c_factor` times their priors, every
+    /// queue starting at `q0` and `active_init` machines on.
+    fn run(
+        &mut self,
+        lambda: f64,
+        c_factor: f64,
+        q0: f64,
+        active_init: usize,
+        periods: usize,
+    ) -> f64 {
+        let ModuleReplay {
+            l1_config,
+            members,
+            l1,
+            order,
+            queues,
+            q_obs,
+            active,
+            demands,
+        } = self;
+        l1.reset();
+        let m = members.len();
+        queues.clear();
+        queues.resize(m, q0);
+        // Start with the `active_init` highest-capacity machines on — the
+        // canonical configuration an L1 controller converges to at that
+        // size.
+        active.clear();
+        active.resize(m, false);
+        for &j in order.iter().take(active_init.clamp(1, m)) {
+            active[j] = true;
+        }
+        demands.clear();
+        demands.extend(members.iter().map(|s| Some(s.c_prior * c_factor)));
+        let mut total = 0.0;
+        for _ in 0..periods {
+            let arrivals = (lambda * l1_config.period).round().max(0.0) as u64;
+            l1.observe(arrivals, demands);
+            q_obs.clear();
+            q_obs.extend(queues.iter().map(|&q| q.round() as usize));
+            let d = l1.decide(q_obs, active);
+            let mut period_cost = 0.0;
+            for j in 0..m {
+                if d.alpha[j] {
+                    let entry = l1.map(j).query(
+                        d.gamma[j] * lambda,
+                        members[j].c_prior * c_factor,
+                        queues[j],
+                    );
+                    period_cost += entry.cost;
+                    queues[j] = entry.final_q;
+                } else {
+                    queues[j] = 0.0; // drained/off computers shed their queue
+                }
+                if d.alpha[j] && !active[j] {
+                    period_cost += l1_config.switch_on_penalty;
+                }
+            }
+            active.copy_from_slice(&d.alpha);
+            total += period_cost;
+        }
+        total / periods as f64
+    }
+}
+
+/// The module learning grid and its training costs: every point `(λ,
+/// c_factor, q₀, active)` replayed for `spec.periods` L1 periods, fanned
+/// out with llc_par (slot-per-point writes and a controller reset before
+/// each point keep the result bit-identical to a serial pass).
+fn training_set(
     l1_config: &L1Config,
     members: &[MemberSpec],
     maps: &[Arc<AbstractionMap>],
-    lambda: f64,
-    c_factor: f64,
-    q0: f64,
-    active_init: usize,
-    periods: usize,
-) -> f64 {
-    // `new_shared` clones Arcs, not tables: the learning grid builds one
-    // controller per grid point, so a deep copy here would dominate the
-    // whole offline pass.
-    let mut l1 = L1Controller::new_shared(*l1_config, members.to_vec(), maps.to_vec());
-    l1.search_budget = TRAINING_SEARCH_BUDGET;
+    lambda_max: f64,
+    spec: ModuleLearnSpec,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     let m = members.len();
-    let mut queues: Vec<f64> = vec![q0; m];
-    // Start with the `active_init` highest-capacity machines on — the
-    // canonical configuration an L1 controller converges to at that size.
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| {
-        (members[b].speed / members[b].c_prior).total_cmp(&(members[a].speed / members[a].c_prior))
-    });
-    let mut active = vec![false; m];
-    for &j in order.iter().take(active_init.clamp(1, m)) {
-        active[j] = true;
-    }
-    let demands: Vec<Option<f64>> = members.iter().map(|s| Some(s.c_prior * c_factor)).collect();
-    let mut total = 0.0;
-    for _ in 0..periods {
-        let arrivals = (lambda * l1_config.period).round().max(0.0) as u64;
-        l1.observe(arrivals, &demands);
-        let q_obs: Vec<usize> = queues.iter().map(|&q| q.round() as usize).collect();
-        let d = l1.decide(&q_obs, &active);
-        let mut period_cost = 0.0;
-        for j in 0..m {
-            if d.alpha[j] {
-                let entry = maps[j].query(
-                    d.gamma[j] * lambda,
-                    members[j].c_prior * c_factor,
-                    queues[j],
-                );
-                period_cost += entry.cost;
-                queues[j] = entry.final_q;
-            } else {
-                queues[j] = 0.0; // drained/off computers shed their queue
-            }
-            if d.alpha[j] && !active[j] {
-                period_cost += l1_config.switch_on_penalty;
-            }
-        }
-        active = d.alpha;
-        total += period_cost;
-    }
-    total / periods as f64
+    let xs = llc_approx::GridSampler::new(vec![
+        (0.0, lambda_max, spec.lambda_steps),
+        (0.7, 1.4, spec.c_steps),
+        (0.0, Q_HI, spec.q_steps),
+        (1.0, m as f64, spec.active_steps.min(m)),
+    ])
+    .points();
+    let ys = llc_par::par_map_with(
+        &xs,
+        || ModuleReplay::new(l1_config, members, maps),
+        |replay, p| replay.run(p[0], p[1], p[2], p[3].round() as usize, spec.periods),
+    );
+    (xs, ys)
 }
+
+/// Upper edge of the module learning's queue grid.
+const Q_HI: f64 = 100.0;
 
 impl ModuleCostModel {
     /// Learn a module's cost surface by simulating its L1+L0 stack over a
@@ -177,30 +254,7 @@ impl ModuleCostModel {
     ) -> Self {
         assert!(!members.is_empty(), "module needs members");
         assert!(lambda_max > 0.0, "lambda_max must be positive");
-        let m = members.len() as f64;
-        let q_hi = 100.0;
-        let sampler = llc_approx::GridSampler::new(vec![
-            (0.0, lambda_max, spec.lambda_steps),
-            (0.7, 1.4, spec.c_steps),
-            (0.0, q_hi, spec.q_steps),
-            (1.0, m, spec.active_steps.min(members.len())),
-        ]);
-        let xs = sampler.points();
-        // Every grid point is an independent module replay: fan out with
-        // llc_par (slot-per-point writes keep the result bit-identical to
-        // a serial pass).
-        let ys: Vec<f64> = llc_par::par_map(&xs, |p| {
-            simulate_module(
-                l1_config,
-                members,
-                maps,
-                p[0],
-                p[1],
-                p[2],
-                p[3].round() as usize,
-                spec.periods,
-            )
-        });
+        let (xs, ys) = training_set(l1_config, members, maps, lambda_max, spec);
         let tree = RegressionTree::fit(
             &xs,
             &ys,
@@ -224,14 +278,13 @@ impl ModuleCostModel {
                 0.0
             }
         };
-        let overload_slope = ((mean_at(q_hi) - mean_at(0.0)) / q_hi).max(0.0);
+        let overload_slope = ((mean_at(Q_HI) - mean_at(0.0)) / Q_HI).max(0.0);
         // One period of arrivals at rate λ adds λ·T/m to the *mean* queue
         // of a saturated module; each queued request costs the measured
         // marginal slope.
         let overload_arrival_cost = overload_slope * l1_config.period / members.len() as f64;
         ModuleCostModel {
             tree: Arc::new(tree),
-            q_hi,
             overload_slope,
             overload_arrival_cost,
         }
@@ -239,11 +292,12 @@ impl ModuleCostModel {
 
     /// The tree-domain key for `(λ, c_factor, q̄, active)` (queue clamped
     /// to the trained ceiling, exactly as the tree is queried).
+    #[allow(clippy::manual_clamp)] // a NaN queue keys as 0; `clamp` keeps NaN
     fn key_of(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> [f64; 4] {
         [
             lambda.max(0.0),
             c_factor,
-            q_mean.max(0.0).min(self.q_hi),
+            q_mean.max(0.0).min(Q_HI),
             active as f64,
         ]
     }
@@ -259,9 +313,8 @@ impl ModuleCostModel {
     pub fn predict(&self, lambda: f64, c_factor: f64, q_mean: f64, active: usize) -> f64 {
         let q = q_mean.max(0.0);
         let base = self.tree.predict(&self.key_of(lambda, c_factor, q, active));
-        if q > self.q_hi {
-            base + self.overload_slope * (q - self.q_hi)
-                + self.overload_arrival_cost * lambda.max(0.0)
+        if q > Q_HI {
+            base + self.overload_slope * (q - Q_HI) + self.overload_arrival_cost * lambda.max(0.0)
         } else {
             base
         }
@@ -830,7 +883,7 @@ mod tests {
                     c_factor: rng.gen_range(0.6..1.5),
                     queue_mean: match rng.gen_range(0..4u32) {
                         0 => 0.0,
-                        1 => rng.gen_range(100.0..600.0), // past `q_hi`
+                        1 => rng.gen_range(100.0..600.0), // past `Q_HI`
                         _ => rng.gen_range(0.0..100.0),
                     },
                     active: rng.gen_range(1..=3usize),
@@ -902,6 +955,158 @@ mod tests {
         // most modules at zero quanta.
         let l2 = L2Controller::new(at_quantum(0.1), mixed_models(32));
         decide_against_reference(l2, 4, 50, 11);
+    }
+
+    /// The module learning's training set as it stood before a worker kept
+    /// one controller: its own grid and search budget, written out, and a
+    /// fresh `L1Controller` per point, serially on this thread, with every
+    /// L0 replay made through fresh buffers.
+    fn training_set_fresh(
+        l1_config: &L1Config,
+        members: &[MemberSpec],
+        maps: &[Arc<AbstractionMap>],
+        lambda_max: f64,
+        spec: ModuleLearnSpec,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let m = members.len();
+        let xs = llc_approx::GridSampler::new(vec![
+            (0.0, lambda_max, spec.lambda_steps),
+            (0.7, 1.4, spec.c_steps),
+            (0.0, 100.0, spec.q_steps),
+            (1.0, m as f64, spec.active_steps.min(m)),
+        ])
+        .points();
+        let ys = crate::l0::reference::with_fresh_replays(|| {
+            xs.iter()
+                .map(|p| {
+                    simulate_module_fresh(
+                        l1_config,
+                        members,
+                        maps,
+                        p[0],
+                        p[1],
+                        p[2],
+                        p[3].round() as usize,
+                        spec.periods,
+                    )
+                })
+                .collect()
+        });
+        (xs, ys)
+    }
+
+    #[allow(clippy::too_many_arguments)] // mirrors the learning grid's axes
+    fn simulate_module_fresh(
+        l1_config: &L1Config,
+        members: &[MemberSpec],
+        maps: &[Arc<AbstractionMap>],
+        lambda: f64,
+        c_factor: f64,
+        q0: f64,
+        active_init: usize,
+        periods: usize,
+    ) -> f64 {
+        let mut l1 = L1Controller::new_shared(*l1_config, members.to_vec(), maps.to_vec());
+        l1.search_budget = (8, 600);
+        let m = members.len();
+        let mut queues: Vec<f64> = vec![q0; m];
+        let mut order: Vec<usize> = (0..m).collect();
+        order.sort_by(|&a, &b| {
+            (members[b].speed / members[b].c_prior)
+                .total_cmp(&(members[a].speed / members[a].c_prior))
+        });
+        let mut active = vec![false; m];
+        for &j in order.iter().take(active_init.clamp(1, m)) {
+            active[j] = true;
+        }
+        let demands: Vec<Option<f64>> =
+            members.iter().map(|s| Some(s.c_prior * c_factor)).collect();
+        let mut total = 0.0;
+        for _ in 0..periods {
+            let arrivals = (lambda * l1_config.period).round().max(0.0) as u64;
+            l1.observe(arrivals, &demands);
+            let q_obs: Vec<usize> = queues.iter().map(|&q| q.round() as usize).collect();
+            let d = l1.decide(&q_obs, &active);
+            let mut period_cost = 0.0;
+            for j in 0..m {
+                if d.alpha[j] {
+                    let entry = maps[j].query(
+                        d.gamma[j] * lambda,
+                        members[j].c_prior * c_factor,
+                        queues[j],
+                    );
+                    period_cost += entry.cost;
+                    queues[j] = entry.final_q;
+                } else {
+                    queues[j] = 0.0;
+                }
+                if d.alpha[j] && !active[j] {
+                    period_cost += l1_config.switch_on_penalty;
+                }
+            }
+            active = d.alpha;
+            total += period_cost;
+        }
+        total / periods as f64
+    }
+
+    /// Each composition of `scenario`'s modules learns, through one reset
+    /// controller per worker, the training set
+    /// [`training_set_fresh`] learns, bit for bit. The fresh path runs on
+    /// copies of the maps with cold replay memos, so every out-of-grid
+    /// query it makes is replayed again.
+    fn assert_trains_as_fresh_controllers(scenario: &crate::ScenarioConfig) {
+        let steps = scenario.l0.ticks_per(scenario.l1.period) as usize;
+        for (module, members) in scenario.member_specs().iter().enumerate() {
+            let maps: Vec<Arc<AbstractionMap>> = members
+                .iter()
+                .map(|m| {
+                    let (c_range, lambda_max, q_max) = m.learn_envelope();
+                    Arc::new(AbstractionMap::learn(
+                        &scenario.l0,
+                        steps,
+                        &m.phis,
+                        c_range,
+                        lambda_max,
+                        q_max,
+                        scenario.learn,
+                    ))
+                })
+                .collect();
+            let capacity: f64 = members.iter().map(|m| m.speed / m.c_prior).sum();
+            let spec = scenario.module_learn;
+            let (xs, ys) = training_set(&scenario.l1, members, &maps, capacity * 1.3, spec);
+            let cold: Vec<Arc<AbstractionMap>> =
+                maps.iter().map(|map| Arc::new((**map).clone())).collect();
+            let (fresh_xs, fresh_ys) =
+                training_set_fresh(&scenario.l1, members, &cold, capacity * 1.3, spec);
+            assert_eq!(xs, fresh_xs, "module {module}'s grid");
+            for (k, (y, want)) in ys.iter().zip(&fresh_ys).enumerate() {
+                assert_eq!(
+                    y.to_bits(),
+                    want.to_bits(),
+                    "module {module}, point {:?}",
+                    xs[k]
+                );
+            }
+        }
+    }
+
+    /// The five `cluster_of` compositions on the coarse grids.
+    #[test]
+    fn module_learning_trains_as_fresh_controllers_on_the_coarse_grids() {
+        let mut scenario = crate::paper_cluster_16().with_coarse_learning();
+        scenario.modules = crate::cluster_of(5);
+        assert_trains_as_fresh_controllers(&scenario);
+    }
+
+    /// The five `cluster_of` compositions at the default grids, the
+    /// resolution every benchmark workload with an L2 learns at.
+    #[test]
+    fn module_learning_trains_as_fresh_controllers_at_full_resolution() {
+        let mut scenario = crate::paper_cluster_16();
+        scenario.modules = crate::cluster_of(5);
+        assert_trains_as_fresh_controllers(&scenario);
     }
 
     /// The L2 of a ten-module `cluster_of` build (two modules of each of

@@ -23,7 +23,9 @@
 //!   and checks the evaluation budget before each evaluation. The
 //!   exhaustive pass takes its first point, then strictly cheaper ones.
 //! * [`SplitChild::cost`] is pure, so a lane priced once, lazily, is what
-//!   pricing it on every visit gives.
+//!   pricing it on every visit gives, and a sample with the previous
+//!   sample's bits (the band of a decision with `δ = 0`) takes that
+//!   sample's lane rather than pricing the same load again.
 
 use crate::trend::LocalLinearTrend;
 use llc_approx::SimplexGrid;
@@ -88,8 +90,15 @@ impl<K: Copy> Lanes<K> {
             let cell = (u as usize * children.len() + i) * N;
             if self.costs[cell].to_bits() == UNPRICED {
                 for s in 0..N {
-                    let lambda = u as f64 * self.quantum * self.samples[s];
-                    self.costs[cell + s] = children[i].cost(lambda, self.keys[i]);
+                    // A sample with the previous one's bits has its lane:
+                    // the band of a decision with δ = 0.
+                    self.costs[cell + s] =
+                        if s > 0 && self.samples[s].to_bits() == self.samples[s - 1].to_bits() {
+                            self.costs[cell + s - 1]
+                        } else {
+                            let lambda = u as f64 * self.quantum * self.samples[s];
+                            children[i].cost(lambda, self.keys[i])
+                        };
                 }
             }
             for (a, lane) in acc.iter_mut().zip(&self.costs[cell..cell + N]) {
@@ -143,6 +152,28 @@ impl<C: SplitChild> SplitLevel<C> {
             neighbor: Vec::new(),
             round: Vec::new(),
         }
+    }
+
+    /// Back to a cold forecast and no decisions, as [`new`](Self::new)
+    /// builds it, keeping the children and the capacity of the search's
+    /// buffers.
+    pub(crate) fn reset(&mut self) {
+        // Named field by field, so that a new field must say how it resets.
+        let SplitLevel {
+            children: _,
+            forecast,
+            last_prediction,
+            total_states,
+            decisions,
+            lanes: _,
+            units: _,
+            neighbor: _,
+            round: _,
+        } = self;
+        *forecast = LocalLinearTrend::with_default_noise();
+        *last_prediction = None;
+        *total_states = 0;
+        *decisions = 0;
     }
 
     /// Fold one period's arrival rate into the forecast. Returns the rate

@@ -90,10 +90,28 @@ pub fn par_map<T: Sync, U: Send, F>(items: &[T], f: F) -> Vec<U>
 where
     F: Fn(&T) -> U + Sync,
 {
+    par_map_with(items, || (), |(), item| f(item))
+}
+
+/// [`par_map`] through one working state per worker: `init` builds a
+/// state for each contiguous chunk (one for the whole slice on the
+/// serial path) and `f` maps the chunk's items through it in order.
+///
+/// For the output to be the serial map's whatever the thread count, `f`
+/// must leave nothing in the state that a later item's result can see:
+/// the state is for buffers and for objects `f` puts back as it found
+/// them — an offline learning pass reuses one controller per worker
+/// instead of building one per grid point.
+pub fn par_map_with<T: Sync, U: Send, S, I, F>(items: &[T], init: I, f: F) -> Vec<U>
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
     let n = items.len();
     let threads = num_threads().min(n);
     if threads <= 1 || in_worker() {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
@@ -101,8 +119,9 @@ where
         for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(|| {
                 IN_WORKER.with(|w| w.set(true));
+                let mut state = init();
                 for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
+                    *slot = Some(f(&mut state, item));
                 }
             });
         }
@@ -217,6 +236,35 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// `par_map_with` over a buffer reused across each chunk's items,
+    /// and the number of states it built.
+    fn through_reused_buffers(items: &[u64]) -> (Vec<u64>, usize) {
+        use std::sync::atomic::AtomicUsize;
+        let states = AtomicUsize::new(0);
+        let mapped = par_map_with(
+            items,
+            || {
+                states.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |buffer: &mut Vec<u64>, &x| {
+                buffer.clear();
+                buffer.extend([x, x, x]);
+                buffer.iter().sum::<u64>() + 1
+            },
+        );
+        (mapped, states.into_inner())
+    }
+
+    #[test]
+    fn per_worker_states_give_the_serial_map() {
+        let items: Vec<u64> = (0..1_000).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        let (mapped, states) = through_reused_buffers(&items);
+        assert_eq!(mapped, serial);
+        assert!(states >= 1);
+    }
+
     #[test]
     fn thread_override_roundtrip() {
         set_threads(3);
@@ -225,6 +273,14 @@ mod tests {
         assert!(num_threads() >= 1);
         let inside = with_threads(5, num_threads);
         assert_eq!(inside, 5);
+        // `par_map_with` builds one state per worker, one when serial.
+        let items: Vec<u64> = (0..1_000).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for threads in [1, 2, 7] {
+            let (mapped, states) = with_threads(threads, || through_reused_buffers(&items));
+            assert_eq!(mapped, serial, "{threads} threads");
+            assert_eq!(states, threads, "{threads} threads");
+        }
         assert!(num_threads() >= 1, "override restored after the closure");
     }
 }
